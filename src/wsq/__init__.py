@@ -60,10 +60,9 @@ from .minimality import (
 from .petz import (
     Feasible,
     InfeasibleOrthogonality,
-    NumericallyInfeasible,
+    InfeasibleSharedAtoms,
     PetzInstance,
     StructuralReport,
-    UndecidedError,
     orthogonality_precheck,
     petz_feasibility,
     petz_implies_weak_check,
@@ -90,5 +89,3 @@ from .harness import (
     run_property_suite,
     shrink_instance,
 )
-
-__version__ = "0.1.0"

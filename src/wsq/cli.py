@@ -1,10 +1,11 @@
 """Command-line surface: decide, construct, and certify from instance files.
 
 Exit codes follow one contract across all subcommands: 0 for an
-affirmative verdict, 1 for a negative verdict, 2 for errors or
-undecided outcomes.  Certificates go to stdout as JSON; human-readable
-diagnostics go to stderr.  The WSQ_TOL environment variable supplies
-the default tolerance when --tol is not given.
+affirmative verdict, 1 for a negative verdict, 2 for errors; every
+verdict is decided exactly, none is left undecided.  Certificates go
+to stdout as JSON; human-readable diagnostics go to stderr.  The
+WSQ_TOL environment variable supplies the default tolerance when --tol
+is not given.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import fileio, minimality, petz, sufficiency
-from .petz import Feasible, InfeasibleOrthogonality, NumericallyInfeasible, UndecidedError
+from .petz import Feasible, InfeasibleOrthogonality
 
 AFFIRMATIVE, NEGATIVE, ERROR = 0, 1, 2
 
@@ -105,30 +106,22 @@ def _cmd_petz(args) -> int:
     tol = _tolerance(args)
     instance = petz.PetzInstance.from_parts(statistic, family,
                                             unital=not args.non_unital)
-    kwargs = {"max_iters": args.max_iters}
-    if tol is not None:
-        kwargs["tol"] = tol
+    kwargs = {} if tol is None else {"tol": tol}
     result = petz.petz_feasibility(instance, **kwargs)
-    parameters = {
-        "max_iters": args.max_iters,
-        "tol": tol if tol is not None else petz.FEASIBILITY_TOL,
-        "unital": not args.non_unital,
-    }
     overrides = None if tol is None else {"petz_feasibility": tol}
-    cert = fileio.make_certificate("petz", result, parameters=parameters,
+    cert = fileio.make_certificate("petz", result,
+                                   parameters={"unital": not args.non_unital},
                                    tolerances=overrides)
     _emit(cert, args)
     if isinstance(result, Feasible):
-        print(f"feasible after {result.iterations} iterations "
-              f"(residual {result.max_constraint_residual:.3e})", file=sys.stderr)
+        print(f"feasible (residual {result.max_constraint_residual:.3e})", file=sys.stderr)
         return AFFIRMATIVE
     if isinstance(result, InfeasibleOrthogonality):
         print(f"infeasible: states {result.pair[0]!r} and {result.pair[1]!r} "
               f"overlap by {abs(result.overlap):.8f}", file=sys.stderr)
         return NEGATIVE
-    assert isinstance(result, NumericallyInfeasible)
-    print(f"numerically infeasible: residual plateau at {result.residual_floor:.3e} "
-          "(heuristic verdict, not a proof)", file=sys.stderr)
+    atoms = ", ".join(f"{k} (with {other!r})" for k, other in result.pairs)
+    print(f"infeasible: state {result.state!r} shares atoms {atoms}", file=sys.stderr)
     return NEGATIVE
 
 
@@ -174,19 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, statistic_flag=False, witness=False):
+    def add_common(p, witness=False):
         p.add_argument("--input", required=True, help="instance file (JSON)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the default tolerance (or set WSQ_TOL)")
-        if statistic_flag:
-            p.add_argument("--statistic", choices=["from-file"], default="from-file",
-                           help="where the statistic comes from")
         if witness:
             p.add_argument("--witness-out", default=None,
                            help="also write the emitted certificate to this path")
 
     p = sub.add_parser("check", help="decide weak sufficiency of the file's statistic")
-    add_common(p, statistic_flag=True, witness=True)
+    add_common(p, witness=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct",
@@ -202,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, witness=True)
     p.add_argument("--non-unital", action="store_true",
                    help="drop the trace-one constraint on the solution blocks")
-    p.add_argument("--max-iters", type=int, default=petz.DEFAULT_MAX_ITERS,
-                   help="projection iteration budget")
     p.set_defaults(func=_cmd_petz)
 
     p = sub.add_parser("oracle", help="cross-check the decision against brute force")
@@ -228,9 +216,6 @@ def run_cli(argv=None) -> int:
         return ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UndecidedError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return ERROR
     except (fileio.SchemaError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

@@ -350,7 +350,6 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
             cert["payload"] = {
                 "rhos": [_matrix_json(rho) for rho in result.rhos],
                 "max_constraint_residual": result.max_constraint_residual,
-                "iterations": result.iterations,
             }
         elif isinstance(result, petz.InfeasibleOrthogonality):
             cert["verdict"] = "infeasible_orthogonality"
@@ -358,11 +357,11 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
                 "pair": list(result.pair),
                 "overlap": _pair_json(result.overlap),
             }
-        elif isinstance(result, petz.NumericallyInfeasible):
-            cert["verdict"] = "numerically_infeasible"
+        elif isinstance(result, petz.InfeasibleSharedAtoms):
+            cert["verdict"] = "infeasible_shared_atoms"
             cert["payload"] = {
-                "residual_floor": result.residual_floor,
-                "iterations": result.iterations,
+                "state": result.state,
+                "pairs": [[k, other] for k, other in result.pairs],
             }
         else:
             raise ValueError(f"unsupported petz result {type(result).__name__}")
@@ -423,9 +422,9 @@ def verify_certificate(instance_text: str, certificate_text: str,
     checks, constraint residuals).  Negative verdicts are re-verified
     through their own evidence: rank violations are recomputed, cycle
     constraints are matched against the instance, overlaps are
-    recomputed.  The numerically-infeasible verdict has no independent
-    evidence, so the solver is re-run with the recorded parameters and
-    must reproduce the plateau.
+    recomputed, and each shared atom of a petz refusal is replayed from
+    the recomputed weights and the recorded petz_feasibility tolerance.
+    A certificate that does not prove its claim yields ok=False.
     """
     statistic, family = parse_instance(instance_text)
     cert = parse_certificate(certificate_text)
@@ -518,8 +517,10 @@ def verify_certificate(instance_text: str, certificate_text: str,
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     # kind == "petz"
+    if statistic is None:
+        return VerificationReport(False, "instance file carries no statistic")
     params = cert.get("parameters", {})
-    unital = bool(params.get("unital", True))
+    unital = bool(params.get("unital", True)) if isinstance(params, dict) else True
     instance = petz.PetzInstance.from_parts(statistic, family, unital=unital)
     if verdict == "feasible":
         rho_nodes = payload.get("rhos")
@@ -556,7 +557,7 @@ def verify_certificate(instance_text: str, certificate_text: str,
         try:
             u = family.vector(pair[0])
             v = family.vector(pair[1])
-        except KeyError:
+        except ValueError:
             return VerificationReport(False, f"pair {pair} not in the instance")
         overlap = abs(inner(u, v))
         if overlap <= petz.ORTHOGONALITY_TOL:
@@ -564,17 +565,23 @@ def verify_certificate(instance_text: str, certificate_text: str,
                 False, f"states {pair} are orthogonal (overlap {overlap:.3e})"
             )
         return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
-    if verdict == "numerically_infeasible":
-        rerun = petz.petz_feasibility(
-            instance,
-            max_iters=int(params.get("max_iters", petz.DEFAULT_MAX_ITERS)),
-            tol=float(params.get("tol", petz.FEASIBILITY_TOL)),
-        )
-        if not isinstance(rerun, petz.NumericallyInfeasible):
-            return VerificationReport(
-                False, f"re-run produced {type(rerun).__name__}, not a plateau"
-            )
-        return VerificationReport(
-            True, f"plateau reproduced at residual {rerun.residual_floor:.3e}"
-        )
+    if verdict == "infeasible_shared_atoms":
+        tols, pairs = cert.get("tolerances"), payload.get("pairs")
+        tol = tols.get("petz_feasibility") if isinstance(tols, dict) else None
+        if not isinstance(tol, float) or not tol >= 0 or not isinstance(pairs, list):
+            return VerificationReport(False, "payload or petz_feasibility tolerance missing")
+        loads = instance.weights > tol
+        try:
+            n = family.index(payload.get("state"))
+            named = [(k, family.index(other)) for k, other in pairs]
+        except (TypeError, ValueError):
+            return VerificationReport(False, f"pairs {pairs} do not name atoms and states")
+        for k, j in named:
+            if type(k) is not int or not 0 <= k < len(statistic) or j == n \
+                    or not (loads[n, k] and loads[j, k]):
+                return VerificationReport(False, f"atom {k!r} is not loaded by both states")
+        missed = set(np.flatnonzero(loads[n]).tolist()) - {k for k, _ in named}
+        if (unital and not named) or (not unital and missed):
+            return VerificationReport(False, "the shared atoms do not block the state")
+        return VerificationReport(True, f"shared atoms of {family.labels[n]!r} confirmed")
     return VerificationReport(False, f"unknown verdict '{verdict}'")

@@ -5,7 +5,9 @@ families, states confined to disjoint atoms, an inconsistent phase
 cycle) so that every theorem-level claim in the library has a corpus on
 which it must hold.  The brute-force decision procedure re-decides weak
 sufficiency by exhaustive means — rank tests through numpy and a phase
-grid search — sharing none of the production checker's union-find path.
+grid search — sharing none of the production checker's union-find path;
+an alternating-projection solver likewise re-decides channel feasibility
+without the exact rule of petz.py.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
 """
@@ -20,8 +22,14 @@ import numpy as np
 from . import petz as petz_mod
 from . import phases as phases_mod
 from . import sufficiency as sufficiency_mod
-from .fileio import load_bundled_instance, serialize_instance
-from .linalg import gram_schmidt, hermitian_eig, hermitian_part, inner, norm
+from .fileio import (
+    load_bundled_instance,
+    make_certificate,
+    serialize_certificate,
+    serialize_instance,
+    verify_certificate,
+)
+from .linalg import gram_schmidt, hermitian_eig, hermitian_part, inner, norm, psd_project
 from .minimality import (
     NoMinimalExists,
     check_coarse_sufficient,
@@ -31,6 +39,7 @@ from .minimality import (
     minimal_statistic,
 )
 from .petz import (
+    FEASIBILITY_TOL,
     Feasible,
     PetzInstance,
     petz_feasibility,
@@ -789,67 +798,110 @@ def _petz_corpus(rng, count):
     return specs
 
 
-def _uneven_spread_instance(rng):
-    """One state split roughly 0.9/0.1 across two atoms.
+def _shared_atom_instance(rng, dim: int, private_atoms: bool = True):
+    """Two orthogonal states loading one shared two-dimensional atom.
 
-    Still feasible (the projector onto the state solves both blocks) but
-    the unconstrained least-squares point is not positive, so the cone
-    projection must engage; these instances are the ones that notice a
-    missing trace constraint.
+    With private_atoms each state also has an atom of its own: infeasible
+    unital, feasible non-unital.  Without, the first state lies inside the
+    shared atom and the instance is infeasible both ways.
     """
-    basis = _random_basis(rng, 2)
-    statistic = _blocked_statistic(basis, [1, 1])
-    alpha = math.sqrt(rng.uniform(0.85, 0.95))
-    beta = math.sqrt(1.0 - alpha * alpha)
-    vec = alpha * basis[0] + beta * basis[1]
-    family = StateFamily(labels=("phi1",), vectors=(vec,))
-    return statistic, family
+    basis = _random_basis(rng, dim)
+    a = math.sqrt(rng.uniform(0.3, 0.7))
+    b = math.sqrt(1.0 - a * a)
+    if private_atoms:
+        sizes = [2] + _random_composition(rng, dim - 2, 2)
+        vectors = (a * basis[0] + b * basis[2], a * basis[1] + b * basis[2 + sizes[1]])
+    else:
+        sizes = [2, dim - 2]
+        vectors = (basis[0], a * basis[1] + b * basis[2])
+    family = StateFamily(labels=_labels(2), vectors=vectors)
+    return _blocked_statistic(basis, sizes), family
+
+
+def _petz_replay(statistic, family, unital: bool):
+    """Decide, then replay the certificate from the instance text alone."""
+    cert = petz_feasibility(PetzInstance.from_parts(statistic, family, unital=unital))
+    text = serialize_certificate(make_certificate("petz", cert, parameters={"unital": unital}))
+    return cert, verify_certificate(serialize_instance(statistic, family), text)
 
 
 def _prop_petz_soundness(rng, count):
-    worst = 0.0
-    pairs = [generate(spec) for spec in _petz_corpus(rng, count)]
+    # (statistic, family, unital, planted verdict)
+    cases = [(*generate(spec), True, True) for spec in _petz_corpus(rng, count)]
     for _ in range(max(1, min(3, count // 16))):
-        pairs.append(_uneven_spread_instance(rng))
-    for statistic, family in pairs:
-        instance = PetzInstance.from_parts(statistic, family)
-        cert = petz_feasibility(instance, max_iters=20000)
-        if not isinstance(cert, Feasible):
-            return False, f"planted-feasible instance judged {type(cert).__name__}", \
-                serialize_instance(statistic, family)
-        for n in range(len(family)):
-            mix = sum(
-                instance.weights[n, k] * cert.rhos[k] for k in range(len(statistic))
-            )
-            target = np.outer(family.vectors[n], family.vectors[n].conj())
-            worst = max(worst, float(np.abs(mix - target).max()))
-        for k, rho in enumerate(cert.rhos):
-            low = float(np.linalg.eigvalsh(rho).min())
-            if low < -1e-8:
-                return False, f"rho[{k}] has eigenvalue {low:.3e}", \
-                    serialize_instance(statistic, family)
-            trace_gap = abs(float(np.trace(rho).real) - 1.0)
-            if trace_gap > 1e-6:
-                def still_failing(t, f):
-                    if t is None:
-                        return False
-                    c = petz_feasibility(PetzInstance.from_parts(t, f))
-                    return isinstance(c, Feasible) and any(
-                        abs(float(np.trace(r).real) - 1.0) > 1e-6 for r in c.rhos
-                    )
+        statistic, family = _shared_atom_instance(rng, int(rng.integers(4, 8)))
+        cases += [(statistic, family, True, False), (statistic, family, False, True)]
+    for statistic, family, unital, planted in cases:
+        cert, report = _petz_replay(statistic, family, unital)
+        if isinstance(cert, Feasible) != planted or not report.ok:
+            def still_failing(t, f):
+                return t is not None and not _petz_replay(t, f, unital)[1].ok
 
-                small_t, small_f = shrink_instance(statistic, family, still_failing)
-                return (
-                    False,
-                    f"unital solution has trace 1{trace_gap:+.3e} on an atom",
-                    serialize_instance(small_t, small_f),
-                )
-        if worst > 1e-6:
-            return False, f"state reconstruction residual {worst:.3e}", \
-                serialize_instance(statistic, family)
-    return True, (
-        f"{len(pairs)} feasible instances verified, worst residual {worst:.3e}"
-    ), None
+            small_t, small_f = shrink_instance(statistic, family, still_failing)
+            planting = "feasible" if planted else "infeasible"
+            return False, (
+                f"{type(cert).__name__} on a planted-{planting} instance "
+                f"(unital={unital}): {report.detail}"
+            ), serialize_instance(small_t, small_f)
+    return True, f"{len(cases)} verdicts match their planting and replay from file", None
+
+
+def _petz_oracle(instance: PetzInstance) -> bool | None:
+    """Re-decide channel feasibility by iterating, independently of petz.py.
+
+    Dykstra-style alternating projections from rho_k = I/d between the
+    affine set (one least-squares operator on the flattened blocks) and
+    the PSD cones.  True once the residual reaches FEASIBILITY_TOL, False
+    when 100 iterations gain nothing well above it, None after 20000
+    iterations.  The trace rows follow instance.unital, never a fault switch.
+    """
+    d, m = instance.statistic.dim, len(instance.statistic)
+    a = np.kron(instance.weights, np.eye(d * d))
+    b = np.concatenate([np.outer(phi, phi.conj()).ravel() for phi in instance.family.vectors])
+    if instance.unital:
+        a = np.vstack([a, np.kron(np.eye(m), np.eye(d).ravel())])
+        b = np.concatenate([b, np.ones(m)])
+    pinv = np.linalg.pinv(a)
+
+    x = np.tile(np.eye(d, dtype=complex).ravel() / d, m)
+    correction = np.zeros_like(x)
+    history: list[float] = []
+    for _ in range(20000):
+        z = x - pinv @ (a @ x - b) + correction
+        x = np.concatenate([psd_project(block.reshape(d, d)).ravel()
+                            for block in z.reshape(m, d * d)])
+        correction = z - x
+        residual = float(np.abs(a @ x - b).max())
+        if residual <= FEASIBILITY_TOL:
+            return True
+        history.append(residual)
+        if len(history) > 100 and residual > 10.0 * FEASIBILITY_TOL \
+                and history[-101] - residual < 1e-12 * history[-101]:
+            return False
+    return None
+
+
+def _prop_petz_oracle_agreement(rng, count):
+    # a fixed handful at d <= 4, whatever count is: the oracle is slow
+    dim = int(rng.integers(2, 5))
+    planted = GeneratorSpec(dim=dim, n_states=int(rng.integers(1, min(dim, 3) + 1)),
+                            flavor="atom_planted", seed=int(rng.integers(2**63)))
+    cases = [
+        generate(planted),
+        _shared_atom_instance(rng, 4),
+        _shared_atom_instance(rng, int(rng.integers(3, 5)), private_atoms=False),
+    ]
+    for statistic, family in cases:
+        for unital in (True, False):
+            instance = PetzInstance.from_parts(statistic, family, unital=unital)
+            exact = isinstance(petz_feasibility(instance), Feasible)
+            oracle = _petz_oracle(instance)
+            if oracle != exact:
+                return False, (
+                    f"exact decision feasible={exact} but oracle {oracle} "
+                    f"(unital={unital})"
+                ), serialize_instance(statistic, family)
+    return True, f"{2 * len(cases)} decisions agree with the iterative oracle", None
 
 
 def _prop_petz_structural(rng, count):
@@ -890,23 +942,6 @@ def _prop_petz_orthogonality(rng, count):
     return True, f"{count} overlapping families all refused", None
 
 
-def _prop_petz_determinism(rng, count):
-    spec = _petz_corpus(rng, 1)[0]
-    statistic, family = generate(spec)
-    instance = PetzInstance.from_parts(statistic, family)
-    first = petz_feasibility(instance)
-    second = petz_feasibility(instance)
-    if type(first) is not type(second):
-        return False, "certificate type changed between runs", None
-    if isinstance(first, Feasible):
-        same = first.iterations == second.iterations and all(
-            np.array_equal(a, b) for a, b in zip(first.rhos, second.rhos)
-        )
-        if not same:
-            return False, "feasible certificate not bitwise reproducible", None
-    return True, "repeated runs are bitwise identical", None
-
-
 def _prop_generator_determinism(rng, count):
     for flavor in FLAVORS:
         dim = 4 if flavor != "phase_obstructed" else 3
@@ -937,7 +972,7 @@ _PROPERTIES = [
     ("petz_feasible_soundness", _prop_petz_soundness),
     ("petz_structural_theorem", _prop_petz_structural),
     ("petz_orthogonality_necessity", _prop_petz_orthogonality),
-    ("petz_determinism", _prop_petz_determinism),
+    ("petz_oracle_agreement", _prop_petz_oracle_agreement),
     ("generator_determinism", _prop_generator_determinism),
 ]
 
@@ -954,8 +989,8 @@ def run_property_suite(seed: int = 0, count: int = 100,
 
     The three documented mutations flip private module flags for the
     duration of the run (weakening the phase modulus to 2*pi, skipping
-    the per-atom rank test, dropping the trace rows of the channel
-    solver); the originals are always restored.
+    the per-atom rank test, deciding unital channel feasibility by the
+    non-unital rule); the originals are always restored.
     """
     report = PropertyReport(seed=seed, count=count, mutation=mutation)
     if count <= 0:

@@ -10,15 +10,15 @@ under some such channel exactly when the affine system
 
 admits a positive semidefinite solution, where w[theta, k] is the weight
 of state theta on atom k.  Invariant families of pure states are
-necessarily pairwise orthogonal, so a cheap overlap precheck settles
-most negative instances before any iteration.
+necessarily pairwise orthogonal, so an overlap precheck runs first.
 
-The solver runs Dykstra-style alternating projections between the affine
-set (one precomputed least-squares operator on stacked real coordinates
-of the Hermitian blocks) and the product of PSD cones (spectral clipping
-per block).  It never returns a silent failure: the outcome is Feasible,
-NumericallyInfeasible (residual plateau well above tolerance), or an
-UndecidedError when the iteration budget runs out while still improving.
+Past it the decision is exact.  |phi><phi| is an extreme ray of the PSD
+cone, so each rho_k that state theta loads (w[theta, k] > tol) is a
+multiple of |phi_theta><phi_theta| (Petz 1988), and an atom that two
+orthogonal states load needs rho_k = 0.  Unital: feasible iff no atom
+is loaded twice.  Non-unital: feasible iff every state loads an atom of
+its own.  Both solutions are closed-form; a refusal names the shared
+atoms that block one state.
 """
 
 from __future__ import annotations
@@ -27,24 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_part, inner, psd_project
+from .linalg import inner
 from .spectral import DiscreteStatistic, StateFamily, project_states
 from .sufficiency import check_weak_sufficiency
 
 ORTHOGONALITY_TOL = 1e-8
 FEASIBILITY_TOL = 1e-7
 STRUCTURAL_TOL = 1e-6
-PLATEAU_WINDOW = 100
-PLATEAU_IMPROVEMENT = 1e-12
-DEFAULT_MAX_ITERS = 5000
 
-# Fault-injection point for the self-test harness: drops the trace-one
-# rows while the instance still claims to be unital.
+# Fault-injection point for the self-test harness: decides unital
+# instances by the non-unital rule, as if the trace-one rows were dropped.
 _KEEP_TRACE_ROWS = True
-
-
-class UndecidedError(RuntimeError):
-    """Iteration budget exhausted while the residual was still improving."""
 
 
 @dataclass
@@ -77,7 +70,6 @@ class PetzInstance:
 class Feasible:
     rhos: list[np.ndarray]
     max_constraint_residual: float
-    iterations: int
 
 
 @dataclass
@@ -89,9 +81,15 @@ class InfeasibleOrthogonality:
 
 
 @dataclass
-class NumericallyInfeasible:
-    residual_floor: float
-    iterations: int
+class InfeasibleSharedAtoms:
+    """Pairs (atom, other state) of atoms that ``state`` shares, so rho = 0.
+
+    Unital, one pair contradicts trace one.  Non-unital, the pairs cover
+    every atom the state loads, so nothing can rebuild it.
+    """
+
+    state: str
+    pairs: tuple[tuple[int, str], ...]
 
 
 @dataclass
@@ -110,78 +108,50 @@ def orthogonality_precheck(family: StateFamily, tol: float = ORTHOGONALITY_TOL):
     return None
 
 
-def _herm_to_coords(h: np.ndarray) -> np.ndarray:
-    d = h.shape[0]
-    iu = np.triu_indices(d, 1)
-    return np.concatenate(
-        [np.diag(h).real, np.sqrt(2.0) * h[iu].real, np.sqrt(2.0) * h[iu].imag]
-    )
-
-
-def _coords_to_herm(x: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, 1)
-    n_off = iu[0].size
-    m = np.zeros((d, d), dtype=complex)
-    m[iu] = (x[d : d + n_off] + 1j * x[d + n_off :]) / np.sqrt(2.0)
-    m = m + m.conj().T
-    m[np.diag_indices(d)] = x[:d]
-    return m
-
-
-def petz_feasibility(instance: PetzInstance, max_iters: int = DEFAULT_MAX_ITERS,
-                     tol: float = FEASIBILITY_TOL):
+def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
     """Decide channel-invariance feasibility for the instance.
 
-    Returns one of the three certificate types.  The affine projection is
-    a single least-squares operator built once; the cone projection clips
-    spectra block by block.  Starting point: rho_k = I/d for every atom.
+    A loaded atom gets its state's projector, scaled non-unital by the
+    state's total weight on atoms of its own; any other atom gets I/d
+    (unital) or 0.  Refusals are InfeasibleOrthogonality, then
+    InfeasibleSharedAtoms.
     """
     bad = orthogonality_precheck(instance.family)
     if bad is not None:
         return InfeasibleOrthogonality(pair=bad[0], overlap=bad[1])
-    t, fam, w = instance.statistic, instance.family, instance.weights
-    d, m, s = t.dim, len(t), len(fam)
-    ncoord = d * d
+    fam, w = instance.family, instance.weights
+    unital = instance.unital and _KEEP_TRACE_ROWS
+    loads = w > tol
+    shared = loads.sum(axis=0) > 1
+    private = loads & ~shared
 
-    a = np.kron(w, np.eye(ncoord))
-    b = np.concatenate(
-        [_herm_to_coords(np.outer(phi, phi.conj())) for phi in fam.vectors]
-    )
-    if instance.unital and _KEEP_TRACE_ROWS:
-        trace_row = np.zeros(ncoord)
-        trace_row[:d] = 1.0
-        a = np.vstack([a, np.kron(np.eye(m), trace_row[np.newaxis, :])])
-        b = np.concatenate([b, np.ones(m)])
-    pinv = np.linalg.pinv(a)
+    def refuse(n: int, atoms) -> InfeasibleSharedAtoms:
+        pairs = tuple(
+            (int(k), fam.labels[next(j for j in np.flatnonzero(loads[:, k]) if j != n)])
+            for k in atoms
+        )
+        return InfeasibleSharedAtoms(state=fam.labels[n], pairs=pairs)
 
-    x = np.concatenate([_herm_to_coords(np.eye(d) / d)] * m)
-    correction = np.zeros_like(x)
-    history: list[float] = []
-    for it in range(1, max_iters + 1):
-        y = x - pinv @ (a @ x - b)
-        z = y + correction
-        blocks = [
-            psd_project(_coords_to_herm(z[k * ncoord : (k + 1) * ncoord], d))
-            for k in range(m)
-        ]
-        x = np.concatenate([_herm_to_coords(blk) for blk in blocks])
-        correction = z - x
-        residual = float(np.abs(a @ x - b).max())
-        history.append(residual)
-        if residual <= tol:
-            return Feasible(
-                rhos=[hermitian_part(blk) for blk in blocks],
-                max_constraint_residual=residual,
-                iterations=it,
-            )
-        if it > PLATEAU_WINDOW:
-            before = history[-PLATEAU_WINDOW - 1]
-            improvement = (before - residual) / max(before, 1e-300)
-            if improvement < PLATEAU_IMPROVEMENT and residual > 10.0 * tol:
-                return NumericallyInfeasible(residual_floor=residual, iterations=it)
-    raise UndecidedError(
-        f"residual {history[-1]:.3e} still improving after {max_iters} iterations"
-    )
+    if unital:
+        if shared.any():
+            k = int(np.argmax(shared))
+            return refuse(int(np.argmax(loads[:, k])), [k])
+    else:
+        for n in range(len(fam)):
+            if not private[n].any():
+                return refuse(n, np.flatnonzero(loads[n]))
+
+    d = instance.statistic.dim
+    vectors = np.array(fam.vectors)
+    projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
+    scale = np.ones(len(fam)) if unital else (w * private).sum(axis=1)
+    idle = np.eye(d, dtype=complex) / d if unital else np.zeros((d, d), dtype=complex)
+    rhos = []
+    for k in range(len(instance.statistic)):
+        owners = np.flatnonzero(private[:, k])
+        rhos.append(projectors[owners[0]] / scale[owners[0]] if owners.size else idle.copy())
+    residual = float(np.abs(np.einsum("nk,kij->nij", w, np.array(rhos)) - projectors).max())
+    return Feasible(rhos=rhos, max_constraint_residual=residual)
 
 
 def structural_check(instance: PetzInstance, cert: Feasible,

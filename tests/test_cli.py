@@ -131,21 +131,31 @@ def test_selftest_subcommand(capsys):
     assert "FAIL" not in out.out
 
 
-def test_petz_iteration_cap_exhaustion_is_undecided(tmp_path, capsys):
-    # a single state spread unevenly over two atoms needs thousands of
-    # iterations; a tiny cap must exit 2, not claim either verdict
-    alpha = 0.95
-    beta = math.sqrt(1.0 - alpha * alpha)
+def test_petz_shared_atom_refusal_is_a_proof(tmp_path, capsys):
+    # two basis states against a single atom: orthogonal, yet refused,
+    # with a certificate the verifier replays from the instance alone
     from wsq.spectral import statistic_from_matrix
-    statistic = statistic_from_matrix(np.diag([1.0, 2.0]).astype(complex))
-    family = StateFamily(labels=("phi1",),
-                         vectors=np.array([[alpha, beta]], dtype=complex))
-    path = tmp_path / "spread.json"
+    statistic = statistic_from_matrix(3.0 * np.eye(2, dtype=complex))
+    family = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
+    path = tmp_path / "shared.json"
     path.write_text(serialize_instance(statistic, family))
-    code = run_cli(["petz", "--input", str(path), "--max-iters", "10"])
-    out = capsys.readouterr()
-    assert code == 2
-    assert "undecided" in out.err.lower() or "error" in out.err.lower()
+    for flags in ([], ["--non-unital"]):
+        code = run_cli(["petz", "--input", str(path)] + flags)
+        out = capsys.readouterr()
+        assert code == 1
+        cert = parse_certificate(out.out)
+        assert cert["verdict"] == "infeasible_shared_atoms"
+        assert cert["parameters"] == {"unital": not flags}
+        assert verify_certificate(path.read_text(), out.out).ok
+        assert "'e1' shares atoms 0 (with 'e2')" in out.err
+
+
+def test_removed_solver_flags_are_errors(bundled_path, capsys):
+    for argv in (["petz", "--max-iters", "10"], ["check", "--statistic", "from-file"]):
+        code = run_cli(argv + ["--input", str(bundled_path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert "unrecognized arguments" in out.err
 
 
 def test_malformed_input_is_an_error(tmp_path, capsys):

@@ -207,7 +207,7 @@ def test_petz_certificates_roundtrip():
     family = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
     instance = PetzInstance.from_parts(statistic, family)
     feasible = petz_feasibility(instance)
-    params = {"max_iters": 5000, "tol": 1e-7, "unital": True}
+    params = {"unital": True}
     cert = make_certificate("petz", feasible, parameters=params)
     instance_text = serialize_instance(statistic, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
@@ -226,12 +226,75 @@ def test_petz_certificates_roundtrip():
     assert report.ok, report.detail
 
     contradictory = statistic_from_matrix(3.0 * np.eye(2, dtype=complex))
-    plateau = petz_feasibility(PetzInstance.from_parts(contradictory, family))
-    cert = make_certificate("petz", plateau, parameters=params)
+    shared = petz_feasibility(PetzInstance.from_parts(contradictory, family))
+    cert = make_certificate("petz", shared, parameters=params)
+    assert cert["verdict"] == "infeasible_shared_atoms"
+    assert cert["payload"] == {"state": "e1", "pairs": [[0, "e2"]]}
     instance_text = serialize_instance(contradictory, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert report.ok, report.detail
-    assert "plateau" in report.detail
+    assert "shared atoms" in report.detail
+
+
+def _two_shared_atoms():
+    # (e0+e2)/sqrt2 and (e1+e3)/sqrt2 both load span(e0, e1) and
+    # span(e2, e3); no state loads the last atom, span(e4)
+    s = 1.0 / math.sqrt(2.0)
+    statistic = statistic_from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0]).astype(complex))
+    vectors = np.array([[s, 0, s, 0, 0], [0, s, 0, s, 0]], dtype=complex)
+    family = StateFamily(labels=("phi1", "phi2"), vectors=vectors)
+    return statistic, family
+
+
+@pytest.mark.parametrize("unital", [True, False])
+def test_tampered_shared_atom_certificates_are_rejected(unital):
+    statistic, family = _two_shared_atoms()
+    result = petz_feasibility(PetzInstance.from_parts(statistic, family, unital=unital))
+    cert = make_certificate("petz", result, parameters={"unital": unital})
+    instance_text = serialize_instance(statistic, family)
+    expected = [[0, "phi2"]] if unital else [[0, "phi2"], [1, "phi2"]]
+    assert cert["payload"] == {"state": "phi1", "pairs": expected}
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+
+    def replay(pairs, state="phi1"):
+        forged = json.loads(json.dumps(cert))
+        forged["payload"] = {"state": state, "pairs": pairs}
+        return verify_certificate(instance_text, serialize_certificate(forged))
+
+    # atom 2 carries no load of either state
+    assert not replay([[2, "phi2"]]).ok
+    # an atom paired with its own state, an unknown state, a bad index
+    assert not replay([[0, "phi1"]]).ok
+    assert not replay([[0, "nobody"]]).ok
+    assert not replay([["0", "phi2"]]).ok
+    assert not replay([[0, "phi2"]], state="nobody").ok
+    assert not replay([[0]]).ok
+    if unital:
+        assert not replay([]).ok
+    else:
+        # phi1 also loads atom 1, which could still carry it
+        assert not replay([[0, "phi2"]]).ok
+
+
+def test_petz_verifier_rejects_unknown_pair_label():
+    statistic, family = load_bundled_instance()
+    result = petz_feasibility(PetzInstance.from_parts(statistic, family))
+    cert = make_certificate("petz", result)
+    cert["payload"]["pair"] = ["phi1", "nobody"]
+    report = verify_certificate(serialize_instance(statistic, family),
+                                serialize_certificate(cert))
+    assert not report.ok
+    assert "not in the instance" in report.detail
+
+
+def test_petz_verifier_needs_a_statistic():
+    statistic, family = load_bundled_instance()
+    result = petz_feasibility(PetzInstance.from_parts(statistic, family))
+    cert = make_certificate("petz", result)
+    report = verify_certificate(serialize_instance(None, family),
+                                serialize_certificate(cert))
+    assert not report.ok
+    assert "no statistic" in report.detail
 
 
 def test_certificate_schema_validation():

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 import wsq.petz as petz_mod
+from wsq.fileio import (
+    make_certificate,
+    serialize_certificate,
+    serialize_instance,
+    verify_certificate,
+)
 from wsq.linalg import gram_schmidt, hermitian_eig
 from wsq.petz import (
     Feasible,
     InfeasibleOrthogonality,
-    NumericallyInfeasible,
+    InfeasibleSharedAtoms,
     PetzInstance,
     orthogonality_precheck,
     petz_feasibility,
@@ -20,6 +26,19 @@ def basis_pair_instance():
     t = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
     fam = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
     return PetzInstance.from_parts(t, fam)
+
+
+def shared_atom_instance(unital=True):
+    """e0/e2 and e1/e3 superpositions sharing the atom span(e0, e1).
+
+    Each state also owns an atom, so only the trace-one constraint
+    (the unital case) makes the shared atom fatal.
+    """
+    a, b = np.sqrt(0.6), np.sqrt(0.4)
+    t = statistic_from_matrix(np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex))
+    vectors = np.array([[a, 0, b, 0], [0, a, 0, b]], dtype=complex)
+    fam = StateFamily(labels=("phi1", "phi2"), vectors=vectors)
+    return PetzInstance.from_parts(t, fam, unital=unital)
 
 
 def planted_instance(rng, dim, block_sizes, n_states=None):
@@ -76,15 +95,48 @@ def test_overlapping_pair_is_infeasible_by_orthogonality():
     assert abs(cert.overlap) == pytest.approx(s, abs=1e-12)
 
 
-def test_contradictory_shared_atom_plateaus():
+def test_contradictory_shared_atom_is_refused():
     # a single-atom statistic would need one rho equal to two different
-    # projectors at once; the residual flatlines at exactly 1/2
+    # projectors at once, so the refusal names that atom and both states
     t = statistic_from_matrix(3.0 * np.eye(2, dtype=complex))
     fam = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
-    cert = petz_feasibility(PetzInstance.from_parts(t, fam))
-    assert isinstance(cert, NumericallyInfeasible)
-    assert cert.residual_floor == pytest.approx(0.5, abs=1e-6)
-    assert cert.iterations == 101
+    for unital in (True, False):
+        cert = petz_feasibility(PetzInstance.from_parts(t, fam, unital=unital))
+        assert cert == InfeasibleSharedAtoms(state="e1", pairs=((0, "e2"),))
+
+
+def test_shared_atom_is_fatal_only_when_unital():
+    cert = petz_feasibility(shared_atom_instance(unital=True))
+    assert cert == InfeasibleSharedAtoms(state="phi1", pairs=((0, "phi2"),))
+    assert isinstance(petz_feasibility(shared_atom_instance(unital=False)), Feasible)
+
+
+S = 1.0 / np.sqrt(2.0)
+NO_PRIVATE_ATOMS = {
+    # two states against a single atom
+    "single_atom": (np.diag([3.0, 3.0]), ("e1", "e2"), np.eye(2)),
+    # every atom shared: e0 and (e1+e2)/sqrt2 on diag(1,1,0,0),
+    # (e1+e2)/sqrt2 and e3 on diag(0,0,1,1)
+    "every_atom_shared": (
+        np.diag([1.0, 1.0, 2.0, 2.0]),
+        ("e0", "e12", "e3"),
+        np.array([[1, 0, 0, 0], [0, S, S, 0], [0, 0, 0, 1]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("unital", [True, False])
+@pytest.mark.parametrize("case", sorted(NO_PRIVATE_ATOMS))
+def test_refusal_without_private_atoms_verifies(case, unital):
+    matrix, labels, vectors = NO_PRIVATE_ATOMS[case]
+    t = statistic_from_matrix(matrix.astype(complex))
+    fam = StateFamily(labels=labels, vectors=vectors.astype(complex))
+    cert = petz_feasibility(PetzInstance.from_parts(t, fam, unital=unital))
+    assert isinstance(cert, InfeasibleSharedAtoms)
+    assert cert.state == fam.labels[0]
+    text = make_certificate("petz", cert, parameters={"unital": unital})
+    report = verify_certificate(serialize_instance(t, fam), serialize_certificate(text))
+    assert report.ok, report.detail
 
 
 def test_precheck_reports_first_overlap():
@@ -119,9 +171,9 @@ def test_planted_instances_feasible_with_structure():
         assert petz_implies_weak_check(inst, cert)
 
 
-def test_state_spread_over_two_atoms_converges():
-    # a single state split 0.9/0.1 across two atoms forces the cone
-    # projection to do real work before landing on the projector solution
+def test_state_spread_over_two_atoms_is_feasible():
+    # a single state split 0.9/0.1 across two atoms owns both of them,
+    # so both carry its projector
     alpha = 0.95
     beta = np.sqrt(1.0 - alpha**2)
     t = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
@@ -129,22 +181,23 @@ def test_state_spread_over_two_atoms_converges():
     inst = PetzInstance.from_parts(t, fam)
     cert = petz_feasibility(inst)
     assert isinstance(cert, Feasible)
-    assert cert.iterations > 100
+    projector = np.outer(fam.vectors[0], fam.vectors[0].conj())
     for rho in cert.rhos:
+        assert np.abs(rho - projector).max() < 1e-15
         assert abs(np.trace(rho).real - 1.0) < 1e-6
     report = structural_check(inst, cert)
     assert report.ok, report.violations
 
 
 def test_non_unital_solution_need_not_have_unit_traces():
-    alpha = 0.95
-    beta = np.sqrt(1.0 - alpha**2)
-    t = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    fam = StateFamily(labels=("phi",), vectors=np.array([[alpha, beta]], dtype=complex))
-    cert = petz_feasibility(PetzInstance.from_parts(t, fam, unital=False))
+    # the shared atom takes rho = 0; each private atom carries its
+    # state's projector divided by that state's private weight 0.4
+    cert = petz_feasibility(shared_atom_instance(unital=False))
     assert isinstance(cert, Feasible)
-    traces = [abs(np.trace(rho).real - 1.0) for rho in cert.rhos]
-    assert max(traces) > 0.1
+    assert np.abs(cert.rhos[0]).max() == 0.0
+    assert cert.max_constraint_residual <= 1e-15
+    traces = [np.trace(rho).real for rho in cert.rhos]
+    assert traces == pytest.approx([0.0, 2.5, 2.5], abs=1e-12)
 
 
 def test_structural_check_detects_corruption():
@@ -160,7 +213,6 @@ def test_structural_check_detects_corruption():
     bad = Feasible(
         rhos=[cert.rhos[0] + bump] + cert.rhos[1:],
         max_constraint_residual=cert.max_constraint_residual,
-        iterations=cert.iterations,
     )
     report = structural_check(inst, bad)
     assert not report.ok
@@ -170,7 +222,6 @@ def test_structural_check_detects_corruption():
     free = Feasible(
         rhos=cert.rhos[:2] + [cert.rhos[2] + bump],
         max_constraint_residual=cert.max_constraint_residual,
-        iterations=cert.iterations,
     )
     assert structural_check(inst, free).ok
 
@@ -178,7 +229,7 @@ def test_structural_check_detects_corruption():
 def test_implication_check_requires_feasible_certificate():
     inst = basis_pair_instance()
     with pytest.raises(ValueError):
-        petz_implies_weak_check(inst, NumericallyInfeasible(residual_floor=1.0, iterations=5))
+        petz_implies_weak_check(inst, InfeasibleSharedAtoms(state="e1", pairs=((0, "e2"),)))
     with pytest.raises(ValueError):
         structural_check(inst, InfeasibleOrthogonality(pair=("a", "b"), overlap=0.5))
 
@@ -188,7 +239,7 @@ def test_solver_is_deterministic():
     inst = planted_instance(rng, 5, [1, 1, 3], n_states=2)
     first = petz_feasibility(inst)
     second = petz_feasibility(inst)
-    assert first.iterations == second.iterations
+    assert first.max_constraint_residual == second.max_constraint_residual
     for a, b in zip(first.rhos, second.rhos):
         assert np.array_equal(a, b)
 
@@ -203,13 +254,9 @@ def test_weights_validation():
 
 
 def test_dropping_trace_rows_is_observable():
-    # the self-test harness relies on this flag producing certificates
-    # whose traces drift away from one on uneven instances
-    alpha = 0.95
-    beta = np.sqrt(1.0 - alpha**2)
-    t = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    fam = StateFamily(labels=("phi",), vectors=np.array([[alpha, beta]], dtype=complex))
-    inst = PetzInstance.from_parts(t, fam)
+    # the self-test harness relies on this flag deciding unital shared-atom
+    # instances by the non-unital rule, with traces away from one
+    inst = shared_atom_instance(unital=True)
     petz_mod._KEEP_TRACE_ROWS = False
     try:
         cert = petz_feasibility(inst)
