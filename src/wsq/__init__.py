@@ -33,15 +33,15 @@ from .phases import (
     versions_satisfy,
 )
 from .sufficiency import (
+    Analysis,
     ConstructedStatistic,
-    GammaTable,
     NonExistence,
     PhaseObstruction,
     RankViolation,
     SufficiencyVerdict,
     WitnessCheck,
     WitnessFactorization,
-    build_gamma_table,
+    analyze,
     check_weak_sufficiency,
     exists_weakly_sufficient,
     verify_witness,

@@ -17,10 +17,10 @@ from importlib import resources
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import inner, numerical_rank
+from .linalg import RANK_TOL, hermitian_part, inner
 
-TOOL_VERSION = "0.1.0"
 BUNDLED_INSTANCE = "two_state_example.json"
 
 CERTIFICATE_KINDS = ("weak_sufficiency", "existence", "minimality", "petz")
@@ -282,7 +282,7 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
         raise ValueError(f"unknown certificate kind '{kind}'")
     tol_block = {
         "angle": phases.ANGLE_TOL,
-        "rank": sufficiency.RANK_TOL,
+        "rank": RANK_TOL,
         "witness": 1e-7,
         "petz_feasibility": petz.FEASIBILITY_TOL,
         "petz_structural": petz.STRUCTURAL_TOL,
@@ -444,13 +444,18 @@ def verify_certificate(instance_text: str, certificate_text: str,
                 True, f"witness verified, max residual {check.max_residual:.3e}"
             )
         if verdict == "not_sufficient":
-            table = spectral.project_states(statistic, family)
+            analysis = sufficiency.analyze(statistic, family)
             if "rank_violations" in payload:
-                for item in payload["rank_violations"]:
+                items = payload["rank_violations"]
+                if not isinstance(items, list) or not items:
+                    return VerificationReport(False, "rank_violations is not a nonempty list")
+                for item in items:
+                    if not isinstance(item, dict):
+                        return VerificationReport(False, f"bad rank violation {item!r}")
                     k = item.get("atom")
                     if not isinstance(k, int) or not 0 <= k < len(statistic):
                         return VerificationReport(False, f"bad atom index {k!r}")
-                    rank = numerical_rank(table.components[k])
+                    rank = analysis.ranks[k]
                     if rank != item.get("dimension") or rank <= 1:
                         return VerificationReport(
                             False,
@@ -460,8 +465,8 @@ def verify_certificate(instance_text: str, certificate_text: str,
                 return VerificationReport(True, "rank violations confirmed")
             if "phase_cycle" in payload:
                 cycle = _cycle_from_json(payload["phase_cycle"], "$.payload.phase_cycle")
-                pool = sufficiency.instance_constraints(statistic, family)
-                ok, detail = _verify_cycle_against(pool, cycle, phases.ANGLE_TOL)
+                ok, detail = _verify_cycle_against(
+                    analysis.constraints, cycle, phases.ANGLE_TOL)
                 return VerificationReport(ok, detail)
             return VerificationReport(False, "negative verdict carries no evidence")
         return VerificationReport(False, f"unknown verdict '{verdict}'")
@@ -494,7 +499,10 @@ def verify_certificate(instance_text: str, certificate_text: str,
             partition = payload.get("partition")
             if not isinstance(partition, list):
                 return VerificationReport(False, "payload carries no partition")
-            minimal = minimality.minimal_statistic(statistic, family)
+            try:
+                minimal = minimality.minimal_statistic(statistic, family)
+            except ValueError as exc:
+                return VerificationReport(False, f"no minimal statistic to confirm: {exc}")
             if isinstance(minimal, minimality.NoMinimalExists):
                 return VerificationReport(False, "re-derivation found no minimal statistic")
             derived = [list(block) for block in minimal.partition]
@@ -509,7 +517,7 @@ def verify_certificate(instance_text: str, certificate_text: str,
                 return VerificationReport(False, f"bad dead atom index {k!r}")
             weights = spectral.project_states(statistic, family).weights
             heaviest = float(weights[:, k].max())
-            if heaviest > minimality.RANK_TOL:
+            if heaviest > RANK_TOL:
                 return VerificationReport(
                     False, f"atom {k} carries weight {heaviest:.3e}, not dead"
                 )
@@ -540,10 +548,13 @@ def verify_certificate(instance_text: str, certificate_text: str,
                 False, f"state reconstruction residual {worst:.3e} exceeds 1e-06"
             )
         for k, rho in enumerate(rhos):
-            evals = np.linalg.eigvalsh(rho + rho.conj().T) / 2.0
-            if evals.min() < -1e-8:
+            # a Cholesky factor of rho + 1e-8 I exists iff no eigenvalue of
+            # rho lies below -1e-8; no eigensolver is needed for that
+            try:
+                np.linalg.cholesky(hermitian_part(rho) + 1e-8 * np.eye(family.dim))
+            except np.linalg.LinAlgError:
                 return VerificationReport(
-                    False, f"rho[{k}] has eigenvalue {evals.min():.3e} below -1e-08"
+                    False, f"rho[{k}] has an eigenvalue below -1e-08"
                 )
             if unital and abs(np.trace(rho).real - 1.0) > 1e-6:
                 return VerificationReport(

@@ -60,7 +60,6 @@ from .spectral import (
     DiscreteStatistic,
     StateFamily,
     apply_coarse,
-    project_states,
     statistic_from_matrix,
 )
 from .sufficiency import (

@@ -171,10 +171,15 @@ def gram_matrix(vectors) -> np.ndarray:
 
 
 def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
-    """Eigenvalues of the Gram matrix above tol * max(1, largest) count as rank."""
+    """Rank of a family of vectors, read from its Gram matrix by gram_rank."""
     if len(vectors) == 0:
         return 0
-    w, _ = hermitian_eig(gram_matrix(vectors))
+    return gram_rank(gram_matrix(vectors), tol)
+
+
+def gram_rank(g, tol: float = RANK_TOL) -> int:
+    """Eigenvalues of a Gram matrix above tol * max(1, largest) count as rank."""
+    w, _ = hermitian_eig(g)
     threshold = tol * max(1.0, float(w[-1]))
     return int(np.sum(w > threshold))
 

@@ -1,7 +1,7 @@
 """Coarse-grainings of a sufficient statistic and the minimal one.
 
 Two atoms of a weakly sufficient statistic are interchangeable when
-their coefficient rows in the gamma table are proportional: merging such
+their rows of the Analysis gamma matrix are proportional: merging such
 atoms preserves weak sufficiency, and merging any other pair destroys
 it.  The minimal statistic merges exactly the proportionality classes --
 it exists precisely when every atom carries some weight of the family.
@@ -17,11 +17,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import hermitian_eig, inner, numerical_rank
-from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, project_states
-from .sufficiency import GammaTable, build_gamma_table, check_weak_sufficiency
+from .linalg import RANK_TOL, numerical_rank
+from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse
+from .sufficiency import Analysis, analyze
 
-RANK_TOL = 1e-8
 TRANSITIVITY_SLACK = 100.0   # relative loosening for the post-hoc class check
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 
@@ -59,32 +58,42 @@ class NoMinimalExists:
     dead_atom: int
 
 
-def _rows_proportional(gj: np.ndarray, gm: np.ndarray, tol: float) -> bool:
-    # The 2x2 Gram of the two rows has the same nonzero spectrum as the
-    # Gram of the merged atom's projected vectors, so thresholding its
-    # eigenvalues exactly like numerical_rank keeps this decision
-    # bit-compatible with a direct rank check on the merged statistic.
-    h = np.array(
-        [[inner(gj, gj), inner(gj, gm)], [inner(gm, gj), inner(gm, gm)]],
-        dtype=complex,
-    )
-    w, _ = hermitian_eig(0.5 * (h + h.conj().T))
-    lo = max(float(w[0]), 0.0)
-    hi = max(float(w[1]), 0.0)
-    return lo <= tol * max(1.0, hi)
+def _pair_eigenvalues(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (lo, hi) of every 2x2 principal submatrix of a Gram matrix.
+
+    Entry [j, m] describes [[a, c], [conj(c), b]] with a = h[j, j],
+    b = h[m, m], c = h[j, m]: hi = (a+b)/2 + sqrt(((a-b)/2)^2 + |c|^2) and
+    lo = max(ab - |c|^2, 0) / hi, or 0 when both rows are zero.  That
+    pair's Gram has the nonzero spectrum of the merged atom's projected
+    vectors, so thresholding lo like numerical_rank decides whether
+    merging atoms j and m keeps rank 1.
+    """
+    a = h.diagonal().real
+    cc = np.abs(h) ** 2
+    hi = (a[:, None] + a[None, :]) / 2 + np.sqrt(((a[:, None] - a[None, :]) / 2) ** 2 + cc)
+    det = np.maximum(a[:, None] * a[None, :] - cc, 0.0)
+    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return lo, hi
 
 
-def equivalence_classes(table: GammaTable, tol: float = RANK_TOL,
+def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
                         strict_real: bool = False) -> AtomClasses:
     """Group active atoms whose gamma rows are proportional.
 
-    The factor beta is complex in general; strict_real additionally
-    requires beta to be real within tol, splitting classes accordingly.
-    Transitivity of the pairwise relation is re-verified on the computed
-    classes at a composed tolerance and gross failures raise ValueError.
+    All pairs are decided at once from H = gamma gamma^H (see
+    _pair_eigenvalues).  The factor beta is complex in general;
+    strict_real additionally requires beta to be real within tol,
+    splitting classes accordingly.  Transitivity of the pairwise relation
+    is re-verified on the computed classes at a composed tolerance and
+    gross failures raise ValueError.
     """
-    active = [k for k, flag in enumerate(table.active) if flag]
-    parent = {k: k for k in active}
+    active = [k for k, flag in enumerate(analysis.active) if flag]
+    rows = analysis.gamma[active]
+    h = rows @ rows.conj().T
+    lo, hi = _pair_eigenvalues(h)
+    scale = np.maximum(1.0, hi)
+    beta = h / h.diagonal().real[None, :]   # gamma_row[j] ~= beta[j, m] gamma_row[m]
+    parent = list(range(len(active)))
 
     def find(x):
         while parent[x] != x:
@@ -92,65 +101,53 @@ def equivalence_classes(table: GammaTable, tol: float = RANK_TOL,
             x = parent[x]
         return x
 
-    def beta_for(j, m):
-        gm = table.gamma[m]
-        return inner(table.gamma[j], gm) / inner(gm, gm).real
-
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            j, m = active[a], active[b]
-            if not _rows_proportional(table.gamma[j], table.gamma[m], tol):
-                continue
-            if strict_real:
-                beta = beta_for(j, m)
-                if abs(beta.imag) > tol * abs(beta):
-                    continue
-            ra, rb = find(j), find(m)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in zip(*np.nonzero(np.triu(lo <= tol * scale, 1))):
+        if strict_real and abs(beta[a, b].imag) > tol * abs(beta[a, b]):
+            continue
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
 
     grouped: dict[int, list[int]] = {}
-    for k in active:
-        grouped.setdefault(find(k), []).append(k)
-    classes = [tuple(sorted(v)) for v in grouped.values()]
-    classes.sort(key=lambda cls: cls[0])
-
+    for a in range(len(active)):
+        grouped.setdefault(find(a), []).append(a)
     witnesses: dict[tuple[int, int], complex] = {}
-    for cls in classes:
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                j, m = cls[a], cls[b]
-                if not _rows_proportional(
-                    table.gamma[j], table.gamma[m], tol * TRANSITIVITY_SLACK
-                ):
+    for members in grouped.values():
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                j, m = active[a], active[b]
+                if lo[a, b] > tol * TRANSITIVITY_SLACK * scale[a, b]:
                     raise ValueError(
                         f"atoms {j} and {m} land in one class but are not "
                         "proportional at the composed tolerance"
                     )
-                witnesses[(j, m)] = beta_for(j, m)
+                witnesses[(j, m)] = complex(beta[a, b])
+    classes = sorted(tuple(active[a] for a in members) for members in grouped.values())
     return AtomClasses(classes=classes, witnesses=witnesses)
+
+
+def _sufficient_analysis(t: DiscreteStatistic, family: StateFamily, tol: float) -> Analysis:
+    analysis = analyze(t, family, tol)
+    if not analysis.verdict().sufficient:
+        raise ValueError("the statistic is not weakly sufficient for the family")
+    return analysis
 
 
 def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily,
                             cmap: CoarseMap, tol: float = RANK_TOL) -> bool:
     """Is f(T) still weakly sufficient?  Decided from the classes alone.
 
-    Requires (t, family) itself to be weakly sufficient.  A block of the
-    coarse-graining is harmless iff all its active atoms lie in one
-    proportionality class; no projection or phase work is redone.
+    Requires (t, family) itself to be weakly sufficient.  One Analysis
+    of (t, family) gives both that verdict and the classes; a block of
+    the coarse-graining is harmless iff all its active atoms lie in one
+    proportionality class, so the coarse statistic is never analysed.
     """
-    verdict = check_weak_sufficiency(t, family, tol)
-    if not verdict.sufficient:
-        raise ValueError("the statistic is not weakly sufficient for the family")
-    table = build_gamma_table(t, family, tol)
-    classes = equivalence_classes(table, tol)
+    analysis = _sufficient_analysis(t, family, tol)
+    classes = equivalence_classes(analysis, tol)
     _, partition = apply_coarse(t, cmap)
     for block in partition:
-        active_in_block = [k for k in block if table.active[k]]
-        if len(active_in_block) < 2:
-            continue
-        first = classes.class_index(active_in_block[0])
-        if any(classes.class_index(k) != first for k in active_in_block[1:]):
+        homes = {classes.class_index(k) for k in block if analysis.active[k]}
+        if len(homes) > 1:
             return False
     return True
 
@@ -162,27 +159,23 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     Returns MinimalStatistic (atoms = proportionality classes, values
     1..m in order of smallest member) or NoMinimalExists naming a dead
     atom.  Families spanning less than two dimensions are rejected: every
-    statistic is sufficient for them, so minimality is vacuous.
+    statistic is sufficient for them, so minimality is vacuous.  One
+    Analysis of (t, family) gives the verdict, the dead-atom weights and
+    the classes.
     """
-    verdict = check_weak_sufficiency(t, family, tol)
-    if not verdict.sufficient:
-        raise ValueError("the statistic is not weakly sufficient for the family")
+    analysis = _sufficient_analysis(t, family, tol)
     if numerical_rank(family.vectors, tol) < 2:
         raise ValueError("family spans less than two dimensions; minimality is vacuous")
-    weights = project_states(t, family).weights
+    weights = analysis.table.weights
     for k in range(len(t)):
         if float(weights[:, k].max()) <= tol:
             return NoMinimalExists(dead_atom=k)
-    table = build_gamma_table(t, family, tol)
-    classes = equivalence_classes(table, tol)
+    classes = equivalence_classes(analysis, tol)
     values: dict[float, float] = {}
     for i, cls in enumerate(classes.classes):
         for k in cls:
             values[float(t.eigenvalues[k])] = float(i + 1)
     coarse, partition = apply_coarse(t, CoarseMap(values))
-    confirm = check_weak_sufficiency(coarse, family, tol)
-    if not confirm.sufficient:   # pragma: no cover - internal consistency
-        raise RuntimeError("class-merged statistic failed its own sufficiency check")
     return MinimalStatistic(statistic=coarse, classes=classes, partition=partition)
 
 

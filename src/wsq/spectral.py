@@ -8,7 +8,7 @@ feasibility -- consumes this atom form rather than raw matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -152,18 +152,24 @@ class CoarseMap:
 
 @dataclass
 class AtomProjectionTable:
-    """Per-atom components e_k phi_theta of each state, with squared-norm weights."""
+    """Per-atom components C_k (rows e_k phi_theta) and their Gram stack.
+
+    gram[k] = C_k C_k^H holds the overlaps <e_k phi_i, e_k phi_j>; its
+    diagonal is the weight table w[theta, k] = ||e_k phi_theta||^2.
+    """
 
     components: np.ndarray   # (n_atoms, n_states, dim)
-    weights: np.ndarray      # (n_states, n_atoms), rows sum to 1
+    gram: np.ndarray         # (n_atoms, n_states, n_states)
+    weights: np.ndarray = field(init=False)   # (n_states, n_atoms), rows sum to 1
 
     def __post_init__(self):
         comp = np.asarray(self.components, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
+        g = np.asarray(self.gram, dtype=complex)
         if comp.ndim != 3:
             raise ValueError("components must be a (atoms, states, dim) array")
-        if w.shape != (comp.shape[1], comp.shape[0]):
-            raise ValueError(f"weights shape {w.shape} inconsistent with components")
+        if g.shape != (comp.shape[0], comp.shape[1], comp.shape[1]):
+            raise ValueError(f"gram shape {g.shape} inconsistent with components")
+        w = np.diagonal(g, axis1=1, axis2=2).T.real
         if np.any(w < -WEIGHT_ROW_TOL):
             raise ValueError("weights must be nonnegative")
         rowsum = w.sum(axis=1)
@@ -171,6 +177,7 @@ class AtomProjectionTable:
         if worst > WEIGHT_ROW_TOL:
             raise ValueError(f"weight rows must sum to 1 (defect {worst:.3e})")
         self.components = comp
+        self.gram = g
         self.weights = w
 
 
@@ -218,18 +225,13 @@ def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
 
 
 def project_states(t: DiscreteStatistic, family: StateFamily) -> AtomProjectionTable:
-    """Tabulate e_k phi_theta and the weights w[theta, k] = ||e_k phi_theta||^2."""
+    """Tabulate e_k phi_theta and the per-atom Gram stack of those components."""
     if t.dim != family.dim:
         raise ValueError(
             f"statistic dimension {t.dim} does not match states of dimension {family.dim}"
         )
-    n_atoms, n_states, d = len(t), len(family), t.dim
-    comp = np.zeros((n_atoms, n_states, d), dtype=complex)
-    for k, p in enumerate(t.projections):
-        for i, phi in enumerate(family.vectors):
-            comp[k, i] = p @ phi
-    weights = np.einsum("kid,kid->ik", comp, comp.conj()).real
-    return AtomProjectionTable(comp, weights)
+    comp = np.array(family.vectors) @ np.array(t.projections).transpose(0, 2, 1)
+    return AtomProjectionTable(comp, comp @ comp.conj().transpose(0, 2, 1))
 
 
 def evaluate_function_on_statistic(t: DiscreteStatistic, f, vec) -> np.ndarray:

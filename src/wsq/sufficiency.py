@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    RANK_TOL,
     gram_matrix,
+    gram_rank,
     gram_schmidt,
     hermitian_part,
-    inner,
     norm,
     numerical_rank,
 )
@@ -37,9 +38,8 @@ from .phases import (
     VersionAssignment,
     align_phases,
 )
-from .spectral import DiscreteStatistic, StateFamily, project_states
+from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
 
-RANK_TOL = 1e-8
 ZERO_TOL = 1e-10          # overlaps below this (times the norms) impose nothing
 REPRESENTATIVE_FLOOR = 1e-6   # relative norm floor when picking a direction
 
@@ -104,68 +104,89 @@ class WitnessCheck:
 
 
 @dataclass
-class GammaTable:
-    """Per-atom directions and coefficients: e_k phi_theta = gamma[k, theta] xi_k.
+class Analysis:
+    """Everything the questions about (t, family) read from the Gram stack.
 
-    xi maps each active atom index to its unit direction; gamma rows of
-    inactive atoms are zero.  active[k] mirrors membership in xi.
+    table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
+    ranks[k] is the numerical rank of gram[k]; constraints are its
+    off-diagonal entries above ZERO_TOL, in (atom, left, right) order.
+    Each active atom (rank >= 1) factors as e_k phi_theta =
+    gamma[k, theta] xi[k]; gamma rows of inactive atoms are zero.
     """
 
+    statistic: DiscreteStatistic
+    family: StateFamily
+    table: AtomProjectionTable
+    ranks: tuple[int, ...]
+    constraints: list[PhaseConstraint]
     gamma: np.ndarray                # (n_atoms, n_states) complex
     xi: dict[int, np.ndarray]
     active: tuple[bool, ...]
 
+    def verdict(self, angle_tol: float = ANGLE_TOL) -> SufficiencyVerdict:
+        """Rank test, then phase alignment, then the witness."""
+        if _RANK_CHECK_ENABLED:
+            violations = [RankViolation(atom=k, dim=r)
+                          for k, r in enumerate(self.ranks) if r > 1]
+            if violations:
+                return SufficiencyVerdict(False, None, violations)
+        aligned = align_phases(self.constraints, self.family.labels, angle_tol)
+        if isinstance(aligned, Infeasible):
+            return SufficiencyVerdict(False, None, [PhaseObstruction(aligned.cycle)])
+        return SufficiencyVerdict(True, self._witness(aligned), [])
 
-def build_gamma_table(t: DiscreteStatistic, family: StateFamily,
-                      tol: float = RANK_TOL) -> GammaTable:
-    """Factor each atom's projected family through a single unit direction.
+    def _witness(self, versions: VersionAssignment) -> WitnessFactorization:
+        t, family = self.statistic, self.family
+        phases = np.array([versions.phase(lab) for lab in family.labels])
+        dressed = self.gamma * phases[np.newaxis, :]
+        active = sorted(self.xi)
+        coef = 1.0 / np.sqrt(len(active))
+        chi = np.zeros(t.dim, dtype=complex)
+        values = np.zeros((len(t), len(family)))
+        for k in active:
+            row = dressed[k]
+            lead = int(np.argmax(np.abs(row)))
+            u = row[lead] / abs(row[lead])
+            values[k] = (row * np.conj(u)).real
+            chi += coef * (u * self.xi[k])
+        functions = {
+            lab: {float(lam): values[k, i] / coef for k, lam in enumerate(t.eigenvalues)}
+            for i, lab in enumerate(family.labels)
+        }
+        return WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
-    Requires every atom to project the family onto dimension <= 1; raises
-    ValueError otherwise.  The direction xi_k is the first projected state
-    above a relative norm floor, normalized and rotated so its
-    largest-magnitude entry is positive real.
+
+def analyze(t: DiscreteStatistic, family: StateFamily,
+            tol: float = RANK_TOL) -> Analysis:
+    """Project the family once and read every per-atom quantity from gram[k].
+
+    The direction xi_k is the first projected state above a relative
+    norm floor, normalized and rotated so its largest-magnitude entry is
+    positive real; gamma[k] is then a column of gram[k] rescaled.
     """
     table = project_states(t, family)
-    n_atoms, n_states = len(t), len(family)
-    gamma = np.zeros((n_atoms, n_states), dtype=complex)
+    ranks = tuple(gram_rank(g, tol) for g in table.gram)
+    norms = np.array([norm(v) for v in family.vectors])
+    overlaps = np.abs(table.gram) > ZERO_TOL * np.outer(norms, norms)
+    labels = family.labels
+    constraints = [
+        PhaseConstraint(labels[i], labels[j], table.gram[k, i, j], atom=int(k))
+        for k, i, j in zip(*np.nonzero(np.triu(overlaps, 1)))
+    ]
+    gamma = np.zeros((len(t), len(family)), dtype=complex)
     xi: dict[int, np.ndarray] = {}
-    active = []
-    for k in range(n_atoms):
-        vectors = table.components[k]
-        rank = numerical_rank(vectors, tol)
-        if rank > 1 and _RANK_CHECK_ENABLED:
-            raise ValueError(
-                f"atom {k} projects the family onto dimension {rank}"
-            )
-        active.append(rank >= 1)
+    for k, rank in enumerate(ranks):
         if rank == 0:
             continue
-        norms = np.array([norm(v) for v in vectors])
-        pick = int(np.argmax(norms >= REPRESENTATIVE_FLOOR * norms.max()))
-        direction = vectors[pick] / norms[pick]
+        lengths = np.sqrt(table.weights[:, k])
+        pick = int(np.argmax(lengths >= REPRESENTATIVE_FLOOR * lengths.max()))
+        direction = table.components[k, pick] / lengths[pick]
         anchor = int(np.argmax(np.abs(direction)))
-        direction = direction * (np.conj(direction[anchor]) / abs(direction[anchor]))
-        xi[k] = direction
-        for i in range(n_states):
-            gamma[k, i] = inner(vectors[i], direction)
-    return GammaTable(gamma=gamma, xi=xi, active=tuple(active))
-
-
-def instance_constraints(t: DiscreteStatistic, family: StateFamily) -> list[PhaseConstraint]:
-    """Reality constraints from nonzero cross-state overlaps within each atom."""
-    table = project_states(t, family)
-    constraints = []
-    for k in range(len(t)):
-        comps = table.components[k]
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                value = inner(comps[i], comps[j])
-                cutoff = ZERO_TOL * norm(family.vectors[i]) * norm(family.vectors[j])
-                if abs(value) > cutoff:
-                    constraints.append(
-                        PhaseConstraint(family.labels[i], family.labels[j], value, atom=k)
-                    )
-    return constraints
+        turn = np.conj(direction[anchor]) / abs(direction[anchor])
+        xi[k] = direction * turn
+        gamma[k] = table.gram[k, :, pick] * np.conj(turn) / lengths[pick]
+    return Analysis(t, family, table, ranks, constraints, gamma, xi,
+                    tuple(rank >= 1 for rank in ranks))
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
@@ -178,50 +199,7 @@ def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
     violations: atoms of projected dimension >= 2 and/or an inconsistent
     phase cycle.
     """
-    if t.dim != family.dim:
-        raise ValueError(
-            f"statistic dimension {t.dim} does not match states of dimension {family.dim}"
-        )
-    if _RANK_CHECK_ENABLED:
-        table = project_states(t, family)
-        violations: list = []
-        for k in range(len(t)):
-            rank = numerical_rank(table.components[k], tol)
-            if rank > 1:
-                violations.append(RankViolation(atom=k, dim=rank))
-        if violations:
-            return SufficiencyVerdict(False, None, violations)
-    constraints = instance_constraints(t, family)
-    aligned = align_phases(constraints, family.labels, angle_tol)
-    if isinstance(aligned, Infeasible):
-        return SufficiencyVerdict(False, None, [PhaseObstruction(aligned.cycle)])
-    witness = _assemble_witness(t, family, aligned, tol)
-    return SufficiencyVerdict(True, witness, [])
-
-
-def _assemble_witness(t: DiscreteStatistic, family: StateFamily,
-                      versions: VersionAssignment, tol: float) -> WitnessFactorization:
-    gamma_table = build_gamma_table(t, family, tol)
-    phases = np.array([versions.phase(lab) for lab in family.labels])
-    dressed = gamma_table.gamma * phases[np.newaxis, :]
-    active = sorted(gamma_table.xi)
-    coef = 1.0 / np.sqrt(len(active))
-    chi = np.zeros(t.dim, dtype=complex)
-    values = np.zeros((len(t), len(family)))
-    for k in active:
-        row = dressed[k]
-        lead = int(np.argmax(np.abs(row)))
-        u = row[lead] / abs(row[lead])
-        values[k] = (row * np.conj(u)).real
-        chi += coef * (u * gamma_table.xi[k])
-    functions = {
-        lab: {
-            float(lam): (values[k, i] / coef if gamma_table.active[k] else 0.0)
-            for k, lam in enumerate(t.eigenvalues)
-        }
-        for i, lab in enumerate(family.labels)
-    }
-    return WitnessFactorization(chi=chi, functions=functions, versions=versions)
+    return analyze(t, family, tol).verdict(angle_tol)
 
 
 def verify_witness(t: DiscreteStatistic, family: StateFamily,

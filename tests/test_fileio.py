@@ -137,6 +137,10 @@ def test_rank_violation_certificate_verifies():
     cert["payload"]["rank_violations"][0]["dimension"] = 7
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
+    for forged in ([3], 3, [], [{"atom": 0, "dimension": 1}], [{"atom": "0"}]):
+        cert["payload"]["rank_violations"] = forged
+        report = verify_certificate(instance_text, serialize_certificate(cert))
+        assert not report.ok
 
 
 def test_phase_cycle_certificate_verifies_and_rejects_foreign_edges():
@@ -200,6 +204,26 @@ def test_minimality_certificates_roundtrip():
     cert["payload"]["dead_atom"] = 0
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
+
+
+def test_minimal_certificate_replayed_on_unsuitable_instances_is_rejected():
+    statistic, family = load_bundled_instance()
+    cert = serialize_certificate(
+        make_certificate("minimality", minimal_statistic(statistic, family))
+    )
+    # not weakly sufficient: one atom sees two orthogonal states
+    insufficient = serialize_instance(
+        statistic_from_matrix(2.0 * np.eye(2, dtype=complex)),
+        StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex)),
+    )
+    # a family spanning one dimension makes minimality vacuous
+    vacuous = serialize_instance(
+        statistic, StateFamily(labels=("only",), vectors=np.eye(2, dtype=complex)[:1])
+    )
+    for instance_text in (insufficient, vacuous):
+        report = verify_certificate(instance_text, cert)
+        assert not report.ok
+        assert "no minimal statistic" in report.detail
 
 
 def test_petz_certificates_roundtrip():

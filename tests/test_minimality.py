@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from wsq.linalg import gram_schmidt, hermitian_part
+from wsq import linalg, sufficiency
+from wsq.linalg import gram_schmidt, hermitian_part, numerical_rank
 from wsq.minimality import (
     AtomClasses,
     MinimalStatistic,
@@ -13,8 +16,31 @@ from wsq.minimality import (
     is_function_of,
     minimal_statistic,
 )
+from wsq.minimality import _pair_eigenvalues
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
-from wsq.sufficiency import GammaTable, build_gamma_table, check_weak_sufficiency
+from wsq.sufficiency import analyze, check_weak_sufficiency
+
+
+def patch_every_binding(monkeypatch, original, replacement):
+    """Replace a wsq function in every wsq module that imported it."""
+    for name, module in list(sys.modules.items()):
+        if name == "wsq" or name.startswith("wsq."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def count_eigensolves(monkeypatch):
+    """Record the size of every hermitian_eig call, whichever binding makes it."""
+    calls = []
+    original = linalg.hermitian_eig
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m)[0])
+        return original(m, *args, **kwargs)
+
+    patch_every_binding(monkeypatch, original, counting)
+    return calls
 
 
 def two_plus_one_instance():
@@ -64,27 +90,73 @@ def planted_instance(rng, dims, coeff):
 
 def test_classes_of_worked_example():
     t, fam = two_plus_one_instance()
-    table = build_gamma_table(t, fam)
-    classes = equivalence_classes(table)
+    classes = equivalence_classes(analyze(t, fam))
     assert classes.classes == [(0, 1), (2,)]
     assert classes.witnesses[(0, 1)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_complex_proportionality_factor_is_accepted():
-    gamma = np.array(
-        [[1.0, 1.0], [1.0j, 1.0j]], dtype=complex
-    ) / np.sqrt(2)
-    table = GammaTable(
-        gamma=gamma,
-        xi={0: np.array([1.0, 0j]), 1: np.array([0j, 1.0])},
-        active=(True, True),
+    # atoms 0 and 1 see the same real row up to the factor i, atom 2 its own
+    t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]))
+    fam = StateFamily(
+        ("s0", "s1"),
+        (np.array([1.0, 1.0j, 1.0]) / np.sqrt(3), np.array([1.0, 1.0j, -1.0]) / np.sqrt(3)),
     )
-    classes = equivalence_classes(table)
-    assert classes.classes == [(0, 1)]
+    analysis = analyze(t, fam)
+    classes = equivalence_classes(analysis)
+    assert classes.classes == [(0, 1), (2,)]
     assert classes.witnesses[(0, 1)] == pytest.approx(-1.0j, abs=1e-12)
     # the strict mode splits them again
-    strict = equivalence_classes(table, strict_real=True)
-    assert strict.classes == [(0,), (1,)]
+    strict = equivalence_classes(analysis, strict_real=True)
+    assert strict.classes == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("rows", [
+    ([1.0, 2.0j, 0.5], [0.5j - 0.5, -1.0 - 1.0j, 0.25j - 0.25]),   # factor (i - 1) / 2
+    ([1.0, 0.0, 1.0j], [0.0, 1.0, 1.0]),                           # independent
+    ([1.0, 0.99999, 0.0], [1.0, 1.0, 0.0]),        # lo = 2.5e-11: split only at 1e-12
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.3, 0.0, 1.0j]),
+])
+def test_closed_form_pair_test_agrees_with_numerical_rank(rows):
+    gamma = np.array(rows, dtype=complex)
+    lo, hi = _pair_eigenvalues(gamma @ gamma.conj().T)
+    for tol in (1e-8, 1e-12):
+        closed_form = bool(lo[0, 1] <= tol * max(1.0, hi[0, 1]))
+        assert closed_form == (numerical_rank(gamma, tol) <= 1)
+
+
+# -------------------------------------------------------------- work counts
+
+
+def test_classes_make_no_eigensolver_call(monkeypatch):
+    t, fam = two_plus_one_instance()
+    analysis = analyze(t, fam)
+    calls = count_eigensolves(monkeypatch)
+    assert equivalence_classes(analysis).classes == [(0, 1), (2,)]
+    assert calls == []
+
+
+def test_checks_make_one_eigensolve_per_atom(monkeypatch):
+    rng = np.random.default_rng(64)
+    coeff = np.array([[1.0, 2.0], [-2.0, -4.0], [1.0, 0.0], [0.0, 1.0]])
+    t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
+    calls = count_eigensolves(monkeypatch)
+    assert check_weak_sufficiency(t, fam).sufficient
+    assert calls == [len(fam)] * len(t)
+    del calls[:]
+    merge_first_two = CoarseMap({1.0: 1.0, 2.0: 1.0, 3.0: 2.0, 4.0: 3.0})
+    assert check_coarse_sufficient(t, fam, merge_first_two)
+    assert calls == [len(fam)] * len(t)
+
+
+def test_coarse_check_does_not_rerun_the_weak_check(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_weak_sufficiency called")
+
+    patch_every_binding(monkeypatch, sufficiency.check_weak_sufficiency, forbidden)
+    t, fam = two_plus_one_instance()
+    assert check_coarse_sufficient(t, fam, CoarseMap({1.0: 10.0, 2.0: 10.0, 3.0: 20.0}))
 
 
 # -------------------------------------------------- check_coarse_sufficient

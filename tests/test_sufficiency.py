@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wsq.linalg import inner
+from wsq.linalg import gram_matrix, inner, numerical_rank
 from wsq.phases import (
     PhaseConstraint,
     VersionAssignment,
@@ -17,7 +17,7 @@ from wsq.sufficiency import (
     PhaseObstruction,
     RankViolation,
     WitnessFactorization,
-    build_gamma_table,
+    analyze,
     check_weak_sufficiency,
     exists_weakly_sufficient,
     verify_witness,
@@ -232,30 +232,64 @@ def test_check_rejects_dimension_mismatch():
         check_weak_sufficiency(t, fam)
 
 
-# ------------------------------------------------------------ gamma table
+# ---------------------------------------------------------------- analyze
 
 
-def test_gamma_table_factors_each_atom():
+def test_analysis_factors_each_atom():
     rng = np.random.default_rng(81)
     fam = random_real_family(rng, 5, 3)
     built = exists_weakly_sufficient(fam)
     t = built.statistic
-    table = build_gamma_table(t, fam)
-    from wsq.spectral import project_states
-
-    comps = project_states(t, fam).components
-    for k, is_active in enumerate(table.active):
+    analysis = analyze(t, fam)
+    comps = analysis.table.components
+    for k, is_active in enumerate(analysis.active):
+        assert is_active == (analysis.ranks[k] >= 1)
         if not is_active:
-            assert np.abs(table.gamma[k]).max() <= 1e-9
+            assert np.abs(analysis.gamma[k]).max() <= 1e-9
             continue
-        xi = table.xi[k]
+        xi = analysis.xi[k]
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
         for i in range(len(fam)):
-            assert np.abs(comps[k, i] - table.gamma[k, i] * xi).max() <= 1e-9
-    active = sorted(table.xi)
+            assert np.abs(comps[k, i] - analysis.gamma[k, i] * xi).max() <= 1e-9
+    active = sorted(analysis.xi)
     for a in range(len(active)):
         for b in range(a + 1, len(active)):
-            assert abs(inner(table.xi[active[a]], table.xi[active[b]])) <= 1e-9
+            assert abs(inner(analysis.xi[active[a]], analysis.xi[active[b]])) <= 1e-9
+
+
+def test_analysis_gram_stack_matches_the_components():
+    rng = np.random.default_rng(82)
+    t = statistic_from_matrix(np.diag([1.0, 1.0, 2.0, 3.0, 3.0]))
+    vecs = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    fam = StateFamily(("a", "b", "c"), tuple(v / np.linalg.norm(v) for v in vecs))
+    table = analyze(t, fam).table
+    for k in range(len(t)):
+        assert np.abs(table.gram[k] - gram_matrix(table.components[k])).max() <= 1e-12
+        assert np.array_equal(np.diagonal(table.gram[k]).real, table.weights[:, k])
+
+
+def test_analysis_ranks_and_constraints_match_the_loop_reference():
+    t = statistic_from_matrix(np.diag([1.0, 1.0, -1.0]))
+    fam = StateFamily(
+        ("p", "q", "r"),
+        (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+         np.array([1.0, 1.0j, 1.0]) / np.sqrt(3)),
+    )
+    analysis = analyze(t, fam)
+    comps = analysis.table.components
+    assert analysis.ranks == tuple(numerical_rank(comps[k]) for k in range(len(t)))
+    assert analysis.ranks == (1, 2)
+    expected = [
+        (fam.labels[i], fam.labels[j], k)
+        for k in range(len(t))
+        for i in range(len(fam))
+        for j in range(i + 1, len(fam))
+        if abs(inner(comps[k, i], comps[k, j])) > 1e-10
+    ]
+    assert [(c.left, c.right, c.atom) for c in analysis.constraints] == expected
+    for c in analysis.constraints:
+        k, i, j = c.atom, fam.index(c.left), fam.index(c.right)
+        assert abs(c.value - inner(comps[k, i], comps[k, j])) <= 1e-15
 
 
 def test_check_is_deterministic():
