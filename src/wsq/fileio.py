@@ -172,18 +172,13 @@ def _witness_json(witness: sufficiency.WitnessFactorization) -> dict:
     }
 
 
-def _witness_from_json(node: dict, path: str) -> sufficiency.WitnessFactorization:
+def _witness_from_json(node: dict, path: str, dim: int) -> sufficiency.WitnessFactorization:
     if not isinstance(node, dict):
         _fail(path, "expected a witness object")
     for key in ("chi", "functions", "versions"):
         if key not in node:
             _fail(path, f"missing required key '{key}'")
-    chi_node = node["chi"]
-    if not isinstance(chi_node, list) or not chi_node:
-        _fail(f"{path}.chi", "expected a nonempty list of [re, im] pairs")
-    chi = np.array(
-        [_pair(entry, f"{path}.chi[{i}]") for i, entry in enumerate(chi_node)]
-    )
+    chi = _vector(node["chi"], f"{path}.chi", dim)
     if not isinstance(node["functions"], dict):
         _fail(f"{path}.functions", "expected an object of per-state tables")
     functions = {}
@@ -200,12 +195,14 @@ def _witness_from_json(node: dict, path: str) -> sufficiency.WitnessFactorizatio
         functions[label] = table
     if not isinstance(node["versions"], dict):
         _fail(f"{path}.versions", "expected an object of [re, im] pairs")
-    versions = phases.VersionAssignment(
-        phases={
-            label: _pair(value, f"{path}.versions.{label}")
-            for label, value in node["versions"].items()
-        }
-    )
+    pairs = {
+        label: _pair(value, f"{path}.versions.{label}")
+        for label, value in node["versions"].items()
+    }
+    try:
+        versions = phases.VersionAssignment(phases=pairs)
+    except ValueError as exc:
+        _fail(f"{path}.versions", str(exc))
     return sufficiency.WitnessFactorization(
         chi=chi, functions=functions, versions=versions
     )
@@ -227,8 +224,9 @@ def _cycle_json(cycle) -> dict:
 
 
 def _cycle_from_json(node: dict, path: str) -> tuple[phases.PhaseConstraint, ...]:
-    if not isinstance(node, dict) or not isinstance(node.get("constraints"), list):
-        _fail(path, "expected a cycle object with a 'constraints' list")
+    if not isinstance(node, dict) or not isinstance(node.get("constraints"), list) \
+            or not node["constraints"]:
+        _fail(path, "expected a cycle object with a nonempty 'constraints' list")
     out = []
     for i, c in enumerate(node["constraints"]):
         here = f"{path}.constraints[{i}]"
@@ -237,11 +235,14 @@ def _cycle_from_json(node: dict, path: str) -> tuple[phases.PhaseConstraint, ...
         atom = c.get("atom")
         if atom is not None and (isinstance(atom, bool) or not isinstance(atom, int)):
             _fail(f"{here}.atom", "expected an integer atom index or null")
+        value = _pair(c.get("value"), f"{here}.value")
+        if value == 0:
+            _fail(f"{here}.value", "expected a nonzero [re, im] pair")
         out.append(
             phases.PhaseConstraint(
                 left=str(c.get("left")),
                 right=str(c.get("right")),
-                value=_pair(c.get("value"), f"{here}.value"),
+                value=value,
                 atom=atom,
             )
         )
@@ -268,7 +269,10 @@ def _statistic_from_json(node: dict, path: str, dim: int):
     projections = np.array(
         [_matrix(p, f"{path}.projections[{i}]", dim) for i, p in enumerate(projs)]
     )
-    return spectral.DiscreteStatistic(eigenvalues=eigenvalues, projections=projections)
+    try:
+        return spectral.DiscreteStatistic(eigenvalues=eigenvalues, projections=projections)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def make_certificate(kind: str, result, parameters: dict | None = None,
@@ -424,18 +428,34 @@ def verify_certificate(instance_text: str, certificate_text: str,
     constraints are matched against the instance, overlaps are
     recomputed, and each shared atom of a petz refusal is replayed from
     the recomputed weights and the recorded petz_feasibility tolerance.
-    A certificate that does not prove its claim yields ok=False.
+    A certificate that does not prove its claim, or cannot be read,
+    yields ok=False; only a malformed instance raises.
     """
     statistic, family = parse_instance(instance_text)
-    cert = parse_certificate(certificate_text)
+    try:
+        return _replay(statistic, family, parse_certificate(certificate_text), tol)
+    except SchemaError as exc:
+        return VerificationReport(False, f"malformed certificate: {exc}")
+
+
+def _check_witness(statistic, family, payload: dict, tol: float) -> sufficiency.WitnessCheck:
+    """Replay the payload's witness; SchemaError when it does not fit the instance."""
+    witness = _witness_from_json(payload.get("witness"), "$.payload.witness", family.dim)
+    try:
+        return sufficiency.verify_witness(statistic, family, witness, tol=tol)
+    except ValueError as exc:
+        _fail("$.payload.witness", str(exc))
+
+
+def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
+    """verify_certificate on a parsed instance; SchemaError means an unreadable payload."""
     kind, verdict, payload = cert["kind"], cert["verdict"], cert["payload"]
 
     if kind == "weak_sufficiency":
         if statistic is None:
             return VerificationReport(False, "instance file carries no statistic")
         if verdict == "sufficient":
-            witness = _witness_from_json(payload.get("witness"), "$.payload.witness")
-            check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
+            check = _check_witness(statistic, family, payload, tol)
             if not check.ok:
                 return VerificationReport(
                     False, f"witness residual {check.max_residual:.3e} exceeds {tol:.1e}"
@@ -476,8 +496,7 @@ def verify_certificate(instance_text: str, certificate_text: str,
             built = _statistic_from_json(
                 payload.get("statistic"), "$.payload.statistic", family.dim
             )
-            witness = _witness_from_json(payload.get("witness"), "$.payload.witness")
-            check = sufficiency.verify_witness(built, family, witness, tol=tol)
+            check = _check_witness(built, family, payload, tol)
             if not check.ok:
                 return VerificationReport(
                     False, f"witness residual {check.max_residual:.3e} exceeds {tol:.1e}"

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import RANK_TOL, numerical_rank
-from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse
+from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, coarse_blocks
 from .sufficiency import Analysis, analyze
 
 TRANSITIVITY_SLACK = 100.0   # relative loosening for the post-hoc class check
@@ -140,12 +140,11 @@ def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily,
     Requires (t, family) itself to be weakly sufficient.  One Analysis
     of (t, family) gives both that verdict and the classes; a block of
     the coarse-graining is harmless iff all its active atoms lie in one
-    proportionality class, so the coarse statistic is never analysed.
+    proportionality class, so the coarse statistic is never built.
     """
     analysis = _sufficient_analysis(t, family, tol)
     classes = equivalence_classes(analysis, tol)
-    _, partition = apply_coarse(t, cmap)
-    for block in partition:
+    for _, block in coarse_blocks(t, cmap):
         homes = {classes.class_index(k) for k in block if analysis.active[k]}
         if len(homes) > 1:
             return False

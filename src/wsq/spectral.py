@@ -203,6 +203,19 @@ def statistic_from_matrix(m, group_tol: float | None = None) -> DiscreteStatisti
     return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
 
 
+def coarse_blocks(t: DiscreteStatistic, cmap: CoarseMap) -> list[tuple[float, list[int]]]:
+    """Atoms of t grouped by their value under a coarse map f.
+
+    Returns (value, atom indices) pairs in ascending value order, indices
+    ascending within each block.  The map must assign a value to every
+    eigenvalue of t.
+    """
+    blocks: dict[float, list[int]] = {}
+    for k, lam in enumerate(t.eigenvalues):
+        blocks.setdefault(cmap.value_for(lam), []).append(k)
+    return sorted(blocks.items(), key=lambda item: item[0])
+
+
 def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
     """Build the statistic f(T) induced by a coarse map f.
 
@@ -211,17 +224,13 @@ def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
     (ascending value) order as its atoms.  The map must assign a value to
     every eigenvalue of t.
     """
-    values = [cmap.value_for(lam) for lam in t.eigenvalues]
-    blocks: dict[float, list[int]] = {}
-    for k, val in enumerate(values):
-        blocks.setdefault(val, []).append(k)
-    ordered = sorted(blocks.items(), key=lambda item: item[0])
+    ordered = coarse_blocks(t, cmap)
     eigenvalues = np.array([val for val, _ in ordered])
     projections = tuple(
         sum(t.projections[k] for k in idxs) for _, idxs in ordered
     )
     coarse = DiscreteStatistic(eigenvalues, projections)
-    return coarse, [sorted(idxs) for _, idxs in ordered]
+    return coarse, [idxs for _, idxs in ordered]
 
 
 def project_states(t: DiscreteStatistic, family: StateFamily) -> AtomProjectionTable:

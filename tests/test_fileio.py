@@ -333,3 +333,85 @@ def test_certificate_schema_validation():
 def test_unknown_certificate_kind_rejected():
     with pytest.raises(ValueError, match="unknown certificate kind"):
         make_certificate("nonsense", None)
+
+
+# ------------------------------------------- unreadable certificate payloads
+
+
+def phase_cycle_certificate():
+    s = 1.0 / math.sqrt(2.0)
+    statistic = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
+    family = StateFamily(labels=("u", "v"),
+                         vectors=np.array([[s, s], [s, 1j * s]], dtype=complex))
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    instance_text = serialize_instance(statistic, family)
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+    return instance_text, cert
+
+
+def test_zero_cycle_value_is_rejected_not_raised():
+    instance_text, cert = phase_cycle_certificate()
+    cert["payload"]["phase_cycle"]["constraints"][0]["value"] = [0, 0]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert "constraints[0].value" in report.detail
+
+
+def test_empty_cycle_is_rejected_not_raised():
+    instance_text, cert = phase_cycle_certificate()
+    cert["payload"]["phase_cycle"]["constraints"] = []
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert "nonempty 'constraints'" in report.detail
+
+
+def test_cycle_that_is_not_an_object_is_rejected_not_raised():
+    instance_text, cert = phase_cycle_certificate()
+    cert["payload"]["phase_cycle"] = [1, 2]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert "$.payload.phase_cycle" in report.detail
+
+
+def test_witness_of_wrong_length_is_rejected_not_raised():
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    cert["payload"]["witness"]["chi"] = cert["payload"]["witness"]["chi"][:1]
+    report = verify_certificate(serialize_instance(statistic, family),
+                                serialize_certificate(cert))
+    assert not report.ok
+    assert "$.payload.witness.chi" in report.detail
+
+
+@pytest.mark.parametrize("part, edit, message", [
+    ("functions", lambda node: node.pop("phi1"), "no function for state"),
+    ("versions", lambda node: node.update(phi1=[0.0, 0.0]), "not unit modulus"),
+])
+def test_witness_that_does_not_fit_is_rejected_not_raised(part, edit, message):
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    edit(cert["payload"]["witness"][part])
+    report = verify_certificate(serialize_instance(statistic, family),
+                                serialize_certificate(cert))
+    assert not report.ok
+    assert message in report.detail
+
+
+def test_constructed_statistic_that_is_no_partition_is_rejected_not_raised():
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(3, 4))
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    family = StateFamily(labels=("a", "b", "c"), vectors=vectors.astype(complex))
+    cert = make_certificate("existence", exists_weakly_sufficient(family))
+    projections = cert["payload"]["statistic"]["projections"]
+    projections[0] = projections[1]
+    report = verify_certificate(serialize_instance(None, family), serialize_certificate(cert))
+    assert not report.ok
+    assert "$.payload.statistic" in report.detail
+
+
+def test_malformed_instance_still_raises():
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        verify_certificate("{", serialize_certificate(cert))

@@ -4,10 +4,13 @@ numpy.linalg appears here as an independent oracle only; the package
 itself never calls it for spectral work.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from wsq.linalg import (
+    MAX_DIM,
     JacobiConvergenceError,
     RankDeficiencyError,
     as_hermitian,
@@ -18,6 +21,7 @@ from wsq.linalg import (
     norm,
     numerical_rank,
     psd_project,
+    round_robin_rounds,
 )
 
 
@@ -102,6 +106,83 @@ def test_eig_reports_exhausted_sweep_budget():
     rng = np.random.default_rng(7)
     with pytest.raises(JacobiConvergenceError):
         hermitian_eig(random_hermitian(rng, 6), max_sweeps=0)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_round_robin_rounds_cover_every_pair_once(n):
+    rounds = round_robin_rounds(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    for pairs in rounds:
+        touched = [i for pair in pairs for i in pair]
+        assert len(touched) == len(set(touched))   # disjoint within a round
+        assert all(0 <= p < q < n for p, q in pairs)
+    visited = [pair for pairs in rounds for pair in pairs]
+    assert sorted(visited) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def random_unitary(rng, d):
+    raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(raw)
+    return q
+
+
+def test_eig_degenerate_projector_sum():
+    # three atoms of multiplicity 1, 3 and 5 at d = 9, as in dense instance files
+    rng = np.random.default_rng(9)
+    q = random_unitary(rng, 9)
+    blocks = [q[:, :1], q[:, 1:4], q[:, 4:]]
+    m = sum(lam * (b @ b.conj().T) for lam, b in zip((-1.0, 0.5, 2.0), blocks))
+    w, v = hermitian_eig(m)
+    assert w == pytest.approx([-1.0] + [0.5] * 3 + [2.0] * 5, abs=1e-12)
+    assert np.abs(v.conj().T @ v - np.eye(9)).max() <= 1e-12
+    for cols, b in zip((slice(0, 1), slice(1, 4), slice(4, 9)), blocks):
+        span = v[:, cols] @ v[:, cols].conj().T
+        assert np.abs(span - b @ b.conj().T).max() <= 1e-11
+
+
+def test_eig_identity_plus_rank_one():
+    rng = np.random.default_rng(10)
+    x = random_unit(rng, 6)
+    m = np.eye(6) + 3.0 * np.outer(x, x.conj())
+    w, v = hermitian_eig(m)
+    assert w == pytest.approx([1.0] * 5 + [4.0], abs=1e-12)
+    assert abs(abs(np.vdot(v[:, -1], x)) - 1.0) <= 1e-12
+    assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-12
+
+
+def test_eig_nearly_diagonal_matrix_raises_no_warning():
+    # pivots of 2e-11 against diagonal gaps of order 1 give |tau| > 1e9
+    m = np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex)
+    m[np.triu_indices(4, 1)] = 2e-11j
+    m = m + np.triu(m, 1).conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = hermitian_eig(m)
+    assert w == pytest.approx([-3.0, 0.0, 1.0, 2.5], abs=1e-12)
+    assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-12 * 3.0
+
+
+def test_eig_one_sweep_does_not_converge_at_d32():
+    rng = np.random.default_rng(32)
+    with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
+        hermitian_eig(random_hermitian(rng, 32), max_sweeps=1)
+
+
+def test_eig_accepts_the_largest_dimension():
+    rng = np.random.default_rng(64)
+    m = random_hermitian(rng, MAX_DIM)
+    w, v = hermitian_eig(m)
+    assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-9 * np.abs(m).max()
+    assert np.abs(v.conj().T @ v - np.eye(MAX_DIM)).max() <= 1e-9
+
+
+def test_eig_is_bitwise_repeatable():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 9, 24):
+        m = random_hermitian(rng, d)
+        w1, v1 = hermitian_eig(m)
+        w2, v2 = hermitian_eig(m)
+        assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
 # ----------------------------------------------------------- gram_matrix

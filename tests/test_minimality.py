@@ -159,6 +159,25 @@ def test_coarse_check_does_not_rerun_the_weak_check(monkeypatch):
     assert check_coarse_sufficient(t, fam, CoarseMap({1.0: 10.0, 2.0: 10.0, 3.0: 20.0}))
 
 
+def test_coarse_check_builds_no_statistic(monkeypatch):
+    t, fam = two_plus_one_instance()
+    built = []
+    original = DiscreteStatistic.__post_init__
+
+    def counting(self):
+        built.append(len(self.eigenvalues))
+        original(self)
+
+    monkeypatch.setattr(DiscreteStatistic, "__post_init__", counting)
+    verdicts = [check_coarse_sufficient(t, fam, cmap) for cmap in enumerate_coarse_grainings(t)]
+    assert verdicts == [False, True, False, False, True]
+    assert built == []
+    with pytest.raises(ValueError, match="no value for eigenvalue"):
+        check_coarse_sufficient(t, fam, CoarseMap({1.0: 10.0, 2.0: 10.0}))
+    apply_coarse(t, CoarseMap({1.0: 10.0, 2.0: 10.0, 3.0: 20.0}))
+    assert built == [2]
+
+
 # -------------------------------------------------- check_coarse_sufficient
 
 
