@@ -1,10 +1,13 @@
 """Dense complex linear algebra for desk-scale problems.
 
-All spectral work in this package runs through :func:`hermitian_eig`, a
-Jacobi iteration written out explicitly so that every eigenvalue claim
-can be traced to a small, inspectable loop.  A sweep visits the
-off-diagonal pairs in round-robin order; the disjoint rotations of each
-round form one block unitary, applied by matrix products.  numpy's own
+All spectral work in this package runs through one Jacobi kernel,
+written out explicitly so that every eigenvalue claim can be traced to a
+small, inspectable loop.  The kernel solves a whole stack of Hermitian
+matrices at once: a sweep visits the off-diagonal pairs in round-robin
+order, and the disjoint rotations of each round, for every matrix of the
+stack, form one block unitary per matrix, applied by batched matrix
+products.  hermitian_eig is its one-matrix case and gram_ranks reads the
+ranks of a Gram stack from one eigenvalues-only solve.  numpy's own
 eigensolvers are not called here; the test suite uses them as an
 independent cross-check of this module, and nothing else does.
 """
@@ -70,21 +73,42 @@ def as_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    _require_finite(a, "matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.conj().T).max())
-    if asym > tol * scale:
+    return hermitian_stack(a[np.newaxis], tol)[0]
+
+
+def hermitian_stack(stack, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """as_hermitian for each matrix of a (b, n, n) stack, in one pass.
+
+    Each matrix is judged against its own scale.  The first matrix that
+    fails raises the error as_hermitian would raise for it alone.
+    """
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    adjoint = a.conj().transpose(0, 2, 1)
+    count = len(a)
+    if not np.isfinite(a).all():   # only matrices before the first non-finite one
+        count = int(np.argmin(np.isfinite(a).all(axis=(1, 2))))
+    scale = np.maximum(1.0, np.abs(a[:count]).max(axis=(1, 2)))
+    asym = np.abs(a[:count] - adjoint[:count]).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > tol * scale)
+    if bad.size:
+        k = bad[0]
         raise ValueError(
-            f"matrix is not hermitian: asymmetry {asym:.3e} exceeds "
-            f"{tol:.1e} relative to scale {scale:.3e}"
+            f"matrix is not hermitian: asymmetry {asym[k]:.3e} exceeds "
+            f"{tol:.1e} relative to scale {scale[k]:.3e}"
         )
-    return hermitian_part(a)
+    if count < len(a):
+        raise ValueError("matrix contains non-finite entries")
+    return 0.5 * (a + adjoint)
 
 
-def _max_offdiag(a: np.ndarray) -> float:
+def _max_offdiag(a: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal magnitude of each matrix of a (b, n, n) stack."""
+    n = a.shape[-1]
     b = np.abs(a)
-    np.fill_diagonal(b, 0.0)
-    return float(b.max())
+    b.reshape(-1, n * n)[:, :: n + 1] = 0.0
+    return b.max(axis=(1, 2))
 
 
 @lru_cache(maxsize=MAX_DIM)
@@ -114,8 +138,9 @@ def round_robin_rounds(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @lru_cache(maxsize=MAX_DIM)
 def _identity(n: int) -> np.ndarray:
-    """Read-only complex identity, copied rather than rebuilt per round."""
-    eye = np.eye(n, dtype=complex)
+    """Read-only complex identity of shape (1, n, n), repeated into a stack
+    once per active set and copied per round rather than rebuilt."""
+    eye = np.eye(n, dtype=complex)[np.newaxis]
     eye.flags.writeable = False
     return eye
 
@@ -142,16 +167,39 @@ def _round_plans(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray]
     return tuple(plans)
 
 
-def _sweep(a: np.ndarray, v: np.ndarray, skip: float) -> tuple[np.ndarray, np.ndarray]:
-    """One round-robin sweep; each round is a single unitary similarity.
+def _stack_plans(n: int, b: int):
+    """_round_plans(n) as flat indices into a contiguous (b, n, n) stack.
+
+    Each group of a round lists its entries for matrix 0, then matrix 1,
+    and so on, so the per-round arrays stay one-dimensional whatever b
+    is; for b = 1 they are _round_plans(n) itself.  Built once per change
+    of the active set, not per sweep.
+    """
+    if b == 1:
+        return _round_plans(n)
+    base = np.arange(0, b * n * n, n * n, dtype=np.intp)[:, np.newaxis]
+
+    def spread(index, groups):
+        return (base + index.reshape(groups, 1, -1)).reshape(-1)
+
+    return tuple((b * k, spread(take, 3), spread(put, 4), spread(zero, 2))
+                 for k, take, put, zero in _round_plans(n))
+
+
+def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
+           eye: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """One round-robin sweep of a (b, n, n) stack; each round is one unitary
+    similarity per matrix.
 
     The pairs of a round are disjoint, so their rotations commute and
     assemble into one block unitary u, identity outside the (p, q)
     planes, where u = [[c, -s e^{i phi}], [s e^{-i phi}, c]] with
-    phi = arg a[p, q].  A pivot at or below skip gets the identity block.
+    phi = arg a[p, q].  A pivot at or below its matrix's skip threshold
+    (skip holds one per pivot of a round) gets the identity block.  eye
+    is an identity stack of a's shape.  v, when not None, accumulates the
+    eigenvectors.
     """
-    eye = _identity(a.shape[0])
-    for k, take, put, zero in _round_plans(a.shape[0]):
+    for k, take, put, zero in plans:
         x = a.take(take)
         g = x[:k]
         rho = np.abs(g)
@@ -171,19 +219,77 @@ def _sweep(a: np.ndarray, v: np.ndarray, skip: float) -> tuple[np.ndarray, np.nd
         sp = (t * c) * (g / rho)
         u = eye.copy()
         u.put(put, np.concatenate((c, -sp, sp.conj(), c)))
-        a = u.conj().T @ a @ u
+        a = u.conj().transpose(0, 2, 1) @ a @ u
         a.put(zero, 0.0)
-        v = v @ u
+        if v is not None:
+            v = v @ u
     return a, v
+
+
+def _jacobi(a: np.ndarray, tol: float, max_sweeps: int, vectors: bool):
+    """Round-robin Jacobi on a stack a (b, n, n) of Hermitian matrices.
+
+    Each matrix keeps its own scale, off-diagonal target tol * scale and
+    skip threshold, and leaves the active set at the first sweep boundary
+    where it meets its target, so its arithmetic is exactly that of a
+    lone solve.  Eigenvectors are accumulated only when vectors is true.
+    Raises JacobiConvergenceError, naming the first matrix still above
+    its target, when max_sweeps sweeps are not enough.
+
+    Returns (w, v): w (b, n) holds each matrix's eigenvalues in the order
+    of its diagonal, not sorted; v (b, n, n) the matching eigenvectors as
+    columns, or None.
+    """
+    b, n = a.shape[0], a.shape[-1]
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the desk-scale limit {MAX_DIM}")
+    target = tol * np.abs(a).max(axis=(1, 2))
+    skip = target / (4.0 * n * n)
+    w = np.empty((b, n))
+    vs = np.empty_like(a) if vectors else None
+    v = _identity(n).repeat(b, axis=0) if vectors else None
+    active = np.arange(b)
+    plans = None
+    for sweep in range(max_sweeps + 1):
+        off = _max_offdiag(a)
+        done = off <= target
+        n_done = np.count_nonzero(done)
+        if n_done == len(done):
+            break
+        if n_done:
+            keep = ~done
+            w[active[done]] = np.diagonal(a[done], axis1=1, axis2=2).real
+            if vectors:
+                vs[active[done]] = v[done]
+                v = v[keep]
+            active, a, off, target, skip = (
+                active[keep], a[keep], off[keep], target[keep], skip[keep])
+            plans = None
+        if sweep == max_sweeps:
+            raise JacobiConvergenceError(
+                f"off-diagonal {off[0]:.3e} above target {target[0]:.3e} "
+                f"after {max_sweeps} sweeps"
+            )
+        if plans is None:
+            plans = _stack_plans(n, len(a))
+            eye = _identity(n).repeat(len(a), axis=0)
+            pivot_skip = skip.repeat(n // 2)
+        a, v = _sweep(a, v, pivot_skip, plans, eye)
+    if len(a) == b:   # no matrix left early: a and v are in stack order
+        return np.diagonal(a, axis1=1, axis2=2).real, v
+    w[active] = np.diagonal(a, axis1=1, axis2=2).real
+    if vectors:
+        vs[active] = v
+    return w, vs
 
 
 def hermitian_eig(m, tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     """Eigendecomposition of a Hermitian matrix by round-robin Jacobi sweeps.
 
-    Each sweep visits every off-diagonal pair once, in the rounds of
-    round_robin_rounds: the n/2 disjoint rotations of a round are applied
-    together as one block unitary through matrix products (Brent & Luk,
-    1985).
+    The one-matrix case of the stacked kernel: each sweep visits every
+    off-diagonal pair once, in the rounds of round_robin_rounds, and the
+    n/2 disjoint rotations of a round are applied together as one block
+    unitary through matrix products (Brent & Luk, 1985).
 
     Parameters
     ----------
@@ -197,30 +303,20 @@ def hermitian_eig(m, tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     (w, v) : eigenvalues ascending (real ndarray), eigenvectors as the
         columns of a unitary ndarray, so that m = v @ diag(w) @ v.conj().T
     """
-    a = as_hermitian(m)
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the desk-scale limit {MAX_DIM}")
-    v = _identity(n).copy()
-    scale = float(np.abs(a).max())
-    if n == 1 or scale == 0.0:
-        w = np.real(np.diag(a)).copy()
-    else:
-        target = tol * scale
-        skip = target / (4.0 * n * n)
-        for _ in range(max_sweeps):
-            if _max_offdiag(a) <= target:
-                break
-            a, v = _sweep(a, v, skip)
-        else:
-            if _max_offdiag(a) > target:
-                raise JacobiConvergenceError(
-                    f"off-diagonal {_max_offdiag(a):.3e} above target "
-                    f"{target:.3e} after {max_sweeps} sweeps"
-                )
-        w = np.real(np.diag(a)).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w, v = _jacobi(as_hermitian(m)[np.newaxis], tol, max_sweeps, vectors=True)
+    order = np.argsort(w[0], kind="stable")
+    return w[0, order], v[0][:, order]
+
+
+def gram_ranks(stack, tol: float = RANK_TOL) -> np.ndarray:
+    """Numerical rank of each Gram matrix of a (b, n, n) stack.
+
+    One eigenvalues-only solve of the whole stack; eigenvalues above
+    tol * max(1, largest eigenvalue of that matrix) count toward its rank.
+    """
+    w, _ = _jacobi(hermitian_stack(stack), EIG_TOL, MAX_SWEEPS, vectors=False)
+    threshold = tol * np.maximum(1.0, w.max(axis=1, keepdims=True))
+    return np.count_nonzero(w > threshold, axis=1)
 
 
 def gram_matrix(vectors) -> np.ndarray:
@@ -236,17 +332,10 @@ def gram_matrix(vectors) -> np.ndarray:
 
 
 def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
-    """Rank of a family of vectors, read from its Gram matrix by gram_rank."""
+    """Rank of a family of vectors, read from its Gram matrix by gram_ranks."""
     if len(vectors) == 0:
         return 0
-    return gram_rank(gram_matrix(vectors), tol)
-
-
-def gram_rank(g, tol: float = RANK_TOL) -> int:
-    """Eigenvalues of a Gram matrix above tol * max(1, largest) count as rank."""
-    w, _ = hermitian_eig(g)
-    threshold = tol * max(1.0, float(w[-1]))
-    return int(np.sum(w > threshold))
+    return int(gram_ranks(gram_matrix(vectors)[np.newaxis], tol)[0])
 
 
 def gram_schmidt(vectors, tol: float = RANK_TOL):

@@ -128,7 +128,8 @@ def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
 
 def _sufficient_analysis(t: DiscreteStatistic, family: StateFamily, tol: float) -> Analysis:
     analysis = analyze(t, family, tol)
-    if not analysis.verdict().sufficient:
+    violations, _ = analysis.decide()
+    if violations:
         raise ValueError("the statistic is not weakly sufficient for the family")
     return analysis
 

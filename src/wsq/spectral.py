@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import as_hermitian, hermitian_eig, hermitian_part, norm
+from .linalg import as_hermitian, hermitian_eig, hermitian_part, hermitian_stack, norm
 
 PARTITION_TOL = 1e-8       # projector algebra defects tolerated on construction
 UNIT_NORM_TOL = 1e-8
@@ -37,7 +37,12 @@ class DiscreteStatistic:
 
     def __post_init__(self):
         evs = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
-        projs = tuple(as_hermitian(p, tol=PARTITION_TOL) for p in self.projections)
+        raw = [np.asarray(p, dtype=complex) for p in self.projections]
+        square = bool(raw) and raw[0].ndim == 2 and raw[0].shape[0] == raw[0].shape[1]
+        if square and all(p.shape == raw[0].shape for p in raw):
+            projs = tuple(hermitian_stack(np.array(raw), tol=PARTITION_TOL))
+        else:   # ragged: as_hermitian on each in turn raises for the first bad one
+            projs = tuple(as_hermitian(p, tol=PARTITION_TOL) for p in raw)
         if len(evs) == 0:
             raise ValueError("statistic needs at least one atom")
         if len(evs) != len(projs):
@@ -47,25 +52,32 @@ class DiscreteStatistic:
         if not np.isfinite(evs).all():
             raise ValueError("eigenvalues contain non-finite entries")
         d = projs[0].shape[0]
-        for k, p in enumerate(projs):
-            if p.shape != (d, d):
-                raise ValueError(f"projection {k} has shape {p.shape}, expected {(d, d)}")
-            defect = np.abs(p @ p - p).max()
-            if defect > PARTITION_TOL:
-                raise ValueError(f"projection {k} is not idempotent (defect {defect:.3e})")
+        same = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
+        stack = np.array(projs[:same])
+        defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
+        bad = np.flatnonzero(defects > PARTITION_TOL)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
+        if same < len(projs):
+            raise ValueError(
+                f"projection {same} has shape {projs[same].shape}, expected {(d, d)}"
+            )
         gap_scale = max(1.0, float(np.abs(evs).max()))
         if np.any(np.diff(evs) <= EIGENVALUE_GAP_TOL * gap_scale):
             raise ValueError("eigenvalues must be strictly ascending and separated")
-        for j in range(len(projs)):
-            for k in range(j + 1, len(projs)):
-                cross = np.abs(projs[j] @ projs[k]).max()
-                if cross > PARTITION_TOL:
-                    raise ValueError(
-                        f"projections {j} and {k} are not orthogonal "
-                        f"(overlap {cross:.3e})"
-                    )
-        total = sum(projs)
-        defect = np.abs(total - np.eye(d)).max()
+        # one product per atom against all later atoms keeps memory at
+        # atoms * d^2 while reporting the same first pair as a pairwise scan
+        for j in range(len(stack) - 1):
+            cross = np.abs(stack[j] @ stack[j + 1:]).max(axis=(1, 2))
+            bad = np.flatnonzero(cross > PARTITION_TOL)
+            if bad.size:
+                k = j + 1 + bad[0]
+                raise ValueError(
+                    f"projections {j} and {k} are not orthogonal "
+                    f"(overlap {cross[bad[0]]:.3e})"
+                )
+        defect = np.abs(stack.sum(axis=0) - np.eye(d)).max()
         if defect > PARTITION_TOL:
             raise ValueError(
                 f"projections do not sum to the identity (defect {defect:.3e})"

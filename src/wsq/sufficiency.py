@@ -25,7 +25,7 @@ import numpy as np
 from .linalg import (
     RANK_TOL,
     gram_matrix,
-    gram_rank,
+    gram_ranks,
     gram_schmidt,
     hermitian_part,
     norm,
@@ -108,7 +108,8 @@ class Analysis:
     """Everything the questions about (t, family) read from the Gram stack.
 
     table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
-    ranks[k] is the numerical rank of gram[k]; constraints are its
+    ranks[k] is the numerical rank of gram[k], all read from one stacked
+    eigenvalues-only solve; constraints are its
     off-diagonal entries above ZERO_TOL, in (atom, left, right) order.
     Each active atom (rank >= 1) factors as e_k phi_theta =
     gamma[k, theta] xi[k]; gamma rows of inactive atoms are zero.
@@ -123,17 +124,28 @@ class Analysis:
     xi: dict[int, np.ndarray]
     active: tuple[bool, ...]
 
-    def verdict(self, angle_tol: float = ANGLE_TOL) -> SufficiencyVerdict:
-        """Rank test, then phase alignment, then the witness."""
+    def decide(self, angle_tol: float = ANGLE_TOL) -> tuple[list, VersionAssignment | None]:
+        """Rank test, then phase alignment: (violations, versions).
+
+        Exactly one of the two is empty: the violations refuse, the
+        versions make every constraint real.  No witness is built.
+        """
         if _RANK_CHECK_ENABLED:
             violations = [RankViolation(atom=k, dim=r)
                           for k, r in enumerate(self.ranks) if r > 1]
             if violations:
-                return SufficiencyVerdict(False, None, violations)
+                return violations, None
         aligned = align_phases(self.constraints, self.family.labels, angle_tol)
         if isinstance(aligned, Infeasible):
-            return SufficiencyVerdict(False, None, [PhaseObstruction(aligned.cycle)])
-        return SufficiencyVerdict(True, self._witness(aligned), [])
+            return [PhaseObstruction(aligned.cycle)], None
+        return [], aligned
+
+    def verdict(self, angle_tol: float = ANGLE_TOL) -> SufficiencyVerdict:
+        """The decision, with the witness built from its versions."""
+        violations, versions = self.decide(angle_tol)
+        if violations:
+            return SufficiencyVerdict(False, None, violations)
+        return SufficiencyVerdict(True, self._witness(versions), [])
 
     def _witness(self, versions: VersionAssignment) -> WitnessFactorization:
         t, family = self.statistic, self.family
@@ -165,7 +177,7 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     positive real; gamma[k] is then a column of gram[k] rescaled.
     """
     table = project_states(t, family)
-    ranks = tuple(gram_rank(g, tol) for g in table.gram)
+    ranks = tuple(gram_ranks(table.gram, tol).tolist())
     norms = np.array([norm(v) for v in family.vectors])
     overlaps = np.abs(table.gram) > ZERO_TOL * np.outer(norms, norms)
     labels = family.labels

@@ -43,6 +43,19 @@ def count_eigensolves(monkeypatch):
     return calls
 
 
+def count_stacked_solves(monkeypatch):
+    """Record the stack shape of every run of the Jacobi kernel."""
+    calls = []
+    original = linalg._jacobi
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+    return calls
+
+
 def two_plus_one_instance():
     """Three basis atoms; the first two carry the same state, the third another."""
     t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]))
@@ -137,17 +150,31 @@ def test_classes_make_no_eigensolver_call(monkeypatch):
     assert calls == []
 
 
-def test_checks_make_one_eigensolve_per_atom(monkeypatch):
+def test_checks_make_one_stacked_solve_per_analysis(monkeypatch):
     rng = np.random.default_rng(64)
     coeff = np.array([[1.0, 2.0], [-2.0, -4.0], [1.0, 0.0], [0.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
-    calls = count_eigensolves(monkeypatch)
+    lone = count_eigensolves(monkeypatch)
+    stacked = count_stacked_solves(monkeypatch)
     assert check_weak_sufficiency(t, fam).sufficient
-    assert calls == [len(fam)] * len(t)
-    del calls[:]
+    assert lone == [] and stacked == [(len(t), len(fam), len(fam))]
+    del stacked[:]
     merge_first_two = CoarseMap({1.0: 1.0, 2.0: 1.0, 3.0: 2.0, 4.0: 3.0})
     assert check_coarse_sufficient(t, fam, merge_first_two)
-    assert calls == [len(fam)] * len(t)
+    assert lone == [] and stacked == [(len(t), len(fam), len(fam))]
+
+
+def test_coarse_check_and_minimal_build_no_witness(monkeypatch):
+    def forbidden(self, versions):
+        raise AssertionError("witness built")
+
+    monkeypatch.setattr(sufficiency.Analysis, "_witness", forbidden)
+    t, fam = two_plus_one_instance()
+    verdicts = [check_coarse_sufficient(t, fam, cmap) for cmap in enumerate_coarse_grainings(t)]
+    assert verdicts == [False, True, False, False, True]
+    assert minimal_statistic(t, fam).partition == [[0, 1], [2]]
+    with pytest.raises(AssertionError, match="witness built"):
+        check_weak_sufficiency(t, fam)
 
 
 def test_coarse_check_does_not_rerun_the_weak_check(monkeypatch):

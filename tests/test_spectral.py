@@ -89,6 +89,66 @@ def test_statistic_rejects_overlapping_projections():
         DiscreteStatistic(np.array([0.0, 1.0]), (p, p))
 
 
+def loop_partition_error(evs, projections, tol=1e-8):
+    """The partition checks as a per-atom, per-pair loop: the first error."""
+    from wsq.linalg import as_hermitian
+
+    try:
+        projs = [as_hermitian(p, tol=tol) for p in projections]
+    except ValueError as exc:
+        return str(exc)
+    if len(evs) == 0:
+        return "statistic needs at least one atom"
+    if len(evs) != len(projs):
+        return f"{len(evs)} eigenvalues but {len(projs)} projections"
+    d = projs[0].shape[0]
+    for k, p in enumerate(projs):
+        if p.shape != (d, d):
+            return f"projection {k} has shape {p.shape}, expected {(d, d)}"
+        defect = np.abs(p @ p - p).max()
+        if defect > tol:
+            return f"projection {k} is not idempotent (defect {defect:.3e})"
+    if np.any(np.diff(evs) <= 1e-12 * max(1.0, float(np.abs(evs).max()))):
+        return "eigenvalues must be strictly ascending and separated"
+    for j in range(len(projs)):
+        for k in range(j + 1, len(projs)):
+            cross = np.abs(projs[j] @ projs[k]).max()
+            if cross > tol:
+                return f"projections {j} and {k} are not orthogonal (overlap {cross:.3e})"
+    defect = np.abs(sum(projs) - np.eye(d)).max()
+    if defect > tol:
+        return f"projections do not sum to the identity (defect {defect:.3e})"
+    return None
+
+
+def test_partition_errors_match_the_pairwise_loop():
+    rng = np.random.default_rng(8)
+    basis = random_statistic(rng, 5).projections     # five rank-one atoms
+    x = rng.normal(size=5) + 1j * rng.normal(size=5)
+    tilted = np.outer(x, x.conj()) / np.vdot(x, x)
+    skew = np.triu(np.ones((5, 5)))
+    cases = [
+        [basis[0], basis[1], tilted, basis[3], tilted],     # pairs (0, 2) first
+        [basis[0], basis[1], basis[2], basis[3], basis[1]],   # pair (1, 4) only
+        [basis[0], 0.5 * basis[1], basis[2], tilted],          # idempotence before pairs
+        [basis[0], 0.5 * basis[1], basis[2][:4, :4]],          # idempotence before shape
+        [basis[0], basis[1][:4, :4], 0.5 * basis[2]],          # shape before idempotence
+        [basis[0], basis[1], skew, np.full((5, 5), np.nan)],   # first bad matrix wins
+        [basis[0], np.full((5, 5), np.nan), skew],
+        [basis[0], basis[1], basis[2]],                        # incomplete
+        [basis[0], np.ones((5, 4))],
+    ]
+    for projections in cases:
+        evs = np.arange(1.0, len(projections) + 1.0)
+        expected = loop_partition_error(evs, projections)
+        assert expected is not None
+        with pytest.raises(ValueError) as exc:
+            DiscreteStatistic(evs, tuple(projections))
+        assert str(exc.value) == expected
+    valid = DiscreteStatistic(np.arange(5.0), basis)
+    assert all(np.array_equal(p, q) for p, q in zip(valid.projections, basis))
+
+
 def test_statistic_rejects_coincident_eigenvalues():
     p1 = np.diag([1.0 + 0j, 0.0])
     p2 = np.diag([0.0, 1.0 + 0j])

@@ -292,6 +292,22 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
         assert abs(c.value - inner(comps[k, i], comps[k, j])) <= 1e-15
 
 
+def test_decision_is_the_verdict_without_its_witness():
+    rank_case = (statistic_from_matrix(np.diag([1.0, 1.0, 2.0])),
+                 StateFamily(("e1", "e2"), (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))))
+    phase_case = (statistic_from_matrix(np.diag([1.0, -1.0])),
+                  StateFamily(("a", "b"), (np.array([1.0, 1.0]) / np.sqrt(2),
+                                           np.array([1.0, 1.0j]) / np.sqrt(2))))
+    for t, fam in (two_state_qubit(), rank_case, phase_case):
+        analysis = analyze(t, fam)
+        violations, versions = analysis.decide()
+        verdict = analysis.verdict()
+        assert verdict.violations == violations
+        assert (versions is None) == bool(violations) == (not verdict.sufficient)
+        if versions is not None:
+            assert versions.phases == verdict.witness.versions.phases
+
+
 def test_check_is_deterministic():
     t, fam = two_state_qubit()
     w1 = check_weak_sufficiency(t, fam).witness
