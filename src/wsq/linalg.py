@@ -73,33 +73,35 @@ def as_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return hermitian_stack(a[np.newaxis], tol)[0]
+    _require_finite(a, "matrix")
+    scale = max(1.0, float(np.abs(a).max()))
+    asym = float(np.abs(a - a.conj().T).max())
+    if asym > tol * scale:
+        raise ValueError(
+            f"matrix is not hermitian: asymmetry {asym:.3e} exceeds "
+            f"{tol:.1e} relative to scale {scale:.3e}"
+        )
+    return hermitian_part(a)
 
 
 def hermitian_stack(stack, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """as_hermitian for each matrix of a (b, n, n) stack, in one pass.
 
-    Each matrix is judged against its own scale.  The first matrix that
-    fails raises the error as_hermitian would raise for it alone.
+    Each matrix is judged against its own scale.  When any fails, the
+    first one that does raises the error as_hermitian raises for it.
     """
     a = np.asarray(stack, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     adjoint = a.conj().transpose(0, 2, 1)
-    count = len(a)
-    if not np.isfinite(a).all():   # only matrices before the first non-finite one
-        count = int(np.argmin(np.isfinite(a).all(axis=(1, 2))))
-    scale = np.maximum(1.0, np.abs(a[:count]).max(axis=(1, 2)))
-    asym = np.abs(a[:count] - adjoint[:count]).max(axis=(1, 2))
-    bad = np.flatnonzero(asym > tol * scale)
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"matrix is not hermitian: asymmetry {asym[k]:.3e} exceeds "
-            f"{tol:.1e} relative to scale {scale[k]:.3e}"
-        )
-    if count < len(a):
-        raise ValueError("matrix contains non-finite entries")
+    passed = bool(np.isfinite(a).all())
+    if passed:
+        scale = np.abs(a).max(axis=(1, 2), initial=1.0)
+        asym = np.abs(a - adjoint).max(axis=(1, 2))
+        passed = not np.count_nonzero(asym > tol * scale)
+    if not passed:   # the first matrix that fails raises, as it would alone
+        for m in a:
+            as_hermitian(m, tol)
     return 0.5 * (a + adjoint)
 
 
@@ -195,9 +197,10 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
     assemble into one block unitary u, identity outside the (p, q)
     planes, where u = [[c, -s e^{i phi}], [s e^{-i phi}, c]] with
     phi = arg a[p, q].  A pivot at or below its matrix's skip threshold
-    (skip holds one per pivot of a round) gets the identity block.  eye
-    is an identity stack of a's shape.  v, when not None, accumulates the
-    eigenvectors.
+    (skip holds one per pivot of a round) gets the identity block, and a
+    matrix whose pivots all sit at or below it is left untouched, as a
+    lone solve skipping the round would leave it.  eye is an identity
+    stack of a's shape.  v, when not None, accumulates the eigenvectors.
     """
     for k, take, put, zero in plans:
         x = a.take(take)
@@ -209,6 +212,12 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
             continue
         if n_live < k:
             rho[~live] = 1.0
+            if len(a) > 1:
+                # a lone solve skips a round with no live pivot, so a matrix
+                # with none here keeps its small pivots rather than zeroing them
+                busy = live.reshape(len(a), -1).any(axis=1)
+                if not busy.all():
+                    zero = zero.reshape(2, len(a), -1)[:, busy].reshape(-1)
         diag = x.real
         tau = (diag[2 * k:] - diag[k:2 * k]) / (2.0 * rho)
         # smaller-magnitude root of t^2 - 2 tau t - 1 = 0, free of cancellation

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import as_hermitian, hermitian_eig, hermitian_part, hermitian_stack, norm
+from .linalg import as_hermitian, hermitian_eig, hermitian_part, norm
 
 PARTITION_TOL = 1e-8       # projector algebra defects tolerated on construction
 UNIT_NORM_TOL = 1e-8
@@ -37,12 +37,7 @@ class DiscreteStatistic:
 
     def __post_init__(self):
         evs = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
-        raw = [np.asarray(p, dtype=complex) for p in self.projections]
-        square = bool(raw) and raw[0].ndim == 2 and raw[0].shape[0] == raw[0].shape[1]
-        if square and all(p.shape == raw[0].shape for p in raw):
-            projs = tuple(hermitian_stack(np.array(raw), tol=PARTITION_TOL))
-        else:   # ragged: as_hermitian on each in turn raises for the first bad one
-            projs = tuple(as_hermitian(p, tol=PARTITION_TOL) for p in raw)
+        projs = tuple(as_hermitian(p, tol=PARTITION_TOL) for p in self.projections)
         if len(evs) == 0:
             raise ValueError("statistic needs at least one atom")
         if len(evs) != len(projs):
@@ -55,9 +50,9 @@ class DiscreteStatistic:
         same = next((k for k, p in enumerate(projs) if p.shape != (d, d)), len(projs))
         stack = np.array(projs[:same])
         defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
-        bad = np.flatnonzero(defects > PARTITION_TOL)
-        if bad.size:
-            k = bad[0]
+        bad = defects > PARTITION_TOL
+        if np.count_nonzero(bad):
+            k = bad.argmax()
             raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
         if same < len(projs):
             raise ValueError(
@@ -70,12 +65,12 @@ class DiscreteStatistic:
         # atoms * d^2 while reporting the same first pair as a pairwise scan
         for j in range(len(stack) - 1):
             cross = np.abs(stack[j] @ stack[j + 1:]).max(axis=(1, 2))
-            bad = np.flatnonzero(cross > PARTITION_TOL)
-            if bad.size:
-                k = j + 1 + bad[0]
+            bad = cross > PARTITION_TOL
+            if np.count_nonzero(bad):
+                i = bad.argmax()
                 raise ValueError(
-                    f"projections {j} and {k} are not orthogonal "
-                    f"(overlap {cross[bad[0]]:.3e})"
+                    f"projections {j} and {j + 1 + i} are not orthogonal "
+                    f"(overlap {cross[i]:.3e})"
                 )
         defect = np.abs(stack.sum(axis=0) - np.eye(d)).max()
         if defect > PARTITION_TOL:

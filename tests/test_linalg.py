@@ -258,6 +258,22 @@ def test_stacked_solve_mixes_easy_and_slow_matrices():
     assert gram_ranks(np.zeros((0, 4, 4))).tolist() == []
 
 
+def test_stacked_member_keeps_the_pivots_a_lone_solve_skips():
+    # pivots of roundoff size in the opening round sit below the skip
+    # threshold, so a lone solve skips that round while the live matrices
+    # beside it still rotate there
+    rng = np.random.default_rng(34)
+    for d, small in [(3, 1e-17), (3, 1e-15), (3, 2e-15j), (3, -1e-14), (4, 1e-15), (4, -3e-16j)]:
+        quiet = random_hermitian(rng, d)
+        for p, q in linalg.round_robin_rounds(d)[0]:
+            quiet[p, q], quiet[q, p] = small, np.conj(small)
+        stack = np.array([random_hermitian(rng, d), quiet, random_hermitian(rng, d)])
+        w, v = stacked_eig(stack, vectors=True)
+        for k, m in enumerate(stack):
+            wk, vk = hermitian_eig(m)
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
+
 def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps():
     rng = np.random.default_rng(32)
     stack = np.array([np.diag(np.arange(32.0)), random_hermitian(rng, 32)])
