@@ -11,6 +11,7 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -159,7 +160,9 @@ def _cmd_selftest(args) -> int:
     return AFFIRMATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by run_cli."""
     parser = argparse.ArgumentParser(
         prog="wsq",
         description="decide, construct, and certify sufficiency of discrete "

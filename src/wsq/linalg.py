@@ -2,14 +2,16 @@
 
 All spectral work in this package runs through one Jacobi kernel,
 written out explicitly so that every eigenvalue claim can be traced to a
-small, inspectable loop.  The kernel solves a whole stack of Hermitian
-matrices at once: a sweep visits the off-diagonal pairs in round-robin
-order, and the disjoint rotations of each round, for every matrix of the
-stack, form one block unitary per matrix, applied by batched matrix
-products.  hermitian_eig is its one-matrix case and gram_ranks reads the
-ranks of a Gram stack from one eigenvalues-only solve.  numpy's own
-eigensolvers are not called here; the test suite uses them as an
-independent cross-check of this module, and nothing else does.
+small, inspectable loop.  The kernel solves one Hermitian matrix: a
+sweep visits the off-diagonal pairs in round-robin order, and the
+disjoint rotations of each round form one block unitary, applied by
+matrix products.  hermitian_eig returns its eigenpairs and gram_rank
+the numerical rank of a Gram matrix.  Whether a Gram matrix has rank
+at most one needs no eigensolve: pair_rank_two reads it, for a whole
+stack at once, from the closed-form spectra of the 2x2 principal
+submatrices.  numpy's own eigensolvers are not called here; the test
+suite uses them as an independent cross-check of this module, and
+nothing else does.
 """
 
 from __future__ import annotations
@@ -84,33 +86,11 @@ def as_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return hermitian_part(a)
 
 
-def hermitian_stack(stack, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """as_hermitian for each matrix of a (b, n, n) stack, in one pass.
-
-    Each matrix is judged against its own scale.  When any fails, the
-    first one that does raises the error as_hermitian raises for it.
-    """
-    a = np.asarray(stack, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    adjoint = a.conj().transpose(0, 2, 1)
-    passed = bool(np.isfinite(a).all())
-    if passed:
-        scale = np.abs(a).max(axis=(1, 2), initial=1.0)
-        asym = np.abs(a - adjoint).max(axis=(1, 2))
-        passed = not np.count_nonzero(asym > tol * scale)
-    if not passed:   # the first matrix that fails raises, as it would alone
-        for m in a:
-            as_hermitian(m, tol)
-    return 0.5 * (a + adjoint)
-
-
-def _max_offdiag(a: np.ndarray) -> np.ndarray:
-    """Largest off-diagonal magnitude of each matrix of a (b, n, n) stack."""
-    n = a.shape[-1]
+def _max_offdiag(a: np.ndarray) -> float:
+    """Largest off-diagonal magnitude of a square matrix."""
     b = np.abs(a)
-    b.reshape(-1, n * n)[:, :: n + 1] = 0.0
-    return b.max(axis=(1, 2))
+    b.reshape(-1)[:: a.shape[0] + 1] = 0.0
+    return b.max()
 
 
 @lru_cache(maxsize=MAX_DIM)
@@ -140,9 +120,8 @@ def round_robin_rounds(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @lru_cache(maxsize=MAX_DIM)
 def _identity(n: int) -> np.ndarray:
-    """Read-only complex identity of shape (1, n, n), repeated into a stack
-    once per active set and copied per round rather than rebuilt."""
-    eye = np.eye(n, dtype=complex)[np.newaxis]
+    """Read-only complex identity, copied per round rather than rebuilt."""
+    eye = np.eye(n, dtype=complex)
     eye.flags.writeable = False
     return eye
 
@@ -169,40 +148,19 @@ def _round_plans(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray]
     return tuple(plans)
 
 
-def _stack_plans(n: int, b: int):
-    """_round_plans(n) as flat indices into a contiguous (b, n, n) stack.
-
-    Each group of a round lists its entries for matrix 0, then matrix 1,
-    and so on, so the per-round arrays stay one-dimensional whatever b
-    is; for b = 1 they are _round_plans(n) itself.  Built once per change
-    of the active set, not per sweep.
-    """
-    if b == 1:
-        return _round_plans(n)
-    base = np.arange(0, b * n * n, n * n, dtype=np.intp)[:, np.newaxis]
-
-    def spread(index, groups):
-        return (base + index.reshape(groups, 1, -1)).reshape(-1)
-
-    return tuple((b * k, spread(take, 3), spread(put, 4), spread(zero, 2))
-                 for k, take, put, zero in _round_plans(n))
-
-
-def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
-           eye: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """One round-robin sweep of a (b, n, n) stack; each round is one unitary
-    similarity per matrix.
+def _sweep(a: np.ndarray, v: np.ndarray | None,
+           skip: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """One round-robin sweep; each round is one unitary similarity.
 
     The pairs of a round are disjoint, so their rotations commute and
     assemble into one block unitary u, identity outside the (p, q)
     planes, where u = [[c, -s e^{i phi}], [s e^{-i phi}, c]] with
-    phi = arg a[p, q].  A pivot at or below its matrix's skip threshold
-    (skip holds one per pivot of a round) gets the identity block, and a
-    matrix whose pivots all sit at or below it is left untouched, as a
-    lone solve skipping the round would leave it.  eye is an identity
-    stack of a's shape.  v, when not None, accumulates the eigenvectors.
+    phi = arg a[p, q].  A pivot at or below skip gets the identity
+    block, and a round with no pivot above it is skipped.  v, when not
+    None, accumulates the eigenvectors.
     """
-    for k, take, put, zero in plans:
+    eye = _identity(a.shape[0])
+    for k, take, put, zero in _round_plans(a.shape[0]):
         x = a.take(take)
         g = x[:k]
         rho = np.abs(g)
@@ -212,12 +170,6 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
             continue
         if n_live < k:
             rho[~live] = 1.0
-            if len(a) > 1:
-                # a lone solve skips a round with no live pivot, so a matrix
-                # with none here keeps its small pivots rather than zeroing them
-                busy = live.reshape(len(a), -1).any(axis=1)
-                if not busy.all():
-                    zero = zero.reshape(2, len(a), -1)[:, busy].reshape(-1)
         diag = x.real
         tau = (diag[2 * k:] - diag[k:2 * k]) / (2.0 * rho)
         # smaller-magnitude root of t^2 - 2 tau t - 1 = 0, free of cancellation
@@ -228,7 +180,7 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
         sp = (t * c) * (g / rho)
         u = eye.copy()
         u.put(put, np.concatenate((c, -sp, sp.conj(), c)))
-        a = u.conj().transpose(0, 2, 1) @ a @ u
+        a = u.conj().T @ a @ u
         a.put(zero, 0.0)
         if v is not None:
             v = v @ u
@@ -236,69 +188,44 @@ def _sweep(a: np.ndarray, v: np.ndarray | None, skip: np.ndarray, plans,
 
 
 def _jacobi(a: np.ndarray, tol: float, max_sweeps: int, vectors: bool):
-    """Round-robin Jacobi on a stack a (b, n, n) of Hermitian matrices.
+    """Round-robin Jacobi on one Hermitian matrix a (n, n).
 
-    Each matrix keeps its own scale, off-diagonal target tol * scale and
-    skip threshold, and leaves the active set at the first sweep boundary
-    where it meets its target, so its arithmetic is exactly that of a
-    lone solve.  Eigenvectors are accumulated only when vectors is true.
-    Raises JacobiConvergenceError, naming the first matrix still above
-    its target, when max_sweeps sweeps are not enough.
+    Sweeps until the largest off-diagonal magnitude is at most tol times
+    the largest entry magnitude; pivots at or below that target over
+    4 n^2 are skipped.  Eigenvectors are accumulated only when vectors
+    is true.  Raises JacobiConvergenceError when max_sweeps sweeps are
+    not enough.
 
-    Returns (w, v): w (b, n) holds each matrix's eigenvalues in the order
-    of its diagonal, not sorted; v (b, n, n) the matching eigenvectors as
-    columns, or None.
+    Returns (w, v): w holds the eigenvalues in the order of the
+    diagonal, not sorted; v the matching eigenvectors as columns, or
+    None.
     """
-    b, n = a.shape[0], a.shape[-1]
+    n = a.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the desk-scale limit {MAX_DIM}")
-    target = tol * np.abs(a).max(axis=(1, 2))
+    target = tol * np.abs(a).max()
     skip = target / (4.0 * n * n)
-    w = np.empty((b, n))
-    vs = np.empty_like(a) if vectors else None
-    v = _identity(n).repeat(b, axis=0) if vectors else None
-    active = np.arange(b)
-    plans = None
+    v = np.eye(n, dtype=complex) if vectors else None
     for sweep in range(max_sweeps + 1):
         off = _max_offdiag(a)
-        done = off <= target
-        n_done = np.count_nonzero(done)
-        if n_done == len(done):
+        if off <= target:
             break
-        if n_done:
-            keep = ~done
-            w[active[done]] = np.diagonal(a[done], axis1=1, axis2=2).real
-            if vectors:
-                vs[active[done]] = v[done]
-                v = v[keep]
-            active, a, off, target, skip = (
-                active[keep], a[keep], off[keep], target[keep], skip[keep])
-            plans = None
         if sweep == max_sweeps:
             raise JacobiConvergenceError(
-                f"off-diagonal {off[0]:.3e} above target {target[0]:.3e} "
+                f"off-diagonal {off:.3e} above target {target:.3e} "
                 f"after {max_sweeps} sweeps"
             )
-        if plans is None:
-            plans = _stack_plans(n, len(a))
-            eye = _identity(n).repeat(len(a), axis=0)
-            pivot_skip = skip.repeat(n // 2)
-        a, v = _sweep(a, v, pivot_skip, plans, eye)
-    if len(a) == b:   # no matrix left early: a and v are in stack order
-        return np.diagonal(a, axis1=1, axis2=2).real, v
-    w[active] = np.diagonal(a, axis1=1, axis2=2).real
-    if vectors:
-        vs[active] = v
-    return w, vs
+        a, v = _sweep(a, v, skip)
+    return np.diagonal(a).real, v
 
 
 def hermitian_eig(m, tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     """Eigendecomposition of a Hermitian matrix by round-robin Jacobi sweeps.
 
-    The one-matrix case of the stacked kernel: each sweep visits every
-    off-diagonal pair once, in the rounds of round_robin_rounds, and the
-    n/2 disjoint rotations of a round are applied together as one block
-    unitary through matrix products (Brent & Luk, 1985).
+    Each sweep visits every off-diagonal pair once, in the rounds of
+    round_robin_rounds, and the n/2 disjoint rotations of a round are
+    applied together as one block unitary through matrix products
+    (Brent & Luk, 1985).
 
     Parameters
     ----------
@@ -312,20 +239,40 @@ def hermitian_eig(m, tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     (w, v) : eigenvalues ascending (real ndarray), eigenvectors as the
         columns of a unitary ndarray, so that m = v @ diag(w) @ v.conj().T
     """
-    w, v = _jacobi(as_hermitian(m)[np.newaxis], tol, max_sweeps, vectors=True)
-    order = np.argsort(w[0], kind="stable")
-    return w[0, order], v[0][:, order]
+    w, v = _jacobi(as_hermitian(m), tol, max_sweeps, vectors=True)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
 
 
-def gram_ranks(stack, tol: float = RANK_TOL) -> np.ndarray:
-    """Numerical rank of each Gram matrix of a (b, n, n) stack.
+def gram_rank(g, tol: float = RANK_TOL) -> int:
+    """Numerical rank of a Gram matrix from one eigenvalues-only solve.
 
-    One eigenvalues-only solve of the whole stack; eigenvalues above
-    tol * max(1, largest eigenvalue of that matrix) count toward its rank.
+    Eigenvalues above tol * max(1, largest eigenvalue) count toward it.
     """
-    w, _ = _jacobi(hermitian_stack(stack), EIG_TOL, MAX_SWEEPS, vectors=False)
-    threshold = tol * np.maximum(1.0, w.max(axis=1, keepdims=True))
-    return np.count_nonzero(w > threshold, axis=1)
+    w, _ = _jacobi(as_hermitian(g), EIG_TOL, MAX_SWEEPS, vectors=False)
+    return int(np.count_nonzero(w > tol * max(1.0, w.max())))
+
+
+def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
+    """Which 2x2 principal submatrices of a Gram stack (..., n, n) have rank 2.
+
+    Entry [..., j, m] describes [[a, c], [conj(c), b]] with a = h[j, j],
+    b = h[m, m], c = h[j, m].  Its eigenvalues are hi = (a+b)/2 +
+    sqrt(((a-b)/2)^2 + |c|^2) and lo = max(ab - |c|^2, 0) / hi (lo = 0
+    when both rows are zero), and it has rank 2 when lo > tol * max(1, hi),
+    the cutoff gram_rank applies.  A positive semidefinite matrix has
+    rank <= 1 exactly when none of its pairs has rank 2: by Cauchy
+    interlacing its second eigenvalue is at least the largest lo, and it
+    is at most the sum of the lo over all C(n, 2) pairs.
+    """
+    h = np.asarray(h)
+    a = np.diagonal(h, axis1=-2, axis2=-1).real
+    ai, aj = a[..., :, np.newaxis], a[..., np.newaxis, :]
+    cc = np.abs(h) ** 2
+    hi = (ai + aj) / 2 + np.sqrt(((ai - aj) / 2) ** 2 + cc)
+    det = np.maximum(ai * aj - cc, 0.0)
+    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return lo > tol * np.maximum(1.0, hi)
 
 
 def gram_matrix(vectors) -> np.ndarray:
@@ -341,10 +288,10 @@ def gram_matrix(vectors) -> np.ndarray:
 
 
 def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
-    """Rank of a family of vectors, read from its Gram matrix by gram_ranks."""
+    """Rank of a family of vectors, read from its Gram matrix by gram_rank."""
     if len(vectors) == 0:
         return 0
-    return int(gram_ranks(gram_matrix(vectors)[np.newaxis], tol)[0])
+    return gram_rank(gram_matrix(vectors), tol)
 
 
 def gram_schmidt(vectors, tol: float = RANK_TOL):

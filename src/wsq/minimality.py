@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import RANK_TOL, numerical_rank
+from .linalg import RANK_TOL, gram_matrix, pair_rank_two
 from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, coarse_blocks
 from .sufficiency import Analysis, analyze
 
@@ -58,30 +58,14 @@ class NoMinimalExists:
     dead_atom: int
 
 
-def _pair_eigenvalues(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (lo, hi) of every 2x2 principal submatrix of a Gram matrix.
-
-    Entry [j, m] describes [[a, c], [conj(c), b]] with a = h[j, j],
-    b = h[m, m], c = h[j, m]: hi = (a+b)/2 + sqrt(((a-b)/2)^2 + |c|^2) and
-    lo = max(ab - |c|^2, 0) / hi, or 0 when both rows are zero.  That
-    pair's Gram has the nonzero spectrum of the merged atom's projected
-    vectors, so thresholding lo like numerical_rank decides whether
-    merging atoms j and m keeps rank 1.
-    """
-    a = h.diagonal().real
-    cc = np.abs(h) ** 2
-    hi = (a[:, None] + a[None, :]) / 2 + np.sqrt(((a[:, None] - a[None, :]) / 2) ** 2 + cc)
-    det = np.maximum(a[:, None] * a[None, :] - cc, 0.0)
-    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return lo, hi
-
-
 def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
                         strict_real: bool = False) -> AtomClasses:
     """Group active atoms whose gamma rows are proportional.
 
-    All pairs are decided at once from H = gamma gamma^H (see
-    _pair_eigenvalues).  The factor beta is complex in general;
+    All pairs are decided at once from H = gamma gamma^H: atoms j and m
+    are proportional when the (j, m) principal submatrix of H has rank
+    <= 1 (see pair_rank_two), as the Gram matrix of the merged atom's
+    projected states then does.  The factor beta is complex in general;
     strict_real additionally requires beta to be real within tol,
     splitting classes accordingly.  Transitivity of the pairwise relation
     is re-verified on the computed classes at a composed tolerance and
@@ -90,8 +74,8 @@ def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
     active = [k for k, flag in enumerate(analysis.active) if flag]
     rows = analysis.gamma[active]
     h = rows @ rows.conj().T
-    lo, hi = _pair_eigenvalues(h)
-    scale = np.maximum(1.0, hi)
+    split = pair_rank_two(h, tol)
+    loose = pair_rank_two(h, tol * TRANSITIVITY_SLACK)
     beta = h / h.diagonal().real[None, :]   # gamma_row[j] ~= beta[j, m] gamma_row[m]
     parent = list(range(len(active)))
 
@@ -101,7 +85,7 @@ def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
             x = parent[x]
         return x
 
-    for a, b in zip(*np.nonzero(np.triu(lo <= tol * scale, 1))):
+    for a, b in zip(*np.nonzero(np.triu(~split, 1))):
         if strict_real and abs(beta[a, b].imag) > tol * abs(beta[a, b]):
             continue
         ra, rb = find(a), find(b)
@@ -116,7 +100,7 @@ def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
         for i, a in enumerate(members):
             for b in members[i + 1:]:
                 j, m = active[a], active[b]
-                if lo[a, b] > tol * TRANSITIVITY_SLACK * scale[a, b]:
+                if loose[a, b]:
                     raise ValueError(
                         f"atoms {j} and {m} land in one class but are not "
                         "proportional at the composed tolerance"
@@ -164,7 +148,7 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     the classes.
     """
     analysis = _sufficient_analysis(t, family, tol)
-    if numerical_rank(family.vectors, tol) < 2:
+    if not pair_rank_two(gram_matrix(family.vectors), tol).any():
         raise ValueError("family spans less than two dimensions; minimality is vacuous")
     weights = analysis.table.weights
     for k in range(len(t)):

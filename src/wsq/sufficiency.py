@@ -25,11 +25,12 @@ import numpy as np
 from .linalg import (
     RANK_TOL,
     gram_matrix,
-    gram_ranks,
+    gram_rank,
     gram_schmidt,
     hermitian_part,
     norm,
     numerical_rank,
+    pair_rank_two,
 )
 from .phases import (
     ANGLE_TOL,
@@ -108,8 +109,11 @@ class Analysis:
     """Everything the questions about (t, family) read from the Gram stack.
 
     table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
-    ranks[k] is the numerical rank of gram[k], all read from one stacked
-    eigenvalues-only solve; constraints are its
+    ranks[k] is the numerical rank of gram[k].  No eigensolve decides
+    rank <= 1: gram[k] has rank >= 2 when some 2x2 principal submatrix
+    does (pair_rank_two), else rank 0 when its trace is at most tol and
+    rank 1 otherwise.  Only an atom of rank >= 2 is solved, alone, for
+    its exact rank.  constraints are the
     off-diagonal entries above ZERO_TOL, in (atom, left, right) order.
     Each active atom (rank >= 1) factors as e_k phi_theta =
     gamma[k, theta] xi[k]; gamma rows of inactive atoms are zero.
@@ -177,7 +181,10 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     positive real; gamma[k] is then a column of gram[k] rescaled.
     """
     table = project_states(t, family)
-    ranks = tuple(gram_ranks(table.gram, tol).tolist())
+    spread = pair_rank_two(table.gram, tol).any(axis=(1, 2))
+    empty = table.weights.sum(axis=0) <= tol
+    ranks = tuple(gram_rank(table.gram[k], tol) if spread[k] else int(not empty[k])
+                  for k in range(len(t)))
     norms = np.array([norm(v) for v in family.vectors])
     overlaps = np.abs(table.gram) > ZERO_TOL * np.outer(norms, norms)
     labels = family.labels

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from wsq import cli
 from wsq.cli import run_cli
 from wsq.fileio import (
     load_bundled_instance,
@@ -185,6 +187,28 @@ def test_missing_subcommand_is_an_error(capsys):
     code = run_cli([])
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_is_built_once_per_process(bundled_path, capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(["check", "--input", str(bundled_path)]) == 0
+    assert run_cli(["minimal", "--input", str(bundled_path)]) == 0
+    assert built.count("wsq") == 1
+    # the reused parser still turns usage errors into exit code 2
+    for argv in ([], ["check"], ["check", "--input", str(bundled_path), "--frobnicate"]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        assert "usage" in capsys.readouterr().err.lower()
+    assert run_cli(["check", "--input", str(bundled_path)]) == 0
+    assert built.count("wsq") == 1
 
 
 def test_tolerance_env_var(bundled_path, capsys, monkeypatch):

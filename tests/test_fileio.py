@@ -415,3 +415,75 @@ def test_malformed_instance_still_raises():
     cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
     with pytest.raises(SchemaError, match="invalid JSON"):
         verify_certificate("{", serialize_certificate(cert))
+
+
+# ------------------------------------------------- junk in every certificate node
+
+
+JUNK = (None, [], {}, "x", 1e309)
+# nodes no verdict rests on: the verifier reads none of them
+UNREAD = {
+    "tool_version", "tolerances", "parameters", "defect", "max_constraint_residual",
+    "overlap", ("minimal_constructed", "statistic"), ("minimal_constructed", "classes"),
+}
+
+
+def one_certificate_of_every_verdict():
+    s = 1.0 / math.sqrt(2.0)
+    bundled = load_bundled_instance()
+    basis = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
+    diag = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
+    cycle = (diag, StateFamily(labels=("u", "v"),
+                               vectors=np.array([[s, s], [s, 1j * s]], dtype=complex)))
+    real = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], [s, s, 0]], dtype=complex))
+    dead = (statistic_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex)), real)
+    doubled = statistic_from_matrix(2.0 * np.eye(2, dtype=complex))
+    cases = [
+        ("weak_sufficiency", bundled, check_weak_sufficiency(*bundled)),
+        ("weak_sufficiency", (doubled, basis), check_weak_sufficiency(doubled, basis)),
+        ("weak_sufficiency", cycle, check_weak_sufficiency(*cycle)),
+        ("existence", (None, real), exists_weakly_sufficient(real)),
+        ("existence", (None, obstructed_family()), exists_weakly_sufficient(obstructed_family())),
+        ("minimality", bundled, minimal_statistic(*bundled)),
+        ("minimality", dead, minimal_statistic(*dead)),
+    ]
+    for pair in ((diag, basis), bundled, (doubled, basis)):
+        cases.append(("petz", pair, petz_feasibility(PetzInstance.from_parts(*pair))))
+    for kind, (statistic, family), result in cases:
+        cert = make_certificate(kind, result, parameters={"unital": True} if kind == "petz" else None)
+        yield serialize_instance(statistic, family), cert
+
+
+def node_paths(node, here=()):
+    yield here
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, here + (key,))
+
+
+def with_node(cert, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(cert))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def test_junk_in_any_certificate_node_is_rejected_not_raised():
+    verdicts = set()
+    for instance_text, cert in one_certificate_of_every_verdict():
+        verdicts.add((cert["verdict"], *sorted(cert["payload"])))
+        assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+        for path in node_paths(cert):
+            unread = any(key in UNREAD or (cert["verdict"], key) in UNREAD for key in path)
+            for junk in JUNK:
+                edited = with_node(cert, path, junk)
+                if edited == cert:
+                    continue
+                report = verify_certificate(instance_text, json.dumps(edited))
+                assert unread or not report.ok, (cert["verdict"], path, junk)
+    assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them

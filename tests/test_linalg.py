@@ -17,14 +17,15 @@ from wsq.linalg import (
     JacobiConvergenceError,
     RankDeficiencyError,
     as_hermitian,
+    RANK_TOL,
     gram_matrix,
-    gram_ranks,
+    gram_rank,
     gram_schmidt,
     hermitian_eig,
-    hermitian_stack,
     inner,
     norm,
     numerical_rank,
+    pair_rank_two,
     psd_project,
     round_robin_rounds,
 )
@@ -190,17 +191,49 @@ def test_eig_is_bitwise_repeatable():
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
-# ------------------------------------------------------- stacked kernel
+# ------------------------------------------------------ gram_rank, pairs
 
 
-def stacked_eig(stack, vectors=False, max_sweeps=MAX_SWEEPS):
-    """The kernel on a whole stack, eigenvalues sorted as hermitian_eig sorts."""
-    w, v = linalg._jacobi(hermitian_stack(stack), EIG_TOL, max_sweeps, vectors)
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    if vectors:
-        v = np.take_along_axis(v, order[:, np.newaxis, :], axis=2)
-    return w, v
+def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep():
+    for m in (np.zeros((4, 4)), np.array([[2.5]]), np.array([[0.0]]),
+              np.diag([3.0, -1.0, 0.0, 2.0])):
+        a = as_hermitian(m)
+        w, v = linalg._jacobi(a, EIG_TOL, 0, vectors=True)
+        assert np.array_equal(w, np.diagonal(m)) and np.array_equal(v, np.eye(len(m)))
+        w_only, v_none = linalg._jacobi(a, EIG_TOL, 0, vectors=False)
+        assert v_none is None and np.array_equal(w_only, w)
+    assert [gram_rank(m) for m in (np.zeros((4, 4)), [[2.5]], [[0.0]], [[-1.0]])] == [0, 1, 0, 0]
+    assert gram_rank(np.diag([3.0, -1.0, 0.0, 2.0])) == 2   # -1 is no rank
+    rng = np.random.default_rng(32)
+    with pytest.raises(JacobiConvergenceError, match="after 0 sweeps"):
+        linalg._jacobi(as_hermitian(random_hermitian(rng, 3)), EIG_TOL, 0, vectors=False)
+
+
+def test_gram_rank_validates_its_input():
+    with pytest.raises(ValueError, match="not hermitian"):
+        gram_rank(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_rank(np.eye(3) * np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        gram_rank(np.diag([1.0, np.inf]))
+    with pytest.raises(ValueError, match="square matrix"):
+        gram_rank(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="desk-scale"):
+        gram_rank(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
+    assert gram_rank(np.zeros((MAX_DIM, MAX_DIM))) == 0
+
+
+def test_gram_rank_is_repeatable_and_silent():
+    tiny = np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex)
+    tiny[np.triu_indices(4, 1)] = 2e-11j   # |tau| > 1e9
+    tiny = tiny + np.triu(tiny, 1).conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = linalg._jacobi(as_hermitian(tiny), EIG_TOL, MAX_SWEEPS, vectors=False)
+        second = linalg._jacobi(as_hermitian(tiny), EIG_TOL, MAX_SWEEPS, vectors=False)
+        rank = gram_rank(tiny)
+    assert np.array_equal(first[0], second[0])
+    assert rank == 2
 
 
 def random_gram_stack(rng, atoms, states, rank):
@@ -213,108 +246,49 @@ def random_gram_stack(rng, atoms, states, rank):
     return np.array(stack)
 
 
-def reference_rank(g, tol=linalg.RANK_TOL):
-    w, _ = hermitian_eig(g)
-    return int(np.sum(w > tol * max(1.0, float(w[-1]))))
-
-
 @pytest.mark.parametrize("atoms", [3, 5, 7])
 @pytest.mark.parametrize("states", [2, 3, 4])
-def test_stacked_solve_is_bitwise_the_lone_solves(atoms, states):
+def test_gram_rank_and_pair_rule_on_planted_gram_stacks(atoms, states):
     rng = np.random.default_rng(10 * atoms + states)
     for rank in sorted({1, 2, states}):
         stack = random_gram_stack(rng, atoms, states, rank)
-        w, v = stacked_eig(stack, vectors=True)
-        w_only, v_none = stacked_eig(stack)
-        assert v_none is None and np.array_equal(w_only, w)
-        for k, g in enumerate(stack):
-            wk, vk = hermitian_eig(g)
-            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-        assert gram_ranks(stack).tolist() == [reference_rank(g) for g in stack]
-        assert gram_ranks(stack).tolist() == [min(rank, states)] * atoms
+        for g in stack:
+            w, _ = hermitian_eig(g)
+            assert gram_rank(g) == np.count_nonzero(w > RANK_TOL * max(1.0, w[-1])) == rank
+        assert pair_rank_two(stack).any(axis=(1, 2)).tolist() == [rank >= 2] * atoms
 
 
-def test_stacked_solve_mixes_easy_and_slow_matrices():
-    rng = np.random.default_rng(31)
-    slow = random_hermitian(rng, 4) * 1e6
-    near = np.diag([1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-9]).astype(complex)
-    near[0, 1] = near[1, 0] = 3e-10
-    near[2, 3], near[3, 2] = 1e-9j, -1e-9j
-    stack = np.array([np.zeros((4, 4)), np.diag([3.0, -1.0, 0.0, 2.0]), slow,
-                      np.zeros((4, 4)), near, random_hermitian(rng, 4)])
-    w, v = stacked_eig(stack, vectors=True)
-    for k, m in enumerate(stack):
-        wk, vk = hermitian_eig(m)
-        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-        scale = max(np.abs(m).max(), 1e-300)
-        assert w[k] == pytest.approx(np.linalg.eigvalsh(m), abs=1e-9 * scale)
-    assert np.array_equal(w[0], np.zeros(4)) and np.array_equal(v[0][0], np.eye(4)[0])
-    assert np.array_equal(w[1], [-1.0, 0.0, 2.0, 3.0])
-    assert gram_ranks(stack[:2] ** 2).tolist() == [0, 3]
-    singles = np.array([[[2.5]], [[0.0]], [[-1.0]]])
-    w1, v1 = stacked_eig(singles, vectors=True)
-    assert np.array_equal(w1[:, 0], [2.5, 0.0, -1.0]) and np.array_equal(v1, np.ones((3, 1, 1)))
-    assert gram_ranks(singles).tolist() == [1, 0, 0]
-    assert gram_ranks(np.zeros((0, 4, 4))).tolist() == []
+def planted_gram(rng, spectrum):
+    """U diag(spectrum) U^H for a random unitary U."""
+    n = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * np.asarray(spectrum, dtype=float)) @ q.conj().T
 
 
-def test_stacked_member_keeps_the_pivots_a_lone_solve_skips():
-    # pivots of roundoff size in the opening round sit below the skip
-    # threshold, so a lone solve skips that round while the live matrices
-    # beside it still rotate there
-    rng = np.random.default_rng(34)
-    for d, small in [(3, 1e-17), (3, 1e-15), (3, 2e-15j), (3, -1e-14), (4, 1e-15), (4, -3e-16j)]:
-        quiet = random_hermitian(rng, d)
-        for p, q in linalg.round_robin_rounds(d)[0]:
-            quiet[p, q], quiet[q, p] = small, np.conj(small)
-        stack = np.array([random_hermitian(rng, d), quiet, random_hermitian(rng, d)])
-        w, v = stacked_eig(stack, vectors=True)
-        for k, m in enumerate(stack):
-            wk, vk = hermitian_eig(m)
-            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-
-
-def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps():
-    rng = np.random.default_rng(32)
-    stack = np.array([np.diag(np.arange(32.0)), random_hermitian(rng, 32)])
-    with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
-        stacked_eig(stack, max_sweeps=1)
-    # no sweep is needed for matrices already diagonal or zero
-    w, _ = stacked_eig(np.array([np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0])]), max_sweeps=0)
-    assert np.array_equal(w, [[0.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
-
-
-def test_stack_validation_names_the_first_bad_member():
-    good = np.eye(3, dtype=complex)
-    skew = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    bad_value = np.eye(3) * np.nan
-    with pytest.raises(ValueError, match="not hermitian"):
-        gram_ranks(np.array([good, good, skew]))
-    # member by member, as as_hermitian alone would see them
-    with pytest.raises(ValueError, match="not hermitian"):
-        hermitian_stack(np.array([good, skew, bad_value]))
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_stack(np.array([good, bad_value, skew]))
-    with pytest.raises(ValueError, match="stack of square matrices"):
-        gram_ranks(np.eye(3))
-    with pytest.raises(ValueError, match="desk-scale"):
-        gram_ranks(np.zeros((2, MAX_DIM + 1, MAX_DIM + 1)))
-    assert gram_ranks(np.zeros((2, MAX_DIM, MAX_DIM))).tolist() == [0, 0]
-
-
-def test_stacked_solve_is_repeatable_and_silent():
-    rng = np.random.default_rng(33)
-    tiny = np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex)
-    tiny[np.triu_indices(4, 1)] = 2e-11j   # |tau| > 1e9
-    tiny = tiny + np.triu(tiny, 1).conj().T
-    stack = np.concatenate([random_gram_stack(rng, 5, 4, 2), [tiny, np.zeros((4, 4))]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        first = stacked_eig(stack, vectors=True)
-        second = stacked_eig(stack, vectors=True)
-        ranks = gram_ranks(stack)
-    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
-    assert ranks.tolist() == [2] * 5 + [2, 0]   # -3 is no rank
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_pair_rule_matches_the_rank_class(n):
+    # rank >= 2 exactly when some 2x2 principal submatrix has rank 2, as long
+    # as the second eigenvalue stays more than C(n, 2) <= 28 from the cutoff
+    rng = np.random.default_rng(50 + n)
+    cutoff = RANK_TOL * 5.0   # the cutoff of a matrix whose top eigenvalue is 5
+    cases = [
+        ([0.0] * n, 0),
+        ([RANK_TOL / 100] + [0.0] * (n - 1), 0),
+        ([100 * RANK_TOL] + [0.0] * (n - 1), 1),
+        ([1.0] + [0.0] * (n - 1), 1),
+        ([5.0, cutoff / 100] + [0.0] * (n - 2), 1),
+        ([5.0, 100 * cutoff] + [0.0] * (n - 2), 2),
+        ([5.0, 0.3] + [0.0] * (n - 2), 2),
+        ([3.0, 1.0] + [0.0] * (n - 2), 2),
+        (list(rng.uniform(0.5, 4.0, size=n)), n),
+    ]
+    for spectrum, rank in cases:
+        for _ in range(5):
+            g = planted_gram(rng, spectrum)
+            assert gram_rank(g) == rank
+            assert bool(pair_rank_two(g).any()) == (rank >= 2)
+    stack = np.array([planted_gram(rng, s) for s, _ in cases])
+    assert pair_rank_two(stack).any(axis=(1, 2)).tolist() == [r >= 2 for _, r in cases]
 
 
 # ----------------------------------------------------------- gram_matrix

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wsq import linalg, sufficiency
-from wsq.linalg import gram_schmidt, hermitian_part, numerical_rank
+from wsq.linalg import gram_schmidt, hermitian_part, numerical_rank, pair_rank_two
 from wsq.minimality import (
     AtomClasses,
     MinimalStatistic,
@@ -16,7 +16,6 @@ from wsq.minimality import (
     is_function_of,
     minimal_statistic,
 )
-from wsq.minimality import _pair_eigenvalues
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
 from wsq.sufficiency import analyze, check_weak_sufficiency
 
@@ -43,8 +42,8 @@ def count_eigensolves(monkeypatch):
     return calls
 
 
-def count_stacked_solves(monkeypatch):
-    """Record the stack shape of every run of the Jacobi kernel."""
+def count_kernel_runs(monkeypatch):
+    """Record the shape of every matrix the Jacobi kernel solves."""
     calls = []
     original = linalg._jacobi
 
@@ -133,10 +132,10 @@ def test_complex_proportionality_factor_is_accepted():
 ])
 def test_closed_form_pair_test_agrees_with_numerical_rank(rows):
     gamma = np.array(rows, dtype=complex)
-    lo, hi = _pair_eigenvalues(gamma @ gamma.conj().T)
     for tol in (1e-8, 1e-12):
-        closed_form = bool(lo[0, 1] <= tol * max(1.0, hi[0, 1]))
-        assert closed_form == (numerical_rank(gamma, tol) <= 1)
+        split = pair_rank_two(gamma @ gamma.conj().T, tol)
+        assert not split[0, 0] and not split[1, 1] and split[0, 1] == split[1, 0]
+        assert (not split[0, 1]) == (numerical_rank(gamma, tol) <= 1)
 
 
 # -------------------------------------------------------------- work counts
@@ -150,18 +149,25 @@ def test_classes_make_no_eigensolver_call(monkeypatch):
     assert calls == []
 
 
-def test_checks_make_one_stacked_solve_per_analysis(monkeypatch):
+def test_only_atoms_of_rank_two_or_more_are_solved(monkeypatch):
     rng = np.random.default_rng(64)
     coeff = np.array([[1.0, 2.0], [-2.0, -4.0], [1.0, 0.0], [0.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
+    # atoms {0, 1} and {2, 3} each see two independent states, atom {4} one
+    refused = statistic_from_matrix(np.diag([1.0, 1.0, 2.0, 2.0, 3.0]))
+    basis = np.eye(5)
+    spread = StateFamily(("a", "b", "c", "d"),
+                         (basis[0], basis[1], (basis[2] + basis[4]) / np.sqrt(2), basis[3]))
     lone = count_eigensolves(monkeypatch)
-    stacked = count_stacked_solves(monkeypatch)
+    runs = count_kernel_runs(monkeypatch)
     assert check_weak_sufficiency(t, fam).sufficient
-    assert lone == [] and stacked == [(len(t), len(fam), len(fam))]
-    del stacked[:]
     merge_first_two = CoarseMap({1.0: 1.0, 2.0: 1.0, 3.0: 2.0, 4.0: 3.0})
     assert check_coarse_sufficient(t, fam, merge_first_two)
-    assert lone == [] and stacked == [(len(t), len(fam), len(fam))]
+    assert lone == [] and runs == []
+    verdict = check_weak_sufficiency(refused, spread)
+    assert [(v.atom, v.dim) for v in verdict.violations] == [(0, 2), (1, 2)]
+    assert lone == [] and runs == [(4, 4), (4, 4)]
+    assert analyze(refused, spread).ranks == (2, 2, 1)
 
 
 def test_coarse_check_and_minimal_build_no_witness(monkeypatch):
@@ -307,6 +313,18 @@ def test_minimal_requires_nontrivial_family():
     fam = StateFamily(("only",), (np.array([1.0, 0.0]),))
     with pytest.raises(ValueError, match="vacuous"):
         minimal_statistic(t, fam)
+
+
+def test_minimal_span_check_reads_the_family_gram_without_a_solve(monkeypatch):
+    t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]))
+    phi = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2)
+    runs = count_kernel_runs(monkeypatch)
+    same_ray = StateFamily(("a", "b", "c"), (phi, 1j * phi, -phi))
+    with pytest.raises(ValueError, match="vacuous"):
+        minimal_statistic(t, same_ray)
+    two_dims = StateFamily(("a", "b"), (phi, np.array([0.0, 0.0, 1.0])))
+    assert minimal_statistic(t, two_dims).partition == [[0, 1], [2]]
+    assert runs == []
 
 
 def test_minimal_statistic_is_deterministic():

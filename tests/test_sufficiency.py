@@ -292,6 +292,33 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
         assert abs(c.value - inner(comps[k, i], comps[k, j])) <= 1e-15
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_analysis_rank_classes_match_numerical_rank(seed):
+    # atoms of rank 0 (weight 1e-12, below the cutoff), 1, 2 and 3 (full for
+    # three states), read without an eigensolve except for ranks 2 and 3
+    rng = np.random.default_rng(90 + seed)
+    raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    basis, _ = np.linalg.qr(raw)
+    blocks = [basis[:, :1], basis[:, 1:3], basis[:, 3:6], basis[:, 6:]]
+    t = statistic_from_matrix(sum(k * (b @ b.conj().T) for k, b in enumerate(blocks)))
+
+    def coef(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    line = blocks[1] @ coef(2)
+    vecs = []
+    for _ in range(3):
+        v = (1e-6 * blocks[0][:, 0] + coef(1)[0] * line
+             + blocks[2][:, :2] @ coef(2) + blocks[3] @ coef(3))
+        vecs.append(v / np.linalg.norm(v))
+    fam = StateFamily(("a", "b", "c"), tuple(vecs))
+    analysis = analyze(t, fam)
+    comps = analysis.table.components
+    order = np.argsort(t.eigenvalues)
+    assert analysis.ranks == tuple(numerical_rank(comps[k]) for k in range(len(t)))
+    assert [analysis.ranks[k] for k in order] == [0, 1, 2, 3]
+
+
 def test_decision_is_the_verdict_without_its_witness():
     rank_case = (statistic_from_matrix(np.diag([1.0, 1.0, 2.0])),
                  StateFamily(("e1", "e2"), (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))))
