@@ -209,6 +209,42 @@ def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep():
         linalg._jacobi(as_hermitian(random_hermitian(rng, 3)), EIG_TOL, 0, vectors=False)
 
 
+def test_stacked_solve_mixes_easy_and_slow_matrices():
+    # the matrices one stacked solve used to mix, each now solved alone
+    rng = np.random.default_rng(31)
+    slow = random_hermitian(rng, 4) * 1e6
+    near = np.diag([1.0, 1.0 + 1e-9, 2.0, 2.0 + 1e-9]).astype(complex)
+    near[0, 1] = near[1, 0] = 3e-10
+    near[2, 3], near[3, 2] = 1e-9j, -1e-9j
+    mixed = [np.zeros((4, 4)), np.diag([3.0, -1.0, 0.0, 2.0]), slow,
+             np.zeros((4, 4)), near, random_hermitian(rng, 4)]
+    solved = [hermitian_eig(m) for m in mixed]
+    for m, (w, v) in zip(mixed, solved):
+        scale = max(np.abs(m).max(), 1e-300)
+        assert w == pytest.approx(np.linalg.eigvalsh(m), abs=1e-9 * scale)
+        assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-9 * scale
+    assert np.array_equal(solved[0][0], np.zeros(4)) and np.array_equal(solved[0][1], np.eye(4))
+    assert np.array_equal(solved[1][0], [-1.0, 0.0, 2.0, 3.0])
+    assert [gram_rank(m ** 2) for m in mixed[:2]] == [0, 3]
+    for value, rank in [(2.5, 1), (0.0, 0), (-1.0, 0)]:
+        w, v = hermitian_eig(np.array([[value]]))
+        assert np.array_equal(w, [value]) and np.array_equal(v, np.ones((1, 1)))
+        assert gram_rank(np.array([[value]])) == rank
+
+
+def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps():
+    # one sweep settles a diagonal matrix but not a random one at d = 32
+    rng = np.random.default_rng(32)
+    w, _ = hermitian_eig(np.diag(np.arange(32.0)), max_sweeps=1)
+    assert np.array_equal(w, np.arange(32.0))
+    with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
+        hermitian_eig(random_hermitian(rng, 32), max_sweeps=1)
+    # no sweep is needed for matrices already diagonal or zero
+    w0, _ = hermitian_eig(np.zeros((3, 3)), max_sweeps=0)
+    w1, _ = hermitian_eig(np.diag([2.0, 1.0, 0.0]), max_sweeps=0)
+    assert np.array_equal(w0, [0.0, 0.0, 0.0]) and np.array_equal(w1, [0.0, 1.0, 2.0])
+
+
 def test_gram_rank_validates_its_input():
     with pytest.raises(ValueError, match="not hermitian"):
         gram_rank(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
