@@ -33,13 +33,14 @@ def _tolerance(args) -> float | None:
     return None
 
 
-def _load(args, need_statistic: bool):
+def _load(args, need_statistic: bool) -> fileio.Instance:
+    """The read instance; its statistic is decomposed only when read."""
     with open(args.input, encoding="utf-8") as handle:
         text = handle.read()
-    statistic, family = fileio.parse_instance(text)
-    if need_statistic and statistic is None:
+    instance = fileio.read_instance(text)
+    if need_statistic and not instance.has_statistic:
         raise ValueError("instance file carries no statistic; one is required here")
-    return statistic, family
+    return instance
 
 
 def _emit(cert: dict, args) -> None:
@@ -52,7 +53,8 @@ def _emit(cert: dict, args) -> None:
 
 
 def _cmd_check(args) -> int:
-    statistic, family = _load(args, need_statistic=True)
+    instance = _load(args, need_statistic=True)
+    statistic, family = instance.statistic, instance.family
     tol = _tolerance(args)
     kwargs = {} if tol is None else {"tol": tol}
     verdict = sufficiency.check_weak_sufficiency(statistic, family, **kwargs)
@@ -70,7 +72,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    _, family = _load(args, need_statistic=False)
+    family = _load(args, need_statistic=False).family
     tol = _tolerance(args)
     kwargs = {} if tol is None else {"tol": tol}
     result = sufficiency.exists_weakly_sufficient(family, **kwargs)
@@ -87,7 +89,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    statistic, family = _load(args, need_statistic=True)
+    instance = _load(args, need_statistic=True)
+    statistic, family = instance.statistic, instance.family
     tol = _tolerance(args)
     kwargs = {} if tol is None else {"tol": tol}
     result = minimality.minimal_statistic(statistic, family, **kwargs)
@@ -103,12 +106,17 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_petz(args) -> int:
-    statistic, family = _load(args, need_statistic=True)
+    loaded = _load(args, need_statistic=True)
     tol = _tolerance(args)
-    instance = petz.PetzInstance.from_parts(statistic, family,
-                                            unital=not args.non_unital)
-    kwargs = {} if tol is None else {"tol": tol}
-    result = petz.petz_feasibility(instance, **kwargs)
+    # an overlap refusal rests on the states alone: no statistic is decomposed
+    bad = petz.orthogonality_precheck(loaded.family)
+    if bad is not None:
+        result = InfeasibleOrthogonality(pair=bad[0], overlap=bad[1])
+    else:
+        instance = petz.PetzInstance.from_parts(loaded.statistic, loaded.family,
+                                                unital=not args.non_unital)
+        kwargs = {} if tol is None else {"tol": tol}
+        result = petz.petz_feasibility(instance, **kwargs)
     overrides = None if tol is None else {"petz_feasibility": tol}
     cert = fileio.make_certificate("petz", result,
                                    parameters={"unital": not args.non_unital},
@@ -129,7 +137,8 @@ def _cmd_petz(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import harness
 
-    statistic, family = _load(args, need_statistic=True)
+    instance = _load(args, need_statistic=True)
+    statistic, family = instance.statistic, instance.family
     verdict = sufficiency.check_weak_sufficiency(statistic, family)
     brute = harness.brute_force_weak_sufficiency(statistic, family,
                                                  phase_steps=args.steps)

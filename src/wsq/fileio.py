@@ -3,14 +3,20 @@
 Instances are JSON objects with a dimension, a map of labeled states,
 and an optional statistic (dense Hermitian matrix, or explicit
 eigenvalues plus projections).  Complex numbers are always two-element
-[re, im] arrays.  Certificates mirror the in-memory verdict types and
-carry the tool version and the tolerances that produced them, so a
-verifier holding only the instance file and the certificate file can
-re-check the verdict from scratch.
+[re, im] arrays.  ``read_instance`` reads and validates the whole file
+at once: its schema, every number, the state family, an explicit
+statistic, and a dense matrix's Hermitian check.  Only a dense matrix's
+eigendecomposition waits until a question reads the statistic, so
+**construct** and a **petz** refusal of overlapping states never run
+it, nor meet its errors.  Certificates mirror the in-memory verdict
+types and carry the tool version and the tolerances that produced them,
+so a verifier holding only the instance file and the certificate file
+can re-check the verdict from scratch.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import RANK_TOL, hermitian_part, inner
+from .linalg import RANK_TOL, as_hermitian, hermitian_part, inner
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
@@ -77,8 +83,29 @@ def _matrix_json(m: np.ndarray) -> list:
     return [_vector_json(row) for row in np.asarray(m)]
 
 
-def parse_instance(text: str):
-    """Parse an instance file into (statistic or None, state family)."""
+class Instance:
+    """A read instance file: its state family and its statistic, if any.
+
+    ``statistic`` is the DiscreteStatistic or None.  From a dense matrix
+    it is decomposed the first time it is read, and raises then if the
+    decomposition fails; ``has_statistic`` answers without decomposing.
+    """
+
+    def __init__(self, family: spectral.StateFamily, statistic=None, matrix=None):
+        self.family = family
+        self.has_statistic = statistic is not None or matrix is not None
+        self._explicit = statistic
+        self._matrix = matrix
+
+    @functools.cached_property
+    def statistic(self):
+        if self._matrix is None:
+            return self._explicit
+        return spectral.statistic_from_matrix(self._matrix)
+
+
+def read_instance(text: str) -> Instance:
+    """Read and validate an instance file; see ``Instance`` for what waits."""
     try:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,15 +126,14 @@ def parse_instance(text: str):
     )
     family = spectral.StateFamily(labels=tuple(labels), vectors=vectors)
 
-    statistic = None
+    statistic = matrix = None
     node = root.get("statistic")
     if node is not None:
         if not isinstance(node, dict):
             _fail("$.statistic", "expected an object")
         if "matrix" in node:
-            statistic = spectral.statistic_from_matrix(
-                _matrix(node["matrix"], "$.statistic.matrix", dim)
-            )
+            matrix = _matrix(node["matrix"], "$.statistic.matrix", dim)
+            as_hermitian(matrix)   # raises now; the decomposition waits
         elif "eigenvalues" in node or "projections" in node:
             evs = node.get("eigenvalues")
             projs = node.get("projections")
@@ -128,7 +154,13 @@ def parse_instance(text: str):
             )
         else:
             _fail("$.statistic", "expected 'matrix' or 'eigenvalues'+'projections'")
-    return statistic, family
+    return Instance(family, statistic=statistic, matrix=matrix)
+
+
+def parse_instance(text: str):
+    """Parse an instance file into (statistic or None, state family)."""
+    instance = read_instance(text)
+    return instance.statistic, instance.family
 
 
 def serialize_instance(statistic, family) -> str:
@@ -429,11 +461,14 @@ def verify_certificate(instance_text: str, certificate_text: str,
     recomputed, and each shared atom of a petz refusal is replayed from
     the recomputed weights and the recorded petz_feasibility tolerance.
     A certificate that does not prove its claim, or cannot be read,
-    yields ok=False; only a malformed instance raises.
+    yields ok=False.  Only a malformed instance raises: at read time, or
+    when a verdict that reads the statistic meets a dense matrix that
+    fails to decompose.  ``existence`` and ``infeasible_orthogonality``
+    verdicts never decompose it.
     """
-    statistic, family = parse_instance(instance_text)
+    instance = read_instance(instance_text)
     try:
-        return _replay(statistic, family, parse_certificate(certificate_text), tol)
+        return _replay(instance, parse_certificate(certificate_text), tol)
     except SchemaError as exc:
         return VerificationReport(False, f"malformed certificate: {exc}")
 
@@ -447,13 +482,28 @@ def _check_witness(statistic, family, payload: dict, tol: float) -> sufficiency.
         _fail("$.payload.witness", str(exc))
 
 
-def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
-    """verify_certificate on a parsed instance; SchemaError means an unreadable payload."""
+def _blocks_equal(node, blocks) -> bool:
+    """Whether node is exactly the JSON of blocks: lists of JSON integers."""
+    return isinstance(node, list) and len(node) == len(blocks) and all(
+        isinstance(got, list) and len(got) == len(block)
+        and all(type(k) is int and k == j for k, j in zip(got, block))
+        for got, block in zip(node, blocks)
+    )
+
+
+def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
+    """verify_certificate on a read instance; SchemaError means an unreadable payload.
+
+    Only the verdicts that rest on the statistic read it, so only they
+    decompose a dense matrix: not ``existence``, nor a petz overlap.
+    """
     kind, verdict, payload = cert["kind"], cert["verdict"], cert["payload"]
+    family = instance.family
+    if kind != "existence" and not instance.has_statistic:
+        return VerificationReport(False, "instance file carries no statistic")
 
     if kind == "weak_sufficiency":
-        if statistic is None:
-            return VerificationReport(False, "instance file carries no statistic")
+        statistic = instance.statistic
         if verdict == "sufficient":
             check = _check_witness(statistic, family, payload, tol)
             if not check.ok:
@@ -512,8 +562,7 @@ def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "minimality":
-        if statistic is None:
-            return VerificationReport(False, "instance file carries no statistic")
+        statistic = instance.statistic
         if verdict == "minimal_constructed":
             partition = payload.get("partition")
             if not isinstance(partition, list):
@@ -525,9 +574,14 @@ def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
             if isinstance(minimal, minimality.NoMinimalExists):
                 return VerificationReport(False, "re-derivation found no minimal statistic")
             derived = [list(block) for block in minimal.partition]
-            if derived != partition:
+            if not _blocks_equal(partition, derived):
                 return VerificationReport(
                     False, f"re-derived partition {derived} != certified {partition}"
+                )
+            classes = [list(block) for block in minimal.classes.classes]
+            if not _blocks_equal(payload.get("classes"), classes):
+                return VerificationReport(
+                    False, f"re-derived classes {classes} != certified {payload.get('classes')}"
                 )
             return VerificationReport(True, f"minimal partition {partition} confirmed")
         if verdict == "no_minimal_exists":
@@ -544,11 +598,27 @@ def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     # kind == "petz"
-    if statistic is None:
-        return VerificationReport(False, "instance file carries no statistic")
-    params = cert.get("parameters", {})
-    unital = bool(params.get("unital", True)) if isinstance(params, dict) else True
-    instance = petz.PetzInstance.from_parts(statistic, family, unital=unital)
+    params = cert.get("parameters", {"unital": True})
+    if not isinstance(params, dict) or not isinstance(params.get("unital"), bool):
+        return VerificationReport(False, "parameters must be an object with a boolean 'unital'")
+    unital = params["unital"]
+    if verdict == "infeasible_orthogonality":
+        pair = payload.get("pair")
+        if not isinstance(pair, list) or len(pair) != 2:
+            return VerificationReport(False, "payload carries no state pair")
+        try:
+            u = family.vector(pair[0])
+            v = family.vector(pair[1])
+        except ValueError:
+            return VerificationReport(False, f"pair {pair} not in the instance")
+        overlap = abs(inner(u, v))
+        if overlap <= petz.ORTHOGONALITY_TOL:
+            return VerificationReport(
+                False, f"states {pair} are orthogonal (overlap {overlap:.3e})"
+            )
+        return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
+    statistic = instance.statistic
+    weights = petz.PetzInstance.from_parts(statistic, family, unital=unital).weights
     if verdict == "feasible":
         rho_nodes = payload.get("rhos")
         if not isinstance(rho_nodes, list) or len(rho_nodes) != len(statistic):
@@ -559,7 +629,7 @@ def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
         ]
         worst = 0.0
         for n in range(len(family)):
-            mix = sum(instance.weights[n, k] * rhos[k] for k in range(len(statistic)))
+            mix = sum(weights[n, k] * rhos[k] for k in range(len(statistic)))
             target = np.outer(family.vectors[n], family.vectors[n].conj())
             worst = max(worst, float(np.abs(mix - target).max()))
         if worst > 1e-6:
@@ -580,27 +650,12 @@ def _replay(statistic, family, cert: dict, tol: float) -> VerificationReport:
                     False, f"rho[{k}] has trace {np.trace(rho).real:.8f}, expected 1"
                 )
         return VerificationReport(True, f"feasible solution verified, residual {worst:.3e}")
-    if verdict == "infeasible_orthogonality":
-        pair = payload.get("pair")
-        if not isinstance(pair, list) or len(pair) != 2:
-            return VerificationReport(False, "payload carries no state pair")
-        try:
-            u = family.vector(pair[0])
-            v = family.vector(pair[1])
-        except ValueError:
-            return VerificationReport(False, f"pair {pair} not in the instance")
-        overlap = abs(inner(u, v))
-        if overlap <= petz.ORTHOGONALITY_TOL:
-            return VerificationReport(
-                False, f"states {pair} are orthogonal (overlap {overlap:.3e})"
-            )
-        return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
     if verdict == "infeasible_shared_atoms":
         tols, pairs = cert.get("tolerances"), payload.get("pairs")
         tol = tols.get("petz_feasibility") if isinstance(tols, dict) else None
         if not isinstance(tol, float) or not tol >= 0 or not isinstance(pairs, list):
             return VerificationReport(False, "payload or petz_feasibility tolerance missing")
-        loads = instance.weights > tol
+        loads = weights > tol
         try:
             n = family.index(payload.get("state"))
             named = [(k, family.index(other)) for k, other in pairs]

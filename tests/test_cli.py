@@ -7,15 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from wsq import cli
+from wsq import cli, linalg
 from wsq.cli import run_cli
 from wsq.fileio import (
     load_bundled_instance,
+    make_certificate,
     parse_certificate,
+    parse_instance,
+    serialize_certificate,
     serialize_instance,
     verify_certificate,
 )
 from wsq.spectral import StateFamily
+from wsq.sufficiency import check_weak_sufficiency
 
 
 @pytest.fixture
@@ -251,3 +255,131 @@ def test_module_entry_point(bundled_path):
     )
     assert proc.returncode == 0
     assert parse_certificate(proc.stdout)["verdict"] == "sufficient"
+
+
+
+# ------------------------------------- dense-matrix instances: work and errors
+
+
+def dense_instance(path, matrix, states):
+    """An instance file whose statistic is a dense matrix, as users write them."""
+    def pairs(v):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+
+    path.write_text(json.dumps({
+        "dimension": len(matrix),
+        "states": {label: pairs(v) for label, v in states.items()},
+        "statistic": {"matrix": [pairs(row) for row in matrix]},
+    }))
+    return path
+
+
+def fourier_instance(tmp_path):
+    """T = F diag(1, 2, 3) F^H, F the 3-point Fourier matrix.  The states
+    F e0 and F (e0 + e1) / sqrt2 overlap, T is weakly sufficient, and its
+    last atom carries no state."""
+    f = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3.0)
+    matrix = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
+    return dense_instance(tmp_path / "fourier.json", matrix,
+                          {"a": f[:, 0], "b": (f[:, 0] + f[:, 1]) / np.sqrt(2.0)})
+
+
+def explicit_fourier_instance(tmp_path):
+    """The same instance with T written as eigenvalues and projections."""
+    path = fourier_instance(tmp_path)
+    path.write_text(serialize_instance(*parse_instance(path.read_text())))
+    return path
+
+
+def count_kernel_runs(monkeypatch):
+    """Record the shape of every matrix the Jacobi kernel solves."""
+    calls = []
+    original = linalg._jacobi
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+    return calls
+
+
+def statistic_solves(path, command, runs, capsys):
+    """Exit code, then the 3x3 kernel runs (decompositions of T) of the
+    command and of replaying its certificate.  The Gram matrices of the
+    two states, which construct ranks, are smaller."""
+    capsys.readouterr()
+    code = run_cli([command, "--input", str(path)])
+    certificate = capsys.readouterr().out
+    in_cli = runs.count((3, 3))
+    report = verify_certificate(path.read_text(), certificate)
+    assert report.ok, report.detail
+    return code, in_cli, runs.count((3, 3)) - in_cli
+
+
+@pytest.mark.parametrize("command, code, cli_solves, verifier_solves", [
+    ("construct", 0, 0, 0),     # the family alone decides existence
+    ("petz", 1, 0, 0),          # the states overlap: refused before T is read
+    ("check", 0, 1, 1),         # one decomposition of T on each side
+    ("minimal", 1, 1, 1),       # the dead atom is read from T's weights
+])
+def test_dense_statistic_is_decomposed_only_where_read(
+        tmp_path, monkeypatch, capsys, command, code, cli_solves, verifier_solves):
+    path = fourier_instance(tmp_path)
+    runs = count_kernel_runs(monkeypatch)
+    assert statistic_solves(path, command, runs, capsys) == \
+        (code, cli_solves, verifier_solves)
+
+
+@pytest.mark.parametrize("command, code", [
+    ("construct", 0), ("petz", 1), ("check", 0), ("minimal", 1),
+])
+def test_explicit_statistic_is_never_decomposed(tmp_path, monkeypatch, capsys,
+                                                command, code):
+    path = explicit_fourier_instance(tmp_path)
+    runs = count_kernel_runs(monkeypatch)
+    assert statistic_solves(path, command, runs, capsys) == (code, 0, 0)
+
+
+def test_non_hermitian_matrix_is_refused_at_read_time(tmp_path, capsys):
+    path = dense_instance(tmp_path / "skew.json", np.array([[1.0, 1.0], [0.0, 2.0]]),
+                          {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    message = ("error: matrix is not hermitian: asymmetry 1.000e+00 exceeds "
+               "1.0e-10 relative to scale 2.000e+00\n")
+    for command in ("check", "construct", "minimal", "petz", "oracle"):
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(path)]) == 2, command
+        assert capsys.readouterr().err == message, command
+    with pytest.raises(ValueError, match="not hermitian"):
+        verify_certificate(path.read_text(), "{}")
+
+
+def test_undecomposable_matrix_fails_only_the_questions_that_read_it(tmp_path, capsys):
+    # diag(0, 1e-13): two eigenvalues too close to be two atoms, too far
+    # apart to be grouped into one; decomposing it raises
+    s = 1.0 / math.sqrt(2.0)
+    matrix = np.diag([0.0, 1e-13])
+    message = "error: eigenvalues must be strictly ascending and separated\n"
+    orthogonal = dense_instance(tmp_path / "orthogonal.json", matrix,
+                                {"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    overlapping = dense_instance(tmp_path / "overlapping.json", matrix,
+                                 {"a": [1.0, 0.0], "b": [s, s]})
+    for command in ("check", "minimal", "petz", "oracle"):
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(orthogonal)]) == 2, command
+        assert capsys.readouterr().err == message, command
+
+    # construct reads only the family, and so does a petz overlap refusal
+    for command, code in (("construct", 0), ("petz", 1)):
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(overlapping)]) == code, command
+        certificate = capsys.readouterr().out
+        report = verify_certificate(overlapping.read_text(), certificate)
+        assert report.ok, report.detail
+
+    # a verdict that rests on the statistic still raises in the verifier
+    bundled, family = load_bundled_instance()
+    cert = serialize_certificate(
+        make_certificate("weak_sufficiency", check_weak_sufficiency(bundled, family)))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        verify_certificate(orthogonal.read_text(), cert)

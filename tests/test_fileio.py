@@ -10,6 +10,7 @@ from wsq.fileio import (
     make_certificate,
     parse_certificate,
     parse_instance,
+    read_instance,
     serialize_certificate,
     serialize_instance,
     verify_certificate,
@@ -83,6 +84,29 @@ def test_schema_errors_are_path_addressed(text, path_fragment):
     with pytest.raises(SchemaError) as err:
         parse_instance(text)
     assert path_fragment in str(err.value)
+
+
+def test_dense_matrix_is_checked_at_read_time_and_decomposed_when_read():
+    def text(matrix):
+        return json.dumps({
+            "dimension": 2,
+            "states": {"x": [[1.0, 0.0], [0.0, 0.0]]},
+            "statistic": {"matrix": [[[v, 0.0] for v in row] for row in matrix]},
+        })
+
+    with pytest.raises(ValueError, match="not hermitian"):
+        read_instance(text([[1.0, 1.0], [0.0, 2.0]]))
+    # too close to be two atoms, too far apart to be grouped into one
+    instance = read_instance(text([[0.0, 0.0], [0.0, 1e-13]]))
+    assert instance.has_statistic
+    assert instance.family.labels == ("x",)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        instance.statistic
+    instance = read_instance(text([[2.0, 0.0], [0.0, -1.0]]))
+    assert instance.statistic is instance.statistic
+    assert list(instance.statistic.eigenvalues) == [-1.0, 2.0]
+    assert not read_instance(
+        '{"dimension": 1, "states": {"x": [[1.0, 0.0]]}}').has_statistic
 
 
 def test_invariant_violations_are_named():
@@ -300,6 +324,37 @@ def test_tampered_shared_atom_certificates_are_rejected(unital):
         assert not replay([[0, "phi2"]]).ok
 
 
+@pytest.mark.parametrize("parameters, ok", [
+    (None, True),                       # no block: unital
+    ({"unital": True}, True),
+    ({"unital": 1}, False),
+    ({"unital": "true"}, False),
+    ({}, False),
+    ([True], False),
+])
+def test_petz_parameters_must_name_a_boolean_unital(parameters, ok):
+    statistic = statistic_from_matrix(3.0 * np.eye(2, dtype=complex))
+    family = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
+    cert = make_certificate("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)))
+    if parameters is not None:
+        cert["parameters"] = parameters
+    report = verify_certificate(serialize_instance(statistic, family),
+                                serialize_certificate(cert))
+    assert report.ok is ok, report.detail
+
+
+def test_minimal_certificate_classes_must_match():
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("minimality", minimal_statistic(statistic, family))
+    instance_text = serialize_instance(statistic, family)
+    assert cert["payload"]["classes"] == [[0], [1]]
+    for forged in ([[0, 1]], [[1], [0]], [[0]], [[0.0], [1.0]], [[False], [True]]):
+        cert["payload"]["classes"] = forged
+        report = verify_certificate(instance_text, serialize_certificate(cert))
+        assert not report.ok, forged
+        assert "classes" in report.detail
+
+
 def test_petz_verifier_rejects_unknown_pair_label():
     statistic, family = load_bundled_instance()
     result = petz_feasibility(PetzInstance.from_parts(statistic, family))
@@ -423,8 +478,8 @@ def test_malformed_instance_still_raises():
 JUNK = (None, [], {}, "x", 1e309)
 # nodes no verdict rests on: the verifier reads none of them
 UNREAD = {
-    "tool_version", "tolerances", "parameters", "defect", "max_constraint_residual",
-    "overlap", ("minimal_constructed", "statistic"), ("minimal_constructed", "classes"),
+    "tool_version", "tolerances", "defect", "max_constraint_residual", "overlap",
+    ("minimal_constructed", "statistic"),
 }
 
 
