@@ -4,7 +4,7 @@ certification, and brute-force cross-checks for finite families of pure states."
 __version__ = "0.1.0"
 
 from .linalg import (
-    JacobiConvergenceError,
+    EigenConvergenceError,
     RankDeficiencyError,
     gram_matrix,
     gram_schmidt,

@@ -370,8 +370,9 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
     elif kind == "minimality":
         if isinstance(result, minimality.MinimalStatistic):
             cert["verdict"] = "minimal_constructed"
+            # the partition of T's atoms and the class values 1..m name the
+            # minimal statistic, so its projections are not written out
             cert["payload"] = {
-                "statistic": _statistic_json(result.statistic),
                 "partition": [list(block) for block in result.partition],
                 "classes": [list(block) for block in result.classes.classes],
             }
@@ -473,9 +474,32 @@ def verify_certificate(instance_text: str, certificate_text: str,
         return VerificationReport(False, f"malformed certificate: {exc}")
 
 
+def _on_eigenvalues(table: dict[float, float], eigenvalues) -> dict[float, float]:
+    """A witness table keyed by the statistic's own eigenvalues.
+
+    A dense matrix is decomposed again on every read, and the last bits
+    of its eigenvalues depend on the eigensolver that wrote the
+    certificate.  A key within half the gap DiscreteStatistic requires
+    between eigenvalues names that atom, unless the table holds the
+    eigenvalue itself or a second such key.  Keys naming no atom are
+    dropped; an atom no key names is reported by verify_witness.
+    """
+    slack = 0.5 * spectral.EIGENVALUE_GAP_TOL * max(1.0, float(np.abs(eigenvalues).max()))
+    keyed = {}
+    for lam in eigenvalues.tolist():
+        near = [key for key in table if abs(key - lam) <= slack]
+        if lam in table:
+            keyed[lam] = table[lam]
+        elif len(near) == 1:
+            keyed[lam] = table[near[0]]
+    return keyed
+
+
 def _check_witness(statistic, family, payload: dict, tol: float) -> sufficiency.WitnessCheck:
     """Replay the payload's witness; SchemaError when it does not fit the instance."""
     witness = _witness_from_json(payload.get("witness"), "$.payload.witness", family.dim)
+    witness.functions = {label: _on_eigenvalues(table, statistic.eigenvalues)
+                         for label, table in witness.functions.items()}
     try:
         return sufficiency.verify_witness(statistic, family, witness, tol=tol)
     except ValueError as exc:

@@ -1,12 +1,13 @@
 """Dense complex linear algebra for desk-scale problems.
 
-All spectral work in this package runs through one Jacobi kernel,
-written out explicitly so that every eigenvalue claim can be traced to a
-small, inspectable loop.  The kernel solves one Hermitian matrix: a
-sweep visits the off-diagonal pairs in round-robin order, and the
-disjoint rotations of each round form one block unitary, applied by
-matrix products.  hermitian_eig returns its eigenpairs and gram_rank
-the numerical rank of a Gram matrix.  Whether a Gram matrix has rank
+All spectral work in this package runs through one eigen kernel,
+written out explicitly so that every eigenvalue claim can be traced to
+small, inspectable loops.  The kernel solves one Hermitian matrix: it
+scales the matrix by a power of two, reduces it by Householder
+reflectors to a real symmetric tridiagonal matrix, and diagonalizes that
+by implicit-shift QL sweeps (Wilkinson & Reinsch, tred2/tql2).
+hermitian_eig returns its eigenpairs and gram_rank the numerical rank of
+a Gram matrix from eigenvalues alone.  Whether a Gram matrix has rank
 at most one needs no eigensolve: pair_rank_two reads it, for a whole
 stack at once, from the closed-form spectra of the 2x2 principal
 submatrices.  numpy's own eigensolvers are not called here; the test
@@ -17,19 +18,18 @@ nothing else does.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-10   # relative asymmetry tolerated on ingest
 RANK_TOL = 1e-8         # relative eigenvalue / residual cutoff
-EIG_TOL = 1e-12         # relative off-diagonal target for Jacobi
-MAX_SWEEPS = 100
+QL_SWEEPS = 30          # implicit QL sweeps allowed per eigenvalue
+EPS = float(np.finfo(float).eps)
 MAX_DIM = 64            # hard guard: this is a desk-scale solver
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweep budget runs out before convergence."""
+class EigenConvergenceError(RuntimeError):
+    """Raised when an eigenvalue is not split off within QL_SWEEPS sweeps."""
 
 
 class RankDeficiencyError(ValueError):
@@ -86,160 +86,151 @@ def as_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return hermitian_part(a)
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    """Largest off-diagonal magnitude of a square matrix."""
-    b = np.abs(a)
-    b.reshape(-1)[:: a.shape[0] + 1] = 0.0
-    return b.max()
+def _tridiagonalize(a: np.ndarray, vectors: bool):
+    """Householder reduction of a Hermitian a (n, n), which is overwritten.
 
-
-@lru_cache(maxsize=MAX_DIM)
-def round_robin_rounds(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One Jacobi sweep for an n x n matrix as rounds of disjoint (p, q) pairs.
-
-    The circle method of a round-robin tournament: index 0 stays put and
-    the others rotate one seat per round, so each of the n(n-1)/2 pairs
-    p < q meets exactly once.  An odd n gains a phantom index n whose
-    partner sits out the round (a bye), giving n rounds instead of n-1.
+    Step k reflects the column below a[k, k] onto a multiple of its first
+    entry with H = I - tau v v^H, and applies H a H to the trailing block
+    as one rank-2 update.  A diagonal phase similarity then makes the
+    Hermitian tridiagonal matrix real.  Returns (d, e, q): the diagonal d
+    and the nonnegative subdiagonal e of a real symmetric tridiagonal S,
+    and, when vectors is true, a unitary q with a = q S q^H (else None).
     """
-    m = n + n % 2
-    seats = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = tuple(
-            (min(x, y), max(x, y))
-            for x, y in zip(seats[: m // 2], reversed(seats[m // 2:]))
-            if max(x, y) < n
-        )
-        rounds.append(pairs)
-        seats = [seats[0], seats[-1], *seats[1:-1]]
-    # the last round generated holds (0, 1); starting there makes an n = 3
-    # sweep visit its pairs in row-cyclic order
-    return tuple(reversed(rounds))
-
-
-@lru_cache(maxsize=MAX_DIM)
-def _identity(n: int) -> np.ndarray:
-    """Read-only complex identity, copied per round rather than rebuilt."""
-    eye = np.eye(n, dtype=complex)
-    eye.flags.writeable = False
-    return eye
-
-
-@lru_cache(maxsize=MAX_DIM)
-def _round_plans(n: int) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Flat index arrays for each round of round_robin_rounds(n).
-
-    Per round: the pair count k; where to take [a_pq..., a_pp..., a_qq...];
-    where to put the 2x2 blocks [u_pp..., u_pq..., u_qp..., u_qq...]; and
-    where to zero the pivots [a_pq..., a_qp...].  Gathering each group
-    with one call keeps the per-round cost flat for the 2x2 to 4x4
-    matrices that make up most solves.
-    """
-    plans = []
-    for pairs in round_robin_rounds(n):
-        p, q = np.array(pairs, dtype=np.intp).T
-        pp, pq, qp, qq = p * n + p, p * n + q, q * n + p, q * n + q
-        index = (np.concatenate([pq, pp, qq]), np.concatenate([pp, pq, qp, qq]),
-                 np.concatenate([pq, qp]))
-        for arr in index:
-            arr.flags.writeable = False
-        plans.append((len(pairs), *index))
-    return tuple(plans)
-
-
-def _sweep(a: np.ndarray, v: np.ndarray | None,
-           skip: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """One round-robin sweep; each round is one unitary similarity.
-
-    The pairs of a round are disjoint, so their rotations commute and
-    assemble into one block unitary u, identity outside the (p, q)
-    planes, where u = [[c, -s e^{i phi}], [s e^{-i phi}, c]] with
-    phi = arg a[p, q].  A pivot at or below skip gets the identity
-    block, and a round with no pivot above it is skipped.  v, when not
-    None, accumulates the eigenvectors.
-    """
-    eye = _identity(a.shape[0])
-    for k, take, put, zero in _round_plans(a.shape[0]):
-        x = a.take(take)
-        g = x[:k]
-        rho = np.abs(g)
-        live = rho > skip
-        n_live = np.count_nonzero(live)
-        if n_live == 0:
+    n = a.shape[0]
+    reflectors = []
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        tail = np.vdot(x[1:], x[1:]).real
+        if tail == 0.0:
             continue
-        if n_live < k:
-            rho[~live] = 1.0
-        diag = x.real
-        tau = (diag[2 * k:] - diag[k:2 * k]) / (2.0 * rho)
-        # smaller-magnitude root of t^2 - 2 tau t - 1 = 0, free of cancellation
-        t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-        if n_live < k:
-            t[~live] = 0.0
-        c = 1.0 / np.hypot(1.0, t)
-        sp = (t * c) * (g / rho)
-        u = eye.copy()
-        u.put(put, np.concatenate((c, -sp, sp.conj(), c)))
-        a = u.conj().T @ a @ u
-        a.put(zero, 0.0)
-        if v is not None:
-            v = v @ u
-    return a, v
+        r0 = abs(x[0])
+        norm_x = math.sqrt(r0 * r0 + tail)
+        phase = x[0] / r0 if r0 else 1.0
+        v = x.copy()
+        v[0] = phase * (r0 + norm_x)
+        tau = 1.0 / (norm_x * (norm_x + r0))   # 2 / (v^H v)
+        p = tau * (a[k + 1:, k + 1:] @ v)
+        w = p - (0.5 * tau * np.vdot(v, p).real) * v
+        a[k + 1:, k + 1:] -= np.outer(v, w.conj()) + np.outer(w, v.conj())
+        a[k + 1, k] = -phase * norm_x
+        if vectors:
+            reflectors.append((k, v, tau))
+    d, sub = np.diagonal(a).real, np.diagonal(a, -1)
+    e = np.abs(sub)
+    if not vectors:
+        return d, e, None
+    q = np.eye(n, dtype=complex)
+    for k, v, tau in reversed(reflectors):
+        block = q[k + 1:, k + 1:]
+        block -= tau * np.outer(v, v.conj() @ block)
+    # phases[k + 1] / phases[k] = sub[k] / |sub[k]| turns sub into e
+    unit = np.divide(sub, e, out=np.ones_like(sub), where=e > 0.0)
+    phases = np.concatenate(([1.0], np.cumprod(unit)))
+    return d, e, q * phases
 
 
-def _jacobi(a: np.ndarray, tol: float, max_sweeps: int, vectors: bool):
-    """Round-robin Jacobi on one Hermitian matrix a (n, n).
+def _tql(d: list, e: list, z: np.ndarray | None) -> None:
+    """Implicit-shift QL on a real symmetric tridiagonal matrix, in place.
 
-    Sweeps until the largest off-diagonal magnitude is at most tol times
-    the largest entry magnitude; pivots at or below that target over
-    4 n^2 are skipped.  Eigenvectors are accumulated only when vectors
-    is true.  Raises JacobiConvergenceError when max_sweeps sweeps are
-    not enough.
+    d holds the diagonal and e[i] the entry coupling i and i + 1, with
+    e[n - 1] = 0; on return d holds the eigenvalues, unsorted.  Each
+    sweep chases a Wilkinson-shifted bulge up the unreduced block
+    starting at l with Givens rotations (tql2 of Wilkinson & Reinsch),
+    applied to the rows of z when z is not None, so that row j of z
+    ends up as the eigenvector of d[j].  Raises EigenConvergenceError
+    when an eigenvalue needs more than QL_SWEEPS sweeps.
+    """
+    n = len(d)
+    for l in range(n):
+        for sweep in range(QL_SWEEPS + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > EPS * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if sweep == QL_SWEEPS:
+                raise EigenConvergenceError(
+                    f"eigenvalue {l} not split off after {QL_SWEEPS} QL sweeps"
+                )
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:   # the block splits at i + 1: sweep again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if z is not None:
+                    z[i:i + 2] = np.array(((c, -s), (s, c))) @ z[i:i + 2]
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
 
-    Returns (w, v): w holds the eigenvalues in the order of the
-    diagonal, not sorted; v the matching eigenvectors as columns, or
-    None.
+
+def _eigen(a: np.ndarray, vectors: bool):
+    """Eigenpairs of one Hermitian matrix a (n, n), a left untouched.
+
+    The matrix is divided by the power of two just above max|a|, so the
+    scaling is exact and the kernel works at any finite scale; it is then
+    reduced to a real tridiagonal matrix (_tridiagonalize) and solved by
+    implicit-shift QL (_tql).  Eigenvectors are built only when vectors
+    is true, once, as q @ z.T.
+
+    Returns (w, v): w holds the eigenvalues, not sorted; v the matching
+    eigenvectors as columns, or None.
     """
     n = a.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the desk-scale limit {MAX_DIM}")
-    target = tol * np.abs(a).max()
-    skip = target / (4.0 * n * n)
-    v = np.eye(n, dtype=complex) if vectors else None
-    for sweep in range(max_sweeps + 1):
-        off = _max_offdiag(a)
-        if off <= target:
-            break
-        if sweep == max_sweeps:
-            raise JacobiConvergenceError(
-                f"off-diagonal {off:.3e} above target {target:.3e} "
-                f"after {max_sweeps} sweeps"
-            )
-        a, v = _sweep(a, v, skip)
-    return np.diagonal(a).real, v
+    top = float(np.abs(a).max())
+    if top == 0.0:
+        return np.zeros(n), np.eye(n, dtype=complex) if vectors else None
+    _, exponent = math.frexp(top)
+    d, e, q = _tridiagonalize(np.ldexp(a.view(float), -exponent).view(complex), vectors)
+    d, e = d.tolist(), [*e.tolist(), 0.0]
+    z = np.eye(n) if vectors else None
+    _tql(d, e, z)
+    return np.ldexp(np.array(d), exponent), q @ z.T if vectors else None
 
 
-def hermitian_eig(m, tol: float = EIG_TOL, max_sweeps: int = MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by round-robin Jacobi sweeps.
+def hermitian_eig(m):
+    """Eigendecomposition of a Hermitian matrix by Householder reduction
+    and implicit-shift QL.
 
-    Each sweep visits every off-diagonal pair once, in the rounds of
-    round_robin_rounds, and the n/2 disjoint rotations of a round are
-    applied together as one block unitary through matrix products
-    (Brent & Luk, 1985).
+    The matrix is reduced by complex Householder reflectors to a
+    Hermitian tridiagonal matrix, made real by a diagonal phase
+    similarity, and diagonalized by implicit QL sweeps with Wilkinson
+    shifts (Wilkinson & Reinsch, Handbook for Automatic Computation II,
+    tred2/tql2).  A matrix that is already diagonal needs no sweep.
 
     Parameters
     ----------
     m : array_like, square, Hermitian within HERMITIAN_TOL, dim <= MAX_DIM
-    tol : off-diagonal target, relative to the largest entry magnitude
-    max_sweeps : sweep budget; exhaustion raises JacobiConvergenceError
-        rather than returning a silently unconverged answer
 
     Returns
     -------
     (w, v) : eigenvalues ascending (real ndarray), eigenvectors as the
         columns of a unitary ndarray, so that m = v @ diag(w) @ v.conj().T
+
+    Raises EigenConvergenceError, rather than returning a silently
+    unconverged answer, when an eigenvalue needs more than QL_SWEEPS
+    sweeps.
     """
-    w, v = _jacobi(as_hermitian(m), tol, max_sweeps, vectors=True)
+    w, v = _eigen(as_hermitian(m), vectors=True)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
@@ -249,7 +240,7 @@ def gram_rank(g, tol: float = RANK_TOL) -> int:
 
     Eigenvalues above tol * max(1, largest eigenvalue) count toward it.
     """
-    w, _ = _jacobi(as_hermitian(g), EIG_TOL, MAX_SWEEPS, vectors=False)
+    w, _ = _eigen(as_hermitian(g), vectors=False)
     return int(np.count_nonzero(w > tol * max(1.0, w.max())))
 
 

@@ -292,15 +292,15 @@ def explicit_fourier_instance(tmp_path):
 
 
 def count_kernel_runs(monkeypatch):
-    """Record the shape of every matrix the Jacobi kernel solves."""
+    """Record the shape of every matrix the eigen kernel solves."""
     calls = []
-    original = linalg._jacobi
+    original = linalg._eigen
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(linalg, "_jacobi", counting)
+    monkeypatch.setattr(linalg, "_eigen", counting)
     return calls
 
 

@@ -149,6 +149,27 @@ def test_tampered_witness_is_rejected():
     assert "residual" in report.detail
 
 
+@pytest.mark.parametrize("shifts, ok", [
+    ((1e-15,), True),              # a few ulps: another eigensolver's last bits
+    ((-3e-13,), True),             # within half the required eigenvalue gap
+    ((1e-11,), False),             # names no atom: no value for the eigenvalue
+    ((1e-15, -1e-15), False),      # two keys name one atom
+    ((0.0, 1e-15), True),          # the exact eigenvalue wins over a near key
+])
+def test_witness_keys_name_atoms_within_half_the_eigenvalue_gap(shifts, ok):
+    statistic, family = load_bundled_instance()
+    instance_text = serialize_instance(statistic, family)
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    functions = cert["payload"]["witness"]["functions"]
+    for label, rows in functions.items():
+        functions[label] = [[ev + shift * max(1.0, abs(ev)), value]
+                            for ev, value in rows for shift in shifts]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert report.ok == ok, report.detail
+    if not ok:
+        assert "no value for eigenvalue" in report.detail
+
+
 def test_rank_violation_certificate_verifies():
     statistic = statistic_from_matrix(np.eye(2, dtype=complex) * 2.0)
     family = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
@@ -479,7 +500,6 @@ JUNK = (None, [], {}, "x", 1e309)
 # nodes no verdict rests on: the verifier reads none of them
 UNREAD = {
     "tool_version", "tolerances", "defect", "max_constraint_residual", "overlap",
-    ("minimal_constructed", "statistic"),
 }
 
 

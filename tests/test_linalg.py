@@ -11,10 +11,8 @@ import pytest
 
 from wsq import linalg
 from wsq.linalg import (
-    EIG_TOL,
     MAX_DIM,
-    MAX_SWEEPS,
-    JacobiConvergenceError,
+    EigenConvergenceError,
     RankDeficiencyError,
     as_hermitian,
     RANK_TOL,
@@ -27,8 +25,8 @@ from wsq.linalg import (
     numerical_rank,
     pair_rank_two,
     psd_project,
-    round_robin_rounds,
 )
+from wsq.spectral import GROUP_FACTOR, statistic_from_matrix
 
 
 def random_hermitian(rng, d):
@@ -108,28 +106,34 @@ def test_eig_rejects_oversized_matrix():
         hermitian_eig(np.eye(65))
 
 
-def test_eig_reports_exhausted_sweep_budget():
+def test_eig_reports_exhausted_sweep_budget(monkeypatch):
     rng = np.random.default_rng(7)
-    with pytest.raises(JacobiConvergenceError):
-        hermitian_eig(random_hermitian(rng, 6), max_sweeps=0)
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
+    with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
+        hermitian_eig(random_hermitian(rng, 6))
+    with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
+        gram_rank(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_round_robin_rounds_cover_every_pair_once(n):
-    rounds = round_robin_rounds(n)
-    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
-    for pairs in rounds:
-        touched = [i for pair in pairs for i in pair]
-        assert len(touched) == len(set(touched))   # disjoint within a round
-        assert all(0 <= p < q < n for p, q in pairs)
-    visited = [pair for pairs in rounds for pair in pairs]
-    assert sorted(visited) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+def test_householder_reduction_is_real_tridiagonal(n):
+    rng = np.random.default_rng(60 + n)
+    m = random_hermitian(rng, n)
+    d, e, q = linalg._tridiagonalize(m.copy(), vectors=True)
+    assert d.shape == (n,) and e.shape == (n - 1,) and np.all(e >= 0.0)
+    s = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+    assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
+    assert np.abs(q @ s @ q.conj().T - m).max() <= 1e-14 * n * np.abs(m).max()
+    d_only, e_only, q_none = linalg._tridiagonalize(m.copy(), vectors=False)
+    assert q_none is None
+    assert np.array_equal(d_only, d) and np.array_equal(e_only, e)
 
 
 def random_unitary(rng, d):
+    """Haar-random unitary: QR of a complex Gaussian, phases fixed by R."""
     raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(raw)
-    return q
+    q, r = np.linalg.qr(raw)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def test_eig_degenerate_projector_sum():
@@ -157,7 +161,7 @@ def test_eig_identity_plus_rank_one():
 
 
 def test_eig_nearly_diagonal_matrix_raises_no_warning():
-    # pivots of 2e-11 against diagonal gaps of order 1 give |tau| > 1e9
+    # off-diagonal entries of 2e-11 against diagonal gaps of order 1: shift ratios above 1e9
     m = np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex)
     m[np.triu_indices(4, 1)] = 2e-11j
     m = m + np.triu(m, 1).conj().T
@@ -168,10 +172,11 @@ def test_eig_nearly_diagonal_matrix_raises_no_warning():
     assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-12 * 3.0
 
 
-def test_eig_one_sweep_does_not_converge_at_d32():
+def test_eig_one_sweep_does_not_converge_at_d32(monkeypatch):
     rng = np.random.default_rng(32)
-    with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
-        hermitian_eig(random_hermitian(rng, 32), max_sweeps=1)
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 1)
+    with pytest.raises(EigenConvergenceError, match="after 1 QL sweeps"):
+        hermitian_eig(random_hermitian(rng, 32))
 
 
 def test_eig_accepts_the_largest_dimension():
@@ -191,22 +196,101 @@ def test_eig_is_bitwise_repeatable():
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200])
+def test_kernel_works_at_any_finite_scale(scale):
+    # the kernel divides by a power of two near max|a| before it reduces
+    rng = np.random.default_rng(70)
+    m = random_hermitian(rng, 12)
+    q = random_unitary(rng, 5)
+    g = (q * [3.0, 1.0, 1e-3, 0.0, 0.0]) @ q.conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = hermitian_eig(m)
+        ws, vs = hermitian_eig(scale * m)
+        wg, _ = hermitian_eig(g)
+        rank = gram_rank(scale * g)
+    assert np.abs(ws - scale * w).max() <= 1e-13 * scale * np.abs(w).max()
+    assert np.abs((vs * ws) @ vs.conj().T - scale * m).max() <= 1e-13 * scale * np.abs(m).max()
+    assert np.abs(vs.conj().T @ vs - np.eye(12)).max() <= 1e-13
+    cut = RANK_TOL * max(1.0, scale * wg.max())
+    assert rank == np.count_nonzero(scale * wg > cut) == (3 if scale > 1 else 0)
+
+
+def certify_spectrum(rng, d):
+    """3-6 distinct eigenvalues with random multiplicities summing to d."""
+    k = int(rng.integers(3, 7))
+    cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
+    mult = np.diff(np.concatenate(([0], cuts, [d])))
+    values = np.sort(rng.choice(np.arange(-8, 9), size=k, replace=False) * 0.5)
+    return values, np.repeat(values, mult)
+
+
+def oracle_atoms(m):
+    """statistic_from_matrix's chain grouping, on numpy's eigendecomposition."""
+    w, v = np.linalg.eigh(m)
+    tol = GROUP_FACTOR * np.abs(w).max()
+    groups = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[groups[-1][-1]] > tol:
+            groups.append([])
+        groups[-1].append(i)
+    return [w[g].mean() for g in groups], [v[:, g] @ v[:, g].conj().T for g in groups]
+
+
+@pytest.mark.parametrize("d", [8, 16, 24, 32, 48, MAX_DIM])
+def test_eig_on_certify_shaped_spectra(d):
+    # few distinct eigenvalues of high multiplicity in a Haar-random basis,
+    # the dense statistics of instance files
+    rng = np.random.default_rng(80 + d)
+    for _ in range(3):
+        values, spectrum = certify_spectrum(rng, d)
+        q = random_unitary(rng, d)
+        m = (q * spectrum) @ q.conj().T
+        w, v = hermitian_eig(m)
+        assert np.abs(w - spectrum).max() <= 1e-12
+        assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
+        t = statistic_from_matrix(m)
+        eigenvalues, projections = oracle_atoms(as_hermitian(m))
+        assert t.eigenvalues == pytest.approx(values, abs=1e-12)
+        assert t.eigenvalues == pytest.approx(eigenvalues, abs=1e-12)
+        for mine, theirs in zip(t.projections, projections, strict=True):
+            assert np.abs(mine - theirs).max() <= 1e-12
+
+
 # ------------------------------------------------------ gram_rank, pairs
 
 
-def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep():
+def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep(monkeypatch):
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
     for m in (np.zeros((4, 4)), np.array([[2.5]]), np.array([[0.0]]),
-              np.diag([3.0, -1.0, 0.0, 2.0])):
+              np.diag([3.0, -1.0, 0.0, 2.0]), np.diag([1e-100, -3e200, 7.0])):
         a = as_hermitian(m)
-        w, v = linalg._jacobi(a, EIG_TOL, 0, vectors=True)
+        w, v = linalg._eigen(a, vectors=True)
         assert np.array_equal(w, np.diagonal(m)) and np.array_equal(v, np.eye(len(m)))
-        w_only, v_none = linalg._jacobi(a, EIG_TOL, 0, vectors=False)
+        w_only, v_none = linalg._eigen(a, vectors=False)
         assert v_none is None and np.array_equal(w_only, w)
     assert [gram_rank(m) for m in (np.zeros((4, 4)), [[2.5]], [[0.0]], [[-1.0]])] == [0, 1, 0, 0]
     assert gram_rank(np.diag([3.0, -1.0, 0.0, 2.0])) == 2   # -1 is no rank
     rng = np.random.default_rng(32)
-    with pytest.raises(JacobiConvergenceError, match="after 0 sweeps"):
-        linalg._jacobi(as_hermitian(random_hermitian(rng, 3)), EIG_TOL, 0, vectors=False)
+    with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
+        linalg._eigen(as_hermitian(random_hermitian(rng, 3)), vectors=False)
+
+
+def test_split_tridiagonal_input_needs_no_reflector_and_no_sweep(monkeypatch):
+    # subdiagonal entries below EPS times their diagonal neighbours split the
+    # matrix into 1x1 blocks, so a budget of no sweep at all is enough
+    d = np.array([2.0, -1.0, 0.5, 3.0, 1.0])
+    sub = np.array([1e-17, 2e-17j, -1e-17, 1e-17 + 1e-17j])
+    m = np.diag(d).astype(complex) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
+    dd, e, q = linalg._tridiagonalize(m.copy(), vectors=True)
+    assert np.array_equal(dd, d) and np.array_equal(e, np.abs(sub))
+    assert np.array_equal(np.abs(q), np.eye(5))   # only the phase similarity
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
+    w, v = hermitian_eig(m)
+    assert np.array_equal(w, np.sort(d))
+    assert np.array_equal(np.abs(v), np.eye(5)[:, np.argsort(d)])
+    assert gram_rank(m) == 4   # -1 is no rank
 
 
 def test_stacked_solve_mixes_easy_and_slow_matrices():
@@ -232,16 +316,18 @@ def test_stacked_solve_mixes_easy_and_slow_matrices():
         assert gram_rank(np.array([[value]])) == rank
 
 
-def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps():
+def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps(monkeypatch):
     # one sweep settles a diagonal matrix but not a random one at d = 32
     rng = np.random.default_rng(32)
-    w, _ = hermitian_eig(np.diag(np.arange(32.0)), max_sweeps=1)
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 1)
+    w, _ = hermitian_eig(np.diag(np.arange(32.0)))
     assert np.array_equal(w, np.arange(32.0))
-    with pytest.raises(JacobiConvergenceError, match="after 1 sweeps"):
-        hermitian_eig(random_hermitian(rng, 32), max_sweeps=1)
+    with pytest.raises(EigenConvergenceError, match="after 1 QL sweeps"):
+        hermitian_eig(random_hermitian(rng, 32))
     # no sweep is needed for matrices already diagonal or zero
-    w0, _ = hermitian_eig(np.zeros((3, 3)), max_sweeps=0)
-    w1, _ = hermitian_eig(np.diag([2.0, 1.0, 0.0]), max_sweeps=0)
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
+    w0, _ = hermitian_eig(np.zeros((3, 3)))
+    w1, _ = hermitian_eig(np.diag([2.0, 1.0, 0.0]))
     assert np.array_equal(w0, [0.0, 0.0, 0.0]) and np.array_equal(w1, [0.0, 1.0, 2.0])
 
 
@@ -261,12 +347,12 @@ def test_gram_rank_validates_its_input():
 
 def test_gram_rank_is_repeatable_and_silent():
     tiny = np.diag([0.0, 1.0, 2.5, -3.0]).astype(complex)
-    tiny[np.triu_indices(4, 1)] = 2e-11j   # |tau| > 1e9
+    tiny[np.triu_indices(4, 1)] = 2e-11j   # shift ratios above 1e9
     tiny = tiny + np.triu(tiny, 1).conj().T
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        first = linalg._jacobi(as_hermitian(tiny), EIG_TOL, MAX_SWEEPS, vectors=False)
-        second = linalg._jacobi(as_hermitian(tiny), EIG_TOL, MAX_SWEEPS, vectors=False)
+        first = linalg._eigen(as_hermitian(tiny), vectors=False)
+        second = linalg._eigen(as_hermitian(tiny), vectors=False)
         rank = gram_rank(tiny)
     assert np.array_equal(first[0], second[0])
     assert rank == 2

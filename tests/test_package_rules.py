@@ -1,9 +1,12 @@
 """Package rules that no single behaviour test would notice breaking.
 
 Production code does no spectral work through numpy.linalg: every
-eigenvalue, rank and pseudo-inverse comes from the package's own Jacobi
-kernel, so each claim can be traced to code in this repository.  Only
-harness.py, the independent oracle, may call numpy's solvers.
+eigenvalue and rank comes from the package's own eigen kernel
+(Householder reduction and implicit-shift QL in wsq.linalg), so each
+claim can be traced to code in this repository.  Only harness.py, the
+independent oracle, may call numpy's solvers.  scipy is not a
+dependency, so production code imports none of it: its tridiagonal and
+dense eigensolvers would bypass the kernel just as numpy's would.
 """
 
 import ast
@@ -47,6 +50,21 @@ def numpy_solver_uses(source: str) -> list[str]:
     return found
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Every import of scipy or of one of its modules, as 'line: module'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
 @pytest.mark.parametrize("source", [
     "import numpy as np\nnp.linalg.eigvalsh(m)",
     "import numpy\nw = numpy.linalg.svd(m)",
@@ -67,8 +85,30 @@ def test_scanner_ignores_allowed_calls():
     assert numpy_solver_uses(source) == []
 
 
+@pytest.mark.parametrize("source", [
+    "import scipy.linalg\nscipy.linalg.eigh(m)",
+    "from scipy import linalg\nlinalg.eigh(m)",
+    "from scipy.linalg import eigh_tridiagonal\n",
+    "import numpy as np, scipy as sp\n",
+])
+def test_scanner_sees_every_scipy_import(source):
+    assert scipy_imports(source)
+
+
+def test_scanner_ignores_modules_named_like_scipy():
+    source = "import numpy\nimport scipyish\nfrom .scipy import x\nfrom wsq import linalg\n"
+    assert scipy_imports(source) == []
+
+
 def test_production_code_calls_no_numpy_solver():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "harness.py")
     assert len(modules) >= 10
     offenders = {p.name: numpy_solver_uses(p.read_text()) for p in modules}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+def test_production_code_imports_no_scipy():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "harness.py")
+    assert len(modules) >= 10
+    offenders = {p.name: scipy_imports(p.read_text()) for p in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
