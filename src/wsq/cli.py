@@ -3,34 +3,21 @@
 Exit codes follow one contract across all subcommands: 0 for an
 affirmative verdict, 1 for a negative verdict, 2 for errors; every
 verdict is decided exactly, none is left undecided.  Certificates go
-to stdout as JSON; human-readable diagnostics go to stderr.  The
-WSQ_TOL environment variable supplies the default tolerance when --tol
-is not given.
+to stdout as JSON; human-readable diagnostics go to stderr.  --tol
+overrides the default tolerance, and the certificate records the
+tolerance that applied.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import fileio, minimality, petz, sufficiency
 from .petz import Feasible, InfeasibleOrthogonality
 
 AFFIRMATIVE, NEGATIVE, ERROR = 0, 1, 2
-
-
-def _tolerance(args) -> float | None:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("WSQ_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ValueError(f"WSQ_TOL is not a number: {env!r}") from None
-    return None
 
 
 def _load(args, need_statistic: bool) -> fileio.Instance:
@@ -43,25 +30,16 @@ def _load(args, need_statistic: bool) -> fileio.Instance:
     return instance
 
 
-def _emit(cert: dict, args) -> None:
-    text = fileio.serialize_certificate(cert)
-    print(text)
-    out = getattr(args, "witness_out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-
-
 def _cmd_check(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
-    tol = _tolerance(args)
+    tol = args.tol
     kwargs = {} if tol is None else {"tol": tol}
     verdict = sufficiency.check_weak_sufficiency(statistic, family, **kwargs)
     overrides = None if tol is None else {"rank": tol, "witness": tol}
     cert = fileio.make_certificate("weak_sufficiency", verdict,
                                    tolerances=overrides)
-    _emit(cert, args)
+    print(fileio.serialize_certificate(cert))
     if verdict.sufficient:
         check = sufficiency.verify_witness(statistic, family, verdict.witness)
         print(f"sufficient; witness residual {check.max_residual:.3e}", file=sys.stderr)
@@ -73,12 +51,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     family = _load(args, need_statistic=False).family
-    tol = _tolerance(args)
+    tol = args.tol
     kwargs = {} if tol is None else {"tol": tol}
     result = sufficiency.exists_weakly_sufficient(family, **kwargs)
     overrides = None if tol is None else {"rank": tol, "witness": tol}
     cert = fileio.make_certificate("existence", result, tolerances=overrides)
-    _emit(cert, args)
+    print(fileio.serialize_certificate(cert))
     if isinstance(result, sufficiency.ConstructedStatistic):
         print(f"constructed a statistic with {len(result.statistic)} atoms",
               file=sys.stderr)
@@ -91,12 +69,12 @@ def _cmd_construct(args) -> int:
 def _cmd_minimal(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
-    tol = _tolerance(args)
+    tol = args.tol
     kwargs = {} if tol is None else {"tol": tol}
     result = minimality.minimal_statistic(statistic, family, **kwargs)
     overrides = None if tol is None else {"rank": tol}
     cert = fileio.make_certificate("minimality", result, tolerances=overrides)
-    _emit(cert, args)
+    print(fileio.serialize_certificate(cert))
     if isinstance(result, minimality.NoMinimalExists):
         print(f"no minimal statistic: atom {result.dead_atom} carries no state",
               file=sys.stderr)
@@ -107,7 +85,7 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_petz(args) -> int:
     loaded = _load(args, need_statistic=True)
-    tol = _tolerance(args)
+    tol = args.tol
     # an overlap refusal rests on the states alone: no statistic is decomposed
     bad = petz.orthogonality_precheck(loaded.family)
     if bad is not None:
@@ -121,7 +99,7 @@ def _cmd_petz(args) -> int:
     cert = fileio.make_certificate("petz", result,
                                    parameters={"unital": not args.non_unital},
                                    tolerances=overrides)
-    _emit(cert, args)
+    print(fileio.serialize_certificate(cert))
     if isinstance(result, Feasible):
         print(f"feasible (residual {result.max_constraint_residual:.3e})", file=sys.stderr)
         return AFFIRMATIVE
@@ -179,29 +157,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, witness=False):
+    def add_common(p):
         p.add_argument("--input", required=True, help="instance file (JSON)")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance (or set WSQ_TOL)")
-        if witness:
-            p.add_argument("--witness-out", default=None,
-                           help="also write the emitted certificate to this path")
+                       help="override the default tolerance")
 
     p = sub.add_parser("check", help="decide weak sufficiency of the file's statistic")
-    add_common(p, witness=True)
+    add_common(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct",
                        help="construct a weakly sufficient statistic or prove none exists")
-    add_common(p, witness=True)
+    add_common(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("minimal", help="construct the minimal sufficient coarse-graining")
-    add_common(p, witness=True)
+    add_common(p)
     p.set_defaults(func=_cmd_minimal)
 
     p = sub.add_parser("petz", help="decide channel-sufficiency feasibility")
-    add_common(p, witness=True)
+    add_common(p)
     p.add_argument("--non-unital", action="store_true",
                    help="drop the trace-one constraint on the solution blocks")
     p.set_defaults(func=_cmd_petz)

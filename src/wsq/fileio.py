@@ -281,28 +281,13 @@ def _cycle_from_json(node: dict, path: str) -> tuple[phases.PhaseConstraint, ...
     return tuple(out)
 
 
-def _statistic_json(statistic) -> dict:
-    return {
-        "eigenvalues": [float(v) for v in statistic.eigenvalues],
-        "projections": [_matrix_json(p) for p in statistic.projections],
-    }
-
-
-def _statistic_from_json(node: dict, path: str, dim: int):
-    if not isinstance(node, dict):
-        _fail(path, "expected a statistic object")
-    evs = node.get("eigenvalues")
-    projs = node.get("projections")
-    if not isinstance(evs, list) or not isinstance(projs, list):
-        _fail(path, "expected 'eigenvalues' and 'projections' lists")
-    eigenvalues = np.array(
-        [_real(v, f"{path}.eigenvalues[{i}]") for i, v in enumerate(evs)]
-    )
-    projections = np.array(
-        [_matrix(p, f"{path}.projections[{i}]", dim) for i, p in enumerate(projs)]
-    )
+def _directions_from_json(node, path: str, dim: int):
+    """The statistic a constructed payload's directions name, or SchemaError."""
+    if not isinstance(node, list) or not 1 <= len(node) <= dim:
+        _fail(path, f"expected a list of 1 to {dim} directions")
+    rows = [_vector(row, f"{path}[{n}]", dim) for n, row in enumerate(node)]
     try:
-        return spectral.DiscreteStatistic(eigenvalues=eigenvalues, projections=projections)
+        return sufficiency.statistic_from_directions(rows)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -359,7 +344,7 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
         if isinstance(result, sufficiency.ConstructedStatistic):
             cert["verdict"] = "constructed"
             cert["payload"] = {
-                "statistic": _statistic_json(result.statistic),
+                "directions": [_vector_json(xi) for xi in result.directions],
                 "witness": _witness_json(result.witness),
             }
         elif isinstance(result, sufficiency.NonExistence):
@@ -456,11 +441,14 @@ def verify_certificate(instance_text: str, certificate_text: str,
     """Re-check a certificate using only the two files.
 
     Positive verdicts are re-verified directly (witness residuals, PSD
-    checks, constraint residuals).  Negative verdicts are re-verified
-    through their own evidence: rank violations are recomputed, cycle
-    constraints are matched against the instance, overlaps are
-    recomputed, and each shared atom of a petz refusal is replayed from
-    the recomputed weights and the recorded petz_feasibility tolerance.
+    checks, constraint residuals); a constructed statistic is rebuilt
+    from its directions by sufficiency.statistic_from_directions, as the
+    construction built it, before its witness is replayed.  Negative
+    verdicts are re-verified through their own evidence: rank violations
+    are recomputed, cycle constraints are matched against the instance,
+    overlaps are recomputed, and each shared atom of a petz refusal is
+    replayed from the recomputed weights and the recorded
+    petz_feasibility tolerance.
     A certificate that does not prove its claim, or cannot be read,
     yields ok=False.  Only a malformed instance raises: at read time, or
     when a verdict that reads the statistic meets a dense matrix that
@@ -567,8 +555,8 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
 
     if kind == "existence":
         if verdict == "constructed":
-            built = _statistic_from_json(
-                payload.get("statistic"), "$.payload.statistic", family.dim
+            built = _directions_from_json(
+                payload.get("directions"), "$.payload.directions", family.dim
             )
             check = _check_witness(built, family, payload, tol)
             if not check.ok:

@@ -3,17 +3,21 @@
 The generators plant known structure (real Gram matrices, orthogonal
 families, states confined to disjoint atoms, an inconsistent phase
 cycle) so that every theorem-level claim in the library has a corpus on
-which it must hold.  The brute-force decision procedure re-decides weak
-sufficiency by exhaustive means — rank tests through numpy and a phase
-grid search — sharing none of the production checker's union-find path;
-an alternating-projection solver likewise re-decides channel feasibility
-without the exact rule of petz.py.
+which it must hold; their random bases come from gram_schmidt.  The
+brute-force decision procedure re-decides weak sufficiency by exhaustive
+means — rank tests through numpy and a phase grid search (oracle_align)
+— sharing none of the production checker's union-find path; an
+alternating-projection solver with psd_project likewise re-decides
+channel feasibility without the exact rule of petz.py.  These oracles
+serve only the tests and the property suite, so no production module
+imports this one at module level.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +33,7 @@ from .fileio import (
     serialize_instance,
     verify_certificate,
 )
-from .linalg import gram_schmidt, hermitian_eig, hermitian_part, inner, norm, psd_project
+from .linalg import RANK_TOL, _require_finite, hermitian_eig, hermitian_part, inner, norm
 from .minimality import (
     NoMinimalExists,
     check_coarse_sufficient,
@@ -50,10 +54,9 @@ from .phases import (
     ANGLE_TOL,
     Infeasible,
     PhaseConstraint,
+    VersionAssignment,
     align_phases,
     cycle_defect,
-    oracle_align,
-    worst_residual,
 )
 from .spectral import (
     CoarseMap,
@@ -113,6 +116,53 @@ class GeneratorSpec:
                     f"dimension {self.dim} too small for {self.n_states} states "
                     "around a planted cycle"
                 )
+
+
+class RankDeficiencyError(ValueError):
+    """Raised by gram_schmidt when a vector depends on its predecessors."""
+
+    def __init__(self, index: int, residual: float):
+        self.index = index
+        self.residual = residual
+        super().__init__(
+            f"vector {index} is linearly dependent on its predecessors "
+            f"(residual norm {residual:.3e})"
+        )
+
+
+def gram_schmidt(vectors, tol: float = RANK_TOL):
+    """Orthonormalize a linearly independent family, tracking expressions.
+
+    Returns (ortho, coeffs): ortho is the list of orthonormal vectors and
+    coeffs a lower-triangular complex array with
+    ortho[k] = sum_j coeffs[k, j] * vectors[j].  When the Gram matrix of
+    the input is entrywise real, the coefficients are real as well (they
+    are rational expressions in Gram entries); tests rely on this.
+
+    Raises RankDeficiencyError naming the first dependent vector.
+    """
+    vs = [np.asarray(v, dtype=complex) for v in vectors]
+    n = len(vs)
+    ortho: list[np.ndarray] = []
+    coeffs = np.zeros((n, n), dtype=complex)
+    for i, vec in enumerate(vs):
+        _require_finite(vec, f"vector {i}")
+        resid = vec.copy()
+        expr = np.zeros(n, dtype=complex)
+        expr[i] = 1.0
+        # two passes: the second re-orthogonalization keeps the result
+        # orthonormal to machine precision even for ill-conditioned input
+        for _ in range(2):
+            for j, xi in enumerate(ortho):
+                ov = inner(resid, xi)
+                resid = resid - ov * xi
+                expr = expr - ov * coeffs[j]
+        rnorm = norm(resid)
+        if rnorm <= tol * norm(vec):
+            raise RankDeficiencyError(i, rnorm)
+        ortho.append(resid / rnorm)
+        coeffs[i] = expr / rnorm
+    return ortho, coeffs
 
 
 def _random_basis(rng, dim: int, real: bool = False) -> np.ndarray:
@@ -212,6 +262,112 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteStatistic, StateFamily]:
         vectors.append(basis[2 + i])
     family = StateFamily(labels=_labels(m), vectors=np.array(vectors))
     return _random_statistic(rng, d), family
+
+
+def worst_residual(constraints, assignment: VersionAssignment) -> float:
+    """Largest normalized imaginary part |Im(dressed)| / |value| over constraints."""
+    worst = 0.0
+    for c in constraints:
+        dressed = assignment.phase(c.left) * np.conj(assignment.phase(c.right)) * c.value
+        worst = max(worst, abs(dressed.imag) / abs(c.value))
+    return worst
+
+
+def versions_satisfy(constraints, assignment: VersionAssignment,
+                     angle_tol: float = ANGLE_TOL) -> bool:
+    """True when every dressed constraint value is real within angle_tol."""
+    return worst_residual(constraints, assignment) <= angle_tol
+
+
+def _phase_grid(steps: int) -> np.ndarray:
+    """Distinct values of the angles 2 pi j / steps reduced modulo pi."""
+    n_eff = steps // 2 if steps % 2 == 0 else steps
+    return math.pi * np.arange(n_eff) / n_eff
+
+
+def oracle_align(constraints, labels, steps: int = 360):
+    """Exhaustive grid search over phase assignments; the slow reference.
+
+    Minimizes the worst normalized imaginary residual |sin(angle defect)|
+    over all assignments of grid angles (multiples of 2 pi / steps) to
+    labels.  One label per connected component is pinned to angle 0 and
+    the grid is folded modulo pi; both reductions are exact for this
+    objective.  Returns (best assignment, best worst-residual).
+    """
+    labels = phases_mod._check_labels(constraints, labels)
+    if len(labels) > 5:
+        raise ValueError("grid oracle is limited to 5 labels")
+    if steps < 2:
+        raise ValueError("need at least 2 grid steps")
+    grid = _phase_grid(steps)
+
+    # connected components of the constraint graph
+    comp_of = {lab: lab for lab in labels}
+
+    def comp_find(x):
+        while comp_of[x] != x:
+            comp_of[x] = comp_of[comp_of[x]]
+            x = comp_of[x]
+        return x
+
+    for c in constraints:
+        ra, rb = comp_find(c.left), comp_find(c.right)
+        if ra != rb:
+            comp_of[ra] = rb
+    components: dict[str, list[str]] = {}
+    for lab in labels:
+        components.setdefault(comp_find(lab), []).append(lab)
+
+    best_angles: dict[str, float] = {}
+    overall = 0.0
+    for members in components.values():
+        members = sorted(members, key=labels.index)
+        fixed, free = members[0], members[1:]
+        comp_constraints = [
+            c for c in constraints if comp_find(c.left) == comp_find(fixed)
+        ]
+        index = {lab: i for i, lab in enumerate(free)}
+
+        def residual(angles):
+            def ang(lab):
+                i = index.get(lab)
+                return 0.0 if i is None else angles[i]
+
+            total = None
+            for c in comp_constraints:
+                r = np.abs(np.sin(ang(c.left) - ang(c.right) + cmath.phase(c.value)))
+                total = r if total is None else np.maximum(total, r)
+            return np.float64(0.0) if total is None else total
+
+        angles, value = _grid_search(grid, len(free), residual)
+        best_angles[fixed] = 0.0
+        for lab, a in zip(free, angles):
+            best_angles[lab] = a
+        overall = max(overall, value)
+    assignment = VersionAssignment(
+        {lab: cmath.exp(1j * best_angles[lab]) for lab in labels}
+    )
+    return assignment, overall
+
+
+def _grid_search(grid: np.ndarray, n_free: int, residual):
+    """Minimize residual over grid^n_free; chunks the first axis for n_free > 3."""
+    if n_free == 0:
+        return [], float(residual([]))
+    if n_free <= 3:
+        mesh = np.meshgrid(*([grid] * n_free), indexing="ij")
+        total = residual(list(mesh))
+        idx = np.unravel_index(int(np.argmin(total)), total.shape)
+        return [float(grid[i]) for i in idx], float(total[idx])
+    mesh = np.meshgrid(*([grid] * (n_free - 1)), indexing="ij")
+    best_angles, best_value = None, math.inf
+    for a0 in grid:
+        total = residual([float(a0)] + list(mesh))
+        idx = np.unravel_index(int(np.argmin(total)), total.shape)
+        if float(total[idx]) < best_value:
+            best_value = float(total[idx])
+            best_angles = [float(a0)] + [float(grid[i]) for i in idx]
+    return best_angles, best_value
 
 
 def brute_force_weak_sufficiency(statistic: DiscreteStatistic, family: StateFamily,
@@ -843,6 +999,14 @@ def _prop_petz_soundness(rng, count):
                 f"(unital={unital}): {report.detail}"
             ), serialize_instance(small_t, small_f)
     return True, f"{len(cases)} verdicts match their planting and replay from file", None
+
+
+def psd_project(m) -> np.ndarray:
+    """Nearest positive semidefinite matrix in Frobenius distance."""
+    h = hermitian_part(np.asarray(m, dtype=complex))
+    w, v = hermitian_eig(h)
+    w = np.clip(w, 0.0, None)
+    return hermitian_part((v * w) @ v.conj().T)
 
 
 def _petz_oracle(instance: PetzInstance) -> bool | None:

@@ -32,18 +32,6 @@ class EigenConvergenceError(RuntimeError):
     """Raised when an eigenvalue is not split off within QL_SWEEPS sweeps."""
 
 
-class RankDeficiencyError(ValueError):
-    """Raised by gram_schmidt when a vector depends on its predecessors."""
-
-    def __init__(self, index: int, residual: float):
-        self.index = index
-        self.residual = residual
-        super().__init__(
-            f"vector {index} is linearly dependent on its predecessors "
-            f"(residual norm {residual:.3e})"
-        )
-
-
 def _require_finite(a: np.ndarray, name: str) -> None:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -276,53 +264,3 @@ def gram_matrix(vectors) -> np.ndarray:
     _require_finite(vs, "vectors")
     g = vs @ vs.conj().T
     return 0.5 * (g + g.conj().T)
-
-
-def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
-    """Rank of a family of vectors, read from its Gram matrix by gram_rank."""
-    if len(vectors) == 0:
-        return 0
-    return gram_rank(gram_matrix(vectors), tol)
-
-
-def gram_schmidt(vectors, tol: float = RANK_TOL):
-    """Orthonormalize a linearly independent family, tracking expressions.
-
-    Returns (ortho, coeffs): ortho is the list of orthonormal vectors and
-    coeffs a lower-triangular complex array with
-    ortho[k] = sum_j coeffs[k, j] * vectors[j].  When the Gram matrix of
-    the input is entrywise real, the coefficients are real as well (they
-    are rational expressions in Gram entries); tests rely on this.
-
-    Raises RankDeficiencyError naming the first dependent vector.
-    """
-    vs = [np.asarray(v, dtype=complex) for v in vectors]
-    n = len(vs)
-    ortho: list[np.ndarray] = []
-    coeffs = np.zeros((n, n), dtype=complex)
-    for i, vec in enumerate(vs):
-        _require_finite(vec, f"vector {i}")
-        resid = vec.copy()
-        expr = np.zeros(n, dtype=complex)
-        expr[i] = 1.0
-        # two passes: the second re-orthogonalization keeps the result
-        # orthonormal to machine precision even for ill-conditioned input
-        for _ in range(2):
-            for j, xi in enumerate(ortho):
-                ov = inner(resid, xi)
-                resid = resid - ov * xi
-                expr = expr - ov * coeffs[j]
-        rnorm = norm(resid)
-        if rnorm <= tol * norm(vec):
-            raise RankDeficiencyError(i, rnorm)
-        ortho.append(resid / rnorm)
-        coeffs[i] = expr / rnorm
-    return ortho, coeffs
-
-
-def psd_project(m) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius distance."""
-    h = hermitian_part(np.asarray(m, dtype=complex))
-    w, v = hermitian_eig(h)
-    w = np.clip(w, 0.0, None)
-    return hermitian_part((v * w) @ v.conj().T)

@@ -58,18 +58,15 @@ class NoMinimalExists:
     dead_atom: int
 
 
-def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
-                        strict_real: bool = False) -> AtomClasses:
+def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL) -> AtomClasses:
     """Group active atoms whose gamma rows are proportional.
 
     All pairs are decided at once from H = gamma gamma^H: atoms j and m
     are proportional when the (j, m) principal submatrix of H has rank
     <= 1 (see pair_rank_two), as the Gram matrix of the merged atom's
-    projected states then does.  The factor beta is complex in general;
-    strict_real additionally requires beta to be real within tol,
-    splitting classes accordingly.  Transitivity of the pairwise relation
-    is re-verified on the computed classes at a composed tolerance and
-    gross failures raise ValueError.
+    projected states then does.  The factor beta is complex in general.
+    Transitivity of the pairwise relation is re-verified on the computed
+    classes at a composed tolerance and gross failures raise ValueError.
     """
     active = [k for k, flag in enumerate(analysis.active) if flag]
     rows = analysis.gamma[active]
@@ -86,8 +83,6 @@ def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL,
         return x
 
     for a, b in zip(*np.nonzero(np.triu(~split, 1))):
-        if strict_real and abs(beta[a, b].imag) > tol * abs(beta[a, b]):
-            continue
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -185,17 +180,18 @@ def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic,
     return psi
 
 
-def enumerate_coarse_grainings(t: DiscreteStatistic,
-                               max_atoms: int = MAX_ENUMERATED_ATOMS) -> Iterator[CoarseMap]:
+def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:
     """All set partitions of the atoms, as coarse maps, in restricted-growth order.
 
     Yields Bell(#atoms) maps, the all-in-one-block partition first and the
-    identity partition last.  Guarded against Bell-number explosion.
+    identity partition last.  Guarded against Bell-number explosion:
+    more than MAX_ENUMERATED_ATOMS atoms raise ValueError.
     """
     n = len(t)
-    if n > max_atoms:
+    if n > MAX_ENUMERATED_ATOMS:
         raise ValueError(
-            f"{n} atoms would enumerate too many partitions (limit {max_atoms})"
+            f"{n} atoms would enumerate too many partitions "
+            f"(limit {MAX_ENUMERATED_ATOMS})"
         )
     evs = [float(x) for x in t.eigenvalues]
     rgs = [0] * n

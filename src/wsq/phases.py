@@ -17,8 +17,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 ANGLE_TOL = 1e-6
 
 # Fault-injection point for the self-test harness: the physically correct
@@ -217,109 +215,3 @@ def cycle_defect(cycle) -> float:
         raise ValueError("walk does not close")
     frac = total % math.pi
     return min(frac, math.pi - frac)
-
-
-def worst_residual(constraints, assignment: VersionAssignment) -> float:
-    """Largest normalized imaginary part |Im(dressed)| / |value| over constraints."""
-    worst = 0.0
-    for c in constraints:
-        dressed = assignment.phase(c.left) * np.conj(assignment.phase(c.right)) * c.value
-        worst = max(worst, abs(dressed.imag) / abs(c.value))
-    return worst
-
-
-def versions_satisfy(constraints, assignment: VersionAssignment,
-                     angle_tol: float = ANGLE_TOL) -> bool:
-    """True when every dressed constraint value is real within angle_tol."""
-    return worst_residual(constraints, assignment) <= angle_tol
-
-
-def _phase_grid(steps: int) -> np.ndarray:
-    """Distinct values of the angles 2 pi j / steps reduced modulo pi."""
-    n_eff = steps // 2 if steps % 2 == 0 else steps
-    return math.pi * np.arange(n_eff) / n_eff
-
-
-def oracle_align(constraints, labels, steps: int = 360):
-    """Exhaustive grid search over phase assignments; the slow reference.
-
-    Minimizes the worst normalized imaginary residual |sin(angle defect)|
-    over all assignments of grid angles (multiples of 2 pi / steps) to
-    labels.  One label per connected component is pinned to angle 0 and
-    the grid is folded modulo pi; both reductions are exact for this
-    objective.  Returns (best assignment, best worst-residual).
-    """
-    labels = _check_labels(constraints, labels)
-    if len(labels) > 5:
-        raise ValueError("grid oracle is limited to 5 labels")
-    if steps < 2:
-        raise ValueError("need at least 2 grid steps")
-    grid = _phase_grid(steps)
-
-    # connected components of the constraint graph
-    comp_of = {lab: lab for lab in labels}
-
-    def comp_find(x):
-        while comp_of[x] != x:
-            comp_of[x] = comp_of[comp_of[x]]
-            x = comp_of[x]
-        return x
-
-    for c in constraints:
-        ra, rb = comp_find(c.left), comp_find(c.right)
-        if ra != rb:
-            comp_of[ra] = rb
-    components: dict[str, list[str]] = {}
-    for lab in labels:
-        components.setdefault(comp_find(lab), []).append(lab)
-
-    best_angles: dict[str, float] = {}
-    overall = 0.0
-    for members in components.values():
-        members = sorted(members, key=labels.index)
-        fixed, free = members[0], members[1:]
-        comp_constraints = [
-            c for c in constraints if comp_find(c.left) == comp_find(fixed)
-        ]
-        index = {lab: i for i, lab in enumerate(free)}
-
-        def residual(angles):
-            def ang(lab):
-                i = index.get(lab)
-                return 0.0 if i is None else angles[i]
-
-            total = None
-            for c in comp_constraints:
-                r = np.abs(np.sin(ang(c.left) - ang(c.right) + cmath.phase(c.value)))
-                total = r if total is None else np.maximum(total, r)
-            return np.float64(0.0) if total is None else total
-
-        angles, value = _grid_search(grid, len(free), residual)
-        best_angles[fixed] = 0.0
-        for lab, a in zip(free, angles):
-            best_angles[lab] = a
-        overall = max(overall, value)
-    assignment = VersionAssignment(
-        {lab: cmath.exp(1j * best_angles[lab]) for lab in labels}
-    )
-    return assignment, overall
-
-
-def _grid_search(grid: np.ndarray, n_free: int, residual):
-    """Minimize residual over grid^n_free; chunks the first axis for n_free > 3."""
-    if n_free == 0:
-        return [], float(residual([]))
-    if n_free <= 3:
-        mesh = np.meshgrid(*([grid] * n_free), indexing="ij")
-        total = residual(list(mesh))
-        idx = np.unravel_index(int(np.argmin(total)), total.shape)
-        return [float(grid[i]) for i in idx], float(total[idx])
-    mesh = np.meshgrid(*([grid] * (n_free - 1)), indexing="ij")
-    best_angles, best_value = None, math.inf
-    for a0 in grid:
-        total = residual([float(a0)] + list(mesh))
-        idx = np.unravel_index(int(np.argmin(total)), total.shape)
-        if float(total[idx]) < best_value:
-            best_value = float(total[idx])
-            best_angles = [float(a0)] + [float(grid[i]) for i in idx]
-    return best_angles, best_value

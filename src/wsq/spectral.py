@@ -195,8 +195,7 @@ def statistic_from_matrix(m, group_tol: float | None = None) -> DiscreteStatisti
     spectral radius, chain linkage) share an atom whose projector spans
     their eigenvectors.
     """
-    h = as_hermitian(m)
-    w, v = hermitian_eig(h)
+    w, v = hermitian_eig(m)
     if group_tol is None:
         group_tol = GROUP_FACTOR * float(np.abs(w).max())
     groups: list[list[int]] = [[0]]

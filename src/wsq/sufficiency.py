@@ -12,8 +12,12 @@ For discrete T this reduces to two checkable conditions:
 check_weak_sufficiency decides the pair (T, F) and returns either an
 explicit witness factorization or structured violations.  The existence
 question -- is there any weakly sufficient statistic for F? -- depends
-only on the Gram matrix of F and is decided (and made constructive) by
-exists_weakly_sufficient.
+only on the Gram matrix of F and is decided by exists_weakly_sufficient.
+When the states can be dressed so that their Gram matrix is real, any
+orthonormal basis of the dressed states' span gives one: it is found in
+one orthogonalization pass, and statistic_from_directions turns it into
+the statistic.  Certificates carry those directions, and the verifier
+rebuilds the statistic through the same function.
 """
 
 from __future__ import annotations
@@ -22,16 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    RANK_TOL,
-    gram_matrix,
-    gram_rank,
-    gram_schmidt,
-    hermitian_part,
-    norm,
-    numerical_rank,
-    pair_rank_two,
-)
+from .linalg import RANK_TOL, gram_matrix, gram_rank, hermitian_part, norm, pair_rank_two
 from .phases import (
     ANGLE_TOL,
     Infeasible,
@@ -245,7 +240,15 @@ def verify_witness(t: DiscreteStatistic, family: StateFamily,
 
 @dataclass
 class ConstructedStatistic:
+    """A weakly sufficient statistic built on orthonormal directions.
+
+    directions is an (r, d) array of orthonormal rows and statistic is
+    statistic_from_directions(directions); the witness comes from
+    check_weak_sufficiency on that pair.
+    """
+
     statistic: DiscreteStatistic
+    directions: np.ndarray
     witness: WitnessFactorization
 
 
@@ -269,16 +272,34 @@ def family_constraints(family: StateFamily) -> list[PhaseConstraint]:
     return constraints
 
 
+def statistic_from_directions(directions) -> DiscreteStatistic:
+    """The statistic with value n on direction n and 0 on their complement.
+
+    directions is an (r, d) array whose rows are numbered 1..r; the
+    complement atom is added only when r < d.  DiscreteStatistic refuses
+    rows that are not orthonormal, naming the defect.
+    """
+    rows = np.asarray(directions, dtype=complex)
+    r, d = rows.shape
+    eigenvalues = [float(n) for n in range(1, r + 1)]
+    projections = [hermitian_part(np.outer(xi, xi.conj())) for xi in rows]
+    if r < d:
+        eigenvalues = [0.0] + eigenvalues
+        projections = [hermitian_part(np.eye(d) - sum(projections))] + projections
+    return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
+
+
 def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL,
                              angle_tol: float = ANGLE_TOL):
     """Decide whether any weakly sufficient statistic exists for the family.
 
     Existence depends only on whether the full Gram matrix can be made
-    entrywise real by dressing the states.  On success the statistic is
-    built explicitly: orthonormalize a maximal independent subfamily of
-    the dressed states, give the n-th direction eigenvalue n, and park
-    the orthogonal complement (if any) on eigenvalue 0.  The returned
-    witness is produced by running the pair through
+    entrywise real by dressing the states.  On success one in-order pass
+    over the dressed states builds the statistic: each state is
+    orthogonalized, twice, against the directions found so far and kept
+    as the next direction when its squared residual exceeds tol; then
+    statistic_from_directions gives direction n the value n.  The
+    returned witness is produced by running the pair through
     check_weak_sufficiency, not copied from the construction.
     """
     labels = family.labels
@@ -286,21 +307,20 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL,
     aligned = align_phases(constraints, labels, angle_tol)
     if isinstance(aligned, Infeasible):
         return NonExistence(cycle=aligned.cycle)
-    dressed = [aligned.phase(lab) * vec for lab, vec in zip(labels, family.vectors)]
-    selected: list[np.ndarray] = []
-    for vec in dressed:
-        if numerical_rank(selected + [vec], tol) == len(selected) + 1:
-            selected.append(vec)
-    ortho, _ = gram_schmidt(selected, tol)
-    d = family.dim
-    eigenvalues = [float(n) for n in range(1, len(ortho) + 1)]
-    projections = [hermitian_part(np.outer(xi, xi.conj())) for xi in ortho]
-    if len(ortho) < d:
-        complement = hermitian_part(np.eye(d) - sum(projections))
-        eigenvalues = [0.0] + eigenvalues
-        projections = [complement] + projections
-    statistic = DiscreteStatistic(np.array(eigenvalues), tuple(projections))
+    directions: list[np.ndarray] = []
+    for lab, vec in zip(labels, family.vectors):
+        resid = aligned.phase(lab) * vec
+        # the second pass keeps the directions orthonormal to machine
+        # precision even when a state lies close to their span
+        for _ in range(2):
+            for xi in directions:
+                resid = resid - np.vdot(xi, resid) * xi
+        square = float(np.vdot(resid, resid).real)
+        if square > tol:
+            directions.append(resid / np.sqrt(square))
+    rows = np.array(directions).reshape(-1, family.dim)
+    statistic = statistic_from_directions(rows)
     verdict = check_weak_sufficiency(statistic, family, tol, angle_tol)
     if not verdict.sufficient:   # pragma: no cover - internal consistency
         raise RuntimeError("constructed statistic failed its own sufficiency check")
-    return ConstructedStatistic(statistic=statistic, witness=verdict.witness)
+    return ConstructedStatistic(statistic=statistic, directions=rows, witness=verdict.witness)

@@ -108,17 +108,6 @@ def test_minimal_subcommand(bundled_path, capsys):
     assert cert["payload"]["partition"] == [[0], [1]]
 
 
-def test_witness_out_writes_verifiable_file(bundled_path, tmp_path, capsys):
-    dest = tmp_path / "cert.json"
-    code = run_cli([
-        "check", "--input", str(bundled_path), "--witness-out", str(dest)
-    ])
-    capsys.readouterr()
-    assert code == 0
-    report = verify_certificate(bundled_path.read_text(), dest.read_text())
-    assert report.ok, report.detail
-
-
 def test_oracle_subcommand(bundled_path, capsys):
     code = run_cli(["oracle", "--input", str(bundled_path)])
     out = capsys.readouterr()
@@ -215,27 +204,12 @@ def test_parser_is_built_once_per_process(bundled_path, capsys, monkeypatch):
     assert built.count("wsq") == 1
 
 
-def test_tolerance_env_var(bundled_path, capsys, monkeypatch):
-    monkeypatch.setenv("WSQ_TOL", "1e-9")
-    code = run_cli(["check", "--input", str(bundled_path)])
-    out = capsys.readouterr()
-    assert code == 0
-    cert = parse_certificate(out.out)
-    assert cert["tolerances"]["witness"] == 1e-9
-
-    monkeypatch.setenv("WSQ_TOL", "not-a-number")
-    code = run_cli(["check", "--input", str(bundled_path)])
-    out = capsys.readouterr()
-    assert code == 2
-    assert "error:" in out.err
-
-
-def test_tol_flag_beats_env_var(bundled_path, capsys, monkeypatch):
-    monkeypatch.setenv("WSQ_TOL", "1e-3")
+def test_tol_flag_is_recorded(bundled_path, capsys):
     code = run_cli(["check", "--input", str(bundled_path), "--tol", "1e-10"])
     out = capsys.readouterr()
     assert code == 0
     cert = parse_certificate(out.out)
+    assert cert["tolerances"]["rank"] == 1e-10
     assert cert["tolerances"]["witness"] == 1e-10
 
 
@@ -339,6 +313,35 @@ def test_explicit_statistic_is_never_decomposed(tmp_path, monkeypatch, capsys,
     path = explicit_fourier_instance(tmp_path)
     runs = count_kernel_runs(monkeypatch)
     assert statistic_solves(path, command, runs, capsys) == (code, 0, 0)
+
+
+def test_dense_matrix_is_checked_once_per_read_and_once_per_solve(
+        tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(32)
+    basis, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    blocks = np.split(basis, 4, axis=1)
+    matrix = sum(k * (b @ b.conj().T) for k, b in enumerate(blocks))
+    path = dense_instance(tmp_path / "dense.json", matrix,
+                          {"a": basis[:, 0], "b": basis[:, 8]})
+    checked = []
+    original = linalg.as_hermitian
+
+    def counting(m, *args, **kwargs):
+        if np.shape(m) == matrix.shape and np.allclose(m, matrix):
+            checked.append(m)
+        return original(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "wsq" or name.startswith("wsq."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    capsys.readouterr()
+    assert run_cli(["check", "--input", str(path)]) == 0
+    report = verify_certificate(path.read_text(), capsys.readouterr().out)
+    assert report.ok, report.detail
+    # at read time and in hermitian_eig, in the command line and in the verifier
+    assert len(checked) == 4
 
 
 def test_non_hermitian_matrix_is_refused_at_read_time(tmp_path, capsys):

@@ -473,17 +473,72 @@ def test_witness_that_does_not_fit_is_rejected_not_raised(part, edit, message):
     assert message in report.detail
 
 
-def test_constructed_statistic_that_is_no_partition_is_rejected_not_raised():
+def constructed_certificate():
+    """Three real states in dimension 4: three directions and a complement."""
     rng = np.random.default_rng(11)
     vectors = rng.normal(size=(3, 4))
     vectors /= np.linalg.norm(vectors, axis=1)[:, None]
     family = StateFamily(labels=("a", "b", "c"), vectors=vectors.astype(complex))
-    cert = make_certificate("existence", exists_weakly_sufficient(family))
-    projections = cert["payload"]["statistic"]["projections"]
-    projections[0] = projections[1]
-    report = verify_certificate(serialize_instance(None, family), serialize_certificate(cert))
+    built = exists_weakly_sufficient(family)
+    return serialize_instance(None, family), built, make_certificate("existence", built)
+
+
+def test_constructed_certificate_carries_the_directions():
+    instance_text, built, cert = constructed_certificate()
+    assert sorted(cert["payload"]) == ["directions", "witness"]
+    rows = np.array([[complex(*z) for z in row] for row in cert["payload"]["directions"]])
+    assert np.array_equal(rows, built.directions)
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+
+
+def test_constructed_statistic_that_is_no_partition_is_rejected_not_raised():
+    instance_text, _, cert = constructed_certificate()
+    directions = cert["payload"]["directions"]
+    directions[0] = directions[1]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
-    assert "$.payload.statistic" in report.detail
+    assert "$.payload.directions" in report.detail
+
+
+def scaled(row, factor):
+    return [[factor * re, factor * im] for re, im in row]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.__setitem__(2, d[0]), "not idempotent"),            # a copied direction
+    (lambda d: d.__setitem__(1, scaled(d[1], 1.01)), "not idempotent"),   # not unit
+    (lambda d: d[1].pop(), "expected a list of 4 [re, im] pairs"),
+    (lambda d: d.extend(d[:2]), "expected a list of 1 to 4 directions"),
+    (lambda d: d.clear(), "expected a list of 1 to 4 directions"),
+    (lambda d: d.__setitem__(1, "x"), "expected a list of 4 [re, im] pairs"),
+    (lambda d: d[0][3].__setitem__(1, None), "expected a real number"),
+    (lambda d: d[0].__setitem__(3, [1e309, 0.0]), "number must be finite"),
+], ids=["copied", "not_unit", "short", "too_many", "empty", "junk_row", "junk_entry",
+        "infinite"])
+def test_tampered_directions_are_rejected_not_raised(edit, message):
+    instance_text, _, cert = constructed_certificate()
+    edit(cert["payload"]["directions"])
+    report = verify_certificate(instance_text, json.dumps(cert))
+    assert not report.ok
+    assert "$.payload.directions" in report.detail
+    assert message in report.detail
+
+
+def test_constructed_certificate_with_projections_is_refused():
+    # the earlier encoding wrote the statistic's dense projections instead
+    # of its directions; there is no reader for it
+    instance_text, built, cert = constructed_certificate()
+    cert["payload"] = {
+        "statistic": {
+            "eigenvalues": [float(v) for v in built.statistic.eigenvalues],
+            "projections": [[[[z.real, z.imag] for z in row] for row in p]
+                            for p in built.statistic.projections],
+        },
+        "witness": cert["payload"]["witness"],
+    }
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert "$.payload.directions" in report.detail
 
 
 def test_malformed_instance_still_raises():

@@ -7,9 +7,14 @@ claim can be traced to code in this repository.  Only harness.py, the
 independent oracle, may call numpy's solvers.  scipy is not a
 dependency, so production code imports none of it: its tridiagonal and
 dense eigensolvers would bypass the kernel just as numpy's would.
+Production modules import the harness only inside the functions that
+need it (the command line's oracle and selftest), so importing wsq
+never loads the oracles.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +68,63 @@ def scipy_imports(source: str) -> list[str]:
         found += [f"{node.lineno}: {name}" for name in names
                   if name.split(".")[0] == "scipy"]
     return found
+
+
+def module_level_harness_imports(source: str) -> list[str]:
+    """Every import of wsq.harness run when the module loads, as 'line: name'.
+
+    Function bodies run only when called, so imports there are skipped;
+    class bodies and if/try blocks at module level run on import.
+    """
+    found, pending = [], [ast.parse(source)]
+    while pending:
+        for node in ast.iter_child_nodes(pending.pop()):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    pending.append(node)
+                continue
+            hits = [name for name in names if "harness" in name.split(".")]
+            if hits:
+                found.append(f"{node.lineno}: {hits[0]}")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from . import harness\n",
+    "from .harness import generate\n",
+    "from . import fileio, harness as h\n",
+    "import wsq.harness\n",
+    "from wsq import harness\n",
+    "from wsq.harness import generate\n",
+    "try:\n    from . import harness\nexcept ImportError:\n    pass\n",
+    "class Suite:\n    from .harness import generate\n",
+])
+def test_scanner_sees_module_level_harness_imports(source):
+    assert module_level_harness_imports(source)
+
+
+def test_scanner_allows_harness_imports_inside_functions():
+    source = ("from . import fileio\nfrom .fileio import harnessed\nimport harness_tools\n"
+              "def oracle():\n    from . import harness\n"
+              "class C:\n    def run(self):\n        import wsq.harness\n")
+    assert module_level_harness_imports(source) == []
+
+
+def test_production_code_loads_no_harness_on_import():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "harness.py")
+    assert len(modules) >= 10
+    offenders = {p.name: module_level_harness_imports(p.read_text()) for p in modules}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, wsq; print('wsq.harness' in sys.modules)"],
+        capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
+    )
+    assert loaded.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("source", [

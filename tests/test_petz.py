@@ -8,7 +8,8 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
-from wsq.linalg import gram_schmidt, hermitian_eig
+from wsq.harness import gram_schmidt
+from wsq.linalg import hermitian_eig
 from wsq.petz import (
     Feasible,
     InfeasibleOrthogonality,

@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from wsq.harness import oracle_align, versions_satisfy, worst_residual
 from wsq.phases import (
     Infeasible,
     PhaseConstraint,
     VersionAssignment,
     align_phases,
     cycle_defect,
-    oracle_align,
-    versions_satisfy,
-    worst_residual,
 )
 
 

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wsq.linalg import gram_matrix, inner, numerical_rank
-from wsq.phases import (
-    PhaseConstraint,
-    VersionAssignment,
-    cycle_defect,
-    versions_satisfy,
-)
+from wsq.harness import GeneratorSpec, generate, gram_schmidt, versions_satisfy
+from wsq.linalg import RANK_TOL, gram_matrix, gram_rank, inner
+from wsq.phases import PhaseConstraint, VersionAssignment, align_phases, cycle_defect
 from wsq.spectral import StateFamily, statistic_from_matrix
 from wsq.sufficiency import (
     ConstructedStatistic,
@@ -20,6 +16,8 @@ from wsq.sufficiency import (
     analyze,
     check_weak_sufficiency,
     exists_weakly_sufficient,
+    family_constraints,
+    statistic_from_directions,
     verify_witness,
 )
 
@@ -146,6 +144,53 @@ def test_construction_on_random_real_families():
         r = int(evs[-1])
         expected = list(range(1, r + 1)) if evs[0] == 1.0 else list(range(r + 1))
         assert list(evs) == [float(x) for x in expected]
+
+
+def greedy_directions(family, tol=RANK_TOL):
+    """The earlier construction, as the reference: keep each dressed state
+    that raises the numerical rank of the states kept before it, then
+    orthonormalize the kept states by Gram-Schmidt."""
+    aligned = align_phases(family_constraints(family), family.labels)
+    dressed = [aligned.phase(lab) * v for lab, v in zip(family.labels, family.vectors)]
+    kept = []
+    for vec in dressed:
+        if gram_rank(gram_matrix(kept + [vec]), tol) == len(kept) + 1:
+            kept.append(vec)
+    ortho, _ = gram_schmidt(kept, tol)
+    return np.array(ortho)
+
+
+@pytest.mark.parametrize("flavor", ["real_vectors", "complex_vectors", "orthogonal_planted"])
+def test_one_pass_selection_equals_the_greedy_rank_rule(flavor):
+    built = dropped = 0
+    for seed in range(60):
+        dim = 1 + seed % 6
+        n = 1 + seed // 6 % 8 if flavor != "orthogonal_planted" else 1 + seed // 6 % dim
+        _, family = generate(GeneratorSpec(dim=dim, n_states=n, flavor=flavor, seed=seed))
+        out = exists_weakly_sufficient(family)
+        if isinstance(out, NonExistence):
+            continue
+        reference = greedy_directions(family)
+        assert out.directions.shape == reference.shape, seed
+        assert np.abs(out.directions - reference).max() <= 1e-12, seed
+        assert len(out.statistic) == len(reference) + (len(reference) < dim)
+        built += 1
+        dropped += len(family) - len(reference)
+    assert built >= 20
+    assert dropped > 0 or flavor == "orthogonal_planted"
+
+
+def test_statistic_from_directions_numbers_the_directions():
+    s = 1.0 / math.sqrt(2.0)
+    rows = np.array([[s, s, 0.0], [s, -s, 0.0]], dtype=complex)
+    t = statistic_from_directions(rows)
+    assert list(t.eigenvalues) == [0.0, 1.0, 2.0]
+    assert np.allclose(t.projections[0], np.diag([0.0, 0.0, 1.0]), atol=1e-15)
+    assert np.allclose(t.projections[1] @ rows[0], rows[0], atol=1e-15)
+    full = statistic_from_directions(np.eye(2, dtype=complex))
+    assert list(full.eigenvalues) == [1.0, 2.0]
+    with pytest.raises(ValueError, match="not orthogonal"):
+        statistic_from_directions(np.array([[1.0, 0.0], [s, s]], dtype=complex))
 
 
 def test_single_state_sufficient_for_any_statistic():
@@ -277,7 +322,7 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
     )
     analysis = analyze(t, fam)
     comps = analysis.table.components
-    assert analysis.ranks == tuple(numerical_rank(comps[k]) for k in range(len(t)))
+    assert analysis.ranks == tuple(gram_rank(gram_matrix(comps[k])) for k in range(len(t)))
     assert analysis.ranks == (1, 2)
     expected = [
         (fam.labels[i], fam.labels[j], k)
@@ -315,7 +360,7 @@ def test_analysis_rank_classes_match_numerical_rank(seed):
     analysis = analyze(t, fam)
     comps = analysis.table.components
     order = np.argsort(t.eigenvalues)
-    assert analysis.ranks == tuple(numerical_rank(comps[k]) for k in range(len(t)))
+    assert analysis.ranks == tuple(gram_rank(gram_matrix(comps[k])) for k in range(len(t)))
     assert [analysis.ranks[k] for k in order] == [0, 1, 2, 3]
 
 
