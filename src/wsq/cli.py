@@ -3,9 +3,13 @@
 Exit codes follow one contract across all subcommands: 0 for an
 affirmative verdict, 1 for a negative verdict, 2 for errors; every
 verdict is decided exactly, none is left undecided.  Certificates go
-to stdout as JSON; human-readable diagnostics go to stderr.  --tol
-overrides the default tolerance, and the certificate records the
-tolerance that applied.
+to stdout as JSON; human-readable diagnostics go to stderr.
+
+check, construct, minimal and petz take --tol, the one tolerance their
+decision applies; fileio.SET_BY_TOL names the recorded keys it sets.  A
+value outside fileio.TOL_RANGE exits 2.  The certificate records every
+tolerance the decision applied, and the verifier replays it at them; a
+witness that fails its recorded tolerance exits 2 and prints nothing.
 """
 
 from __future__ import annotations
@@ -30,20 +34,32 @@ def _load(args, need_statistic: bool) -> fileio.Instance:
     return instance
 
 
+def _tol_kwargs(args) -> dict:
+    """The decision's tol keyword: empty when --tol was not given."""
+    return {} if args.tol is None else {"tol": args.tol}
+
+
+def _witness_residual(statistic, family, witness, cert: dict) -> float:
+    """The witness's residual; ValueError when it exceeds the recorded tolerance."""
+    tol = cert["tolerances"]["witness"]
+    check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
+    if not check.ok:
+        raise ValueError(f"the rank test passed but the witness residual "
+                         f"{check.max_residual:.3e} exceeds {tol:.1e}")
+    return check.max_residual
+
+
 def _cmd_check(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
-    tol = args.tol
-    kwargs = {} if tol is None else {"tol": tol}
-    verdict = sufficiency.check_weak_sufficiency(statistic, family, **kwargs)
-    overrides = None if tol is None else {"rank": tol, "witness": tol}
-    cert = fileio.make_certificate("weak_sufficiency", verdict,
-                                   tolerances=overrides)
-    print(fileio.serialize_certificate(cert))
+    verdict = sufficiency.check_weak_sufficiency(statistic, family, **_tol_kwargs(args))
+    cert = fileio.make_certificate("weak_sufficiency", verdict, tol=args.tol)
     if verdict.sufficient:
-        check = sufficiency.verify_witness(statistic, family, verdict.witness)
-        print(f"sufficient; witness residual {check.max_residual:.3e}", file=sys.stderr)
+        residual = _witness_residual(statistic, family, verdict.witness, cert)
+        print(fileio.serialize_certificate(cert))
+        print(f"sufficient; witness residual {residual:.3e}", file=sys.stderr)
         return AFFIRMATIVE
+    print(fileio.serialize_certificate(cert))
     reasons = ", ".join(type(v).__name__ for v in verdict.violations)
     print(f"not sufficient ({reasons})", file=sys.stderr)
     return NEGATIVE
@@ -51,11 +67,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     family = _load(args, need_statistic=False).family
-    tol = args.tol
-    kwargs = {} if tol is None else {"tol": tol}
-    result = sufficiency.exists_weakly_sufficient(family, **kwargs)
-    overrides = None if tol is None else {"rank": tol, "witness": tol}
-    cert = fileio.make_certificate("existence", result, tolerances=overrides)
+    result = sufficiency.exists_weakly_sufficient(family, **_tol_kwargs(args))
+    cert = fileio.make_certificate("existence", result, tol=args.tol)
+    if isinstance(result, sufficiency.ConstructedStatistic):
+        _witness_residual(result.statistic, family, result.witness, cert)
     print(fileio.serialize_certificate(cert))
     if isinstance(result, sufficiency.ConstructedStatistic):
         print(f"constructed a statistic with {len(result.statistic)} atoms",
@@ -69,12 +84,9 @@ def _cmd_construct(args) -> int:
 def _cmd_minimal(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
-    tol = args.tol
-    kwargs = {} if tol is None else {"tol": tol}
-    result = minimality.minimal_statistic(statistic, family, **kwargs)
-    overrides = None if tol is None else {"rank": tol}
-    cert = fileio.make_certificate("minimality", result, tolerances=overrides)
-    print(fileio.serialize_certificate(cert))
+    result = minimality.minimal_statistic(statistic, family, **_tol_kwargs(args))
+    print(fileio.serialize_certificate(
+        fileio.make_certificate("minimality", result, tol=args.tol)))
     if isinstance(result, minimality.NoMinimalExists):
         print(f"no minimal statistic: atom {result.dead_atom} carries no state",
               file=sys.stderr)
@@ -85,7 +97,6 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_petz(args) -> int:
     loaded = _load(args, need_statistic=True)
-    tol = args.tol
     # an overlap refusal rests on the states alone: no statistic is decomposed
     bad = petz.orthogonality_precheck(loaded.family)
     if bad is not None:
@@ -93,13 +104,9 @@ def _cmd_petz(args) -> int:
     else:
         instance = petz.PetzInstance.from_parts(loaded.statistic, loaded.family,
                                                 unital=not args.non_unital)
-        kwargs = {} if tol is None else {"tol": tol}
-        result = petz.petz_feasibility(instance, **kwargs)
-    overrides = None if tol is None else {"petz_feasibility": tol}
-    cert = fileio.make_certificate("petz", result,
-                                   parameters={"unital": not args.non_unital},
-                                   tolerances=overrides)
-    print(fileio.serialize_certificate(cert))
+        result = petz.petz_feasibility(instance, **_tol_kwargs(args))
+    print(fileio.serialize_certificate(fileio.make_certificate(
+        "petz", result, parameters={"unital": not args.non_unital}, tol=args.tol)))
     if isinstance(result, Feasible):
         print(f"feasible (residual {result.max_constraint_residual:.3e})", file=sys.stderr)
         return AFFIRMATIVE
@@ -157,35 +164,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, text in (
+        ("check", _cmd_check, "decide weak sufficiency of the file's statistic"),
+        ("construct", _cmd_construct,
+         "construct a weakly sufficient statistic or prove none exists"),
+        ("minimal", _cmd_minimal, "construct the minimal sufficient coarse-graining"),
+        ("petz", _cmd_petz, "decide channel-sufficiency feasibility"),
+        ("oracle", _cmd_oracle, "cross-check the decision against brute force"),
+    ):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--input", required=True, help="instance file (JSON)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
-
-    p = sub.add_parser("check", help="decide weak sufficiency of the file's statistic")
-    add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("construct",
-                       help="construct a weakly sufficient statistic or prove none exists")
-    add_common(p)
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("minimal", help="construct the minimal sufficient coarse-graining")
-    add_common(p)
-    p.set_defaults(func=_cmd_minimal)
-
-    p = sub.add_parser("petz", help="decide channel-sufficiency feasibility")
-    add_common(p)
-    p.add_argument("--non-unital", action="store_true",
-                   help="drop the trace-one constraint on the solution blocks")
-    p.set_defaults(func=_cmd_petz)
-
-    p = sub.add_parser("oracle", help="cross-check the decision against brute force")
-    add_common(p)
-    p.add_argument("--steps", type=int, default=24,
-                   help="phase grid resolution for the brute-force search")
-    p.set_defaults(func=_cmd_oracle)
+        if name != "oracle":
+            p.add_argument("--tol", type=float, default=None,
+                           help="the decision's tolerance, in [%g, %g]" % fileio.TOL_RANGE)
+        p.set_defaults(func=func)
+    sub.choices["oracle"].add_argument("--steps", type=int, default=24,
+                                       help="phase grid resolution for the brute-force search")
+    sub.choices["petz"].add_argument("--non-unital", action="store_true",
+                                     help="drop the trace-one constraint on the solution blocks")
 
     p = sub.add_parser("selftest", help="run bundled examples and the property suite")
     p.add_argument("--seed", type=int, default=0, help="property suite seed")
@@ -202,6 +198,8 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return ERROR if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "tol", None) is not None:
+            fileio.check_tolerance(args.tol)
         return args.func(args)
     except (fileio.SchemaError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

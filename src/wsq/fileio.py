@@ -11,7 +11,7 @@ eigendecomposition waits until a question reads the statistic, so
 it, nor meet its errors.  Certificates mirror the in-memory verdict
 types and carry the tool version and the tolerances that produced them,
 so a verifier holding only the instance file and the certificate file
-can re-check the verdict from scratch.
+can re-check the verdict from scratch, at those same tolerances.
 """
 
 from __future__ import annotations
@@ -29,7 +29,16 @@ from .linalg import RANK_TOL, as_hermitian, hermitian_part, inner
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
-CERTIFICATE_KINDS = ("weak_sufficiency", "existence", "minimality", "petz")
+# The tolerances each kind's decision applies, at their defaults.  A
+# caller's one tol replaces those named in SET_BY_TOL, and the verifier
+# replays each verdict at the recorded values.
+_RANK_ANGLE = {"rank": RANK_TOL, "angle": phases.ANGLE_TOL}
+_WITNESSED = {**_RANK_ANGLE, "witness": sufficiency.WITNESS_TOL}
+TOLERANCES = {"weak_sufficiency": _WITNESSED, "existence": _WITNESSED,
+              "minimality": _RANK_ANGLE, "petz": {"petz_feasibility": petz.FEASIBILITY_TOL}}
+SET_BY_TOL = ("rank", "witness", "petz_feasibility")
+TOL_RANGE = (1e-14, 1e-3)
+CERTIFICATE_KINDS = tuple(TOLERANCES)
 
 
 class SchemaError(ValueError):
@@ -42,6 +51,18 @@ class SchemaError(ValueError):
 
 def _fail(path: str, problem: str):
     raise SchemaError(f"{path}: {problem}")
+
+
+def check_tolerance(value) -> None:
+    """ValueError unless value is a float inside TOL_RANGE.
+
+    The command line checks --tol with it, the verifier every recorded
+    tolerance: nothing is decided or verified at nan, inf, 0 or below,
+    or at a value so large that any two states look parallel.
+    """
+    low, high = TOL_RANGE
+    if not isinstance(value, float) or not low <= value <= high:
+        raise ValueError(f"tolerance must be a number in [{low:g}, {high:g}], got {value!r}")
 
 
 def _real(node, path: str) -> float:
@@ -293,26 +314,19 @@ def _directions_from_json(node, path: str, dim: int):
 
 
 def make_certificate(kind: str, result, parameters: dict | None = None,
-                     tolerances: dict | None = None) -> dict:
+                     tol: float | None = None) -> dict:
     """Build a certificate dictionary from a module-level result object.
 
-    ``tolerances`` overrides individual entries of the recorded tolerance
-    block, so certificates reflect the thresholds that actually applied.
+    The tolerance block records what the kind's decision applied: the
+    defaults of TOLERANCES[kind], with ``tol``, the one tolerance the
+    caller passed to the decision, in place of those in SET_BY_TOL.
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind '{kind}'")
-    tol_block = {
-        "angle": phases.ANGLE_TOL,
-        "rank": RANK_TOL,
-        "witness": 1e-7,
-        "petz_feasibility": petz.FEASIBILITY_TOL,
-        "petz_structural": petz.STRUCTURAL_TOL,
-    }
-    if tolerances:
-        for key, value in tolerances.items():
-            if key not in tol_block:
-                raise ValueError(f"unknown tolerance key '{key}'")
-            tol_block[key] = float(value)
+    if tol is not None:
+        check_tolerance(tol)
+    tol_block = {key: tol if tol is not None and key in SET_BY_TOL else default
+                 for key, default in TOLERANCES[kind].items()}
     cert: dict = {
         "kind": kind,
         "tool_version": TOOL_VERSION,
@@ -350,8 +364,6 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
         elif isinstance(result, sufficiency.NonExistence):
             cert["verdict"] = "no_statistic_exists"
             cert["payload"] = {"phase_cycle": _cycle_json(result.cycle)}
-        else:
-            raise ValueError(f"unsupported existence result {type(result).__name__}")
     elif kind == "minimality":
         if isinstance(result, minimality.MinimalStatistic):
             cert["verdict"] = "minimal_constructed"
@@ -364,8 +376,6 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
         elif isinstance(result, minimality.NoMinimalExists):
             cert["verdict"] = "no_minimal_exists"
             cert["payload"] = {"dead_atom": result.dead_atom}
-        else:
-            raise ValueError(f"unsupported minimality result {type(result).__name__}")
     elif kind == "petz":
         if isinstance(result, petz.Feasible):
             cert["verdict"] = "feasible"
@@ -385,8 +395,8 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
                 "state": result.state,
                 "pairs": [[k, other] for k, other in result.pairs],
             }
-        else:
-            raise ValueError(f"unsupported petz result {type(result).__name__}")
+    if "verdict" not in cert:
+        raise ValueError(f"unsupported {kind} result {type(result).__name__}")
     return cert
 
 
@@ -417,8 +427,10 @@ class VerificationReport:
     detail: str
 
 
-def _verify_cycle_against(constraint_pool, cycle, tol: float):
-    """Check every cycle edge is a genuine instance constraint, then the defect."""
+def _cycle_report(constraint_pool, node, tol: float) -> VerificationReport:
+    """Match every edge of the payload's cycle to an instance constraint, then
+    compare its defect with tol; SchemaError when the cycle cannot be read."""
+    cycle = _cycle_from_json(node, "$.payload.phase_cycle")
     pool = {}
     for c in constraint_pool:
         pool.setdefault((c.left, c.right, c.atom), []).append(c.value)
@@ -426,29 +438,25 @@ def _verify_cycle_against(constraint_pool, cycle, tol: float):
     for c in cycle:
         candidates = pool.get((c.left, c.right, c.atom), [])
         if not any(abs(v - c.value) <= 1e-6 * max(1.0, abs(v)) for v in candidates):
-            return False, (
-                f"cycle edge {c.left}->{c.right} (atom {c.atom}) "
-                "is not a constraint of this instance"
-            )
+            return VerificationReport(False, f"cycle edge {c.left}->{c.right} (atom {c.atom}) "
+                                             "is not a constraint of this instance")
     defect = phases.cycle_defect(cycle)
     if defect <= tol:
-        return False, f"cycle defect {defect:.3e} is below tolerance"
-    return True, f"cycle of length {len(cycle)} with defect {defect:.6f}"
+        return VerificationReport(False, f"cycle defect {defect:.3e} is below tolerance")
+    return VerificationReport(True, f"cycle of length {len(cycle)} with defect {defect:.6f}")
 
 
-def verify_certificate(instance_text: str, certificate_text: str,
-                       tol: float = 1e-7) -> VerificationReport:
+def verify_certificate(instance_text: str, certificate_text: str) -> VerificationReport:
     """Re-check a certificate using only the two files.
 
-    Positive verdicts are re-verified directly (witness residuals, PSD
-    checks, constraint residuals); a constructed statistic is rebuilt
-    from its directions by sufficiency.statistic_from_directions, as the
-    construction built it, before its witness is replayed.  Negative
-    verdicts are re-verified through their own evidence: rank violations
-    are recomputed, cycle constraints are matched against the instance,
-    overlaps are recomputed, and each shared atom of a petz refusal is
-    replayed from the recomputed weights and the recorded
-    petz_feasibility tolerance.
+    The tolerance block must hold exactly the kind's TOLERANCES keys,
+    each a check_tolerance, and every verdict is replayed at them:
+    witnesses at ``witness``; rank violations, a minimal partition and a
+    dead atom at ``rank``; cycle defects at ``angle``; a petz refusal's
+    shared atoms at ``petz_feasibility``.  A constructed statistic is
+    rebuilt from its directions by sufficiency.statistic_from_directions
+    before its witness is replayed; cycle edges are matched against the
+    instance; overlaps, PSD checks and constraint residuals are recomputed.
     A certificate that does not prove its claim, or cannot be read,
     yields ok=False.  Only a malformed instance raises: at read time, or
     when a verdict that reads the statistic meets a dense matrix that
@@ -457,7 +465,7 @@ def verify_certificate(instance_text: str, certificate_text: str,
     """
     instance = read_instance(instance_text)
     try:
-        return _replay(instance, parse_certificate(certificate_text), tol)
+        return _replay(instance, parse_certificate(certificate_text))
     except SchemaError as exc:
         return VerificationReport(False, f"malformed certificate: {exc}")
 
@@ -483,15 +491,20 @@ def _on_eigenvalues(table: dict[float, float], eigenvalues) -> dict[float, float
     return keyed
 
 
-def _check_witness(statistic, family, payload: dict, tol: float) -> sufficiency.WitnessCheck:
-    """Replay the payload's witness; SchemaError when it does not fit the instance."""
+def _witness_report(statistic, family, payload: dict, tol: float,
+                    verified: str) -> VerificationReport:
+    """Replay the payload's witness at tol; SchemaError when it does not fit the instance."""
     witness = _witness_from_json(payload.get("witness"), "$.payload.witness", family.dim)
     witness.functions = {label: _on_eigenvalues(table, statistic.eigenvalues)
                          for label, table in witness.functions.items()}
     try:
-        return sufficiency.verify_witness(statistic, family, witness, tol=tol)
+        check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
     except ValueError as exc:
         _fail("$.payload.witness", str(exc))
+    if not check.ok:
+        return VerificationReport(
+            False, f"witness residual {check.max_residual:.3e} exceeds {tol:.1e}")
+    return VerificationReport(True, f"{verified} {check.max_residual:.3e}")
 
 
 def _blocks_equal(node, blocks) -> bool:
@@ -503,13 +516,27 @@ def _blocks_equal(node, blocks) -> bool:
     )
 
 
-def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
+def _tolerances_from_json(node, kind: str) -> dict[str, float]:
+    """The recorded tolerance block: exactly the kind's keys, each valid."""
+    keys = sorted(TOLERANCES[kind])
+    if not isinstance(node, dict) or sorted(node) != keys:
+        _fail("$.tolerances", f"expected an object with the keys {', '.join(keys)}")
+    for key in keys:
+        try:
+            check_tolerance(node[key])
+        except ValueError as exc:
+            _fail(f"$.tolerances.{key}", str(exc))
+    return node
+
+
+def _replay(instance: Instance, cert: dict) -> VerificationReport:
     """verify_certificate on a read instance; SchemaError means an unreadable payload.
 
     Only the verdicts that rest on the statistic read it, so only they
     decompose a dense matrix: not ``existence``, nor a petz overlap.
     """
     kind, verdict, payload = cert["kind"], cert["verdict"], cert["payload"]
+    tols = _tolerances_from_json(cert.get("tolerances"), kind)
     family = instance.family
     if kind != "existence" and not instance.has_statistic:
         return VerificationReport(False, "instance file carries no statistic")
@@ -517,16 +544,10 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
     if kind == "weak_sufficiency":
         statistic = instance.statistic
         if verdict == "sufficient":
-            check = _check_witness(statistic, family, payload, tol)
-            if not check.ok:
-                return VerificationReport(
-                    False, f"witness residual {check.max_residual:.3e} exceeds {tol:.1e}"
-                )
-            return VerificationReport(
-                True, f"witness verified, max residual {check.max_residual:.3e}"
-            )
+            return _witness_report(statistic, family, payload, tols["witness"],
+                                   "witness verified, max residual")
         if verdict == "not_sufficient":
-            analysis = sufficiency.analyze(statistic, family)
+            analysis = sufficiency.analyze(statistic, family, tols["rank"])
             if "rank_violations" in payload:
                 items = payload["rank_violations"]
                 if not isinstance(items, list) or not items:
@@ -537,19 +558,13 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
                     k = item.get("atom")
                     if not isinstance(k, int) or not 0 <= k < len(statistic):
                         return VerificationReport(False, f"bad atom index {k!r}")
-                    rank = analysis.ranks[k]
-                    if rank != item.get("dimension") or rank <= 1:
-                        return VerificationReport(
-                            False,
-                            f"atom {k} has component rank {rank}, "
-                            f"certificate claims {item.get('dimension')}",
-                        )
+                    rank, claim = analysis.ranks[k], item.get("dimension")
+                    if rank != claim or rank <= 1:
+                        return VerificationReport(False, f"atom {k} has component rank "
+                                                         f"{rank}, certificate claims {claim}")
                 return VerificationReport(True, "rank violations confirmed")
             if "phase_cycle" in payload:
-                cycle = _cycle_from_json(payload["phase_cycle"], "$.payload.phase_cycle")
-                ok, detail = _verify_cycle_against(
-                    analysis.constraints, cycle, phases.ANGLE_TOL)
-                return VerificationReport(ok, detail)
+                return _cycle_report(analysis.constraints, payload["phase_cycle"], tols["angle"])
             return VerificationReport(False, "negative verdict carries no evidence")
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
@@ -558,19 +573,11 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
             built = _directions_from_json(
                 payload.get("directions"), "$.payload.directions", family.dim
             )
-            check = _check_witness(built, family, payload, tol)
-            if not check.ok:
-                return VerificationReport(
-                    False, f"witness residual {check.max_residual:.3e} exceeds {tol:.1e}"
-                )
-            return VerificationReport(
-                True, f"constructed statistic verified, residual {check.max_residual:.3e}"
-            )
+            return _witness_report(built, family, payload, tols["witness"],
+                                   "constructed statistic verified, residual")
         if verdict == "no_statistic_exists":
-            cycle = _cycle_from_json(payload.get("phase_cycle"), "$.payload.phase_cycle")
-            pool = sufficiency.family_constraints(family)
-            ok, detail = _verify_cycle_against(pool, cycle, phases.ANGLE_TOL)
-            return VerificationReport(ok, detail)
+            return _cycle_report(sufficiency.family_constraints(family),
+                                 payload.get("phase_cycle"), tols["angle"])
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "minimality":
@@ -580,7 +587,7 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
             if not isinstance(partition, list):
                 return VerificationReport(False, "payload carries no partition")
             try:
-                minimal = minimality.minimal_statistic(statistic, family)
+                minimal = minimality.minimal_statistic(statistic, family, tols["rank"])
             except ValueError as exc:
                 return VerificationReport(False, f"no minimal statistic to confirm: {exc}")
             if isinstance(minimal, minimality.NoMinimalExists):
@@ -602,7 +609,7 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
                 return VerificationReport(False, f"bad dead atom index {k!r}")
             weights = spectral.project_states(statistic, family).weights
             heaviest = float(weights[:, k].max())
-            if heaviest > RANK_TOL:
+            if heaviest > tols["rank"]:
                 return VerificationReport(
                     False, f"atom {k} carries weight {heaviest:.3e}, not dead"
                 )
@@ -663,11 +670,10 @@ def _replay(instance: Instance, cert: dict, tol: float) -> VerificationReport:
                 )
         return VerificationReport(True, f"feasible solution verified, residual {worst:.3e}")
     if verdict == "infeasible_shared_atoms":
-        tols, pairs = cert.get("tolerances"), payload.get("pairs")
-        tol = tols.get("petz_feasibility") if isinstance(tols, dict) else None
-        if not isinstance(tol, float) or not tol >= 0 or not isinstance(pairs, list):
-            return VerificationReport(False, "payload or petz_feasibility tolerance missing")
-        loads = weights > tol
+        pairs = payload.get("pairs")
+        if not isinstance(pairs, list):
+            return VerificationReport(False, "payload carries no list of pairs")
+        loads = weights > tols["petz_feasibility"]
         try:
             n = family.index(payload.get("state"))
             named = [(k, family.index(other)) for k, other in pairs]

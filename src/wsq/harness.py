@@ -66,6 +66,7 @@ from .spectral import (
     statistic_from_matrix,
 )
 from .sufficiency import (
+    WITNESS_TOL,
     NonExistence,
     check_weak_sufficiency,
     exists_weakly_sufficient,
@@ -791,19 +792,19 @@ def _prop_witness_soundness(rng, count):
         if not verdict.sufficient:
             continue
         checked += 1
-        check = verify_witness(statistic, family, verdict.witness, tol=1e-7)
+        check = verify_witness(statistic, family, verdict.witness)
         worst = max(worst, check.max_residual)
         if not check.ok:
             def still_failing(t, f):
                 if t is None:
                     return False
                 v = check_weak_sufficiency(t, f)
-                return v.sufficient and not verify_witness(t, f, v.witness, tol=1e-7).ok
+                return v.sufficient and not verify_witness(t, f, v.witness).ok
 
             small_t, small_f = shrink_instance(statistic, family, still_failing)
             return (
                 False,
-                f"witness residual {check.max_residual:.3e} exceeds 1e-07 "
+                f"witness residual {check.max_residual:.3e} exceeds {WITNESS_TOL:.0e} "
                 f"({spec.flavor})",
                 serialize_instance(small_t, small_f),
             )
@@ -822,7 +823,7 @@ def _prop_construction_roundtrip(rng, count):
         if not isinstance(result, sufficiency_mod.ConstructedStatistic):
             return False, f"construction failed on a real family (trial {trial})", \
                 serialize_instance(None, family)
-        check = verify_witness(result.statistic, family, result.witness, tol=1e-7)
+        check = verify_witness(result.statistic, family, result.witness)
         worst = max(worst, check.max_residual)
         if not check.ok:
             return False, f"constructed witness residual {check.max_residual:.3e}", \

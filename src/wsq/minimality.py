@@ -113,8 +113,7 @@ def _sufficient_analysis(t: DiscreteStatistic, family: StateFamily, tol: float) 
     return analysis
 
 
-def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily,
-                            cmap: CoarseMap, tol: float = RANK_TOL) -> bool:
+def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily, cmap: CoarseMap) -> bool:
     """Is f(T) still weakly sufficient?  Decided from the classes alone.
 
     Requires (t, family) itself to be weakly sufficient.  One Analysis
@@ -122,8 +121,8 @@ def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily,
     the coarse-graining is harmless iff all its active atoms lie in one
     proportionality class, so the coarse statistic is never built.
     """
-    analysis = _sufficient_analysis(t, family, tol)
-    classes = equivalence_classes(analysis, tol)
+    analysis = _sufficient_analysis(t, family, RANK_TOL)
+    classes = equivalence_classes(analysis)
     for _, block in coarse_blocks(t, cmap):
         homes = {classes.class_index(k) for k in block if analysis.active[k]}
         if len(homes) > 1:
@@ -158,11 +157,11 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     return MinimalStatistic(statistic=coarse, classes=classes, partition=partition)
 
 
-def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic,
-                   tol: float = RANK_TOL):
+def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic):
     """Relabelling psi with s = psi(u), or None.
 
-    Each atom of u must sit inside exactly one atom of s; the returned
+    Each atom of u must sit inside exactly one atom of s (to RANK_TOL,
+    entrywise); the returned
     dict maps u-eigenvalues to s-eigenvalues.
     """
     if s.dim != u.dim:
@@ -172,7 +171,7 @@ def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic,
         hosts = [
             j
             for j, q in enumerate(s.projections)
-            if np.abs(q @ f - f).max() <= tol
+            if np.abs(q @ f - f).max() <= RANK_TOL
         ]
         if len(hosts) != 1:
             return None

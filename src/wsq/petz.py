@@ -98,12 +98,12 @@ class StructuralReport:
     violations: list[str] = field(default_factory=list)
 
 
-def orthogonality_precheck(family: StateFamily, tol: float = ORTHOGONALITY_TOL):
-    """First overlapping pair of states, or None if pairwise orthogonal."""
+def orthogonality_precheck(family: StateFamily):
+    """First pair overlapping above ORTHOGONALITY_TOL, or None."""
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             overlap = inner(family.vectors[i], family.vectors[j])
-            if abs(overlap) > tol:
+            if abs(overlap) > ORTHOGONALITY_TOL:
                 return (family.labels[i], family.labels[j]), overlap
     return None
 
@@ -154,12 +154,12 @@ def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
     return Feasible(rhos=rhos, max_constraint_residual=residual)
 
 
-def structural_check(instance: PetzInstance, cert: Feasible,
-                     tol: float = STRUCTURAL_TOL) -> StructuralReport:
+def structural_check(instance: PetzInstance, cert: Feasible) -> StructuralReport:
     """Verify the representation structure of a feasible certificate.
 
-    Every atom carrying weight of some state must be loaded by exactly
-    one state, and its rho must be the projector onto that state.  Atoms
+    Every atom carrying weight above STRUCTURAL_TOL of some state must be
+    loaded by exactly one state, and its rho must be the projector onto
+    that state, within 10 STRUCTURAL_TOL.  Atoms
     carrying no weight are unconstrained.  Only meaningful for unital
     instances; scaling is allowed otherwise.
     """
@@ -169,7 +169,7 @@ def structural_check(instance: PetzInstance, cert: Feasible,
     fam = instance.family
     violations: list[str] = []
     for k in range(len(instance.statistic)):
-        loaded = [n for n in range(len(fam)) if w[n, k] > tol]
+        loaded = [n for n in range(len(fam)) if w[n, k] > STRUCTURAL_TOL]
         if len(loaded) > 1:
             names = ", ".join(fam.labels[n] for n in loaded)
             violations.append(f"atom {k} is loaded by several states: {names}")
@@ -179,7 +179,7 @@ def structural_check(instance: PetzInstance, cert: Feasible,
         n = loaded[0]
         target = np.outer(fam.vectors[n], fam.vectors[n].conj())
         deviation = float(np.abs(cert.rhos[k] - target).max())
-        if deviation > 10.0 * tol:
+        if deviation > 10.0 * STRUCTURAL_TOL:
             violations.append(
                 f"rho[{k}] deviates from the projector onto "
                 f"'{fam.labels[n]}' by {deviation:.3e}"

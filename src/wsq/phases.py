@@ -95,13 +95,13 @@ def _check_labels(constraints, labels) -> list[str]:
     return labels
 
 
-def align_phases(constraints, labels, angle_tol: float = ANGLE_TOL):
+def align_phases(constraints, labels):
     """Decide whether all constraints can be made real simultaneously.
 
     Returns a VersionAssignment on success (the lexicographically first
     label of each connected component gets phase 1) or an Infeasible
-    witness carrying an inconsistent cycle.  Exact up to floating-point
-    accumulation: offsets are propagated, never searched.
+    witness carrying a cycle whose defect exceeds ANGLE_TOL.  Exact up to
+    floating-point accumulation: offsets are propagated, never searched.
     """
     labels = _check_labels(constraints, labels)
     parent = {lab: lab for lab in labels}
@@ -127,7 +127,7 @@ def align_phases(constraints, labels, angle_tol: float = ANGLE_TOL):
         root_l, off_l = find(c.left)
         root_r, off_r = find(c.right)
         if root_l == root_r:
-            if _defect_distance(off_l - off_r - target) > angle_tol:
+            if _defect_distance(off_l - off_r - target) > ANGLE_TOL:
                 path = _forest_path(forest, c.left, c.right)
                 return Infeasible(cycle=path + [c])
             continue

@@ -27,16 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import RANK_TOL, gram_matrix, gram_rank, hermitian_part, norm, pair_rank_two
-from .phases import (
-    ANGLE_TOL,
-    Infeasible,
-    PhaseConstraint,
-    VersionAssignment,
-    align_phases,
-)
+from .phases import Infeasible, PhaseConstraint, VersionAssignment, align_phases
 from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
 
 ZERO_TOL = 1e-10          # overlaps below this (times the norms) impose nothing
+WITNESS_TOL = 1e-7        # largest residual a verified witness may leave
 REPRESENTATIVE_FLOOR = 1e-6   # relative norm floor when picking a direction
 
 # Fault-injection point for the self-test harness; never disable otherwise.
@@ -123,7 +118,7 @@ class Analysis:
     xi: dict[int, np.ndarray]
     active: tuple[bool, ...]
 
-    def decide(self, angle_tol: float = ANGLE_TOL) -> tuple[list, VersionAssignment | None]:
+    def decide(self) -> tuple[list, VersionAssignment | None]:
         """Rank test, then phase alignment: (violations, versions).
 
         Exactly one of the two is empty: the violations refuse, the
@@ -134,14 +129,14 @@ class Analysis:
                           for k, r in enumerate(self.ranks) if r > 1]
             if violations:
                 return violations, None
-        aligned = align_phases(self.constraints, self.family.labels, angle_tol)
+        aligned = align_phases(self.constraints, self.family.labels)
         if isinstance(aligned, Infeasible):
             return [PhaseObstruction(aligned.cycle)], None
         return [], aligned
 
-    def verdict(self, angle_tol: float = ANGLE_TOL) -> SufficiencyVerdict:
+    def verdict(self) -> SufficiencyVerdict:
         """The decision, with the witness built from its versions."""
-        violations, versions = self.decide(angle_tol)
+        violations, versions = self.decide()
         if violations:
             return SufficiencyVerdict(False, None, violations)
         return SufficiencyVerdict(True, self._witness(versions), [])
@@ -204,8 +199,7 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
-                           tol: float = RANK_TOL,
-                           angle_tol: float = ANGLE_TOL) -> SufficiencyVerdict:
+                           tol: float = RANK_TOL) -> SufficiencyVerdict:
     """Decide whether t is weakly sufficient for the family.
 
     Returns a verdict carrying either a witness factorization (chi, one
@@ -213,11 +207,11 @@ def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
     violations: atoms of projected dimension >= 2 and/or an inconsistent
     phase cycle.
     """
-    return analyze(t, family, tol).verdict(angle_tol)
+    return analyze(t, family, tol).verdict()
 
 
 def verify_witness(t: DiscreteStatistic, family: StateFamily,
-                   witness: WitnessFactorization, tol: float = 1e-7) -> WitnessCheck:
+                   witness: WitnessFactorization, tol: float = WITNESS_TOL) -> WitnessCheck:
     """Independently re-check a witness: ||f_theta(T) chi - c_theta phi_theta||.
 
     Uses only function evaluation on the statistic; nothing from the
@@ -289,8 +283,7 @@ def statistic_from_directions(directions) -> DiscreteStatistic:
     return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
 
 
-def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL,
-                             angle_tol: float = ANGLE_TOL):
+def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
     """Decide whether any weakly sufficient statistic exists for the family.
 
     Existence depends only on whether the full Gram matrix can be made
@@ -304,7 +297,7 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL,
     """
     labels = family.labels
     constraints = family_constraints(family)
-    aligned = align_phases(constraints, labels, angle_tol)
+    aligned = align_phases(constraints, labels)
     if isinstance(aligned, Infeasible):
         return NonExistence(cycle=aligned.cycle)
     directions: list[np.ndarray] = []
@@ -320,7 +313,7 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL,
             directions.append(resid / np.sqrt(square))
     rows = np.array(directions).reshape(-1, family.dim)
     statistic = statistic_from_directions(rows)
-    verdict = check_weak_sufficiency(statistic, family, tol, angle_tol)
+    verdict = check_weak_sufficiency(statistic, family, tol)
     if not verdict.sufficient:   # pragma: no cover - internal consistency
         raise RuntimeError("constructed statistic failed its own sufficiency check")
     return ConstructedStatistic(statistic=statistic, directions=rows, witness=verdict.witness)

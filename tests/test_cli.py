@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from wsq import cli, linalg
+from wsq import cli, fileio, harness, linalg
 from wsq.cli import run_cli
 from wsq.fileio import (
     load_bundled_instance,
@@ -204,13 +204,25 @@ def test_parser_is_built_once_per_process(bundled_path, capsys, monkeypatch):
     assert built.count("wsq") == 1
 
 
-def test_tol_flag_is_recorded(bundled_path, capsys):
-    code = run_cli(["check", "--input", str(bundled_path), "--tol", "1e-10"])
+@pytest.mark.parametrize("command, code, block", [
+    ("check", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
+    ("construct", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
+    ("minimal", 0, {"rank": 1e-10, "angle": 1e-6}),
+    ("petz", 1, {"petz_feasibility": 1e-10}),
+])
+def test_tol_flag_is_recorded(bundled_path, capsys, command, code, block):
+    assert run_cli([command, "--input", str(bundled_path), "--tol", "1e-10"]) == code
+    out = capsys.readouterr().out
+    assert parse_certificate(out)["tolerances"] == block
+    assert verify_certificate(bundled_path.read_text(), out).ok
+
+
+def test_oracle_takes_no_tol(bundled_path, capsys):
+    code = run_cli(["oracle", "--input", str(bundled_path), "--tol", "5"])
     out = capsys.readouterr()
-    assert code == 0
-    cert = parse_certificate(out.out)
-    assert cert["tolerances"]["rank"] == 1e-10
-    assert cert["tolerances"]["witness"] == 1e-10
+    assert code == 2
+    assert out.out == ""
+    assert "usage" in out.err.lower() and "unrecognized arguments: --tol 5" in out.err
 
 
 def test_certificates_go_to_stdout_diagnostics_to_stderr(bundled_path, capsys):
@@ -386,3 +398,102 @@ def test_undecomposable_matrix_fails_only_the_questions_that_read_it(tmp_path, c
         make_certificate("weak_sufficiency", check_weak_sufficiency(bundled, family)))
     with pytest.raises(ValueError, match="strictly ascending"):
         verify_certificate(orthogonal.read_text(), cert)
+
+
+# ------------------------------------------- tolerances: range and replay
+
+
+def diagonal_instance(path, diagonal, states):
+    """An instance file with T = diag(diagonal) and real states a, b, ..."""
+    labels = "abcdefgh"[:len(states)]
+    return dense_instance(path, np.diag(diagonal), dict(zip(labels, states)))
+
+
+def near_parallel_path(tmp_path):
+    """T = diag(1, 1, 2) and states e0, (e0 + 1e-5 e1)/|.|: at the default
+    rank tolerance one atom holds both at rank 1, but the witness leaves
+    the 1e-5 component out."""
+    b = np.array([1.0, 1e-5, 0.0]) / math.hypot(1.0, 1e-5)
+    return diagonal_instance(tmp_path / "near.json", [1.0, 1.0, 2.0], [[1.0, 0.0, 0.0], b])
+
+
+def reproduction_paths(tmp_path):
+    b = [0.3, 0.303, math.sqrt(1.0 - 0.09 - 0.303 ** 2)]
+    return {
+        "A": diagonal_instance(tmp_path / "A.json", [1.0, 1.0, 2.0],
+                               [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]]),
+        "B": diagonal_instance(tmp_path / "B.json", [1.0, 2.0, 3.0],
+                               [[0.6, 0.6, math.sqrt(0.28)], b]),
+        "C": near_parallel_path(tmp_path),
+    }
+
+
+def run_and_verify(path, argv, capsys):
+    """Exit code and certificate of one command; an emitted certificate
+    (exit 0 or 1) must pass verify_certificate, and exit 2 prints none."""
+    capsys.readouterr()
+    code = run_cli(argv + ["--input", str(path)])
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err, (argv, out.err)
+    if code == 2:
+        assert out.out == "", argv
+        return code, None
+    report = verify_certificate(path.read_text(), out.out)
+    assert report.ok, (path.name, argv, report.detail)
+    return code, parse_certificate(out.out)
+
+
+def test_check_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, capsys):
+    path = near_parallel_path(tmp_path)
+    code = run_cli(["check", "--input", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == ("error: the rank test passed but the witness residual "
+                       "1.000e-05 exceeds 1.0e-07\n")
+
+
+def test_reproductions_verify_or_exit_2(tmp_path, capsys):
+    paths = reproduction_paths(tmp_path)
+    for command in ("check", "construct"):
+        for tol in ("1", "nan", "-1"):
+            assert run_and_verify(paths["A"], [command, "--tol", tol], capsys)[0] == 2
+    code, cert = run_and_verify(paths["B"], ["minimal", "--tol", "1e-4"], capsys)
+    assert code == 0 and cert["payload"]["partition"] == [[0, 1], [2]]
+    code, cert = run_and_verify(paths["C"], ["check", "--tol", "1e-12"], capsys)
+    assert code == 1
+    assert cert["payload"] == {"rank_violations": [{"atom": 0, "dimension": 2}]}
+
+
+def sweep_paths(tmp_path):
+    paths = dict(reproduction_paths(tmp_path), bundled=tmp_path / "bundled.json")
+    paths["bundled"].write_text(serialize_instance(*load_bundled_instance()))
+    for flavor in harness.FLAVORS:
+        for seed in range(2):
+            spec = harness.GeneratorSpec(dim=4, n_states=3, flavor=flavor, seed=seed)
+            path = tmp_path / f"{flavor}{seed}.json"
+            path.write_text(serialize_instance(*harness.generate(spec)))
+            paths[path.stem] = path
+    return paths
+
+
+def test_certificates_verify_across_the_tolerance_range(tmp_path, capsys):
+    low, high = fileio.TOL_RANGE
+    grid = np.geomspace(low, high, 12)
+    assert grid[0] == low and math.isclose(grid[-1], high)
+    codes = set()
+    for path in sweep_paths(tmp_path).values():
+        for command in ("check", "construct", "minimal", "petz"):
+            for tol in grid:
+                codes.add(run_and_verify(path, [command, "--tol", repr(float(tol))], capsys)[0])
+    assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "1e-15", "0.002"])
+def test_tolerance_outside_the_range_exits_2(bundled_path, capsys, tol):
+    for command in ("check", "construct", "minimal", "petz"):
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(bundled_path), "--tol", tol]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: tolerance must be a number in [1e-14, 0.001]")

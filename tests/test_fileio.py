@@ -554,7 +554,7 @@ def test_malformed_instance_still_raises():
 JUNK = (None, [], {}, "x", 1e309)
 # nodes no verdict rests on: the verifier reads none of them
 UNREAD = {
-    "tool_version", "tolerances", "defect", "max_constraint_residual", "overlap",
+    "tool_version", "defect", "max_constraint_residual", "overlap",
 }
 
 
@@ -617,3 +617,146 @@ def test_junk_in_any_certificate_node_is_rejected_not_raised():
                 report = verify_certificate(instance_text, json.dumps(edited))
                 assert unread or not report.ok, (cert["verdict"], path, junk)
     assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them
+
+
+# ------------------------------------------------- the recorded tolerance block
+
+
+DEFAULTS = {"rank": 1e-8, "angle": 1e-6, "witness": 1e-7, "petz_feasibility": 1e-7}
+KEYS = {
+    "weak_sufficiency": ["angle", "rank", "witness"],
+    "existence": ["angle", "rank", "witness"],
+    "minimality": ["angle", "rank"],
+    "petz": ["petz_feasibility"],
+}
+
+
+def test_each_kind_records_only_what_its_decision_applies():
+    for _, cert in one_certificate_of_every_verdict():
+        kind = cert["kind"]
+        assert cert["tolerances"] == {key: DEFAULTS[key] for key in KEYS[kind]}
+    statistic, family = load_bundled_instance()
+    cases = [("weak_sufficiency", check_weak_sufficiency(statistic, family), ["rank", "witness"]),
+             ("minimality", minimal_statistic(statistic, family), ["rank"]),
+             ("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)),
+              ["petz_feasibility"])]
+    for kind, result, set_by_tol in cases:
+        block = make_certificate(kind, result, tol=3e-9)["tolerances"]
+        assert block == {key: 3e-9 if key in set_by_tol else DEFAULTS[key]
+                         for key in KEYS[kind]}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, 1e-15, 2e-3, 1.0, math.nan, math.inf, 1, True, "1e-8"])
+def test_make_certificate_refuses_a_tolerance_outside_the_range(tol):
+    statistic, family = load_bundled_instance()
+    with pytest.raises(ValueError, match="tolerance must be a number in"):
+        make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family), tol=tol)
+
+
+def edited_blocks(kind):
+    """(edit, tolerance block) pairs the verifier must refuse for a kind."""
+    good = {key: DEFAULTS[key] for key in KEYS[kind]}
+    yield "missing block", None
+    yield "non-object block", [DEFAULTS[key] for key in KEYS[kind]]
+    for key in KEYS[kind]:
+        yield f"missing {key}", {k: v for k, v in good.items() if k != key}
+        for bad in (0.0, -1e-8, 1e-15, 2e-3, math.nan, 1, True, "1e-8", None):
+            yield f"{key} = {bad!r}", {**good, key: bad}
+    yield "unknown key", {**good, "petz_structural": 1e-6}
+
+
+def test_every_malformed_tolerance_block_is_rejected_not_raised():
+    kinds = set()
+    for instance_text, cert in one_certificate_of_every_verdict():
+        kinds.add(cert["kind"])
+        for edit, block in edited_blocks(cert["kind"]):
+            forged = json.loads(json.dumps(cert))
+            if block is None:
+                del forged["tolerances"]
+            else:
+                forged["tolerances"] = block
+            report = verify_certificate(instance_text, json.dumps(forged))
+            assert not report.ok, (cert["verdict"], edit)
+            assert "$.tolerances" in report.detail, (cert["verdict"], edit)
+    assert kinds == set(KEYS)
+
+
+def replayed(instance_text, cert, **recorded):
+    """The verifier's report on cert with some recorded tolerances edited."""
+    forged = json.loads(json.dumps(cert))
+    forged["tolerances"].update(recorded)
+    return verify_certificate(instance_text, json.dumps(forged))
+
+
+def near_parallel_pair(eps):
+    """T = diag(1, 1, 2) and states e0, (e0 + eps e1)/|.|: one atom, rank 1 or 2."""
+    b = np.array([1.0, eps, 0.0]) / math.hypot(1.0, eps)
+    family = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], b], dtype=complex))
+    return statistic_from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex)), family
+
+
+def test_rank_refusal_and_witness_are_replayed_at_the_recorded_tolerances():
+    statistic, family = near_parallel_pair(1e-5)
+    instance_text = serialize_instance(statistic, family)
+    refused = make_certificate(
+        "weak_sufficiency", check_weak_sufficiency(statistic, family, tol=1e-12), tol=1e-12)
+    assert refused["payload"] == {"rank_violations": [{"atom": 0, "dimension": 2}]}
+    assert verify_certificate(instance_text, json.dumps(refused)).ok
+    report = replayed(instance_text, refused, rank=1e-8)
+    assert not report.ok and "component rank 1" in report.detail
+
+    accepted = make_certificate(
+        "weak_sufficiency", check_weak_sufficiency(statistic, family, tol=1e-4), tol=1e-4)
+    assert verify_certificate(instance_text, json.dumps(accepted)).ok
+    report = replayed(instance_text, accepted, witness=1e-7)
+    assert not report.ok and "exceeds 1.0e-07" in report.detail
+
+
+def test_minimal_partition_and_dead_atom_are_replayed_at_the_recorded_rank():
+    s = math.sqrt(0.28)
+    b = (0.3, 0.303, math.sqrt(1.0 - 0.09 - 0.303 ** 2))
+    statistic = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    family = StateFamily(labels=("a", "b"), vectors=np.array([[0.6, 0.6, s], b], dtype=complex))
+    instance_text = serialize_instance(statistic, family)
+    coarse = make_certificate("minimality", minimal_statistic(statistic, family, 1e-4), tol=1e-4)
+    assert coarse["payload"]["partition"] == [[0, 1], [2]]
+    assert verify_certificate(instance_text, json.dumps(coarse)).ok
+    report = replayed(instance_text, coarse, rank=1e-8)
+    assert not report.ok and "[[0], [1], [2]]" in report.detail
+
+    # atom 2 carries weight 1e-6 of b: dead at rank 1e-5, alive at 1e-8
+    b = np.array([1.0, 1.0, math.sqrt(2e-6)]) / math.sqrt(2.0 + 2e-6)
+    family = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], b], dtype=complex))
+    instance_text = serialize_instance(statistic, family)
+    dead = make_certificate("minimality", minimal_statistic(statistic, family, 1e-5), tol=1e-5)
+    assert dead["payload"] == {"dead_atom": 2}
+    assert verify_certificate(instance_text, json.dumps(dead)).ok
+    report = replayed(instance_text, dead, rank=1e-8)
+    assert not report.ok and "not dead" in report.detail
+
+
+def test_cycle_is_replayed_at_the_recorded_angle():
+    # the planted cycle has defect 1e-5: refused at angle 1e-6, not at 1e-4
+    s = 1.0 / math.sqrt(2.0)
+    twist = np.exp(2e-5j)
+    family = StateFamily(labels=("a", "b", "c"), vectors=np.array(
+        [[1.0, 0.0], [s, s], [s, s * twist]], dtype=complex))
+    instance_text = serialize_instance(None, family)
+    cert = make_certificate("existence", exists_weakly_sufficient(family))
+    assert cert["verdict"] == "no_statistic_exists"
+    assert verify_certificate(instance_text, json.dumps(cert)).ok
+    report = replayed(instance_text, cert, angle=1e-4)
+    assert not report.ok and "below tolerance" in report.detail
+
+
+def test_shared_atom_is_replayed_at_the_recorded_petz_feasibility():
+    # b puts weight 1e-5 on a's atom span(e0, e1): shared at 1e-7, not at 1e-4
+    statistic = statistic_from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex))
+    b = [0.0, math.sqrt(1e-5), math.sqrt(1.0 - 1e-5)]
+    family = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], b], dtype=complex))
+    instance_text = serialize_instance(statistic, family)
+    cert = make_certificate("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)))
+    assert cert["verdict"] == "infeasible_shared_atoms"
+    assert verify_certificate(instance_text, json.dumps(cert)).ok
+    report = replayed(instance_text, cert, petz_feasibility=1e-4)
+    assert not report.ok and "not loaded by both" in report.detail

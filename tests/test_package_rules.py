@@ -9,7 +9,9 @@ dependency, so production code imports none of it: its tridiagonal and
 dense eigensolvers would bypass the kernel just as numpy's would.
 Production modules import the harness only inside the functions that
 need it (the command line's oracle and selftest), so importing wsq
-never loads the oracles.
+never loads the oracles.  The certificate verifier replays each verdict
+at the tolerances the certificate records, so neither verify_certificate
+nor any fileio function it reaches names a default tolerance.
 """
 
 import ast
@@ -174,3 +176,49 @@ def test_production_code_imports_no_scipy():
     assert len(modules) >= 10
     offenders = {p.name: scipy_imports(p.read_text()) for p in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
+
+
+def verifier_default_tolerances(source: str) -> list[str]:
+    """Every default tolerance named by verify_certificate or a module
+    function it reaches, as 'function: name'."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    found, seen, pending = [], set(), ["verify_certificate"]
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            ident = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if ident in DEFAULT_TOLERANCES:
+                found.append(f"{name}: {ident}")
+            elif ident in functions:
+                pending.append(ident)
+    return found
+
+
+def test_verifier_names_no_default_tolerance():
+    source = (PACKAGE / "fileio.py").read_text()
+    assert verifier_default_tolerances(source) == []
+    # an edit replaying existence cycles at the default angle again is caught
+    replay = 'payload.get("phase_cycle"), tols["angle"])'
+    assert source.count(replay) == 1
+    edited = source.replace(replay, replay.replace('tols["angle"]', "phases.ANGLE_TOL"))
+    assert verifier_default_tolerances(edited) == ["_replay: ANGLE_TOL"]
+
+
+@pytest.mark.parametrize("body", [
+    "    return _helper()\ndef _helper():\n    return RANK_TOL\n",
+    "    return sufficiency.verify_witness(s, f, w, tol=sufficiency.WITNESS_TOL)\n",
+    "    x = [petz.FEASIBILITY_TOL]\n",
+], ids=["helper", "witness", "feasibility"])
+def test_scanner_follows_the_verifier_into_its_helpers(body):
+    source = "RANK_TOL = 1\ndef make():\n    return RANK_TOL\ndef verify_certificate():\n" + body
+    assert verifier_default_tolerances(source)
+    assert verifier_default_tolerances(source.replace("verify_certificate", "unrelated")
+                                       + "def verify_certificate():\n    pass\n") == []
