@@ -204,17 +204,19 @@ def test_parser_is_built_once_per_process(bundled_path, capsys, monkeypatch):
     assert built.count("wsq") == 1
 
 
-@pytest.mark.parametrize("command, code, block", [
-    ("check", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
-    ("construct", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
-    ("minimal", 0, {"rank": 1e-10, "angle": 1e-6}),
-    ("petz", 1, {"petz_feasibility": 1e-10}),
-])
-def test_tol_flag_is_recorded(bundled_path, capsys, command, code, block):
-    assert run_cli([command, "--input", str(bundled_path), "--tol", "1e-10"]) == code
-    out = capsys.readouterr().out
-    assert parse_certificate(out)["tolerances"] == block
-    assert verify_certificate(bundled_path.read_text(), out).ok
+def test_tol_flag_is_recorded(bundled_path, capsys):
+    cases = [
+        ("check", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
+        ("construct", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
+        ("minimal", 0, {"rank": 1e-10, "angle": 1e-6}),
+        ("petz", 1, {"petz_feasibility": 1e-10}),
+    ]
+    for command, code, block in cases:
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(bundled_path), "--tol", "1e-10"]) == code, command
+        out = capsys.readouterr().out
+        assert parse_certificate(out)["tolerances"] == block, command
+        assert verify_certificate(bundled_path.read_text(), out).ok, command
 
 
 def test_oracle_takes_no_tol(bundled_path, capsys):
