@@ -9,7 +9,9 @@ check, construct, minimal and petz take --tol, the one tolerance their
 decision applies; fileio.SET_BY_TOL names the recorded keys it sets.  A
 value outside fileio.TOL_RANGE exits 2.  The certificate records every
 tolerance the decision applied, and the verifier replays it at them; a
-witness that fails its recorded tolerance exits 2 and prints nothing.
+witness that fails its recorded tolerance, or a feasible petz solution
+that rebuilds a state less closely than petz.RECONSTRUCTION_TOL, exits 2
+and prints nothing.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ def _cmd_petz(args) -> int:
         instance = petz.PetzInstance.from_parts(loaded.statistic, loaded.family,
                                                 unital=not args.non_unital)
         result = petz.petz_feasibility(instance, **_tol_kwargs(args))
+        if isinstance(result, Feasible) and \
+                result.max_constraint_residual > petz.RECONSTRUCTION_TOL:
+            raise ValueError(f"the feasible solution leaves a reconstruction residual "
+                             f"{result.max_constraint_residual:.3e} above "
+                             f"{petz.RECONSTRUCTION_TOL:.0e}")
     print(fileio.serialize_certificate(fileio.make_certificate(
         "petz", result, parameters={"unital": not args.non_unital}, tol=args.tol)))
     if isinstance(result, Feasible):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import RANK_TOL, as_hermitian, hermitian_part, inner
+from .linalg import RANK_TOL, as_hermitian, gram_matrix, hermitian_part, inner, pair_rank_two
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
@@ -212,10 +212,12 @@ def load_bundled_instance():
 
 
 def _witness_json(witness: sufficiency.WitnessFactorization) -> dict:
+    # a table keyed by the statistic's eigenvalues lists, in ascending
+    # key order, one value per atom
     return {
         "chi": _vector_json(witness.chi),
         "functions": {
-            label: [[float(ev), float(val)] for ev, val in sorted(table.items())]
+            label: [float(val) for _, val in sorted(table.items())]
             for label, table in sorted(witness.functions.items())
         },
         "versions": {
@@ -225,27 +227,23 @@ def _witness_json(witness: sufficiency.WitnessFactorization) -> dict:
     }
 
 
-def _witness_from_json(node: dict, path: str, dim: int) -> sufficiency.WitnessFactorization:
+def _witness_from_json(node: dict, path: str, statistic) -> sufficiency.WitnessFactorization:
+    """The witness, with entry k of each function keyed by atom k's eigenvalue."""
     if not isinstance(node, dict):
         _fail(path, "expected a witness object")
     for key in ("chi", "functions", "versions"):
         if key not in node:
             _fail(path, f"missing required key '{key}'")
-    chi = _vector(node["chi"], f"{path}.chi", dim)
+    chi = _vector(node["chi"], f"{path}.chi", statistic.dim)
     if not isinstance(node["functions"], dict):
-        _fail(f"{path}.functions", "expected an object of per-state tables")
+        _fail(f"{path}.functions", "expected an object of per-state lists")
     functions = {}
-    for label, rows in node["functions"].items():
-        if not isinstance(rows, list):
-            _fail(f"{path}.functions.{label}", "expected a list of [value, image] rows")
-        table = {}
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 2:
-                _fail(f"{path}.functions.{label}[{i}]", "expected a [value, image] row")
-            table[_real(row[0], f"{path}.functions.{label}[{i}][0]")] = _real(
-                row[1], f"{path}.functions.{label}[{i}][1]"
-            )
-        functions[label] = table
+    for label, values in node["functions"].items():
+        here = f"{path}.functions.{label}"
+        if not isinstance(values, list) or len(values) != len(statistic):
+            _fail(here, f"expected a list of {len(statistic)} reals, one per atom")
+        functions[label] = {float(lam): _real(value, f"{here}[{k}]") for k, (lam, value)
+                            in enumerate(zip(statistic.eigenvalues, values))}
     if not isinstance(node["versions"], dict):
         _fail(f"{path}.versions", "expected an object of [re, im] pairs")
     pairs = {
@@ -263,43 +261,9 @@ def _witness_from_json(node: dict, path: str, dim: int) -> sufficiency.WitnessFa
 
 def _cycle_json(cycle) -> dict:
     return {
-        "constraints": [
-            {
-                "left": c.left,
-                "right": c.right,
-                "value": _pair_json(c.value),
-                "atom": c.atom,
-            }
-            for c in cycle
-        ],
+        "constraints": [{"left": c.left, "right": c.right, "atom": c.atom} for c in cycle],
         "defect": phases.cycle_defect(cycle),
     }
-
-
-def _cycle_from_json(node: dict, path: str) -> tuple[phases.PhaseConstraint, ...]:
-    if not isinstance(node, dict) or not isinstance(node.get("constraints"), list) \
-            or not node["constraints"]:
-        _fail(path, "expected a cycle object with a nonempty 'constraints' list")
-    out = []
-    for i, c in enumerate(node["constraints"]):
-        here = f"{path}.constraints[{i}]"
-        if not isinstance(c, dict):
-            _fail(here, "expected a constraint object")
-        atom = c.get("atom")
-        if atom is not None and (isinstance(atom, bool) or not isinstance(atom, int)):
-            _fail(f"{here}.atom", "expected an integer atom index or null")
-        value = _pair(c.get("value"), f"{here}.value")
-        if value == 0:
-            _fail(f"{here}.value", "expected a nonzero [re, im] pair")
-        out.append(
-            phases.PhaseConstraint(
-                left=str(c.get("left")),
-                right=str(c.get("right")),
-                value=value,
-                atom=atom,
-            )
-        )
-    return tuple(out)
 
 
 def _directions_from_json(node, path: str, dim: int):
@@ -349,7 +313,7 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
                       if isinstance(v, sufficiency.PhaseObstruction)]
             if rank:
                 payload["rank_violations"] = [
-                    {"atom": v.atom, "dimension": v.dim} for v in rank
+                    {"atom": v.atom, "states": list(v.states)} for v in rank
                 ]
             if cycles:
                 payload["phase_cycle"] = _cycle_json(cycles[0].cycle)
@@ -427,20 +391,72 @@ class VerificationReport:
     detail: str
 
 
-def _cycle_report(constraint_pool, node, tol: float) -> VerificationReport:
-    """Match every edge of the payload's cycle to an instance constraint, then
-    compare its defect with tol; SchemaError when the cycle cannot be read."""
-    cycle = _cycle_from_json(node, "$.payload.phase_cycle")
-    pool = {}
-    for c in constraint_pool:
-        pool.setdefault((c.left, c.right, c.atom), []).append(c.value)
-        pool.setdefault((c.right, c.left, c.atom), []).append(np.conj(c.value))
-    for c in cycle:
-        candidates = pool.get((c.left, c.right, c.atom), [])
-        if not any(abs(v - c.value) <= 1e-6 * max(1.0, abs(v)) for v in candidates):
-            return VerificationReport(False, f"cycle edge {c.left}->{c.right} (atom {c.atom}) "
-                                             "is not a constraint of this instance")
-    defect = phases.cycle_defect(cycle)
+def _named_rows(statistic, family, node: dict, labels, path: str) -> np.ndarray:
+    """The named states projected onto atom node["atom"] of statistic, or
+    unprojected when statistic is None, which admits only a null atom;
+    SchemaError when the atom or a label names nothing in the instance."""
+    atom = node["atom"]
+    if statistic is None:
+        if atom is not None:
+            _fail(f"{path}.atom", "expected null")
+    elif type(atom) is not int or not 0 <= atom < len(statistic):
+        _fail(f"{path}.atom", f"expected an atom index below {len(statistic)}")
+    try:
+        rows = np.array([family.vector(label) for label in labels])
+    except ValueError as exc:
+        _fail(path, str(exc))
+    return rows if statistic is None else rows @ statistic.projections[atom].T
+
+
+def _exact_keys(node, path: str, keys: list[str]) -> dict:
+    if not isinstance(node, dict) or sorted(node) != keys:
+        _fail(path, f"expected an object with the keys {', '.join(keys)}")
+    return node
+
+
+def _rank_report(statistic, family, items, tol: float) -> VerificationReport:
+    """Project each violation's two states onto its atom and require their
+    2x2 Gram matrix to have rank 2 at tol; SchemaError when unreadable."""
+    if not isinstance(items, list) or not items:
+        return VerificationReport(False, "rank_violations is not a nonempty list")
+    for n, item in enumerate(items):
+        here = f"$.payload.rank_violations[{n}]"
+        pair = _exact_keys(item, here, ["atom", "states"])["states"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            _fail(f"{here}.states", "expected two state labels")
+        if not pair_rank_two(gram_matrix(_named_rows(statistic, family, item, pair, here)),
+                             tol)[0, 1]:
+            return VerificationReport(
+                False, f"states {pair} are not independent on atom {item['atom']}")
+    return VerificationReport(True, "rank violations confirmed")
+
+
+def _cycle_report(statistic, family, node, tol: float) -> VerificationReport:
+    """Recompute each edge's overlap from the instance and compare the walk's
+    defect with tol; SchemaError when the cycle cannot be read.
+
+    Edge {left, right, atom} stands for <e_atom phi_left, e_atom phi_right>,
+    or for <phi_left, phi_right> in a cycle of the family alone (statistic
+    None), whose atoms are all null.
+    """
+    path = "$.payload.phase_cycle"
+    if not isinstance(node, dict) or not isinstance(node.get("constraints"), list) \
+            or not node["constraints"]:
+        _fail(path, "expected a cycle object with a nonempty 'constraints' list")
+    cycle = []
+    for i, edge in enumerate(node["constraints"]):
+        here = f"{path}.constraints[{i}]"
+        _exact_keys(edge, here, ["atom", "left", "right"])
+        ends = [edge["left"], edge["right"]]
+        value = inner(*_named_rows(statistic, family, edge, ends, here))
+        if abs(value) <= sufficiency.ZERO_TOL:
+            return VerificationReport(
+                False, f"cycle edge {i} has overlap {abs(value):.3e}, which constrains nothing")
+        cycle.append(phases.PhaseConstraint(*ends, value, edge["atom"]))
+    try:
+        defect = phases.cycle_defect(cycle)
+    except ValueError as exc:
+        _fail(path, str(exc))
     if defect <= tol:
         return VerificationReport(False, f"cycle defect {defect:.3e} is below tolerance")
     return VerificationReport(True, f"cycle of length {len(cycle)} with defect {defect:.6f}")
@@ -453,14 +469,22 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     each a check_tolerance, and every verdict is replayed at them:
     witnesses at ``witness``; rank violations, a minimal partition and a
     dead atom at ``rank``; cycle defects at ``angle``; a petz refusal's
-    shared atoms at ``petz_feasibility``.  A constructed statistic is
+    shared atoms at ``petz_feasibility``.  Refusals name their atoms and
+    states, and the verifier recomputes what they name instead of
+    deciding the question again: a rank violation's two states projected
+    onto its atom must have a rank-2 Gram matrix (pair_rank_two), and
+    each cycle edge's overlap, projected onto its atom or, in an
+    existence cycle, of the states themselves, must exceed
+    sufficiency.ZERO_TOL.  A witness function lists one value per atom
+    of T, in ascending eigenvalue order.  A constructed statistic is
     rebuilt from its directions by sufficiency.statistic_from_directions
-    before its witness is replayed; cycle edges are matched against the
-    instance; overlaps, PSD checks and constraint residuals are recomputed.
-    A certificate that does not prove its claim, or cannot be read,
-    yields ok=False.  Only a malformed instance raises: at read time, or
-    when a verdict that reads the statistic meets a dense matrix that
-    fails to decompose.  ``existence`` and ``infeasible_orthogonality``
+    before its witness is replayed; overlaps, PSD checks and
+    reconstruction residuals (at petz.RECONSTRUCTION_TOL) are recomputed.
+    A certificate that does not prove its claim, or cannot be read, the
+    earlier encodings (rank dimensions, edge values, [eigenvalue, value]
+    witness rows) included, yields ok=False.  Only a malformed instance
+    raises: at read time, or when a verdict that reads the statistic
+    meets a dense matrix that fails to decompose.  ``existence`` and ``infeasible_orthogonality``
     verdicts never decompose it.
     """
     instance = read_instance(instance_text)
@@ -470,33 +494,10 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
         return VerificationReport(False, f"malformed certificate: {exc}")
 
 
-def _on_eigenvalues(table: dict[float, float], eigenvalues) -> dict[float, float]:
-    """A witness table keyed by the statistic's own eigenvalues.
-
-    A dense matrix is decomposed again on every read, and the last bits
-    of its eigenvalues depend on the eigensolver that wrote the
-    certificate.  A key within half the gap DiscreteStatistic requires
-    between eigenvalues names that atom, unless the table holds the
-    eigenvalue itself or a second such key.  Keys naming no atom are
-    dropped; an atom no key names is reported by verify_witness.
-    """
-    slack = 0.5 * spectral.EIGENVALUE_GAP_TOL * max(1.0, float(np.abs(eigenvalues).max()))
-    keyed = {}
-    for lam in eigenvalues.tolist():
-        near = [key for key in table if abs(key - lam) <= slack]
-        if lam in table:
-            keyed[lam] = table[lam]
-        elif len(near) == 1:
-            keyed[lam] = table[near[0]]
-    return keyed
-
-
 def _witness_report(statistic, family, payload: dict, tol: float,
                     verified: str) -> VerificationReport:
     """Replay the payload's witness at tol; SchemaError when it does not fit the instance."""
-    witness = _witness_from_json(payload.get("witness"), "$.payload.witness", family.dim)
-    witness.functions = {label: _on_eigenvalues(table, statistic.eigenvalues)
-                         for label, table in witness.functions.items()}
+    witness = _witness_from_json(payload.get("witness"), "$.payload.witness", statistic)
     try:
         check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
     except ValueError as exc:
@@ -519,8 +520,7 @@ def _blocks_equal(node, blocks) -> bool:
 def _tolerances_from_json(node, kind: str) -> dict[str, float]:
     """The recorded tolerance block: exactly the kind's keys, each valid."""
     keys = sorted(TOLERANCES[kind])
-    if not isinstance(node, dict) or sorted(node) != keys:
-        _fail("$.tolerances", f"expected an object with the keys {', '.join(keys)}")
+    _exact_keys(node, "$.tolerances", keys)
     for key in keys:
         try:
             check_tolerance(node[key])
@@ -547,24 +547,10 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             return _witness_report(statistic, family, payload, tols["witness"],
                                    "witness verified, max residual")
         if verdict == "not_sufficient":
-            analysis = sufficiency.analyze(statistic, family, tols["rank"])
             if "rank_violations" in payload:
-                items = payload["rank_violations"]
-                if not isinstance(items, list) or not items:
-                    return VerificationReport(False, "rank_violations is not a nonempty list")
-                for item in items:
-                    if not isinstance(item, dict):
-                        return VerificationReport(False, f"bad rank violation {item!r}")
-                    k = item.get("atom")
-                    if not isinstance(k, int) or not 0 <= k < len(statistic):
-                        return VerificationReport(False, f"bad atom index {k!r}")
-                    rank, claim = analysis.ranks[k], item.get("dimension")
-                    if rank != claim or rank <= 1:
-                        return VerificationReport(False, f"atom {k} has component rank "
-                                                         f"{rank}, certificate claims {claim}")
-                return VerificationReport(True, "rank violations confirmed")
+                return _rank_report(statistic, family, payload["rank_violations"], tols["rank"])
             if "phase_cycle" in payload:
-                return _cycle_report(analysis.constraints, payload["phase_cycle"], tols["angle"])
+                return _cycle_report(statistic, family, payload["phase_cycle"], tols["angle"])
             return VerificationReport(False, "negative verdict carries no evidence")
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
@@ -576,8 +562,7 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             return _witness_report(built, family, payload, tols["witness"],
                                    "constructed statistic verified, residual")
         if verdict == "no_statistic_exists":
-            return _cycle_report(sufficiency.family_constraints(family),
-                                 payload.get("phase_cycle"), tols["angle"])
+            return _cycle_report(None, family, payload.get("phase_cycle"), tols["angle"])
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "minimality":
@@ -651,10 +636,9 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             mix = sum(weights[n, k] * rhos[k] for k in range(len(statistic)))
             target = np.outer(family.vectors[n], family.vectors[n].conj())
             worst = max(worst, float(np.abs(mix - target).max()))
-        if worst > 1e-6:
-            return VerificationReport(
-                False, f"state reconstruction residual {worst:.3e} exceeds 1e-06"
-            )
+        if worst > petz.RECONSTRUCTION_TOL:
+            return VerificationReport(False, f"state reconstruction residual {worst:.3e} "
+                                             f"exceeds {petz.RECONSTRUCTION_TOL:.0e}")
         for k, rho in enumerate(rhos):
             # a Cholesky factor of rho + 1e-8 I exists iff no eigenvalue of
             # rho lies below -1e-8; no eigensolver is needed for that

@@ -5,10 +5,10 @@ written out explicitly so that every eigenvalue claim can be traced to
 small, inspectable loops.  The kernel solves one Hermitian matrix: it
 scales the matrix by a power of two, reduces it by Householder
 reflectors to a real symmetric tridiagonal matrix, and diagonalizes that
-by implicit-shift QL sweeps (Wilkinson & Reinsch, tred2/tql2).
-hermitian_eig returns its eigenpairs and gram_rank the numerical rank of
-a Gram matrix from eigenvalues alone.  Whether a Gram matrix has rank
-at most one needs no eigensolve: pair_rank_two reads it, for a whole
+by implicit-shift QL sweeps (Wilkinson & Reinsch, tred2/tql2).  It has
+one path, which builds the eigenvectors, and one caller, hermitian_eig.
+No verdict reads a numerical rank: whether a Gram matrix has rank at
+most one needs no eigensolve, and pair_rank_two reads it, for a whole
 stack at once, from the closed-form spectra of the 2x2 principal
 submatrices.  numpy's own eigensolvers are not called here; the test
 suite uses them as an independent cross-check of this module, and
@@ -74,7 +74,7 @@ def as_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return hermitian_part(a)
 
 
-def _tridiagonalize(a: np.ndarray, vectors: bool):
+def _tridiagonalize(a: np.ndarray):
     """Householder reduction of a Hermitian a (n, n), which is overwritten.
 
     Step k reflects the column below a[k, k] onto a multiple of its first
@@ -82,7 +82,7 @@ def _tridiagonalize(a: np.ndarray, vectors: bool):
     as one rank-2 update.  A diagonal phase similarity then makes the
     Hermitian tridiagonal matrix real.  Returns (d, e, q): the diagonal d
     and the nonnegative subdiagonal e of a real symmetric tridiagonal S,
-    and, when vectors is true, a unitary q with a = q S q^H (else None).
+    and a unitary q with a = q S q^H.
     """
     n = a.shape[0]
     reflectors = []
@@ -101,12 +101,9 @@ def _tridiagonalize(a: np.ndarray, vectors: bool):
         w = p - (0.5 * tau * np.vdot(v, p).real) * v
         a[k + 1:, k + 1:] -= np.outer(v, w.conj()) + np.outer(w, v.conj())
         a[k + 1, k] = -phase * norm_x
-        if vectors:
-            reflectors.append((k, v, tau))
+        reflectors.append((k, v, tau))
     d, sub = np.diagonal(a).real, np.diagonal(a, -1)
     e = np.abs(sub)
-    if not vectors:
-        return d, e, None
     q = np.eye(n, dtype=complex)
     for k, v, tau in reversed(reflectors):
         block = q[k + 1:, k + 1:]
@@ -117,15 +114,15 @@ def _tridiagonalize(a: np.ndarray, vectors: bool):
     return d, e, q * phases
 
 
-def _tql(d: list, e: list, z: np.ndarray | None) -> None:
+def _tql(d: list, e: list, z: np.ndarray) -> None:
     """Implicit-shift QL on a real symmetric tridiagonal matrix, in place.
 
     d holds the diagonal and e[i] the entry coupling i and i + 1, with
     e[n - 1] = 0; on return d holds the eigenvalues, unsorted.  Each
     sweep chases a Wilkinson-shifted bulge up the unreduced block
     starting at l with Givens rotations (tql2 of Wilkinson & Reinsch),
-    applied to the rows of z when z is not None, so that row j of z
-    ends up as the eigenvector of d[j].  Raises EigenConvergenceError
+    applied to the rows of z, so that row j of z ends up as the
+    eigenvector of d[j].  Raises EigenConvergenceError
     when an eigenvalue needs more than QL_SWEEPS sweeps.
     """
     n = len(d)
@@ -161,38 +158,36 @@ def _tql(d: list, e: list, z: np.ndarray | None) -> None:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if z is not None:
-                    z[i:i + 2] = np.array(((c, -s), (s, c))) @ z[i:i + 2]
+                z[i:i + 2] = np.array(((c, -s), (s, c))) @ z[i:i + 2]
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
 
 
-def _eigen(a: np.ndarray, vectors: bool):
+def _eigen(a: np.ndarray):
     """Eigenpairs of one Hermitian matrix a (n, n), a left untouched.
 
     The matrix is divided by the power of two just above max|a|, so the
     scaling is exact and the kernel works at any finite scale; it is then
     reduced to a real tridiagonal matrix (_tridiagonalize) and solved by
-    implicit-shift QL (_tql).  Eigenvectors are built only when vectors
-    is true, once, as q @ z.T.
+    implicit-shift QL (_tql).  The eigenvectors are built once, as q @ z.T.
 
     Returns (w, v): w holds the eigenvalues, not sorted; v the matching
-    eigenvectors as columns, or None.
+    eigenvectors as columns.
     """
     n = a.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the desk-scale limit {MAX_DIM}")
     top = float(np.abs(a).max())
     if top == 0.0:
-        return np.zeros(n), np.eye(n, dtype=complex) if vectors else None
+        return np.zeros(n), np.eye(n, dtype=complex)
     _, exponent = math.frexp(top)
-    d, e, q = _tridiagonalize(np.ldexp(a.view(float), -exponent).view(complex), vectors)
+    d, e, q = _tridiagonalize(np.ldexp(a.view(float), -exponent).view(complex))
     d, e = d.tolist(), [*e.tolist(), 0.0]
-    z = np.eye(n) if vectors else None
+    z = np.eye(n)
     _tql(d, e, z)
-    return np.ldexp(np.array(d), exponent), q @ z.T if vectors else None
+    return np.ldexp(np.array(d), exponent), q @ z.T
 
 
 def hermitian_eig(m):
@@ -218,18 +213,9 @@ def hermitian_eig(m):
     unconverged answer, when an eigenvalue needs more than QL_SWEEPS
     sweeps.
     """
-    w, v = _eigen(as_hermitian(m), vectors=True)
+    w, v = _eigen(as_hermitian(m))
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
-
-
-def gram_rank(g, tol: float = RANK_TOL) -> int:
-    """Numerical rank of a Gram matrix from one eigenvalues-only solve.
-
-    Eigenvalues above tol * max(1, largest eigenvalue) count toward it.
-    """
-    w, _ = _eigen(as_hermitian(g), vectors=False)
-    return int(np.count_nonzero(w > tol * max(1.0, w.max())))
 
 
 def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
@@ -238,8 +224,8 @@ def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
     Entry [..., j, m] describes [[a, c], [conj(c), b]] with a = h[j, j],
     b = h[m, m], c = h[j, m].  Its eigenvalues are hi = (a+b)/2 +
     sqrt(((a-b)/2)^2 + |c|^2) and lo = max(ab - |c|^2, 0) / hi (lo = 0
-    when both rows are zero), and it has rank 2 when lo > tol * max(1, hi),
-    the cutoff gram_rank applies.  A positive semidefinite matrix has
+    when both rows are zero), and it has rank 2 when lo > tol * max(1, hi).
+    A positive semidefinite matrix has
     rank <= 1 exactly when none of its pairs has rank 2: by Cauchy
     interlacing its second eigenvalue is at least the largest lo, and it
     is at most the sum of the lo over all C(n, 2) pairs.

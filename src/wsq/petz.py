@@ -34,6 +34,7 @@ from .sufficiency import check_weak_sufficiency
 ORTHOGONALITY_TOL = 1e-8
 FEASIBILITY_TOL = 1e-7
 STRUCTURAL_TOL = 1e-6
+RECONSTRUCTION_TOL = 1e-6   # largest state reconstruction residual a feasible answer may leave
 
 # Fault-injection point for the self-test harness: decides unital
 # instances by the non-unital rule, as if the trace-one rows were dropped.

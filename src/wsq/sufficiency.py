@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, gram_matrix, gram_rank, hermitian_part, norm, pair_rank_two
+from .linalg import RANK_TOL, gram_matrix, hermitian_part, norm, pair_rank_two
 from .phases import Infeasible, PhaseConstraint, VersionAssignment, align_phases
 from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
 
@@ -40,10 +40,15 @@ _RANK_CHECK_ENABLED = True
 
 @dataclass
 class RankViolation:
-    """Atom whose projected family spans more than one dimension."""
+    """Atom whose projected family spans more than one dimension.
+
+    states names two states whose projections onto the atom are
+    independent: their 2x2 Gram matrix has rank 2 (pair_rank_two), so by
+    Cauchy interlacing the atom's whole Gram matrix has rank >= 2.
+    """
 
     atom: int
-    dim: int
+    states: tuple[str, str]
 
 
 @dataclass
@@ -99,20 +104,21 @@ class Analysis:
     """Everything the questions about (t, family) read from the Gram stack.
 
     table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
-    ranks[k] is the numerical rank of gram[k].  No eigensolve decides
-    rank <= 1: gram[k] has rank >= 2 when some 2x2 principal submatrix
-    does (pair_rank_two), else rank 0 when its trace is at most tol and
-    rank 1 otherwise.  Only an atom of rank >= 2 is solved, alone, for
-    its exact rank.  constraints are the
-    off-diagonal entries above ZERO_TOL, in (atom, left, right) order.
-    Each active atom (rank >= 1) factors as e_k phi_theta =
-    gamma[k, theta] xi[k]; gamma rows of inactive atoms are zero.
+    No eigensolve runs: spread maps each atom where some 2x2 principal
+    submatrix of gram[k] has rank 2 (pair_rank_two) to the state indices
+    (i, j), i < j, of the first such pair, and such an atom is refused as
+    it stands.  An atom is active when its trace, the states' total
+    weight on it, exceeds tol.  constraints are the off-diagonal entries
+    above ZERO_TOL, in (atom, left, right) order.  Each active atom gets
+    a direction xi[k] and a gamma row, with e_k phi_theta =
+    gamma[k, theta] xi[k] unless the atom is spread; gamma rows of
+    inactive atoms are zero.
     """
 
     statistic: DiscreteStatistic
     family: StateFamily
     table: AtomProjectionTable
-    ranks: tuple[int, ...]
+    spread: dict[int, tuple[int, int]]
     constraints: list[PhaseConstraint]
     gamma: np.ndarray                # (n_atoms, n_states) complex
     xi: dict[int, np.ndarray]
@@ -124,11 +130,10 @@ class Analysis:
         Exactly one of the two is empty: the violations refuse, the
         versions make every constraint real.  No witness is built.
         """
-        if _RANK_CHECK_ENABLED:
-            violations = [RankViolation(atom=k, dim=r)
-                          for k, r in enumerate(self.ranks) if r > 1]
-            if violations:
-                return violations, None
+        if _RANK_CHECK_ENABLED and self.spread:
+            labels = self.family.labels
+            return [RankViolation(atom=k, states=(labels[i], labels[j]))
+                    for k, (i, j) in self.spread.items()], None
         aligned = align_phases(self.constraints, self.family.labels)
         if isinstance(aligned, Infeasible):
             return [PhaseObstruction(aligned.cycle)], None
@@ -171,10 +176,10 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     positive real; gamma[k] is then a column of gram[k] rescaled.
     """
     table = project_states(t, family)
-    spread = pair_rank_two(table.gram, tol).any(axis=(1, 2))
-    empty = table.weights.sum(axis=0) <= tol
-    ranks = tuple(gram_rank(table.gram[k], tol) if spread[k] else int(not empty[k])
-                  for k in range(len(t)))
+    split = np.triu(pair_rank_two(table.gram, tol), 1)
+    spread = {int(k): tuple(int(n) for n in np.argwhere(split[k])[0])
+              for k in np.flatnonzero(split.any(axis=(1, 2)))}
+    active = table.weights.sum(axis=0) > tol
     norms = np.array([norm(v) for v in family.vectors])
     overlaps = np.abs(table.gram) > ZERO_TOL * np.outer(norms, norms)
     labels = family.labels
@@ -184,18 +189,16 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     ]
     gamma = np.zeros((len(t), len(family)), dtype=complex)
     xi: dict[int, np.ndarray] = {}
-    for k, rank in enumerate(ranks):
-        if rank == 0:
-            continue
+    for k in np.flatnonzero(active):
         lengths = np.sqrt(table.weights[:, k])
         pick = int(np.argmax(lengths >= REPRESENTATIVE_FLOOR * lengths.max()))
         direction = table.components[k, pick] / lengths[pick]
         anchor = int(np.argmax(np.abs(direction)))
         turn = np.conj(direction[anchor]) / abs(direction[anchor])
-        xi[k] = direction * turn
+        xi[int(k)] = direction * turn
         gamma[k] = table.gram[k, :, pick] * np.conj(turn) / lengths[pick]
-    return Analysis(t, family, table, ranks, constraints, gamma, xi,
-                    tuple(rank >= 1 for rank in ranks))
+    return Analysis(t, family, table, spread, constraints, gamma, xi,
+                    tuple(active.tolist()))
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
@@ -204,8 +207,8 @@ def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
 
     Returns a verdict carrying either a witness factorization (chi, one
     real function per label, unit-modulus versions) or the structured
-    violations: atoms of projected dimension >= 2 and/or an inconsistent
-    phase cycle.
+    violations: the spread atoms, each with a pair of states it keeps
+    apart, or else an inconsistent phase cycle.
     """
     return analyze(t, family, tol).verdict()
 

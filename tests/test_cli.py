@@ -294,8 +294,7 @@ def count_kernel_runs(monkeypatch):
 
 def statistic_solves(path, command, runs, capsys):
     """Exit code, then the 3x3 kernel runs (decompositions of T) of the
-    command and of replaying its certificate.  The Gram matrices of the
-    two states, which construct ranks, are smaller."""
+    command and of replaying its certificate."""
     capsys.readouterr()
     code = run_cli([command, "--input", str(path)])
     certificate = capsys.readouterr().out
@@ -464,11 +463,22 @@ def test_reproductions_verify_or_exit_2(tmp_path, capsys):
     assert code == 0 and cert["payload"]["partition"] == [[0, 1], [2]]
     code, cert = run_and_verify(paths["C"], ["check", "--tol", "1e-12"], capsys)
     assert code == 1
-    assert cert["payload"] == {"rank_violations": [{"atom": 0, "dimension": 2}]}
+    assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}]}
+
+
+def light_atom_path(tmp_path):
+    """T = P + 2 (I - P), P the projector onto (cos t, sin t) with
+    sin^2 t = 5e-4, and states e0, e1: each state puts weight 5e-4 on the
+    other's atom.  At --tol 1e-3 petz ignores that weight, and the
+    solution it builds rebuilds each state only to within 5e-4."""
+    u = np.array([math.sqrt(1.0 - 5e-4), math.sqrt(5e-4)])
+    matrix = 2.0 * np.eye(2) - np.outer(u, u)
+    return dense_instance(tmp_path / "light.json", matrix, {"e0": [1.0, 0.0], "e1": [0.0, 1.0]})
 
 
 def sweep_paths(tmp_path):
-    paths = dict(reproduction_paths(tmp_path), bundled=tmp_path / "bundled.json")
+    paths = dict(reproduction_paths(tmp_path), bundled=tmp_path / "bundled.json",
+                 light=light_atom_path(tmp_path))
     paths["bundled"].write_text(serialize_instance(*load_bundled_instance()))
     for flavor in harness.FLAVORS:
         for seed in range(2):

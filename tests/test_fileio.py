@@ -149,25 +149,33 @@ def test_tampered_witness_is_rejected():
     assert "residual" in report.detail
 
 
-@pytest.mark.parametrize("shifts, ok", [
-    ((1e-15,), True),              # a few ulps: another eigensolver's last bits
-    ((-3e-13,), True),             # within half the required eigenvalue gap
-    ((1e-11,), False),             # names no atom: no value for the eigenvalue
-    ((1e-15, -1e-15), False),      # two keys name one atom
-    ((0.0, 1e-15), True),          # the exact eigenvalue wins over a near key
-])
-def test_witness_keys_name_atoms_within_half_the_eigenvalue_gap(shifts, ok):
-    statistic, family = load_bundled_instance()
-    instance_text = serialize_instance(statistic, family)
-    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
-    functions = cert["payload"]["witness"]["functions"]
-    for label, rows in functions.items():
-        functions[label] = [[ev + shift * max(1.0, abs(ev)), value]
-                            for ev, value in rows for shift in shifts]
-    report = verify_certificate(instance_text, serialize_certificate(cert))
-    assert report.ok == ok, report.detail
-    if not ok:
-        assert "no value for eigenvalue" in report.detail
+def fourier_texts():
+    """T = F diag(1, 2, 3) F^H, F the 3-point Fourier matrix, and two
+    overlapping states, as a dense matrix and as eigenvalues 1, 2, 3 with
+    the projectors F e_k e_k^H F^H written out: the last bits of the
+    decomposed eigenvalues need not be those of the written ones."""
+    f = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3.0)
+    family = StateFamily(labels=("a", "b"),
+                         vectors=np.array([f[:, 0], (f[:, 0] + f[:, 1]) / np.sqrt(2.0)]))
+
+    def pairs(m):
+        return [[[z.real, z.imag] for z in row] for row in m]
+
+    root = json.loads(serialize_instance(None, family))
+    matrix = f @ np.diag([1.0, 2.0, 3.0]) @ f.conj().T
+    dense = {**root, "statistic": {"matrix": pairs(matrix)}}
+    explicit = {**root, "statistic": {"eigenvalues": [1.0, 2.0, 3.0],
+                                      "projections": [pairs(np.outer(v, v.conj())) for v in f.T]}}
+    return json.dumps(dense), json.dumps(explicit)
+
+
+def test_witness_entries_name_atoms_by_position_not_by_eigenvalue():
+    texts = fourier_texts()
+    for written, replayed in (texts, texts[::-1]):
+        verdict = check_weak_sufficiency(*parse_instance(written))
+        cert = serialize_certificate(make_certificate("weak_sufficiency", verdict))
+        report = verify_certificate(replayed, cert)
+        assert verdict.sufficient and report.ok, report.detail
 
 
 def test_rank_violation_certificate_verifies():
@@ -176,33 +184,26 @@ def test_rank_violation_certificate_verifies():
     verdict = check_weak_sufficiency(statistic, family)
     assert not verdict.sufficient
     cert = make_certificate("weak_sufficiency", verdict)
+    assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["e1", "e2"]}]}
     instance_text = serialize_instance(statistic, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert report.ok, report.detail
-    cert["payload"]["rank_violations"][0]["dimension"] = 7
-    report = verify_certificate(instance_text, serialize_certificate(cert))
-    assert not report.ok
-    for forged in ([3], 3, [], [{"atom": 0, "dimension": 1}], [{"atom": "0"}]):
+    for forged in ([3], 3, [], [{"atom": 0, "states": ["e1", "e1"]}], [{"atom": "0"}],
+                   [{"atom": 0, "states": ["e1", "e2"]}, {"atom": 0, "states": ["e2"]}]):
         cert["payload"]["rank_violations"] = forged
         report = verify_certificate(instance_text, serialize_certificate(cert))
         assert not report.ok
 
 
 def test_phase_cycle_certificate_verifies_and_rejects_foreign_edges():
-    s = 1.0 / math.sqrt(2.0)
-    statistic = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    family = StateFamily(labels=("u", "v"),
-                         vectors=np.array([[s, s], [s, 1j * s]], dtype=complex))
-    verdict = check_weak_sufficiency(statistic, family)
-    assert not verdict.sufficient
-    cert = make_certificate("weak_sufficiency", verdict)
-    instance_text = serialize_instance(statistic, family)
-    report = verify_certificate(instance_text, serialize_certificate(cert))
-    assert report.ok, report.detail
-    cert["payload"]["phase_cycle"]["constraints"][0]["value"] = [5.0, 5.0]
-    report = verify_certificate(instance_text, serialize_certificate(cert))
-    assert not report.ok
-    assert "not a constraint" in report.detail
+    instance_text, cert = phase_cycle_certificate()
+    for edge, message in (({"atom": 2}, "expected an atom index below 2"),
+                          ({"right": "x"}, "no state labelled 'x'")):
+        forged = json.loads(json.dumps(cert))
+        forged["payload"]["phase_cycle"]["constraints"][0].update(edge)
+        report = verify_certificate(instance_text, serialize_certificate(forged))
+        assert not report.ok
+        assert message in report.detail
 
 
 def test_existence_certificates_roundtrip():
@@ -415,11 +416,15 @@ def test_unknown_certificate_kind_rejected():
 
 
 def phase_cycle_certificate():
+    """diag(1, -1): u and v demand incompatible relative phases on the two
+    atoms; w lies in atom 1 and overlaps nothing on atom 0."""
     s = 1.0 / math.sqrt(2.0)
     statistic = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    family = StateFamily(labels=("u", "v"),
-                         vectors=np.array([[s, s], [s, 1j * s]], dtype=complex))
+    family = StateFamily(labels=("u", "v", "w"),
+                         vectors=np.array([[s, s], [s, 1j * s], [1, 0]], dtype=complex))
     cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    assert cert["payload"]["phase_cycle"]["constraints"] == [
+        {"left": "u", "right": "v", "atom": 0}, {"left": "u", "right": "v", "atom": 1}]
     instance_text = serialize_instance(statistic, family)
     assert verify_certificate(instance_text, serialize_certificate(cert)).ok
     return instance_text, cert
@@ -427,10 +432,10 @@ def phase_cycle_certificate():
 
 def test_zero_cycle_value_is_rejected_not_raised():
     instance_text, cert = phase_cycle_certificate()
-    cert["payload"]["phase_cycle"]["constraints"][0]["value"] = [0, 0]
+    cert["payload"]["phase_cycle"]["constraints"][0]["right"] = "w"
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
-    assert "constraints[0].value" in report.detail
+    assert "cycle edge 0 has overlap 0.000e+00" in report.detail
 
 
 def test_empty_cycle_is_rejected_not_raised():
@@ -447,6 +452,136 @@ def test_cycle_that_is_not_an_object_is_rejected_not_raised():
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
     assert "$.payload.phase_cycle" in report.detail
+
+
+def spread_certificate():
+    """T = diag(1, 2, 2): a = e1 and b = e2 are independent on atom 1,
+    span(e1, e2), where c = (e0 + e1)/sqrt2 is parallel to a."""
+    s = 1.0 / math.sqrt(2.0)
+    statistic = statistic_from_matrix(np.diag([1.0, 2.0, 2.0]).astype(complex))
+    family = StateFamily(labels=("a", "b", "c"),
+                         vectors=np.array([[0, 1, 0], [0, 0, 1], [s, s, 0]], dtype=complex))
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    assert cert["payload"] == {"rank_violations": [{"atom": 1, "states": ["a", "b"]}]}
+    instance_text = serialize_instance(statistic, family)
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+    return instance_text, cert
+
+
+@pytest.mark.parametrize("item, message", [
+    ({"atom": 1, "states": ["a", "c"]}, "are not independent on atom 1"),   # rank 1
+    ({"atom": 1, "states": ["b", "b"]}, "are not independent on atom 1"),   # itself
+    ({"atom": 0, "states": ["a", "b"]}, "are not independent on atom 0"),   # rank 0
+    ({"atom": 1, "states": ["a", "nobody"]}, "no state labelled 'nobody'"),
+    ({"atom": 1, "states": ["a"]}, "expected two state labels"),
+    ({"atom": 1, "states": ["a", "b", "c"]}, "expected two state labels"),
+    ({"atom": 1, "states": "ab"}, "expected two state labels"),
+    ({"atom": 2, "states": ["a", "b"]}, "expected an atom index below 2"),
+    ({"atom": -1, "states": ["a", "b"]}, "expected an atom index below 2"),
+    ({"atom": True, "states": ["a", "b"]}, "expected an atom index below 2"),
+    ({"atom": 1.0, "states": ["a", "b"]}, "expected an atom index below 2"),
+    ({"atom": 1, "states": ["a", "b"], "dimension": 2}, "keys atom, states"),
+], ids=["rank_one", "itself", "empty_atom", "unknown", "short", "long", "string",
+        "atom_2", "atom_-1", "atom_true", "atom_float", "extra_key"])
+def test_tampered_rank_violation_is_rejected_not_raised(item, message):
+    instance_text, cert = spread_certificate()
+    cert["payload"]["rank_violations"] = [item]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert message in report.detail
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([("u", "w", 0), ("u", "v", 1)], "cycle edge 0 has overlap"),
+    ([("u", "v", 2), ("u", "v", 1)], "expected an atom index below 2"),
+    ([("u", "v", None), ("u", "v", 1)], "expected an atom index below 2"),
+    ([("u", "v", False), ("u", "v", 1)], "expected an atom index below 2"),
+    ([("u", "v", 1), ("w", "u", 1)], "walk does not close"),
+    ([("u", "v", 1), ("w", "w", 1)], "do not form a closed walk"),
+    ([("u", "v", 0), ("u", "nobody", 1)], "no state labelled 'nobody'"),
+    ([("u", "v", 0)], "walk does not close"),
+], ids=["no_overlap", "atom_2", "null_atom", "atom_false", "open", "broken", "unknown",
+        "single"])
+def test_tampered_cycle_is_rejected_not_raised(edges, message):
+    instance_text, cert = phase_cycle_certificate()
+    cert["payload"]["phase_cycle"]["constraints"] = [
+        {"left": left, "right": right, "atom": atom} for left, right, atom in edges]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert message in report.detail
+
+
+def test_existence_cycle_edges_name_no_atom():
+    family = obstructed_family()
+    instance_text = serialize_instance(None, family)
+    cert = make_certificate("existence", exists_weakly_sufficient(family))
+    assert {edge["atom"] for edge in cert["payload"]["phase_cycle"]["constraints"]} == {None}
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+    cert["payload"]["phase_cycle"]["constraints"][0]["atom"] = 0
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok and "atom: expected null" in report.detail
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0], "expected a list of 2 reals, one per atom"),
+    ([1.0, 1.0, 1.0], "expected a list of 2 reals, one per atom"),
+    ([1.0, [1.0, 0.0]], "expected a real number"),
+    ([1.0, "1"], "expected a real number"),
+    ([True, 1.0], "expected a real number"),
+    ({"-1.0": 1.0, "1.0": 1.0}, "expected a list of 2 reals, one per atom"),
+], ids=["short", "long", "pair", "string", "bool", "object"])
+def test_tampered_witness_functions_are_rejected_not_raised(values, message):
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    assert cert["payload"]["witness"]["functions"]["phi2"] == pytest.approx([1.0, 1.0])
+    cert["payload"]["witness"]["functions"]["phi2"] = values
+    report = verify_certificate(serialize_instance(statistic, family),
+                                serialize_certificate(cert))
+    assert not report.ok
+    assert "$.payload.witness.functions.phi2" in report.detail and message in report.detail
+
+
+def parent_format(cert, eigenvalues):
+    """cert as the earlier encoding wrote it: rank violations with their
+    dimension, cycle edges with their value, witness functions as
+    [eigenvalue, value] rows."""
+    old = json.loads(json.dumps(cert))
+    payload = old["payload"]
+    for item in payload.get("rank_violations", []):
+        item["dimension"] = 2
+        del item["states"]
+    for edge in payload.get("phase_cycle", {}).get("constraints", []):
+        edge["value"] = [0.5, 0.0]
+    for label, values in payload.get("witness", {}).get("functions", {}).items():
+        payload["witness"]["functions"][label] = [[float(ev), v]
+                                                  for ev, v in zip(eigenvalues, values)]
+    return old
+
+
+def test_parent_format_certificates_are_refused():
+    doubled = statistic_from_matrix(2.0 * np.eye(2, dtype=complex))
+    basis = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
+    bundled = load_bundled_instance()
+    instance_text, cycle = phase_cycle_certificate()
+    built = exists_weakly_sufficient(obstructed_family())
+    constructed_text, constructed, constructed_cert = constructed_certificate()
+    cases = [
+        (serialize_instance(*bundled), bundled[0].eigenvalues,
+         make_certificate("weak_sufficiency", check_weak_sufficiency(*bundled))),
+        (serialize_instance(doubled, basis), doubled.eigenvalues,
+         make_certificate("weak_sufficiency", check_weak_sufficiency(doubled, basis))),
+        (instance_text, [], cycle),
+        (serialize_instance(None, obstructed_family()), [], make_certificate("existence", built)),
+        (constructed_text, constructed.statistic.eigenvalues, constructed_cert),
+    ]
+    verdicts = set()
+    for text, eigenvalues, cert in cases:
+        assert verify_certificate(text, serialize_certificate(cert)).ok
+        report = verify_certificate(text, serialize_certificate(parent_format(cert, eigenvalues)))
+        assert not report.ok, cert["verdict"]
+        assert "malformed certificate" in report.detail, report.detail
+        verdicts.add((cert["verdict"], *sorted(cert["payload"])))
+    assert len(verdicts) == 5
 
 
 def test_witness_of_wrong_length_is_rejected_not_raised():
@@ -700,10 +835,10 @@ def test_rank_refusal_and_witness_are_replayed_at_the_recorded_tolerances():
     instance_text = serialize_instance(statistic, family)
     refused = make_certificate(
         "weak_sufficiency", check_weak_sufficiency(statistic, family, tol=1e-12), tol=1e-12)
-    assert refused["payload"] == {"rank_violations": [{"atom": 0, "dimension": 2}]}
+    assert refused["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}]}
     assert verify_certificate(instance_text, json.dumps(refused)).ok
     report = replayed(instance_text, refused, rank=1e-8)
-    assert not report.ok and "component rank 1" in report.detail
+    assert not report.ok and "['a', 'b'] are not independent on atom 0" in report.detail
 
     accepted = make_certificate(
         "weak_sufficiency", check_weak_sufficiency(statistic, family, tol=1e-4), tol=1e-4)

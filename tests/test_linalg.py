@@ -16,7 +16,6 @@ from wsq.linalg import (
     as_hermitian,
     RANK_TOL,
     gram_matrix,
-    gram_rank,
     hermitian_eig,
     inner,
     norm,
@@ -29,6 +28,12 @@ from wsq.spectral import GROUP_FACTOR, statistic_from_matrix
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)
+
+
+def numpy_rank(g, tol=RANK_TOL):
+    """Eigenvalues of a Gram matrix above tol * max(1, the largest), by numpy."""
+    w = np.linalg.eigvalsh(np.asarray(g))
+    return int(np.count_nonzero(w > tol * max(1.0, w.max())))
 
 
 def random_unit(rng, d, real=False):
@@ -109,21 +114,18 @@ def test_eig_reports_exhausted_sweep_budget(monkeypatch):
     with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
         hermitian_eig(random_hermitian(rng, 6))
     with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
-        gram_rank(np.ones((2, 2)))
+        hermitian_eig(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_householder_reduction_is_real_tridiagonal(n):
     rng = np.random.default_rng(60 + n)
     m = random_hermitian(rng, n)
-    d, e, q = linalg._tridiagonalize(m.copy(), vectors=True)
+    d, e, q = linalg._tridiagonalize(m.copy())
     assert d.shape == (n,) and e.shape == (n - 1,) and np.all(e >= 0.0)
     s = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
     assert np.abs(q.conj().T @ q - np.eye(n)).max() <= 1e-14
     assert np.abs(q @ s @ q.conj().T - m).max() <= 1e-14 * n * np.abs(m).max()
-    d_only, e_only, q_none = linalg._tridiagonalize(m.copy(), vectors=False)
-    assert q_none is None
-    assert np.array_equal(d_only, d) and np.array_equal(e_only, e)
 
 
 def random_unitary(rng, d):
@@ -205,12 +207,14 @@ def test_kernel_works_at_any_finite_scale(scale):
         w, v = hermitian_eig(m)
         ws, vs = hermitian_eig(scale * m)
         wg, _ = hermitian_eig(g)
-        rank = gram_rank(scale * g)
+        wgs, _ = hermitian_eig(scale * g)
     assert np.abs(ws - scale * w).max() <= 1e-13 * scale * np.abs(w).max()
     assert np.abs((vs * ws) @ vs.conj().T - scale * m).max() <= 1e-13 * scale * np.abs(m).max()
     assert np.abs(vs.conj().T @ vs - np.eye(12)).max() <= 1e-13
     cut = RANK_TOL * max(1.0, scale * wg.max())
-    assert rank == np.count_nonzero(scale * wg > cut) == (3 if scale > 1 else 0)
+    rank = np.count_nonzero(wgs > cut)
+    assert rank == np.count_nonzero(scale * wg > cut) == numpy_rank(scale * g)
+    assert rank == (3 if scale > 1 else 0)
 
 
 def certify_spectrum(rng, d):
@@ -255,23 +259,18 @@ def test_eig_on_certify_shaped_spectra(d):
             assert np.abs(mine - theirs).max() <= 1e-12
 
 
-# ------------------------------------------------------ gram_rank, pairs
+# ------------------------------------------------ kernel edge cases, pairs
 
 
 def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep(monkeypatch):
     monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
     for m in (np.zeros((4, 4)), np.array([[2.5]]), np.array([[0.0]]),
               np.diag([3.0, -1.0, 0.0, 2.0]), np.diag([1e-100, -3e200, 7.0])):
-        a = as_hermitian(m)
-        w, v = linalg._eigen(a, vectors=True)
+        w, v = linalg._eigen(as_hermitian(m))
         assert np.array_equal(w, np.diagonal(m)) and np.array_equal(v, np.eye(len(m)))
-        w_only, v_none = linalg._eigen(a, vectors=False)
-        assert v_none is None and np.array_equal(w_only, w)
-    assert [gram_rank(m) for m in (np.zeros((4, 4)), [[2.5]], [[0.0]], [[-1.0]])] == [0, 1, 0, 0]
-    assert gram_rank(np.diag([3.0, -1.0, 0.0, 2.0])) == 2   # -1 is no rank
     rng = np.random.default_rng(32)
     with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
-        linalg._eigen(as_hermitian(random_hermitian(rng, 3)), vectors=False)
+        linalg._eigen(as_hermitian(random_hermitian(rng, 3)))
 
 
 def test_split_tridiagonal_input_needs_no_reflector_and_no_sweep(monkeypatch):
@@ -280,14 +279,13 @@ def test_split_tridiagonal_input_needs_no_reflector_and_no_sweep(monkeypatch):
     d = np.array([2.0, -1.0, 0.5, 3.0, 1.0])
     sub = np.array([1e-17, 2e-17j, -1e-17, 1e-17 + 1e-17j])
     m = np.diag(d).astype(complex) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
-    dd, e, q = linalg._tridiagonalize(m.copy(), vectors=True)
+    dd, e, q = linalg._tridiagonalize(m.copy())
     assert np.array_equal(dd, d) and np.array_equal(e, np.abs(sub))
     assert np.array_equal(np.abs(q), np.eye(5))   # only the phase similarity
     monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
     w, v = hermitian_eig(m)
     assert np.array_equal(w, np.sort(d))
     assert np.array_equal(np.abs(v), np.eye(5)[:, np.argsort(d)])
-    assert gram_rank(m) == 4   # -1 is no rank
 
 
 def test_stacked_solve_mixes_easy_and_slow_matrices():
@@ -306,11 +304,9 @@ def test_stacked_solve_mixes_easy_and_slow_matrices():
         assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-9 * scale
     assert np.array_equal(solved[0][0], np.zeros(4)) and np.array_equal(solved[0][1], np.eye(4))
     assert np.array_equal(solved[1][0], [-1.0, 0.0, 2.0, 3.0])
-    assert [gram_rank(m ** 2) for m in mixed[:2]] == [0, 3]
-    for value, rank in [(2.5, 1), (0.0, 0), (-1.0, 0)]:
+    for value in (2.5, 0.0, -1.0):
         w, v = hermitian_eig(np.array([[value]]))
         assert np.array_equal(w, [value]) and np.array_equal(v, np.ones((1, 1)))
-        assert gram_rank(np.array([[value]])) == rank
 
 
 def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps(monkeypatch):
@@ -329,17 +325,20 @@ def test_stacked_solve_raises_when_a_member_runs_out_of_sweeps(monkeypatch):
 
 
 def test_gram_rank_validates_its_input():
+    # every matrix, a Gram matrix included, reaches the kernel through
+    # hermitian_eig, which validates it first
     with pytest.raises(ValueError, match="not hermitian"):
-        gram_rank(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        hermitian_eig(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
-        gram_rank(np.eye(3) * np.nan)
+        hermitian_eig(np.eye(3) * np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        gram_rank(np.diag([1.0, np.inf]))
+        hermitian_eig(np.diag([1.0, np.inf]))
     with pytest.raises(ValueError, match="square matrix"):
-        gram_rank(np.ones((2, 3)))
+        hermitian_eig(np.ones((2, 3)))
     with pytest.raises(ValueError, match="desk-scale"):
-        gram_rank(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
-    assert gram_rank(np.zeros((MAX_DIM, MAX_DIM))) == 0
+        hermitian_eig(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
+    w, v = hermitian_eig(np.zeros((MAX_DIM, MAX_DIM)))
+    assert np.array_equal(w, np.zeros(MAX_DIM)) and np.array_equal(v, np.eye(MAX_DIM))
 
 
 def test_gram_rank_is_repeatable_and_silent():
@@ -348,11 +347,11 @@ def test_gram_rank_is_repeatable_and_silent():
     tiny = tiny + np.triu(tiny, 1).conj().T
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        first = linalg._eigen(as_hermitian(tiny), vectors=False)
-        second = linalg._eigen(as_hermitian(tiny), vectors=False)
-        rank = gram_rank(tiny)
-    assert np.array_equal(first[0], second[0])
-    assert rank == 2
+        first = linalg._eigen(as_hermitian(tiny))
+        second = linalg._eigen(as_hermitian(tiny))
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    cut = RANK_TOL * max(1.0, first[0].max())
+    assert np.count_nonzero(first[0] > cut) == numpy_rank(tiny) == 2   # -3 is no rank
 
 
 def random_gram_stack(rng, atoms, states, rank):
@@ -373,7 +372,7 @@ def test_gram_rank_and_pair_rule_on_planted_gram_stacks(atoms, states):
         stack = random_gram_stack(rng, atoms, states, rank)
         for g in stack:
             w, _ = hermitian_eig(g)
-            assert gram_rank(g) == np.count_nonzero(w > RANK_TOL * max(1.0, w[-1])) == rank
+            assert numpy_rank(g) == np.count_nonzero(w > RANK_TOL * max(1.0, w[-1])) == rank
         assert pair_rank_two(stack).any(axis=(1, 2)).tolist() == [rank >= 2] * atoms
 
 
@@ -404,7 +403,7 @@ def test_pair_rule_matches_the_rank_class(n):
     for spectrum, rank in cases:
         for _ in range(5):
             g = planted_gram(rng, spectrum)
-            assert gram_rank(g) == rank
+            assert numpy_rank(g) == rank
             assert bool(pair_rank_two(g).any()) == (rank >= 2)
     stack = np.array([planted_gram(rng, s) for s, _ in cases])
     assert pair_rank_two(stack).any(axis=(1, 2)).tolist() == [r >= 2 for _, r in cases]
@@ -437,14 +436,15 @@ def test_numerical_rank_of_planted_span(k):
     for _ in range(3):  # add dependent combinations
         c = rng.normal(size=k) + 1j * rng.normal(size=k)
         fam.append(sum(ci * b for ci, b in zip(c, basis)))
-    assert gram_rank(gram_matrix(fam)) == k
+    assert numpy_rank(gram_matrix(fam)) == k
     # oracle: SVD-based rank on the stacked family agrees
     assert np.linalg.matrix_rank(np.array(fam)) == k
 
 
 def test_numerical_rank_edge_cases():
-    assert gram_rank(gram_matrix([np.zeros(3)])) == 0
-    assert gram_rank(gram_matrix([np.zeros(3), np.array([0, 1.0, 0])])) == 1
+    assert numpy_rank(gram_matrix([np.zeros(3)])) == 0
+    assert numpy_rank(gram_matrix([np.zeros(3), np.array([0, 1.0, 0])])) == 1
+    assert not pair_rank_two(gram_matrix([np.zeros(3), np.array([0, 1.0, 0])])).any()
 
 
 # ---------------------------------------------------------- gram_schmidt

@@ -5,7 +5,7 @@ import pytest
 
 from wsq import linalg, sufficiency
 from wsq.harness import gram_schmidt
-from wsq.linalg import gram_matrix, gram_rank, hermitian_part, pair_rank_two
+from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
 from wsq.minimality import (
     AtomClasses,
     MinimalStatistic,
@@ -19,6 +19,12 @@ from wsq.minimality import (
 )
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
 from wsq.sufficiency import analyze, check_weak_sufficiency
+
+
+def numpy_rank(g, tol=RANK_TOL):
+    """Eigenvalues of a Gram matrix above tol * max(1, the largest), by numpy."""
+    w = np.linalg.eigvalsh(np.asarray(g))
+    return int(np.count_nonzero(w > tol * max(1.0, w.max())))
 
 
 def patch_every_binding(monkeypatch, original, replacement):
@@ -133,7 +139,7 @@ def test_closed_form_pair_test_agrees_with_numerical_rank(rows):
     for tol in (1e-8, 1e-12):
         split = pair_rank_two(gamma @ gamma.conj().T, tol)
         assert not split[0, 0] and not split[1, 1] and split[0, 1] == split[1, 0]
-        assert (not split[0, 1]) == (gram_rank(gram_matrix(gamma), tol) <= 1)
+        assert (not split[0, 1]) == (numpy_rank(gram_matrix(gamma), tol) <= 1)
 
 
 # -------------------------------------------------------------- work counts
@@ -147,7 +153,7 @@ def test_classes_make_no_eigensolver_call(monkeypatch):
     assert calls == []
 
 
-def test_only_atoms_of_rank_two_or_more_are_solved(monkeypatch):
+def test_sufficiency_checks_run_no_kernel(monkeypatch):
     rng = np.random.default_rng(64)
     coeff = np.array([[1.0, 2.0], [-2.0, -4.0], [1.0, 0.0], [0.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
@@ -156,16 +162,22 @@ def test_only_atoms_of_rank_two_or_more_are_solved(monkeypatch):
     basis = np.eye(5)
     spread = StateFamily(("a", "b", "c", "d"),
                          (basis[0], basis[1], (basis[2] + basis[4]) / np.sqrt(2), basis[3]))
+    # diag(1, -1) demands incompatible relative phases of u and v
+    twisted = statistic_from_matrix(np.diag([1.0, -1.0]))
+    s = 1.0 / np.sqrt(2.0)
+    cycle = StateFamily(("u", "v"), (np.array([s, s]), np.array([s, 1j * s])))
     lone = count_eigensolves(monkeypatch)
     runs = count_kernel_runs(monkeypatch)
     assert check_weak_sufficiency(t, fam).sufficient
     merge_first_two = CoarseMap({1.0: 1.0, 2.0: 1.0, 3.0: 2.0, 4.0: 3.0})
     assert check_coarse_sufficient(t, fam, merge_first_two)
-    assert lone == [] and runs == []
+    assert not check_coarse_sufficient(t, fam, CoarseMap({1.0: 1.0, 2.0: 2.0, 3.0: 1.0, 4.0: 3.0}))
     verdict = check_weak_sufficiency(refused, spread)
-    assert [(v.atom, v.dim) for v in verdict.violations] == [(0, 2), (1, 2)]
-    assert lone == [] and runs == [(4, 4), (4, 4)]
-    assert analyze(refused, spread).ranks == (2, 2, 1)
+    assert [(v.atom, v.states) for v in verdict.violations] == [(0, ("a", "b")), (1, ("c", "d"))]
+    assert analyze(refused, spread).spread == {0: (0, 1), 1: (2, 3)}
+    assert [type(v).__name__ for v in check_weak_sufficiency(twisted, cycle).violations] == \
+        ["PhaseObstruction"]
+    assert lone == [] and runs == []
 
 
 def test_coarse_check_and_minimal_build_no_witness(monkeypatch):

@@ -11,7 +11,9 @@ Production modules import the harness only inside the functions that
 need it (the command line's oracle and selftest), so importing wsq
 never loads the oracles.  The certificate verifier replays each verdict
 at the tolerances the certificate records, so neither verify_certificate
-nor any fileio function it reaches names a default tolerance.
+nor any fileio function it reaches names a default tolerance.  It
+recomputes the quantities a certificate names instead of deciding the
+question again, so none of them names a decision function either.
 """
 
 import ast
@@ -179,11 +181,14 @@ def test_production_code_imports_no_scipy():
 
 
 DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
+# minimal_statistic stays allowed: the minimal partition is re-derived
+DECISIONS = {"analyze", "check_weak_sufficiency", "exists_weakly_sufficient",
+             "family_constraints", "align_phases", "gram_rank"}
 
 
-def verifier_default_tolerances(source: str) -> list[str]:
-    """Every default tolerance named by verify_certificate or a module
-    function it reaches, as 'function: name'."""
+def verifier_names(source: str, names: set[str]) -> list[str]:
+    """Every one of names named by verify_certificate or a module function
+    it reaches, as 'function: name'."""
     functions = {node.name: node for node in ast.parse(source).body
                  if isinstance(node, ast.FunctionDef)}
     found, seen, pending = [], set(), ["verify_certificate"]
@@ -195,7 +200,7 @@ def verifier_default_tolerances(source: str) -> list[str]:
         for node in ast.walk(functions[name]):
             ident = node.id if isinstance(node, ast.Name) else \
                 node.attr if isinstance(node, ast.Attribute) else None
-            if ident in DEFAULT_TOLERANCES:
+            if ident in names:
                 found.append(f"{name}: {ident}")
             elif ident in functions:
                 pending.append(ident)
@@ -204,12 +209,23 @@ def verifier_default_tolerances(source: str) -> list[str]:
 
 def test_verifier_names_no_default_tolerance():
     source = (PACKAGE / "fileio.py").read_text()
-    assert verifier_default_tolerances(source) == []
+    assert verifier_names(source, DEFAULT_TOLERANCES) == []
     # an edit replaying existence cycles at the default angle again is caught
     replay = 'payload.get("phase_cycle"), tols["angle"])'
     assert source.count(replay) == 1
     edited = source.replace(replay, replay.replace('tols["angle"]', "phases.ANGLE_TOL"))
-    assert verifier_default_tolerances(edited) == ["_replay: ANGLE_TOL"]
+    assert verifier_names(edited, DEFAULT_TOLERANCES) == ["_replay: ANGLE_TOL"]
+
+
+def test_verifier_runs_no_decision():
+    source = (PACKAGE / "fileio.py").read_text()
+    assert verifier_names(source, DECISIONS) == []
+    # an edit deciding a refusal again before replaying it is caught
+    replay = '        if verdict == "not_sufficient":\n'
+    assert source.count(replay) == 1
+    edited = source.replace(
+        replay, replay + '            sufficiency.analyze(statistic, family, tols["rank"])\n')
+    assert verifier_names(edited, DECISIONS) == ["_replay: analyze"]
 
 
 @pytest.mark.parametrize("body", [
@@ -219,6 +235,6 @@ def test_verifier_names_no_default_tolerance():
 ], ids=["helper", "witness", "feasibility"])
 def test_scanner_follows_the_verifier_into_its_helpers(body):
     source = "RANK_TOL = 1\ndef make():\n    return RANK_TOL\ndef verify_certificate():\n" + body
-    assert verifier_default_tolerances(source)
-    assert verifier_default_tolerances(source.replace("verify_certificate", "unrelated")
-                                       + "def verify_certificate():\n    pass\n") == []
+    assert verifier_names(source, DEFAULT_TOLERANCES)
+    assert verifier_names(source.replace("verify_certificate", "unrelated")
+                          + "def verify_certificate():\n    pass\n", DEFAULT_TOLERANCES) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wsq.harness import GeneratorSpec, generate, gram_schmidt, versions_satisfy
-from wsq.linalg import RANK_TOL, gram_matrix, gram_rank, inner
+from wsq.linalg import RANK_TOL, gram_matrix, inner
 from wsq.phases import PhaseConstraint, VersionAssignment, align_phases, cycle_defect
 from wsq.spectral import StateFamily, statistic_from_matrix
 from wsq.sufficiency import (
@@ -20,6 +20,12 @@ from wsq.sufficiency import (
     statistic_from_directions,
     verify_witness,
 )
+
+
+def numpy_rank(g, tol=RANK_TOL):
+    """Eigenvalues of a Gram matrix above tol * max(1, the largest), by numpy."""
+    w = np.linalg.eigvalsh(np.asarray(g))
+    return int(np.count_nonzero(w > tol * max(1.0, w.max())))
 
 
 def two_state_qubit():
@@ -99,7 +105,7 @@ def test_merged_atom_rank_violation():
     assert verdict.witness is None
     [violation] = verdict.violations
     assert isinstance(violation, RankViolation)
-    assert violation.atom == 0 and violation.dim == 2
+    assert violation.atom == 0 and violation.states == ("e1", "e2")
 
 
 def test_phase_obstruction_is_statistic_relative():
@@ -154,7 +160,7 @@ def greedy_directions(family, tol=RANK_TOL):
     dressed = [aligned.phase(lab) * v for lab, v in zip(family.labels, family.vectors)]
     kept = []
     for vec in dressed:
-        if gram_rank(gram_matrix(kept + [vec]), tol) == len(kept) + 1:
+        if numpy_rank(gram_matrix(kept + [vec]), tol) == len(kept) + 1:
             kept.append(vec)
     ortho, _ = gram_schmidt(kept, tol)
     return np.array(ortho)
@@ -288,7 +294,7 @@ def test_analysis_factors_each_atom():
     analysis = analyze(t, fam)
     comps = analysis.table.components
     for k, is_active in enumerate(analysis.active):
-        assert is_active == (analysis.ranks[k] >= 1)
+        assert is_active == (numpy_rank(analysis.table.gram[k]) >= 1)
         if not is_active:
             assert np.abs(analysis.gamma[k]).max() <= 1e-9
             continue
@@ -322,8 +328,8 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
     )
     analysis = analyze(t, fam)
     comps = analysis.table.components
-    assert analysis.ranks == tuple(gram_rank(gram_matrix(comps[k])) for k in range(len(t)))
-    assert analysis.ranks == (1, 2)
+    assert [numpy_rank(gram_matrix(comps[k])) for k in range(len(t))] == [1, 2]
+    assert analysis.spread == {1: (0, 1)} and analysis.active == (True, True)
     expected = [
         (fam.labels[i], fam.labels[j], k)
         for k in range(len(t))
@@ -340,7 +346,7 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
 @pytest.mark.parametrize("seed", range(4))
 def test_analysis_rank_classes_match_numerical_rank(seed):
     # atoms of rank 0 (weight 1e-12, below the cutoff), 1, 2 and 3 (full for
-    # three states), read without an eigensolve except for ranks 2 and 3
+    # three states), read without an eigensolve
     rng = np.random.default_rng(90 + seed)
     raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     basis, _ = np.linalg.qr(raw)
@@ -359,9 +365,12 @@ def test_analysis_rank_classes_match_numerical_rank(seed):
     fam = StateFamily(("a", "b", "c"), tuple(vecs))
     analysis = analyze(t, fam)
     comps = analysis.table.components
-    order = np.argsort(t.eigenvalues)
-    assert analysis.ranks == tuple(gram_rank(gram_matrix(comps[k])) for k in range(len(t)))
-    assert [analysis.ranks[k] for k in order] == [0, 1, 2, 3]
+    ranks = [numpy_rank(gram_matrix(comps[k])) for k in range(len(t))]
+    assert [ranks[k] for k in np.argsort(t.eigenvalues)] == [0, 1, 2, 3]
+    assert analysis.active == tuple(rank >= 1 for rank in ranks)
+    assert sorted(analysis.spread) == [k for k, rank in enumerate(ranks) if rank >= 2]
+    for k, (i, j) in analysis.spread.items():
+        assert i < j and numpy_rank(gram_matrix(comps[k][[i, j]])) == 2
 
 
 def test_decision_is_the_verdict_without_its_witness():
