@@ -48,6 +48,13 @@ print("loaded atoms carry rank-one projectors?", report.ok)
 print("feasibility implies the weak factorization too?",
       petz_implies_weak_check(instance, cert))
 
+# The certificate names each atom's owner, the one state that loads it
+# (null for an idle atom), not the density matrices: the owners fix every
+# rho_k, so the verifier rebuilds them and checks the reconstruction.
+text = serialize_certificate(make_certificate("petz", cert, parameters={"unital": True}))
+print(text)
+print("verifier:", verify_certificate(serialize_instance(statistic, family), text).detail)
+
 # ---------------------------------------------------------------- orthogonality
 # Distinct states must be orthogonal for feasibility.  The bundled
 # two-state instance overlaps at 1/sqrt(2), so the verdict is

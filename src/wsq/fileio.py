@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import RANK_TOL, as_hermitian, gram_matrix, hermitian_part, inner, pair_rank_two
+from .linalg import RANK_TOL, as_hermitian, gram_matrix, inner, pair_rank_two
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
@@ -98,10 +98,6 @@ def _pair_json(z: complex) -> list[float]:
 
 def _vector_json(v: np.ndarray) -> list:
     return [_pair_json(z) for z in v]
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return [_vector_json(row) for row in np.asarray(m)]
 
 
 class Instance:
@@ -196,7 +192,7 @@ def serialize_instance(statistic, family) -> str:
     if statistic is not None:
         root["statistic"] = {
             "eigenvalues": [float(v) for v in statistic.eigenvalues],
-            "projections": [_matrix_json(p) for p in statistic.projections],
+            "projections": [[_vector_json(row) for row in p] for p in statistic.projections],
         }
     return json.dumps(root, indent=2, sort_keys=True)
 
@@ -260,10 +256,7 @@ def _witness_from_json(node: dict, path: str, statistic) -> sufficiency.WitnessF
 
 
 def _cycle_json(cycle) -> dict:
-    return {
-        "constraints": [{"left": c.left, "right": c.right, "atom": c.atom} for c in cycle],
-        "defect": phases.cycle_defect(cycle),
-    }
+    return {"constraints": [{"left": c.left, "right": c.right, "atom": c.atom} for c in cycle]}
 
 
 def _directions_from_json(node, path: str, dim: int):
@@ -343,16 +336,10 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
     elif kind == "petz":
         if isinstance(result, petz.Feasible):
             cert["verdict"] = "feasible"
-            cert["payload"] = {
-                "rhos": [_matrix_json(rho) for rho in result.rhos],
-                "max_constraint_residual": result.max_constraint_residual,
-            }
+            cert["payload"] = {"owners": list(result.owners)}
         elif isinstance(result, petz.InfeasibleOrthogonality):
             cert["verdict"] = "infeasible_orthogonality"
-            cert["payload"] = {
-                "pair": list(result.pair),
-                "overlap": _pair_json(result.overlap),
-            }
+            cert["payload"] = {"pair": list(result.pair)}
         elif isinstance(result, petz.InfeasibleSharedAtoms):
             cert["verdict"] = "infeasible_shared_atoms"
             cert["payload"] = {
@@ -440,11 +427,11 @@ def _cycle_report(statistic, family, node, tol: float) -> VerificationReport:
     None), whose atoms are all null.
     """
     path = "$.payload.phase_cycle"
-    if not isinstance(node, dict) or not isinstance(node.get("constraints"), list) \
-            or not node["constraints"]:
+    edges = _exact_keys(node, path, ["constraints"])["constraints"]
+    if not isinstance(edges, list) or not edges:
         _fail(path, "expected a cycle object with a nonempty 'constraints' list")
     cycle = []
-    for i, edge in enumerate(node["constraints"]):
+    for i, edge in enumerate(edges):
         here = f"{path}.constraints[{i}]"
         _exact_keys(edge, here, ["atom", "left", "right"])
         ends = [edge["left"], edge["right"]]
@@ -478,11 +465,13 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     sufficiency.ZERO_TOL.  A witness function lists one value per atom
     of T, in ascending eigenvalue order.  A constructed statistic is
     rebuilt from its directions by sufficiency.statistic_from_directions
-    before its witness is replayed; overlaps, PSD checks and
-    reconstruction residuals (at petz.RECONSTRUCTION_TOL) are recomputed.
-    A certificate that does not prove its claim, or cannot be read, the
+    before its witness is replayed.  A petz feasible answer's owners are
+    checked at ``petz_feasibility`` and petz.rhos_from_owners rebuilds its
+    rho's, PSD and (unital) of trace one by construction, within
+    petz.RECONSTRUCTION_TOL.  Overlaps are recomputed.  A
+    certificate that does not prove its claim, or cannot be read, the
     earlier encodings (rank dimensions, edge values, [eigenvalue, value]
-    witness rows) included, yields ok=False.  Only a malformed instance
+    witness rows, dense petz rhos) included, yields ok=False.  Only a malformed instance
     raises: at read time, or when a verdict that reads the statistic
     meets a dense matrix that fails to decompose.  ``existence`` and ``infeasible_orthogonality``
     verdicts never decompose it.
@@ -607,7 +596,7 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
         return VerificationReport(False, "parameters must be an object with a boolean 'unital'")
     unital = params["unital"]
     if verdict == "infeasible_orthogonality":
-        pair = payload.get("pair")
+        pair = _exact_keys(payload, "$.payload", ["pair"])["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             return VerificationReport(False, "payload carries no state pair")
         try:
@@ -623,41 +612,29 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
         return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
     statistic = instance.statistic
     weights = petz.PetzInstance.from_parts(statistic, family, unital=unital).weights
+    loads = weights > tols["petz_feasibility"]
     if verdict == "feasible":
-        rho_nodes = payload.get("rhos")
-        if not isinstance(rho_nodes, list) or len(rho_nodes) != len(statistic):
-            return VerificationReport(False, "payload carries wrong number of rhos")
-        rhos = [
-            _matrix(node, f"$.payload.rhos[{k}]", family.dim)
-            for k, node in enumerate(rho_nodes)
-        ]
-        worst = 0.0
-        for n in range(len(family)):
-            mix = sum(weights[n, k] * rhos[k] for k in range(len(statistic)))
-            target = np.outer(family.vectors[n], family.vectors[n].conj())
-            worst = max(worst, float(np.abs(mix - target).max()))
-        if worst > petz.RECONSTRUCTION_TOL:
-            return VerificationReport(False, f"state reconstruction residual {worst:.3e} "
+        owners = _exact_keys(payload, "$.payload", ["owners"])["owners"]
+        if not isinstance(owners, list) or len(owners) != len(statistic):
+            _fail("$.payload.owners", f"expected {len(statistic)} labels or nulls, one per atom")
+        for k, label in enumerate(owners):
+            loaders = [family.labels[n] for n in np.flatnonzero(loads[:, k])]
+            if label is not None and loaders != [label]:
+                return VerificationReport(False, f"{label!r} is not the one loader of atom {k}")
+            if label is None and unital and loaders:
+                return VerificationReport(False, f"atom {k} is loaded but names no owner")
+        unowned = sorted(set(family.labels) - set(owners))
+        if unowned and not unital:
+            return VerificationReport(False, f"state {unowned[0]!r} owns no atom")
+        _, residual = petz.rhos_from_owners(family, weights, owners, unital)
+        if residual > petz.RECONSTRUCTION_TOL:
+            return VerificationReport(False, f"state reconstruction residual {residual:.3e} "
                                              f"exceeds {petz.RECONSTRUCTION_TOL:.0e}")
-        for k, rho in enumerate(rhos):
-            # a Cholesky factor of rho + 1e-8 I exists iff no eigenvalue of
-            # rho lies below -1e-8; no eigensolver is needed for that
-            try:
-                np.linalg.cholesky(hermitian_part(rho) + 1e-8 * np.eye(family.dim))
-            except np.linalg.LinAlgError:
-                return VerificationReport(
-                    False, f"rho[{k}] has an eigenvalue below -1e-08"
-                )
-            if unital and abs(np.trace(rho).real - 1.0) > 1e-6:
-                return VerificationReport(
-                    False, f"rho[{k}] has trace {np.trace(rho).real:.8f}, expected 1"
-                )
-        return VerificationReport(True, f"feasible solution verified, residual {worst:.3e}")
+        return VerificationReport(True, f"feasible solution verified, residual {residual:.3e}")
     if verdict == "infeasible_shared_atoms":
         pairs = payload.get("pairs")
         if not isinstance(pairs, list):
             return VerificationReport(False, "payload carries no list of pairs")
-        loads = weights > tols["petz_feasibility"]
         try:
             n = family.index(payload.get("state"))
             named = [(k, family.index(other)) for k, other in pairs]

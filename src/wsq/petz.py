@@ -17,8 +17,9 @@ cone, so each rho_k that state theta loads (w[theta, k] > tol) is a
 multiple of |phi_theta><phi_theta| (Petz 1988), and an atom that two
 orthogonal states load needs rho_k = 0.  Unital: feasible iff no atom
 is loaded twice.  Non-unital: feasible iff every state loads an atom of
-its own.  Both solutions are closed-form; a refusal names the shared
-atoms that block one state.
+its own.  Both solutions are closed-form: each atom's owner, the one
+state that loads it, fixes rho_k (rhos_from_owners), so a certificate
+names owners.  A refusal names the shared atoms that block one state.
 """
 
 from __future__ import annotations
@@ -69,8 +70,13 @@ class PetzInstance:
 
 @dataclass
 class Feasible:
+    """The closed-form solution: owners[k] is the label of the one state
+    that loads atom k, or None, and rhos and max_constraint_residual are
+    what rhos_from_owners builds from them."""
+
     rhos: list[np.ndarray]
     max_constraint_residual: float
+    owners: tuple[str | None, ...]
 
 
 @dataclass
@@ -112,10 +118,9 @@ def orthogonality_precheck(family: StateFamily):
 def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
     """Decide channel-invariance feasibility for the instance.
 
-    A loaded atom gets its state's projector, scaled non-unital by the
-    state's total weight on atoms of its own; any other atom gets I/d
-    (unital) or 0.  Refusals are InfeasibleOrthogonality, then
-    InfeasibleSharedAtoms.
+    A feasible answer names the owner of each atom that one state alone
+    loads and builds the rho's from them (rhos_from_owners).  Refusals are
+    InfeasibleOrthogonality, then InfeasibleSharedAtoms.
     """
     bad = orthogonality_precheck(instance.family)
     if bad is not None:
@@ -142,17 +147,29 @@ def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
             if not private[n].any():
                 return refuse(n, np.flatnonzero(loads[n]))
 
-    d = instance.statistic.dim
-    vectors = np.array(fam.vectors)
+    owners = tuple(fam.labels[col.argmax()] if col.any() else None for col in private.T)
+    rhos, residual = rhos_from_owners(fam, w, owners, unital)
+    return Feasible(rhos=rhos, max_constraint_residual=residual, owners=owners)
+
+
+def rhos_from_owners(family: StateFamily, weights: np.ndarray, owners, unital: bool):
+    """The rho of each atom and the largest state reconstruction residual.
+
+    owners[k] is the label of the state that owns atom k, or None.  An
+    owned atom gets its owner's projector, scaled non-unital by 1/S, S the
+    owner's weight on the atoms it owns; any other atom gets I/d (unital)
+    or 0.  Those are PSD, and unital each has trace one, by construction.
+    """
+    vectors = np.array(family.vectors)
     projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
-    scale = np.ones(len(fam)) if unital else (w * private).sum(axis=1)
+    owned = np.array([[label == owner for owner in owners] for label in family.labels])
+    scale = np.ones(len(family)) if unital else (weights * owned).sum(axis=1)
+    d = family.dim
     idle = np.eye(d, dtype=complex) / d if unital else np.zeros((d, d), dtype=complex)
-    rhos = []
-    for k in range(len(instance.statistic)):
-        owners = np.flatnonzero(private[:, k])
-        rhos.append(projectors[owners[0]] / scale[owners[0]] if owners.size else idle.copy())
-    residual = float(np.abs(np.einsum("nk,kij->nij", w, np.array(rhos)) - projectors).max())
-    return Feasible(rhos=rhos, max_constraint_residual=residual)
+    rhos = [projectors[row.argmax()] / scale[row.argmax()] if row.any() else idle.copy()
+            for row in owned.T]
+    residual = float(np.abs(np.einsum("nk,kij->nij", weights, np.array(rhos)) - projectors).max())
+    return rhos, residual
 
 
 def structural_check(instance: PetzInstance, cert: Feasible) -> StructuralReport:

@@ -76,8 +76,9 @@ def test_petz_negative_on_bundled_instance(bundled_path, capsys):
     assert code == 1
     cert = parse_certificate(out.out)
     assert cert["verdict"] == "infeasible_orthogonality"
-    overlap = complex(*cert["payload"]["overlap"])
-    assert abs(abs(overlap) - 1.0 / math.sqrt(2.0)) <= 1e-12
+    assert cert["payload"] == {"pair": ["phi1", "phi2"]}
+    overlap = float(out.err.split("overlap by ")[1])
+    assert abs(overlap - 1.0 / math.sqrt(2.0)) <= 1e-8
 
 
 def test_construct_both_ways(tmp_path, obstructed_path, capsys):

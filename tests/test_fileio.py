@@ -282,7 +282,8 @@ def test_petz_certificates_roundtrip():
     instance_text = serialize_instance(statistic, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert report.ok, report.detail
-    cert["payload"]["rhos"][0][0][0][0] += 0.5
+    assert cert["payload"] == {"owners": ["e2", "e1"]}
+    cert["payload"]["owners"] = ["e1", "e2"]
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
 
@@ -331,6 +332,12 @@ def test_tampered_shared_atom_certificates_are_rejected(unital):
         forged["payload"] = {"state": state, "pairs": pairs}
         return verify_certificate(instance_text, serialize_certificate(forged))
 
+    # both states load atoms 0 and 1, so neither owns one of them
+    for owners in (["phi1", "phi2", None], [None, None, None]):
+        forged = json.loads(json.dumps(cert))
+        forged["verdict"], forged["payload"] = "feasible", {"owners": owners}
+        assert not verify_certificate(instance_text, serialize_certificate(forged)).ok
+
     # atom 2 carries no load of either state
     assert not replay([[2, "phi2"]]).ok
     # an atom paired with its own state, an unknown state, a bad index
@@ -344,6 +351,49 @@ def test_tampered_shared_atom_certificates_are_rejected(unital):
     else:
         # phi1 also loads atom 1, which could still carry it
         assert not replay([[0, "phi2"]]).ok
+
+
+def owned_atoms():
+    """T = diag(1, 2, 3, 4): a = 0.6 e0 + 0.8 e1 owns atoms 0 and 1, b owns
+    atom 2, and atom 3 is idle; feasible unital and non-unital."""
+    statistic = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex))
+    family = StateFamily(labels=("a", "b"), vectors=np.array(
+        [[0.6, 0.8, 0, 0], [0, 0, 1, 0]], dtype=complex))
+    return serialize_instance(statistic, family), statistic, family
+
+
+@pytest.mark.parametrize("owners, unital, message", [
+    (["nobody", "a", "b", None], True, "'nobody' is not the one loader of atom 0"),
+    ([True, "a", "b", None], True, "True is not the one loader of atom 0"),
+    ([0, "a", "b", None], True, "0 is not the one loader of atom 0"),
+    ([["a"], "a", "b", None], True, "['a'] is not the one loader of atom 0"),
+    (["a", "a", "b"], True, "expected 4 labels or nulls, one per atom"),
+    (["a", "a", "b", None, None], False, "expected 4 labels or nulls, one per atom"),
+    (["b", "a", "b", None], True, "'b' is not the one loader of atom 0"),
+    (["a", "a", "b", "a"], False, "'a' is not the one loader of atom 3"),
+    ([None, "a", "b", None], True, "atom 0 is loaded but names no owner"),
+    (["a", "a", None, None], False, "state 'b' owns no atom"),
+], ids=["unknown", "true", "zero", "list", "short", "long", "not_loading", "idle_atom",
+        "null_on_loaded", "owns_nothing"])
+def test_tampered_petz_owners_are_rejected_not_raised(owners, unital, message):
+    instance_text, statistic, family = owned_atoms()
+    result = petz_feasibility(PetzInstance.from_parts(statistic, family, unital=unital))
+    cert = make_certificate("petz", result, parameters={"unital": unital})
+    assert cert["payload"] == {"owners": ["a", "a", "b", None]}
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+    cert["payload"]["owners"] = owners
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok
+    assert message in report.detail, report.detail
+
+
+def test_non_unital_owners_may_leave_a_private_atom_idle():
+    # rho_0 = 0 and rho_1 = |a><a| / 0.64 still rebuild a: a valid channel
+    instance_text, statistic, family = owned_atoms()
+    result = petz_feasibility(PetzInstance.from_parts(statistic, family, unital=False))
+    cert = make_certificate("petz", result, parameters={"unital": False})
+    cert["payload"]["owners"] = [None, "a", "b", None]
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
 
 
 @pytest.mark.parametrize("parameters, ok", [
@@ -541,12 +591,15 @@ def test_tampered_witness_functions_are_rejected_not_raised(values, message):
     assert "$.payload.witness.functions.phi2" in report.detail and message in report.detail
 
 
-def parent_format(cert, eigenvalues):
+def parent_format(cert, eigenvalues, rhos=()):
     """cert as the earlier encoding wrote it: rank violations with their
     dimension, cycle edges with their value, witness functions as
-    [eigenvalue, value] rows."""
+    [eigenvalue, value] rows, a petz feasible answer as its dense rhos."""
     old = json.loads(json.dumps(cert))
     payload = old["payload"]
+    if payload.pop("owners", None) is not None:
+        payload["rhos"] = [[[[z.real, z.imag] for z in row] for row in rho] for rho in rhos]
+        payload["max_constraint_residual"] = 0.0
     for item in payload.get("rank_violations", []):
         item["dimension"] = 2
         del item["states"]
@@ -565,6 +618,8 @@ def test_parent_format_certificates_are_refused():
     instance_text, cycle = phase_cycle_certificate()
     built = exists_weakly_sufficient(obstructed_family())
     constructed_text, constructed, constructed_cert = constructed_certificate()
+    diag = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
+    feasible = petz_feasibility(PetzInstance.from_parts(diag, basis))
     cases = [
         (serialize_instance(*bundled), bundled[0].eigenvalues,
          make_certificate("weak_sufficiency", check_weak_sufficiency(*bundled))),
@@ -573,15 +628,30 @@ def test_parent_format_certificates_are_refused():
         (instance_text, [], cycle),
         (serialize_instance(None, obstructed_family()), [], make_certificate("existence", built)),
         (constructed_text, constructed.statistic.eigenvalues, constructed_cert),
+        (serialize_instance(diag, basis), [], make_certificate("petz", feasible)),
     ]
     verdicts = set()
     for text, eigenvalues, cert in cases:
         assert verify_certificate(text, serialize_certificate(cert)).ok
-        report = verify_certificate(text, serialize_certificate(parent_format(cert, eigenvalues)))
+        old = parent_format(cert, eigenvalues, feasible.rhos)
+        report = verify_certificate(text, serialize_certificate(old))
         assert not report.ok, cert["verdict"]
         assert "malformed certificate" in report.detail, report.detail
         verdicts.add((cert["verdict"], *sorted(cert["payload"])))
-    assert len(verdicts) == 5
+    assert len(verdicts) == 6
+
+
+def test_stated_defect_and_overlap_are_refused():
+    # the verifier recomputes both, so a certificate may not state them
+    instance_text, cycle = phase_cycle_certificate()
+    cycle["payload"]["phase_cycle"]["defect"] = 0.0
+    statistic, family = load_bundled_instance()
+    overlap = make_certificate(
+        "petz", petz_feasibility(PetzInstance.from_parts(statistic, family)))
+    overlap["payload"]["overlap"] = [0.0, 0.0]
+    for text, cert in ((instance_text, cycle), (serialize_instance(statistic, family), overlap)):
+        report = verify_certificate(text, serialize_certificate(cert))
+        assert not report.ok and "malformed certificate" in report.detail, report.detail
 
 
 def test_witness_of_wrong_length_is_rejected_not_raised():
@@ -688,9 +758,7 @@ def test_malformed_instance_still_raises():
 
 JUNK = (None, [], {}, "x", 1e309)
 # nodes no verdict rests on: the verifier reads none of them
-UNREAD = {
-    "tool_version", "defect", "max_constraint_residual", "overlap",
-}
+UNREAD = {"tool_version"}
 
 
 def one_certificate_of_every_verdict():
@@ -895,3 +963,18 @@ def test_shared_atom_is_replayed_at_the_recorded_petz_feasibility():
     assert verify_certificate(instance_text, json.dumps(cert)).ok
     report = replayed(instance_text, cert, petz_feasibility=1e-4)
     assert not report.ok and "not loaded by both" in report.detail
+
+
+def test_owner_sharing_its_atom_is_refused_below_the_residual_bound():
+    # b puts weight 5e-7 on a's atom span(e0, e1): shared at 1e-7, yet the
+    # owners [a, b] rebuild both states within RECONSTRUCTION_TOL
+    statistic = statistic_from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex))
+    b = [0.0, math.sqrt(5e-7), math.sqrt(1.0 - 5e-7)]
+    family = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], b], dtype=complex))
+    instance_text = serialize_instance(statistic, family)
+    cert = make_certificate("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)))
+    assert cert["verdict"] == "infeasible_shared_atoms"
+    cert["verdict"], cert["payload"] = "feasible", {"owners": ["a", "b"]}
+    report = verify_certificate(instance_text, json.dumps(cert))
+    assert not report.ok and "'a' is not the one loader of atom 0" in report.detail
+    assert replayed(instance_text, cert, petz_feasibility=1e-6).ok

@@ -1,10 +1,11 @@
 """Package rules that no single behaviour test would notice breaking.
 
-Production code does no spectral work through numpy.linalg: every
+Production code does not reference numpy.linalg at all: every
 eigenvalue and rank comes from the package's own eigen kernel
-(Householder reduction and implicit-shift QL in wsq.linalg), so each
-claim can be traced to code in this repository.  Only harness.py, the
-independent oracle, may call numpy's solvers.  scipy is not a
+(Householder reduction and implicit-shift QL in wsq.linalg), and no
+answer needs a factorization (a petz answer's rho's are PSD by
+construction), so each claim can be traced to code in this repository.
+Only harness.py, the independent oracle, may use numpy.linalg.  scipy is not a
 dependency, so production code imports none of it: its tridiagonal and
 dense eigensolvers would bypass the kernel just as numpy's would.
 Production modules import the harness only inside the functions that
@@ -13,7 +14,9 @@ never loads the oracles.  The certificate verifier replays each verdict
 at the tolerances the certificate records, so neither verify_certificate
 nor any fileio function it reaches names a default tolerance.  It
 recomputes the quantities a certificate names instead of deciding the
-question again, so none of them names a decision function either.
+question again, so none of them names a decision function either, nor
+hard-codes a float threshold, and a petz answer's rho's are rebuilt only
+through petz.rhos_from_owners, the function the decision uses.
 """
 
 import ast
@@ -23,39 +26,29 @@ from pathlib import Path
 
 import pytest
 
-FORBIDDEN = {"eig", "eigh", "eigvals", "eigvalsh", "svd", "pinv", "lstsq", "matrix_rank"}
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wsq"
 
 
-def numpy_solver_uses(source: str) -> list[str]:
-    """Every reference to a forbidden numpy.linalg function, as 'line: name'."""
+def numpy_linalg_uses(source: str) -> list[str]:
+    """Every reference to numpy.linalg, as 'line: spelling'."""
     tree = ast.parse(source)
-    numpy_names, linalg_names, found = set(), set(), []
+    numpy_names, found = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in ("numpy", "numpy.linalg") and not alias.asname:
-                    numpy_names.add("numpy")
-                elif alias.name == "numpy":
-                    numpy_names.add(alias.asname)
-                elif alias.name == "numpy.linalg":
-                    linalg_names.add(alias.asname)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            for alias in node.names:
-                if node.module == "numpy" and alias.name == "linalg":
-                    linalg_names.add(alias.asname or "linalg")
-                elif node.module == "numpy.linalg" and alias.name in FORBIDDEN | {"*"}:
+                if alias.name.split(".")[:2] == ["numpy", "linalg"]:
                     found.append(f"{node.lineno}: import {alias.name}")
-
-    def is_linalg(expr) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in linalg_names
-        return (isinstance(expr, ast.Attribute) and expr.attr == "linalg"
-                and isinstance(expr.value, ast.Name) and expr.value.id in numpy_names)
-
+                elif alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[:2] == ["numpy", "linalg"]:
+                found.append(f"{node.lineno}: from {node.module}")
+            elif node.module == "numpy" and any(a.name == "linalg" for a in node.names):
+                found.append(f"{node.lineno}: from numpy import linalg")
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in FORBIDDEN and is_linalg(node.value):
-            found.append(f"{node.lineno}: {node.attr}")
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+            found.append(f"{node.lineno}: {node.value.id}.linalg")
     return found
 
 
@@ -140,15 +133,19 @@ def test_production_code_loads_no_harness_on_import():
     "from numpy import linalg as nl\nsolve = nl.eig",
     "from numpy.linalg import eigh\n",
     "from numpy.linalg import *\n",
+    "import numpy as np\nnp.linalg.cholesky(m)",
+    "import numpy as np\ntry:\n    pass\nexcept np.linalg.LinAlgError:\n    pass\n",
+    "from numpy.linalg import LinAlgError\n",
+    "import numpy as np\nnp.linalg.norm(v)",
 ])
 def test_scanner_sees_every_spelling(source):
-    assert numpy_solver_uses(source)
+    assert numpy_linalg_uses(source)
 
 
 def test_scanner_ignores_allowed_calls():
     source = ("import numpy as np\nfrom .linalg import hermitian_eig\nfrom . import linalg\n"
-              "np.linalg.norm(v)\nnp.linalg.cholesky(m)\nlinalg.hermitian_eig(m)\n")
-    assert numpy_solver_uses(source) == []
+              "np.dot(a, b)\nlinalg.hermitian_eig(m)\nfrom numpy import eye\n")
+    assert numpy_linalg_uses(source) == []
 
 
 @pytest.mark.parametrize("source", [
@@ -169,7 +166,7 @@ def test_scanner_ignores_modules_named_like_scipy():
 def test_production_code_calls_no_numpy_solver():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "harness.py")
     assert len(modules) >= 10
-    offenders = {p.name: numpy_solver_uses(p.read_text()) for p in modules}
+    offenders = {p.name: numpy_linalg_uses(p.read_text()) for p in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
@@ -183,28 +180,45 @@ def test_production_code_imports_no_scipy():
 DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
 # minimal_statistic stays allowed: the minimal partition is re-derived
 DECISIONS = {"analyze", "check_weak_sufficiency", "exists_weakly_sufficient",
-             "family_constraints", "align_phases", "gram_rank"}
+             "family_constraints", "align_phases", "gram_rank", "petz_feasibility"}
+# names that build a density matrix; of them the verifier names rhos_from_owners alone
+RHO_BUILDERS = {"outer", "einsum", "eye", "rhos_from_owners"}
 
 
-def verifier_names(source: str, names: set[str]) -> list[str]:
-    """Every one of names named by verify_certificate or a module function
-    it reaches, as 'function: name'."""
+def verifier_nodes(source: str):
+    """(function, node) for every node of verify_certificate and of each
+    module function it reaches."""
     functions = {node.name: node for node in ast.parse(source).body
                  if isinstance(node, ast.FunctionDef)}
-    found, seen, pending = [], set(), ["verify_certificate"]
+    seen, pending = set(), ["verify_certificate"]
     while pending:
         name = pending.pop()
         if name in seen:
             continue
         seen.add(name)
         for node in ast.walk(functions[name]):
-            ident = node.id if isinstance(node, ast.Name) else \
-                node.attr if isinstance(node, ast.Attribute) else None
-            if ident in names:
-                found.append(f"{name}: {ident}")
-            elif ident in functions:
-                pending.append(ident)
-    return found
+            yield name, node
+            if identifier(node) in functions:
+                pending.append(identifier(node))
+
+
+def identifier(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def verifier_names(source: str, names: set[str]) -> list[str]:
+    """Every one of names named by verify_certificate or a module function
+    it reaches, as 'function: name'."""
+    return [f"{function}: {identifier(node)}" for function, node in verifier_nodes(source)
+            if identifier(node) in names]
+
+
+def verifier_floats(source: str) -> list[str]:
+    """Every float literal in verify_certificate or a module function it
+    reaches, as 'function: value'."""
+    return [f"{function}: {node.value!r}" for function, node in verifier_nodes(source)
+            if isinstance(node, ast.Constant) and type(node.value) is float]
 
 
 def test_verifier_names_no_default_tolerance():
@@ -226,6 +240,32 @@ def test_verifier_runs_no_decision():
     edited = source.replace(
         replay, replay + '            sufficiency.analyze(statistic, family, tols["rank"])\n')
     assert verifier_names(edited, DECISIONS) == ["_replay: analyze"]
+    # and so is one taking a feasible answer's rho's from the decision
+    replay = '    if verdict == "feasible":\n'
+    assert source.count(replay) == 1
+    edited = source.replace(replay, replay + "        petz.petz_feasibility(instance)\n")
+    assert verifier_names(edited, DECISIONS) == ["_replay: petz_feasibility"]
+
+
+def test_verifier_builds_rhos_only_through_rhos_from_owners():
+    source = (PACKAGE / "fileio.py").read_text()
+    assert verifier_names(source, RHO_BUILDERS) == ["_replay: rhos_from_owners"]
+    # an edit rebuilding an owner's projector by hand is caught
+    replay = "        _, residual = petz.rhos_from_owners("
+    assert source.count(replay) == 1
+    edited = source.replace(replay, "        np.outer(u, u.conj())\n" + replay)
+    assert sorted(verifier_names(edited, RHO_BUILDERS)) == [
+        "_replay: outer", "_replay: rhos_from_owners"]
+
+
+def test_verifier_hard_codes_no_threshold():
+    source = (PACKAGE / "fileio.py").read_text()
+    assert verifier_floats(source) == []
+    # an edit checking a trace against a literal again is caught
+    replay = "        if residual > petz.RECONSTRUCTION_TOL:\n"
+    assert source.count(replay) == 1
+    edited = source.replace(replay, "        if residual > 1e-6:\n")
+    assert verifier_floats(edited) == ["_replay: 1e-06"]
 
 
 @pytest.mark.parametrize("body", [

@@ -75,6 +75,7 @@ def test_orthogonal_basis_pair_is_feasible():
     assert isinstance(cert, Feasible)
     assert cert.max_constraint_residual <= 1e-7
     # eigenvalue -1 is the first atom, carrying e2; +1 carries e1
+    assert cert.owners == ("e2", "e1")
     assert np.abs(cert.rhos[0] - np.diag([0.0, 1.0])).max() < 1e-7
     assert np.abs(cert.rhos[1] - np.diag([1.0, 0.0])).max() < 1e-7
     for rho in cert.rhos:
@@ -195,6 +196,7 @@ def test_non_unital_solution_need_not_have_unit_traces():
     # state's projector divided by that state's private weight 0.4
     cert = petz_feasibility(shared_atom_instance(unital=False))
     assert isinstance(cert, Feasible)
+    assert cert.owners == (None, "phi1", "phi2")
     assert np.abs(cert.rhos[0]).max() == 0.0
     assert cert.max_constraint_residual <= 1e-15
     traces = [np.trace(rho).real for rho in cert.rhos]
@@ -214,6 +216,7 @@ def test_structural_check_detects_corruption():
     bad = Feasible(
         rhos=[cert.rhos[0] + bump] + cert.rhos[1:],
         max_constraint_residual=cert.max_constraint_residual,
+        owners=cert.owners,
     )
     report = structural_check(inst, bad)
     assert not report.ok
@@ -223,6 +226,7 @@ def test_structural_check_detects_corruption():
     free = Feasible(
         rhos=cert.rhos[:2] + [cert.rhos[2] + bump],
         max_constraint_residual=cert.max_constraint_residual,
+        owners=cert.owners,
     )
     assert structural_check(inst, free).ok
 
