@@ -7,10 +7,19 @@ weak sufficiency, some destroy it.  When every atom carries weight
 of some state there is a single coarsest sufficient merge -- the
 minimal statistic; a dead atom makes the minimum disappear, and the
 toolkit produces the family of incomparable merges that proves it.
+The minimal statistic's certificate proves its own claim: a witness
+that the merge is sufficient, and for each pair of classes two states
+that the merged atom of their leaders cannot hold in one dimension.
 """
 
 import numpy as np
 
+from wsq.fileio import (
+    make_certificate,
+    serialize_certificate,
+    serialize_instance,
+    verify_certificate,
+)
 from wsq.minimality import (
     MinimalStatistic,
     NoMinimalExists,
@@ -73,6 +82,16 @@ for cmap in enumerate_coarse_grainings(statistic):
     assert relabelling is not None
 print("the minimal statistic is a function of all",
       sufficient, "sufficient coarse-grainings")
+
+# ------------------------------------------------------------- certificate
+# The certificate carries the partition, the witness of the merged
+# statistic and one separation per pair of classes; the verifier checks
+# them from the instance alone, without deciding minimality again.
+text = serialize_certificate(make_certificate("minimality", minimal))
+print(text)
+report = verify_certificate(serialize_instance(statistic, family), text)
+assert report.ok
+print("verifier:", report.detail)
 
 # ---------------------------------------------------------------- dead atom
 # Zero out the last coefficient column: atom 4 now carries no state.

@@ -9,9 +9,9 @@ check, construct, minimal and petz take --tol, the one tolerance their
 decision applies; fileio.SET_BY_TOL names the recorded keys it sets.  A
 value outside fileio.TOL_RANGE exits 2.  The certificate records every
 tolerance the decision applied, and the verifier replays it at them; a
-witness that fails its recorded tolerance, or a feasible petz solution
-that rebuilds a state less closely than petz.RECONSTRUCTION_TOL, exits 2
-and prints nothing.
+witness of check, construct or minimal that fails its recorded
+tolerance, or a feasible petz solution that rebuilds a state less
+closely than petz.RECONSTRUCTION_TOL, exits 2 and prints nothing.
 """
 
 from __future__ import annotations
@@ -87,8 +87,10 @@ def _cmd_minimal(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
     result = minimality.minimal_statistic(statistic, family, **_tol_kwargs(args))
-    print(fileio.serialize_certificate(
-        fileio.make_certificate("minimality", result, tol=args.tol)))
+    cert = fileio.make_certificate("minimality", result, tol=args.tol)
+    if isinstance(result, minimality.MinimalStatistic):
+        _witness_residual(result.statistic, family, result.witness, cert)
+    print(fileio.serialize_certificate(cert))
     if isinstance(result, minimality.NoMinimalExists):
         print(f"no minimal statistic: atom {result.dead_atom} carries no state",
               file=sys.stderr)

@@ -20,6 +20,7 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 
 import numpy as np
 
@@ -32,10 +33,9 @@ BUNDLED_INSTANCE = "two_state_example.json"
 # The tolerances each kind's decision applies, at their defaults.  A
 # caller's one tol replaces those named in SET_BY_TOL, and the verifier
 # replays each verdict at the recorded values.
-_RANK_ANGLE = {"rank": RANK_TOL, "angle": phases.ANGLE_TOL}
-_WITNESSED = {**_RANK_ANGLE, "witness": sufficiency.WITNESS_TOL}
+_WITNESSED = {"rank": RANK_TOL, "angle": phases.ANGLE_TOL, "witness": sufficiency.WITNESS_TOL}
 TOLERANCES = {"weak_sufficiency": _WITNESSED, "existence": _WITNESSED,
-              "minimality": _RANK_ANGLE, "petz": {"petz_feasibility": petz.FEASIBILITY_TOL}}
+              "minimality": _WITNESSED, "petz": {"petz_feasibility": petz.FEASIBILITY_TOL}}
 SET_BY_TOL = ("rank", "witness", "petz_feasibility")
 TOL_RANGE = (1e-14, 1e-3)
 CERTIFICATE_KINDS = tuple(TOLERANCES)
@@ -225,11 +225,7 @@ def _witness_json(witness: sufficiency.WitnessFactorization) -> dict:
 
 def _witness_from_json(node: dict, path: str, statistic) -> sufficiency.WitnessFactorization:
     """The witness, with entry k of each function keyed by atom k's eigenvalue."""
-    if not isinstance(node, dict):
-        _fail(path, "expected a witness object")
-    for key in ("chi", "functions", "versions"):
-        if key not in node:
-            _fail(path, f"missing required key '{key}'")
+    _exact_keys(node, path, ["chi", "functions", "versions"])
     chi = _vector(node["chi"], f"{path}.chi", statistic.dim)
     if not isinstance(node["functions"], dict):
         _fail(f"{path}.functions", "expected an object of per-state lists")
@@ -298,26 +294,19 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
             cert["verdict"] = "sufficient"
             cert["payload"] = {"witness": _witness_json(verdict.witness)}
         else:
+            # one kind of evidence: the rank violations if any, else the cycle
             cert["verdict"] = "not_sufficient"
-            payload: dict = {}
-            rank = [v for v in verdict.violations
+            rank = [{"atom": v.atom, "states": list(v.states)} for v in verdict.violations
                     if isinstance(v, sufficiency.RankViolation)]
-            cycles = [v for v in verdict.violations
+            cycles = [v.cycle for v in verdict.violations
                       if isinstance(v, sufficiency.PhaseObstruction)]
-            if rank:
-                payload["rank_violations"] = [
-                    {"atom": v.atom, "states": list(v.states)} for v in rank
-                ]
-            if cycles:
-                payload["phase_cycle"] = _cycle_json(cycles[0].cycle)
-            cert["payload"] = payload
+            cert["payload"] = ({"rank_violations": rank} if rank
+                               else {"phase_cycle": _cycle_json(cycles[0])})
     elif kind == "existence":
         if isinstance(result, sufficiency.ConstructedStatistic):
             cert["verdict"] = "constructed"
-            cert["payload"] = {
-                "directions": [_vector_json(xi) for xi in result.directions],
-                "witness": _witness_json(result.witness),
-            }
+            cert["payload"] = {"directions": [_vector_json(xi) for xi in result.directions],
+                               "witness": _witness_json(result.witness)}
         elif isinstance(result, sufficiency.NonExistence):
             cert["verdict"] = "no_statistic_exists"
             cert["payload"] = {"phase_cycle": _cycle_json(result.cycle)}
@@ -328,7 +317,9 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
             # minimal statistic, so its projections are not written out
             cert["payload"] = {
                 "partition": [list(block) for block in result.partition],
-                "classes": [list(block) for block in result.classes.classes],
+                "witness": _witness_json(result.witness),
+                "separations": [{"atoms": list(atoms), "states": list(states)}
+                                for atoms, states in result.classes.separations],
             }
         elif isinstance(result, minimality.NoMinimalExists):
             cert["verdict"] = "no_minimal_exists"
@@ -342,10 +333,8 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
             cert["payload"] = {"pair": list(result.pair)}
         elif isinstance(result, petz.InfeasibleSharedAtoms):
             cert["verdict"] = "infeasible_shared_atoms"
-            cert["payload"] = {
-                "state": result.state,
-                "pairs": [[k, other] for k, other in result.pairs],
-            }
+            cert["payload"] = {"state": result.state,
+                               "pairs": [[k, other] for k, other in result.pairs]}
     if "verdict" not in cert:
         raise ValueError(f"unsupported {kind} result {type(result).__name__}")
     return cert
@@ -369,6 +358,9 @@ def parse_certificate(text: str) -> dict:
         _fail("$", "missing required key 'verdict'")
     if not isinstance(cert.get("payload"), dict):
         _fail("$.payload", "expected an object")
+    for key in sorted(set(cert) - {"kind", "verdict", "payload", "tolerances",
+                                   "tool_version", "parameters"}):
+        _fail(f"$.{key}", "unexpected key")
     return cert
 
 
@@ -396,8 +388,12 @@ def _named_rows(statistic, family, node: dict, labels, path: str) -> np.ndarray:
 
 
 def _exact_keys(node, path: str, keys: list[str]) -> dict:
-    if not isinstance(node, dict) or sorted(node) != keys:
-        _fail(path, f"expected an object with the keys {', '.join(keys)}")
+    """node, an object holding exactly keys; SchemaError at the first key amiss."""
+    expected = f"expected an object with the keys {', '.join(keys)}"
+    if not isinstance(node, dict):
+        _fail(path, expected)
+    for key in [key for key in keys if key not in node] + sorted(set(node) - set(keys)):
+        _fail(f"{path}.{key}", f"{'missing' if key in keys else 'unexpected'} key; {expected}")
     return node
 
 
@@ -454,27 +450,22 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
 
     The tolerance block must hold exactly the kind's TOLERANCES keys,
     each a check_tolerance, and every verdict is replayed at them:
-    witnesses at ``witness``; rank violations, a minimal partition and a
-    dead atom at ``rank``; cycle defects at ``angle``; a petz refusal's
-    shared atoms at ``petz_feasibility``.  Refusals name their atoms and
-    states, and the verifier recomputes what they name instead of
-    deciding the question again: a rank violation's two states projected
-    onto its atom must have a rank-2 Gram matrix (pair_rank_two), and
-    each cycle edge's overlap, projected onto its atom or, in an
-    existence cycle, of the states themselves, must exceed
-    sufficiency.ZERO_TOL.  A witness function lists one value per atom
-    of T, in ascending eigenvalue order.  A constructed statistic is
-    rebuilt from its directions by sufficiency.statistic_from_directions
-    before its witness is replayed.  A petz feasible answer's owners are
-    checked at ``petz_feasibility`` and petz.rhos_from_owners rebuilds its
-    rho's, PSD and (unital) of trace one by construction, within
-    petz.RECONSTRUCTION_TOL.  Overlaps are recomputed.  A
-    certificate that does not prove its claim, or cannot be read, the
-    earlier encodings (rank dimensions, edge values, [eigenvalue, value]
-    witness rows, dense petz rhos) included, yields ok=False.  Only a malformed instance
+    witnesses at ``witness``; rank violations, a minimal statistic's
+    live atoms and separations, and a dead atom at ``rank``; cycle
+    defects at ``angle``; petz owners and shared atoms at
+    ``petz_feasibility``.  Each object must hold exactly the keys its
+    verdict writes.  The verifier recomputes what a certificate names
+    instead of deciding the question again: the rank of two named states
+    on an atom (pair_rank_two), each cycle edge's overlap against
+    sufficiency.ZERO_TOL, a witness (one value per atom, in ascending
+    eigenvalue order) on the statistic it claims, rebuilt from directions
+    or a partition by the decision's own function, and petz rho's from
+    their owners by petz.rhos_from_owners, within RECONSTRUCTION_TOL.  A
+    certificate that does not prove its claim or cannot be read, earlier
+    encodings included, yields ok=False.  Only a malformed instance
     raises: at read time, or when a verdict that reads the statistic
-    meets a dense matrix that fails to decompose.  ``existence`` and ``infeasible_orthogonality``
-    verdicts never decompose it.
+    meets a dense matrix that fails to decompose; ``existence`` and
+    ``infeasible_orthogonality`` never decompose it.
     """
     instance = read_instance(instance_text)
     try:
@@ -486,7 +477,7 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
 def _witness_report(statistic, family, payload: dict, tol: float,
                     verified: str) -> VerificationReport:
     """Replay the payload's witness at tol; SchemaError when it does not fit the instance."""
-    witness = _witness_from_json(payload.get("witness"), "$.payload.witness", statistic)
+    witness = _witness_from_json(payload["witness"], "$.payload.witness", statistic)
     try:
         check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
     except ValueError as exc:
@@ -497,13 +488,44 @@ def _witness_report(statistic, family, payload: dict, tol: float,
     return VerificationReport(True, f"{verified} {check.max_residual:.3e}")
 
 
-def _blocks_equal(node, blocks) -> bool:
-    """Whether node is exactly the JSON of blocks: lists of JSON integers."""
-    return isinstance(node, list) and len(node) == len(blocks) and all(
-        isinstance(got, list) and len(got) == len(block)
-        and all(type(k) is int and k == j for k, j in zip(got, block))
-        for got, block in zip(node, blocks)
-    )
+def _minimal_report(statistic, family, payload: dict, tols: dict) -> VerificationReport:
+    """Prove that the partition's statistic S is minimal; SchemaError when unreadable.
+
+    S's witness (at ``witness``) makes each block's rows proportional to one
+    vector, nonzero as every atom is live (at ``rank``), so two states of rank
+    2 on e_a + e_b, a and b in blocks i < j, show by Cauchy interlacing that
+    no sufficient statistic merges the blocks.
+    """
+    _exact_keys(payload, "$.payload", ["partition", "separations", "witness"])
+    partition, separations = payload["partition"], payload["separations"]
+    try:
+        minimal = minimality.statistic_from_partition(statistic, partition)
+    except ValueError as exc:
+        return VerificationReport(False, f"no minimal statistic to confirm: {exc}")
+    heaviest = spectral.project_states(statistic, family).weights.max(axis=0)
+    for k in np.flatnonzero(heaviest <= tols["rank"]):
+        return VerificationReport(False, f"no minimal statistic to confirm: atom {k} "
+                                         f"carries weight {heaviest[k]:.3e}")
+    report = _witness_report(minimal, family, payload, tols["witness"], "witness residual")
+    if not report.ok:
+        return report
+    pairs = list(combinations(range(len(partition)), 2))
+    if not isinstance(separations, list) or len(separations) != len(pairs):
+        _fail("$.payload.separations", f"expected {len(pairs)} separations, one per pair of blocks")
+    for n, ((i, j), item) in enumerate(zip(pairs, separations)):
+        here = f"$.payload.separations[{n}]"
+        atoms, labels = _exact_keys(item, here, ["atoms", "states"])["atoms"], item["states"]
+        if not (isinstance(atoms, list) and len(atoms) == 2 and all(type(k) is int for k in atoms)
+                and atoms[0] in partition[i] and atoms[1] in partition[j]):
+            _fail(f"{here}.atoms", f"expected an atom of block {i} and one of block {j}")
+        if not isinstance(labels, list) or len(labels) != 2:
+            _fail(f"{here}.states", "expected two state labels")
+        # the two states projected onto e_a + e_b
+        rows = sum(_named_rows(statistic, family, {"atom": k}, labels, here) for k in atoms)
+        if not pair_rank_two(gram_matrix(rows), tols["rank"])[0, 1]:
+            return VerificationReport(
+                False, f"states {labels} do not separate atoms {atoms} of blocks {i} and {j}")
+    return VerificationReport(True, f"minimal partition {partition} confirmed, {report.detail}")
 
 
 def _tolerances_from_json(node, kind: str) -> dict[str, float]:
@@ -533,82 +555,59 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
     if kind == "weak_sufficiency":
         statistic = instance.statistic
         if verdict == "sufficient":
+            _exact_keys(payload, "$.payload", ["witness"])
             return _witness_report(statistic, family, payload, tols["witness"],
                                    "witness verified, max residual")
         if verdict == "not_sufficient":
             if "rank_violations" in payload:
-                return _rank_report(statistic, family, payload["rank_violations"], tols["rank"])
-            if "phase_cycle" in payload:
-                return _cycle_report(statistic, family, payload["phase_cycle"], tols["angle"])
-            return VerificationReport(False, "negative verdict carries no evidence")
+                return _rank_report(statistic, family, _exact_keys(
+                    payload, "$.payload", ["rank_violations"])["rank_violations"], tols["rank"])
+            return _cycle_report(statistic, family, _exact_keys(
+                payload, "$.payload", ["phase_cycle"])["phase_cycle"], tols["angle"])
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "existence":
         if verdict == "constructed":
-            built = _directions_from_json(
-                payload.get("directions"), "$.payload.directions", family.dim
-            )
+            _exact_keys(payload, "$.payload", ["directions", "witness"])
+            built = _directions_from_json(payload["directions"], "$.payload.directions", family.dim)
             return _witness_report(built, family, payload, tols["witness"],
                                    "constructed statistic verified, residual")
         if verdict == "no_statistic_exists":
-            return _cycle_report(None, family, payload.get("phase_cycle"), tols["angle"])
+            cycle = _exact_keys(payload, "$.payload", ["phase_cycle"])["phase_cycle"]
+            return _cycle_report(None, family, cycle, tols["angle"])
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "minimality":
         statistic = instance.statistic
         if verdict == "minimal_constructed":
-            partition = payload.get("partition")
-            if not isinstance(partition, list):
-                return VerificationReport(False, "payload carries no partition")
-            try:
-                minimal = minimality.minimal_statistic(statistic, family, tols["rank"])
-            except ValueError as exc:
-                return VerificationReport(False, f"no minimal statistic to confirm: {exc}")
-            if isinstance(minimal, minimality.NoMinimalExists):
-                return VerificationReport(False, "re-derivation found no minimal statistic")
-            derived = [list(block) for block in minimal.partition]
-            if not _blocks_equal(partition, derived):
-                return VerificationReport(
-                    False, f"re-derived partition {derived} != certified {partition}"
-                )
-            classes = [list(block) for block in minimal.classes.classes]
-            if not _blocks_equal(payload.get("classes"), classes):
-                return VerificationReport(
-                    False, f"re-derived classes {classes} != certified {payload.get('classes')}"
-                )
-            return VerificationReport(True, f"minimal partition {partition} confirmed")
+            return _minimal_report(statistic, family, payload, tols)
         if verdict == "no_minimal_exists":
-            k = payload.get("dead_atom")
-            if not isinstance(k, int) or not 0 <= k < len(statistic):
+            k = _exact_keys(payload, "$.payload", ["dead_atom"])["dead_atom"]
+            if type(k) is not int or not 0 <= k < len(statistic):
                 return VerificationReport(False, f"bad dead atom index {k!r}")
-            weights = spectral.project_states(statistic, family).weights
-            heaviest = float(weights[:, k].max())
+            heaviest = float(spectral.project_states(statistic, family).weights[:, k].max())
             if heaviest > tols["rank"]:
-                return VerificationReport(
-                    False, f"atom {k} carries weight {heaviest:.3e}, not dead"
-                )
+                return VerificationReport(False,
+                                          f"atom {k} carries weight {heaviest:.3e}, not dead")
             return VerificationReport(True, f"atom {k} confirmed dead")
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     # kind == "petz"
-    params = cert.get("parameters", {"unital": True})
-    if not isinstance(params, dict) or not isinstance(params.get("unital"), bool):
+    unital = _exact_keys(cert.get("parameters", {"unital": True}), "$.parameters",
+                         ["unital"])["unital"]
+    if not isinstance(unital, bool):
         return VerificationReport(False, "parameters must be an object with a boolean 'unital'")
-    unital = params["unital"]
     if verdict == "infeasible_orthogonality":
         pair = _exact_keys(payload, "$.payload", ["pair"])["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             return VerificationReport(False, "payload carries no state pair")
         try:
-            u = family.vector(pair[0])
-            v = family.vector(pair[1])
+            overlap = abs(inner(*(family.vector(label) for label in pair)))
         except ValueError:
             return VerificationReport(False, f"pair {pair} not in the instance")
-        overlap = abs(inner(u, v))
         if overlap <= petz.ORTHOGONALITY_TOL:
-            return VerificationReport(
-                False, f"states {pair} are orthogonal (overlap {overlap:.3e})"
-            )
+            return VerificationReport(False,
+                                      f"states {pair} are orthogonal (overlap {overlap:.3e})")
         return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
     statistic = instance.statistic
     weights = petz.PetzInstance.from_parts(statistic, family, unital=unital).weights
@@ -632,11 +631,11 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
                                              f"exceeds {petz.RECONSTRUCTION_TOL:.0e}")
         return VerificationReport(True, f"feasible solution verified, residual {residual:.3e}")
     if verdict == "infeasible_shared_atoms":
-        pairs = payload.get("pairs")
+        pairs = _exact_keys(payload, "$.payload", ["pairs", "state"])["pairs"]
         if not isinstance(pairs, list):
             return VerificationReport(False, "payload carries no list of pairs")
         try:
-            n = family.index(payload.get("state"))
+            n = family.index(payload["state"])
             named = [(k, family.index(other)) for k, other in pairs]
         except (TypeError, ValueError):
             return VerificationReport(False, f"pairs {pairs} do not name atoms and states")

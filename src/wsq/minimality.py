@@ -5,6 +5,8 @@ their rows of the Analysis gamma matrix are proportional: merging such
 atoms preserves weak sufficiency, and merging any other pair destroys
 it.  The minimal statistic merges exactly the proportionality classes --
 it exists precisely when every atom carries some weight of the family.
+Its certificate proves both halves: a witness of the merged statistic,
+and for each pair of classes two states of rank 2 on their merged atom.
 When an atom is dead, no minimal statistic exists, and merging the dead
 atom into each live atom in turn yields a family of incomparable
 sufficient coarse-grainings that witnesses the failure.
@@ -13,42 +15,40 @@ sufficient coarse-grainings that witnesses the failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .linalg import RANK_TOL, gram_matrix, pair_rank_two
 from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, coarse_blocks
-from .sufficiency import Analysis, analyze
+from .sufficiency import Analysis, WitnessFactorization, analyze, check_weak_sufficiency
 
-TRANSITIVITY_SLACK = 100.0   # relative loosening for the post-hoc class check
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 
 
 @dataclass
 class AtomClasses:
-    """Proportionality classes of active atoms, with pairwise factors.
+    """Proportionality classes of active atoms, and what keeps them apart.
 
-    classes are ordered by smallest member; witnesses maps each same-class
-    pair (j, m) with j < m to the factor beta such that
-    gamma_row[j] ~= beta * gamma_row[m].
+    classes are ordered by their leader, the smallest member.  For each
+    pair of classes i < j, in order, separations holds the two leaders
+    (a, b) and the labels (x, y) of the first pair of states whose Gram
+    matrix projected onto e_a + e_b has rank 2 (pair_rank_two).
     """
 
     classes: list[tuple[int, ...]]
-    witnesses: dict[tuple[int, int], complex]
-
-    def class_index(self, atom: int) -> int | None:
-        for i, cls in enumerate(self.classes):
-            if atom in cls:
-                return i
-        return None
+    separations: list[tuple[tuple[int, int], tuple[str, ...]]]
 
 
 @dataclass
 class MinimalStatistic:
+    """The minimal statistic, its classes, and the witness of its sufficiency."""
+
     statistic: DiscreteStatistic
     classes: AtomClasses
     partition: list[list[int]]
+    witness: WitnessFactorization
 
 
 @dataclass
@@ -61,48 +61,45 @@ class NoMinimalExists:
 def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL) -> AtomClasses:
     """Group active atoms whose gamma rows are proportional.
 
-    All pairs are decided at once from H = gamma gamma^H: atoms j and m
-    are proportional when the (j, m) principal submatrix of H has rank
-    <= 1 (see pair_rank_two), as the Gram matrix of the merged atom's
-    projected states then does.  The factor beta is complex in general.
-    Transitivity of the pairwise relation is re-verified on the computed
-    classes at a composed tolerance and gross failures raise ValueError.
+    Atoms a and b are split when their merged Gram matrix gram[a] +
+    gram[b] has rank 2, the test the verifier applies to a separation;
+    one pair_rank_two call on the stack of one merged Gram matrix per pair
+    of active atoms decides every pair.  In ascending order, each atom
+    joins the first class whose leader it is not split from, or else
+    leads a new class.
     """
     active = [k for k, flag in enumerate(analysis.active) if flag]
-    rows = analysis.gamma[active]
-    h = rows @ rows.conj().T
-    split = pair_rank_two(h, tol)
-    loose = pair_rank_two(h, tol * TRANSITIVITY_SLACK)
-    beta = h / h.diagonal().real[None, :]   # gamma_row[j] ~= beta[j, m] gamma_row[m]
-    parent = list(range(len(active)))
+    gram = analysis.table.gram[active]
+    labels, n, s = analysis.family.labels, len(active), len(analysis.family)
+    # never set at x == y, so the first pair set in row-major order has x < y
+    split = pair_rank_two(gram[:, np.newaxis] + gram[np.newaxis, :], tol)
+    apart = split.any(axis=(2, 3)).tolist()
+    first = split.reshape(n, n, s * s).argmax(axis=2).tolist()
+    members: list[list[int]] = []   # positions in active
+    for a in range(n):
+        home = next((cls for cls in members if not apart[cls[0]][a]), [])
+        if not home:
+            members.append(home)
+        home.append(a)
+    separations = [((active[a], active[b]), tuple(labels[i] for i in divmod(first[a][b], s)))
+                   for a, b in combinations([cls[0] for cls in members], 2)]
+    return AtomClasses([tuple(active[a] for a in cls) for cls in members], separations)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a, b in zip(*np.nonzero(np.triu(~split, 1))):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatistic:
+    """The statistic with value n + 1 on the atoms of t in block n.
 
-    grouped: dict[int, list[int]] = {}
-    for a in range(len(active)):
-        grouped.setdefault(find(a), []).append(a)
-    witnesses: dict[tuple[int, int], complex] = {}
-    for members in grouped.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                j, m = active[a], active[b]
-                if loose[a, b]:
-                    raise ValueError(
-                        f"atoms {j} and {m} land in one class but are not "
-                        "proportional at the composed tolerance"
-                    )
-                witnesses[(j, m)] = complex(beta[a, b])
-    classes = sorted(tuple(active[a] for a in members) for members in grouped.values())
-    return AtomClasses(classes=classes, witnesses=witnesses)
+    partition is a list of nonempty blocks of atom indices (integers, not
+    booleans) that holds each atom of t exactly once; anything else
+    raises ValueError.
+    """
+    blocks = partition if isinstance(partition, (list, tuple)) else [None]
+    atoms = [k for block in blocks if isinstance(block, (list, tuple)) for k in block]
+    if not all(isinstance(block, (list, tuple)) and block for block in blocks) \
+            or any(type(k) is not int for k in atoms) or sorted(atoms) != list(range(len(t))):
+        raise ValueError(f"expected nonempty blocks with each of the {len(t)} atoms exactly once")
+    projections = tuple(sum(t.projections[k] for k in block) for block in partition)
+    return DiscreteStatistic(np.arange(1.0, len(partition) + 1.0), projections)
 
 
 def _sufficient_analysis(t: DiscreteStatistic, family: StateFamily, tol: float) -> Analysis:
@@ -122,12 +119,9 @@ def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily, cmap: Coa
     proportionality class, so the coarse statistic is never built.
     """
     analysis = _sufficient_analysis(t, family, RANK_TOL)
-    classes = equivalence_classes(analysis)
-    for _, block in coarse_blocks(t, cmap):
-        homes = {classes.class_index(k) for k in block if analysis.active[k]}
-        if len(homes) > 1:
-            return False
-    return True
+    home = {k: i for i, cls in enumerate(equivalence_classes(analysis).classes) for k in cls}
+    return all(len({home[k] for k in block if k in home}) <= 1
+               for _, block in coarse_blocks(t, cmap))
 
 
 def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
@@ -139,7 +133,8 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     atom.  Families spanning less than two dimensions are rejected: every
     statistic is sufficient for them, so minimality is vacuous.  One
     Analysis of (t, family) gives the verdict, the dead-atom weights and
-    the classes.
+    the classes; check_weak_sufficiency decides the merged statistic,
+    raising ValueError if it is not sufficient, and gives its witness.
     """
     analysis = _sufficient_analysis(t, family, tol)
     if not pair_rank_two(gram_matrix(family.vectors), tol).any():
@@ -149,12 +144,13 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
         if float(weights[:, k].max()) <= tol:
             return NoMinimalExists(dead_atom=k)
     classes = equivalence_classes(analysis, tol)
-    values: dict[float, float] = {}
-    for i, cls in enumerate(classes.classes):
-        for k in cls:
-            values[float(t.eigenvalues[k])] = float(i + 1)
-    coarse, partition = apply_coarse(t, CoarseMap(values))
-    return MinimalStatistic(statistic=coarse, classes=classes, partition=partition)
+    partition = [list(cls) for cls in classes.classes]
+    statistic = statistic_from_partition(t, partition)
+    verdict = check_weak_sufficiency(statistic, family, tol)
+    if not verdict.sufficient:
+        raise ValueError("merging the proportionality classes loses weak sufficiency")
+    return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,
+                            witness=verdict.witness)
 
 
 def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic):

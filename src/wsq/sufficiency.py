@@ -218,10 +218,13 @@ def verify_witness(t: DiscreteStatistic, family: StateFamily,
     """Independently re-check a witness: ||f_theta(T) chi - c_theta phi_theta||.
 
     Uses only function evaluation on the statistic; nothing from the
-    decision path is reused.
+    decision path is reused.  Naming a state the family lacks raises ValueError.
     """
     from .spectral import evaluate_function_on_statistic
 
+    unknown = (set(witness.functions) | set(witness.versions.phases)) - set(family.labels)
+    if unknown:
+        raise ValueError(f"witness names state '{min(unknown)}', which is not in the family")
     residuals = {}
     for i, lab in enumerate(family.labels):
         if lab not in witness.functions:

@@ -209,7 +209,7 @@ def test_tol_flag_is_recorded(bundled_path, capsys):
     cases = [
         ("check", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
         ("construct", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
-        ("minimal", 0, {"rank": 1e-10, "angle": 1e-6}),
+        ("minimal", 0, {"rank": 1e-10, "angle": 1e-6, "witness": 1e-10}),
         ("petz", 1, {"petz_feasibility": 1e-10}),
     ]
     for command, code, block in cases:
@@ -455,13 +455,25 @@ def test_check_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, cap
                        "1.000e-05 exceeds 1.0e-07\n")
 
 
+def test_minimal_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, capsys):
+    path = reproduction_paths(tmp_path)["B"]
+    code = run_cli(["minimal", "--input", str(path), "--tol", "1e-4"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: the rank test passed but the witness residual ")
+    assert out.err.endswith(" exceeds 1.0e-04\n")
+
+
 def test_reproductions_verify_or_exit_2(tmp_path, capsys):
     paths = reproduction_paths(tmp_path)
     for command in ("check", "construct"):
         for tol in ("1", "nan", "-1"):
             assert run_and_verify(paths["A"], [command, "--tol", tol], capsys)[0] == 2
-    code, cert = run_and_verify(paths["B"], ["minimal", "--tol", "1e-4"], capsys)
-    assert code == 0 and cert["payload"]["partition"] == [[0, 1], [2]]
+    code, cert = run_and_verify(paths["B"], ["minimal"], capsys)
+    assert code == 0 and cert["payload"]["partition"] == [[0], [1], [2]]
+    # at 1e-4 atoms 0 and 1 merge, but the merge's witness misses by about 2e-3
+    assert run_and_verify(paths["B"], ["minimal", "--tol", "1e-4"], capsys)[0] == 2
     code, cert = run_and_verify(paths["C"], ["check", "--tol", "1e-12"], capsys)
     assert code == 1
     assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}]}

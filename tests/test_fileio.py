@@ -416,15 +416,86 @@ def test_petz_parameters_must_name_a_boolean_unital(parameters, ok):
 
 
 def test_minimal_certificate_classes_must_match():
+    # the classes are the partition's blocks; a certificate may not state them apart
     statistic, family = load_bundled_instance()
     cert = make_certificate("minimality", minimal_statistic(statistic, family))
     instance_text = serialize_instance(statistic, family)
-    assert cert["payload"]["classes"] == [[0], [1]]
+    assert cert["payload"]["partition"] == [[0], [1]]
+    assert cert["payload"]["separations"] == [{"atoms": [0, 1], "states": ["phi1", "phi2"]}]
     for forged in ([[0, 1]], [[1], [0]], [[0]], [[0.0], [1.0]], [[False], [True]]):
-        cert["payload"]["classes"] = forged
-        report = verify_certificate(instance_text, serialize_certificate(cert))
+        edited = json.loads(json.dumps(cert))
+        edited["payload"]["partition"] = forged
+        report = verify_certificate(instance_text, serialize_certificate(edited))
         assert not report.ok, forged
-        assert "classes" in report.detail
+    cert["payload"]["classes"] = [[0], [1]]
+    report = verify_certificate(instance_text, serialize_certificate(cert))
+    assert not report.ok and "$.payload.classes: unexpected key" in report.detail
+
+
+def three_class_instance(dead=False):
+    """T = diag(1, ..., 5) and states x, y, z: atoms 0 and 2 load the
+    states in proportion, so do atoms 1 and 3, and atom 4 on its own,
+    unless dead, when no state loads it."""
+    a, b, c = np.array([1.0, 0.5, -0.3]), np.array([0.4, -1.0, 0.9]), np.array([0.2, 0.7, 0.6])
+    coeff = np.column_stack([a, b, 1.3 * a, -1.7 * b, 0.0 * c if dead else c])
+    family = StateFamily(labels=("x", "y", "z"),
+                         vectors=(coeff / np.linalg.norm(coeff, axis=1)[:, None]).astype(complex))
+    return statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex)), family
+
+
+def three_class_certificate():
+    statistic, family = three_class_instance()
+    cert = make_certificate("minimality", minimal_statistic(statistic, family))
+    assert cert["payload"]["partition"] == [[0, 2], [1, 3], [4]]
+    assert [item["atoms"] for item in cert["payload"]["separations"]] == [[0, 1], [0, 4], [1, 4]]
+    instance_text = serialize_instance(statistic, family)
+    assert verify_certificate(instance_text, serialize_certificate(cert)).ok
+    return instance_text, cert
+
+
+def swap(items, i, j):
+    items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s[0].update(atoms=[0, 2]), "expected an atom of block 0 and one of block 1"),
+    (lambda s: s[0].update(atoms=[0, 5]), "expected an atom of block 0 and one of block 1"),
+    (lambda s: s[0].update(atoms=[0, True]), "expected an atom of block 0 and one of block 1"),
+    (lambda s: s[0].update(atoms=[0.0, 1]), "expected an atom of block 0 and one of block 1"),
+    (lambda s: s[0].update(atoms="01"), "expected an atom of block 0 and one of block 1"),
+    (lambda s: s[1].update(states=["x", "x"]), "do not separate atoms [0, 4] of blocks 0 and 2"),
+    (lambda s: s[1].update(states=["x", "nobody"]), "no state labelled 'nobody'"),
+    (lambda s: s[1].update(states=["x"]), "expected two state labels"),
+    (lambda s: s[2].update(note=0), "$.payload.separations[2].note: unexpected key"),
+    (lambda s: s.pop(), "expected 3 separations"),
+    (lambda s: s.append(s[0]), "expected 3 separations"),
+    (lambda s: swap(s, 0, 1), "expected an atom of block 0 and one of block 1"),
+    (lambda s: swap(s, 1, 2), "expected an atom of block 0 and one of block 2"),
+], ids=["one_block", "out_of_range", "true", "float", "string", "parallel", "unknown",
+        "short", "extra_key", "missing", "extra", "out_of_order", "out_of_order_2"])
+def test_tampered_separations_are_rejected_not_raised(edit, message):
+    instance_text, cert = three_class_certificate()
+    edit(cert["payload"]["separations"])
+    report = verify_certificate(instance_text, json.dumps(cert))
+    assert not report.ok
+    assert message in report.detail
+
+
+@pytest.mark.parametrize("partition", [
+    [[0, 2], [1, 3], [4], [4]], [[0, 2], [1, 3]], [[0, 2, 2], [1, 3], [4]]],
+    ids=["repeats_a_block", "omits", "repeats_an_atom"])
+def test_partition_must_hold_each_atom_once(partition):
+    instance_text, cert = three_class_certificate()
+    cert["payload"]["partition"] = partition
+    report = verify_certificate(instance_text, json.dumps(cert))
+    assert not report.ok and "exactly once" in report.detail, report.detail
+
+
+def test_live_partition_over_a_dead_atom_is_refused():
+    _, cert = three_class_certificate()
+    report = verify_certificate(serialize_instance(*three_class_instance(dead=True)),
+                                json.dumps(cert))
+    assert not report.ok and "atom 4 carries weight 0.000e+00" in report.detail
 
 
 def test_petz_verifier_rejects_unknown_pair_label():
@@ -594,9 +665,13 @@ def test_tampered_witness_functions_are_rejected_not_raised(values, message):
 def parent_format(cert, eigenvalues, rhos=()):
     """cert as the earlier encoding wrote it: rank violations with their
     dimension, cycle edges with their value, witness functions as
-    [eigenvalue, value] rows, a petz feasible answer as its dense rhos."""
+    [eigenvalue, value] rows, a petz feasible answer as its dense rhos, a
+    minimal statistic as its partition and classes."""
     old = json.loads(json.dumps(cert))
     payload = old["payload"]
+    if payload.pop("separations", None) is not None:
+        del payload["witness"]
+        payload["classes"] = payload["partition"]
     if payload.pop("owners", None) is not None:
         payload["rhos"] = [[[[z.real, z.imag] for z in row] for row in rho] for rho in rhos]
         payload["max_constraint_residual"] = 0.0
@@ -629,6 +704,8 @@ def test_parent_format_certificates_are_refused():
         (serialize_instance(None, obstructed_family()), [], make_certificate("existence", built)),
         (constructed_text, constructed.statistic.eigenvalues, constructed_cert),
         (serialize_instance(diag, basis), [], make_certificate("petz", feasible)),
+        (serialize_instance(*bundled), [],
+         make_certificate("minimality", minimal_statistic(*bundled))),
     ]
     verdicts = set()
     for text, eigenvalues, cert in cases:
@@ -638,7 +715,7 @@ def test_parent_format_certificates_are_refused():
         assert not report.ok, cert["verdict"]
         assert "malformed certificate" in report.detail, report.detail
         verdicts.add((cert["verdict"], *sorted(cert["payload"])))
-    assert len(verdicts) == 6
+    assert len(verdicts) == 7
 
 
 def test_stated_defect_and_overlap_are_refused():
@@ -756,9 +833,11 @@ def test_malformed_instance_still_raises():
 # ------------------------------------------------- junk in every certificate node
 
 
-JUNK = (None, [], {}, "x", 1e309)
+JUNK = (None, [], {}, "x", 1e309, True, False)
 # nodes no verdict rests on: the verifier reads none of them
 UNREAD = {"tool_version"}
+# the one node where a boolean answers the question asked
+BOOLEAN = ("parameters", "unital")
 
 
 def one_certificate_of_every_verdict():
@@ -806,19 +885,32 @@ def with_node(cert, path, value):
     return out
 
 
+def node_at(cert, path):
+    for key in path:
+        cert = cert[key]
+    return cert
+
+
 def test_junk_in_any_certificate_node_is_rejected_not_raised():
     verdicts = set()
     for instance_text, cert in one_certificate_of_every_verdict():
         verdicts.add((cert["verdict"], *sorted(cert["payload"])))
         assert verify_certificate(instance_text, serialize_certificate(cert)).ok
         for path in node_paths(cert):
-            unread = any(key in UNREAD or (cert["verdict"], key) in UNREAD for key in path)
+            unread = any(key in UNREAD for key in path)
             for junk in JUNK:
                 edited = with_node(cert, path, junk)
-                if edited == cert:
+                if edited == cert or (path == BOOLEAN and isinstance(junk, bool)):
                     continue
                 report = verify_certificate(instance_text, json.dumps(edited))
                 assert unread or not report.ok, (cert["verdict"], path, junk)
+            node = node_at(cert, path)
+            if isinstance(node, dict) and not unread:
+                # an extra key, holding a copy of a sibling's value
+                sibling = node[min(node)] if node else None
+                report = verify_certificate(instance_text, json.dumps(
+                    with_node(cert, path + ("extra",), sibling)))
+                assert not report.ok, (cert["verdict"], path, "extra key")
     assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them
 
 
@@ -829,7 +921,7 @@ DEFAULTS = {"rank": 1e-8, "angle": 1e-6, "witness": 1e-7, "petz_feasibility": 1e
 KEYS = {
     "weak_sufficiency": ["angle", "rank", "witness"],
     "existence": ["angle", "rank", "witness"],
-    "minimality": ["angle", "rank"],
+    "minimality": ["angle", "rank", "witness"],
     "petz": ["petz_feasibility"],
 }
 
@@ -840,7 +932,7 @@ def test_each_kind_records_only_what_its_decision_applies():
         assert cert["tolerances"] == {key: DEFAULTS[key] for key in KEYS[kind]}
     statistic, family = load_bundled_instance()
     cases = [("weak_sufficiency", check_weak_sufficiency(statistic, family), ["rank", "witness"]),
-             ("minimality", minimal_statistic(statistic, family), ["rank"]),
+             ("minimality", minimal_statistic(statistic, family), ["rank", "witness"]),
              ("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)),
               ["petz_feasibility"])]
     for kind, result, set_by_tol in cases:
@@ -916,16 +1008,24 @@ def test_rank_refusal_and_witness_are_replayed_at_the_recorded_tolerances():
 
 
 def test_minimal_partition_and_dead_atom_are_replayed_at_the_recorded_rank():
+    # the rows (0.6, 0.3) and (0.6, 0.303) of atoms 0 and 1 have a merged
+    # Gram matrix with lo = 3.6e-6: split at rank 1e-8, not at 1e-4
     s = math.sqrt(0.28)
     b = (0.3, 0.303, math.sqrt(1.0 - 0.09 - 0.303 ** 2))
     statistic = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
     family = StateFamily(labels=("a", "b"), vectors=np.array([[0.6, 0.6, s], b], dtype=complex))
     instance_text = serialize_instance(statistic, family)
+    fine = make_certificate("minimality", minimal_statistic(statistic, family))
+    assert fine["payload"]["partition"] == [[0], [1], [2]]
+    assert fine["payload"]["separations"][0] == {"atoms": [0, 1], "states": ["a", "b"]}
+    assert verify_certificate(instance_text, json.dumps(fine)).ok
+    report = replayed(instance_text, fine, rank=1e-4)
+    assert not report.ok and "do not separate atoms [0, 1]" in report.detail
+    # merged at 1e-4, the classes leave a witness residual of about 2e-3
     coarse = make_certificate("minimality", minimal_statistic(statistic, family, 1e-4), tol=1e-4)
     assert coarse["payload"]["partition"] == [[0, 1], [2]]
-    assert verify_certificate(instance_text, json.dumps(coarse)).ok
-    report = replayed(instance_text, coarse, rank=1e-8)
-    assert not report.ok and "[[0], [1], [2]]" in report.detail
+    report = verify_certificate(instance_text, json.dumps(coarse))
+    assert not report.ok and "exceeds 1.0e-04" in report.detail
 
     # atom 2 carries weight 1e-6 of b: dead at rank 1e-5, alive at 1e-8
     b = np.array([1.0, 1.0, math.sqrt(2e-6)]) / math.sqrt(2.0 + 2e-6)

@@ -3,11 +3,10 @@ import sys
 import numpy as np
 import pytest
 
-from wsq import linalg, sufficiency
+from wsq import linalg, minimality, sufficiency
 from wsq.harness import gram_schmidt
 from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
 from wsq.minimality import (
-    AtomClasses,
     MinimalStatistic,
     NoMinimalExists,
     check_coarse_sufficient,
@@ -16,6 +15,7 @@ from wsq.minimality import (
     equivalence_classes,
     is_function_of,
     minimal_statistic,
+    statistic_from_partition,
 )
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
 from wsq.sufficiency import analyze, check_weak_sufficiency
@@ -111,7 +111,8 @@ def test_classes_of_worked_example():
     t, fam = two_plus_one_instance()
     classes = equivalence_classes(analyze(t, fam))
     assert classes.classes == [(0, 1), (2,)]
-    assert classes.witnesses[(0, 1)] == pytest.approx(1.0, abs=1e-12)
+    # s0 loads atom 0 and s1 atom 2: independent on the merged atom
+    assert classes.separations == [((0, 2), ("s0", "s1"))]
 
 
 def test_complex_proportionality_factor_is_accepted():
@@ -124,7 +125,7 @@ def test_complex_proportionality_factor_is_accepted():
     analysis = analyze(t, fam)
     classes = equivalence_classes(analysis)
     assert classes.classes == [(0, 1), (2,)]
-    assert classes.witnesses[(0, 1)] == pytest.approx(-1.0j, abs=1e-12)
+    assert classes.separations == [((0, 2), ("s0", "s1"))]
 
 
 @pytest.mark.parametrize("rows", [
@@ -180,17 +181,22 @@ def test_sufficiency_checks_run_no_kernel(monkeypatch):
     assert lone == [] and runs == []
 
 
-def test_coarse_check_and_minimal_build_no_witness(monkeypatch):
-    def forbidden(self, versions):
-        raise AssertionError("witness built")
+def test_coarse_check_builds_no_witness_and_minimal_builds_one(monkeypatch):
+    built = []
+    original = sufficiency.Analysis._witness
 
-    monkeypatch.setattr(sufficiency.Analysis, "_witness", forbidden)
+    def counting(self, versions):
+        built.append(len(self.statistic))
+        return original(self, versions)
+
+    monkeypatch.setattr(sufficiency.Analysis, "_witness", counting)
     t, fam = two_plus_one_instance()
     verdicts = [check_coarse_sufficient(t, fam, cmap) for cmap in enumerate_coarse_grainings(t)]
     assert verdicts == [False, True, False, False, True]
+    assert built == []
+    # the one witness is that of the two-atom minimal statistic
     assert minimal_statistic(t, fam).partition == [[0, 1], [2]]
-    with pytest.raises(AssertionError, match="witness built"):
-        check_weak_sufficiency(t, fam)
+    assert built == [2]
 
 
 def test_coarse_check_does_not_rerun_the_weak_check(monkeypatch):
@@ -264,6 +270,61 @@ def test_minimal_statistic_of_worked_example():
     assert result.partition == [[0, 1], [2]]
     assert np.array_equal(result.statistic.eigenvalues, [1.0, 2.0])
     assert np.abs(result.statistic.matrix() - np.diag([1.0, 1.0, 2.0])).max() <= 1e-12
+
+
+def test_separations_split_every_pair_of_classes_in_order():
+    rng = np.random.default_rng(65)
+    coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
+    t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
+    classes = equivalence_classes(analyze(t, fam))
+    assert classes.classes == [(0, 2), (1,), (3,)]
+    assert [atoms for atoms, _ in classes.separations] == [(0, 1), (0, 3), (1, 3)]
+    for (a, b), labels in classes.separations:
+        rows = np.array([fam.vector(label) for label in labels])
+        merged = t.projections[a] + t.projections[b]
+        assert pair_rank_two(gram_matrix(rows @ merged.T))[0, 1]
+
+
+def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
+    # one call decides every pair of active atoms over every pair of states
+    rng = np.random.default_rng(65)
+    coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
+    t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
+    analysis = analyze(t, fam)
+    shapes = []
+
+    def recording(h, tol):
+        shapes.append(np.shape(h))
+        return pair_rank_two(h, tol)
+
+    monkeypatch.setattr(minimality, "pair_rank_two", recording)
+    assert equivalence_classes(analysis).classes == [(0, 2), (1,), (3,)]
+    assert shapes == [(4, 4, 3, 3)]
+
+
+def test_classes_are_checked_by_deciding_the_merged_statistic():
+    # atom 1 and atom 2 each pass for atom 0's class at tol 1e-4, their
+    # rows (x, d) and (x, -d) being within d^2 / 2 of atom 0's (x, 0), but
+    # split from each other (2 d^2 > 1e-4): the merge is not sufficient
+    x, d = 1.0 / np.sqrt(3.0), 1e-2
+    t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    fam = StateFamily(("s0", "s1"), (np.array([x, x, x, 0.0]),
+                                     np.array([0.0, d, -d, np.sqrt(1.0 - 2.0 * d * d)])))
+    assert equivalence_classes(analyze(t, fam, 1e-4), 1e-4).classes == [(0, 1, 2), (3,)]
+    with pytest.raises(ValueError, match="loses weak sufficiency"):
+        minimal_statistic(t, fam, 1e-4)
+    assert minimal_statistic(t, fam).partition == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("partition", [
+    [[0, 1]], [[0], [1], [1], [2]], [[0, 1], [2], [3]], [[0, 1], []], [[0, True], [2]],
+    [[0, 1.0], [2]], [[0, 1], "2"], [[0, 1], 2], {"0": [0, 1, 2]}, None,
+], ids=["omits", "repeats", "out_of_range", "empty_block", "bool", "float", "string",
+        "bare_atom", "object", "null"])
+def test_statistic_from_partition_refuses_what_is_no_partition(partition):
+    t, _ = two_plus_one_instance()
+    with pytest.raises(ValueError):
+        statistic_from_partition(t, partition)
 
 
 def test_minimal_is_function_of_every_sufficient_coarse_graining():

@@ -14,9 +14,11 @@ never loads the oracles.  The certificate verifier replays each verdict
 at the tolerances the certificate records, so neither verify_certificate
 nor any fileio function it reaches names a default tolerance.  It
 recomputes the quantities a certificate names instead of deciding the
-question again, so none of them names a decision function either, nor
-hard-codes a float threshold, and a petz answer's rho's are rebuilt only
-through petz.rhos_from_owners, the function the decision uses.
+question again, so none of them names a decision function either (the
+minimal statistic and its classes included), nor hard-codes a float
+threshold.  A petz answer's rho's are rebuilt only through
+petz.rhos_from_owners, and a minimal statistic through
+minimality.statistic_from_partition, the functions the decisions use.
 """
 
 import ast
@@ -178,9 +180,9 @@ def test_production_code_imports_no_scipy():
 
 
 DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
-# minimal_statistic stays allowed: the minimal partition is re-derived
 DECISIONS = {"analyze", "check_weak_sufficiency", "exists_weakly_sufficient",
-             "family_constraints", "align_phases", "gram_rank", "petz_feasibility"}
+             "family_constraints", "align_phases", "gram_rank", "petz_feasibility",
+             "minimal_statistic", "equivalence_classes"}
 # names that build a density matrix; of them the verifier names rhos_from_owners alone
 RHO_BUILDERS = {"outer", "einsum", "eye", "rhos_from_owners"}
 
@@ -225,7 +227,7 @@ def test_verifier_names_no_default_tolerance():
     source = (PACKAGE / "fileio.py").read_text()
     assert verifier_names(source, DEFAULT_TOLERANCES) == []
     # an edit replaying existence cycles at the default angle again is caught
-    replay = 'payload.get("phase_cycle"), tols["angle"])'
+    replay = 'return _cycle_report(None, family, cycle, tols["angle"])'
     assert source.count(replay) == 1
     edited = source.replace(replay, replay.replace('tols["angle"]', "phases.ANGLE_TOL"))
     assert verifier_names(edited, DEFAULT_TOLERANCES) == ["_replay: ANGLE_TOL"]
@@ -245,6 +247,20 @@ def test_verifier_runs_no_decision():
     assert source.count(replay) == 1
     edited = source.replace(replay, replay + "        petz.petz_feasibility(instance)\n")
     assert verifier_names(edited, DECISIONS) == ["_replay: petz_feasibility"]
+    # and one re-deriving the minimal statistic instead of checking its proof
+    replay = '        if verdict == "minimal_constructed":\n'
+    assert source.count(replay) == 1
+    edited = source.replace(
+        replay, replay + "            minimality.minimal_statistic(statistic, family)\n")
+    assert verifier_names(edited, DECISIONS) == ["_replay: minimal_statistic"]
+
+
+def test_verifier_builds_the_minimal_statistic_as_the_decision_does():
+    source = (PACKAGE / "fileio.py").read_text()
+    shared = {"statistic_from_partition", "pair_rank_two"}
+    assert sorted(verifier_names(source, shared)) == [
+        "_minimal_report: pair_rank_two", "_minimal_report: statistic_from_partition",
+        "_rank_report: pair_rank_two"]
 
 
 def test_verifier_builds_rhos_only_through_rhos_from_owners():
