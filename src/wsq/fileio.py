@@ -5,13 +5,17 @@ and an optional statistic (dense Hermitian matrix, or explicit
 eigenvalues plus projections).  Complex numbers are always two-element
 [re, im] arrays.  ``read_instance`` reads and validates the whole file
 at once: its schema, every number, the state family, an explicit
-statistic, and a dense matrix's Hermitian check.  Only a dense matrix's
-eigendecomposition waits until a question reads the statistic, so
-**construct** and a **petz** refusal of overlapping states never run
-it, nor meet its errors.  Certificates mirror the in-memory verdict
-types and carry the tool version and the tolerances that produced them,
-so a verifier holding only the instance file and the certificate file
-can re-check the verdict from scratch, at those same tolerances.
+statistic, and a dense matrix's Hermitian check.  The states and a dense
+matrix take one numpy conversion each; where it meets anything but
+finite numbers of the right shape, or the text may hold a JSON boolean,
+the path-addressed walker reads them instead and names the error.  Only
+a dense matrix's eigendecomposition waits until a question reads the
+statistic, so **construct** and a **petz** refusal of overlapping states
+never run it, nor meet its errors.  Certificates mirror the in-memory
+verdict types and carry the tool version and the tolerances that
+produced them, so a verifier holding only the instance file and the
+certificate file can re-check the verdict from scratch, at those same
+tolerances.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ def check_tolerance(value) -> None:
 def _real(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a real number, got {type(node).__name__}")
-    value = float(node)
+    try:
+        value = float(node)
+    except OverflowError:
+        _fail(path, "integer beyond the float range")
     if not np.isfinite(value):
         _fail(path, "number must be finite")
     return value
@@ -90,6 +97,20 @@ def _matrix(node, path: str, dim: int) -> np.ndarray:
     if not isinstance(node, list) or len(node) != dim:
         _fail(path, f"expected a {dim}x{dim} matrix of [re, im] pairs")
     return np.array([_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(node)])
+
+
+def _converted(node, shape: tuple) -> np.ndarray | None:
+    """node as a complex array of the given shape, from one numpy conversion,
+    or None unless node is exactly shape + (2,) finite numbers; numpy reads
+    a JSON boolean as a number, so the caller rules those out."""
+    try:
+        a = np.array(node)
+    except ValueError:   # ragged
+        return None
+    if a.dtype.kind not in "if" or a.shape != shape + (2,) or not np.isfinite(a).all():
+        return None
+    # bitwise what complex(re, im) gives, -0.0 included
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def _pair_json(z: complex) -> list[float]:
@@ -125,7 +146,7 @@ def read_instance(text: str) -> Instance:
     """Read and validate an instance file; see ``Instance`` for what waits."""
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"$: invalid JSON: {exc}") from exc
     if not isinstance(root, dict):
         _fail("$", "expected a JSON object")
@@ -138,9 +159,10 @@ def read_instance(text: str) -> Instance:
     if not isinstance(states, dict) or not states:
         _fail("$.states", "expected a nonempty object of labeled states")
     labels = sorted(states)
-    vectors = np.array(
-        [_vector(states[label], f"$.states.{label}", dim) for label in labels]
-    )
+    plain = "true" not in text and "false" not in text   # numpy reads booleans as numbers
+    vectors = _converted([states[label] for label in labels], (len(labels), dim)) if plain else None
+    if vectors is None:
+        vectors = np.array([_vector(states[label], f"$.states.{label}", dim) for label in labels])
     family = spectral.StateFamily(labels=tuple(labels), vectors=vectors)
 
     statistic = matrix = None
@@ -149,7 +171,9 @@ def read_instance(text: str) -> Instance:
         if not isinstance(node, dict):
             _fail("$.statistic", "expected an object")
         if "matrix" in node:
-            matrix = _matrix(node["matrix"], "$.statistic.matrix", dim)
+            matrix = _converted(node["matrix"], (dim, dim)) if plain else None
+            if matrix is None:
+                matrix = _matrix(node["matrix"], "$.statistic.matrix", dim)
             as_hermitian(matrix)   # raises now; the decomposition waits
         elif "eigenvalues" in node or "projections" in node:
             evs = node.get("eigenvalues")
@@ -347,7 +371,7 @@ def serialize_certificate(cert: dict) -> str:
 def parse_certificate(text: str) -> dict:
     try:
         cert = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"$: invalid JSON: {exc}") from exc
     if not isinstance(cert, dict):
         _fail("$", "expected a JSON object")

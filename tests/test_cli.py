@@ -163,6 +163,15 @@ def test_malformed_input_is_an_error(tmp_path, capsys):
     assert "error:" in out.err
 
 
+def test_integer_beyond_the_float_range_is_an_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dimension": 1, "states": {"x": [[1.0, %d]]}}' % 10**400)
+    code = run_cli(["check", "--input", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: $.states.x[0][1]: ")
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     code = run_cli(["check", "--input", str(tmp_path / "absent.json")])
     out = capsys.readouterr()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wsq import fileio
 from wsq.fileio import (
     SchemaError,
     load_bundled_instance,
@@ -78,6 +79,14 @@ def test_statistic_is_optional():
          "$.states.x[1][1]"),
         ('{"dimension": 1, "states": {"x": [[1.0, 0.0]]}, "statistic": {}}',
          "$.statistic"),
+        pytest.param('{"dimension": 1, "states": {"x": [[1.0, %d]]}}' % 10**400,
+                     "$.states.x[0][1]", id="huge-integer-state"),
+        pytest.param('{"dimension": 1, "states": {"x": [[1.0, 0.0]]}, '
+                     '"statistic": {"matrix": [[[1.0, %d]]]}}' % -10**400,
+                     "$.statistic.matrix[0][0][1]", id="huge-integer-matrix"),
+        pytest.param("[" * 100000, "$: invalid JSON", id="deep-nesting"),
+        pytest.param('{"dimension": 1, "states": {"x": ' + "[" * 100000 + "}}",
+                     "$: invalid JSON", id="deep-nesting-in-states"),
     ],
 )
 def test_schema_errors_are_path_addressed(text, path_fragment):
@@ -823,6 +832,16 @@ def test_constructed_certificate_with_projections_is_refused():
     assert "$.payload.directions" in report.detail
 
 
+def test_deeply_nested_certificate_is_rejected_not_raised():
+    statistic, family = load_bundled_instance()
+    instance_text = serialize_instance(statistic, family)
+    for text in ("[" * 100000, '{"kind": "petz", "verdict": "feasible", "payload": '
+                 + "[" * 100000 + "}"):
+        report = verify_certificate(instance_text, text)
+        assert not report.ok
+        assert "$: invalid JSON" in report.detail
+
+
 def test_malformed_instance_still_raises():
     statistic, family = load_bundled_instance()
     cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
@@ -833,7 +852,7 @@ def test_malformed_instance_still_raises():
 # ------------------------------------------------- junk in every certificate node
 
 
-JUNK = (None, [], {}, "x", 1e309, True, False)
+JUNK = (None, [], {}, "x", 1e309, 10**400, True, False)
 # nodes no verdict rests on: the verifier reads none of them
 UNREAD = {"tool_version"}
 # the one node where a boolean answers the question asked
@@ -1078,3 +1097,116 @@ def test_owner_sharing_its_atom_is_refused_below_the_residual_bound():
     report = verify_certificate(instance_text, json.dumps(cert))
     assert not report.ok and "'a' is not the one loader of atom 0" in report.detail
     assert replayed(instance_text, cert, petz_feasibility=1e-6).ok
+
+
+# ------------------------------------------------- one numpy conversion, the walker's answers
+
+
+def pairs(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def equivalence_instances():
+    """Valid instances at d 1, 2, 8 and 32, dense and explicit, holding
+    -0.0, integer entries and integers near 2**53 (on a dense diagonal)."""
+    rng = np.random.default_rng(15)
+    for d in (1, 2, 8, 32):
+        v = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+        v[0] = v[0].real
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        states = {f"s{i}": pairs(row) for i, row in enumerate(v)}
+        states["s0"] = [[re, -0.0] for re, _ in states["s0"]]
+        states["basis"] = [[1, 0]] + [[0, -0.0] for _ in range(d - 1)]
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        matrix = pairs(h + h.conj().T)
+        for k, big in enumerate((2**53 - 1, 2**53 + 1, -(2**53) - 3, 7)[:d]):
+            matrix[k][k] = [big, -0.0]
+        if d > 1:
+            matrix[0][1], matrix[1][0] = [3, -0.0], [3, 0]
+        upper = np.diag(np.arange(d) < max(1, d // 2)).astype(complex)
+        explicit = {"eigenvalues": [0.0, 1.0][:1 + (d > 1)],
+                    "projections": [pairs(p) for p in (upper, np.eye(d) - upper)][:1 + (d > 1)]}
+        for statistic in ({"matrix": matrix}, explicit):
+            yield {"dimension": d, "states": states, "statistic": statistic}
+    # a label that reads like a JSON boolean takes the walker
+    yield {"dimension": 1, "states": {"true": [[1.0, 0.0]]}, "statistic": {"matrix": [[[2, 0]]]}}
+
+
+def read_outcome(text):
+    """The arrays read_instance reads, as bytes, or the type and message it raises."""
+    try:
+        instance = read_instance(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    explicit = instance._explicit
+    read = [np.array(instance.family.vectors), instance._matrix,
+            None if explicit is None else explicit.projections]
+    return instance.family.labels, [np.ascontiguousarray(a).tobytes() for a in read
+                                    if a is not None]
+
+
+def walked_outcome(text, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "_converted", lambda node, shape: None)
+        return read_outcome(text)
+
+
+def picked(d: int):
+    """The entries edited in a row of d: all of them up to d = 8, else the
+    first and the last, to keep the d = 32 edits few."""
+    return range(d) if d <= 8 else (0, d - 1)
+
+
+def number_rows(root):
+    """The path to each list of the states and the dense matrix whose entries
+    are [re, im] pairs or rows of them."""
+    for label in root["states"]:
+        yield ("states", label)
+    if "matrix" in root["statistic"]:
+        yield ("statistic", "matrix")
+        yield from (("statistic", "matrix", i) for i in picked(root["dimension"]))
+
+
+def number_leaves(root):
+    """The path to each number of the states and the dense matrix."""
+    d = root["dimension"]
+    for label in root["states"]:
+        yield from (("states", label, i, part) for i in picked(d) for part in (0, 1))
+    if "matrix" in root["statistic"]:
+        yield from (("statistic", "matrix", i, j, part)
+                    for i in picked(d) for j in picked(d) for part in (0, 1))
+
+
+LEAF_JUNK = (True, False, None, "1.0", 10**400, math.nan, math.inf, [1.0], [])
+
+
+def test_one_conversion_reads_what_the_walker_reads(monkeypatch):
+    for root in equivalence_instances():
+        text = json.dumps(root)
+        outcome = read_outcome(text)
+        assert not isinstance(outcome[0], type), outcome
+        assert outcome == walked_outcome(text, monkeypatch)
+        edits = [(path, junk) for path in number_leaves(root) for junk in LEAF_JUNK]
+        for path in number_rows(root):
+            row = node_at(root, path)
+            edits += [(path, row[:-1]), (path, row + row[:1])]
+        for path, value in edits:
+            parent = node_at(root, path[:-1])
+            kept, parent[path[-1]] = parent[path[-1]], value
+            edited = json.dumps(root)
+            parent[path[-1]] = kept
+            outcome = read_outcome(edited)
+            assert outcome == walked_outcome(edited, monkeypatch), (root["dimension"], path)
+            assert issubclass(outcome[0], ValueError), (path, value, outcome)
+
+
+def test_a_valid_instance_never_enters_the_walker(monkeypatch):
+    root = next(r for r in equivalence_instances()
+                if r["dimension"] == 32 and "matrix" in r["statistic"])
+
+    def walked(node, path):
+        raise AssertionError(f"walked {path}")
+
+    monkeypatch.setattr(fileio, "_pair", walked)
+    instance = read_instance(json.dumps(root))
+    assert len(instance.family) == 4 and instance.has_statistic
