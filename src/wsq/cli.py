@@ -1,8 +1,8 @@
 """Command-line surface: decide, construct, and certify from instance files.
 
 Exit codes follow one contract across all subcommands: 0 for an
-affirmative verdict, 1 for a negative verdict, 2 for errors; every
-verdict is decided exactly, none is left undecided.  Certificates go
+affirmative verdict, 1 for a negative verdict, 2 for errors, a
+decomposition that does not converge included.  Certificates go
 to stdout as JSON; human-readable diagnostics go to stderr.
 
 check, construct, minimal and petz take --tol, the one tolerance their
@@ -20,7 +20,7 @@ import argparse
 import functools
 import sys
 
-from . import fileio, minimality, petz, sufficiency
+from . import fileio, linalg, minimality, petz, sufficiency
 from .petz import Feasible, InfeasibleOrthogonality
 
 AFFIRMATIVE, NEGATIVE, ERROR = 0, 1, 2
@@ -46,7 +46,7 @@ def _witness_residual(statistic, family, witness, cert: dict) -> float:
     tol = cert["tolerances"]["witness"]
     check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
     if not check.ok:
-        raise ValueError(f"the rank test passed but the witness residual "
+        raise ValueError(f"the decision passed but its witness residual "
                          f"{check.max_residual:.3e} exceeds {tol:.1e}")
     return check.max_residual
 
@@ -210,7 +210,7 @@ def run_cli(argv=None) -> int:
         if getattr(args, "tol", None) is not None:
             fileio.check_tolerance(args.tol)
         return args.func(args)
-    except (fileio.SchemaError, ValueError, KeyError, OSError) as exc:
+    except (fileio.SchemaError, ValueError, KeyError, OSError, linalg.EigenConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

@@ -206,7 +206,8 @@ def structural_check(instance: PetzInstance, cert: Feasible) -> StructuralReport
 
 
 def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
-    """Channel sufficiency must imply weak sufficiency; re-check the pair."""
+    """Re-check weak sufficiency of a feasible pair: implied for unital answers,
+    not for non-unital ones, whose shared atoms (rho = 0) may hold rank 2."""
     if not isinstance(cert, Feasible):
         raise ValueError("implication check needs a Feasible certificate")
     return check_weak_sufficiency(instance.statistic, instance.family).sufficient

@@ -16,8 +16,9 @@ only on the Gram matrix of F and is decided by exists_weakly_sufficient.
 When the states can be dressed so that their Gram matrix is real, any
 orthonormal basis of the dressed states' span gives one: it is found in
 one orthogonalization pass, and statistic_from_directions turns it into
-the statistic.  Certificates carry those directions, and the verifier
-rebuilds the statistic through the same function.
+the statistic.  The same dressing is its witness, so existence is decided
+once.  Certificates carry those directions, and the verifier rebuilds the
+statistic through the same function.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .linalg import RANK_TOL, gram_matrix, hermitian_part, norm, pair_rank_two
 from .phases import Infeasible, PhaseConstraint, VersionAssignment, align_phases
 from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
 
-ZERO_TOL = 1e-10          # overlaps below this (times the norms) impose nothing
+ZERO_TOL = 1e-10          # overlaps below this impose nothing
 WITNESS_TOL = 1e-7        # largest residual a verified witness may leave
 REPRESENTATIVE_FLOOR = 1e-6   # relative norm floor when picking a direction
 
@@ -167,6 +168,13 @@ class Analysis:
         return WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
 
+def _phase_constraints(gram: np.ndarray, labels, atoms) -> list[PhaseConstraint]:
+    """One constraint per entry of gram[k] above ZERO_TOL, right of the
+    diagonal, in (k, left, right) order and tagged with atoms[k]."""
+    return [PhaseConstraint(labels[i], labels[j], gram[k, i, j], atom=atoms[k])
+            for k, i, j in zip(*np.nonzero(np.triu(np.abs(gram) > ZERO_TOL, 1)))]
+
+
 def analyze(t: DiscreteStatistic, family: StateFamily,
             tol: float = RANK_TOL) -> Analysis:
     """Project the family once and read every per-atom quantity from gram[k].
@@ -180,13 +188,7 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     spread = {int(k): tuple(int(n) for n in np.argwhere(split[k])[0])
               for k in np.flatnonzero(split.any(axis=(1, 2)))}
     active = table.weights.sum(axis=0) > tol
-    norms = np.array([norm(v) for v in family.vectors])
-    overlaps = np.abs(table.gram) > ZERO_TOL * np.outer(norms, norms)
-    labels = family.labels
-    constraints = [
-        PhaseConstraint(labels[i], labels[j], table.gram[k, i, j], atom=int(k))
-        for k, i, j in zip(*np.nonzero(np.triu(overlaps, 1)))
-    ]
+    constraints = _phase_constraints(table.gram, family.labels, range(len(t)))
     gamma = np.zeros((len(t), len(family)), dtype=complex)
     xi: dict[int, np.ndarray] = {}
     for k in np.flatnonzero(active):
@@ -243,8 +245,8 @@ class ConstructedStatistic:
     """A weakly sufficient statistic built on orthonormal directions.
 
     directions is an (r, d) array of orthonormal rows and statistic is
-    statistic_from_directions(directions); the witness comes from
-    check_weak_sufficiency on that pair.
+    statistic_from_directions(directions); the witness is built on that
+    statistic under the versions that made the family's Gram matrix real.
     """
 
     statistic: DiscreteStatistic
@@ -260,16 +262,8 @@ class NonExistence:
 
 
 def family_constraints(family: StateFamily) -> list[PhaseConstraint]:
-    """Reality constraints from nonzero entries of the full Gram matrix."""
-    g = gram_matrix(family.vectors)
-    constraints = []
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if abs(g[i, j]) > ZERO_TOL:
-                constraints.append(
-                    PhaseConstraint(family.labels[i], family.labels[j], g[i, j])
-                )
-    return constraints
+    """Reality constraints from the entries of the full Gram matrix above ZERO_TOL."""
+    return _phase_constraints(gram_matrix(family.vectors)[np.newaxis], family.labels, [None])
 
 
 def statistic_from_directions(directions) -> DiscreteStatistic:
@@ -298,12 +292,13 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
     orthogonalized, twice, against the directions found so far and kept
     as the next direction when its squared residual exceeds tol; then
     statistic_from_directions gives direction n the value n.  The
-    returned witness is produced by running the pair through
-    check_weak_sufficiency, not copied from the construction.
+    dressing is the witness: those versions make every dressed overlap
+    real, so each atom's dressed row is real too, and Analysis builds the
+    witness from them without deciding the statistic again; near a
+    threshold it may miss its tolerance, which verify_witness reports.
     """
     labels = family.labels
-    constraints = family_constraints(family)
-    aligned = align_phases(constraints, labels)
+    aligned = align_phases(family_constraints(family), labels)
     if isinstance(aligned, Infeasible):
         return NonExistence(cycle=aligned.cycle)
     directions: list[np.ndarray] = []
@@ -319,7 +314,5 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
             directions.append(resid / np.sqrt(square))
     rows = np.array(directions).reshape(-1, family.dim)
     statistic = statistic_from_directions(rows)
-    verdict = check_weak_sufficiency(statistic, family, tol)
-    if not verdict.sufficient:   # pragma: no cover - internal consistency
-        raise RuntimeError("constructed statistic failed its own sufficiency check")
-    return ConstructedStatistic(statistic=statistic, directions=rows, witness=verdict.witness)
+    witness = analyze(statistic, family, tol)._witness(aligned)
+    return ConstructedStatistic(statistic=statistic, directions=rows, witness=witness)

@@ -460,7 +460,7 @@ def test_check_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, cap
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
-    assert out.err == ("error: the rank test passed but the witness residual "
+    assert out.err == ("error: the decision passed but its witness residual "
                        "1.000e-05 exceeds 1.0e-07\n")
 
 
@@ -470,7 +470,7 @@ def test_minimal_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, c
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
-    assert out.err.startswith("error: the rank test passed but the witness residual ")
+    assert out.err.startswith("error: the decision passed but its witness residual ")
     assert out.err.endswith(" exceeds 1.0e-04\n")
 
 
@@ -486,6 +486,58 @@ def test_reproductions_verify_or_exit_2(tmp_path, capsys):
     code, cert = run_and_verify(paths["C"], ["check", "--tol", "1e-12"], capsys)
     assert code == 1
     assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}]}
+
+
+def near_threshold_triple_path(tmp_path, delta):
+    """States e0, (e0 + e1)/sqrt2 and (e0 + (2 + i delta) e1)/|.|, no
+    statistic.  The cycle a -> b -> c has defect about delta/3, so a
+    statistic exists for delta below 3e-6; the statistic built for it
+    keeps two directions, and its witness misses by about delta/(2 sqrt2)."""
+    s = 1.0 / math.sqrt(2.0)
+    c = np.array([1.0, 2.0 + 1j * delta]) / math.sqrt(5.0 + delta ** 2)
+    family = StateFamily(labels=("a", "b", "c"),
+                         vectors=np.array([[1.0, 0.0], [s, s], c], dtype=complex))
+    path = tmp_path / f"triple_{delta!r}.json"
+    path.write_text(serialize_instance(None, family))
+    return path
+
+
+def test_construct_near_the_angle_threshold_keeps_its_exit_contract(tmp_path, capsys):
+    paths = {delta: near_threshold_triple_path(tmp_path, delta)
+             for delta in (2.5e-6, 2.9e-6, 4e-6)}
+    assert run_and_verify(paths[2.5e-6], ["construct"], capsys)[0] == 2
+    assert run_and_verify(paths[2.9e-6], ["construct"], capsys)[0] == 2
+    code, cert = run_and_verify(paths[2.5e-6], ["construct", "--tol", "1e-3"], capsys)
+    assert code == 0 and cert["verdict"] == "constructed"
+    code, cert = run_and_verify(paths[4e-6], ["construct"], capsys)
+    assert code == 1 and cert["verdict"] == "no_statistic_exists"
+
+
+def test_construct_near_a_real_plane_verifies_or_exits_2(tmp_path, capsys):
+    # three states in a random real plane of C^3 plus complex noise eps,
+    # log-uniform in [1e-8, 1e-5]: phase defects straddle ANGLE_TOL
+    rng = np.random.default_rng(0)
+    path = tmp_path / "plane.json"
+    codes = []
+    for _ in range(300):
+        plane, _ = np.linalg.qr(rng.normal(size=(3, 2)))
+        eps = 10.0 ** rng.uniform(-8.0, -5.0)
+        noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        vectors = rng.normal(size=(3, 2)) @ plane.T + eps * noise
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        path.write_text(serialize_instance(None, StateFamily(("a", "b", "c"), vectors)))
+        codes.append(run_and_verify(path, ["construct"], capsys)[0])
+    assert set(codes) == {0, 1, 2}
+
+
+def test_unconverged_decomposition_exits_2(tmp_path, monkeypatch, capsys):
+    path = fourier_instance(tmp_path)
+    monkeypatch.setattr(linalg, "QL_SWEEPS", 0)
+    capsys.readouterr()
+    assert run_cli(["check", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: eigenvalue 0 not split off after 0 QL sweeps\n"
 
 
 def light_atom_path(tmp_path):

@@ -181,8 +181,8 @@ def test_production_code_imports_no_scipy():
 
 DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
 DECISIONS = {"analyze", "check_weak_sufficiency", "exists_weakly_sufficient",
-             "family_constraints", "align_phases", "gram_rank", "petz_feasibility",
-             "minimal_statistic", "equivalence_classes"}
+             "family_constraints", "_phase_constraints", "align_phases", "gram_rank",
+             "petz_feasibility", "minimal_statistic", "equivalence_classes"}
 # names that build a density matrix; of them the verifier names rhos_from_owners alone
 RHO_BUILDERS = {"outer", "einsum", "eye", "rhos_from_owners"}
 

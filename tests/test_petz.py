@@ -8,7 +8,7 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
-from wsq.harness import gram_schmidt
+from wsq.harness import _shared_atom_instance, gram_schmidt
 from wsq.linalg import hermitian_eig
 from wsq.petz import (
     Feasible,
@@ -229,6 +229,20 @@ def test_structural_check_detects_corruption():
         owners=cert.owners,
     )
     assert structural_check(inst, free).ok
+
+
+def test_non_unital_feasibility_with_a_shared_atom_need_not_be_weak():
+    # each state owns an atom, so dropping the trace rows makes the shared
+    # atom's rho 0; both states load that atom independently, at rank 2
+    statistic, family = _shared_atom_instance(np.random.default_rng(0), 4)
+    inst = PetzInstance.from_parts(statistic, family, unital=False)
+    cert = petz_feasibility(inst)
+    assert isinstance(cert, Feasible)
+    assert cert.owners == (None, "phi1", "phi2")
+    assert (inst.weights[:, 0] > 0.3).all() and not cert.rhos[0].any()
+    assert not petz_implies_weak_check(inst, cert)
+    assert not isinstance(petz_feasibility(PetzInstance.from_parts(statistic, family)),
+                          Feasible)
 
 
 def test_implication_check_requires_feasible_certificate():

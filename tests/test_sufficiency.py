@@ -152,6 +152,23 @@ def test_construction_on_random_real_families():
         assert list(evs) == [float(x) for x in expected]
 
 
+def test_construction_decides_existence_once(monkeypatch):
+    import wsq.sufficiency as sufficiency
+
+    calls = {"align_phases": 0, "check_weak_sufficiency": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(sufficiency, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sufficiency, name, counting)
+    fam = random_real_family(np.random.default_rng(3), 4, 3)
+    out = exists_weakly_sufficient(fam)
+    assert isinstance(out, ConstructedStatistic)
+    assert calls == {"align_phases": 1, "check_weak_sufficiency": 0}
+    assert verify_witness(out.statistic, fam, out.witness, tol=1e-9).ok
+
+
 def greedy_directions(family, tol=RANK_TOL):
     """The earlier construction, as the reference: keep each dressed state
     that raises the numerical rank of the states kept before it, then
