@@ -20,16 +20,14 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
+from wsq.harness import dead_atom_counterexamples, is_function_of
 from wsq.minimality import (
     MinimalStatistic,
     NoMinimalExists,
-    apply_coarse,
-    dead_atom_counterexamples,
     enumerate_coarse_grainings,
-    is_function_of,
     minimal_statistic,
 )
-from wsq.spectral import DiscreteStatistic, StateFamily
+from wsq.spectral import DiscreteStatistic, StateFamily, apply_coarse
 from wsq.sufficiency import check_weak_sufficiency
 
 # ---------------------------------------------------------------- instance

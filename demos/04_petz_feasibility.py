@@ -20,15 +20,13 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
-from wsq.harness import GeneratorSpec, generate
+from wsq.harness import GeneratorSpec, generate, petz_implies_weak_check, structural_check
 from wsq.petz import (
     Feasible,
     InfeasibleOrthogonality,
     InfeasibleSharedAtoms,
     PetzInstance,
     petz_feasibility,
-    petz_implies_weak_check,
-    structural_check,
 )
 from wsq.spectral import StateFamily, statistic_from_matrix
 

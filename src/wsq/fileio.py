@@ -310,6 +310,8 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
         "tolerances": tol_block,
     }
     if parameters:
+        if kind != "petz":
+            raise ValueError(f"a {kind} certificate records no parameters")
         cert["parameters"] = dict(parameters)
 
     if kind == "weak_sufficiency":
@@ -382,8 +384,8 @@ def parse_certificate(text: str) -> dict:
         _fail("$", "missing required key 'verdict'")
     if not isinstance(cert.get("payload"), dict):
         _fail("$.payload", "expected an object")
-    for key in sorted(set(cert) - {"kind", "verdict", "payload", "tolerances",
-                                   "tool_version", "parameters"}):
+    extra = set(cert) - {"kind", "verdict", "payload", "tolerances", "tool_version"}
+    for key in sorted(extra - ({"parameters"} if kind == "petz" else set())):
         _fail(f"$.{key}", "unexpected key")
     return cert
 
@@ -478,18 +480,19 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     live atoms and separations, and a dead atom at ``rank``; cycle
     defects at ``angle``; petz owners and shared atoms at
     ``petz_feasibility``.  Each object must hold exactly the keys its
-    verdict writes.  The verifier recomputes what a certificate names
-    instead of deciding the question again: the rank of two named states
-    on an atom (pair_rank_two), each cycle edge's overlap against
-    sufficiency.ZERO_TOL, a witness (one value per atom, in ascending
-    eigenvalue order) on the statistic it claims, rebuilt from directions
-    or a partition by the decision's own function, and petz rho's from
-    their owners by petz.rhos_from_owners, within RECONSTRUCTION_TOL.  A
-    certificate that does not prove its claim or cannot be read, earlier
-    encodings included, yields ok=False.  Only a malformed instance
-    raises: at read time, or when a verdict that reads the statistic
-    meets a dense matrix that fails to decompose; ``existence`` and
-    ``infeasible_orthogonality`` never decompose it.
+    verdict writes, and only petz records ``parameters``.  The verifier
+    recomputes what a certificate names instead of deciding the question
+    again: the rank of two named states on an atom (pair_rank_two), each
+    cycle edge's overlap against sufficiency.ZERO_TOL, a witness (one
+    value per atom, in ascending eigenvalue order) on the statistic it
+    claims, rebuilt from directions or a partition by the decision's own
+    function, and petz rho's from their owners by petz.rhos_from_owners,
+    within RECONSTRUCTION_TOL.  A certificate that does not prove its
+    claim or cannot be read, earlier encodings included, yields
+    ok=False.  Only a malformed instance raises: at read time, or when a
+    verdict that reads the statistic meets a dense matrix that fails to
+    decompose; ``existence`` and ``infeasible_orthogonality`` never
+    decompose it.
     """
     instance = read_instance(instance_text)
     try:

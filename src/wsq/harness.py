@@ -8,9 +8,11 @@ brute-force decision procedure re-decides weak sufficiency by exhaustive
 means — rank tests through numpy and a phase grid search (oracle_align)
 — sharing none of the production checker's union-find path; an
 alternating-projection solver with psd_project likewise re-decides
-channel feasibility without the exact rule of petz.py.  These oracles
-serve only the tests and the property suite, so no production module
-imports this one at module level.
+channel feasibility without the exact rule of petz.py.  No command
+reaches the theorem oracles is_function_of, dead_atom_counterexamples,
+structural_check and petz_implies_weak_check (by the owners witness), so
+they live here.  All serve only the tests and the property suite, so no
+production module imports this one at module level.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
 """
@@ -37,9 +39,7 @@ from .linalg import RANK_TOL, _require_finite, hermitian_eig, hermitian_part, in
 from .minimality import (
     NoMinimalExists,
     check_coarse_sufficient,
-    dead_atom_counterexamples,
     enumerate_coarse_grainings,
-    is_function_of,
     minimal_statistic,
 )
 from .petz import (
@@ -47,8 +47,6 @@ from .petz import (
     Feasible,
     PetzInstance,
     petz_feasibility,
-    petz_implies_weak_check,
-    structural_check,
 )
 from .phases import (
     ANGLE_TOL,
@@ -68,6 +66,7 @@ from .spectral import (
 from .sufficiency import (
     WITNESS_TOL,
     NonExistence,
+    WitnessFactorization,
     check_weak_sufficiency,
     exists_weakly_sufficient,
     verify_witness,
@@ -85,6 +84,7 @@ MAX_DIM = 32
 MAX_STATES = 8
 BRUTE_FORCE_MAX_STATES = 4
 BRUTE_FORCE_MAX_ATOMS = 6
+STRUCTURAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -900,6 +900,53 @@ def _prop_coarse_cross_validation(rng, count):
     return True, f"{checked} coarse-grainings cross-validated", None
 
 
+def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic):
+    """Relabelling psi with s = psi(u), or None.
+
+    Each atom of u must sit inside exactly one atom of s (to RANK_TOL,
+    entrywise); the returned
+    dict maps u-eigenvalues to s-eigenvalues.
+    """
+    if s.dim != u.dim:
+        raise ValueError("statistics act on different dimensions")
+    psi: dict[float, float] = {}
+    for i, f in enumerate(u.projections):
+        hosts = [
+            j
+            for j, q in enumerate(s.projections)
+            if np.abs(q @ f - f).max() <= RANK_TOL
+        ]
+        if len(hosts) != 1:
+            return None
+        psi[float(u.eigenvalues[i])] = float(s.eigenvalues[hosts[0]])
+    return psi
+
+
+def dead_atom_counterexamples(t: DiscreteStatistic, dead_atom: int):
+    """Merge the dead atom into each other atom in turn.
+
+    Returns {n: statistic with atoms dead_atom and n merged under
+    eigenvalue lambda_n}.  Each result is weakly sufficient whenever t
+    is (the dead atom contributes nothing), yet only a scalar could be a
+    function of them all -- which is why no minimal statistic exists.
+    """
+    if not 0 <= dead_atom < len(t):
+        raise ValueError(f"no atom {dead_atom}")
+    if len(t) < 2:
+        raise ValueError("need at least two atoms to merge")
+    out: dict[int, DiscreteStatistic] = {}
+    for n in range(len(t)):
+        if n == dead_atom:
+            continue
+        values = {
+            float(lam): float(t.eigenvalues[n]) if k == dead_atom else float(lam)
+            for k, lam in enumerate(t.eigenvalues)
+        }
+        merged, _ = apply_coarse(t, CoarseMap(values))
+        out[n] = merged
+    return out
+
+
 def _prop_minimal_function_property(rng, count):
     trials = max(2, count // 8)
     for trial in range(trials):
@@ -1066,6 +1113,63 @@ def _prop_petz_oracle_agreement(rng, count):
                     f"(unital={unital})"
                 ), serialize_instance(statistic, family)
     return True, f"{2 * len(cases)} decisions agree with the iterative oracle", None
+
+
+@dataclass
+class StructuralReport:
+    ok: bool
+    violations: list[str] = field(default_factory=list)
+
+
+def structural_check(instance: PetzInstance, cert: Feasible) -> StructuralReport:
+    """Verify the representation structure of a feasible certificate.
+
+    Every atom carrying weight above STRUCTURAL_TOL of some state must be
+    loaded by exactly one state, and its rho must be the projector onto
+    that state, within 10 STRUCTURAL_TOL.  Atoms
+    carrying no weight are unconstrained.  Only meaningful for unital
+    instances; scaling is allowed otherwise.
+    """
+    if not isinstance(cert, Feasible):
+        raise ValueError("structural check needs a Feasible certificate")
+    w = instance.weights
+    fam = instance.family
+    violations: list[str] = []
+    for k in range(len(instance.statistic)):
+        loaded = [n for n in range(len(fam)) if w[n, k] > STRUCTURAL_TOL]
+        if len(loaded) > 1:
+            names = ", ".join(fam.labels[n] for n in loaded)
+            violations.append(f"atom {k} is loaded by several states: {names}")
+            continue
+        if not loaded:
+            continue
+        n = loaded[0]
+        target = np.outer(fam.vectors[n], fam.vectors[n].conj())
+        deviation = float(np.abs(cert.rhos[k] - target).max())
+        if deviation > 10.0 * STRUCTURAL_TOL:
+            violations.append(
+                f"rho[{k}] deviates from the projector onto "
+                f"'{fam.labels[n]}' by {deviation:.3e}"
+            )
+    return StructuralReport(ok=not violations, violations=violations)
+
+
+def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
+    """Weak sufficiency of a feasible pair, by the owners witness verify_witness
+    checks: chi = sum phi_theta / sqrt(n), f_theta = sqrt(n) on the atoms theta
+    owns and 0 elsewhere, every version 1.  It holds on unital answers and on
+    non-unital ones without a shared atom (rho = 0, possibly rank 2), unless a
+    state has weight w <= tol on an atom it does not own: that leaves a
+    residual of about sqrt(w).  Nothing is decided again."""
+    if not isinstance(cert, Feasible):
+        raise ValueError("implication check needs a Feasible certificate")
+    t, family, root = instance.statistic, instance.family, math.sqrt(len(instance.family))
+    functions = {label: {float(lam): root * (owner == label)
+                         for lam, owner in zip(t.eigenvalues, cert.owners)}
+                 for label in family.labels}
+    versions = VersionAssignment(dict.fromkeys(family.labels, 1.0))
+    witness = WitnessFactorization(sum(family.vectors) / root, functions, versions)
+    return verify_witness(t, family, witness).ok
 
 
 def _prop_petz_structural(rng, count):

@@ -7,9 +7,9 @@ it.  The minimal statistic merges exactly the proportionality classes --
 it exists precisely when every atom carries some weight of the family.
 Its certificate proves both halves: a witness of the merged statistic,
 and for each pair of classes two states of rank 2 on their merged atom.
-When an atom is dead, no minimal statistic exists, and merging the dead
-atom into each live atom in turn yields a family of incomparable
-sufficient coarse-grainings that witnesses the failure.
+When an atom is dead, no minimal statistic exists: merging the dead atom
+into each live atom in turn (harness.dead_atom_counterexamples) yields
+incomparable sufficient coarse-grainings that witness the failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import RANK_TOL, gram_matrix, pair_rank_two
-from .spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, coarse_blocks
+from .spectral import CoarseMap, DiscreteStatistic, StateFamily, coarse_blocks
 from .sufficiency import Analysis, WitnessFactorization, analyze, check_weak_sufficiency
 
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
@@ -153,28 +153,6 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
                             witness=verdict.witness)
 
 
-def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic):
-    """Relabelling psi with s = psi(u), or None.
-
-    Each atom of u must sit inside exactly one atom of s (to RANK_TOL,
-    entrywise); the returned
-    dict maps u-eigenvalues to s-eigenvalues.
-    """
-    if s.dim != u.dim:
-        raise ValueError("statistics act on different dimensions")
-    psi: dict[float, float] = {}
-    for i, f in enumerate(u.projections):
-        hosts = [
-            j
-            for j, q in enumerate(s.projections)
-            if np.abs(q @ f - f).max() <= RANK_TOL
-        ]
-        if len(hosts) != 1:
-            return None
-        psi[float(u.eigenvalues[i])] = float(s.eigenvalues[hosts[0]])
-    return psi
-
-
 def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:
     """All set partitions of the atoms, as coarse maps, in restricted-growth order.
 
@@ -200,28 +178,3 @@ def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:
                 break
         else:
             return
-
-
-def dead_atom_counterexamples(t: DiscreteStatistic, dead_atom: int):
-    """Merge the dead atom into each other atom in turn.
-
-    Returns {n: statistic with atoms dead_atom and n merged under
-    eigenvalue lambda_n}.  Each result is weakly sufficient whenever t
-    is (the dead atom contributes nothing), yet only a scalar could be a
-    function of them all -- which is why no minimal statistic exists.
-    """
-    if not 0 <= dead_atom < len(t):
-        raise ValueError(f"no atom {dead_atom}")
-    if len(t) < 2:
-        raise ValueError("need at least two atoms to merge")
-    out: dict[int, DiscreteStatistic] = {}
-    for n in range(len(t)):
-        if n == dead_atom:
-            continue
-        values = {
-            float(lam): float(t.eigenvalues[n]) if k == dead_atom else float(lam)
-            for k, lam in enumerate(t.eigenvalues)
-        }
-        merged, _ = apply_coarse(t, CoarseMap(values))
-        out[n] = merged
-    return out

@@ -20,21 +20,20 @@ is loaded twice.  Non-unital: feasible iff every state loads an atom of
 its own.  Both solutions are closed-form: each atom's owner, the one
 state that loads it, fixes rho_k (rhos_from_owners), so a certificate
 names owners.  A refusal names the shared atoms that block one state.
+Its test oracles live in wsq.harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import inner
 from .spectral import DiscreteStatistic, StateFamily, project_states
-from .sufficiency import check_weak_sufficiency
 
 ORTHOGONALITY_TOL = 1e-8
 FEASIBILITY_TOL = 1e-7
-STRUCTURAL_TOL = 1e-6
 RECONSTRUCTION_TOL = 1e-6   # largest state reconstruction residual a feasible answer may leave
 
 # Fault-injection point for the self-test harness: decides unital
@@ -97,12 +96,6 @@ class InfeasibleSharedAtoms:
 
     state: str
     pairs: tuple[tuple[int, str], ...]
-
-
-@dataclass
-class StructuralReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
 
 
 def orthogonality_precheck(family: StateFamily):
@@ -170,44 +163,3 @@ def rhos_from_owners(family: StateFamily, weights: np.ndarray, owners, unital: b
             for row in owned.T]
     residual = float(np.abs(np.einsum("nk,kij->nij", weights, np.array(rhos)) - projectors).max())
     return rhos, residual
-
-
-def structural_check(instance: PetzInstance, cert: Feasible) -> StructuralReport:
-    """Verify the representation structure of a feasible certificate.
-
-    Every atom carrying weight above STRUCTURAL_TOL of some state must be
-    loaded by exactly one state, and its rho must be the projector onto
-    that state, within 10 STRUCTURAL_TOL.  Atoms
-    carrying no weight are unconstrained.  Only meaningful for unital
-    instances; scaling is allowed otherwise.
-    """
-    if not isinstance(cert, Feasible):
-        raise ValueError("structural check needs a Feasible certificate")
-    w = instance.weights
-    fam = instance.family
-    violations: list[str] = []
-    for k in range(len(instance.statistic)):
-        loaded = [n for n in range(len(fam)) if w[n, k] > STRUCTURAL_TOL]
-        if len(loaded) > 1:
-            names = ", ".join(fam.labels[n] for n in loaded)
-            violations.append(f"atom {k} is loaded by several states: {names}")
-            continue
-        if not loaded:
-            continue
-        n = loaded[0]
-        target = np.outer(fam.vectors[n], fam.vectors[n].conj())
-        deviation = float(np.abs(cert.rhos[k] - target).max())
-        if deviation > 10.0 * STRUCTURAL_TOL:
-            violations.append(
-                f"rho[{k}] deviates from the projector onto "
-                f"'{fam.labels[n]}' by {deviation:.3e}"
-            )
-    return StructuralReport(ok=not violations, violations=violations)
-
-
-def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
-    """Re-check weak sufficiency of a feasible pair: implied for unital answers,
-    not for non-unital ones, whose shared atoms (rho = 0) may hold rank 2."""
-    if not isinstance(cert, Feasible):
-        raise ValueError("implication check needs a Feasible certificate")
-    return check_weak_sufficiency(instance.statistic, instance.family).sufficient

@@ -251,9 +251,7 @@ def project_states(t: DiscreteStatistic, family: StateFamily) -> AtomProjectionT
 
 def evaluate_function_on_statistic(t: DiscreteStatistic, f, vec) -> np.ndarray:
     """Apply f(T) to a vector, f given as a map eigenvalue -> real value."""
-    if isinstance(f, CoarseMap):
-        f = f.assignment
-    elif not isinstance(f, Mapping):
+    if not isinstance(f, Mapping):
         raise ValueError("f must be a mapping from eigenvalues to real values")
     v = np.asarray(vec, dtype=complex).reshape(-1)
     if v.shape[0] != t.dim:

@@ -12,16 +12,22 @@ import numpy as np
 
 from wsq.cli import run_cli
 from wsq.fileio import load_bundled_instance, serialize_instance
-from wsq.harness import MUTATIONS, GeneratorSpec, generate, run_property_suite
+from wsq.harness import (
+    MUTATIONS,
+    GeneratorSpec,
+    dead_atom_counterexamples,
+    generate,
+    is_function_of,
+    petz_implies_weak_check,
+    run_property_suite,
+    structural_check,
+)
 from wsq.linalg import hermitian_eig
 from wsq.minimality import (
     MinimalStatistic,
     NoMinimalExists,
-    apply_coarse,
     check_coarse_sufficient,
-    dead_atom_counterexamples,
     enumerate_coarse_grainings,
-    is_function_of,
     minimal_statistic,
 )
 from wsq.petz import (
@@ -30,10 +36,9 @@ from wsq.petz import (
     PetzInstance,
     orthogonality_precheck,
     petz_feasibility,
-    petz_implies_weak_check,
-    structural_check,
 )
 from wsq.phases import VersionAssignment
+from wsq.spectral import apply_coarse
 from wsq.sufficiency import (
     ConstructedStatistic,
     NonExistence,

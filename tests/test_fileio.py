@@ -933,6 +933,21 @@ def test_junk_in_any_certificate_node_is_rejected_not_raised():
     assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them
 
 
+def test_only_a_petz_certificate_records_parameters():
+    stray = {"anything": [1, 2, 3]}
+    kinds = set()
+    for instance_text, cert in one_certificate_of_every_verdict():
+        if cert["kind"] == "petz":
+            continue
+        kinds.add(cert["kind"])
+        report = verify_certificate(instance_text, json.dumps({**cert, "parameters": stray}))
+        assert not report.ok and "$.parameters: unexpected key" in report.detail
+    assert kinds == {"weak_sufficiency", "existence", "minimality"}
+    with pytest.raises(ValueError, match="records no parameters"):
+        make_certificate("weak_sufficiency", check_weak_sufficiency(*load_bundled_instance()),
+                         parameters={"unital": True})
+
+
 # ------------------------------------------------- the recorded tolerance block
 
 

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from wsq import linalg, minimality, sufficiency
-from wsq.harness import gram_schmidt
+from wsq.harness import dead_atom_counterexamples, gram_schmidt, is_function_of
 from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
 from wsq.minimality import (
     MinimalStatistic,
     NoMinimalExists,
     check_coarse_sufficient,
-    dead_atom_counterexamples,
     enumerate_coarse_grainings,
     equivalence_classes,
-    is_function_of,
     minimal_statistic,
     statistic_from_partition,
 )

@@ -19,6 +19,10 @@ minimal statistic and its classes included), nor hard-codes a float
 threshold.  A petz answer's rho's are rebuilt only through
 petz.rhos_from_owners, and a minimal statistic through
 minimality.statistic_from_partition, the functions the decisions use.
+Production code is what the commands reach: every top-level definition
+outside harness.py is reached from the command line, the verifier, the
+package exports or the benchmark's workloads, so an oracle that only the
+tests use lives in the harness.
 """
 
 import ast
@@ -294,3 +298,94 @@ def test_scanner_follows_the_verifier_into_its_helpers(body):
     assert verifier_names(source, DEFAULT_TOLERANCES)
     assert verifier_names(source.replace("verify_certificate", "unrelated")
                           + "def verify_certificate():\n    pass\n", DEFAULT_TOLERANCES) == []
+
+
+WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"
+ROOTS = [("cli", "run_cli"), ("cli", "main"), ("fileio", "verify_certificate")]
+
+
+def top_level_definitions(tree) -> dict:
+    """name -> node for each function, class and assigned name at module level."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update((name.id, node) for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return found
+
+
+def wsq_imports(tree) -> dict:
+    """local name -> (module, name) for every import of a wsq module, in the
+    module or in its functions; name is None when the module itself is bound."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "wsq"
+                                                 or (node.module or "").startswith("wsq.")):
+            module = (node.module or "").removeprefix("wsq").lstrip(".")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bound[local] = (module, alias.name) if module else (alias.name, None)
+    return bound
+
+
+def unreached_definitions(sources: dict[str, str], workloads: str) -> list[str]:
+    """Every top-level definition of sources (module -> text) that no root
+    reaches, as 'module.name'.
+
+    The roots are ROOTS, everything wsq/__init__.py and __main__.py define
+    or import, and every module.attr that workloads names.  Identifiers are
+    followed through top-level definitions, through imports to their source
+    name (``from . import x as y``, re-exports included) and through
+    module.attr; modules missing from sources are not followed.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = {module: top_level_definitions(tree) for module, tree in trees.items()}
+    imported = {module: wsq_imports(tree) for module, tree in trees.items()}
+    pending = [(module, name) for module in ("__init__", "__main__")
+               for name in [*defined[module], *imported[module]]] + ROOTS
+    modules = wsq_imports(ast.parse(workloads))
+    pending += [(modules[node.value.id][0], node.attr) for node in ast.walk(ast.parse(workloads))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules]
+    seen = set()
+    while pending:
+        module, name = pending.pop()
+        if module not in trees or (module, name) in seen:
+            continue
+        seen.add((module, name))
+        if name in imported[module] and name not in defined[module]:
+            pending.append(imported[module][name])
+            continue
+        for node in ast.walk(defined[module].get(name, ast.Pass())):
+            if isinstance(node, ast.Name):
+                pending.append((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                source, target = imported[module].get(node.value.id, (None, ""))
+                if target is None:
+                    pending.append((source, node.attr))
+    return sorted(f"{module}.{name}" for module, names in defined.items()
+                  for name in names if (module, name) not in seen)
+
+
+def test_production_code_is_what_the_commands_reach():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "harness.py"}
+    assert len(sources) >= 10
+    assert unreached_definitions(sources, WORKLOADS.read_text()) == []
+    # an added definition that nothing calls is caught
+    sources["petz"] += "\n\ndef orphan(instance):\n    return petz_feasibility(instance)\n"
+    assert unreached_definitions(sources, WORKLOADS.read_text()) == ["petz.orphan"]
+
+
+@pytest.mark.parametrize("cli", [
+    "from .a import f as g\ndef run_cli():\n    return g()\n",
+    "from . import a as b\ndef run_cli():\n    return b.f()\n",
+    "from .c import f\ndef run_cli():\n    return f()\n",
+])
+def test_scanner_follows_aliases_to_their_source(cli):
+    sources = {"__init__": "", "__main__": "", "fileio": "def verify_certificate():\n    pass\n",
+               "a": "def f():\n    return _h()\ndef _h():\n    pass\ndef dead():\n    pass\n",
+               "c": "from .a import f\n", "cli": cli + "def main():\n    pass\n"}
+    assert unreached_definitions(sources, "") == ["a.dead"]

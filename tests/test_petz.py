@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,12 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
-from wsq.harness import _shared_atom_instance, gram_schmidt
+from wsq.harness import (
+    _shared_atom_instance,
+    gram_schmidt,
+    petz_implies_weak_check,
+    structural_check,
+)
 from wsq.linalg import hermitian_eig
 from wsq.petz import (
     Feasible,
@@ -17,8 +26,6 @@ from wsq.petz import (
     PetzInstance,
     orthogonality_precheck,
     petz_feasibility,
-    petz_implies_weak_check,
-    structural_check,
 )
 from wsq.spectral import StateFamily, statistic_from_matrix
 
@@ -243,6 +250,32 @@ def test_non_unital_feasibility_with_a_shared_atom_need_not_be_weak():
     assert not petz_implies_weak_check(inst, cert)
     assert not isinstance(petz_feasibility(PetzInstance.from_parts(statistic, family)),
                           Feasible)
+
+
+def test_implication_is_shown_by_the_owners_witness_without_deciding(monkeypatch):
+    from wsq import phases, sufficiency
+
+    calls = {}
+    for module, name in ((sufficiency, "check_weak_sufficiency"), (phases, "align_phases")):
+        original = getattr(module, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        calls[name] = 0
+        for key, loaded in list(sys.modules.items()):
+            if key == "wsq" or key.startswith("wsq."):
+                for attr, value in list(vars(loaded).items()):
+                    if value is original:
+                        monkeypatch.setattr(loaded, attr, counting)
+    inst = planted_instance(np.random.default_rng(31), 5, [1, 1, 3], n_states=2)
+    assert petz_implies_weak_check(inst, petz_feasibility(inst))
+    assert calls == {"check_weak_sufficiency": 0, "align_phases": 0}
+    tree = ast.parse(Path(petz_mod.__file__).read_text())
+    imported = [f"{getattr(node, 'module', None) or ''}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert [name for name in imported if "sufficiency" in name.split(".")] == []
 
 
 def test_implication_check_requires_feasible_certificate():

@@ -259,3 +259,10 @@ def test_evaluate_rejects_complex_values():
         evaluate_function_on_statistic(
             t, {1.0: 1.0j, -1.0: 0.0}, np.array([1.0, 0.0])
         )
+
+
+def test_evaluate_requires_a_mapping():
+    t = statistic_from_matrix(np.diag([1.0, -1.0]))
+    for f in (CoarseMap({1.0: 1.0, -1.0: 0.0}), [1.0, 0.0]):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            evaluate_function_on_statistic(t, f, np.array([1.0, 0.0]))
