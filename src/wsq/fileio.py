@@ -310,8 +310,6 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
         "tolerances": tol_block,
     }
     if parameters:
-        if kind != "petz":
-            raise ValueError(f"a {kind} certificate records no parameters")
         cert["parameters"] = dict(parameters)
 
     if kind == "weak_sufficiency":

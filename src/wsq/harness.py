@@ -1157,19 +1157,21 @@ def structural_check(instance: PetzInstance, cert: Feasible) -> StructuralReport
 def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
     """Weak sufficiency of a feasible pair, by the owners witness verify_witness
     checks: chi = sum phi_theta / sqrt(n), f_theta = sqrt(n) on the atoms theta
-    owns and 0 elsewhere, every version 1.  It holds on unital answers and on
-    non-unital ones without a shared atom (rho = 0, possibly rank 2), unless a
-    state has weight w <= tol on an atom it does not own: that leaves a
-    residual of about sqrt(w).  Nothing is decided again."""
+    owns and 0 elsewhere, every version 1.  Its residual for theta is at most
+    sqrt(n S), S the weight at most FEASIBILITY_TOL that states put on atoms
+    they do not own, which feasibility ignored; it is checked against
+    WITNESS_TOL plus that bound.  It holds on unital answers and on non-unital
+    ones without a shared atom (rho = 0, possibly rank 2).  Nothing is decided again."""
     if not isinstance(cert, Feasible):
         raise ValueError("implication check needs a Feasible certificate")
-    t, family, root = instance.statistic, instance.family, math.sqrt(len(instance.family))
-    functions = {label: {float(lam): root * (owner == label)
-                         for lam, owner in zip(t.eigenvalues, cert.owners)}
-                 for label in family.labels}
-    versions = VersionAssignment(dict.fromkeys(family.labels, 1.0))
-    witness = WitnessFactorization(sum(family.vectors) / root, functions, versions)
-    return verify_witness(t, family, witness).ok
+    t, family, w, n = instance.statistic, instance.family, instance.weights, len(instance.family)
+    owned = np.array([[owner == label for owner in cert.owners] for label in family.labels])
+    functions = {label: {float(lam): math.sqrt(n) * bool(own) for lam, own in zip(t.eigenvalues, row)}
+                 for label, row in zip(family.labels, owned)}
+    witness = WitnessFactorization(sum(family.vectors) / math.sqrt(n), functions,
+                                   VersionAssignment(dict.fromkeys(family.labels, 1.0)))
+    ignored = float(w[~owned & (w <= FEASIBILITY_TOL)].clip(0).sum())
+    return verify_witness(t, family, witness, tol=WITNESS_TOL + math.sqrt(n * ignored)).ok
 
 
 def _prop_petz_structural(rng, count):

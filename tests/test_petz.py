@@ -28,6 +28,7 @@ from wsq.petz import (
     petz_feasibility,
 )
 from wsq.spectral import StateFamily, statistic_from_matrix
+from wsq.sufficiency import check_weak_sufficiency
 
 
 def basis_pair_instance():
@@ -248,8 +249,23 @@ def test_non_unital_feasibility_with_a_shared_atom_need_not_be_weak():
     assert cert.owners == (None, "phi1", "phi2")
     assert (inst.weights[:, 0] > 0.3).all() and not cert.rhos[0].any()
     assert not petz_implies_weak_check(inst, cert)
+    assert not check_weak_sufficiency(statistic, family).sufficient
     assert not isinstance(petz_feasibility(PetzInstance.from_parts(statistic, family)),
                           Feasible)
+
+
+@pytest.mark.parametrize("w", [1e-15, 1e-12, 5e-8])
+def test_implication_allows_the_weight_feasibility_ignored(w):
+    # T = 2I - uu^T with u = (sqrt(1-w), sqrt(w)): each basis state puts
+    # weight w <= FEASIBILITY_TOL on the atom the other owns
+    u = np.array([np.sqrt(1 - w), np.sqrt(w)])
+    statistic = statistic_from_matrix((2 * np.eye(2) - np.outer(u, u)).astype(complex))
+    family = StateFamily(labels=("e0", "e1"), vectors=np.eye(2, dtype=complex))
+    inst = PetzInstance.from_parts(statistic, family)
+    cert = petz_feasibility(inst)
+    assert isinstance(cert, Feasible)
+    assert check_weak_sufficiency(statistic, family).sufficient
+    assert petz_implies_weak_check(inst, cert)
 
 
 def test_implication_is_shown_by_the_owners_witness_without_deciding(monkeypatch):
