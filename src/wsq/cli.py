@@ -153,6 +153,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import harness
 
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     failures = harness.bundled_example_checks()
     for line in failures:
         print(f"bundled example FAILED: {line}", file=sys.stderr)
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run bundled examples and the property suite")
     p.add_argument("--seed", type=int, default=0, help="property suite seed")
     p.add_argument("--count", type=int, default=20,
-                   help="random instances per property")
+                   help="random instances per property, at least 1")
     p.set_defaults(func=_cmd_selftest)
     return parser
 

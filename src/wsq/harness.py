@@ -489,23 +489,6 @@ class PropertyReport:
     def failures(self) -> list[PropertyResult]:
         return [r for r in self.results if not r.passed]
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "mutation": self.mutation,
-            "ok": self.ok,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "counterexample": r.counterexample,
-                }
-                for r in self.results
-            ],
-        }
-
     def render(self) -> str:
         header = f"property suite: seed={self.seed} count={self.count}"
         if self.mutation:

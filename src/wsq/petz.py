@@ -25,7 +25,7 @@ Its test oracles live in wsq.harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,28 +43,21 @@ _KEEP_TRACE_ROWS = True
 
 @dataclass
 class PetzInstance:
+    """A statistic and a family; weights[theta, k] = ||e_k phi_theta||^2 is
+    derived from them once, by project_states, and not checked again."""
+
     statistic: DiscreteStatistic
     family: StateFamily
-    weights: np.ndarray          # (n_states, n_atoms), rows sum to 1
     unital: bool = True
+    weights: np.ndarray = field(init=False)   # (n_states, n_atoms)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        expected = (len(self.family), len(self.statistic))
-        if w.shape != expected:
-            raise ValueError(f"weights shape {w.shape}, expected {expected}")
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
-        worst = float(np.abs(w.sum(axis=1) - 1.0).max())
-        if worst > 1e-8:
-            raise ValueError(f"weight rows must sum to 1 (defect {worst:.3e})")
-        self.weights = w
+        self.weights = project_states(self.statistic, self.family).weights
 
     @classmethod
     def from_parts(cls, statistic: DiscreteStatistic, family: StateFamily,
                    unital: bool = True) -> "PetzInstance":
-        weights = project_states(statistic, family).weights
-        return cls(statistic=statistic, family=family, weights=weights, unital=unital)
+        return cls(statistic, family, unital)
 
 
 @dataclass

@@ -4,12 +4,13 @@ A discrete statistic is a Hermitian observable with finitely many
 eigenvalues, held as the list of (eigenvalue, spectral projector) atoms.
 Everything downstream -- sufficiency checks, coarse-graining, channel
 feasibility -- consumes this atom form rather than raw matrices.
+Input is checked once, where it enters (DiscreteStatistic, StateFamily);
+what project_states derives from it is not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .linalg import as_hermitian, hermitian_eig, hermitian_part, norm
 
 PARTITION_TOL = 1e-8       # projector algebra defects tolerated on construction
 UNIT_NORM_TOL = 1e-8
-WEIGHT_ROW_TOL = 1e-8      # stochasticity defect allowed in projection weights
 GROUP_FACTOR = 1e-9        # eigenvalue grouping cutoff, relative to spectral radius
 EIGENVALUE_GAP_TOL = 1e-12
 
@@ -162,30 +162,17 @@ class AtomProjectionTable:
     """Per-atom components C_k (rows e_k phi_theta) and their Gram stack.
 
     gram[k] = C_k C_k^H holds the overlaps <e_k phi_i, e_k phi_j>; its
-    diagonal is the weight table w[theta, k] = ||e_k phi_theta||^2.
+    real diagonal, computed once, is the weight table w[theta, k] =
+    ||e_k phi_theta||^2.  Row theta sums to ||phi_theta||^2, which
+    StateFamily bounds, so nothing is checked again.
     """
 
     components: np.ndarray   # (n_atoms, n_states, dim)
     gram: np.ndarray         # (n_atoms, n_states, n_states)
-    weights: np.ndarray = field(init=False)   # (n_states, n_atoms), rows sum to 1
+    weights: np.ndarray = field(init=False)   # (n_states, n_atoms)
 
     def __post_init__(self):
-        comp = np.asarray(self.components, dtype=complex)
-        g = np.asarray(self.gram, dtype=complex)
-        if comp.ndim != 3:
-            raise ValueError("components must be a (atoms, states, dim) array")
-        if g.shape != (comp.shape[0], comp.shape[1], comp.shape[1]):
-            raise ValueError(f"gram shape {g.shape} inconsistent with components")
-        w = np.diagonal(g, axis1=1, axis2=2).T.real
-        if np.any(w < -WEIGHT_ROW_TOL):
-            raise ValueError("weights must be nonnegative")
-        rowsum = w.sum(axis=1)
-        worst = float(np.abs(rowsum - 1.0).max())
-        if worst > WEIGHT_ROW_TOL:
-            raise ValueError(f"weight rows must sum to 1 (defect {worst:.3e})")
-        self.components = comp
-        self.gram = g
-        self.weights = w
+        self.weights = np.diagonal(self.gram, axis1=1, axis2=2).T.real
 
 
 def statistic_from_matrix(m, group_tol: float | None = None) -> DiscreteStatistic:
@@ -247,24 +234,3 @@ def project_states(t: DiscreteStatistic, family: StateFamily) -> AtomProjectionT
         )
     comp = np.array(family.vectors) @ np.array(t.projections).transpose(0, 2, 1)
     return AtomProjectionTable(comp, comp @ comp.conj().transpose(0, 2, 1))
-
-
-def evaluate_function_on_statistic(t: DiscreteStatistic, f, vec) -> np.ndarray:
-    """Apply f(T) to a vector, f given as a map eigenvalue -> real value."""
-    if not isinstance(f, Mapping):
-        raise ValueError("f must be a mapping from eigenvalues to real values")
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    if v.shape[0] != t.dim:
-        raise ValueError(f"vector dimension {v.shape[0]} does not match {t.dim}")
-    out = np.zeros(t.dim, dtype=complex)
-    for lam, p in zip(t.eigenvalues, t.projections):
-        try:
-            val = f[float(lam)]
-        except KeyError:
-            raise ValueError(f"function has no value for eigenvalue {lam!r}") from None
-        try:
-            scaled = float(val)
-        except (TypeError, ValueError):
-            raise ValueError(f"function value for eigenvalue {lam!r} must be real") from None
-        out += scaled * (p @ v)
-    return out

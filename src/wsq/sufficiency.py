@@ -219,23 +219,31 @@ def verify_witness(t: DiscreteStatistic, family: StateFamily,
                    witness: WitnessFactorization, tol: float = WITNESS_TOL) -> WitnessCheck:
     """Independently re-check a witness: ||f_theta(T) chi - c_theta phi_theta||.
 
-    Uses only function evaluation on the statistic; nothing from the
-    decision path is reused.  Naming a state the family lacks raises ValueError.
+    values[theta, k] = f_theta(lambda_k), so values @ (P_k chi) evaluates
+    every f_theta(T) chi in one product; nothing from the decision path is
+    reused.  A state missing from or foreign to the family, an eigenvalue
+    with no value and a chi of the wrong dimension raise ValueError.
     """
-    from .spectral import evaluate_function_on_statistic
-
-    unknown = (set(witness.functions) | set(witness.versions.phases)) - set(family.labels)
+    labels, eigenvalues = family.labels, t.eigenvalues.tolist()
+    unknown = (set(witness.functions) | set(witness.versions.phases)) - set(labels)
     if unknown:
         raise ValueError(f"witness names state '{min(unknown)}', which is not in the family")
-    residuals = {}
-    for i, lab in enumerate(family.labels):
+    for lab in labels:
         if lab not in witness.functions:
             raise ValueError(f"witness has no function for state '{lab}'")
         if lab not in witness.versions.phases:
             raise ValueError(f"witness has no version phase for state '{lab}'")
-        reached = evaluate_function_on_statistic(t, witness.functions[lab], witness.chi)
-        target = witness.versions.phase(lab) * family.vectors[i]
-        residuals[lab] = norm(reached - target)
+        missed = [lam for lam in eigenvalues if lam not in witness.functions[lab]]
+        if missed:
+            raise ValueError(f"function for state '{lab}' has no value "
+                             f"for eigenvalue {missed[0]!r}")
+    if witness.chi.shape != (t.dim,):
+        raise ValueError(f"chi has dimension {witness.chi.shape[0]}, the statistic {t.dim}")
+    values = np.array([[witness.functions[lab][lam] for lam in eigenvalues] for lab in labels])
+    reached = values @ (np.array(t.projections) @ witness.chi)
+    phases = np.array([witness.versions.phase(lab) for lab in labels])
+    gap = reached - phases[:, np.newaxis] * np.array(family.vectors)
+    residuals = dict(zip(labels, np.sqrt((gap * gap.conj()).real.sum(axis=1)).tolist()))
     worst = max(residuals.values())
     return WitnessCheck(ok=worst <= tol, residuals=residuals, max_residual=worst)
 

@@ -127,6 +127,30 @@ def test_selftest_subcommand(capsys):
     assert "FAIL" not in out.out
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_selftest_refuses_a_count_below_one(count, capsys):
+    code = run_cli(["selftest", "--count", count])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: --count must be at least 1, not {count}\n"
+
+
+def test_a_state_the_reader_accepts_is_answered_by_every_command(tmp_path, capsys):
+    # norm 1 + 0.9e-8 lies within the reader's unit-norm tolerance, so
+    # no derived table may refuse it
+    from wsq.spectral import statistic_from_matrix
+    family = StateFamily(labels=("a", "b"),
+                         vectors=np.array([[1.0 + 0.9e-8, 0.0], [0.0, 1.0]], dtype=complex))
+    path = tmp_path / "near_unit.json"
+    path.write_text(serialize_instance(statistic_from_matrix(np.diag([1.0, 2.0])), family))
+    for command in ("check", "construct", "minimal", "petz"):
+        code = run_cli([command, "--input", str(path)])
+        out = capsys.readouterr()
+        assert code == 0, (command, out.err)
+        report = verify_certificate(path.read_text(), out.out)
+        assert report.ok, (command, report.detail)
+
+
 def test_petz_shared_atom_refusal_is_a_proof(tmp_path, capsys):
     # two basis states against a single atom: orthogonal, yet refused,
     # with a certificate the verifier replays from the instance alone

@@ -933,6 +933,17 @@ def test_junk_in_any_certificate_node_is_rejected_not_raised():
     assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them
 
 
+def test_the_verifier_never_raises_on_a_state_the_reader_accepts():
+    # norm 1 + 0.9e-8 lies within the reader's unit-norm tolerance
+    for instance_text, cert in one_certificate_of_every_verdict():
+        root = json.loads(instance_text)
+        first = min(root["states"])
+        root["states"][first] = [[(1.0 + 0.9e-8) * x for x in pair]
+                                 for pair in root["states"][first]]
+        report = verify_certificate(json.dumps(root), serialize_certificate(cert))
+        assert report.ok, (cert["verdict"], report.detail)
+
+
 def test_only_a_petz_certificate_records_parameters():
     stray = {"anything": [1, 2, 3]}
     kinds = set()

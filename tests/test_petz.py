@@ -312,15 +312,6 @@ def test_solver_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_weights_validation():
-    t = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    fam = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        PetzInstance(statistic=t, family=fam, weights=np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        PetzInstance(statistic=t, family=fam, weights=np.full((2, 2), 0.7))
-
-
 def test_dropping_trace_rows_is_observable():
     # the self-test harness relies on this flag deciding unital shared-atom
     # instances by the non-unital rule, with traces away from one

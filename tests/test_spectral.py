@@ -6,7 +6,6 @@ from wsq.spectral import (
     DiscreteStatistic,
     StateFamily,
     apply_coarse,
-    evaluate_function_on_statistic,
     project_states,
     statistic_from_matrix,
 )
@@ -235,34 +234,3 @@ def test_project_states_rejects_dimension_mismatch():
     fam = StateFamily(("a",), (np.array([1.0, 0.0, 0.0]),))
     with pytest.raises(ValueError, match="dimension"):
         project_states(t, fam)
-
-
-# --------------------------------------- evaluate_function_on_statistic
-
-
-def test_evaluate_known_function_values():
-    t = statistic_from_matrix(np.diag([1.0, -1.0]))
-    v = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = evaluate_function_on_statistic(t, {1.0: np.sqrt(2), -1.0: 0.0}, v)
-    assert out == pytest.approx([1.0, 0.0], abs=1e-12)
-
-
-def test_evaluate_requires_value_for_every_atom():
-    t = statistic_from_matrix(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="no value for eigenvalue"):
-        evaluate_function_on_statistic(t, {1.0: 1.0}, np.array([1.0, 0.0]))
-
-
-def test_evaluate_rejects_complex_values():
-    t = statistic_from_matrix(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="must be real"):
-        evaluate_function_on_statistic(
-            t, {1.0: 1.0j, -1.0: 0.0}, np.array([1.0, 0.0])
-        )
-
-
-def test_evaluate_requires_a_mapping():
-    t = statistic_from_matrix(np.diag([1.0, -1.0]))
-    for f in (CoarseMap({1.0: 1.0, -1.0: 0.0}), [1.0, 0.0]):
-        with pytest.raises(ValueError, match="must be a mapping"):
-            evaluate_function_on_statistic(t, f, np.array([1.0, 0.0]))

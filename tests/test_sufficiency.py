@@ -282,6 +282,14 @@ def test_verify_witness_requires_all_labels():
     del w.functions["phi2"]
     with pytest.raises(ValueError, match="no function for state 'phi2'"):
         verify_witness(t, fam, w)
+    w = check_weak_sufficiency(t, fam).witness
+    del w.functions["phi1"][-1.0]
+    with pytest.raises(ValueError, match="'phi1' has no value for eigenvalue -1.0"):
+        verify_witness(t, fam, w)
+    w = check_weak_sufficiency(t, fam).witness
+    w.chi = np.append(w.chi, 0.0)
+    with pytest.raises(ValueError, match="chi has dimension 3, the statistic 2"):
+        verify_witness(t, fam, w)
 
 
 def test_tampered_witness_fails_verification():
@@ -291,6 +299,12 @@ def test_tampered_witness_fails_verification():
     check = verify_witness(t, fam, w)
     assert not check.ok
     assert check.residuals["phi1"] > 0.05
+    # the one product against a state-by-state, atom-by-atom evaluation
+    for lab, phi in zip(fam.labels, fam.vectors):
+        reached = sum(w.functions[lab][lam] * (p @ w.chi)
+                      for lam, p in zip(t.eigenvalues, t.projections))
+        expected = np.linalg.norm(reached - w.versions.phase(lab) * phi)
+        assert check.residuals[lab] == pytest.approx(expected, abs=1e-14)
 
 
 def test_check_rejects_dimension_mismatch():
