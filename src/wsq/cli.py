@@ -3,7 +3,9 @@
 Exit codes follow one contract across all subcommands: 0 for an
 affirmative verdict, 1 for a negative verdict, 2 for errors, a
 decomposition that does not converge included.  Certificates go
-to stdout as JSON; human-readable diagnostics go to stderr.
+to stdout as JSON; human-readable diagnostics go to stderr.  minimal
+on a T that is not weakly sufficient prints check's certificate and
+exits 1.
 
 check, construct, minimal and petz take --tol, the one tolerance their
 decision applies; fileio.SET_BY_TOL names the recorded keys it sets.  A
@@ -87,10 +89,16 @@ def _cmd_minimal(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
     result = minimality.minimal_statistic(statistic, family, **_tol_kwargs(args))
-    cert = fileio.make_certificate("minimality", result, tol=args.tol)
+    refused = isinstance(result, sufficiency.SufficiencyVerdict)
+    cert = fileio.make_certificate("weak_sufficiency" if refused else "minimality", result,
+                                   tol=args.tol)
     if isinstance(result, minimality.MinimalStatistic):
         _witness_residual(result.statistic, family, result.witness, cert)
     print(fileio.serialize_certificate(cert))
+    if refused:
+        reasons = ", ".join(type(v).__name__ for v in result.violations)
+        print(f"not sufficient ({reasons}), so no coarse-graining is", file=sys.stderr)
+        return NEGATIVE
     if isinstance(result, minimality.NoMinimalExists):
         print(f"no minimal statistic: atom {result.dead_atom} carries no state",
               file=sys.stderr)

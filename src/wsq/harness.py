@@ -37,6 +37,7 @@ from .fileio import (
 )
 from .linalg import RANK_TOL, _require_finite, hermitian_eig, hermitian_part, inner, norm
 from .minimality import (
+    MinimalStatistic,
     NoMinimalExists,
     check_coarse_sufficient,
     enumerate_coarse_grainings,
@@ -293,9 +294,16 @@ def oracle_align(constraints, labels, steps: int = 360):
     over all assignments of grid angles (multiples of 2 pi / steps) to
     labels.  One label per connected component is pinned to angle 0 and
     the grid is folded modulo pi; both reductions are exact for this
-    objective.  Returns (best assignment, best worst-residual).
+    objective.  Returns (best assignment, best worst-residual).  Labels
+    must be unique and name the ends of every constraint.
     """
-    labels = phases_mod._check_labels(constraints, labels)
+    labels = [str(x) for x in labels]
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be unique")
+    for c in constraints:
+        for end in (c.left, c.right):
+            if end not in labels:
+                raise ValueError(f"constraint references unknown label '{end}'")
     if len(labels) > 5:
         raise ValueError("grid oracle is limited to 5 labels")
     if steps < 2:
@@ -456,8 +464,8 @@ def bundled_example_checks() -> list[str]:
         failures.append(f"overlap {abs(cert.overlap):.12f} is not 1/sqrt(2)")
 
     minimal = minimal_statistic(statistic, family)
-    if isinstance(minimal, NoMinimalExists):
-        failures.append("shipped instance reported a dead atom")
+    if not isinstance(minimal, MinimalStatistic):
+        failures.append(f"shipped instance gave {type(minimal).__name__}, not a minimal statistic")
     elif [list(b) for b in minimal.partition] != [[0], [1]]:
         failures.append(f"minimal partition {minimal.partition} is not [[0], [1]]")
     return failures
@@ -938,8 +946,9 @@ def _prop_minimal_function_property(rng, count):
         n_states = int(rng.integers(2, 5))
         statistic, family = _planted_class_instance(rng, dim, n_atoms, n_states)
         minimal = minimal_statistic(statistic, family)
-        if isinstance(minimal, NoMinimalExists):
-            return False, "planted live instance reported a dead atom", \
+        if not isinstance(minimal, MinimalStatistic):
+            # a refusal must fail here: it would skip every coarse-graining below
+            return False, f"planted live instance gave {type(minimal).__name__}", \
                 serialize_instance(statistic, family)
         for mapping in enumerate_coarse_grainings(statistic):
             if not check_coarse_sufficient(statistic, family, mapping):
@@ -964,7 +973,7 @@ def _prop_dead_atom_family(rng, count):
                                                     dead_atom=True)
         missing = minimal_statistic(statistic, family)
         if not isinstance(missing, NoMinimalExists):
-            return False, "dead atom went unnoticed", \
+            return False, f"dead-atom instance gave {type(missing).__name__}", \
                 serialize_instance(statistic, family)
         counterexamples = dead_atom_counterexamples(statistic, missing.dead_atom)
         for merged in counterexamples.values():

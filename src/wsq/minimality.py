@@ -10,6 +10,8 @@ and for each pair of classes two states of rank 2 on their merged atom.
 When an atom is dead, no minimal statistic exists: merging the dead atom
 into each live atom in turn (harness.dead_atom_counterexamples) yields
 incomparable sufficient coarse-grainings that witness the failure.
+When T is not weakly sufficient no f(T) is (g(f(T)) is a function of
+T), so the one decision of T each question starts from answers it.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import RANK_TOL, gram_matrix, pair_rank_two
+from .linalg import RANK_TOL, pair_rank_two
 from .spectral import CoarseMap, DiscreteStatistic, StateFamily, coarse_blocks
-from .sufficiency import Analysis, WitnessFactorization, analyze, check_weak_sufficiency
+from .sufficiency import Analysis, SufficiencyVerdict, WitnessFactorization, analyze
 
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 
@@ -58,13 +60,13 @@ class NoMinimalExists:
     dead_atom: int
 
 
-def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL) -> AtomClasses:
+def equivalence_classes(analysis: Analysis) -> AtomClasses:
     """Group active atoms whose gamma rows are proportional.
 
     Atoms a and b are split when their merged Gram matrix gram[a] +
-    gram[b] has rank 2, the test the verifier applies to a separation;
-    one pair_rank_two call on the stack of one merged Gram matrix per pair
-    of active atoms decides every pair.  In ascending order, each atom
+    gram[b] has rank 2 at analysis.tol, the test the verifier applies to
+    a separation; one pair_rank_two call on the stack of one merged Gram
+    matrix per pair of active atoms decides every pair.  In ascending order, each atom
     joins the first class whose leader it is not split from, or else
     leads a new class.
     """
@@ -72,7 +74,7 @@ def equivalence_classes(analysis: Analysis, tol: float = RANK_TOL) -> AtomClasse
     gram = analysis.table.gram[active]
     labels, n, s = analysis.family.labels, len(active), len(analysis.family)
     # never set at x == y, so the first pair set in row-major order has x < y
-    split = pair_rank_two(gram[:, np.newaxis] + gram[np.newaxis, :], tol)
+    split = pair_rank_two(gram[:, np.newaxis] + gram[np.newaxis, :], analysis.tol)
     apart = split.any(axis=(2, 3)).tolist()
     first = split.reshape(n, n, s * s).argmax(axis=2).tolist()
     members: list[list[int]] = []   # positions in active
@@ -102,26 +104,21 @@ def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatist
     return DiscreteStatistic(np.arange(1.0, len(partition) + 1.0), projections)
 
 
-def _sufficient_analysis(t: DiscreteStatistic, family: StateFamily, tol: float) -> Analysis:
-    analysis = analyze(t, family, tol)
+def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily, cmap: CoarseMap) -> bool:
+    """Is f(T) still weakly sufficient?  Decided from one Analysis of (t, family).
+
+    When t is not weakly sufficient the answer is False: no coarse-graining
+    of it is.  Otherwise a block of the coarse-graining is harmless iff
+    all its active atoms lie in one proportionality class, so the coarse
+    statistic is never built.
+    """
+    blocks = coarse_blocks(t, cmap)
+    analysis = analyze(t, family, RANK_TOL)
     violations, _ = analysis.decide()
     if violations:
-        raise ValueError("the statistic is not weakly sufficient for the family")
-    return analysis
-
-
-def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily, cmap: CoarseMap) -> bool:
-    """Is f(T) still weakly sufficient?  Decided from the classes alone.
-
-    Requires (t, family) itself to be weakly sufficient.  One Analysis
-    of (t, family) gives both that verdict and the classes; a block of
-    the coarse-graining is harmless iff all its active atoms lie in one
-    proportionality class, so the coarse statistic is never built.
-    """
-    analysis = _sufficient_analysis(t, family, RANK_TOL)
+        return False
     home = {k: i for i, cls in enumerate(equivalence_classes(analysis).classes) for k in cls}
-    return all(len({home[k] for k in block if k in home}) <= 1
-               for _, block in coarse_blocks(t, cmap))
+    return all(len({home[k] for k in block if k in home}) <= 1 for _, block in blocks)
 
 
 def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
@@ -129,28 +126,33 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     """Coarsest weakly sufficient relabelling of t, if one exists.
 
     Returns MinimalStatistic (atoms = proportionality classes, values
-    1..m in order of smallest member) or NoMinimalExists naming a dead
-    atom.  Families spanning less than two dimensions are rejected: every
-    statistic is sufficient for them, so minimality is vacuous.  One
-    Analysis of (t, family) gives the verdict, the dead-atom weights and
-    the classes; check_weak_sufficiency decides the merged statistic,
-    raising ValueError if it is not sufficient, and gives its witness.
+    1..m in order of smallest member), NoMinimalExists naming a dead
+    atom, or check's negative SufficiencyVerdict when t is not weakly
+    sufficient, which proves that no coarse-graining is.  Families
+    spanning less than two dimensions are rejected: every statistic is
+    sufficient for them, so minimality is vacuous.  One decided Analysis
+    of (t, family) gives the verdict, the span (its Gram stack sums to
+    the family's Gram matrix), the dead-atom weights and the classes.
+    The merged statistic is not decided again: its witness is built under
+    t's versions, as in exists_weakly_sufficient.  Near a tolerance the
+    classes may merge atoms split from each other, and the witness then
+    misses; verify_witness reports it.
     """
-    analysis = _sufficient_analysis(t, family, tol)
-    if not pair_rank_two(gram_matrix(family.vectors), tol).any():
+    analysis = analyze(t, family, tol)
+    violations, versions = analysis.decide()
+    if violations:
+        return SufficiencyVerdict(False, None, violations)
+    if not pair_rank_two(analysis.table.gram.sum(axis=0), tol).any():
         raise ValueError("family spans less than two dimensions; minimality is vacuous")
     weights = analysis.table.weights
     for k in range(len(t)):
         if float(weights[:, k].max()) <= tol:
             return NoMinimalExists(dead_atom=k)
-    classes = equivalence_classes(analysis, tol)
+    classes = equivalence_classes(analysis)
     partition = [list(cls) for cls in classes.classes]
     statistic = statistic_from_partition(t, partition)
-    verdict = check_weak_sufficiency(statistic, family, tol)
-    if not verdict.sufficient:
-        raise ValueError("merging the proportionality classes loses weak sufficiency")
     return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,
-                            witness=verdict.witness)
+                            witness=analyze(statistic, family, tol).witness(versions))
 
 
 def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:

@@ -30,21 +30,15 @@ class PhaseConstraint:
 
     atom records which statistic atom produced the constraint, if any;
     it is carried through to certificates so a verifier can recompute
-    the value from the instance.
+    the value from the instance.  Every producer keeps only overlaps of
+    validated states above sufficiency.ZERO_TOL, so value is taken as
+    given: finite and nonzero.
     """
 
     left: str
     right: str
     value: complex
     atom: int | None = None
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("constraint value must be finite")
-        if v == 0:
-            raise ValueError("constraint value must be nonzero")
-        object.__setattr__(self, "value", v)
 
 
 @dataclass
@@ -83,18 +77,6 @@ def _defect_distance(angle: float) -> float:
     return min(frac, m - frac)
 
 
-def _check_labels(constraints, labels) -> list[str]:
-    labels = [str(x) for x in labels]
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be unique")
-    known = set(labels)
-    for c in constraints:
-        for end in (c.left, c.right):
-            if end not in known:
-                raise ValueError(f"constraint references unknown label '{end}'")
-    return labels
-
-
 def align_phases(constraints, labels):
     """Decide whether all constraints can be made real simultaneously.
 
@@ -102,8 +84,9 @@ def align_phases(constraints, labels):
     label of each connected component gets phase 1) or an Infeasible
     witness carrying a cycle whose defect exceeds ANGLE_TOL.  Exact up to
     floating-point accumulation: offsets are propagated, never searched.
+    labels are the family's (unique strings, as StateFamily makes them)
+    and every constraint names two of them; neither is checked again.
     """
-    labels = _check_labels(constraints, labels)
     parent = {lab: lab for lab in labels}
     offset = {lab: 0.0 for lab in labels}   # angle(lab) - angle(parent[lab]), mod pi
     size = {lab: 1 for lab in labels}

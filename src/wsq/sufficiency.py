@@ -113,7 +113,8 @@ class Analysis:
     above ZERO_TOL, in (atom, left, right) order.  Each active atom gets
     a direction xi[k] and a gamma row, with e_k phi_theta =
     gamma[k, theta] xi[k] unless the atom is spread; gamma rows of
-    inactive atoms are zero.
+    inactive atoms are zero.  tol is the rank and activity tolerance
+    the analysis was built with; everything read from it applies tol.
     """
 
     statistic: DiscreteStatistic
@@ -124,6 +125,7 @@ class Analysis:
     gamma: np.ndarray                # (n_atoms, n_states) complex
     xi: dict[int, np.ndarray]
     active: tuple[bool, ...]
+    tol: float
 
     def decide(self) -> tuple[list, VersionAssignment | None]:
         """Rank test, then phase alignment: (violations, versions).
@@ -145,9 +147,11 @@ class Analysis:
         violations, versions = self.decide()
         if violations:
             return SufficiencyVerdict(False, None, violations)
-        return SufficiencyVerdict(True, self._witness(versions), [])
+        return SufficiencyVerdict(True, self.witness(versions), [])
 
-    def _witness(self, versions: VersionAssignment) -> WitnessFactorization:
+    def witness(self, versions: VersionAssignment) -> WitnessFactorization:
+        """The factorization under versions; exact when they make each
+        dressed gamma row real up to one phase, as verify_witness checks."""
         t, family = self.statistic, self.family
         phases = np.array([versions.phase(lab) for lab in family.labels])
         dressed = self.gamma * phases[np.newaxis, :]
@@ -200,7 +204,7 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
         xi[int(k)] = direction * turn
         gamma[k] = table.gram[k, :, pick] * np.conj(turn) / lengths[pick]
     return Analysis(t, family, table, spread, constraints, gamma, xi,
-                    tuple(active.tolist()))
+                    tuple(active.tolist()), tol)
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
@@ -322,5 +326,5 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
             directions.append(resid / np.sqrt(square))
     rows = np.array(directions).reshape(-1, family.dim)
     statistic = statistic_from_directions(rows)
-    witness = analyze(statistic, family, tol)._witness(aligned)
+    witness = analyze(statistic, family, tol).witness(aligned)
     return ConstructedStatistic(statistic=statistic, directions=rows, witness=witness)

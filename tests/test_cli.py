@@ -109,6 +109,41 @@ def test_minimal_subcommand(bundled_path, capsys):
     assert cert["payload"]["partition"] == [[0], [1]]
 
 
+def insufficient_path(tmp_path, kind):
+    """T = diag(1, 1, 2) with states e0, e1 (atom 0 holds both at rank 2),
+    or T = diag(1, -1) with (1, 1)/sqrt2 and (1, i)/sqrt2 (no dressing
+    makes both atoms' overlaps real)."""
+    from wsq.spectral import statistic_from_matrix
+    s = 1.0 / math.sqrt(2.0)
+    if kind == "rank":
+        statistic = statistic_from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex))
+        vectors = np.eye(3, dtype=complex)[:2]
+    else:
+        statistic = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
+        vectors = np.array([[s, s], [s, 1j * s]], dtype=complex)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(serialize_instance(statistic, StateFamily(("u", "v"), vectors)))
+    return path
+
+
+@pytest.mark.parametrize("kind, payload", [("rank", "rank_violations"),
+                                           ("cycle", "phase_cycle")])
+def test_minimal_on_an_insufficient_statistic_prints_checks_certificate(
+        tmp_path, capsys, kind, payload):
+    path = insufficient_path(tmp_path, kind)
+    assert run_cli(["check", "--input", str(path)]) == 1
+    checked = capsys.readouterr().out
+    assert run_cli(["minimal", "--input", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == checked
+    assert out.err.startswith("not sufficient (") and out.err.count("\n") == 1
+    cert = parse_certificate(out.out)
+    assert (cert["kind"], cert["verdict"]) == ("weak_sufficiency", "not_sufficient")
+    assert list(cert["payload"]) == [payload]
+    report = verify_certificate(path.read_text(), out.out)
+    assert report.ok, report.detail
+
+
 def test_oracle_subcommand(bundled_path, capsys):
     code = run_cli(["oracle", "--input", str(bundled_path)])
     out = capsys.readouterr()

@@ -16,7 +16,7 @@ from wsq.minimality import (
     statistic_from_partition,
 )
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
-from wsq.sufficiency import analyze, check_weak_sufficiency
+from wsq.sufficiency import analyze, check_weak_sufficiency, verify_witness
 
 
 def numpy_rank(g, tol=RANK_TOL):
@@ -181,13 +181,13 @@ def test_sufficiency_checks_run_no_kernel(monkeypatch):
 
 def test_coarse_check_builds_no_witness_and_minimal_builds_one(monkeypatch):
     built = []
-    original = sufficiency.Analysis._witness
+    original = sufficiency.Analysis.witness
 
     def counting(self, versions):
         built.append(len(self.statistic))
         return original(self, versions)
 
-    monkeypatch.setattr(sufficiency.Analysis, "_witness", counting)
+    monkeypatch.setattr(sufficiency.Analysis, "witness", counting)
     t, fam = two_plus_one_instance()
     verdicts = [check_coarse_sufficient(t, fam, cmap) for cmap in enumerate_coarse_grainings(t)]
     assert verdicts == [False, True, False, False, True]
@@ -249,13 +249,23 @@ def test_coarse_check_agrees_with_direct_recheck():
         assert check_coarse_sufficient(t, fam, cmap) == direct
 
 
-def test_coarse_check_requires_sufficient_input():
-    t = statistic_from_matrix(np.diag([1.0, 1.0, 2.0]))
-    fam = StateFamily(
-        ("e1", "e2"), (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-    )
-    with pytest.raises(ValueError, match="not weakly sufficient"):
-        check_coarse_sufficient(t, fam, CoarseMap({1.0: 1.0, 2.0: 2.0}))
+def test_an_insufficient_statistic_has_no_sufficient_coarse_graining():
+    # a sufficient f(T) would make T sufficient: g(f(T)) is a function of T.
+    # Atom 0 of diag(1, 1, 2) sees e1 and e2 at rank 2; diag(1, -1, 2)
+    # demands incompatible relative phases of u and v.
+    s = 1.0 / np.sqrt(2.0)
+    for diagonal, labels, vectors in (
+            ([1.0, 1.0, 2.0], ("e1", "e2"), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])),
+            ([1.0, -1.0, 2.0], ("u", "v"), ([s, s, 0.0], [s, 1j * s, 0.0]))):
+        t = statistic_from_matrix(np.diag(diagonal))
+        fam = StateFamily(labels, tuple(np.array(v) for v in vectors))
+        verdict = check_weak_sufficiency(t, fam)
+        assert not verdict.sufficient
+        assert minimal_statistic(t, fam) == verdict
+        for cmap in enumerate_coarse_grainings(t):
+            coarse, _ = apply_coarse(t, cmap)
+            assert not check_weak_sufficiency(coarse, fam).sufficient
+            assert check_coarse_sufficient(t, fam, cmap) is False
 
 
 # --------------------------------------------------------- minimal_statistic
@@ -300,18 +310,37 @@ def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
     assert shapes == [(4, 4, 3, 3)]
 
 
-def test_classes_are_checked_by_deciding_the_merged_statistic():
+def test_classes_near_a_tolerance_give_a_witness_that_misses_it():
     # atom 1 and atom 2 each pass for atom 0's class at tol 1e-4, their
     # rows (x, d) and (x, -d) being within d^2 / 2 of atom 0's (x, 0), but
-    # split from each other (2 d^2 > 1e-4): the merge is not sufficient
+    # split from each other (2 d^2 > 1e-4): the merge is not sufficient,
+    # and the witness built under T's versions shows it
     x, d = 1.0 / np.sqrt(3.0), 1e-2
     t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
     fam = StateFamily(("s0", "s1"), (np.array([x, x, x, 0.0]),
                                      np.array([0.0, d, -d, np.sqrt(1.0 - 2.0 * d * d)])))
-    assert equivalence_classes(analyze(t, fam, 1e-4), 1e-4).classes == [(0, 1, 2), (3,)]
-    with pytest.raises(ValueError, match="loses weak sufficiency"):
-        minimal_statistic(t, fam, 1e-4)
-    assert minimal_statistic(t, fam).partition == [[0], [1], [2], [3]]
+    assert equivalence_classes(analyze(t, fam, 1e-4)).classes == [(0, 1, 2), (3,)]
+    coarse = minimal_statistic(t, fam, 1e-4)
+    assert coarse.partition == [[0, 1, 2], [3]]
+    assert not verify_witness(coarse.statistic, fam, coarse.witness, tol=1e-4).ok
+    fine = minimal_statistic(t, fam)
+    assert fine.partition == [[0], [1], [2], [3]]
+    assert verify_witness(fine.statistic, fam, fine.witness).ok
+
+
+def test_minimal_decides_the_statistic_once(monkeypatch):
+    calls = {"align_phases": 0, "check_weak_sufficiency": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(sufficiency, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        patch_every_binding(monkeypatch, getattr(sufficiency, name), counting)
+    t, fam = two_plus_one_instance()
+    result = minimal_statistic(t, fam)
+    assert result.partition == [[0, 1], [2]]
+    assert calls == {"align_phases": 1, "check_weak_sufficiency": 0}
+    assert verify_witness(result.statistic, fam, result.witness).ok
 
 
 @pytest.mark.parametrize("partition", [
