@@ -62,8 +62,9 @@ by_hand = verify_witness(statistic, family, closed_form)
 print("closed-form witness residual:", by_hand.max_residual)
 
 # ---------------------------------------------------------------- certify
-# Certificates are plain JSON.  verify_certificate re-derives every
-# claim from the instance text, so a tampered certificate is caught.
+# Certificates are compact JSON.  They record T's spectrum, from which
+# verify_certificate rebuilds T's atoms, and it re-derives every claim
+# from the instance text, so a tampered certificate is caught.
 certificate = serialize_certificate(make_certificate("weak_sufficiency", verdict))
 instance_text = serialize_instance(statistic, family)
 report = verify_certificate(instance_text, certificate)

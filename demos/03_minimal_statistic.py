@@ -82,9 +82,9 @@ print("the minimal statistic is a function of all",
       sufficient, "sufficient coarse-grainings")
 
 # ------------------------------------------------------------- certificate
-# The certificate carries the partition, the witness of the merged
-# statistic and one separation per pair of classes; the verifier checks
-# them from the instance alone, without deciding minimality again.
+# The certificate carries T's spectrum, the partition, the witness of the
+# merged statistic and one separation per pair of classes; the verifier
+# checks them from the instance alone, without deciding minimality again.
 text = serialize_certificate(make_certificate("minimality", minimal))
 print(text)
 report = verify_certificate(serialize_instance(statistic, family), text)

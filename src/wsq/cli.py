@@ -5,7 +5,9 @@ affirmative verdict, 1 for a negative verdict, 2 for errors, a
 decomposition that does not converge included.  Certificates go
 to stdout as JSON; human-readable diagnostics go to stderr.  minimal
 on a T that is not weakly sufficient prints check's certificate and
-exits 1.
+exits 1.  verify replays a certificate against its instance file: 0
+when it verifies, 1 when it does not (the reason on stderr), 2 when a
+file or the instance cannot be read.
 
 check, construct, minimal and petz take --tol, the one tolerance their
 decision applies; fileio.SET_BY_TOL names the recorded keys it sets.  A
@@ -136,6 +138,16 @@ def _cmd_petz(args) -> int:
     return NEGATIVE
 
 
+def _cmd_verify(args) -> int:
+    with open(args.input, encoding="utf-8") as handle:
+        instance = handle.read()
+    with open(args.certificate, encoding="utf-8") as handle:
+        certificate = handle.read()
+    report = fileio.verify_certificate(instance, certificate)
+    print(f"{'verified' if report.ok else 'not verified'}: {report.detail}", file=sys.stderr)
+    return AFFIRMATIVE if report.ok else NEGATIVE
+
+
 def _cmd_oracle(args) -> int:
     from . import harness
 
@@ -201,6 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
                                        help="phase grid resolution for the brute-force search")
     sub.choices["petz"].add_argument("--non-unital", action="store_true",
                                      help="drop the trace-one constraint on the solution blocks")
+
+    p = sub.add_parser("verify", help="re-check a certificate against its instance file")
+    p.add_argument("--input", required=True, help="instance file (JSON)")
+    p.add_argument("--certificate", required=True, help="certificate file (JSON)")
+    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run bundled examples and the property suite")
     p.add_argument("--seed", type=int, default=0, help="property suite seed")

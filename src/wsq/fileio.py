@@ -8,14 +8,16 @@ at once: its schema, every number, the state family, an explicit
 statistic, and a dense matrix's Hermitian check.  The states and a dense
 matrix take one numpy conversion each; where it meets anything but
 finite numbers of the right shape, or the text may hold a JSON boolean,
-the path-addressed walker reads them instead and names the error.  Only
+the path-addressed walker reads them instead and names the error.  A
+dimension above linalg.MAX_DIM is refused, whatever the encoding.  Only
 a dense matrix's eigendecomposition waits until a question reads the
 statistic, so **construct** and a **petz** refusal of overlapping states
 never run it, nor meet its errors.  Certificates mirror the in-memory
 verdict types and carry the tool version and the tolerances that
-produced them, so a verifier holding only the instance file and the
+produced them, and every verdict that reads the statistic records its
+spectrum, so a verifier holding only the instance file and the
 certificate file can re-check the verdict from scratch, at those same
-tolerances.
+tolerances, and without decomposing a dense matrix again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import RANK_TOL, as_hermitian, gram_matrix, inner, pair_rank_two
+from .linalg import MAX_DIM, RANK_TOL, as_hermitian, gram_matrix, inner, pair_rank_two
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
@@ -127,19 +129,20 @@ class Instance:
     ``statistic`` is the DiscreteStatistic or None.  From a dense matrix
     it is decomposed the first time it is read, and raises then if the
     decomposition fails; ``has_statistic`` answers without decomposing.
+    ``matrix`` is the dense matrix, made exactly Hermitian, or None.
     """
 
     def __init__(self, family: spectral.StateFamily, statistic=None, matrix=None):
         self.family = family
         self.has_statistic = statistic is not None or matrix is not None
         self._explicit = statistic
-        self._matrix = matrix
+        self.matrix = matrix
 
     @functools.cached_property
     def statistic(self):
-        if self._matrix is None:
+        if self.matrix is None:
             return self._explicit
-        return spectral.statistic_from_matrix(self._matrix)
+        return spectral.statistic_from_matrix(self.matrix)
 
 
 def read_instance(text: str) -> Instance:
@@ -155,6 +158,8 @@ def read_instance(text: str) -> Instance:
     dim = root["dimension"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         _fail("$.dimension", "expected a positive integer")
+    if dim > MAX_DIM:
+        _fail("$.dimension", f"dimension {dim} exceeds the desk-scale limit {MAX_DIM}")
     states = root.get("states")
     if not isinstance(states, dict) or not states:
         _fail("$.states", "expected a nonempty object of labeled states")
@@ -174,7 +179,7 @@ def read_instance(text: str) -> Instance:
             matrix = _converted(node["matrix"], (dim, dim)) if plain else None
             if matrix is None:
                 matrix = _matrix(node["matrix"], "$.statistic.matrix", dim)
-            as_hermitian(matrix)   # raises now; the decomposition waits
+            matrix = as_hermitian(matrix)   # raises now; the decomposition waits
         elif "eigenvalues" in node or "projections" in node:
             evs = node.get("eigenvalues")
             projs = node.get("projections")
@@ -361,11 +366,17 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
                                "pairs": [[k, other] for k, other in result.pairs]}
     if "verdict" not in cert:
         raise ValueError(f"unsupported {kind} result {type(result).__name__}")
+    # every verdict but these rests on the statistic, and records its spectrum
+    if kind != "existence" and cert["verdict"] != "infeasible_orthogonality":
+        if not result.spectrum:
+            raise ValueError(f"{type(result).__name__} result carries no spectrum")
+        cert["payload"]["spectrum"] = list(result.spectrum)
     return cert
 
 
 def serialize_certificate(cert: dict) -> str:
-    return json.dumps(cert, indent=2, sort_keys=True)
+    """Compact JSON with sorted keys, which CPython encodes in C."""
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"))
 
 
 def parse_certificate(text: str) -> dict:
@@ -472,8 +483,15 @@ def _cycle_report(statistic, family, node, tol: float) -> VerificationReport:
 def verify_certificate(instance_text: str, certificate_text: str) -> VerificationReport:
     """Re-check a certificate using only the two files.
 
-    The tolerance block must hold exactly the kind's TOLERANCES keys,
-    each a check_tolerance, and every verdict is replayed at them:
+    Every verdict that reads the statistic records its eigenvalues as
+    ``payload.spectrum``, and the verifier takes the statistic from them
+    (_recorded_statistic): an explicit statistic's must match exactly; a
+    dense matrix's atoms are built as Frobenius covariants of the
+    recorded values, proved to be its spectral projectors by the
+    partition checks, and the matrix is decomposed only where they
+    cannot be.  The tolerance block must hold exactly the kind's
+    TOLERANCES keys, each a check_tolerance, and every verdict is
+    replayed at them:
     witnesses at ``witness``; rank violations, a minimal statistic's
     live atoms and separations, and a dead atom at ``rank``; cycle
     defects at ``angle``; petz owners and shared atoms at
@@ -488,9 +506,10 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     within RECONSTRUCTION_TOL.  A certificate that does not prove its
     claim or cannot be read, earlier encodings included, yields
     ok=False.  Only a malformed instance raises: at read time, or when a
-    verdict that reads the statistic meets a dense matrix that fails to
-    decompose; ``existence`` and ``infeasible_orthogonality`` never
-    decompose it.
+    verdict that reads the statistic meets a dense matrix whose recorded
+    spectrum the covariants cannot prove and which then fails to
+    decompose; ``existence`` and ``infeasible_orthogonality`` record no
+    spectrum and never read the statistic.
     """
     instance = read_instance(instance_text)
     try:
@@ -521,7 +540,6 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
     2 on e_a + e_b, a and b in blocks i < j, show by Cauchy interlacing that
     no sufficient statistic merges the blocks.
     """
-    _exact_keys(payload, "$.payload", ["partition", "separations", "witness"])
     partition, separations = payload["partition"], payload["separations"]
     try:
         minimal = minimality.statistic_from_partition(statistic, partition)
@@ -553,6 +571,43 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
     return VerificationReport(True, f"minimal partition {partition} confirmed, {report.detail}")
 
 
+def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteStatistic:
+    """The instance's statistic, whose eigenvalues payload["spectrum"]
+    records; SchemaError unless they are its eigenvalues.
+
+    Explicit projections: the record must equal the eigenvalues exactly.
+    A dense matrix is not decomposed.  The record must ascend by more
+    than spectral.GROUP_FACTOR times its largest modulus, the cutoff
+    statistic_from_matrix groups by, so it cannot split an atom, and
+    spectral.statistic_from_spectrum proves the values to be the matrix's
+    spectrum, none standing for eigenvalues the cutoff would split.  Where
+    it cannot (one value; rounding that spoils the covariants of many
+    atoms or close ones; a group the cutoff joins that spreads past half
+    of it) the matrix is decomposed as the command line does, and the
+    record must hold its eigenvalues, as many and each within that cutoff.
+    """
+    path, node = "$.payload.spectrum", payload["spectrum"]
+    if not isinstance(node, list) or not node:
+        _fail(path, "expected a nonempty list of reals, one per atom")
+    values = np.array([_real(value, f"{path}[{k}]") for k, value in enumerate(node)])
+    if instance.matrix is None:
+        if not np.array_equal(values, instance.statistic.eigenvalues):
+            _fail(path, "expected the eigenvalues of the instance's statistic")
+        return instance.statistic
+    if len(values) > instance.family.dim:
+        _fail(path, f"expected at most {instance.family.dim} values, one per atom")
+    cutoff = spectral.GROUP_FACTOR * float(np.abs(values).max())
+    if not (np.diff(values) > cutoff).all():
+        _fail(path, f"expected values ascending by more than the grouping cutoff {cutoff:.3e}")
+    try:
+        return spectral.statistic_from_spectrum(instance.matrix, values)
+    except ValueError:
+        statistic = instance.statistic
+    if len(statistic) != len(values) or (np.abs(statistic.eigenvalues - values) > cutoff).any():
+        _fail(path, f"expected the matrix's {len(statistic)} eigenvalues, each within {cutoff:.3e}")
+    return statistic
+
+
 def _tolerances_from_json(node, kind: str) -> dict[str, float]:
     """The recorded tolerance block: exactly the kind's keys, each valid."""
     keys = sorted(TOLERANCES[kind])
@@ -568,8 +623,11 @@ def _tolerances_from_json(node, kind: str) -> dict[str, float]:
 def _replay(instance: Instance, cert: dict) -> VerificationReport:
     """verify_certificate on a read instance; SchemaError means an unreadable payload.
 
-    Only the verdicts that rest on the statistic read it, so only they
-    decompose a dense matrix: not ``existence``, nor a petz overlap.
+    Only the verdicts that rest on the statistic read it, from the
+    spectrum their payload records, which the exact-key reader requires
+    there and refuses in ``existence`` and petz overlap payloads.  Each
+    payload's keys are checked before its spectrum is read, and a dense
+    matrix is decomposed only when its covariants fail.
     """
     kind, verdict, payload = cert["kind"], cert["verdict"], cert["payload"]
     tols = _tolerances_from_json(cert.get("tolerances"), kind)
@@ -578,17 +636,17 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
         return VerificationReport(False, "instance file carries no statistic")
 
     if kind == "weak_sufficiency":
-        statistic = instance.statistic
         if verdict == "sufficient":
-            _exact_keys(payload, "$.payload", ["witness"])
-            return _witness_report(statistic, family, payload, tols["witness"],
-                                   "witness verified, max residual")
+            _exact_keys(payload, "$.payload", ["spectrum", "witness"])
+            return _witness_report(_recorded_statistic(instance, payload), family, payload,
+                                   tols["witness"], "witness verified, max residual")
         if verdict == "not_sufficient":
-            if "rank_violations" in payload:
-                return _rank_report(statistic, family, _exact_keys(
-                    payload, "$.payload", ["rank_violations"])["rank_violations"], tols["rank"])
-            return _cycle_report(statistic, family, _exact_keys(
-                payload, "$.payload", ["phase_cycle"])["phase_cycle"], tols["angle"])
+            evidence = "rank_violations" if "rank_violations" in payload else "phase_cycle"
+            node = _exact_keys(payload, "$.payload", [evidence, "spectrum"])[evidence]
+            statistic = _recorded_statistic(instance, payload)
+            if evidence == "rank_violations":
+                return _rank_report(statistic, family, node, tols["rank"])
+            return _cycle_report(statistic, family, node, tols["angle"])
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "existence":
@@ -603,11 +661,12 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
         return VerificationReport(False, f"unknown verdict '{verdict}'")
 
     if kind == "minimality":
-        statistic = instance.statistic
         if verdict == "minimal_constructed":
-            return _minimal_report(statistic, family, payload, tols)
+            _exact_keys(payload, "$.payload", ["partition", "separations", "spectrum", "witness"])
+            return _minimal_report(_recorded_statistic(instance, payload), family, payload, tols)
         if verdict == "no_minimal_exists":
-            k = _exact_keys(payload, "$.payload", ["dead_atom"])["dead_atom"]
+            k = _exact_keys(payload, "$.payload", ["dead_atom", "spectrum"])["dead_atom"]
+            statistic = _recorded_statistic(instance, payload)
             if type(k) is not int or not 0 <= k < len(statistic):
                 return VerificationReport(False, f"bad dead atom index {k!r}")
             heaviest = float(spectral.project_states(statistic, family).weights[:, k].max())
@@ -634,11 +693,15 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             return VerificationReport(False,
                                       f"states {pair} are orthogonal (overlap {overlap:.3e})")
         return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
-    statistic = instance.statistic
+    if verdict not in ("feasible", "infeasible_shared_atoms"):
+        return VerificationReport(False, f"unknown verdict '{verdict}'")
+    _exact_keys(payload, "$.payload", ["owners", "spectrum"] if verdict == "feasible"
+                else ["pairs", "spectrum", "state"])
+    statistic = _recorded_statistic(instance, payload)
     weights = petz.PetzInstance.from_parts(statistic, family, unital=unital).weights
     loads = weights > tols["petz_feasibility"]
     if verdict == "feasible":
-        owners = _exact_keys(payload, "$.payload", ["owners"])["owners"]
+        owners = payload["owners"]
         if not isinstance(owners, list) or len(owners) != len(statistic):
             _fail("$.payload.owners", f"expected {len(statistic)} labels or nulls, one per atom")
         for k, label in enumerate(owners):
@@ -655,21 +718,19 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             return VerificationReport(False, f"state reconstruction residual {residual:.3e} "
                                              f"exceeds {petz.RECONSTRUCTION_TOL:.0e}")
         return VerificationReport(True, f"feasible solution verified, residual {residual:.3e}")
-    if verdict == "infeasible_shared_atoms":
-        pairs = _exact_keys(payload, "$.payload", ["pairs", "state"])["pairs"]
-        if not isinstance(pairs, list):
-            return VerificationReport(False, "payload carries no list of pairs")
-        try:
-            n = family.index(payload["state"])
-            named = [(k, family.index(other)) for k, other in pairs]
-        except (TypeError, ValueError):
-            return VerificationReport(False, f"pairs {pairs} do not name atoms and states")
-        for k, j in named:
-            if type(k) is not int or not 0 <= k < len(statistic) or j == n \
-                    or not (loads[n, k] and loads[j, k]):
-                return VerificationReport(False, f"atom {k!r} is not loaded by both states")
-        missed = set(np.flatnonzero(loads[n]).tolist()) - {k for k, _ in named}
-        if (unital and not named) or (not unital and missed):
-            return VerificationReport(False, "the shared atoms do not block the state")
-        return VerificationReport(True, f"shared atoms of {family.labels[n]!r} confirmed")
-    return VerificationReport(False, f"unknown verdict '{verdict}'")
+    pairs = payload["pairs"]   # infeasible_shared_atoms
+    if not isinstance(pairs, list):
+        return VerificationReport(False, "payload carries no list of pairs")
+    try:
+        n = family.index(payload["state"])
+        named = [(k, family.index(other)) for k, other in pairs]
+    except (TypeError, ValueError):
+        return VerificationReport(False, f"pairs {pairs} do not name atoms and states")
+    for k, j in named:
+        if type(k) is not int or not 0 <= k < len(statistic) or j == n \
+                or not (loads[n, k] and loads[j, k]):
+            return VerificationReport(False, f"atom {k!r} is not loaded by both states")
+    missed = set(np.flatnonzero(loads[n]).tolist()) - {k for k, _ in named}
+    if (unital and not named) or (not unital and missed):
+        return VerificationReport(False, "the shared atoms do not block the state")
+    return VerificationReport(True, f"shared atoms of {family.labels[n]!r} confirmed")

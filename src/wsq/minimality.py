@@ -16,7 +16,7 @@ T), so the one decision of T each question starts from answers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
@@ -45,19 +45,27 @@ class AtomClasses:
 
 @dataclass
 class MinimalStatistic:
-    """The minimal statistic, its classes, and the witness of its sufficiency."""
+    """The minimal statistic, its classes, and the witness of its sufficiency.
+
+    spectrum is that of t, the statistic coarse-grained
+    (DiscreteStatistic.spectrum), which a certificate records; results
+    compare without it.
+    """
 
     statistic: DiscreteStatistic
     classes: AtomClasses
     partition: list[list[int]]
     witness: WitnessFactorization
+    spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
 @dataclass
 class NoMinimalExists:
-    """The statistic has an atom carrying no weight of any state."""
+    """The statistic, of spectrum ``spectrum``, has an atom carrying no
+    weight of any state."""
 
     dead_atom: int
+    spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
 def equivalence_classes(analysis: Analysis) -> AtomClasses:
@@ -141,18 +149,19 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     analysis = analyze(t, family, tol)
     violations, versions = analysis.decide()
     if violations:
-        return SufficiencyVerdict(False, None, violations)
+        return SufficiencyVerdict(False, None, violations, t.spectrum)
     if not pair_rank_two(analysis.table.gram.sum(axis=0), tol).any():
         raise ValueError("family spans less than two dimensions; minimality is vacuous")
     weights = analysis.table.weights
     for k in range(len(t)):
         if float(weights[:, k].max()) <= tol:
-            return NoMinimalExists(dead_atom=k)
+            return NoMinimalExists(dead_atom=k, spectrum=t.spectrum)
     classes = equivalence_classes(analysis)
     partition = [list(cls) for cls in classes.classes]
     statistic = statistic_from_partition(t, partition)
     return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,
-                            witness=analyze(statistic, family, tol).witness(versions))
+                            witness=analyze(statistic, family, tol).witness(versions),
+                            spectrum=t.spectrum)
 
 
 def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:

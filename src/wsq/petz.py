@@ -64,11 +64,14 @@ class PetzInstance:
 class Feasible:
     """The closed-form solution: owners[k] is the label of the one state
     that loads atom k, or None, and rhos and max_constraint_residual are
-    what rhos_from_owners builds from them."""
+    what rhos_from_owners builds from them.  spectrum is the statistic's
+    (DiscreteStatistic.spectrum), which a certificate records; results
+    compare without it."""
 
     rhos: list[np.ndarray]
     max_constraint_residual: float
     owners: tuple[str | None, ...]
+    spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
 @dataclass
@@ -84,11 +87,13 @@ class InfeasibleSharedAtoms:
     """Pairs (atom, other state) of atoms that ``state`` shares, so rho = 0.
 
     Unital, one pair contradicts trace one.  Non-unital, the pairs cover
-    every atom the state loads, so nothing can rebuild it.
+    every atom the state loads, so nothing can rebuild it.  spectrum is as
+    in Feasible.
     """
 
     state: str
     pairs: tuple[tuple[int, str], ...]
+    spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
 def orthogonality_precheck(family: StateFamily):
@@ -122,7 +127,8 @@ def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
             (int(k), fam.labels[next(j for j in np.flatnonzero(loads[:, k]) if j != n)])
             for k in atoms
         )
-        return InfeasibleSharedAtoms(state=fam.labels[n], pairs=pairs)
+        return InfeasibleSharedAtoms(state=fam.labels[n], pairs=pairs,
+                                     spectrum=instance.statistic.spectrum)
 
     if unital:
         if shared.any():
@@ -135,7 +141,8 @@ def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
 
     owners = tuple(fam.labels[col.argmax()] if col.any() else None for col in private.T)
     rhos, residual = rhos_from_owners(fam, w, owners, unital)
-    return Feasible(rhos=rhos, max_constraint_residual=residual, owners=owners)
+    return Feasible(rhos=rhos, max_constraint_residual=residual, owners=owners,
+                    spectrum=instance.statistic.spectrum)
 
 
 def rhos_from_owners(family: StateFamily, weights: np.ndarray, owners, unital: bool):

@@ -90,6 +90,11 @@ class DiscreteStatistic:
     def matrix(self) -> np.ndarray:
         return sum(lam * p for lam, p in zip(self.eigenvalues, self.projections))
 
+    @property
+    def spectrum(self) -> tuple[float, ...]:
+        """The eigenvalues as floats, one per atom: what a certificate records."""
+        return tuple(self.eigenvalues.tolist())
+
 
 @dataclass
 class StateFamily:
@@ -194,6 +199,62 @@ def statistic_from_matrix(m, group_tol: float | None = None) -> DiscreteStatisti
     eigenvalues = [float(np.mean(w[g])) for g in groups]
     projections = [hermitian_part(v[:, g] @ v[:, g].conj().T) for g in groups]
     return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
+
+
+def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
+    """The statistic of a Hermitian m whose distinct eigenvalues are spectrum.
+
+    Atom k is the Frobenius covariant prod_{j != k} (m - l_j) / (l_k - l_j)
+    (Higham, Functions of Matrices, 2008, section 1.2), built from prefix
+    and suffix products of the factors, about 3 * len(spectrum) matrix
+    products and no eigensolve.  For any distinct values the covariants
+    sum to the identity and reproduce m, so that proves nothing; but
+    DiscreteStatistic's idempotence and orthogonality checks, with every
+    atom nonzero (its trace, a projector's rank, at least 1), force the
+    values to be m's spectrum and the covariants its spectral projectors,
+    to within the partition tolerance.  So that no value stands for
+    eigenvalues statistic_from_matrix would put in two atoms, each must
+    also leave ||(m - l_k) e_k||_F at most half the grouping cutoff
+    GROUP_FACTOR * max|l|: two eigenvalues of e_k further apart than the
+    cutoff leave more.  Raises ValueError when any of this fails, which
+    also happens when rounding, growing like (spread / gap)^(len - 1),
+    spoils the products, and for a single value, whose one covariant is I
+    whatever m is.
+    """
+    values = np.asarray(spectrum, dtype=float)
+    if len(values) < 2:
+        raise ValueError("one value has the covariant I whatever the matrix is")
+    eye = np.eye(len(m), dtype=complex)
+    with np.errstate(all="ignore"):   # what leaves the float range is refused below
+        # the values shifted and scaled onto [-1, 1], so the products stay in range
+        center, half = values[-1] / 2 + values[0] / 2, values[-1] / 2 - values[0] / 2
+        nodes = (values - center) / half
+        factors = (np.asarray(m, dtype=complex) - center * eye) / half \
+            - nodes[:, np.newaxis, np.newaxis] * eye
+        prefix, suffix = [factors[0]], [factors[-1]]
+        for f, g in zip(factors[1:-1], factors[-2:0:-1]):
+            prefix.append(prefix[-1] @ f)
+            suffix.append(g @ suffix[-1])
+        products = [suffix[-1], *(p @ s for p, s in zip(prefix, suffix[-2::-1])), prefix[-1]]
+        gaps = nodes[:, np.newaxis] - nodes[np.newaxis, :]
+        np.fill_diagonal(gaps, 1)
+        atoms = np.array(products) / gaps.prod(axis=1)[:, np.newaxis, np.newaxis]
+    # a projector's entries are at most 1 in modulus; past 2, the checks'
+    # own products could leave the float range
+    if not np.abs(atoms).max() <= 2:
+        raise ValueError("the covariants are not projectors")
+    statistic = DiscreteStatistic(values, tuple(atoms))
+    ranks = np.rint(np.trace(atoms, axis1=1, axis2=2).real)
+    if (ranks < 1).any():
+        raise ValueError(f"value {float(values[ranks.argmin()])!r} is no eigenvalue: "
+                         f"its atom is empty")
+    cutoff = GROUP_FACTOR * float(np.abs(values).max())
+    residuals = half * np.sqrt((np.abs(factors @ atoms) ** 2).sum(axis=(1, 2)))
+    if (residuals > cutoff / 2).any():
+        k = int(residuals.argmax())
+        raise ValueError(f"the eigenvalues of atom {k} lie {residuals[k]:.3e} from value "
+                         f"{float(values[k])!r}, past half the grouping cutoff {cutoff:.3e}")
+    return statistic
 
 
 def coarse_blocks(t: DiscreteStatistic, cmap: CoarseMap) -> list[tuple[float, list[int]]]:

@@ -80,9 +80,14 @@ class WitnessFactorization:
 
 @dataclass
 class SufficiencyVerdict:
+    """The decision on (T, F).  spectrum is T's (DiscreteStatistic.spectrum),
+    which a certificate records; it names the statistic decided, not the
+    answer, so verdicts compare without it."""
+
     sufficient: bool
     witness: WitnessFactorization | None
     violations: list = field(default_factory=list)
+    spectrum: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.sufficient != (self.witness is not None):
@@ -145,9 +150,10 @@ class Analysis:
     def verdict(self) -> SufficiencyVerdict:
         """The decision, with the witness built from its versions."""
         violations, versions = self.decide()
+        spectrum = self.statistic.spectrum
         if violations:
-            return SufficiencyVerdict(False, None, violations)
-        return SufficiencyVerdict(True, self.witness(versions), [])
+            return SufficiencyVerdict(False, None, violations, spectrum)
+        return SufficiencyVerdict(True, self.witness(versions), [], spectrum)
 
     def witness(self, versions: VersionAssignment) -> WitnessFactorization:
         """The factorization under versions; exact when they make each

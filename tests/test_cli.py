@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_minimal_on_an_insufficient_statistic_prints_checks_certificate(
     assert out.err.startswith("not sufficient (") and out.err.count("\n") == 1
     cert = parse_certificate(out.out)
     assert (cert["kind"], cert["verdict"]) == ("weak_sufficiency", "not_sufficient")
-    assert list(cert["payload"]) == [payload]
+    assert list(cert["payload"]) == [payload, "spectrum"]
     report = verify_certificate(path.read_text(), out.out)
     assert report.ok, report.detail
 
@@ -376,8 +377,8 @@ def statistic_solves(path, command, runs, capsys):
 @pytest.mark.parametrize("command, code, cli_solves, verifier_solves", [
     ("construct", 0, 0, 0),     # the family alone decides existence
     ("petz", 1, 0, 0),          # the states overlap: refused before T is read
-    ("check", 0, 1, 1),         # one decomposition of T on each side
-    ("minimal", 1, 1, 1),       # the dead atom is read from T's weights
+    ("check", 0, 1, 0),         # the verifier checks the recorded spectrum instead
+    ("minimal", 1, 1, 0),       # the dead atom is read from T's weights
 ])
 def test_dense_statistic_is_decomposed_only_where_read(
         tmp_path, monkeypatch, capsys, command, code, cli_solves, verifier_solves):
@@ -422,8 +423,9 @@ def test_dense_matrix_is_checked_once_per_read_and_once_per_solve(
     assert run_cli(["check", "--input", str(path)]) == 0
     report = verify_certificate(path.read_text(), capsys.readouterr().out)
     assert report.ok, report.detail
-    # at read time and in hermitian_eig, in the command line and in the verifier
-    assert len(checked) == 4
+    # at read time on both sides, and in the command line's hermitian_eig: the
+    # verifier builds the atoms from the recorded spectrum, with no eigensolve
+    assert len(checked) == 3
 
 
 def test_non_hermitian_matrix_is_refused_at_read_time(tmp_path, capsys):
@@ -544,7 +546,8 @@ def test_reproductions_verify_or_exit_2(tmp_path, capsys):
     assert run_and_verify(paths["B"], ["minimal", "--tol", "1e-4"], capsys)[0] == 2
     code, cert = run_and_verify(paths["C"], ["check", "--tol", "1e-12"], capsys)
     assert code == 1
-    assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}]}
+    assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}],
+                               "spectrum": [1.0, 2.0]}
 
 
 def near_threshold_triple_path(tmp_path, delta):
@@ -642,3 +645,81 @@ def test_tolerance_outside_the_range_exits_2(bundled_path, capsys, tol):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: tolerance must be a number in [1e-14, 0.001]")
+
+
+# ------------------------------------------------- one dimension limit, wsq verify
+
+
+def family_only_text(d):
+    states = {"a": [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1),
+              "b": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * (d - 2)}
+    return {"dimension": d, "states": states}
+
+
+def identity_instance_text(d):
+    """One atom, the identity, written as eigenvalues and projections."""
+    root = family_only_text(d)
+    root["statistic"] = {"eigenvalues": [1.0], "projections": [
+        [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]]}
+    return json.dumps(root)
+
+
+@pytest.mark.parametrize("encoding", ["explicit", "family_only"])
+def test_a_dimension_above_the_limit_exits_2_on_every_command(tmp_path, capsys, encoding):
+    d = linalg.MAX_DIM + 1
+    path = tmp_path / "big.json"
+    path.write_text(identity_instance_text(d) if encoding == "explicit"
+                    else json.dumps(family_only_text(d)))
+    certificate = tmp_path / "certificate.json"
+    certificate.write_text("{}")
+    message = f"error: $.dimension: dimension {d} exceeds the desk-scale limit {linalg.MAX_DIM}\n"
+    for command in ("check", "construct", "minimal", "petz", "oracle", "verify"):
+        argv = [command, "--input", str(path)]
+        capsys.readouterr()
+        assert run_cli(argv + (["--certificate", str(certificate)]
+                               if command == "verify" else [])) == 2, command
+        assert capsys.readouterr().err == message, command
+
+
+def test_the_dimension_limit_still_reads(tmp_path, capsys):
+    d = linalg.MAX_DIM
+    instance = fileio.read_instance(identity_instance_text(d))
+    assert instance.statistic.dim == d
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(family_only_text(d)))
+    assert run_cli(["construct", "--input", str(path)]) == 0
+    assert verify_certificate(path.read_text(), capsys.readouterr().out).ok
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_state_instance.json"
+
+
+@pytest.mark.parametrize("command, code", [
+    ("check", 0), ("construct", 0), ("minimal", 0), ("petz", 1),
+])
+def test_verify_replays_each_commands_certificate(tmp_path, capsys, command, code):
+    capsys.readouterr()
+    assert run_cli([command, "--input", str(DEMO)]) == code
+    certificate = tmp_path / f"{command}.json"
+    certificate.write_text(capsys.readouterr().out)
+    assert run_cli(["verify", "--input", str(DEMO), "--certificate", str(certificate)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("verified: ")
+
+
+def test_verify_exits_1_on_a_tampered_spectrum_and_2_on_a_missing_file(tmp_path, capsys):
+    capsys.readouterr()
+    assert run_cli(["check", "--input", str(DEMO)]) == 0
+    cert = parse_certificate(capsys.readouterr().out)
+    assert cert["payload"]["spectrum"] == [-1.0, 1.0]
+    cert["payload"]["spectrum"] = [-1.0, 1.0 + 1e-6]
+    certificate = tmp_path / "tampered.json"
+    certificate.write_text(serialize_certificate(cert))
+    assert run_cli(["verify", "--input", str(DEMO), "--certificate", str(certificate)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("not verified: malformed certificate: $.payload.spectrum")
+    assert err.count("\n") == 1
+    for argv in (["--input", str(tmp_path / "missing.json"), "--certificate", str(certificate)],
+                 ["--input", str(DEMO), "--certificate", str(tmp_path / "missing.json")]):
+        assert run_cli(["verify", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wsq import fileio
+from wsq import fileio, linalg, spectral
 from wsq.fileio import (
     SchemaError,
     load_bundled_instance,
@@ -20,7 +20,7 @@ from wsq.harness import GeneratorSpec, generate
 from wsq.minimality import minimal_statistic
 from wsq.petz import PetzInstance, petz_feasibility
 from wsq.spectral import StateFamily, statistic_from_matrix
-from wsq.sufficiency import check_weak_sufficiency, exists_weakly_sufficient
+from wsq.sufficiency import SufficiencyVerdict, check_weak_sufficiency, exists_weakly_sufficient
 
 
 def obstructed_family():
@@ -179,12 +179,21 @@ def fourier_texts():
 
 
 def test_witness_entries_name_atoms_by_position_not_by_eigenvalue():
-    texts = fourier_texts()
-    for written, replayed in (texts, texts[::-1]):
-        verdict = check_weak_sufficiency(*parse_instance(written))
-        cert = serialize_certificate(make_certificate("weak_sufficiency", verdict))
-        report = verify_certificate(replayed, cert)
-        assert verdict.sufficient and report.ok, report.detail
+    dense, explicit = fourier_texts()
+    # written with eigenvalues 1, 2, 3 and replayed on the dense matrix, whose
+    # decomposed eigenvalues differ in the last bits: the recorded spectrum
+    # holds the written values, and the covariants at them are T's atoms
+    verdict = check_weak_sufficiency(*parse_instance(explicit))
+    cert = serialize_certificate(make_certificate("weak_sufficiency", verdict))
+    assert parse_instance(dense)[0].spectrum != verdict.spectrum
+    report = verify_certificate(dense, cert)
+    assert verdict.sufficient and report.ok, report.detail
+    # an explicit statistic's eigenvalues must be recorded exactly
+    verdict = check_weak_sufficiency(*parse_instance(dense))
+    cert = serialize_certificate(make_certificate("weak_sufficiency", verdict))
+    report = verify_certificate(explicit, cert)
+    assert verdict.sufficient and not report.ok
+    assert "$.payload.spectrum: expected the eigenvalues" in report.detail
 
 
 def test_rank_violation_certificate_verifies():
@@ -193,7 +202,8 @@ def test_rank_violation_certificate_verifies():
     verdict = check_weak_sufficiency(statistic, family)
     assert not verdict.sufficient
     cert = make_certificate("weak_sufficiency", verdict)
-    assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["e1", "e2"]}]}
+    assert cert["payload"] == {"rank_violations": [{"atom": 0, "states": ["e1", "e2"]}],
+                               "spectrum": [2.0]}
     instance_text = serialize_instance(statistic, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert report.ok, report.detail
@@ -263,20 +273,19 @@ def test_minimality_certificates_roundtrip():
 
 def test_minimal_certificate_replayed_on_unsuitable_instances_is_rejected():
     statistic, family = load_bundled_instance()
-    cert = serialize_certificate(
-        make_certificate("minimality", minimal_statistic(statistic, family))
-    )
+    cert = make_certificate("minimality", minimal_statistic(statistic, family))
     # not weakly sufficient: one atom sees two orthogonal states
+    doubled = statistic_from_matrix(2.0 * np.eye(2, dtype=complex))
     insufficient = serialize_instance(
-        statistic_from_matrix(2.0 * np.eye(2, dtype=complex)),
-        StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex)),
-    )
+        doubled, StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex)))
     # a family spanning one dimension makes minimality vacuous
     vacuous = serialize_instance(
         statistic, StateFamily(labels=("only",), vectors=np.eye(2, dtype=complex)[:1])
     )
-    for instance_text in (insufficient, vacuous):
-        report = verify_certificate(instance_text, cert)
+    for instance_text, replayed_on in ((insufficient, doubled), (vacuous, statistic)):
+        # the instance's own spectrum, so that the replay reaches the claim
+        cert["payload"]["spectrum"] = list(replayed_on.spectrum)
+        report = verify_certificate(instance_text, serialize_certificate(cert))
         assert not report.ok
         assert "no minimal statistic" in report.detail
 
@@ -291,7 +300,7 @@ def test_petz_certificates_roundtrip():
     instance_text = serialize_instance(statistic, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert report.ok, report.detail
-    assert cert["payload"] == {"owners": ["e2", "e1"]}
+    assert cert["payload"] == {"owners": ["e2", "e1"], "spectrum": [-1.0, 1.0]}
     cert["payload"]["owners"] = ["e1", "e2"]
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert not report.ok
@@ -309,7 +318,7 @@ def test_petz_certificates_roundtrip():
     shared = petz_feasibility(PetzInstance.from_parts(contradictory, family))
     cert = make_certificate("petz", shared, parameters=params)
     assert cert["verdict"] == "infeasible_shared_atoms"
-    assert cert["payload"] == {"state": "e1", "pairs": [[0, "e2"]]}
+    assert cert["payload"] == {"state": "e1", "pairs": [[0, "e2"]], "spectrum": [3.0]}
     instance_text = serialize_instance(contradictory, family)
     report = verify_certificate(instance_text, serialize_certificate(cert))
     assert report.ok, report.detail
@@ -333,19 +342,22 @@ def test_tampered_shared_atom_certificates_are_rejected(unital):
     cert = make_certificate("petz", result, parameters={"unital": unital})
     instance_text = serialize_instance(statistic, family)
     expected = [[0, "phi2"]] if unital else [[0, "phi2"], [1, "phi2"]]
-    assert cert["payload"] == {"state": "phi1", "pairs": expected}
+    spectrum = [1.0, 2.0, 3.0]
+    assert cert["payload"] == {"state": "phi1", "pairs": expected, "spectrum": spectrum}
     assert verify_certificate(instance_text, serialize_certificate(cert)).ok
 
     def replay(pairs, state="phi1"):
         forged = json.loads(json.dumps(cert))
-        forged["payload"] = {"state": state, "pairs": pairs}
+        forged["payload"] = {"state": state, "pairs": pairs, "spectrum": spectrum}
         return verify_certificate(instance_text, serialize_certificate(forged))
 
     # both states load atoms 0 and 1, so neither owns one of them
     for owners in (["phi1", "phi2", None], [None, None, None]):
         forged = json.loads(json.dumps(cert))
-        forged["verdict"], forged["payload"] = "feasible", {"owners": owners}
-        assert not verify_certificate(instance_text, serialize_certificate(forged)).ok
+        forged["verdict"] = "feasible"
+        forged["payload"] = {"owners": owners, "spectrum": spectrum}
+        report = verify_certificate(instance_text, serialize_certificate(forged))
+        assert not report.ok and "malformed" not in report.detail
 
     # atom 2 carries no load of either state
     assert not replay([[2, "phi2"]]).ok
@@ -388,7 +400,7 @@ def test_tampered_petz_owners_are_rejected_not_raised(owners, unital, message):
     instance_text, statistic, family = owned_atoms()
     result = petz_feasibility(PetzInstance.from_parts(statistic, family, unital=unital))
     cert = make_certificate("petz", result, parameters={"unital": unital})
-    assert cert["payload"] == {"owners": ["a", "a", "b", None]}
+    assert cert["payload"] == {"owners": ["a", "a", "b", None], "spectrum": [1.0, 2.0, 3.0, 4.0]}
     assert verify_certificate(instance_text, serialize_certificate(cert)).ok
     cert["payload"]["owners"] = owners
     report = verify_certificate(instance_text, serialize_certificate(cert))
@@ -592,7 +604,8 @@ def spread_certificate():
     family = StateFamily(labels=("a", "b", "c"),
                          vectors=np.array([[0, 1, 0], [0, 0, 1], [s, s, 0]], dtype=complex))
     cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
-    assert cert["payload"] == {"rank_violations": [{"atom": 1, "states": ["a", "b"]}]}
+    assert cert["payload"] == {"rank_violations": [{"atom": 1, "states": ["a", "b"]}],
+                               "spectrum": [1.0, 2.0]}
     instance_text = serialize_instance(statistic, family)
     assert verify_certificate(instance_text, serialize_certificate(cert)).ok
     return instance_text, cert
@@ -859,7 +872,15 @@ UNREAD = {"tool_version"}
 BOOLEAN = ("parameters", "unital")
 
 
-def one_certificate_of_every_verdict():
+def dense_text(statistic, family) -> str:
+    """The instance with its statistic written as the dense matrix sum_k l_k P_k."""
+    root = json.loads(serialize_instance(None, family))
+    if statistic is not None:
+        root["statistic"] = {"matrix": pairs(statistic.matrix())}
+    return json.dumps(root)
+
+
+def one_certificate_of_every_verdict(dense=False):
     s = 1.0 / math.sqrt(2.0)
     bundled = load_bundled_instance()
     basis = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
@@ -882,7 +903,7 @@ def one_certificate_of_every_verdict():
         cases.append(("petz", pair, petz_feasibility(PetzInstance.from_parts(*pair))))
     for kind, (statistic, family), result in cases:
         cert = make_certificate(kind, result, parameters={"unital": True} if kind == "petz" else None)
-        yield serialize_instance(statistic, family), cert
+        yield (dense_text if dense else serialize_instance)(statistic, family), cert
 
 
 def node_paths(node, here=()):
@@ -910,9 +931,18 @@ def node_at(cert, path):
     return cert
 
 
+def every_certificate_on_both_encodings():
+    """Each certificate of one_certificate_of_every_verdict, replayed on its
+    instance with T written as projections and as a dense matrix: the
+    recorded spectrum is checked against the eigenvalues, or through the
+    covariants of the matrix."""
+    for dense in (False, True):
+        yield from one_certificate_of_every_verdict(dense)
+
+
 def test_junk_in_any_certificate_node_is_rejected_not_raised():
     verdicts = set()
-    for instance_text, cert in one_certificate_of_every_verdict():
+    for instance_text, cert in every_certificate_on_both_encodings():
         verdicts.add((cert["verdict"], *sorted(cert["payload"])))
         assert verify_certificate(instance_text, serialize_certificate(cert)).ok
         for path in node_paths(cert):
@@ -934,12 +964,16 @@ def test_junk_in_any_certificate_node_is_rejected_not_raised():
 
 
 def test_the_verifier_never_raises_on_a_state_the_reader_accepts():
-    # norm 1 + 0.9e-8 lies within the reader's unit-norm tolerance
-    for instance_text, cert in one_certificate_of_every_verdict():
+    # norm 1 + 0.9e-8 lies within the reader's unit-norm tolerance, and an
+    # asymmetry of 0.9e-10 within its Hermitian tolerance: the covariants at
+    # the recorded spectrum are still the atoms of the symmetrized matrix
+    for instance_text, cert in every_certificate_on_both_encodings():
         root = json.loads(instance_text)
         first = min(root["states"])
         root["states"][first] = [[(1.0 + 0.9e-8) * x for x in pair]
                                  for pair in root["states"][first]]
+        if "matrix" in root.get("statistic", {}):
+            root["statistic"]["matrix"][0][1][0] += 0.9e-10
         report = verify_certificate(json.dumps(root), serialize_certificate(cert))
         assert report.ok, (cert["verdict"], report.detail)
 
@@ -1037,7 +1071,8 @@ def test_rank_refusal_and_witness_are_replayed_at_the_recorded_tolerances():
     instance_text = serialize_instance(statistic, family)
     refused = make_certificate(
         "weak_sufficiency", check_weak_sufficiency(statistic, family, tol=1e-12), tol=1e-12)
-    assert refused["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}]}
+    assert refused["payload"] == {"rank_violations": [{"atom": 0, "states": ["a", "b"]}],
+                                  "spectrum": [1.0, 2.0]}
     assert verify_certificate(instance_text, json.dumps(refused)).ok
     report = replayed(instance_text, refused, rank=1e-8)
     assert not report.ok and "['a', 'b'] are not independent on atom 0" in report.detail
@@ -1074,7 +1109,7 @@ def test_minimal_partition_and_dead_atom_are_replayed_at_the_recorded_rank():
     family = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], b], dtype=complex))
     instance_text = serialize_instance(statistic, family)
     dead = make_certificate("minimality", minimal_statistic(statistic, family, 1e-5), tol=1e-5)
-    assert dead["payload"] == {"dead_atom": 2}
+    assert dead["payload"] == {"dead_atom": 2, "spectrum": [1.0, 2.0, 3.0]}
     assert verify_certificate(instance_text, json.dumps(dead)).ok
     report = replayed(instance_text, dead, rank=1e-8)
     assert not report.ok and "not dead" in report.detail
@@ -1116,7 +1151,8 @@ def test_owner_sharing_its_atom_is_refused_below_the_residual_bound():
     instance_text = serialize_instance(statistic, family)
     cert = make_certificate("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)))
     assert cert["verdict"] == "infeasible_shared_atoms"
-    cert["verdict"], cert["payload"] = "feasible", {"owners": ["a", "b"]}
+    cert["verdict"] = "feasible"
+    cert["payload"] = {"owners": ["a", "b"], "spectrum": cert["payload"]["spectrum"]}
     report = verify_certificate(instance_text, json.dumps(cert))
     assert not report.ok and "'a' is not the one loader of atom 0" in report.detail
     assert replayed(instance_text, cert, petz_feasibility=1e-6).ok
@@ -1162,7 +1198,7 @@ def read_outcome(text):
     except Exception as exc:
         return type(exc), str(exc)
     explicit = instance._explicit
-    read = [np.array(instance.family.vectors), instance._matrix,
+    read = [np.array(instance.family.vectors), instance.matrix,
             None if explicit is None else explicit.projections]
     return instance.family.labels, [np.ascontiguousarray(a).tobytes() for a in read
                                     if a is not None]
@@ -1233,3 +1269,156 @@ def test_a_valid_instance_never_enters_the_walker(monkeypatch):
     monkeypatch.setattr(fileio, "_pair", walked)
     instance = read_instance(json.dumps(root))
     assert len(instance.family) == 4 and instance.has_statistic
+
+
+# ------------------------------------------------- the recorded spectrum
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """The shape of every matrix the eigen kernel solves from now on."""
+    calls = []
+    original = linalg._eigen
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(linalg, "_eigen", counting)
+    return calls
+
+
+def planted_dense(rng, values, sizes, n_states=3):
+    """A dense T with eigenvalue values[k] on a random block of sizes[k]
+    dimensions, and states with real coefficients on one direction of
+    each block, so that T is weakly sufficient; returns (instance text, T)."""
+    d = sum(sizes)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    blocks = np.split(basis, np.cumsum(sizes)[:-1], axis=1)
+    matrix = sum(v * (b @ b.conj().T) for v, b in zip(values, blocks))
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    directions = np.array([b[:, 0] for b in blocks])
+    vectors = rng.normal(size=(n_states, len(blocks))) @ directions
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    root = json.loads(serialize_instance(None, StateFamily(
+        tuple(f"s{i}" for i in range(n_states)), vectors)))
+    root["statistic"] = {"matrix": pairs(matrix)}
+    return json.dumps(root), matrix
+
+
+def certificates_of(text):
+    """The check and minimal certificates of an instance, as the commands print them."""
+    statistic, family = parse_instance(text)
+    minimal = minimal_statistic(statistic, family)
+    kind = "weak_sufficiency" if isinstance(minimal, SufficiencyVerdict) else "minimality"
+    return [make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family)),
+            make_certificate(kind, minimal)]
+
+
+def test_a_dense_certificate_is_verified_without_an_eigensolve(monkeypatch):
+    # d = 16, four atoms: the parent's verifier decomposed T once more
+    text, _ = planted_dense(np.random.default_rng(16), [1.0, 2.0, 3.0, 4.0], [1, 3, 5, 7])
+    cert = serialize_certificate(certificates_of(text)[0])
+    solves = count_eigensolves(monkeypatch)
+    report = verify_certificate(text, cert)
+    assert report.ok, report.detail
+    assert solves == []
+
+
+@pytest.mark.parametrize("values, sizes, seed", [
+    (np.sort(np.random.default_rng(20).normal(size=20)), [1] * 20, 20),
+    ([1.0, 1.0 + 1e-8, 2.0, 3.0], [2, 2, 2, 2], 8),
+], ids=["generic_d20", "gap_1e-8"])
+def test_hard_spectra_fall_back_to_the_eigensolve_and_verify(monkeypatch, values, sizes, seed):
+    text, matrix = planted_dense(np.random.default_rng(seed), values, sizes)
+    decomposed = statistic_from_matrix(matrix)
+    assert len(decomposed) == len(values)
+    with pytest.raises(ValueError):
+        spectral.statistic_from_spectrum(matrix, decomposed.spectrum)
+    for cert in certificates_of(text):
+        assert cert["verdict"] in ("sufficient", "minimal_constructed")
+        solves = count_eigensolves(monkeypatch)
+        report = verify_certificate(text, serialize_certificate(cert))
+        assert report.ok, (cert["verdict"], report.detail)
+        assert solves == [matrix.shape]   # the fallback, once
+
+
+# records that are not the spectrum 1, 2, 3, 4 of a T of dimension 6
+TAMPERED_SPECTRA = {
+    "dropped": [1.0, 2.0, 3.0],
+    "spurious_far": [1.0, 2.0, 3.0, 4.0, 14.0],
+    "shifted_1e-6": [1.0, 2.0, 3.0, 4.0 + 1e-6],
+    "split_atom": [1.0, 2.0, 2.0 + 1e-10, 3.0, 4.0],
+    "unsorted": [4.0, 3.0, 2.0, 1.0],
+    "wrong_length": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    "nan": [1.0, 2.0, 3.0, math.nan],
+    "string": [1.0, 2.0, 3.0, "4.0"],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", list(TAMPERED_SPECTRA))
+def test_a_tampered_spectrum_is_rejected_not_raised(name):
+    text, _ = planted_dense(np.random.default_rng(4), [1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2])
+    record = TAMPERED_SPECTRA[name]
+    for cert in certificates_of(text):
+        assert verify_certificate(text, serialize_certificate(cert)).ok
+        cert["payload"]["spectrum"] = record
+        report = verify_certificate(text, json.dumps(cert))
+        assert not report.ok
+        assert "$.payload.spectrum" in report.detail, (name, report.detail)
+
+
+def test_a_spurious_value_cannot_name_an_empty_atom_dead():
+    # the covariant of a value T lacks is an empty atom, which passes the
+    # partition checks; unless the verifier refuses it, a forged
+    # no_minimal_exists could name it as T's dead atom
+    text, matrix = planted_dense(np.random.default_rng(5), [1.0, 2.0, 3.0], [1, 2, 3])
+    with pytest.raises(ValueError, match="no eigenvalue: its atom is empty"):
+        spectral.statistic_from_spectrum(matrix, [1.0, 2.0, 3.0, 10.0])
+    cert = certificates_of(text)[1]
+    assert cert["verdict"] == "minimal_constructed"
+    cert["verdict"] = "no_minimal_exists"
+    cert["payload"] = {"dead_atom": 3, "spectrum": [1.0, 2.0, 3.0, 10.0]}
+    report = verify_certificate(text, json.dumps(cert))
+    assert not report.ok and "$.payload.spectrum" in report.detail, report.detail
+
+
+def test_a_spectrum_merging_two_atoms_is_rejected():
+    # T = diag(0, 1, 1 + 5e-9) has three atoms at the grouping cutoff, and
+    # is weakly sufficient for these states; a refusal of the statistic that
+    # merges the last two, recording one value between them, must not verify
+    s = 1.0 / math.sqrt(2.0)
+    family = StateFamily(labels=("a", "b"), vectors=np.array(
+        [[s, s, 0.0], [s, 0.0, s]], dtype=complex))
+    split = statistic_from_matrix(np.diag([0.0, 1.0, 1.0 + 5e-9]).astype(complex))
+    text = dense_text(split, family)
+    assert len(split) == 3 and check_weak_sufficiency(*parse_instance(text)).sufficient
+    merged = spectral.DiscreteStatistic(np.array([0.0, 1.0 + 2.5e-9]), (
+        split.projections[0], split.projections[1] + split.projections[2]))
+    forged = make_certificate("weak_sufficiency", check_weak_sufficiency(merged, family))
+    assert forged["verdict"] == "not_sufficient"
+    report = verify_certificate(text, serialize_certificate(forged))
+    assert not report.ok and "$.payload.spectrum" in report.detail, report.detail
+
+
+def test_the_spectrum_is_recorded_exactly_where_a_verdict_reads_the_statistic():
+    for instance_text, cert in every_certificate_on_both_encodings():
+        reads = cert["kind"] != "existence" and cert["verdict"] != "infeasible_orthogonality"
+        assert ("spectrum" in cert["payload"]) == reads, cert["verdict"]
+        edited = json.loads(json.dumps(cert))
+        if reads:
+            del edited["payload"]["spectrum"]
+            expected = "$.payload.spectrum: missing key"
+        else:
+            edited["payload"]["spectrum"] = [1.0]
+            expected = "$.payload.spectrum: unexpected key"
+        report = verify_certificate(instance_text, json.dumps(edited))
+        assert not report.ok and expected in report.detail, report.detail
+
+
+def test_certificates_are_compact_json_with_sorted_keys():
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family))
+    text = serialize_certificate(cert)
+    assert text == json.dumps(cert, sort_keys=True, separators=(",", ":"))
+    assert "\n" not in text and ", " not in text and json.loads(text) == cert

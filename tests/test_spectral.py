@@ -8,6 +8,7 @@ from wsq.spectral import (
     apply_coarse,
     project_states,
     statistic_from_matrix,
+    statistic_from_spectrum,
 )
 
 
@@ -55,6 +56,55 @@ def test_reconstruction_from_atoms():
         m = 0.5 * (a + a.conj().T)
         t = statistic_from_matrix(m)
         assert np.abs(t.matrix() - m).max() <= 1e-8 * np.abs(m).max()
+
+
+# --------------------------------------------------- statistic_from_spectrum
+
+
+def dense_with_atoms(rng, d, m):
+    """A random Hermitian d x d matrix with m atoms of random sizes and
+    eigenvalues spaced by at least a tenth of their spread."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    cuts = np.sort(rng.choice(np.arange(1, d), m - 1, replace=False))
+    values = np.cumsum(rng.uniform(0.1, 1.0, m)) * rng.uniform(0.5, 5.0) - rng.uniform(0.0, 3.0)
+    matrix = sum(v * (b @ b.conj().T) for v, b in zip(values, np.split(basis, cuts, axis=1)))
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def test_covariants_are_the_decomposed_projectors():
+    rng = np.random.default_rng(12)
+    for d in (3, 8, 16, 24, 32):
+        for m in range(3, min(d, 6) + 1):
+            matrix = dense_with_atoms(rng, d, m)
+            decomposed = statistic_from_matrix(matrix)
+            assert len(decomposed) == m
+            built = statistic_from_spectrum(matrix, decomposed.spectrum)
+            assert built.spectrum == decomposed.spectrum
+            for p, q in zip(built.projections, decomposed.projections):
+                assert np.abs(p - q).max() <= 1e-12, (d, m)
+
+
+def test_covariants_refuse_values_that_are_not_the_spectrum():
+    matrix = np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex)
+    for values, message in [
+        ([2.0], "one value"),                          # its covariant is I
+        ([1.0, 3.0], "not idempotent"),                # 2 is dropped
+        ([1.0, 2.0, 3.0 + 1e-6], "not idempotent"),    # shifted
+        ([1.0, 2.0, 3.0, 10.0], "atom is empty"),      # spurious
+        ([0.0, 1e-300], "not projectors"),             # products out of range
+    ]:
+        with pytest.raises(ValueError, match=message):
+            statistic_from_spectrum(matrix, values)
+    assert statistic_from_spectrum(matrix, [1.0, 2.0, 3.0]).spectrum == (1.0, 2.0, 3.0)
+    # 1 and 1 + 5e-9 are two atoms at the cutoff 1e-9 * (1 + 5e-9); one
+    # value between them passes the partition checks, but not the cutoff
+    split = np.diag([0.0, 1.0, 1.0 + 5e-9]).astype(complex)
+    assert len(statistic_from_matrix(split)) == 3
+    with pytest.raises(ValueError, match="past half the grouping cutoff"):
+        statistic_from_spectrum(split, [0.0, 1.0 + 2.5e-9])
+    # two eigenvalues the cutoff groups are one atom, and one value holds them
+    grouped = np.diag([0.0, 1.0, 1.0 + 5e-10]).astype(complex)
+    assert statistic_from_spectrum(grouped, statistic_from_matrix(grouped).spectrum)
 
 
 def test_partition_of_identity_invariants():
