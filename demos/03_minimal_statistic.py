@@ -7,6 +7,8 @@ weak sufficiency, some destroy it.  When every atom carries weight
 of some state there is a single coarsest sufficient merge -- the
 minimal statistic; a dead atom makes the minimum disappear, and the
 toolkit produces the family of incomparable merges that proves it.
+States on one line are the exception: there the constant statistic is
+minimal, dead atoms or not.
 The minimal statistic's certificate proves its own claim: a witness
 that the merge is sufficient, and for each pair of classes two states
 that the merged atom of their leaders cannot hold in one dimension.
@@ -108,3 +110,21 @@ counterexamples = dead_atom_counterexamples(statistic, missing.dead_atom)
 for n, merged in sorted(counterexamples.items()):
     ok = check_weak_sufficiency(merged, dead_family).sufficient
     print(f"  merge dead atom into atom {n}: still sufficient? {ok}")
+
+# ------------------------------------------------------------ one dimension
+# When every state is a phase multiple of one vector, every statistic is
+# sufficient, and the constant one -- all atoms in one block -- is a
+# function of them all.  That holds even with dead atoms: here atoms 3
+# and 4 carry no state, and the minimal statistic still exists.
+line = coeff[0, 0] * directions[0] + coeff[0, 1] * directions[1] + coeff[0, 2] * directions[2]
+line /= np.linalg.norm(line)
+line_family = StateFamily(labels=("phi1", "phi2", "phi3"),
+                          vectors=np.array([line, 1j * line, -line]))
+constant = minimal_statistic(statistic, line_family)
+assert isinstance(constant, MinimalStatistic)
+assert constant.partition == [[0, 1, 2, 3, 4]]
+print("\none-dimensional family: minimal partition", constant.partition)
+text = serialize_certificate(make_certificate("minimality", constant))
+report = verify_certificate(serialize_instance(statistic, line_family), text)
+assert report.ok
+print("verifier:", report.detail)

@@ -493,9 +493,10 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     TOLERANCES keys, each a check_tolerance, and every verdict is
     replayed at them:
     witnesses at ``witness``; rank violations, a minimal statistic's
-    live atoms and separations, and a dead atom at ``rank``; cycle
-    defects at ``angle``; petz owners and shared atoms at
-    ``petz_feasibility``.  Each object must hold exactly the keys its
+    live atoms (when it has two blocks or more) and separations, and a
+    dead atom, with a pair of states of rank 2 in the family's Gram
+    matrix, at ``rank``; cycle defects at ``angle``; petz owners and
+    shared atoms at ``petz_feasibility``.  Each object must hold exactly the keys its
     verdict writes, and only petz records ``parameters``.  The verifier
     recomputes what a certificate names instead of deciding the question
     again: the rank of two named states on an atom (pair_rank_two), each
@@ -538,7 +539,9 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
     S's witness (at ``witness``) makes each block's rows proportional to one
     vector, nonzero as every atom is live (at ``rank``), so two states of rank
     2 on e_a + e_b, a and b in blocks i < j, show by Cauchy interlacing that
-    no sufficient statistic merges the blocks.
+    no sufficient statistic merges the blocks.  A one-block S is constant, a
+    function of every statistic, so its witness alone proves it minimal and
+    its atoms need not be live.
     """
     partition, separations = payload["partition"], payload["separations"]
     try:
@@ -546,7 +549,8 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
     except ValueError as exc:
         return VerificationReport(False, f"no minimal statistic to confirm: {exc}")
     heaviest = spectral.project_states(statistic, family).weights.max(axis=0)
-    for k in np.flatnonzero(heaviest <= tols["rank"]):
+    if len(partition) > 1 and (heaviest <= tols["rank"]).any():
+        k = int(np.argmax(heaviest <= tols["rank"]))
         return VerificationReport(False, f"no minimal statistic to confirm: atom {k} "
                                          f"carries weight {heaviest[k]:.3e}")
     report = _witness_report(minimal, family, payload, tols["witness"], "witness residual")
@@ -669,6 +673,9 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             statistic = _recorded_statistic(instance, payload)
             if type(k) is not int or not 0 <= k < len(statistic):
                 return VerificationReport(False, f"bad dead atom index {k!r}")
+            if not pair_rank_two(gram_matrix(family.vectors), tols["rank"]).any():
+                return VerificationReport(False, "the family spans one dimension, "
+                                                 "where the constant statistic is minimal")
             heaviest = float(spectral.project_states(statistic, family).weights[:, k].max())
             if heaviest > tols["rank"]:
                 return VerificationReport(False,

@@ -3,13 +3,17 @@
 Two atoms of a weakly sufficient statistic are interchangeable when
 their rows of the Analysis gamma matrix are proportional: merging such
 atoms preserves weak sufficiency, and merging any other pair destroys
-it.  The minimal statistic merges exactly the proportionality classes --
-it exists precisely when every atom carries some weight of the family.
-Its certificate proves both halves: a witness of the merged statistic,
-and for each pair of classes two states of rank 2 on their merged atom.
-When an atom is dead, no minimal statistic exists: merging the dead atom
-into each live atom in turn (harness.dead_atom_counterexamples) yields
-incomparable sufficient coarse-grainings that witness the failure.
+it.  An atom is live when some state's weight on it exceeds the rank
+tolerance (Analysis.active).  The minimal statistic merges exactly the
+proportionality classes -- when the family spans two dimensions or more
+it exists precisely when every atom is live.  Its certificate proves
+both halves: a witness of the merged statistic, and for each pair of
+classes two states of rank 2 on their merged atom.  When an atom of
+such a family is dead, no minimal statistic exists: merging the dead
+atom into each live atom in turn (harness.dead_atom_counterexamples)
+yields incomparable sufficient coarse-grainings that witness the
+failure.  A family on one line has the constant statistic, one block
+of every atom, as its minimal one, dead atoms or not.
 When T is not weakly sufficient no f(T) is (g(f(T)) is a function of
 T), so the one decision of T each question starts from answers it.
 """
@@ -17,7 +21,6 @@ T), so the one decision of T each question starts from answers it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -36,7 +39,9 @@ class AtomClasses:
     classes are ordered by their leader, the smallest member.  For each
     pair of classes i < j, in order, separations holds the two leaders
     (a, b) and the labels (x, y) of the first pair of states whose Gram
-    matrix projected onto e_a + e_b has rank 2 (pair_rank_two).
+    matrix projected onto e_a + e_b has rank 2 (pair_rank_two).  For a
+    family spanning one dimension minimal_statistic puts every atom,
+    dead ones included, in one class.
     """
 
     classes: list[tuple[int, ...]]
@@ -71,29 +76,32 @@ class NoMinimalExists:
 def equivalence_classes(analysis: Analysis) -> AtomClasses:
     """Group active atoms whose gamma rows are proportional.
 
-    Atoms a and b are split when their merged Gram matrix gram[a] +
-    gram[b] has rank 2 at analysis.tol, the test the verifier applies to
-    a separation; one pair_rank_two call on the stack of one merged Gram
-    matrix per pair of active atoms decides every pair.  In ascending order, each atom
-    joins the first class whose leader it is not split from, or else
-    leads a new class.
+    Atoms a < b are split when their merged Gram matrix gram[a] + gram[b]
+    has rank 2 at analysis.tol, the test the verifier applies to a
+    separation.  Leader by leader: the smallest atom not yet placed leads
+    a class, one pair_rank_two call on its merged matrices with every
+    atom still unplaced decides them all, and those not split from it
+    join it.  The first pair of states split in row-major order is kept
+    for each atom left over; it is the separation when that atom leads a
+    later class.
     """
-    active = [k for k, flag in enumerate(analysis.active) if flag]
-    gram = analysis.table.gram[active]
-    labels, n, s = analysis.family.labels, len(active), len(analysis.family)
-    # never set at x == y, so the first pair set in row-major order has x < y
-    split = pair_rank_two(gram[:, np.newaxis] + gram[np.newaxis, :], analysis.tol)
-    apart = split.any(axis=(2, 3)).tolist()
-    first = split.reshape(n, n, s * s).argmax(axis=2).tolist()
-    members: list[list[int]] = []   # positions in active
-    for a in range(n):
-        home = next((cls for cls in members if not apart[cls[0]][a]), [])
-        if not home:
-            members.append(home)
-        home.append(a)
-    separations = [((active[a], active[b]), tuple(labels[i] for i in divmod(first[a][b], s)))
-                   for a, b in combinations([cls[0] for cls in members], 2)]
-    return AtomClasses([tuple(active[a] for a in cls) for cls in members], separations)
+    gram, tol = analysis.table.gram, analysis.tol
+    labels, s = analysis.family.labels, len(analysis.family)
+    rest = [k for k, flag in enumerate(analysis.active) if flag]
+    classes, firsts = [], {}
+    while rest:
+        lead, rest = rest[0], rest[1:]
+        split = pair_rank_two(gram[lead] + gram[rest], tol).reshape(len(rest), s * s)
+        apart = split.any(axis=1).tolist()
+        classes.append((lead, *(k for k, out in zip(rest, apart) if not out)))
+        # never set at x == y, so the first pair set in row-major order has x < y
+        firsts[lead] = {k: divmod(int(n), s) for k, n, out
+                        in zip(rest, split.argmax(axis=1), apart) if out}
+        rest = [k for k, out in zip(rest, apart) if out]
+    leaders = [cls[0] for cls in classes]
+    separations = [((a, b), tuple(labels[i] for i in firsts[a][b]))
+                   for n, a in enumerate(leaders) for b in leaders[n + 1:]]
+    return AtomClasses(classes, separations)
 
 
 def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatistic:
@@ -134,29 +142,29 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     """Coarsest weakly sufficient relabelling of t, if one exists.
 
     Returns MinimalStatistic (atoms = proportionality classes, values
-    1..m in order of smallest member), NoMinimalExists naming a dead
-    atom, or check's negative SufficiencyVerdict when t is not weakly
-    sufficient, which proves that no coarse-graining is.  Families
-    spanning less than two dimensions are rejected: every statistic is
-    sufficient for them, so minimality is vacuous.  One decided Analysis
-    of (t, family) gives the verdict, the span (its Gram stack sums to
-    the family's Gram matrix), the dead-atom weights and the classes.
-    The merged statistic is not decided again: its witness is built under
-    t's versions, as in exists_weakly_sufficient.  Near a tolerance the
-    classes may merge atoms split from each other, and the witness then
-    misses; verify_witness reports it.
+    1..m in order of smallest member), NoMinimalExists naming the first
+    atom that is not Analysis.active, or check's negative
+    SufficiencyVerdict when t is not weakly sufficient, which proves that
+    no coarse-graining is.  A family spanning less than two dimensions
+    gets the one-block partition, dead atoms included: every statistic is
+    sufficient for it, so the constant one, a function of them all, is
+    minimal.  One decided Analysis of (t, family) gives the verdict, the
+    span (its Gram stack sums to the family's Gram matrix), the dead atom
+    and the classes.  The merged statistic is not decided again: its
+    witness is built under t's versions, as in exists_weakly_sufficient.
+    Near a tolerance the classes may merge atoms split from each other,
+    and the witness then misses; verify_witness reports it.
     """
     analysis = analyze(t, family, tol)
     violations, versions = analysis.decide()
     if violations:
         return SufficiencyVerdict(False, None, violations, t.spectrum)
     if not pair_rank_two(analysis.table.gram.sum(axis=0), tol).any():
-        raise ValueError("family spans less than two dimensions; minimality is vacuous")
-    weights = analysis.table.weights
-    for k in range(len(t)):
-        if float(weights[:, k].max()) <= tol:
-            return NoMinimalExists(dead_atom=k, spectrum=t.spectrum)
-    classes = equivalence_classes(analysis)
+        classes = AtomClasses([tuple(range(len(t)))], [])
+    elif not all(analysis.active):
+        return NoMinimalExists(dead_atom=analysis.active.index(False), spectrum=t.spectrum)
+    else:
+        classes = equivalence_classes(analysis)
     partition = [list(cls) for cls in classes.classes]
     statistic = statistic_from_partition(t, partition)
     return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,

@@ -33,7 +33,6 @@ from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, proje
 
 ZERO_TOL = 1e-10          # overlaps below this impose nothing
 WITNESS_TOL = 1e-7        # largest residual a verified witness may leave
-REPRESENTATIVE_FLOOR = 1e-6   # relative norm floor when picking a direction
 
 # Fault-injection point for the self-test harness; never disable otherwise.
 _RANK_CHECK_ENABLED = True
@@ -113,13 +112,17 @@ class Analysis:
     No eigensolve runs: spread maps each atom where some 2x2 principal
     submatrix of gram[k] has rank 2 (pair_rank_two) to the state indices
     (i, j), i < j, of the first such pair, and such an atom is refused as
-    it stands.  An atom is active when its trace, the states' total
-    weight on it, exceeds tol.  constraints are the off-diagonal entries
-    above ZERO_TOL, in (atom, left, right) order.  Each active atom gets
-    a direction xi[k] and a gamma row, with e_k phi_theta =
-    gamma[k, theta] xi[k] unless the atom is spread; gamma rows of
-    inactive atoms are zero.  tol is the rank and activity tolerance
-    the analysis was built with; everything read from it applies tol.
+    it stands.  An atom is active when some state's weight on it exceeds
+    tol; a spread atom always is.  constraints are the off-diagonal
+    entries above ZERO_TOL, in (atom, left, right) order.  Each atom that
+    some state loads above tol**2 (a weight at or below it is projector
+    rounding) gets a direction xi[k], its heaviest state's component
+    normalized with no rotation, and a gamma row, that state's column of
+    gram[k] rescaled, with e_k phi_theta = gamma[k, theta] xi[k] unless
+    the atom is spread; the witness covers exactly these atoms, and
+    gamma rows of the others are zero.  tol is the rank and activity
+    tolerance the analysis was built with; everything read from it
+    applies tol.
     """
 
     statistic: DiscreteStatistic
@@ -161,11 +164,10 @@ class Analysis:
         t, family = self.statistic, self.family
         phases = np.array([versions.phase(lab) for lab in family.labels])
         dressed = self.gamma * phases[np.newaxis, :]
-        active = sorted(self.xi)
-        coef = 1.0 / np.sqrt(len(active))
+        coef = 1.0 / np.sqrt(len(self.xi))
         chi = np.zeros(t.dim, dtype=complex)
         values = np.zeros((len(t), len(family)))
-        for k in active:
+        for k in self.xi:
             row = dressed[k]
             lead = int(np.argmax(np.abs(row)))
             u = row[lead] / abs(row[lead])
@@ -189,28 +191,23 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
             tol: float = RANK_TOL) -> Analysis:
     """Project the family once and read every per-atom quantity from gram[k].
 
-    The direction xi_k is the first projected state above a relative
-    norm floor, normalized and rotated so its largest-magnitude entry is
-    positive real; gamma[k] is then a column of gram[k] rescaled.
+    Atom k's heaviest state h fixes it when its rank is at most one:
+    xi_k = e_k phi_h / ||e_k phi_h|| and gamma[k] = gram[k, :, h] /
+    ||e_k phi_h||, for every atom whose heaviest weight exceeds tol**2.
     """
     table = project_states(t, family)
     split = np.triu(pair_rank_two(table.gram, tol), 1)
     spread = {int(k): tuple(int(n) for n in np.argwhere(split[k])[0])
               for k in np.flatnonzero(split.any(axis=(1, 2)))}
-    active = table.weights.sum(axis=0) > tol
+    heaviest, weight = table.weights.argmax(axis=0), table.weights.max(axis=0)
     constraints = _phase_constraints(table.gram, family.labels, range(len(t)))
+    lit = np.flatnonzero(weight > tol * tol)
+    lead, length = heaviest[lit], np.sqrt(weight[lit])[:, np.newaxis]
     gamma = np.zeros((len(t), len(family)), dtype=complex)
-    xi: dict[int, np.ndarray] = {}
-    for k in np.flatnonzero(active):
-        lengths = np.sqrt(table.weights[:, k])
-        pick = int(np.argmax(lengths >= REPRESENTATIVE_FLOOR * lengths.max()))
-        direction = table.components[k, pick] / lengths[pick]
-        anchor = int(np.argmax(np.abs(direction)))
-        turn = np.conj(direction[anchor]) / abs(direction[anchor])
-        xi[int(k)] = direction * turn
-        gamma[k] = table.gram[k, :, pick] * np.conj(turn) / lengths[pick]
+    gamma[lit] = table.gram[lit, :, lead] / length
+    xi = dict(zip(lit.tolist(), table.components[lit, lead] / length))
     return Analysis(t, family, table, spread, constraints, gamma, xi,
-                    tuple(active.tolist()), tol)
+                    tuple((weight > tol).tolist()), tol)
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,

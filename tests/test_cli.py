@@ -525,6 +525,42 @@ def test_check_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, cap
                        "1.000e-05 exceeds 1.0e-07\n")
 
 
+def run_verify_cli(path, cert, tmp_path, capsys):
+    """wsq verify on a certificate written to a file: its exit code."""
+    certificate = tmp_path / f"{path.stem}.cert.json"
+    certificate.write_text(serialize_certificate(cert))
+    code = run_cli(["verify", "--input", str(path), "--certificate", str(certificate)])
+    capsys.readouterr()
+    return code
+
+
+def test_check_certifies_an_atom_loaded_below_the_rank_tolerance(tmp_path, capsys):
+    # T = diag(1, 2) and real states (sqrt(1 - w), +-sqrt(w)), w = 5e-9: atom 1
+    # is not active, but the witness covers it; left out, it would cost each
+    # state sqrt(w), 7.071e-05
+    w = 5e-9
+    a, b = math.sqrt(1.0 - w), math.sqrt(w)
+    path = diagonal_instance(tmp_path / "light.json", [1.0, 2.0], [[a, b], [a, -b]])
+    code, cert = run_and_verify(path, ["check"], capsys)
+    assert code == 0 and cert["verdict"] == "sufficient"
+    assert run_verify_cli(path, cert, tmp_path, capsys) == 0
+
+
+@pytest.mark.parametrize("diagonal, phi, partition", [
+    ([1.0, 2.0, 3.0], np.array([1.0, 0.0, 0.0]), [[0, 1, 2]]),   # atoms 1 and 2 dead
+    ([1.0, 1.0, 2.0], np.array([0.6, 0.0, 0.8]), [[0, 1]]),      # every atom live
+], ids=["dead_atoms", "all_live"])
+def test_minimal_of_a_one_dimensional_family_is_the_constant_statistic(
+        tmp_path, capsys, diagonal, phi, partition):
+    path = dense_instance(tmp_path / "line.json", np.diag(diagonal),
+                          {"a": phi, "b": 1j * phi, "c": -phi})
+    code, cert = run_and_verify(path, ["minimal"], capsys)
+    assert code == 0 and cert["verdict"] == "minimal_constructed"
+    assert cert["payload"]["partition"] == partition
+    assert cert["payload"]["separations"] == []
+    assert run_verify_cli(path, cert, tmp_path, capsys) == 0
+
+
 def test_minimal_refuses_a_witness_that_fails_its_recorded_tolerance(tmp_path, capsys):
     path = reproduction_paths(tmp_path)["B"]
     code = run_cli(["minimal", "--input", str(path), "--tol", "1e-4"])

@@ -1115,6 +1115,32 @@ def test_minimal_partition_and_dead_atom_are_replayed_at_the_recorded_rank():
     assert not report.ok and "not dead" in report.detail
 
 
+def test_a_one_dimensional_family_is_answered_by_one_block_not_by_a_dead_atom():
+    # T = diag(1, 2, 3) and states e1, i e1: atoms 1 and 2 are dead, but the
+    # constant statistic is minimal, so naming a dead atom forges the answer
+    statistic = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    family = StateFamily(labels=("a", "b"),
+                         vectors=np.array([[1, 0, 0], [1j, 0, 0]], dtype=complex))
+    instance_text = serialize_instance(statistic, family)
+    minimal = make_certificate("minimality", minimal_statistic(statistic, family))
+    assert minimal["payload"]["partition"] == [[0, 1, 2]]
+    assert verify_certificate(instance_text, json.dumps(minimal)).ok
+    forged = dict(minimal, verdict="no_minimal_exists",
+                  payload={"dead_atom": 1, "spectrum": [1.0, 2.0, 3.0]})
+    report = verify_certificate(instance_text, json.dumps(forged))
+    assert not report.ok and "spans one dimension" in report.detail
+
+    # one block on a family spanning two dimensions: its witness fails
+    statistic, family = load_bundled_instance()
+    cert = make_certificate("minimality", minimal_statistic(statistic, family))
+    assert cert["payload"]["partition"] == [[0], [1]]
+    cert["payload"]["partition"], cert["payload"]["separations"] = [[0, 1]], []
+    functions = cert["payload"]["witness"]["functions"]
+    cert["payload"]["witness"]["functions"] = {lab: f[:1] for lab, f in functions.items()}
+    report = verify_certificate(serialize_instance(statistic, family), json.dumps(cert))
+    assert not report.ok and "witness residual" in report.detail
+
+
 def test_cycle_is_replayed_at_the_recorded_angle():
     # the planted cycle has defect 1e-5: refused at angle 1e-6, not at 1e-4
     s = 1.0 / math.sqrt(2.0)

@@ -294,7 +294,8 @@ def test_separations_split_every_pair_of_classes_in_order():
 
 
 def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
-    # one call decides every pair of active atoms over every pair of states
+    # one call per leader decides its pairs with every atom not yet placed,
+    # over every pair of states: at most atoms x states^2 entries at once
     rng = np.random.default_rng(65)
     coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
@@ -307,7 +308,30 @@ def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
 
     monkeypatch.setattr(minimality, "pair_rank_two", recording)
     assert equivalence_classes(analysis).classes == [(0, 2), (1,), (3,)]
-    assert shapes == [(4, 4, 3, 3)]
+    assert shapes == [(3, 3, 3), (1, 3, 3), (0, 3, 3)]
+
+
+def test_classes_of_many_atoms_stay_within_a_small_memory_bound():
+    # T = diag(1..48) and 48 random real states: every pair of atoms is
+    # split, so 48 leaders; a stack over every pair of atoms would hold
+    # 48^2 merged 48 x 48 Gram matrices, 85 MB before any temporary
+    import tracemalloc
+
+    rng = np.random.default_rng(48)
+    t = DiscreteStatistic(np.arange(1.0, 49.0), tuple(np.diag(row) for row in np.eye(48)))
+    vectors = rng.normal(size=(48, 48))
+    fam = StateFamily(tuple(f"s{n}" for n in range(48)),
+                      tuple(v / np.linalg.norm(v) for v in vectors))
+    analysis = analyze(t, fam)
+    tracemalloc.start()
+    try:
+        classes = equivalence_classes(analysis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes.classes == [(k,) for k in range(48)]
+    assert len(classes.separations) == 48 * 47 // 2
+    assert peak < 32 * 2 ** 20
 
 
 def test_classes_near_a_tolerance_give_a_witness_that_misses_it():
@@ -406,11 +430,15 @@ def test_dead_atom_counterexample_family():
         assert not compatible
 
 
-def test_minimal_requires_nontrivial_family():
+def test_minimal_of_a_one_dimensional_family_is_one_block():
+    # every statistic is sufficient for a family on one line, so the
+    # constant one is minimal, though atom 1 is dead
     t = statistic_from_matrix(np.diag([1.0, 2.0]))
     fam = StateFamily(("only",), (np.array([1.0, 0.0]),))
-    with pytest.raises(ValueError, match="vacuous"):
-        minimal_statistic(t, fam)
+    result = minimal_statistic(t, fam)
+    assert isinstance(result, MinimalStatistic)
+    assert result.partition == [[0, 1]] and result.classes.separations == []
+    assert verify_witness(result.statistic, fam, result.witness).ok
 
 
 def test_minimal_span_check_reads_the_family_gram_without_a_solve(monkeypatch):
@@ -418,8 +446,8 @@ def test_minimal_span_check_reads_the_family_gram_without_a_solve(monkeypatch):
     phi = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2)
     runs = count_kernel_runs(monkeypatch)
     same_ray = StateFamily(("a", "b", "c"), (phi, 1j * phi, -phi))
-    with pytest.raises(ValueError, match="vacuous"):
-        minimal_statistic(t, same_ray)
+    # atom 2 is dead, but the family spans one dimension
+    assert minimal_statistic(t, same_ray).partition == [[0, 1, 2]]
     two_dims = StateFamily(("a", "b"), (phi, np.array([0.0, 0.0, 1.0])))
     assert minimal_statistic(t, two_dims).partition == [[0, 1], [2]]
     assert runs == []

@@ -264,7 +264,7 @@ def test_verifier_builds_the_minimal_statistic_as_the_decision_does():
     shared = {"statistic_from_partition", "pair_rank_two"}
     assert sorted(verifier_names(source, shared)) == [
         "_minimal_report: pair_rank_two", "_minimal_report: statistic_from_partition",
-        "_rank_report: pair_rank_two"]
+        "_rank_report: pair_rank_two", "_replay: pair_rank_two"]
 
 
 def test_verifier_builds_rhos_only_through_rhos_from_owners():

@@ -339,6 +339,22 @@ def test_analysis_factors_each_atom():
             assert abs(inner(analysis.xi[active[a]], analysis.xi[active[b]])) <= 1e-9
 
 
+@pytest.mark.parametrize("w", [5e-9, 8e-9])
+def test_witness_covers_an_atom_loaded_below_the_rank_tolerance(w):
+    # states (sqrt(1 - w), +-sqrt(w)) on T = diag(1, 2): no state loads atom 1
+    # above tol, though their total (2w = 1.6e-8 at w = 8e-9) may; the
+    # witness still covers it, from its heaviest state's column
+    t = statistic_from_matrix(np.diag([1.0, 2.0]))
+    a, b = np.sqrt(1.0 - w), np.sqrt(w)
+    fam = StateFamily(("p", "m"), (np.array([a, b]), np.array([a, -b])))
+    analysis = analyze(t, fam)
+    assert analysis.active == (True, False) and sorted(analysis.xi) == [0, 1]
+    assert np.array_equal(analysis.xi[1], analysis.table.components[1, 0] / b)
+    verdict = analysis.verdict()
+    assert verdict.sufficient
+    assert verify_witness(t, fam, verdict.witness).max_residual <= 1e-15
+
+
 def test_analysis_gram_stack_matches_the_components():
     rng = np.random.default_rng(82)
     t = statistic_from_matrix(np.diag([1.0, 1.0, 2.0, 3.0, 3.0]))
