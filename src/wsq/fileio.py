@@ -10,9 +10,12 @@ matrix take one numpy conversion each; where it meets anything but
 finite numbers of the right shape, or the text may hold a JSON boolean,
 the path-addressed walker reads them instead and names the error.  A
 dimension above linalg.MAX_DIM is refused, whatever the encoding.  Only
-a dense matrix's eigendecomposition waits until a question reads the
+a dense matrix's decomposition waits until a question reads the
 statistic, so **construct** and a **petz** refusal of overlapping states
-never run it, nor meet its errors.  Certificates mirror the in-memory
+never run it, nor meet its errors.  It takes the eigenvalues from
+values-only QL and the atoms from their Frobenius covariants
+(spectral.statistic_from_matrix), and builds eigenvectors only where the
+covariants fail their checks.  Certificates mirror the in-memory
 verdict types and carry the tool version and the tolerances that
 produced them, and every verdict that reads the statistic records its
 spectrum, so a verifier holding only the instance file and the
@@ -587,7 +590,8 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
     spectrum, none standing for eigenvalues the cutoff would split.  Where
     it cannot (one value; rounding that spoils the covariants of many
     atoms or close ones; a group the cutoff joins that spreads past half
-    of it) the matrix is decomposed as the command line does, and the
+    of it) the matrix is decomposed into eigenpairs, as the command line
+    falls back to, without trying the covariants a second time; the
     record must hold its eigenvalues, as many and each within that cutoff.
     """
     path, node = "$.payload.spectrum", payload["spectrum"]
@@ -606,7 +610,7 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
     try:
         return spectral.statistic_from_spectrum(instance.matrix, values)
     except ValueError:
-        statistic = instance.statistic
+        statistic = spectral.statistic_from_eigenpairs(instance.matrix)
     if len(statistic) != len(values) or (np.abs(statistic.eigenvalues - values) > cutoff).any():
         _fail(path, f"expected the matrix's {len(statistic)} eigenvalues, each within {cutoff:.3e}")
     return statistic

@@ -6,7 +6,11 @@ small, inspectable loops.  The kernel solves one Hermitian matrix: it
 scales the matrix by a power of two, reduces it by Householder
 reflectors to a real symmetric tridiagonal matrix, and diagonalizes that
 by implicit-shift QL sweeps (Wilkinson & Reinsch, tred2/tql2).  It has
-one path, which builds the eigenvectors, and one caller, hermitian_eig.
+two callers.  hermitian_eig builds the eigenvectors too;
+hermitian_eigvals builds none, neither the reflectors' unitary nor the
+product of the QL rotations, and its eigenvalues are bitwise
+hermitian_eig's, since those products never feed back into the
+tridiagonal matrix.
 No verdict reads a numerical rank: whether a Gram matrix has rank at
 most one needs no eigensolve, and pair_rank_two reads it, for a whole
 stack at once, from the closed-form spectra of the 2x2 principal
@@ -74,7 +78,7 @@ def as_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return hermitian_part(a)
 
 
-def _tridiagonalize(a: np.ndarray):
+def _tridiagonalize(a: np.ndarray, vectors: bool = True):
     """Householder reduction of a Hermitian a (n, n), which is overwritten.
 
     Step k reflects the column below a[k, k] onto a multiple of its first
@@ -82,7 +86,7 @@ def _tridiagonalize(a: np.ndarray):
     as one rank-2 update.  A diagonal phase similarity then makes the
     Hermitian tridiagonal matrix real.  Returns (d, e, q): the diagonal d
     and the nonnegative subdiagonal e of a real symmetric tridiagonal S,
-    and a unitary q with a = q S q^H.
+    and, when vectors is set, a unitary q with a = q S q^H (else None).
     """
     n = a.shape[0]
     reflectors = []
@@ -104,6 +108,8 @@ def _tridiagonalize(a: np.ndarray):
         reflectors.append((k, v, tau))
     d, sub = np.diagonal(a).real, np.diagonal(a, -1)
     e = np.abs(sub)
+    if not vectors:
+        return d, e, None
     q = np.eye(n, dtype=complex)
     for k, v, tau in reversed(reflectors):
         block = q[k + 1:, k + 1:]
@@ -114,15 +120,16 @@ def _tridiagonalize(a: np.ndarray):
     return d, e, q * phases
 
 
-def _tql(d: list, e: list, z: np.ndarray) -> None:
+def _tql(d: list, e: list, z: np.ndarray | None) -> None:
     """Implicit-shift QL on a real symmetric tridiagonal matrix, in place.
 
     d holds the diagonal and e[i] the entry coupling i and i + 1, with
     e[n - 1] = 0; on return d holds the eigenvalues, unsorted.  Each
     sweep chases a Wilkinson-shifted bulge up the unreduced block
-    starting at l with Givens rotations (tql2 of Wilkinson & Reinsch),
-    applied to the rows of z, so that row j of z ends up as the
-    eigenvector of d[j].  Raises EigenConvergenceError
+    starting at l with Givens rotations (tql2 of Wilkinson & Reinsch).
+    When z is given they are applied to its rows, so that row j of z
+    ends up as the eigenvector of d[j]; that update never feeds back
+    into d or e.  Raises EigenConvergenceError
     when an eigenvalue needs more than QL_SWEEPS sweeps.
     """
     n = len(d)
@@ -158,36 +165,39 @@ def _tql(d: list, e: list, z: np.ndarray) -> None:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                z[i:i + 2] = np.array(((c, -s), (s, c))) @ z[i:i + 2]
+                if z is not None:
+                    z[i:i + 2] = np.array(((c, -s), (s, c))) @ z[i:i + 2]
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
 
 
-def _eigen(a: np.ndarray):
-    """Eigenpairs of one Hermitian matrix a (n, n), a left untouched.
+def _eigen(a: np.ndarray, vectors: bool = True):
+    """Eigenvalues, and eigenvectors when vectors is set, of one Hermitian
+    matrix a (n, n), a left untouched.
 
     The matrix is divided by the power of two just above max|a|, so the
     scaling is exact and the kernel works at any finite scale; it is then
     reduced to a real tridiagonal matrix (_tridiagonalize) and solved by
     implicit-shift QL (_tql).  The eigenvectors are built once, as q @ z.T.
 
-    Returns (w, v): w holds the eigenvalues, not sorted; v the matching
-    eigenvectors as columns.
+    Returns (w, v): w holds the eigenvalues, not sorted, and the same
+    whether vectors is set or not; v the matching eigenvectors as
+    columns, or None.
     """
     n = a.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the desk-scale limit {MAX_DIM}")
     top = float(np.abs(a).max())
     if top == 0.0:
-        return np.zeros(n), np.eye(n, dtype=complex)
+        return np.zeros(n), np.eye(n, dtype=complex) if vectors else None
     _, exponent = math.frexp(top)
-    d, e, q = _tridiagonalize(np.ldexp(a.view(float), -exponent).view(complex))
+    d, e, q = _tridiagonalize(np.ldexp(a.view(float), -exponent).view(complex), vectors)
     d, e = d.tolist(), [*e.tolist(), 0.0]
-    z = np.eye(n)
+    z = np.eye(n) if vectors else None
     _tql(d, e, z)
-    return np.ldexp(np.array(d), exponent), q @ z.T
+    return np.ldexp(np.array(d), exponent), q @ z.T if vectors else None
 
 
 def hermitian_eig(m):
@@ -216,6 +226,16 @@ def hermitian_eig(m):
     w, v = _eigen(as_hermitian(m))
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
+
+
+def hermitian_eigvals(m) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix, ascending: bitwise those of
+    hermitian_eig, from the same kernel without its eigenvectors.
+
+    Takes the input and raises the errors hermitian_eig does.
+    """
+    w, _ = _eigen(as_hermitian(m), vectors=False)
+    return np.sort(w, kind="stable")
 
 
 def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:

@@ -350,13 +350,15 @@ def explicit_fourier_instance(tmp_path):
 
 
 def count_kernel_runs(monkeypatch):
-    """Record the shape of every matrix the eigen kernel solves."""
+    """Record (shape, eigenvectors built) for every matrix the eigen kernel
+    solves, on the eigenpair path and on the values-only one alike."""
     calls = []
     original = linalg._eigen
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return original(a, *args, **kwargs)
+        w, v = original(a, *args, **kwargs)
+        calls.append((a.shape, v is not None))
+        return w, v
 
     monkeypatch.setattr(linalg, "_eigen", counting)
     return calls
@@ -368,10 +370,10 @@ def statistic_solves(path, command, runs, capsys):
     capsys.readouterr()
     code = run_cli([command, "--input", str(path)])
     certificate = capsys.readouterr().out
-    in_cli = runs.count((3, 3))
+    in_cli = sum(shape == (3, 3) for shape, _ in runs)
     report = verify_certificate(path.read_text(), certificate)
     assert report.ok, report.detail
-    return code, in_cli, runs.count((3, 3)) - in_cli
+    return code, in_cli, sum(shape == (3, 3) for shape, _ in runs) - in_cli
 
 
 @pytest.mark.parametrize("command, code, cli_solves, verifier_solves", [
@@ -386,6 +388,8 @@ def test_dense_statistic_is_decomposed_only_where_read(
     runs = count_kernel_runs(monkeypatch)
     assert statistic_solves(path, command, runs, capsys) == \
         (code, cli_solves, verifier_solves)
+    # T's eigenvalues are well apart: its atoms are covariants of values-only QL
+    assert not any(vectors for _, vectors in runs)
 
 
 @pytest.mark.parametrize("command, code", [

@@ -1351,9 +1351,9 @@ def test_a_dense_certificate_is_verified_without_an_eigensolve(monkeypatch):
 
 
 @pytest.mark.parametrize("values, sizes, seed", [
-    (np.sort(np.random.default_rng(20).normal(size=20)), [1] * 20, 20),
+    (np.sort(np.random.default_rng(24).normal(size=24)), [1] * 24, 24),
     ([1.0, 1.0 + 1e-8, 2.0, 3.0], [2, 2, 2, 2], 8),
-], ids=["generic_d20", "gap_1e-8"])
+], ids=["generic_d24", "gap_1e-8"])
 def test_hard_spectra_fall_back_to_the_eigensolve_and_verify(monkeypatch, values, sizes, seed):
     text, matrix = planted_dense(np.random.default_rng(seed), values, sizes)
     decomposed = statistic_from_matrix(matrix)
@@ -1366,6 +1366,25 @@ def test_hard_spectra_fall_back_to_the_eigensolve_and_verify(monkeypatch, values
         report = verify_certificate(text, serialize_certificate(cert))
         assert report.ok, (cert["verdict"], report.detail)
         assert solves == [matrix.shape]   # the fallback, once
+
+
+def test_the_verifier_tries_the_covariants_of_a_record_once(monkeypatch):
+    # fifteen atoms, two of them 1e-6 apart: the covariants of the recorded
+    # values fail their checks, and T is decomposed into eigenpairs at once,
+    # with no second try through values-only QL and the same covariants
+    values = [1.0, 1.0 + 1e-6, *np.arange(2.0, 15.0)]
+    text, _ = planted_dense(np.random.default_rng(15), values, [2] * 15)
+    cert = serialize_certificate(certificates_of(text)[0])
+    proofs, original = [], spectral.statistic_from_spectrum
+
+    def counting(m, spectrum):
+        proofs.append(len(spectrum))
+        return original(m, spectrum)
+
+    monkeypatch.setattr(spectral, "statistic_from_spectrum", counting)
+    report = verify_certificate(text, cert)
+    assert report.ok, report.detail
+    assert proofs == [15]
 
 
 # records that are not the spectrum 1, 2, 3, 4 of a T of dimension 6

@@ -17,6 +17,7 @@ from wsq.linalg import (
     RANK_TOL,
     gram_matrix,
     hermitian_eig,
+    hermitian_eigvals,
     inner,
     norm,
     pair_rank_two,
@@ -271,6 +272,17 @@ def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep(monkeypatc
     rng = np.random.default_rng(32)
     with pytest.raises(EigenConvergenceError, match="after 0 QL sweeps"):
         linalg._eigen(as_hermitian(random_hermitian(rng, 3)))
+
+
+def test_values_only_kernel_gives_the_eigenpair_eigenvalues_bitwise():
+    rng = np.random.default_rng(33)
+    for d in (1, 2, 5, 17, 32):
+        for scale in (1e-200, 1.0, 1e150):
+            m = random_hermitian(rng, d) * scale
+            assert np.array_equal(hermitian_eigvals(m), hermitian_eig(m)[0]), (d, scale)
+    assert np.array_equal(hermitian_eigvals(np.zeros((3, 3))), np.zeros(3))
+    with pytest.raises(ValueError, match="not hermitian"):
+        hermitian_eigvals(np.array([[1.0, 1.0], [0.0, 2.0]]))
 
 
 def test_split_tridiagonal_input_needs_no_reflector_and_no_sweep(monkeypatch):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from wsq import spectral
+from wsq.linalg import hermitian_eig
 from wsq.spectral import (
+    GROUP_FACTOR,
     CoarseMap,
     DiscreteStatistic,
     StateFamily,
@@ -84,12 +87,71 @@ def test_covariants_are_the_decomposed_projectors():
                 assert np.abs(p - q).max() <= 1e-12, (d, m)
 
 
+def grouped_eigenpairs(matrix):
+    """statistic_from_matrix's answer built from hermitian_eig's eigenvectors:
+    (eigenvalues, projectors), grouped by the same chain rule."""
+    w, v = hermitian_eig(matrix)
+    groups = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[groups[-1][-1]] <= GROUP_FACTOR * np.abs(w).max():
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return (np.array([np.mean(w[g]) for g in groups]),
+            [v[:, g] @ v[:, g].conj().T for g in groups])
+
+
+def planted(rng, values, sizes):
+    """A random Hermitian matrix with eigenvalue values[k] on sizes[k] dimensions."""
+    d = sum(sizes)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    blocks = np.split(basis, np.cumsum(sizes)[:-1], axis=1)
+    matrix = sum(v * (b @ b.conj().T) for v, b in zip(values, blocks))
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def stress_spectra():
+    """(name, matrix, bound on the projectors' distance from the eigenpair path)."""
+    rng = np.random.default_rng(32)
+    for m in range(4, 21):
+        sizes = np.diff(np.linspace(0, 32, m + 1).round()).astype(int)
+        yield f"equispaced_{m}", planted(rng, np.linspace(-1.0, 2.0, m), sizes), 1e-12
+    for m in range(6, 13):
+        yield f"random_{m}", dense_with_atoms(rng, 32, m), 1e-12
+    # a relative gap g leaves two atoms' projectors determined only to about
+    # eps / g by any backward-stable method, 2e-10 here, on either path
+    yield "gap_1e-6", planted(rng, [1.0, 1.0 + 1e-6, 2.0, 3.0], [6, 6, 6, 6]), 1e-9
+    yield "repeated", planted(rng, [-1.0, 0.5, 2.0], [3, 10, 3]), 1e-12
+    yield "zero", np.zeros((8, 8), dtype=complex), 1e-12
+
+
+def test_values_only_statistic_matches_the_eigenpair_path(monkeypatch):
+    fallbacks = []
+    eigenpairs = spectral.statistic_from_eigenpairs
+
+    def counting(m, *args):
+        fallbacks.append(name)
+        return eigenpairs(m, *args)
+
+    monkeypatch.setattr(spectral, "statistic_from_eigenpairs", counting)
+    for name, matrix, bound in stress_spectra():
+        t = statistic_from_matrix(matrix)
+        values, projectors = grouped_eigenpairs(matrix)
+        assert len(t) == len(values), name
+        assert np.array_equal(t.eigenvalues, values), name
+        for p, q in zip(t.projections, projectors):
+            assert np.abs(p - q).max() <= bound, name
+    # one value has no covariant but I, so the zero matrix alone takes the
+    # eigenpair path: every other spectrum here is proved by its covariants
+    assert fallbacks == ["zero"]
+
+
 def test_covariants_refuse_values_that_are_not_the_spectrum():
     matrix = np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex)
     for values, message in [
         ([2.0], "one value"),                          # its covariant is I
         ([1.0, 3.0], "not idempotent"),                # 2 is dropped
-        ([1.0, 2.0, 3.0 + 1e-6], "not idempotent"),    # shifted
+        ([1.0, 2.0, 3.0 + 1e-6], "lie 1.000e-06 from value"),   # shifted
         ([1.0, 2.0, 3.0, 10.0], "atom is empty"),      # spurious
         ([0.0, 1e-300], "not projectors"),             # products out of range
     ]:
@@ -196,6 +258,17 @@ def test_partition_errors_match_the_pairwise_loop():
         assert str(exc.value) == expected
     valid = DiscreteStatistic(np.arange(5.0), basis)
     assert all(np.array_equal(p, q) for p, q in zip(valid.projections, basis))
+
+
+def test_a_projection_that_is_not_hermitian_is_named_as_the_loop_names_it():
+    rng = np.random.default_rng(9)
+    basis = random_statistic(rng, 4).projections       # four rank-one atoms
+    bent = basis[2] + 5e-8 * np.triu(np.ones((4, 4)), 1)
+    # projection 0's scale is 100; projection 2 is held to its own, 1
+    projections = (100.0 * basis[0], basis[1], bent, np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="not hermitian: asymmetry 5.000e-08") as exc:
+        DiscreteStatistic(np.arange(4.0), projections)
+    assert str(exc.value) == loop_partition_error(np.arange(4.0), projections)
 
 
 def test_statistic_rejects_coincident_eigenvalues():
