@@ -20,6 +20,7 @@ property, serializing and shrinking a counterexample for any failure.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ from .petz import (
 )
 from .phases import (
     ANGLE_TOL,
+    Constraints,
     Infeasible,
     PhaseConstraint,
     VersionAssignment,
@@ -264,6 +266,20 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteStatistic, StateFamily]:
         vectors.append(basis[2 + i])
     family = StateFamily(labels=_labels(m), vectors=np.array(vectors))
     return _random_statistic(rng, d), family
+
+
+def constraint_arrays(constraints, labels) -> Constraints:
+    """PhaseConstraint objects as the arrays align_phases reads, in the same
+    order: each end becomes its index in labels.  Atoms are kept when every
+    constraint names one, and dropped when none does."""
+    index = {label: n for n, label in enumerate(labels)}
+    atoms = [c.atom for c in constraints]
+    return Constraints(
+        np.array([index[c.left] for c in constraints], dtype=int),
+        np.array([index[c.right] for c in constraints], dtype=int),
+        np.array([c.value for c in constraints], dtype=complex),
+        None if all(a is None for a in atoms) else np.array(atoms, dtype=int),
+    )
 
 
 def worst_residual(constraints, assignment: VersionAssignment) -> float:
@@ -692,7 +708,7 @@ def _prop_phase_soundness(rng, count):
         labels, constraints = _random_phase_instance(
             rng, int(rng.integers(2, 7)), int(rng.integers(1, 10))
         )
-        result = align_phases(constraints, labels)
+        result = align_phases(constraint_arrays(constraints, labels), labels)
         if isinstance(result, Infeasible):
             return False, f"consistent instance judged infeasible on trial {trial}", None
         worst = max(worst, worst_residual(constraints, result))
@@ -705,7 +721,7 @@ def _prop_phase_obstruction(rng, count):
             rng, int(rng.integers(3, 7)), int(rng.integers(3, 10)),
             defect=float(rng.uniform(0.3, math.pi / 2.0)),
         )
-        result = align_phases(constraints, labels)
+        result = align_phases(constraint_arrays(constraints, labels), labels)
         if not isinstance(result, Infeasible):
             return False, f"planted defect went undetected on trial {trial}", None
         defect = cycle_defect(result.cycle)
@@ -720,7 +736,7 @@ def _prop_oracle_agreement(rng, count):
         labels, constraints = _random_phase_instance(
             rng, int(rng.integers(2, 5)), int(rng.integers(1, 7)), defect=defect
         )
-        produced = align_phases(constraints, labels)
+        produced = align_phases(constraint_arrays(constraints, labels), labels)
         _, best = oracle_align(constraints, labels, steps=24)
         oracle_feasible = best <= 1e-5
         if isinstance(produced, Infeasible) == oracle_feasible:
@@ -1217,6 +1233,154 @@ def _prop_generator_determinism(rng, count):
     return True, "all flavors serialize byte-identically per seed", None
 
 
+# --- certificates under edits ----------------------------------------------
+
+
+EDIT_JUNK = (None, [], {}, "x", 1e309, 10**400, True, False)
+
+
+def dense_instance_text(statistic, family) -> str:
+    """The instance with its statistic written as the dense matrix sum_k l_k P_k."""
+    root = json.loads(serialize_instance(None, family))
+    if statistic is not None:
+        m = statistic.matrix()
+        root["statistic"] = {"matrix": np.stack([m.real, m.imag], axis=-1).tolist()}
+    return json.dumps(root)
+
+
+def certificate_corpus(dense: bool = False):
+    """(instance text, certificate) for each of the ten kinds and verdicts:
+    weak sufficiency proved by a witness and refused by a rank violation
+    and by a phase cycle; a constructed statistic and a family refused by
+    a cycle; a minimal statistic and a dead atom; and the three petz
+    verdicts, unital.  With dense the instance writes T as a dense matrix,
+    whose recorded spectrum the verifier proves through the covariants."""
+    s = 1.0 / math.sqrt(2.0)
+    bundled = load_bundled_instance()
+    basis = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
+    diag = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
+    crossed = StateFamily(labels=("u", "v"),
+                          vectors=np.array([[s, s], [s, 1j * s]], dtype=complex))
+    obstructed = StateFamily(labels=("a", "b", "c"),
+                             vectors=np.array([[1, 0], [s, s], [s, 1j * s]], dtype=complex))
+    real = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], [s, s, 0]], dtype=complex))
+    dead = (statistic_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex)), real)
+    doubled = statistic_from_matrix(2.0 * np.eye(2, dtype=complex))
+    cases = [
+        ("weak_sufficiency", bundled, check_weak_sufficiency(*bundled)),
+        ("weak_sufficiency", (doubled, basis), check_weak_sufficiency(doubled, basis)),
+        ("weak_sufficiency", (diag, crossed), check_weak_sufficiency(diag, crossed)),
+        ("existence", (None, real), exists_weakly_sufficient(real)),
+        ("existence", (None, obstructed), exists_weakly_sufficient(obstructed)),
+        ("minimality", bundled, minimal_statistic(*bundled)),
+        ("minimality", dead, minimal_statistic(*dead)),
+    ]
+    for pair in ((diag, basis), bundled, (doubled, basis)):
+        cases.append(("petz", pair, petz_feasibility(PetzInstance.from_parts(*pair))))
+    for kind, (statistic, family), result in cases:
+        cert = make_certificate(kind, result,
+                                parameters={"unital": True} if kind == "petz" else None)
+        yield (dense_instance_text if dense else serialize_instance)(statistic, family), cert
+
+
+def _node_paths(node, here=()):
+    yield here
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, here + (key,))
+
+
+def _node_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def certificate_edits(cert: dict, donors=()):
+    """Every edit of cert that the verifier must refuse, as (what, path, value).
+
+    junk puts each of EDIT_JUNK at each node; extra adds a key to each
+    object, holding a copy of a sibling's value; drop removes each key;
+    truncate drops the last entry of each nonempty list; splice puts at
+    each node but the root the node at the same path of each donor,
+    certificates of other kinds or verdicts (a whole donor may be a valid
+    certificate of the same instance); cut ends the text early.  Left alone:
+    tool_version, which no verdict rests on, and a petz certificate's
+    unital flag, where another boolean, or no parameters at all (read as
+    unital), asks a question the certificate may answer too.
+    """
+    for path in _node_paths(cert):
+        if "tool_version" in path:
+            continue
+        for junk in EDIT_JUNK:
+            if not (path == ("parameters", "unital") and isinstance(junk, bool)):
+                yield "junk", path, junk
+        node = _node_at(cert, path)
+        if isinstance(node, dict):
+            yield "extra", path + ("extra",), node[min(node)] if node else None
+            for key in node:
+                if path + (key,) not in (("tool_version",), ("parameters",)):
+                    yield "drop", path + (key,), None
+        elif isinstance(node, list) and node:
+            yield "truncate", path, node[:-1]
+        for donor in donors if path else ():
+            try:
+                yield "splice", path, _node_at(donor, path)
+            except (KeyError, IndexError, TypeError):
+                continue
+    length = len(serialize_certificate(cert))
+    for n in (1, length // 2, length - 1):
+        yield "cut", (), n
+
+
+def edited_certificate(cert: dict, what: str, path: tuple, value):
+    """The certificate text after one edit of certificate_edits, or None
+    when the edit leaves the certificate as it was."""
+    if what == "cut":
+        return serialize_certificate(cert)[:value]
+    out = json.loads(json.dumps(cert))
+    if not path:
+        out = value
+    else:
+        parent = _node_at(out, path[:-1])
+        if what == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return None if out == cert else json.dumps(out)
+
+
+def _prop_verifier_refuses_edits(rng, count):
+    """Edited certificates of every kind and verdict, on both encodings of
+    T: each must give ok=False, and none may raise."""
+    corpus = [pair for dense in (False, True) for pair in certificate_corpus(dense)]
+    for text, cert in corpus:
+        report = verify_certificate(text, serialize_certificate(cert))
+        if not report.ok:
+            return False, (f"unedited {cert['kind']} {cert['verdict']} certificate "
+                           f"refused: {report.detail}"), text
+    refused = 0
+    for _ in range(count):
+        text, cert = corpus[int(rng.integers(len(corpus)))]
+        donors = [other for _, other in corpus
+                  if (other["kind"], other["verdict"]) != (cert["kind"], cert["verdict"])]
+        edits = list(certificate_edits(cert, donors))
+        what, path, value = edits[int(rng.integers(len(edits)))]
+        edited = edited_certificate(cert, what, path, value)
+        if edited is None:
+            continue
+        where = f"{what} at {list(path)} of a {cert['kind']} {cert['verdict']} certificate"
+        try:
+            report = verify_certificate(text, edited)
+        except Exception as exc:
+            return False, f"{where} raised {exc!r}", text
+        if report.ok:
+            return False, f"{where} verified: {report.detail}", text
+        refused += 1
+    return True, f"{refused} edited certificates refused, none raised", None
+
+
 _PROPERTIES = [
     ("eigensolver_reconstruction", _prop_eig_reconstruction),
     ("statistic_matrix_roundtrip", _prop_statistic_roundtrip),
@@ -1236,6 +1400,7 @@ _PROPERTIES = [
     ("petz_orthogonality_necessity", _prop_petz_orthogonality),
     ("petz_oracle_agreement", _prop_petz_oracle_agreement),
     ("generator_determinism", _prop_generator_determinism),
+    ("verifier_refuses_edited_certificates", _prop_verifier_refuses_edits),
 ]
 
 MUTATIONS = {

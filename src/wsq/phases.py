@@ -8,6 +8,14 @@ Feasibility is decided exactly by propagating angular offsets through a
 union-find forest; infeasibility is witnessed by a cycle of constraints
 whose angular defect is bounded away from 0 mod pi, which anyone can
 re-check by summing arguments around the cycle.
+
+The decision reads its constraints as arrays (Constraints: state
+indices and values, one entry per overlap) and runs on integer state
+indices.  A PhaseConstraint, which names its states by label, is built
+only for the cycle a refusal returns, and by the verifier from a
+certificate's cycle.  Each target angle comes from cmath.phase, one value
+at a time, as cycle_defect reads it: np.angle differs from it in the
+last bit on some values, which would move versions and witnesses.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 ANGLE_TOL = 1e-6
 
@@ -30,15 +40,39 @@ class PhaseConstraint:
 
     atom records which statistic atom produced the constraint, if any;
     it is carried through to certificates so a verifier can recompute
-    the value from the instance.  Every producer keeps only overlaps of
-    validated states above sufficiency.ZERO_TOL, so value is taken as
-    given: finite and nonzero.
+    the value from the instance.  The decision builds these only for a
+    refusal's cycle, from overlaps of validated states above
+    sufficiency.ZERO_TOL, so value is taken as given: finite and nonzero.
     """
 
     left: str
     right: str
     value: complex
     atom: int | None = None
+
+
+@dataclass(frozen=True)
+class Constraints:
+    """Phase constraints as parallel arrays, in the order they are decided.
+
+    Constraint n demands that value[n] becomes real after dressing the
+    states with indices left[n] and right[n]; atom[n] is the statistic
+    atom whose Gram matrix holds the overlap, and atom is None when the
+    overlaps are the family's own, whose cycle edges name no atom.
+    """
+
+    left: np.ndarray        # (n,) int
+    right: np.ndarray       # (n,) int
+    value: np.ndarray       # (n,) complex
+    atom: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def named(self, n: int, labels) -> PhaseConstraint:
+        """Constraint n as an object naming its states by label."""
+        atom = None if self.atom is None else int(self.atom[n])
+        return PhaseConstraint(labels[self.left[n]], labels[self.right[n]], self.value[n], atom)
 
 
 @dataclass
@@ -67,100 +101,96 @@ class Infeasible:
     cycle: list[PhaseConstraint] = field(default_factory=list)
 
 
-def _wrap(angle: float) -> float:
-    return angle % _CONSTRAINT_MODULUS
-
-
-def _defect_distance(angle: float) -> float:
-    m = _CONSTRAINT_MODULUS
-    frac = angle % m
-    return min(frac, m - frac)
-
-
-def align_phases(constraints, labels):
+def align_phases(constraints: Constraints, labels):
     """Decide whether all constraints can be made real simultaneously.
 
     Returns a VersionAssignment on success (the lexicographically first
     label of each connected component gets phase 1) or an Infeasible
     witness carrying a cycle whose defect exceeds ANGLE_TOL.  Exact up to
     floating-point accumulation: offsets are propagated, never searched.
-    labels are the family's (unique strings, as StateFamily makes them)
-    and every constraint names two of them; neither is checked again.
+    Constraints are taken in order and their states are indices into
+    labels, the family's (unique strings, as StateFamily makes them);
+    neither is checked again.  The forest and its offsets live in lists
+    indexed by state, and PhaseConstraint objects are built only for the
+    cycle returned.  The modulus is read once per call, so the harness's
+    fault switch reaches every comparison.
     """
-    parent = {lab: lab for lab in labels}
-    offset = {lab: 0.0 for lab in labels}   # angle(lab) - angle(parent[lab]), mod pi
-    size = {lab: 1 for lab in labels}
-    forest: dict[str, list[tuple[str, PhaseConstraint]]] = {lab: [] for lab in labels}
+    modulus = _CONSTRAINT_MODULUS
+    n_states = len(labels)
+    parent = list(range(n_states))
+    offset = [0.0] * n_states   # angle(x) - angle(parent[x]), mod the modulus
+    size = [1] * n_states
+    tree: list[int] = []        # constraints accepted into the forest, in order
 
-    def find(x: str) -> tuple[str, float]:
+    def find(x: int) -> tuple[int, float]:
         chain = []
         while parent[x] != x:
             chain.append(x)
             x = parent[x]
-        root = x
         acc = 0.0
         for node in reversed(chain):
-            acc = _wrap(acc + offset[node])
-            parent[node] = root
+            acc = (acc + offset[node]) % modulus
+            parent[node] = x
             offset[node] = acc
-        return root, acc
+        return x, acc
 
-    for c in constraints:
-        target = _wrap(-cmath.phase(c.value))   # required angle(left) - angle(right)
-        root_l, off_l = find(c.left)
-        root_r, off_r = find(c.right)
+    lefts, rights = constraints.left.tolist(), constraints.right.tolist()
+    for n, value in enumerate(constraints.value.tolist()):
+        target = (-cmath.phase(value)) % modulus   # required angle(left) - angle(right)
+        root_l, off_l = find(lefts[n])
+        root_r, off_r = find(rights[n])
         if root_l == root_r:
-            if _defect_distance(off_l - off_r - target) > ANGLE_TOL:
-                path = _forest_path(forest, c.left, c.right)
-                return Infeasible(cycle=path + [c])
+            frac = (off_l - off_r - target) % modulus
+            if min(frac, modulus - frac) > ANGLE_TOL:
+                path = _tree_path(lefts, rights, tree, lefts[n], rights[n])
+                return Infeasible(cycle=[constraints.named(c, labels) for c in path + [n]])
             continue
         if size[root_l] < size[root_r]:
             parent[root_l] = root_r
-            offset[root_l] = _wrap(off_r + target - off_l)
+            offset[root_l] = (off_r + target - off_l) % modulus
             size[root_r] += size[root_l]
         else:
             parent[root_r] = root_l
-            offset[root_r] = _wrap(off_l - target - off_r)
+            offset[root_r] = (off_l - target - off_r) % modulus
             size[root_l] += size[root_r]
-        forest[c.left].append((c.right, c))
-        forest[c.right].append((c.left, c))
+        tree.append(n)
 
-    by_root: dict[str, list[str]] = {}
-    angles = {}
-    for lab in labels:
-        root, off = find(lab)
-        angles[lab] = off
-        by_root.setdefault(root, []).append(lab)
-    phases = {}
-    for members in by_root.values():
-        rep = min(members)
-        for lab in members:
-            phases[lab] = cmath.exp(1j * _wrap(angles[lab] - angles[rep]))
-    return VersionAssignment(phases)
+    found = [find(x) for x in range(n_states)]
+    lead: dict[int, int] = {}   # root -> the member with the first label
+    for x, (root, _) in enumerate(found):
+        if root not in lead or labels[x] < labels[lead[root]]:
+            lead[root] = x
+    return VersionAssignment({
+        labels[x]: cmath.exp(1j * ((off - found[lead[root]][1]) % modulus))
+        for x, (root, off) in enumerate(found)
+    })
 
 
-def _forest_path(forest, start: str, goal: str) -> list[PhaseConstraint]:
-    """Unique path between two labels along accepted (tree) constraints."""
+def _tree_path(lefts, rights, tree, start: int, goal: int) -> list[int]:
+    """The accepted constraints on the unique forest path between two states."""
     if start == goal:
         return []
-    prev: dict[str, tuple[str, PhaseConstraint] | None] = {start: None}
+    forest: dict[int, list[tuple[int, int]]] = {}
+    for c in tree:
+        forest.setdefault(lefts[c], []).append((rights[c], c))
+        forest.setdefault(rights[c], []).append((lefts[c], c))
+    prev: dict[int, tuple[int, int] | None] = {start: None}
     queue = deque([start])
     while queue:
         x = queue.popleft()
         if x == goal:
             break
-        for y, c in forest[x]:
+        for y, c in forest.get(x, ()):
             if y not in prev:
                 prev[y] = (x, c)
                 queue.append(y)
     if goal not in prev:
-        raise RuntimeError("labels are not connected in the constraint forest")
+        raise RuntimeError("states are not connected in the constraint forest")
     path = []
     node = goal
     while prev[node] is not None:
-        x, c = prev[node]
+        node, c = prev[node]
         path.append(c)
-        node = x
     path.reverse()
     return path
 

@@ -23,12 +23,13 @@ statistic through the same function.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import RANK_TOL, gram_matrix, hermitian_part, norm, pair_rank_two
-from .phases import Infeasible, PhaseConstraint, VersionAssignment, align_phases
+from .phases import Constraints, Infeasible, PhaseConstraint, VersionAssignment, align_phases
 from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
 
 ZERO_TOL = 1e-10          # overlaps below this impose nothing
@@ -113,8 +114,10 @@ class Analysis:
     submatrix of gram[k] has rank 2 (pair_rank_two) to the state indices
     (i, j), i < j, of the first such pair, and such an atom is refused as
     it stands.  An atom is active when some state's weight on it exceeds
-    tol; a spread atom always is.  constraints are the off-diagonal
-    entries above ZERO_TOL, in (atom, left, right) order.  Each atom that
+    tol; a spread atom always is.  constraints hold the entries of gram[k]
+    right of the diagonal whose modulus exceeds ZERO_TOL, as arrays in
+    (atom, left, right) order; both tests read the one strict upper
+    triangle index (_upper_triangle).  Each atom that
     some state loads above tol**2 (a weight at or below it is projector
     rounding) gets a direction xi[k], its heaviest state's component
     normalized with no rotation, and a gamma row, that state's column of
@@ -129,7 +132,7 @@ class Analysis:
     family: StateFamily
     table: AtomProjectionTable
     spread: dict[int, tuple[int, int]]
-    constraints: list[PhaseConstraint]
+    constraints: Constraints
     gamma: np.ndarray                # (n_atoms, n_states) complex
     xi: dict[int, np.ndarray]
     active: tuple[bool, ...]
@@ -180,11 +183,21 @@ class Analysis:
         return WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
 
-def _phase_constraints(gram: np.ndarray, labels, atoms) -> list[PhaseConstraint]:
-    """One constraint per entry of gram[k] above ZERO_TOL, right of the
-    diagonal, in (k, left, right) order and tagged with atoms[k]."""
-    return [PhaseConstraint(labels[i], labels[j], gram[k, i, j], atom=atoms[k])
-            for k, i, j in zip(*np.nonzero(np.triu(np.abs(gram) > ZERO_TOL, 1)))]
+@functools.lru_cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries right of the diagonal of an
+    n x n matrix, row by row; shared, so read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _phase_constraints(upper: np.ndarray, rows, cols, atoms: bool) -> Constraints:
+    """One constraint per entry of upper[k] above ZERO_TOL, in (k, left,
+    right) order; upper[k] holds gram[k][rows, cols], and k is recorded as
+    the atom when atoms is set."""
+    k, pair = np.nonzero(np.abs(upper) > ZERO_TOL)
+    return Constraints(rows[pair], cols[pair], upper[k, pair], k if atoms else None)
 
 
 def analyze(t: DiscreteStatistic, family: StateFamily,
@@ -196,11 +209,14 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     ||e_k phi_h||, for every atom whose heaviest weight exceeds tol**2.
     """
     table = project_states(t, family)
-    split = np.triu(pair_rank_two(table.gram, tol), 1)
-    spread = {int(k): tuple(int(n) for n in np.argwhere(split[k])[0])
-              for k in np.flatnonzero(split.any(axis=(1, 2)))}
+    rows, cols = _upper_triangle(len(family))
+    split = pair_rank_two(table.gram, tol)[:, rows, cols]
+    spread_atoms = np.flatnonzero(split.any(axis=1))
+    # a single state has no pair to take an argmax over, and spreads nothing
+    first = split[spread_atoms].argmax(axis=1) if spread_atoms.size else spread_atoms
+    spread = dict(zip(spread_atoms.tolist(), zip(rows[first].tolist(), cols[first].tolist())))
     heaviest, weight = table.weights.argmax(axis=0), table.weights.max(axis=0)
-    constraints = _phase_constraints(table.gram, family.labels, range(len(t)))
+    constraints = _phase_constraints(table.gram[:, rows, cols], rows, cols, atoms=True)
     lit = np.flatnonzero(weight > tol * tol)
     lead, length = heaviest[lit], np.sqrt(weight[lit])[:, np.newaxis]
     gamma = np.zeros((len(t), len(family)), dtype=complex)
@@ -276,9 +292,12 @@ class NonExistence:
     cycle: list[PhaseConstraint]
 
 
-def family_constraints(family: StateFamily) -> list[PhaseConstraint]:
-    """Reality constraints from the entries of the full Gram matrix above ZERO_TOL."""
-    return _phase_constraints(gram_matrix(family.vectors)[np.newaxis], family.labels, [None])
+def family_constraints(family: StateFamily) -> Constraints:
+    """Reality constraints from the entries of the full Gram matrix above
+    ZERO_TOL, which name no atom."""
+    rows, cols = _upper_triangle(len(family))
+    upper = gram_matrix(family.vectors)[rows, cols][np.newaxis]
+    return _phase_constraints(upper, rows, cols, atoms=False)
 
 
 def statistic_from_directions(directions) -> DiscreteStatistic:

@@ -16,7 +16,14 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
-from wsq.harness import GeneratorSpec, generate
+from wsq.harness import (
+    GeneratorSpec,
+    certificate_corpus,
+    certificate_edits,
+    dense_instance_text,
+    edited_certificate,
+    generate,
+)
 from wsq.minimality import minimal_statistic
 from wsq.petz import PetzInstance, petz_feasibility
 from wsq.spectral import StateFamily, statistic_from_matrix
@@ -865,66 +872,6 @@ def test_malformed_instance_still_raises():
 # ------------------------------------------------- junk in every certificate node
 
 
-JUNK = (None, [], {}, "x", 1e309, 10**400, True, False)
-# nodes no verdict rests on: the verifier reads none of them
-UNREAD = {"tool_version"}
-# the one node where a boolean answers the question asked
-BOOLEAN = ("parameters", "unital")
-
-
-def dense_text(statistic, family) -> str:
-    """The instance with its statistic written as the dense matrix sum_k l_k P_k."""
-    root = json.loads(serialize_instance(None, family))
-    if statistic is not None:
-        root["statistic"] = {"matrix": pairs(statistic.matrix())}
-    return json.dumps(root)
-
-
-def one_certificate_of_every_verdict(dense=False):
-    s = 1.0 / math.sqrt(2.0)
-    bundled = load_bundled_instance()
-    basis = StateFamily(labels=("e1", "e2"), vectors=np.eye(2, dtype=complex))
-    diag = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    cycle = (diag, StateFamily(labels=("u", "v"),
-                               vectors=np.array([[s, s], [s, 1j * s]], dtype=complex)))
-    real = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], [s, s, 0]], dtype=complex))
-    dead = (statistic_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex)), real)
-    doubled = statistic_from_matrix(2.0 * np.eye(2, dtype=complex))
-    cases = [
-        ("weak_sufficiency", bundled, check_weak_sufficiency(*bundled)),
-        ("weak_sufficiency", (doubled, basis), check_weak_sufficiency(doubled, basis)),
-        ("weak_sufficiency", cycle, check_weak_sufficiency(*cycle)),
-        ("existence", (None, real), exists_weakly_sufficient(real)),
-        ("existence", (None, obstructed_family()), exists_weakly_sufficient(obstructed_family())),
-        ("minimality", bundled, minimal_statistic(*bundled)),
-        ("minimality", dead, minimal_statistic(*dead)),
-    ]
-    for pair in ((diag, basis), bundled, (doubled, basis)):
-        cases.append(("petz", pair, petz_feasibility(PetzInstance.from_parts(*pair))))
-    for kind, (statistic, family), result in cases:
-        cert = make_certificate(kind, result, parameters={"unital": True} if kind == "petz" else None)
-        yield (dense_text if dense else serialize_instance)(statistic, family), cert
-
-
-def node_paths(node, here=()):
-    yield here
-    children = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from node_paths(child, here + (key,))
-
-
-def with_node(cert, path, value):
-    if not path:
-        return value
-    out = json.loads(json.dumps(cert))
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return out
-
-
 def node_at(cert, path):
     for key in path:
         cert = cert[key]
@@ -932,35 +879,34 @@ def node_at(cert, path):
 
 
 def every_certificate_on_both_encodings():
-    """Each certificate of one_certificate_of_every_verdict, replayed on its
-    instance with T written as projections and as a dense matrix: the
-    recorded spectrum is checked against the eigenvalues, or through the
+    """Each certificate of certificate_corpus, replayed on its instance
+    with T written as projections and as a dense matrix: the recorded
+    spectrum is checked against the eigenvalues, or through the
     covariants of the matrix."""
     for dense in (False, True):
-        yield from one_certificate_of_every_verdict(dense)
+        yield from certificate_corpus(dense)
 
 
 def test_junk_in_any_certificate_node_is_rejected_not_raised():
-    verdicts = set()
-    for instance_text, cert in every_certificate_on_both_encodings():
+    # every edit the harness property samples, each one tried: junk at
+    # every node, extra and dropped keys, truncated lists and texts, and
+    # nodes spliced from certificates of the other kinds and verdicts
+    corpus = list(every_certificate_on_both_encodings())
+    verdicts, edits = set(), set()
+    for instance_text, cert in corpus:
         verdicts.add((cert["verdict"], *sorted(cert["payload"])))
         assert verify_certificate(instance_text, serialize_certificate(cert)).ok
-        for path in node_paths(cert):
-            unread = any(key in UNREAD for key in path)
-            for junk in JUNK:
-                edited = with_node(cert, path, junk)
-                if edited == cert or (path == BOOLEAN and isinstance(junk, bool)):
-                    continue
-                report = verify_certificate(instance_text, json.dumps(edited))
-                assert unread or not report.ok, (cert["verdict"], path, junk)
-            node = node_at(cert, path)
-            if isinstance(node, dict) and not unread:
-                # an extra key, holding a copy of a sibling's value
-                sibling = node[min(node)] if node else None
-                report = verify_certificate(instance_text, json.dumps(
-                    with_node(cert, path + ("extra",), sibling)))
-                assert not report.ok, (cert["verdict"], path, "extra key")
+        donors = [other for _, other in corpus
+                  if (other["kind"], other["verdict"]) != (cert["kind"], cert["verdict"])]
+        for what, path, value in certificate_edits(cert, donors):
+            edited = edited_certificate(cert, what, path, value)
+            if edited is None:
+                continue
+            edits.add(what)
+            report = verify_certificate(instance_text, edited)
+            assert not report.ok, (cert["verdict"], what, path, value)
     assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them
+    assert edits == {"junk", "extra", "drop", "truncate", "splice", "cut"}
 
 
 def test_the_verifier_never_raises_on_a_state_the_reader_accepts():
@@ -981,7 +927,7 @@ def test_the_verifier_never_raises_on_a_state_the_reader_accepts():
 def test_only_a_petz_certificate_records_parameters():
     stray = {"anything": [1, 2, 3]}
     kinds = set()
-    for instance_text, cert in one_certificate_of_every_verdict():
+    for instance_text, cert in certificate_corpus():
         if cert["kind"] == "petz":
             continue
         kinds.add(cert["kind"])
@@ -1003,7 +949,7 @@ KEYS = {
 
 
 def test_each_kind_records_only_what_its_decision_applies():
-    for _, cert in one_certificate_of_every_verdict():
+    for _, cert in certificate_corpus():
         kind = cert["kind"]
         assert cert["tolerances"] == {key: DEFAULTS[key] for key in KEYS[kind]}
     statistic, family = load_bundled_instance()
@@ -1038,7 +984,7 @@ def edited_blocks(kind):
 
 def test_every_malformed_tolerance_block_is_rejected_not_raised():
     kinds = set()
-    for instance_text, cert in one_certificate_of_every_verdict():
+    for instance_text, cert in certificate_corpus():
         kinds.add(cert["kind"])
         for edit, block in edited_blocks(cert["kind"]):
             forged = json.loads(json.dumps(cert))
@@ -1436,7 +1382,7 @@ def test_a_spectrum_merging_two_atoms_is_rejected():
     family = StateFamily(labels=("a", "b"), vectors=np.array(
         [[s, s, 0.0], [s, 0.0, s]], dtype=complex))
     split = statistic_from_matrix(np.diag([0.0, 1.0, 1.0 + 5e-9]).astype(complex))
-    text = dense_text(split, family)
+    text = dense_instance_text(split, family)
     assert len(split) == 3 and check_weak_sufficiency(*parse_instance(text)).sufficient
     merged = spectral.DiscreteStatistic(np.array([0.0, 1.0 + 2.5e-9]), (
         split.projections[0], split.projections[1] + split.projections[2]))

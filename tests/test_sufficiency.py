@@ -152,6 +152,33 @@ def test_construction_on_random_real_families():
         assert list(evs) == [float(x) for x in expected]
 
 
+def test_constraint_objects_are_built_only_for_a_refusal_cycle(monkeypatch):
+    # the decision reads its constraints as arrays; a PhaseConstraint names
+    # states by label and is built only for the cycle a refusal returns
+    built = []
+    init = PhaseConstraint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseConstraint, "__init__", counting)
+    t, fam = two_state_qubit()
+    assert len(analyze(t, fam).constraints) == 1
+    assert check_weak_sufficiency(t, fam).sufficient
+    assert isinstance(exists_weakly_sufficient(random_real_family(np.random.default_rng(3), 4, 3)),
+                      ConstructedStatistic)
+    assert built == []
+    s = 1.0 / math.sqrt(2.0)
+    crossed = StateFamily(("u", "v"), (np.array([s, s]), np.array([s, 1j * s])))
+    refused = check_weak_sufficiency(t, crossed)
+    cycle = refused.violations[0].cycle
+    assert len(built) == len(cycle) == 2 and cycle_defect(cycle) > 1.0
+    built.clear()
+    cycle = exists_weakly_sufficient(obstructed_triple()).cycle
+    assert len(built) == len(cycle) == 3 and cycle_defect(cycle) > 0.1
+
+
 def test_construction_decides_existence_once(monkeypatch):
     import wsq.sufficiency as sufficiency
 
@@ -384,10 +411,11 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
         for j in range(i + 1, len(fam))
         if abs(inner(comps[k, i], comps[k, j])) > 1e-10
     ]
-    assert [(c.left, c.right, c.atom) for c in analysis.constraints] == expected
-    for c in analysis.constraints:
-        k, i, j = c.atom, fam.index(c.left), fam.index(c.right)
-        assert abs(c.value - inner(comps[k, i], comps[k, j])) <= 1e-15
+    cs = analysis.constraints
+    found = list(zip(cs.left.tolist(), cs.right.tolist(), cs.atom.tolist()))
+    assert [(fam.labels[i], fam.labels[j], k) for i, j, k in found] == expected
+    for (i, j, k), value in zip(found, cs.value):
+        assert abs(value - inner(comps[k, i], comps[k, j])) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(4))
