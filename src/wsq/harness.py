@@ -15,6 +15,9 @@ they live here.  All serve only the tests and the property suite, so no
 production module imports this one at module level.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
+certificate_corpus holds a certificate of every kind and verdict, and
+certificate_edits every edit of one that the verifier must refuse; the
+property verifier_refuses_edited_certificates samples those edits.
 """
 
 from __future__ import annotations
