@@ -1239,7 +1239,7 @@ def _prop_generator_determinism(rng, count):
 # --- certificates under edits ----------------------------------------------
 
 
-EDIT_JUNK = (None, [], {}, "x", 1e309, 10**400, True, False)
+_JUNK = (None, [], {}, "x", 1e309, 10**400, True, False)
 
 
 def dense_instance_text(statistic, family) -> str:
@@ -1303,7 +1303,7 @@ def _node_at(node, path):
 def certificate_edits(cert: dict, donors=()):
     """Every edit of cert that the verifier must refuse, as (what, path, value).
 
-    junk puts each of EDIT_JUNK at each node; extra adds a key to each
+    junk puts each of _JUNK at each node; extra adds a key to each
     object, holding a copy of a sibling's value; drop removes each key;
     truncate drops the last entry of each nonempty list; splice puts at
     each node but the root the node at the same path of each donor,
@@ -1316,7 +1316,7 @@ def certificate_edits(cert: dict, donors=()):
     for path in _node_paths(cert):
         if "tool_version" in path:
             continue
-        for junk in EDIT_JUNK:
+        for junk in _JUNK:
             if not (path == ("parameters", "unital") and isinstance(junk, bool)):
                 yield "junk", path, junk
         node = _node_at(cert, path)
