@@ -16,8 +16,9 @@ production module imports this one at module level.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
 certificate_corpus holds a certificate of every kind and verdict, and
-certificate_edits every edit of one that the verifier must refuse; the
-property verifier_refuses_edited_certificates samples those edits.
+certificate_edits every edit of one that the verifier must refuse or, at
+a node no verdict rests on, survive; the property
+verifier_refuses_edited_certificates samples those edits.
 """
 
 from __future__ import annotations
@@ -1294,32 +1295,37 @@ def _node_paths(node, here=()):
         yield from _node_paths(child, here + (key,))
 
 
-def _node_at(node, path):
+def node_at(node, path):
+    """The node of a parsed JSON document at path, a tuple of keys and indices."""
     for key in path:
         node = node[key]
     return node
 
 
 def certificate_edits(cert: dict, donors=()):
-    """Every edit of cert that the verifier must refuse, as (what, path, value).
+    """Every edit of cert, as (what, path, value).  The verifier must
+    refuse each one but the unread ones, and must not raise on any.
 
     junk puts each of _JUNK at each node; extra adds a key to each
     object, holding a copy of a sibling's value; drop removes each key;
     truncate drops the last entry of each nonempty list; splice puts at
     each node but the root the node at the same path of each donor,
     certificates of other kinds or verdicts (a whole donor may be a valid
-    certificate of the same instance); cut ends the text early.  Left alone:
-    tool_version, which no verdict rests on, and a petz certificate's
-    unital flag, where another boolean, or no parameters at all (read as
+    certificate of the same instance); cut ends the text early.  unread
+    puts each of _JUNK at tool_version, which no verdict rests on, so the
+    verifier may accept it.  Left alone: a petz certificate's unital
+    flag, where another boolean, or no parameters at all (read as
     unital), asks a question the certificate may answer too.
     """
     for path in _node_paths(cert):
         if "tool_version" in path:
+            for junk in _JUNK:
+                yield "unread", path, junk
             continue
         for junk in _JUNK:
             if not (path == ("parameters", "unital") and isinstance(junk, bool)):
                 yield "junk", path, junk
-        node = _node_at(cert, path)
+        node = node_at(cert, path)
         if isinstance(node, dict):
             yield "extra", path + ("extra",), node[min(node)] if node else None
             for key in node:
@@ -1329,7 +1335,7 @@ def certificate_edits(cert: dict, donors=()):
             yield "truncate", path, node[:-1]
         for donor in donors if path else ():
             try:
-                yield "splice", path, _node_at(donor, path)
+                yield "splice", path, node_at(donor, path)
             except (KeyError, IndexError, TypeError):
                 continue
     length = len(serialize_certificate(cert))
@@ -1346,7 +1352,7 @@ def edited_certificate(cert: dict, what: str, path: tuple, value):
     if not path:
         out = value
     else:
-        parent = _node_at(out, path[:-1])
+        parent = node_at(out, path[:-1])
         if what == "drop":
             del parent[path[-1]]
         else:
@@ -1356,7 +1362,7 @@ def edited_certificate(cert: dict, what: str, path: tuple, value):
 
 def _prop_verifier_refuses_edits(rng, count):
     """Edited certificates of every kind and verdict, on both encodings of
-    T: each must give ok=False, and none may raise."""
+    T: each but an unread edit must give ok=False, and none may raise."""
     corpus = [pair for dense in (False, True) for pair in certificate_corpus(dense)]
     for text, cert in corpus:
         report = verify_certificate(text, serialize_certificate(cert))
@@ -1378,9 +1384,9 @@ def _prop_verifier_refuses_edits(rng, count):
             report = verify_certificate(text, edited)
         except Exception as exc:
             return False, f"{where} raised {exc!r}", text
-        if report.ok:
+        if report.ok and what != "unread":
             return False, f"{where} verified: {report.detail}", text
-        refused += 1
+        refused += not report.ok
     return True, f"{refused} edited certificates refused, none raised", None
 
 

@@ -186,12 +186,9 @@ def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:
             f"(limit {MAX_ENUMERATED_ATOMS})"
         )
     evs = [float(x) for x in t.eigenvalues]
-    # one float per class value, shared by every map: a caller that keeps
-    # the Bell(n) maps holds n floats, not n per map
-    values = [float(v) for v in range(1, n + 1)]
     rgs = [0] * n
     while True:
-        yield CoarseMap({evs[i]: values[rgs[i]] for i in range(n)})
+        yield CoarseMap({evs[i]: float(rgs[i] + 1) for i in range(n)})
         for i in range(n - 1, 0, -1):
             if rgs[i] <= max(rgs[:i]):
                 rgs[i] += 1
