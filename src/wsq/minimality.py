@@ -1,19 +1,29 @@
 """Coarse-grainings of a sufficient statistic and the minimal one.
 
+A coarse-graining f(T) merges the atoms of T into blocks.  f(T)'s atom
+for a block B is the sum of T's mutually orthogonal atoms in B, so the
+family's Gram matrix on it is the block sum of T's Gram stack over B.
+When T is weakly sufficient, the versions that aligned T make every
+block sum real, and f(T) is weakly sufficient exactly when no block sum
+holds a pair of states of rank 2 (Cauchy interlacing):
+check_coarse_sufficient decides each coarse-graining from these sums,
+dead atoms included, as a direct check of f(T) would.
 Two atoms of a weakly sufficient statistic are interchangeable when
-their rows of the Analysis gamma matrix are proportional: merging such
-atoms preserves weak sufficiency, and merging any other pair destroys
-it.  An atom is live when some state's weight on it exceeds the rank
-tolerance (Analysis.active).  The minimal statistic merges exactly the
-proportionality classes -- when the family spans two dimensions or more
-it exists precisely when every atom is live.  Its certificate proves
-both halves: a witness of the merged statistic, and for each pair of
-classes two states of rank 2 on their merged atom.  When an atom of
-such a family is dead, no minimal statistic exists: merging the dead
-atom into each live atom in turn (harness.dead_atom_counterexamples)
-yields incomparable sufficient coarse-grainings that witness the
-failure.  A family on one line has the constant statistic, one block
-of every atom, as its minimal one, dead atoms or not.
+their two-atom block sum has rank one, that is, when their states'
+coordinates on them are proportional: merging such atoms preserves
+weak sufficiency, and merging any other pair destroys it.  An atom is
+live when some state's weight on it exceeds the rank tolerance
+(Analysis.active).  The minimal statistic merges exactly the
+proportionality classes of the live atoms (equivalence_classes) --
+when the family spans two dimensions or more it exists precisely when
+every atom is live.  Its certificate proves both halves: a witness of
+the merged statistic, and for each pair of classes two states of rank
+2 on their merged atom.  When an atom of such a family is dead, no
+minimal statistic exists: merging the dead atom into each live atom in
+turn (harness.dead_atom_counterexamples) yields incomparable sufficient
+coarse-grainings that witness the failure.  A family on one line has
+the constant statistic, one block of every atom, as its minimal one,
+dead atoms or not.
 When T is not weakly sufficient no f(T) is (g(f(T)) is a function of
 T), so the one decision of T each question starts from answers it.
 """
@@ -26,8 +36,9 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import RANK_TOL, pair_rank_two
-from .spectral import CoarseMap, DiscreteStatistic, StateFamily, coarse_blocks
-from .sufficiency import Analysis, SufficiencyVerdict, WitnessFactorization, analyze
+from .spectral import CoarseMap, DiscreteStatistic, StateFamily, coarse_blocks, project_states
+from .sufficiency import (Analysis, SufficiencyVerdict, WitnessFactorization, analyze,
+                          atom_directions, build_witness)
 
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 
@@ -74,7 +85,7 @@ class NoMinimalExists:
 
 
 def equivalence_classes(analysis: Analysis) -> AtomClasses:
-    """Group active atoms whose gamma rows are proportional.
+    """Group active atoms whose components are proportional.
 
     Atoms a < b are split when their merged Gram matrix gram[a] + gram[b]
     has rank 2 at analysis.tol, the test the verifier applies to a
@@ -124,17 +135,24 @@ def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily, cmap: Coa
     """Is f(T) still weakly sufficient?  Decided from one Analysis of (t, family).
 
     When t is not weakly sufficient the answer is False: no coarse-graining
-    of it is.  Otherwise a block of the coarse-graining is harmless iff
-    all its active atoms lie in one proportionality class, so the coarse
-    statistic is never built.
+    of it is.  Otherwise f(T)'s atom for a block B is the sum of t's
+    mutually orthogonal atoms in B, so its Gram matrix is the block sum
+    of gram[k] over B, dead atoms included.  The versions that aligned t
+    make every block sum real, so no second phase alignment is needed:
+    f(T) is weakly sufficient iff no block sum holds a pair of states of
+    rank 2 (pair_rank_two), the rank test a direct check of f(T) runs on
+    its own Gram stack.  One pair_rank_two call on the stacked block sums
+    decides it; the coarse statistic is never built or projected.
     """
     blocks = coarse_blocks(t, cmap)
     analysis = analyze(t, family, RANK_TOL)
     violations, _ = analysis.decide()
     if violations:
         return False
-    home = {k: i for i, cls in enumerate(equivalence_classes(analysis).classes) for k in cls}
-    return all(len({home[k] for k in block if k in home}) <= 1 for _, block in blocks)
+    order = [k for _, block in blocks for k in block]
+    starts = np.cumsum([0] + [len(block) for _, block in blocks[:-1]])
+    sums = np.add.reduceat(analysis.table.gram[order], starts, axis=0)
+    return not pair_rank_two(sums, RANK_TOL).any()
 
 
 def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
@@ -167,9 +185,10 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
         classes = equivalence_classes(analysis)
     partition = [list(cls) for cls in classes.classes]
     statistic = statistic_from_partition(t, partition)
+    gamma, xi = atom_directions(project_states(statistic, family), tol)
+    witness = build_witness(statistic, family, gamma, xi, versions)
     return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,
-                            witness=analyze(statistic, family, tol).witness(versions),
-                            spectrum=t.spectrum)
+                            witness=witness, spectrum=t.spectrum)
 
 
 def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:
@@ -186,9 +205,11 @@ def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:
             f"(limit {MAX_ENUMERATED_ATOMS})"
         )
     evs = [float(x) for x in t.eigenvalues]
+    # one float per class value, shared by every map that uses it
+    values = [float(v) for v in range(1, n + 1)]
     rgs = [0] * n
     while True:
-        yield CoarseMap({evs[i]: float(rgs[i] + 1) for i in range(n)})
+        yield CoarseMap({evs[i]: values[rgs[i]] for i in range(n)})
         for i in range(n - 1, 0, -1):
             if rgs[i] <= max(rgs[:i]):
                 rgs[i] += 1

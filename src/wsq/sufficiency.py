@@ -117,15 +117,10 @@ class Analysis:
     tol; a spread atom always is.  constraints hold the entries of gram[k]
     right of the diagonal whose modulus exceeds ZERO_TOL, as arrays in
     (atom, left, right) order; both tests read the one strict upper
-    triangle index (_upper_triangle).  Each atom that
-    some state loads above tol**2 (a weight at or below it is projector
-    rounding) gets a direction xi[k], its heaviest state's component
-    normalized with no rotation, and a gamma row, that state's column of
-    gram[k] rescaled, with e_k phi_theta = gamma[k, theta] xi[k] unless
-    the atom is spread; the witness covers exactly these atoms, and
-    gamma rows of the others are zero.  tol is the rank and activity
-    tolerance the analysis was built with; everything read from it
-    applies tol.
+    triangle index (_upper_triangle).  gamma and xi are
+    atom_directions(table, tol), from which build_witness builds the
+    witness.  tol is the rank and activity tolerance the analysis was
+    built with; everything read from it applies tol.
     """
 
     statistic: DiscreteStatistic
@@ -162,25 +157,56 @@ class Analysis:
         return SufficiencyVerdict(True, self.witness(versions), [], spectrum)
 
     def witness(self, versions: VersionAssignment) -> WitnessFactorization:
-        """The factorization under versions; exact when they make each
-        dressed gamma row real up to one phase, as verify_witness checks."""
-        t, family = self.statistic, self.family
-        phases = np.array([versions.phase(lab) for lab in family.labels])
-        dressed = self.gamma * phases[np.newaxis, :]
-        coef = 1.0 / np.sqrt(len(self.xi))
-        chi = np.zeros(t.dim, dtype=complex)
-        values = np.zeros((len(t), len(family)))
-        for k in self.xi:
-            row = dressed[k]
-            lead = int(np.argmax(np.abs(row)))
-            u = row[lead] / abs(row[lead])
-            values[k] = (row * np.conj(u)).real
-            chi += coef * (u * self.xi[k])
-        functions = {
-            lab: {float(lam): values[k, i] / coef for k, lam in enumerate(t.eigenvalues)}
-            for i, lab in enumerate(family.labels)
-        }
-        return WitnessFactorization(chi=chi, functions=functions, versions=versions)
+        """The factorization under versions, from this analysis's gamma and xi."""
+        return build_witness(self.statistic, self.family, self.gamma, self.xi, versions)
+
+
+def atom_directions(table: AtomProjectionTable,
+                    tol: float = RANK_TOL) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """(gamma, xi): each atom's direction and its states' coordinates on it.
+
+    Each atom k that some state loads above tol**2 (a weight at or below
+    it is projector rounding) gets xi[k], its heaviest state h's component
+    e_k phi_h / ||e_k phi_h|| with no rotation, and the gamma row
+    gram[k, :, h] / ||e_k phi_h||, so that e_k phi_theta = gamma[k, theta]
+    xi[k] when gram[k] has rank at most one.  gamma rows of the other
+    atoms are zero, and the witness covers exactly the atoms of xi.
+    """
+    heaviest, weight = table.weights.argmax(axis=0), table.weights.max(axis=0)
+    lit = np.flatnonzero(weight > tol * tol)
+    lead, length = heaviest[lit], np.sqrt(weight[lit])[:, np.newaxis]
+    gamma = np.zeros(table.gram.shape[:2], dtype=complex)
+    gamma[lit] = table.gram[lit, :, lead] / length
+    xi = dict(zip(lit.tolist(), table.components[lit, lead] / length))
+    return gamma, xi
+
+
+def build_witness(t: DiscreteStatistic, family: StateFamily, gamma: np.ndarray,
+                  xi: dict[int, np.ndarray], versions: VersionAssignment) -> WitnessFactorization:
+    """The factorization of the family through t under versions.
+
+    gamma and xi are atom_directions of t's projection table.  The
+    witness is exact when the versions make each dressed gamma row real
+    up to one phase, as verify_witness checks.  Nothing here decides t:
+    the versions come from t's own decision, or from that of a statistic
+    or Gram matrix whose versions serve t too.
+    """
+    phases = np.array([versions.phase(lab) for lab in family.labels])
+    dressed = gamma * phases[np.newaxis, :]
+    coef = 1.0 / np.sqrt(len(xi))
+    chi = np.zeros(t.dim, dtype=complex)
+    values = np.zeros((len(t), len(family)))
+    for k in xi:
+        row = dressed[k]
+        lead = int(np.argmax(np.abs(row)))
+        u = row[lead] / abs(row[lead])
+        values[k] = (row * np.conj(u)).real
+        chi += coef * (u * xi[k])
+    functions = {
+        lab: {float(lam): values[k, i] / coef for k, lam in enumerate(t.eigenvalues)}
+        for i, lab in enumerate(family.labels)
+    }
+    return WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
 
 @functools.lru_cache
@@ -202,12 +228,7 @@ def _phase_constraints(upper: np.ndarray, rows, cols, atoms: bool) -> Constraint
 
 def analyze(t: DiscreteStatistic, family: StateFamily,
             tol: float = RANK_TOL) -> Analysis:
-    """Project the family once and read every per-atom quantity from gram[k].
-
-    Atom k's heaviest state h fixes it when its rank is at most one:
-    xi_k = e_k phi_h / ||e_k phi_h|| and gamma[k] = gram[k, :, h] /
-    ||e_k phi_h||, for every atom whose heaviest weight exceeds tol**2.
-    """
+    """Project the family once and read every per-atom quantity from gram[k]."""
     table = project_states(t, family)
     rows, cols = _upper_triangle(len(family))
     split = pair_rank_two(table.gram, tol)[:, rows, cols]
@@ -215,15 +236,10 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     # a single state has no pair to take an argmax over, and spreads nothing
     first = split[spread_atoms].argmax(axis=1) if spread_atoms.size else spread_atoms
     spread = dict(zip(spread_atoms.tolist(), zip(rows[first].tolist(), cols[first].tolist())))
-    heaviest, weight = table.weights.argmax(axis=0), table.weights.max(axis=0)
     constraints = _phase_constraints(table.gram[:, rows, cols], rows, cols, atoms=True)
-    lit = np.flatnonzero(weight > tol * tol)
-    lead, length = heaviest[lit], np.sqrt(weight[lit])[:, np.newaxis]
-    gamma = np.zeros((len(t), len(family)), dtype=complex)
-    gamma[lit] = table.gram[lit, :, lead] / length
-    xi = dict(zip(lit.tolist(), table.components[lit, lead] / length))
+    gamma, xi = atom_directions(table, tol)
     return Analysis(t, family, table, spread, constraints, gamma, xi,
-                    tuple((weight > tol).tolist()), tol)
+                    tuple((table.weights.max(axis=0) > tol).tolist()), tol)
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
@@ -327,9 +343,10 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
     as the next direction when its squared residual exceeds tol; then
     statistic_from_directions gives direction n the value n.  The
     dressing is the witness: those versions make every dressed overlap
-    real, so each atom's dressed row is real too, and Analysis builds the
-    witness from them without deciding the statistic again; near a
-    threshold it may miss its tolerance, which verify_witness reports.
+    real, so each atom's dressed row is real too, and build_witness
+    builds the witness from them: the statistic is projected, not decided
+    again; near a threshold the witness may miss its tolerance, which
+    verify_witness reports.
     """
     labels = family.labels
     aligned = align_phases(family_constraints(family), labels)
@@ -348,5 +365,6 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
             directions.append(resid / np.sqrt(square))
     rows = np.array(directions).reshape(-1, family.dim)
     statistic = statistic_from_directions(rows)
-    witness = analyze(statistic, family, tol).witness(aligned)
+    gamma, xi = atom_directions(project_states(statistic, family), tol)
+    witness = build_witness(statistic, family, gamma, xi, aligned)
     return ConstructedStatistic(statistic=statistic, directions=rows, witness=witness)

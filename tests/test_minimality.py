@@ -1,9 +1,10 @@
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
-from wsq import linalg, minimality, sufficiency
+from wsq import linalg, minimality, spectral, sufficiency
 from wsq.harness import dead_atom_counterexamples, gram_schmidt, is_function_of
 from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
 from wsq.minimality import (
@@ -16,7 +17,12 @@ from wsq.minimality import (
     statistic_from_partition,
 )
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
-from wsq.sufficiency import analyze, check_weak_sufficiency, verify_witness
+from wsq.sufficiency import (
+    analyze,
+    check_weak_sufficiency,
+    exists_weakly_sufficient,
+    verify_witness,
+)
 
 
 def numpy_rank(g, tol=RANK_TOL):
@@ -181,13 +187,13 @@ def test_sufficiency_checks_run_no_kernel(monkeypatch):
 
 def test_coarse_check_builds_no_witness_and_minimal_builds_one(monkeypatch):
     built = []
-    original = sufficiency.Analysis.witness
+    original = sufficiency.build_witness
 
-    def counting(self, versions):
-        built.append(len(self.statistic))
-        return original(self, versions)
+    def counting(t, *args, **kwargs):
+        built.append(len(t))
+        return original(t, *args, **kwargs)
 
-    monkeypatch.setattr(sufficiency.Analysis, "witness", counting)
+    patch_every_binding(monkeypatch, original, counting)
     t, fam = two_plus_one_instance()
     verdicts = [check_coarse_sufficient(t, fam, cmap) for cmap in enumerate_coarse_grainings(t)]
     assert verdicts == [False, True, False, False, True]
@@ -225,6 +231,23 @@ def test_coarse_check_builds_no_statistic(monkeypatch):
     assert built == [2]
 
 
+def test_coarse_check_takes_no_classes_and_projects_only_t(monkeypatch):
+    # f(T)'s Gram stack is a block sum of T's: T is projected once per
+    # map, and neither the classes nor a coarse statistic are reached
+    calls = {"equivalence_classes": [], "project_states": []}
+    for module, name in ((minimality, "equivalence_classes"), (spectral, "project_states")):
+        def recording(first, *args, name=name, original=getattr(module, name), **kwargs):
+            calls[name].append(first)
+            return original(first, *args, **kwargs)
+
+        patch_every_binding(monkeypatch, getattr(module, name), recording)
+    t, fam = two_plus_one_instance()
+    verdicts = [check_coarse_sufficient(t, fam, cmap) for cmap in enumerate_coarse_grainings(t)]
+    assert verdicts == [False, True, False, False, True]
+    assert calls["equivalence_classes"] == []
+    assert [s is t for s in calls["project_states"]] == [True] * 5
+
+
 # -------------------------------------------------- check_coarse_sufficient
 
 
@@ -247,6 +270,25 @@ def test_coarse_check_agrees_with_direct_recheck():
         coarse, _ = apply_coarse(t, cmap)
         direct = check_weak_sufficiency(coarse, fam).sufficient
         assert check_coarse_sufficient(t, fam, cmap) == direct
+
+
+@pytest.mark.parametrize("coeff, sufficient", [
+    ([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.3, -1.0, 1.0], [0.0, 0.0, 0.0]], 7),
+    ([[1.0], [0.5], [0.0], [-2.0]], 15),
+], ids=["dead_atom", "one_state"])
+def test_coarse_check_agrees_with_direct_recheck_with_a_dead_atom(coeff, sufficient):
+    # the block sums take the dead atom in, as the direct check does: atoms
+    # 0 and 1 are one class, atom 2 another, atom 3 dead and free to go
+    # anywhere; a single state makes every coarse-graining sufficient
+    rng = np.random.default_rng(66)
+    t, fam = planted_instance(rng, (1, 2, 1, 1), coeff)
+    verdicts = []
+    for cmap in enumerate_coarse_grainings(t):
+        coarse, _ = apply_coarse(t, cmap)
+        direct = check_weak_sufficiency(coarse, fam).sufficient
+        assert check_coarse_sufficient(t, fam, cmap) == direct
+        verdicts.append(direct)
+    assert len(verdicts) == 15 and sum(verdicts) == sufficient
 
 
 def test_an_insufficient_statistic_has_no_sufficient_coarse_graining():
@@ -365,6 +407,30 @@ def test_minimal_decides_the_statistic_once(monkeypatch):
     assert result.partition == [[0, 1], [2]]
     assert calls == {"align_phases": 1, "check_weak_sufficiency": 0}
     assert verify_witness(result.statistic, fam, result.witness).ok
+
+
+def test_built_statistics_run_no_pair_rule_and_no_phase_constraints(monkeypatch):
+    # minimal and construct build their witness under versions already
+    # found: the built statistic is projected, never tested again
+    seen = {"pair_rank_two": [], "_phase_constraints": []}
+    for name in seen:
+        def recording(first, *args, name=name, original=getattr(sufficiency, name), **kwargs):
+            seen[name].append(len(first))
+            return original(first, *args, **kwargs)
+
+        monkeypatch.setattr(sufficiency, name, recording)
+    t, fam = two_plus_one_instance()
+    result = minimal_statistic(t, fam)
+    assert result.partition == [[0, 1], [2]]
+    assert verify_witness(result.statistic, fam, result.witness).ok
+    # the three atoms of t, and no stack of the two-atom minimal statistic
+    assert seen == {"pair_rank_two": [3], "_phase_constraints": [3]}
+    for calls in seen.values():
+        calls.clear()
+    built = exists_weakly_sufficient(fam)
+    assert verify_witness(built.statistic, fam, built.witness).ok
+    # the family's own overlaps, one row, and nothing of the built statistic
+    assert seen == {"pair_rank_two": [], "_phase_constraints": [1]}
 
 
 @pytest.mark.parametrize("partition", [
@@ -486,6 +552,21 @@ def test_enumeration_counts_partitions(n, bell):
     # first merges everything, last is the identity partition
     assert len(set(maps[0].assignment.values())) == 1
     assert len(set(maps[-1].assignment.values())) == n
+
+
+def test_coarse_maps_share_one_float_per_class_value():
+    # a lattice run keeps every map, so equal class values are one object
+    t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    evs = [float(x) for x in t.eigenvalues]
+    growth = [r for r in itertools.product(range(4), repeat=4)
+              if all(r[i] <= max(r[:i], default=-1) + 1 for i in range(4))]
+    maps = list(enumerate_coarse_grainings(t))
+    assert maps == [CoarseMap({lam: float(k + 1) for lam, k in zip(evs, r)}) for r in growth]
+    shared = {}
+    for cmap in maps:
+        for value in cmap.assignment.values():
+            assert shared.setdefault(value, value) is value
+    assert sorted(shared) == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_enumeration_guards_against_explosion():
