@@ -270,17 +270,11 @@ def _witness_from_json(node: dict, path: str, statistic) -> sufficiency.WitnessF
                             in enumerate(zip(statistic.eigenvalues, values))}
     if not isinstance(node["versions"], dict):
         _fail(f"{path}.versions", "expected an object of [re, im] pairs")
-    pairs = {
+    versions = phases.VersionAssignment({
         label: _pair(value, f"{path}.versions.{label}")
         for label, value in node["versions"].items()
-    }
-    try:
-        versions = phases.VersionAssignment(phases=pairs)
-    except ValueError as exc:
-        _fail(f"{path}.versions", str(exc))
-    return sufficiency.WitnessFactorization(
-        chi=chi, functions=functions, versions=versions
-    )
+    })
+    return sufficiency.WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
 
 def _cycle_json(cycle) -> dict:
@@ -446,7 +440,7 @@ def _rank_report(statistic, family, items, tol: float) -> VerificationReport:
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(f"{here}.states", "expected two state labels")
         if not pair_rank_two(gram_matrix(_named_rows(statistic, family, item, pair, here)),
-                             tol)[0, 1]:
+                             tol)[0]:
             return VerificationReport(
                 False, f"states {pair} are not independent on atom {item['atom']}")
     return VerificationReport(True, "rank violations confirmed")
@@ -572,7 +566,7 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
             _fail(f"{here}.states", "expected two state labels")
         # the two states projected onto e_a + e_b
         rows = sum(_named_rows(statistic, family, {"atom": k}, labels, here) for k in atoms)
-        if not pair_rank_two(gram_matrix(rows), tols["rank"])[0, 1]:
+        if not pair_rank_two(gram_matrix(rows), tols["rank"])[0]:
             return VerificationReport(
                 False, f"states {labels} do not separate atoms {atoms} of blocks {i} and {j}")
     return VerificationReport(True, f"minimal partition {partition} confirmed, {report.detail}")

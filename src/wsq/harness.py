@@ -563,9 +563,7 @@ def _round_instance(statistic, family):
     )
     rounded_statistic = None
     if statistic is not None:
-        rounded_statistic = statistic_from_matrix(
-            np.round(statistic.matrix(), 3), group_tol=1e-6
-        )
+        rounded_statistic = statistic_from_matrix(np.round(statistic.matrix(), 3))
     return rounded_statistic, rounded_family
 
 
@@ -1310,7 +1308,9 @@ def certificate_edits(cert: dict, donors=()):
 
     junk puts each of _JUNK at each node; extra adds a key to each
     object, holding a copy of a sibling's value; drop removes each key;
-    truncate drops the last entry of each nonempty list; splice puts at
+    truncate drops the last entry of each nonempty list; zero sets each
+    list of [re, im] pairs (a witness chi, a row of directions) to as
+    many zero pairs; splice puts at
     each node but the root the node at the same path of each donor,
     certificates of other kinds or verdicts (a whole donor may be a valid
     certificate of the same instance); cut ends the text early.  unread
@@ -1335,6 +1335,9 @@ def certificate_edits(cert: dict, donors=()):
                     yield "drop", path + (key,), None
         elif isinstance(node, list) and node:
             yield "truncate", path, node[:-1]
+            if all(isinstance(z, list) and len(z) == 2 and all(type(x) is float for x in z)
+                   for z in node):
+                yield "zero", path, [[0.0, 0.0]] * len(node)
         for donor in donors if path else ():
             try:
                 yield "splice", path, node_at(donor, path)

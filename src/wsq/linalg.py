@@ -21,6 +21,7 @@ nothing else does.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -238,22 +239,43 @@ def hermitian_eigvals(m) -> np.ndarray:
     return np.sort(w, kind="stable")
 
 
+@functools.lru_cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries right of the diagonal of an
+    n x n matrix, row by row; shared, so read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+@functools.lru_cache
+def _upper_flat(n: int) -> np.ndarray:
+    """_upper_triangle(n) as indices into a flattened n x n matrix; read-only."""
+    rows, cols = _upper_triangle(n)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
+
+
 def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
     """Which 2x2 principal submatrices of a Gram stack (..., n, n) have rank 2.
 
-    Entry [..., j, m] describes [[a, c], [conj(c), b]] with a = h[j, j],
-    b = h[m, m], c = h[j, m].  Its eigenvalues are hi = (a+b)/2 +
-    sqrt(((a-b)/2)^2 + |c|^2) and lo = max(ab - |c|^2, 0) / hi (lo = 0
-    when both rows are zero), and it has rank 2 when lo > tol * max(1, hi).
-    A positive semidefinite matrix has
+    One flag per pair of states j < m, in the order of _upper_triangle(n),
+    for [[a, c], [conj(c), b]] with a = h[j, j], b = h[m, m], c = h[j, m].
+    Its eigenvalues are hi = (a+b)/2 + sqrt(((a-b)/2)^2 + |c|^2) and lo =
+    max(ab - |c|^2, 0) / hi (lo = 0 when both rows are zero), and it has
+    rank 2 when lo > tol * max(1, hi).  A positive semidefinite matrix has
     rank <= 1 exactly when none of its pairs has rank 2: by Cauchy
     interlacing its second eigenvalue is at least the largest lo, and it
     is at most the sum of the lo over all C(n, 2) pairs.
     """
     h = np.asarray(h)
+    n = h.shape[-1]
+    rows, cols = _upper_triangle(n)
     a = np.diagonal(h, axis1=-2, axis2=-1).real
-    ai, aj = a[..., :, np.newaxis], a[..., np.newaxis, :]
-    cc = np.abs(h) ** 2
+    # take on the flattened matrices costs less than fancy indexing at 2-4 states
+    ai, aj = a.take(rows, axis=-1), a.take(cols, axis=-1)
+    cc = np.abs(h.reshape(*h.shape[:-2], n * n).take(_upper_flat(n), axis=-1)) ** 2
     hi = (ai + aj) / 2 + np.sqrt(((ai - aj) / 2) ** 2 + cc)
     det = np.maximum(ai * aj - cc, 0.0)
     lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)

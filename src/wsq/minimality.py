@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import RANK_TOL, pair_rank_two
+from .linalg import RANK_TOL, _upper_triangle, pair_rank_two
 from .spectral import CoarseMap, DiscreteStatistic, StateFamily, coarse_blocks, project_states
 from .sufficiency import (Analysis, SufficiencyVerdict, WitnessFactorization, analyze,
                           atom_directions, build_witness)
@@ -92,22 +92,21 @@ def equivalence_classes(analysis: Analysis) -> AtomClasses:
     separation.  Leader by leader: the smallest atom not yet placed leads
     a class, one pair_rank_two call on its merged matrices with every
     atom still unplaced decides them all, and those not split from it
-    join it.  The first pair of states split in row-major order is kept
-    for each atom left over; it is the separation when that atom leads a
-    later class.
+    join it.  The first pair of states split, in the order of
+    pair_rank_two's flags, is kept for each atom left over; it is the
+    separation when that atom leads a later class.
     """
     gram, tol = analysis.table.gram, analysis.tol
-    labels, s = analysis.family.labels, len(analysis.family)
+    labels = analysis.family.labels
+    pairs = list(zip(*_upper_triangle(len(labels))))
     rest = [k for k, flag in enumerate(analysis.active) if flag]
     classes, firsts = [], {}
     while rest:
         lead, rest = rest[0], rest[1:]
-        split = pair_rank_two(gram[lead] + gram[rest], tol).reshape(len(rest), s * s)
+        split = pair_rank_two(gram[lead] + gram[rest], tol)
         apart = split.any(axis=1).tolist()
         classes.append((lead, *(k for k, out in zip(rest, apart) if not out)))
-        # never set at x == y, so the first pair set in row-major order has x < y
-        firsts[lead] = {k: divmod(int(n), s) for k, n, out
-                        in zip(rest, split.argmax(axis=1), apart) if out}
+        firsts[lead] = {k: pairs[row.argmax()] for k, row, out in zip(rest, split, apart) if out}
         rest = [k for k, out in zip(rest, apart) if out]
     leaders = [cls[0] for cls in classes]
     separations = [((a, b), tuple(labels[i] for i in firsts[a][b]))

@@ -77,18 +77,11 @@ class Constraints:
 
 @dataclass
 class VersionAssignment:
-    """Unit-modulus multiplier per label."""
+    """Unit-modulus multiplier per label.  A plain record: align_phases
+    builds each as cmath.exp of a real angle, and sufficiency.verify_witness
+    checks those of a witness built by hand or read from a certificate."""
 
     phases: dict[str, complex]
-
-    def __post_init__(self):
-        cleaned = {}
-        for label, c in self.phases.items():
-            c = complex(c)
-            if abs(abs(c) - 1.0) > 1e-9:
-                raise ValueError(f"phase for '{label}' is not unit modulus: {c!r}")
-            cleaned[str(label)] = c
-        self.phases = cleaned
 
     def phase(self, label: str) -> complex:
         return self.phases[label]

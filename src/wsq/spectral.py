@@ -57,8 +57,10 @@ class DiscreteStatistic:
 
     The projectors must form a partition of the identity; construction
     validates idempotence, mutual orthogonality and completeness and
-    raises ValueError naming the defect otherwise.  Treat instances as
-    immutable once built.
+    raises ValueError naming the defect otherwise.  Each atom must also
+    be nonempty: a projection whose trace, an idempotent's rank, is below
+    1/2 is refused, so no eigenvalue can name an atom that holds no
+    vector.  Treat instances as immutable once built.
     """
 
     eigenvalues: np.ndarray
@@ -77,10 +79,13 @@ class DiscreteStatistic:
             raise ValueError("eigenvalues contain non-finite entries")
         d, same = projs[0].shape[0], len(stack)
         defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
-        bad = defects > PARTITION_TOL
+        traces = np.trace(stack, axis1=1, axis2=2).real
+        bad = (defects > PARTITION_TOL) | (traces < 0.5)
         if np.count_nonzero(bad):
             k = bad.argmax()
-            raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
+            if defects[k] > PARTITION_TOL:
+                raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
+            raise ValueError(f"projection {k} is empty (trace {traces[k]:.3e})")
         if same < len(projs):
             raise ValueError(
                 f"projection {same} has shape {projs[same].shape}, expected {(d, d)}"
@@ -207,25 +212,24 @@ class AtomProjectionTable:
         self.weights = np.diagonal(self.gram, axis1=1, axis2=2).T.real
 
 
-def _groups(w: np.ndarray, group_tol: float | None) -> list[list[int]]:
+def _groups(w: np.ndarray) -> list[list[int]]:
     """Indices of ascending eigenvalues w, chained while a step is at most
-    group_tol (default GROUP_FACTOR times the spectral radius)."""
-    if group_tol is None:
-        group_tol = GROUP_FACTOR * float(np.abs(w).max())
+    GROUP_FACTOR times the spectral radius."""
+    cutoff = GROUP_FACTOR * float(np.abs(w).max())
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
-        if w[i] - w[groups[-1][-1]] <= group_tol:
+        if w[i] - w[groups[-1][-1]] <= cutoff:
             groups[-1].append(i)
         else:
             groups.append([i])
     return groups
 
 
-def statistic_from_matrix(m, group_tol: float | None = None) -> DiscreteStatistic:
+def statistic_from_matrix(m) -> DiscreteStatistic:
     """Decompose a Hermitian matrix and group near-degenerate eigenvalues.
 
-    Eigenvalues closer than group_tol (default GROUP_FACTOR times the
-    spectral radius, chain linkage) share an atom, the projector onto
+    Eigenvalues closer than GROUP_FACTOR times the spectral radius (chain
+    linkage) share an atom, the projector onto
     their eigenvectors, and its eigenvalue is their mean.  The eigenvalues
     come from values-only QL (hermitian_eigvals) and the atoms are the
     groups' Frobenius covariants (statistic_from_spectrum), which its
@@ -235,18 +239,18 @@ def statistic_from_matrix(m, group_tol: float | None = None) -> DiscreteStatisti
     the eigenvalues are bitwise the same, and the atoms agree to rounding.
     """
     w = hermitian_eigvals(m)
-    values = np.array([float(np.mean(w[g])) for g in _groups(w, group_tol)])
+    values = np.array([float(np.mean(w[g])) for g in _groups(w)])
     try:
         return statistic_from_spectrum(hermitian_part(m), values)
     except ValueError:
-        return statistic_from_eigenpairs(m, group_tol)
+        return statistic_from_eigenpairs(m)
 
 
-def statistic_from_eigenpairs(m, group_tol: float | None = None) -> DiscreteStatistic:
+def statistic_from_eigenpairs(m) -> DiscreteStatistic:
     """statistic_from_matrix from the eigenvectors: each atom is V_g V_g^H,
     V_g the eigenvectors of its group, from one full eigensolve."""
     w, v = hermitian_eig(m)
-    groups = _groups(w, group_tol)
+    groups = _groups(w)
     eigenvalues = [float(np.mean(w[g])) for g in groups]
     projections = [hermitian_part(v[:, g] @ v[:, g].conj().T) for g in groups]
     return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
@@ -262,8 +266,8 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
     spectral projector, about 6 * len(spectrum) matrix products and no
     eigensolve.  For any distinct values the covariants
     sum to the identity and reproduce m, so that proves nothing; but
-    DiscreteStatistic's idempotence and orthogonality checks, with every
-    atom nonzero (its trace, a projector's rank, at least 1), force the
+    DiscreteStatistic's idempotence, emptiness and orthogonality checks
+    (every atom's trace, a projector's rank, at least 1) force the
     values to be m's spectrum and the atoms its spectral projectors,
     to within the partition tolerance.  So that no value stands for
     eigenvalues statistic_from_matrix would put in two atoms, each must
@@ -313,10 +317,6 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
     if not np.abs(atoms).max() <= 2:
         raise ValueError("the covariants are not projectors")
     statistic = DiscreteStatistic(values, tuple(atoms))
-    ranks = np.rint(np.trace(atoms, axis1=1, axis2=2).real)
-    if (ranks < 1).any():
-        raise ValueError(f"value {float(values[ranks.argmin()])!r} is no eigenvalue: "
-                         f"its atom is empty")
     cutoff = GROUP_FACTOR * float(np.abs(values).max())
     residuals = half * np.sqrt((np.abs(factors @ atoms) ** 2).sum(axis=(1, 2)))
     if (residuals > cutoff / 2).any():

@@ -23,12 +23,11 @@ statistic through the same function.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_TOL, gram_matrix, hermitian_part, norm, pair_rank_two
+from .linalg import RANK_TOL, _upper_triangle, gram_matrix, hermitian_part, pair_rank_two
 from .phases import Constraints, Infeasible, PhaseConstraint, VersionAssignment, align_phases
 from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
 
@@ -61,41 +60,31 @@ class PhaseObstruction:
 
 @dataclass
 class WitnessFactorization:
-    """Explicit factorization: versions[theta] * phi_theta = f_theta(T) chi."""
+    """Explicit factorization: versions[theta] * phi_theta = f_theta(T) chi.
+
+    functions[label] maps each eigenvalue of T to a real value.  A plain
+    record: verify_witness is the one check of a witness.
+    """
 
     chi: np.ndarray
     functions: dict[str, dict[float, float]]
     versions: VersionAssignment
-
-    def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=complex).reshape(-1)
-        if norm(chi) == 0.0:
-            raise ValueError("witness vector chi must be nonzero")
-        funcs = {}
-        for label, f in self.functions.items():
-            funcs[str(label)] = {float(k): float(v) for k, v in f.items()}
-        self.chi = chi
-        self.functions = funcs
 
 
 @dataclass
 class SufficiencyVerdict:
     """The decision on (T, F).  spectrum is T's (DiscreteStatistic.spectrum),
     which a certificate records; it names the statistic decided, not the
-    answer, so verdicts compare without it."""
+    answer, so verdicts compare without it.  A plain record: the functions
+    that make it, Analysis.verdict and minimal_statistic's refusal, give a
+    sufficient verdict a witness and no violations, a negative one no
+    witness and at least one violation.
+    """
 
     sufficient: bool
     witness: WitnessFactorization | None
     violations: list = field(default_factory=list)
     spectrum: tuple[float, ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if self.sufficient != (self.witness is not None):
-            raise ValueError("sufficient verdicts carry a witness, negative ones do not")
-        if self.sufficient and self.violations:
-            raise ValueError("sufficient verdicts carry no violations")
-        if not self.sufficient and not self.violations:
-            raise ValueError("negative verdicts must name at least one violation")
 
 
 @dataclass
@@ -202,20 +191,9 @@ def build_witness(t: DiscreteStatistic, family: StateFamily, gamma: np.ndarray,
         u = row[lead] / abs(row[lead])
         values[k] = (row * np.conj(u)).real
         chi += coef * (u * xi[k])
-    functions = {
-        lab: {float(lam): values[k, i] / coef for k, lam in enumerate(t.eigenvalues)}
-        for i, lab in enumerate(family.labels)
-    }
+    eigenvalues, table = t.eigenvalues.tolist(), (values / coef).T.tolist()
+    functions = {lab: dict(zip(eigenvalues, row)) for lab, row in zip(family.labels, table)}
     return WitnessFactorization(chi=chi, functions=functions, versions=versions)
-
-
-@functools.lru_cache
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the entries right of the diagonal of an
-    n x n matrix, row by row; shared, so read-only."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
 
 
 def _phase_constraints(upper: np.ndarray, rows, cols, atoms: bool) -> Constraints:
@@ -231,7 +209,7 @@ def analyze(t: DiscreteStatistic, family: StateFamily,
     """Project the family once and read every per-atom quantity from gram[k]."""
     table = project_states(t, family)
     rows, cols = _upper_triangle(len(family))
-    split = pair_rank_two(table.gram, tol)[:, rows, cols]
+    split = pair_rank_two(table.gram, tol)
     spread_atoms = np.flatnonzero(split.any(axis=1))
     # a single state has no pair to take an argmax over, and spreads nothing
     first = split[spread_atoms].argmax(axis=1) if spread_atoms.size else spread_atoms
@@ -258,10 +236,13 @@ def verify_witness(t: DiscreteStatistic, family: StateFamily,
                    witness: WitnessFactorization, tol: float = WITNESS_TOL) -> WitnessCheck:
     """Independently re-check a witness: ||f_theta(T) chi - c_theta phi_theta||.
 
-    values[theta, k] = f_theta(lambda_k), so values @ (P_k chi) evaluates
-    every f_theta(T) chi in one product; nothing from the decision path is
-    reused.  A state missing from or foreign to the family, an eigenvalue
-    with no value and a chi of the wrong dimension raise ValueError.
+    The one check of a witness, built by hand, read from a certificate or
+    built by a decision.  values[theta, k] = f_theta(lambda_k), so values @
+    (P_k chi) evaluates every f_theta(T) chi in one product; nothing from
+    the decision path is reused.  A state missing from or foreign to the
+    family, an eigenvalue with no value, a chi of the wrong dimension and
+    a version that is not unit modulus raise ValueError; a zero chi leaves
+    every state a residual of 1.
     """
     labels, eigenvalues = family.labels, t.eigenvalues.tolist()
     unknown = (set(witness.functions) | set(witness.versions.phases)) - set(labels)
@@ -276,11 +257,16 @@ def verify_witness(t: DiscreteStatistic, family: StateFamily,
         if missed:
             raise ValueError(f"function for state '{lab}' has no value "
                              f"for eigenvalue {missed[0]!r}")
-    if witness.chi.shape != (t.dim,):
-        raise ValueError(f"chi has dimension {witness.chi.shape[0]}, the statistic {t.dim}")
+    chi = np.atleast_1d(witness.chi)
+    if chi.shape != (t.dim,):
+        raise ValueError(f"chi has dimension {chi.shape[0]}, the statistic {t.dim}")
+    phases = np.array([witness.versions.phase(lab) for lab in labels], dtype=complex)
+    skewed = np.flatnonzero(np.abs(np.abs(phases) - 1.0) > 1e-9)
+    if skewed.size:
+        n = int(skewed[0])
+        raise ValueError(f"phase for '{labels[n]}' is not unit modulus: {complex(phases[n])!r}")
     values = np.array([[witness.functions[lab][lam] for lam in eigenvalues] for lab in labels])
-    reached = values @ (np.array(t.projections) @ witness.chi)
-    phases = np.array([witness.versions.phase(lab) for lab in labels])
+    reached = values @ (np.array(t.projections) @ chi)
     gap = reached - phases[:, np.newaxis] * np.array(family.vectors)
     residuals = dict(zip(labels, np.sqrt((gap * gap.conj()).real.sum(axis=1)).tolist()))
     worst = max(residuals.values())

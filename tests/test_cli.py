@@ -763,3 +763,35 @@ def test_verify_exits_1_on_a_tampered_spectrum_and_2_on_a_missing_file(tmp_path,
                  ["--input", str(DEMO), "--certificate", str(tmp_path / "missing.json")]):
         assert run_cli(["verify", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "minimal"])
+def test_verify_exits_1_on_a_zeroed_chi(tmp_path, capsys, command):
+    capsys.readouterr()
+    assert run_cli([command, "--input", str(DEMO)]) == 0
+    cert = parse_certificate(capsys.readouterr().out)
+    chi = cert["payload"]["witness"]["chi"]
+    cert["payload"]["witness"]["chi"] = [[0.0, 0.0]] * len(chi)
+    certificate = tmp_path / "zeroed.json"
+    certificate.write_text(serialize_certificate(cert))
+    assert run_cli(["verify", "--input", str(DEMO), "--certificate", str(certificate)]) == 1
+    assert capsys.readouterr().err == "not verified: witness residual 1.000e+00 exceeds 1.0e-07\n"
+
+
+def test_an_empty_atom_in_an_instance_file_exits_2(tmp_path, capsys):
+    # T = diag(1, 2) with a third atom, eigenvalue 3, whose projection is zero
+    projections = [[[[x, 0] for x in row] for row in np.diag(d).tolist()]
+                   for d in ([1, 0], [0, 1], [0, 0])]
+    root = {"dimension": 2,
+            "states": {"a": [[1, 0], [0, 0]], "b": [[0.6, 0], [0.8, 0]]},
+            "statistic": {"eigenvalues": [1, 2, 3], "projections": projections}}
+    path = tmp_path / "empty-atom.json"
+    path.write_text(json.dumps(root))
+    capsys.readouterr()
+    for command in ("check", "minimal", "petz"):
+        assert run_cli([command, "--input", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: projection 2 is empty (trace 0.000e+00)\n"
+    del root["statistic"]["eigenvalues"][2], root["statistic"]["projections"][2]
+    path.write_text(json.dumps(root))
+    assert run_cli(["minimal", "--input", str(path)]) == 0

@@ -884,9 +884,10 @@ def every_certificate_on_both_encodings():
 
 def test_junk_in_any_certificate_node_is_rejected_not_raised():
     # every edit the harness property samples, each one tried: junk at
-    # every node, extra and dropped keys, truncated lists and texts, and
-    # nodes spliced from certificates of the other kinds and verdicts;
-    # junk in tool_version, which no verdict rests on, must only not raise
+    # every node, extra and dropped keys, truncated lists and texts, zeroed
+    # vectors (a witness chi, a row of directions), and nodes spliced from
+    # certificates of the other kinds and verdicts; junk in tool_version,
+    # which no verdict rests on, must only not raise
     corpus = list(every_certificate_on_both_encodings())
     verdicts, edits = set(), set()
     for instance_text, cert in corpus:
@@ -902,7 +903,7 @@ def test_junk_in_any_certificate_node_is_rejected_not_raised():
             report = verify_certificate(instance_text, edited)
             assert what == "unread" or not report.ok, (cert["verdict"], what, path, value)
     assert len(verdicts) == 10   # a rank refusal and a cycle refusal among them
-    assert edits == {"junk", "unread", "extra", "drop", "truncate", "splice", "cut"}
+    assert edits == {"junk", "unread", "extra", "drop", "truncate", "zero", "splice", "cut"}
 
 
 def test_the_verifier_never_raises_on_a_state_the_reader_accepts():
@@ -1360,7 +1361,7 @@ def test_a_spurious_value_cannot_name_an_empty_atom_dead():
     # partition checks; unless the verifier refuses it, a forged
     # no_minimal_exists could name it as T's dead atom
     text, matrix = planted_dense(np.random.default_rng(5), [1.0, 2.0, 3.0], [1, 2, 3])
-    with pytest.raises(ValueError, match="no eigenvalue: its atom is empty"):
+    with pytest.raises(ValueError, match="projection 3 is empty"):
         spectral.statistic_from_spectrum(matrix, [1.0, 2.0, 3.0, 10.0])
     cert = certificates_of(text)[1]
     assert cert["verdict"] == "minimal_constructed"

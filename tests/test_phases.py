@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -14,6 +15,8 @@ from wsq.phases import (
     align_phases,
     cycle_defect,
 )
+from wsq.spectral import StateFamily, statistic_from_matrix
+from wsq.sufficiency import WitnessFactorization, verify_witness
 
 
 def constraints(*triples):
@@ -132,9 +135,19 @@ def test_gauge_freedom_of_solutions():
 # ------------------------------------------------------------ constraints
 
 
-def test_assignment_rejects_non_unit_phase():
-    with pytest.raises(ValueError, match="unit modulus"):
-        VersionAssignment({"a": 2.0})
+def test_verify_witness_names_the_version_that_is_not_unit_modulus():
+    # a VersionAssignment is a plain record; verify_witness checks its phases
+    t = statistic_from_matrix(np.diag([1.0, -1.0]))
+    fam = StateFamily(("a", "b"), (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    functions = {"a": {1.0: math.sqrt(2), -1.0: 0.0}, "b": {1.0: 0.0, -1.0: -math.sqrt(2)}}
+    chi = np.array([1.0, 1.0]) / math.sqrt(2)
+    unit = WitnessFactorization(chi, functions, VersionAssignment({"a": 1.0, "b": -1.0}))
+    assert verify_witness(t, fam, unit).ok
+    for skewed in (2.0, 0.0, 1j * (1 + 2e-9)):
+        witness = WitnessFactorization(chi, functions, VersionAssignment({"a": 1.0, "b": skewed}))
+        with pytest.raises(ValueError, match=f"phase for 'b' is not unit modulus: "
+                                             f"{re.escape(repr(complex(skewed)))}"):
+            verify_witness(t, fam, witness)
 
 
 def test_cycle_defect_rejects_broken_walk():

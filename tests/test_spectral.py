@@ -152,7 +152,7 @@ def test_covariants_refuse_values_that_are_not_the_spectrum():
         ([2.0], "one value"),                          # its covariant is I
         ([1.0, 3.0], "not idempotent"),                # 2 is dropped
         ([1.0, 2.0, 3.0 + 1e-6], "lie 1.000e-06 from value"),   # shifted
-        ([1.0, 2.0, 3.0, 10.0], "atom is empty"),      # spurious
+        ([1.0, 2.0, 3.0, 10.0], "projection 3 is empty"),   # spurious
         ([0.0, 1e-300], "not projectors"),             # products out of range
     ]:
         with pytest.raises(ValueError, match=message):
@@ -219,6 +219,9 @@ def loop_partition_error(evs, projections, tol=1e-8):
         defect = np.abs(p @ p - p).max()
         if defect > tol:
             return f"projection {k} is not idempotent (defect {defect:.3e})"
+        trace = np.trace(p).real
+        if trace < 0.5:
+            return f"projection {k} is empty (trace {trace:.3e})"
     if np.any(np.diff(evs) <= 1e-12 * max(1.0, float(np.abs(evs).max()))):
         return "eigenvalues must be strictly ascending and separated"
     for j in range(len(projs)):
@@ -238,6 +241,7 @@ def test_partition_errors_match_the_pairwise_loop():
     x = rng.normal(size=5) + 1j * rng.normal(size=5)
     tilted = np.outer(x, x.conj()) / np.vdot(x, x)
     skew = np.triu(np.ones((5, 5)))
+    zero = np.zeros((5, 5))
     cases = [
         [basis[0], basis[1], tilted, basis[3], tilted],     # pairs (0, 2) first
         [basis[0], basis[1], basis[2], basis[3], basis[1]],   # pair (1, 4) only
@@ -247,6 +251,9 @@ def test_partition_errors_match_the_pairwise_loop():
         [basis[0], basis[1], skew, np.full((5, 5), np.nan)],   # first bad matrix wins
         [basis[0], np.full((5, 5), np.nan), skew],
         [basis[0], basis[1], basis[2]],                        # incomplete
+        [basis[0], basis[1], zero, basis[2], basis[3], basis[4]],   # empty, else a partition
+        [basis[0], zero, 0.5 * basis[2], tilted],              # atom by atom: empty first
+        [basis[0], 0.5 * basis[1], zero],                      # atom by atom: idempotence first
         [basis[0], np.ones((5, 4))],
     ]
     for projections in cases:

@@ -317,6 +317,9 @@ def test_verify_witness_requires_all_labels():
     w.chi = np.append(w.chi, 0.0)
     with pytest.raises(ValueError, match="chi has dimension 3, the statistic 2"):
         verify_witness(t, fam, w)
+    w.chi = 0.5   # a plain record takes any chi; the check reads it as a vector
+    with pytest.raises(ValueError, match="chi has dimension 1, the statistic 2"):
+        verify_witness(t, fam, w)
 
 
 def test_tampered_witness_fails_verification():
@@ -332,6 +335,17 @@ def test_tampered_witness_fails_verification():
                       for lam, p in zip(t.eigenvalues, t.projections))
         expected = np.linalg.norm(reached - w.versions.phase(lab) * phi)
         assert check.residuals[lab] == pytest.approx(expected, abs=1e-14)
+
+
+def test_a_zero_chi_is_refused_by_its_residual_not_raised():
+    # no rule of its own: f(T) 0 = 0 leaves each state its whole norm
+    t, fam = two_state_qubit()
+    w = check_weak_sufficiency(t, fam).witness
+    w.chi = np.zeros(2)
+    check = verify_witness(t, fam, w)
+    assert not check.ok
+    assert check.residuals == pytest.approx({"phi1": 1.0, "phi2": 1.0}, abs=1e-15)
+    assert WitnessFactorization([0j, 0j], w.functions, w.versions).chi == [0j, 0j]
 
 
 def test_check_rejects_dimension_mismatch():
