@@ -44,7 +44,6 @@ from .linalg import RANK_TOL, _require_finite, hermitian_eig, hermitian_part, in
 from .minimality import (
     MinimalStatistic,
     NoMinimalExists,
-    check_coarse_sufficient,
     enumerate_coarse_grainings,
     minimal_statistic,
 )
@@ -75,6 +74,7 @@ from .sufficiency import (
     NonExistence,
     WitnessFactorization,
     check_weak_sufficiency,
+    decide,
     exists_weakly_sufficient,
     verify_witness,
 )
@@ -886,18 +886,20 @@ def _prop_coarse_cross_validation(rng, count):
         n_states = int(rng.integers(2, 5))
         statistic, family = _planted_class_instance(rng, dim, n_atoms, n_states,
                                                     dead_atom=dead_atom)
+        decision = decide(statistic, family)
         for mapping in enumerate_coarse_grainings(statistic):
             checked += 1
-            fast = check_coarse_sufficient(statistic, family, mapping)
+            fast = decision.coarse_sufficient(mapping)
             coarse, _ = apply_coarse(statistic, mapping)
             direct = check_weak_sufficiency(coarse, family).sufficient
             if fast != direct:
                 def still_failing(t, f):
-                    if t is None or not check_weak_sufficiency(t, f).sufficient:
+                    shortcut = None if t is None else decide(t, f)
+                    if shortcut is None or shortcut.violations:
                         return False
                     for cmap in enumerate_coarse_grainings(t):
                         c, _ = apply_coarse(t, cmap)
-                        if (check_coarse_sufficient(t, f, cmap)
+                        if (shortcut.coarse_sufficient(cmap)
                                 != check_weak_sufficiency(c, f).sufficient):
                             return True
                     return False
@@ -970,8 +972,9 @@ def _prop_minimal_function_property(rng, count):
             # a refusal must fail here: it would skip every coarse-graining below
             return False, f"planted live instance gave {type(minimal).__name__}", \
                 serialize_instance(statistic, family)
+        decision = decide(statistic, family)
         for mapping in enumerate_coarse_grainings(statistic):
-            if not check_coarse_sufficient(statistic, family, mapping):
+            if not decision.coarse_sufficient(mapping):
                 continue
             coarse, _ = apply_coarse(statistic, mapping)
             if is_function_of(minimal.statistic, coarse) is None:

@@ -1,31 +1,32 @@
 """Coarse-grainings of a sufficient statistic and the minimal one.
 
-A coarse-graining f(T) merges the atoms of T into blocks.  f(T)'s atom
+Every question here reads one sufficiency.Decision of (T, F).  A
+coarse-graining f(T) merges the atoms of T into blocks.  f(T)'s atom
 for a block B is the sum of T's mutually orthogonal atoms in B, so the
 family's Gram matrix on it is the block sum of T's Gram stack over B.
 When T is weakly sufficient, the versions that aligned T make every
 block sum real, and f(T) is weakly sufficient exactly when no block sum
 holds a pair of states of rank 2 (Cauchy interlacing):
-check_coarse_sufficient decides each coarse-graining from these sums,
-dead atoms included, as a direct check of f(T) would.
-Two atoms of a weakly sufficient statistic are interchangeable when
-their two-atom block sum has rank one, that is, when their states'
-coordinates on them are proportional: merging such atoms preserves
-weak sufficiency, and merging any other pair destroys it.  An atom is
-live when some state's weight on it exceeds the rank tolerance
-(Analysis.active).  The minimal statistic merges exactly the
-proportionality classes of the live atoms (equivalence_classes) --
-when the family spans two dimensions or more it exists precisely when
-every atom is live.  Its certificate proves both halves: a witness of
-the merged statistic, and for each pair of classes two states of rank
-2 on their merged atom.  When an atom of such a family is dead, no
-minimal statistic exists: merging the dead atom into each live atom in
-turn (harness.dead_atom_counterexamples) yields incomparable sufficient
+Decision.coarse_sufficient decides each coarse-graining from these
+sums, dead atoms included, as a direct check of f(T) would, and one
+Decision serves every map of T.  Two atoms of a weakly sufficient
+statistic are interchangeable when their two-atom block sum has rank
+one, that is, when their states' coordinates on them are proportional:
+merging such atoms preserves weak sufficiency, and merging any other
+pair destroys it.  An atom is live when some state's weight on it
+exceeds the rank tolerance (Decision.active).  The minimal statistic
+merges exactly the proportionality classes of the live atoms
+(equivalence_classes) -- when the family spans two dimensions or more
+it exists precisely when every atom is live.  Its certificate proves
+both halves: a witness of the merged statistic, built under T's
+versions, and for each pair of classes two states of rank 2 on their
+merged atom.  When an atom of such a family is dead, no minimal
+statistic exists: merging the dead atom into each live atom in turn
+(harness.dead_atom_counterexamples) yields incomparable sufficient
 coarse-grainings that witness the failure.  A family on one line has
 the constant statistic, one block of every atom, as its minimal one,
-dead atoms or not.
-When T is not weakly sufficient no f(T) is (g(f(T)) is a function of
-T), so the one decision of T each question starts from answers it.
+dead atoms or not.  When T is not weakly sufficient no f(T) is (g(f(T))
+is a function of T), so the Decision's refusal answers every question.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import RANK_TOL, _upper_triangle, pair_rank_two
-from .spectral import CoarseMap, DiscreteStatistic, StateFamily, coarse_blocks, project_states
-from .sufficiency import (Analysis, SufficiencyVerdict, WitnessFactorization, analyze,
-                          atom_directions, build_witness)
+from .spectral import CoarseMap, DiscreteStatistic, StateFamily
+from .sufficiency import Decision, WitnessFactorization, build_witness, decide
 
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 
@@ -84,11 +84,11 @@ class NoMinimalExists:
     spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
-def equivalence_classes(analysis: Analysis) -> AtomClasses:
+def equivalence_classes(decision: Decision) -> AtomClasses:
     """Group active atoms whose components are proportional.
 
     Atoms a < b are split when their merged Gram matrix gram[a] + gram[b]
-    has rank 2 at analysis.tol, the test the verifier applies to a
+    has rank 2 at decision.tol, the test the verifier applies to a
     separation.  Leader by leader: the smallest atom not yet placed leads
     a class, one pair_rank_two call on its merged matrices with every
     atom still unplaced decides them all, and those not split from it
@@ -96,10 +96,10 @@ def equivalence_classes(analysis: Analysis) -> AtomClasses:
     pair_rank_two's flags, is kept for each atom left over; it is the
     separation when that atom leads a later class.
     """
-    gram, tol = analysis.table.gram, analysis.tol
-    labels = analysis.family.labels
+    gram, tol = decision.table.gram, decision.tol
+    labels = decision.family.labels
     pairs = list(zip(*_upper_triangle(len(labels))))
-    rest = [k for k, flag in enumerate(analysis.active) if flag]
+    rest = [k for k, flag in enumerate(decision.active) if flag]
     classes, firsts = [], {}
     while rest:
         lead, rest = rest[0], rest[1:]
@@ -131,27 +131,8 @@ def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatist
 
 
 def check_coarse_sufficient(t: DiscreteStatistic, family: StateFamily, cmap: CoarseMap) -> bool:
-    """Is f(T) still weakly sufficient?  Decided from one Analysis of (t, family).
-
-    When t is not weakly sufficient the answer is False: no coarse-graining
-    of it is.  Otherwise f(T)'s atom for a block B is the sum of t's
-    mutually orthogonal atoms in B, so its Gram matrix is the block sum
-    of gram[k] over B, dead atoms included.  The versions that aligned t
-    make every block sum real, so no second phase alignment is needed:
-    f(T) is weakly sufficient iff no block sum holds a pair of states of
-    rank 2 (pair_rank_two), the rank test a direct check of f(T) runs on
-    its own Gram stack.  One pair_rank_two call on the stacked block sums
-    decides it; the coarse statistic is never built or projected.
-    """
-    blocks = coarse_blocks(t, cmap)
-    analysis = analyze(t, family, RANK_TOL)
-    violations, _ = analysis.decide()
-    if violations:
-        return False
-    order = [k for _, block in blocks for k in block]
-    starts = np.cumsum([0] + [len(block) for _, block in blocks[:-1]])
-    sums = np.add.reduceat(analysis.table.gram[order], starts, axis=0)
-    return not pair_rank_two(sums, RANK_TOL).any()
+    """Is f(T) still weakly sufficient?  Decision.coarse_sufficient of (t, family)."""
+    return decide(t, family).coarse_sufficient(cmap)
 
 
 def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
@@ -160,32 +141,33 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
 
     Returns MinimalStatistic (atoms = proportionality classes, values
     1..m in order of smallest member), NoMinimalExists naming the first
-    atom that is not Analysis.active, or check's negative
+    atom that is not Decision.active, or check's negative
     SufficiencyVerdict when t is not weakly sufficient, which proves that
     no coarse-graining is.  A family spanning less than two dimensions
     gets the one-block partition, dead atoms included: every statistic is
     sufficient for it, so the constant one, a function of them all, is
-    minimal.  One decided Analysis of (t, family) gives the verdict, the
-    span (its Gram stack sums to the family's Gram matrix), the dead atom
-    and the classes.  The merged statistic is not decided again: its
-    witness is built under t's versions, as in exists_weakly_sufficient.
-    Near a tolerance the classes may merge atoms split from each other,
-    and the witness then misses; verify_witness reports it.
+    minimal.  One Decision of (t, family) gives the verdict, the span
+    (its Gram stack sums to the family's Gram matrix), the dead atom and
+    the classes.  The merged statistic is not decided again: its witness
+    is built under t's versions, as in exists_weakly_sufficient.  Near a
+    tolerance that witness can miss WITNESS_TOL, and verify_witness
+    reports it.  The classes may merge atoms split from each other; and
+    even a block whose sum passes the rank test at tol can hold a
+    smallest Gram eigenvalue lo up to about tol, which leaves a residual
+    of about sqrt(lo), far above WITNESS_TOL.
     """
-    analysis = analyze(t, family, tol)
-    violations, versions = analysis.decide()
-    if violations:
-        return SufficiencyVerdict(False, None, violations, t.spectrum)
-    if not pair_rank_two(analysis.table.gram.sum(axis=0), tol).any():
+    decision = decide(t, family, tol)
+    if decision.violations:
+        return decision.verdict()
+    if not pair_rank_two(decision.table.gram.sum(axis=0), tol).any():
         classes = AtomClasses([tuple(range(len(t)))], [])
-    elif not all(analysis.active):
-        return NoMinimalExists(dead_atom=analysis.active.index(False), spectrum=t.spectrum)
+    elif not all(decision.active):
+        return NoMinimalExists(dead_atom=decision.active.index(False), spectrum=t.spectrum)
     else:
-        classes = equivalence_classes(analysis)
+        classes = equivalence_classes(decision)
     partition = [list(cls) for cls in classes.classes]
     statistic = statistic_from_partition(t, partition)
-    gamma, xi = atom_directions(project_states(statistic, family), tol)
-    witness = build_witness(statistic, family, gamma, xi, versions)
+    witness = build_witness(statistic, family, decision.versions, tol)
     return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,
                             witness=witness, spectrum=t.spectrum)
 

@@ -9,15 +9,17 @@ For discrete T this reduces to two checkable conditions:
   2. the per-atom overlaps can all be made real by one choice of
      unit-modulus multipliers (a phase-alignment problem modulo pi).
 
-check_weak_sufficiency decides the pair (T, F) and returns either an
-explicit witness factorization or structured violations.  The existence
-question -- is there any weakly sufficient statistic for F? -- depends
-only on the Gram matrix of F and is decided by exists_weakly_sufficient.
-When the states can be dressed so that their Gram matrix is real, any
-orthonormal basis of the dressed states' span gives one: it is found in
-one orthogonalization pass, and statistic_from_directions turns it into
-the statistic.  The same dressing is its witness, so existence is decided
-once.  Certificates carry those directions, and the verifier rebuilds the
+decide(T, F) projects the family once and settles both, as one Decision
+that every question about (T, F) reads: check_weak_sufficiency is its
+verdict, Decision.coarse_sufficient decides each coarse-graining of T
+from block sums of its Gram stack, and minimal_statistic reads its
+classes and versions.  Whether any weakly sufficient
+statistic exists for F depends only on the Gram matrix of F and is
+decided by exists_weakly_sufficient: when the states can be dressed so
+that their Gram matrix is real, an orthonormal basis of the dressed
+states' span, found in one orthogonalization pass, gives one through
+statistic_from_directions, and the same dressing is its witness.
+Certificates carry those directions, and the verifier rebuilds the
 statistic through the same function.
 """
 
@@ -29,7 +31,8 @@ import numpy as np
 
 from .linalg import RANK_TOL, _upper_triangle, gram_matrix, hermitian_part, pair_rank_two
 from .phases import Constraints, Infeasible, PhaseConstraint, VersionAssignment, align_phases
-from .spectral import AtomProjectionTable, DiscreteStatistic, StateFamily, project_states
+from .spectral import (AtomProjectionTable, CoarseMap, DiscreteStatistic, StateFamily,
+                       coarse_blocks, project_states)
 
 ZERO_TOL = 1e-10          # overlaps below this impose nothing
 WITNESS_TOL = 1e-7        # largest residual a verified witness may leave
@@ -76,7 +79,7 @@ class SufficiencyVerdict:
     """The decision on (T, F).  spectrum is T's (DiscreteStatistic.spectrum),
     which a certificate records; it names the statistic decided, not the
     answer, so verdicts compare without it.  A plain record: the functions
-    that make it, Analysis.verdict and minimal_statistic's refusal, give a
+    that make it, Decision.verdict and minimal_statistic's refusal, give a
     sufficient verdict a witness and no violations, a negative one no
     witness and at least one violation.
     """
@@ -95,59 +98,51 @@ class WitnessCheck:
 
 
 @dataclass
-class Analysis:
-    """Everything the questions about (t, family) read from the Gram stack.
+class Decision:
+    """The decision on (t, family), made once; every question reads it.
 
     table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
-    No eigensolve runs: spread maps each atom where some 2x2 principal
-    submatrix of gram[k] has rank 2 (pair_rank_two) to the state indices
-    (i, j), i < j, of the first such pair, and such an atom is refused as
-    it stands.  An atom is active when some state's weight on it exceeds
-    tol; a spread atom always is.  constraints hold the entries of gram[k]
-    right of the diagonal whose modulus exceeds ZERO_TOL, as arrays in
-    (atom, left, right) order; both tests read the one strict upper
-    triangle index (_upper_triangle).  gamma and xi are
-    atom_directions(table, tol), from which build_witness builds the
-    witness.  tol is the rank and activity tolerance the analysis was
-    built with; everything read from it applies tol.
+    An atom is active when some state's weight on it exceeds tol.  Exactly
+    one of violations and versions is empty: the violations refuse t, the
+    versions make every entry of every gram[k] real.  gamma and xi are
+    atom_directions(table, tol), from which verdict builds the witness.
+    tol is the rank and activity tolerance of the decision; everything
+    read from it applies tol.
     """
 
     statistic: DiscreteStatistic
     family: StateFamily
     table: AtomProjectionTable
-    spread: dict[int, tuple[int, int]]
-    constraints: Constraints
+    tol: float
+    active: tuple[bool, ...]
+    violations: list
+    versions: VersionAssignment | None
     gamma: np.ndarray                # (n_atoms, n_states) complex
     xi: dict[int, np.ndarray]
-    active: tuple[bool, ...]
-    tol: float
-
-    def decide(self) -> tuple[list, VersionAssignment | None]:
-        """Rank test, then phase alignment: (violations, versions).
-
-        Exactly one of the two is empty: the violations refuse, the
-        versions make every constraint real.  No witness is built.
-        """
-        if _RANK_CHECK_ENABLED and self.spread:
-            labels = self.family.labels
-            return [RankViolation(atom=k, states=(labels[i], labels[j]))
-                    for k, (i, j) in self.spread.items()], None
-        aligned = align_phases(self.constraints, self.family.labels)
-        if isinstance(aligned, Infeasible):
-            return [PhaseObstruction(aligned.cycle)], None
-        return [], aligned
 
     def verdict(self) -> SufficiencyVerdict:
-        """The decision, with the witness built from its versions."""
-        violations, versions = self.decide()
+        """check's verdict: the violations, or the witness under the versions."""
         spectrum = self.statistic.spectrum
-        if violations:
-            return SufficiencyVerdict(False, None, violations, spectrum)
-        return SufficiencyVerdict(True, self.witness(versions), [], spectrum)
+        if self.violations:
+            return SufficiencyVerdict(False, None, self.violations, spectrum)
+        witness = build_witness(self.statistic, self.family, self.versions,
+                                directions=(self.gamma, self.xi))
+        return SufficiencyVerdict(True, witness, [], spectrum)
 
-    def witness(self, versions: VersionAssignment) -> WitnessFactorization:
-        """The factorization under versions, from this analysis's gamma and xi."""
-        return build_witness(self.statistic, self.family, self.gamma, self.xi, versions)
+    def coarse_sufficient(self, cmap: CoarseMap) -> bool:
+        """Is f(T) still weakly sufficient?  False when t is refused, as
+        no coarse-graining of it is; otherwise iff no block sum of gram[k]
+        over a block of f, dead atoms included, holds a pair of states of
+        rank 2 (pair_rank_two), the rank test a direct check of f(T) runs
+        (see the minimality module).  f(T) is never built or projected.
+        """
+        blocks = coarse_blocks(self.statistic, cmap)
+        if self.violations:
+            return False
+        order = [k for _, block in blocks for k in block]
+        starts = np.cumsum([0] + [len(block) for _, block in blocks[:-1]])
+        sums = np.add.reduceat(self.table.gram[order], starts, axis=0)
+        return not pair_rank_two(sums, self.tol).any()
 
 
 def atom_directions(table: AtomProjectionTable,
@@ -170,16 +165,20 @@ def atom_directions(table: AtomProjectionTable,
     return gamma, xi
 
 
-def build_witness(t: DiscreteStatistic, family: StateFamily, gamma: np.ndarray,
-                  xi: dict[int, np.ndarray], versions: VersionAssignment) -> WitnessFactorization:
+def build_witness(t: DiscreteStatistic, family: StateFamily, versions: VersionAssignment,
+                  tol: float = RANK_TOL, directions=None) -> WitnessFactorization:
     """The factorization of the family through t under versions.
 
-    gamma and xi are atom_directions of t's projection table.  The
-    witness is exact when the versions make each dressed gamma row real
-    up to one phase, as verify_witness checks.  Nothing here decides t:
-    the versions come from t's own decision, or from that of a statistic
-    or Gram matrix whose versions serve t too.
+    directions is (gamma, xi), the atom_directions at tol of t's
+    projection table of the family, computed here unless the caller holds
+    them.  The witness is exact when the versions make each dressed gamma
+    row real up to one phase, as verify_witness checks.  Nothing here
+    decides t: the versions come from t's own decision, or from that of a
+    statistic or Gram matrix whose versions serve t too.
     """
+    if directions is None:
+        directions = atom_directions(project_states(t, family), tol)
+    gamma, xi = directions
     phases = np.array([versions.phase(lab) for lab in family.labels])
     dressed = gamma * phases[np.newaxis, :]
     coef = 1.0 / np.sqrt(len(xi))
@@ -191,33 +190,49 @@ def build_witness(t: DiscreteStatistic, family: StateFamily, gamma: np.ndarray,
         u = row[lead] / abs(row[lead])
         values[k] = (row * np.conj(u)).real
         chi += coef * (u * xi[k])
-    eigenvalues, table = t.eigenvalues.tolist(), (values / coef).T.tolist()
-    functions = {lab: dict(zip(eigenvalues, row)) for lab, row in zip(family.labels, table)}
+    eigenvalues, rows = t.eigenvalues.tolist(), (values / coef).T.tolist()
+    functions = {lab: dict(zip(eigenvalues, row)) for lab, row in zip(family.labels, rows)}
     return WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
 
-def _phase_constraints(upper: np.ndarray, rows, cols, atoms: bool) -> Constraints:
-    """One constraint per entry of upper[k] above ZERO_TOL, in (k, left,
-    right) order; upper[k] holds gram[k][rows, cols], and k is recorded as
-    the atom when atoms is set."""
+def _phase_constraints(gram: np.ndarray, atoms: bool) -> Constraints:
+    """One constraint per entry of gram[k] right of the diagonal above
+    ZERO_TOL, in (k, left, right) order; k is recorded as the atom when
+    atoms is set.  The rank test reads the same strict upper triangle."""
+    rows, cols = _upper_triangle(gram.shape[-1])
+    upper = gram[:, rows, cols]
     k, pair = np.nonzero(np.abs(upper) > ZERO_TOL)
     return Constraints(rows[pair], cols[pair], upper[k, pair], k if atoms else None)
 
 
-def analyze(t: DiscreteStatistic, family: StateFamily,
-            tol: float = RANK_TOL) -> Analysis:
-    """Project the family once and read every per-atom quantity from gram[k]."""
+def decide(t: DiscreteStatistic, family: StateFamily, tol: float = RANK_TOL) -> Decision:
+    """Project the family once, then the rank test and the phase alignment.
+
+    No eigensolve runs.  An atom where some 2x2 principal submatrix of
+    gram[k] has rank 2 (pair_rank_two) is refused as it stands, naming
+    the first such pair of states.  Otherwise the entries of every gram[k]
+    right of the diagonal whose modulus exceeds ZERO_TOL are aligned
+    (align_phases): either versions make them all real, or a cycle
+    refuses t.
+    """
     table = project_states(t, family)
-    rows, cols = _upper_triangle(len(family))
+    active = tuple((table.weights.max(axis=0) > tol).tolist())
     split = pair_rank_two(table.gram, tol)
-    spread_atoms = np.flatnonzero(split.any(axis=1))
-    # a single state has no pair to take an argmax over, and spreads nothing
-    first = split[spread_atoms].argmax(axis=1) if spread_atoms.size else spread_atoms
-    spread = dict(zip(spread_atoms.tolist(), zip(rows[first].tolist(), cols[first].tolist())))
-    constraints = _phase_constraints(table.gram[:, rows, cols], rows, cols, atoms=True)
-    gamma, xi = atom_directions(table, tol)
-    return Analysis(t, family, table, spread, constraints, gamma, xi,
-                    tuple((table.weights.max(axis=0) > tol).tolist()), tol)
+    spread = np.flatnonzero(split.any(axis=1))
+    violations, versions = [], None
+    if _RANK_CHECK_ENABLED and spread.size:
+        rows, cols = _upper_triangle(len(family))
+        first, labels = split[spread].argmax(axis=1), family.labels
+        violations = [RankViolation(atom=k, states=(labels[i], labels[j])) for k, i, j
+                      in zip(spread.tolist(), rows[first].tolist(), cols[first].tolist())]
+    else:
+        aligned = align_phases(_phase_constraints(table.gram, atoms=True), family.labels)
+        if isinstance(aligned, Infeasible):
+            violations = [PhaseObstruction(aligned.cycle)]
+        else:
+            versions = aligned
+    return Decision(t, family, table, tol, active, violations, versions,
+                    *atom_directions(table, tol))
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
@@ -229,7 +244,7 @@ def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
     violations: the spread atoms, each with a pair of states it keeps
     apart, or else an inconsistent phase cycle.
     """
-    return analyze(t, family, tol).verdict()
+    return decide(t, family, tol).verdict()
 
 
 def verify_witness(t: DiscreteStatistic, family: StateFamily,
@@ -297,9 +312,7 @@ class NonExistence:
 def family_constraints(family: StateFamily) -> Constraints:
     """Reality constraints from the entries of the full Gram matrix above
     ZERO_TOL, which name no atom."""
-    rows, cols = _upper_triangle(len(family))
-    upper = gram_matrix(family.vectors)[rows, cols][np.newaxis]
-    return _phase_constraints(upper, rows, cols, atoms=False)
+    return _phase_constraints(gram_matrix(family.vectors)[np.newaxis], atoms=False)
 
 
 def statistic_from_directions(directions) -> DiscreteStatistic:
@@ -351,6 +364,5 @@ def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
             directions.append(resid / np.sqrt(square))
     rows = np.array(directions).reshape(-1, family.dim)
     statistic = statistic_from_directions(rows)
-    gamma, xi = atom_directions(project_states(statistic, family), tol)
-    witness = build_witness(statistic, family, gamma, xi, aligned)
+    witness = build_witness(statistic, family, aligned, tol)
     return ConstructedStatistic(statistic=statistic, directions=rows, witness=witness)

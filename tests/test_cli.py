@@ -590,6 +590,29 @@ def test_reproductions_verify_or_exit_2(tmp_path, capsys):
                                "spectrum": [1.0, 2.0]}
 
 
+def tolerance_band_path(tmp_path, theta_squared):
+    """T = diag(1, 2, 3, 4) and two real states whose coordinate pairs lie
+    at angles theta, 0 and 2 theta on atoms 0-2 and at (0, 1) on atom 3."""
+    theta = math.sqrt(theta_squared)
+    pairs = [(math.cos(x), math.sin(x)) for x in (theta, 0.0, 2.0 * theta)] + [(0.0, 1.0)]
+    a, b = (np.array(coords) / np.linalg.norm(coords) for coords in zip(*pairs))
+    return diagonal_instance(tmp_path / "band.json", [1.0, 2.0, 3.0, 4.0], [a, b])
+
+
+def test_minimal_in_the_rank_tolerance_band_verifies_or_exits_2(tmp_path, capsys):
+    # at theta^2 = 3e-9 no atom is spread, and the block sum of atoms 0-2
+    # passes the rank test too, so minimal may merge them; that merge leaves
+    # a witness residual of about the square root of the block sum's smaller
+    # Gram eigenvalue, 7.7e-5, far above WITNESS_TOL
+    path = tolerance_band_path(tmp_path, 3e-9)
+    code, cert = run_and_verify(path, ["check"], capsys)
+    assert code == 0 and cert["verdict"] == "sufficient"
+    code, cert = run_and_verify(path, ["minimal"], capsys)
+    assert code in (0, 2)
+    if code == 0:
+        assert run_verify_cli(path, cert, tmp_path, capsys) == 0
+
+
 def near_threshold_triple_path(tmp_path, delta):
     """States e0, (e0 + e1)/sqrt2 and (e0 + (2 + i delta) e1)/|.|, no
     statistic.  The cycle a -> b -> c has defect about delta/3, so a

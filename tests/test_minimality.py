@@ -18,8 +18,8 @@ from wsq.minimality import (
 )
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
 from wsq.sufficiency import (
-    analyze,
     check_weak_sufficiency,
+    decide,
     exists_weakly_sufficient,
     verify_witness,
 )
@@ -113,7 +113,7 @@ def planted_instance(rng, dims, coeff):
 
 def test_classes_of_worked_example():
     t, fam = two_plus_one_instance()
-    classes = equivalence_classes(analyze(t, fam))
+    classes = equivalence_classes(decide(t, fam))
     assert classes.classes == [(0, 1), (2,)]
     # s0 loads atom 0 and s1 atom 2: independent on the merged atom
     assert classes.separations == [((0, 2), ("s0", "s1"))]
@@ -126,8 +126,8 @@ def test_complex_proportionality_factor_is_accepted():
         ("s0", "s1"),
         (np.array([1.0, 1.0j, 1.0]) / np.sqrt(3), np.array([1.0, 1.0j, -1.0]) / np.sqrt(3)),
     )
-    analysis = analyze(t, fam)
-    classes = equivalence_classes(analysis)
+    decision = decide(t, fam)
+    classes = equivalence_classes(decision)
     assert classes.classes == [(0, 1), (2,)]
     assert classes.separations == [((0, 2), ("s0", "s1"))]
 
@@ -152,9 +152,9 @@ def test_closed_form_pair_test_agrees_with_numerical_rank(rows):
 
 def test_classes_make_no_eigensolver_call(monkeypatch):
     t, fam = two_plus_one_instance()
-    analysis = analyze(t, fam)
+    decision = decide(t, fam)
     calls = count_eigensolves(monkeypatch)
-    assert equivalence_classes(analysis).classes == [(0, 1), (2,)]
+    assert equivalence_classes(decision).classes == [(0, 1), (2,)]
     assert calls == []
 
 
@@ -179,7 +179,7 @@ def test_sufficiency_checks_run_no_kernel(monkeypatch):
     assert not check_coarse_sufficient(t, fam, CoarseMap({1.0: 1.0, 2.0: 2.0, 3.0: 1.0, 4.0: 3.0}))
     verdict = check_weak_sufficiency(refused, spread)
     assert [(v.atom, v.states) for v in verdict.violations] == [(0, ("a", "b")), (1, ("c", "d"))]
-    assert analyze(refused, spread).spread == {0: (0, 1), 1: (2, 3)}
+    assert decide(refused, spread).violations == verdict.violations
     assert [type(v).__name__ for v in check_weak_sufficiency(twisted, cycle).violations] == \
         ["PhaseObstruction"]
     assert lone == [] and runs == []
@@ -326,7 +326,7 @@ def test_separations_split_every_pair_of_classes_in_order():
     rng = np.random.default_rng(65)
     coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
-    classes = equivalence_classes(analyze(t, fam))
+    classes = equivalence_classes(decide(t, fam))
     assert classes.classes == [(0, 2), (1,), (3,)]
     assert [atoms for atoms, _ in classes.separations] == [(0, 1), (0, 3), (1, 3)]
     for (a, b), labels in classes.separations:
@@ -341,7 +341,7 @@ def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
     rng = np.random.default_rng(65)
     coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
-    analysis = analyze(t, fam)
+    decision = decide(t, fam)
     shapes = []
 
     def recording(h, tol):
@@ -349,7 +349,7 @@ def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
         return pair_rank_two(h, tol)
 
     monkeypatch.setattr(minimality, "pair_rank_two", recording)
-    assert equivalence_classes(analysis).classes == [(0, 2), (1,), (3,)]
+    assert equivalence_classes(decision).classes == [(0, 2), (1,), (3,)]
     assert shapes == [(3, 3, 3), (1, 3, 3), (0, 3, 3)]
 
 
@@ -364,10 +364,10 @@ def test_classes_of_many_atoms_stay_within_a_small_memory_bound():
     vectors = rng.normal(size=(48, 48))
     fam = StateFamily(tuple(f"s{n}" for n in range(48)),
                       tuple(v / np.linalg.norm(v) for v in vectors))
-    analysis = analyze(t, fam)
+    decision = decide(t, fam)
     tracemalloc.start()
     try:
-        classes = equivalence_classes(analysis)
+        classes = equivalence_classes(decision)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,7 +385,7 @@ def test_classes_near_a_tolerance_give_a_witness_that_misses_it():
     t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
     fam = StateFamily(("s0", "s1"), (np.array([x, x, x, 0.0]),
                                      np.array([0.0, d, -d, np.sqrt(1.0 - 2.0 * d * d)])))
-    assert equivalence_classes(analyze(t, fam, 1e-4)).classes == [(0, 1, 2), (3,)]
+    assert equivalence_classes(decide(t, fam, 1e-4)).classes == [(0, 1, 2), (3,)]
     coarse = minimal_statistic(t, fam, 1e-4)
     assert coarse.partition == [[0, 1, 2], [3]]
     assert not verify_witness(coarse.statistic, fam, coarse.witness, tol=1e-4).ok

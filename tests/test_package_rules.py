@@ -184,9 +184,13 @@ def test_production_code_imports_no_scipy():
 
 
 DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
-DECISIONS = {"analyze", "check_weak_sufficiency", "exists_weakly_sufficient",
-             "family_constraints", "_phase_constraints", "align_phases", "gram_rank",
-             "petz_feasibility", "minimal_statistic", "equivalence_classes"}
+DECISIONS = {"decide", "Decision", "check_weak_sufficiency", "check_coarse_sufficient",
+             "exists_weakly_sufficient", "family_constraints", "_phase_constraints",
+             "align_phases", "gram_rank", "petz_feasibility", "minimal_statistic",
+             "equivalence_classes"}
+# Decision's methods, named as attributes: the verifier's own locals may be
+# called verdict
+DECISION_METHODS = {"verdict", "coarse_sufficient"}
 # names that build a density matrix; of them the verifier names rhos_from_owners alone
 RHO_BUILDERS = {"outer", "einsum", "eye", "rhos_from_owners"}
 
@@ -220,6 +224,13 @@ def verifier_names(source: str, names: set[str]) -> list[str]:
             if identifier(node) in names]
 
 
+def verifier_methods(source: str, names: set[str]) -> list[str]:
+    """Every attribute in names that verify_certificate or a module function
+    it reaches reads, as 'function: name'."""
+    return [f"{function}: {node.attr}" for function, node in verifier_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
 def verifier_floats(source: str) -> list[str]:
     """Every float literal in verify_certificate or a module function it
     reaches, as 'function: value'."""
@@ -240,12 +251,16 @@ def test_verifier_names_no_default_tolerance():
 def test_verifier_runs_no_decision():
     source = (PACKAGE / "fileio.py").read_text()
     assert verifier_names(source, DECISIONS) == []
+    assert verifier_methods(source, DECISION_METHODS) == []
     # an edit deciding a refusal again before replaying it is caught
     replay = '        if verdict == "not_sufficient":\n'
     assert source.count(replay) == 1
     edited = source.replace(
-        replay, replay + '            sufficiency.analyze(statistic, family, tols["rank"])\n')
-    assert verifier_names(edited, DECISIONS) == ["_replay: analyze"]
+        replay, replay + '            sufficiency.decide(statistic, family, tols["rank"])\n')
+    assert verifier_names(edited, DECISIONS) == ["_replay: decide"]
+    # and so is one reading a verdict off a decision it was handed
+    edited = source.replace(replay, replay + "            decision.verdict()\n")
+    assert verifier_methods(edited, DECISION_METHODS) == ["_replay: verdict"]
     # and so is one taking a feasible answer's rho's from the decision
     replay = '    if verdict == "feasible":\n'
     assert source.count(replay) == 1

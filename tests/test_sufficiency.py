@@ -13,8 +13,9 @@ from wsq.sufficiency import (
     PhaseObstruction,
     RankViolation,
     WitnessFactorization,
-    analyze,
+    _phase_constraints,
     check_weak_sufficiency,
+    decide,
     exists_weakly_sufficient,
     family_constraints,
     statistic_from_directions,
@@ -164,7 +165,7 @@ def test_constraint_objects_are_built_only_for_a_refusal_cycle(monkeypatch):
 
     monkeypatch.setattr(PhaseConstraint, "__init__", counting)
     t, fam = two_state_qubit()
-    assert len(analyze(t, fam).constraints) == 1
+    assert len(_phase_constraints(decide(t, fam).table.gram, atoms=True)) == 1
     assert check_weak_sufficiency(t, fam).sufficient
     assert isinstance(exists_weakly_sufficient(random_real_family(np.random.default_rng(3), 4, 3)),
                       ConstructedStatistic)
@@ -355,7 +356,7 @@ def test_check_rejects_dimension_mismatch():
         check_weak_sufficiency(t, fam)
 
 
-# ---------------------------------------------------------------- analyze
+# ----------------------------------------------------------------- decide
 
 
 def test_analysis_factors_each_atom():
@@ -363,21 +364,21 @@ def test_analysis_factors_each_atom():
     fam = random_real_family(rng, 5, 3)
     built = exists_weakly_sufficient(fam)
     t = built.statistic
-    analysis = analyze(t, fam)
-    comps = analysis.table.components
-    for k, is_active in enumerate(analysis.active):
-        assert is_active == (numpy_rank(analysis.table.gram[k]) >= 1)
+    decision = decide(t, fam)
+    comps = decision.table.components
+    for k, is_active in enumerate(decision.active):
+        assert is_active == (numpy_rank(decision.table.gram[k]) >= 1)
         if not is_active:
-            assert np.abs(analysis.gamma[k]).max() <= 1e-9
+            assert np.abs(decision.gamma[k]).max() <= 1e-9
             continue
-        xi = analysis.xi[k]
+        xi = decision.xi[k]
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
         for i in range(len(fam)):
-            assert np.abs(comps[k, i] - analysis.gamma[k, i] * xi).max() <= 1e-9
-    active = sorted(analysis.xi)
+            assert np.abs(comps[k, i] - decision.gamma[k, i] * xi).max() <= 1e-9
+    active = sorted(decision.xi)
     for a in range(len(active)):
         for b in range(a + 1, len(active)):
-            assert abs(inner(analysis.xi[active[a]], analysis.xi[active[b]])) <= 1e-9
+            assert abs(inner(decision.xi[active[a]], decision.xi[active[b]])) <= 1e-9
 
 
 @pytest.mark.parametrize("w", [5e-9, 8e-9])
@@ -388,10 +389,10 @@ def test_witness_covers_an_atom_loaded_below_the_rank_tolerance(w):
     t = statistic_from_matrix(np.diag([1.0, 2.0]))
     a, b = np.sqrt(1.0 - w), np.sqrt(w)
     fam = StateFamily(("p", "m"), (np.array([a, b]), np.array([a, -b])))
-    analysis = analyze(t, fam)
-    assert analysis.active == (True, False) and sorted(analysis.xi) == [0, 1]
-    assert np.array_equal(analysis.xi[1], analysis.table.components[1, 0] / b)
-    verdict = analysis.verdict()
+    decision = decide(t, fam)
+    assert decision.active == (True, False) and sorted(decision.xi) == [0, 1]
+    assert np.array_equal(decision.xi[1], decision.table.components[1, 0] / b)
+    verdict = decision.verdict()
     assert verdict.sufficient
     assert verify_witness(t, fam, verdict.witness).max_residual <= 1e-15
 
@@ -401,7 +402,7 @@ def test_analysis_gram_stack_matches_the_components():
     t = statistic_from_matrix(np.diag([1.0, 1.0, 2.0, 3.0, 3.0]))
     vecs = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     fam = StateFamily(("a", "b", "c"), tuple(v / np.linalg.norm(v) for v in vecs))
-    table = analyze(t, fam).table
+    table = decide(t, fam).table
     for k in range(len(t)):
         assert np.abs(table.gram[k] - gram_matrix(table.components[k])).max() <= 1e-12
         assert np.array_equal(np.diagonal(table.gram[k]).real, table.weights[:, k])
@@ -414,10 +415,11 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
         (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
          np.array([1.0, 1.0j, 1.0]) / np.sqrt(3)),
     )
-    analysis = analyze(t, fam)
-    comps = analysis.table.components
+    decision = decide(t, fam)
+    comps = decision.table.components
     assert [numpy_rank(gram_matrix(comps[k])) for k in range(len(t))] == [1, 2]
-    assert analysis.spread == {1: (0, 1)} and analysis.active == (True, True)
+    assert decision.violations == [RankViolation(atom=1, states=("p", "q"))]
+    assert decision.active == (True, True)
     expected = [
         (fam.labels[i], fam.labels[j], k)
         for k in range(len(t))
@@ -425,7 +427,7 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
         for j in range(i + 1, len(fam))
         if abs(inner(comps[k, i], comps[k, j])) > 1e-10
     ]
-    cs = analysis.constraints
+    cs = _phase_constraints(decision.table.gram, atoms=True)
     found = list(zip(cs.left.tolist(), cs.right.tolist(), cs.atom.tolist()))
     assert [(fam.labels[i], fam.labels[j], k) for i, j, k in found] == expected
     for (i, j, k), value in zip(found, cs.value):
@@ -452,14 +454,15 @@ def test_analysis_rank_classes_match_numerical_rank(seed):
              + blocks[2][:, :2] @ coef(2) + blocks[3] @ coef(3))
         vecs.append(v / np.linalg.norm(v))
     fam = StateFamily(("a", "b", "c"), tuple(vecs))
-    analysis = analyze(t, fam)
-    comps = analysis.table.components
+    decision = decide(t, fam)
+    comps = decision.table.components
     ranks = [numpy_rank(gram_matrix(comps[k])) for k in range(len(t))]
     assert [ranks[k] for k in np.argsort(t.eigenvalues)] == [0, 1, 2, 3]
-    assert analysis.active == tuple(rank >= 1 for rank in ranks)
-    assert sorted(analysis.spread) == [k for k, rank in enumerate(ranks) if rank >= 2]
-    for k, (i, j) in analysis.spread.items():
-        assert i < j and numpy_rank(gram_matrix(comps[k][[i, j]])) == 2
+    assert decision.active == tuple(rank >= 1 for rank in ranks)
+    assert [v.atom for v in decision.violations] == [k for k, rank in enumerate(ranks) if rank >= 2]
+    for v in decision.violations:
+        i, j = (fam.labels.index(label) for label in v.states)
+        assert i < j and numpy_rank(gram_matrix(comps[v.atom][[i, j]])) == 2
 
 
 def test_decision_is_the_verdict_without_its_witness():
@@ -469,13 +472,12 @@ def test_decision_is_the_verdict_without_its_witness():
                   StateFamily(("a", "b"), (np.array([1.0, 1.0]) / np.sqrt(2),
                                            np.array([1.0, 1.0j]) / np.sqrt(2))))
     for t, fam in (two_state_qubit(), rank_case, phase_case):
-        analysis = analyze(t, fam)
-        violations, versions = analysis.decide()
-        verdict = analysis.verdict()
-        assert verdict.violations == violations
-        assert (versions is None) == bool(violations) == (not verdict.sufficient)
-        if versions is not None:
-            assert versions.phases == verdict.witness.versions.phases
+        decision = decide(t, fam)
+        verdict = decision.verdict()
+        assert verdict.violations == decision.violations
+        assert (decision.versions is None) == bool(decision.violations) == (not verdict.sufficient)
+        if decision.versions is not None:
+            assert decision.versions.phases == verdict.witness.versions.phases
 
 
 def test_check_is_deterministic():
