@@ -104,10 +104,9 @@ class Decision:
     table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
     An atom is active when some state's weight on it exceeds tol.  Exactly
     one of violations and versions is empty: the violations refuse t, the
-    versions make every entry of every gram[k] real.  gamma and xi are
-    atom_directions(table, tol), from which verdict builds the witness.
-    tol is the rank and activity tolerance of the decision; everything
-    read from it applies tol.
+    versions make every entry of every gram[k] real.  tol is the rank
+    and activity tolerance of the decision; everything read from it
+    applies tol, the witness directions verdict computes included.
     """
 
     statistic: DiscreteStatistic
@@ -117,16 +116,14 @@ class Decision:
     active: tuple[bool, ...]
     violations: list
     versions: VersionAssignment | None
-    gamma: np.ndarray                # (n_atoms, n_states) complex
-    xi: dict[int, np.ndarray]
 
     def verdict(self) -> SufficiencyVerdict:
-        """check's verdict: the violations, or the witness under the versions."""
+        """check's verdict: the violations, or the witness on atom_directions(table, tol)."""
         spectrum = self.statistic.spectrum
         if self.violations:
             return SufficiencyVerdict(False, None, self.violations, spectrum)
         witness = build_witness(self.statistic, self.family, self.versions,
-                                directions=(self.gamma, self.xi))
+                                directions=atom_directions(self.table, self.tol))
         return SufficiencyVerdict(True, witness, [], spectrum)
 
     def coarse_sufficient(self, cmap: CoarseMap) -> bool:
@@ -154,7 +151,8 @@ def atom_directions(table: AtomProjectionTable,
     e_k phi_h / ||e_k phi_h|| with no rotation, and the gamma row
     gram[k, :, h] / ||e_k phi_h||, so that e_k phi_theta = gamma[k, theta]
     xi[k] when gram[k] has rank at most one.  gamma rows of the other
-    atoms are zero, and the witness covers exactly the atoms of xi.
+    atoms are zero, and the witness covers exactly the atoms of xi, the
+    one reader of both: decide and the coarse test never compute them.
     """
     heaviest, weight = table.weights.argmax(axis=0), table.weights.max(axis=0)
     lit = np.flatnonzero(weight > tol * tol)
@@ -170,11 +168,12 @@ def build_witness(t: DiscreteStatistic, family: StateFamily, versions: VersionAs
     """The factorization of the family through t under versions.
 
     directions is (gamma, xi), the atom_directions at tol of t's
-    projection table of the family, computed here unless the caller holds
-    them.  The witness is exact when the versions make each dressed gamma
-    row real up to one phase, as verify_witness checks.  Nothing here
-    decides t: the versions come from t's own decision, or from that of a
-    statistic or Gram matrix whose versions serve t too.
+    projection table of the family, computed here unless the caller
+    passes them, as Decision.verdict does at its own tol.  The witness is
+    exact when the versions make each dressed gamma row real up to one
+    phase, as verify_witness checks.  Nothing here decides t: the
+    versions come from t's own decision, or from that of a statistic or
+    Gram matrix whose versions serve t too.
     """
     if directions is None:
         directions = atom_directions(project_states(t, family), tol)
@@ -213,7 +212,7 @@ def decide(t: DiscreteStatistic, family: StateFamily, tol: float = RANK_TOL) -> 
     the first such pair of states.  Otherwise the entries of every gram[k]
     right of the diagonal whose modulus exceeds ZERO_TOL are aligned
     (align_phases): either versions make them all real, or a cycle
-    refuses t.
+    refuses t.  Only Decision.verdict computes the witness directions.
     """
     table = project_states(t, family)
     active = tuple((table.weights.max(axis=0) > tol).tolist())
@@ -231,8 +230,7 @@ def decide(t: DiscreteStatistic, family: StateFamily, tol: float = RANK_TOL) -> 
             violations = [PhaseObstruction(aligned.cycle)]
         else:
             versions = aligned
-    return Decision(t, family, table, tol, active, violations, versions,
-                    *atom_directions(table, tol))
+    return Decision(t, family, table, tol, active, violations, versions)
 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,

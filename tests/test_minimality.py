@@ -203,6 +203,37 @@ def test_coarse_check_builds_no_witness_and_minimal_builds_one(monkeypatch):
     assert built == [2]
 
 
+def test_witness_directions_are_computed_only_for_a_witness(monkeypatch):
+    calls = []
+    original = sufficiency.atom_directions
+
+    def counting(table, *args, **kwargs):
+        calls.append(len(table.gram))
+        return original(table, *args, **kwargs)
+
+    patch_every_binding(monkeypatch, original, counting)
+    rng = np.random.default_rng(66)
+    coeff = [[1.0, 2.0, 0.5], [2.0, 4.0, 1.0], [0.3, -1.0, 1.0], [0.0, 0.0, 0.0]]
+    t, fam = planted_instance(rng, (1, 2, 1, 1), coeff)
+    decision = decide(t, fam)
+    maps = list(enumerate_coarse_grainings(t))
+    assert sum(check_coarse_sufficient(t, fam, cmap) for cmap in maps) == 7
+    assert sum(decision.coarse_sufficient(cmap) for cmap in maps) == 7
+    assert calls == []
+    # a check refused by an atom of rank 2 or by a phase cycle computes none
+    basis, s = np.eye(3), 1.0 / np.sqrt(2.0)
+    spread = StateFamily(("e1", "e2"), (basis[0], basis[1]))
+    assert not check_weak_sufficiency(statistic_from_matrix(np.diag([1.0, 1.0, 2.0])),
+                                      spread).sufficient
+    cycle = StateFamily(("u", "v"), (np.array([s, s]), np.array([s, 1j * s])))
+    assert not check_weak_sufficiency(statistic_from_matrix(np.diag([1.0, -1.0])),
+                                      cycle).sufficient
+    assert calls == []
+    # a sufficient one computes exactly one, on t's own table
+    assert check_weak_sufficiency(t, fam).sufficient
+    assert calls == [4]
+
+
 def test_coarse_check_does_not_rerun_the_weak_check(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("check_weak_sufficiency called")

@@ -26,6 +26,7 @@ tests use lives in the harness.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,53 @@ def test_production_code_loads_no_harness_on_import():
         capture_output=True, text=True, check=True, cwd=PACKAGE.parent,
     )
     assert loaded.stdout.strip() == "False"
+
+
+# every name the package root exports, by the module that defines it
+ROOT_EXPORTS = {
+    "spectral": ["DiscreteStatistic", "StateFamily"],
+    "sufficiency": ["ConstructedStatistic", "NonExistence", "PhaseObstruction", "RankViolation",
+                    "SufficiencyVerdict", "WitnessFactorization", "check_weak_sufficiency",
+                    "exists_weakly_sufficient", "verify_witness"],
+    "minimality": ["AtomClasses", "MinimalStatistic", "NoMinimalExists", "minimal_statistic"],
+    "petz": ["Feasible", "InfeasibleOrthogonality", "InfeasibleSharedAtoms", "PetzInstance",
+             "petz_feasibility"],
+    "fileio": ["SchemaError", "VerificationReport", "load_bundled_instance", "make_certificate",
+               "parse_certificate", "parse_instance", "serialize_certificate",
+               "serialize_instance", "verify_certificate"],
+}
+LAZY_PROBE = """
+import importlib, json, sys
+exports = json.loads(sys.argv[1])
+def loaded():
+    return sorted({"wsq.fileio", "wsq.petz"} & set(sys.modules))
+import wsq.minimality, wsq.sufficiency, wsq.spectral
+seen = {"decision modules": loaded()}
+import wsq
+try:
+    wsq.no_such_export
+except AttributeError:
+    seen["unknown name"] = loaded()
+wsq.Feasible
+seen["a petz export"] = loaded()
+seen["unlisted by dir"] = [name for names in exports.values()
+    for name in names if name not in dir(wsq)]
+from wsq import fileio
+seen["fileio module"] = [fileio is sys.modules["wsq.fileio"], loaded()]
+seen["not the module's own"] = [f"{module}.{name}" for module, names in exports.items()
+    for name in names if getattr(wsq, name) is not getattr(importlib.import_module(
+        "wsq." + module), name)]
+print(json.dumps(seen))
+"""
+
+
+def test_the_root_loads_petz_and_fileio_on_first_use():
+    done = subprocess.run([sys.executable, "-c", LAZY_PROBE, json.dumps(ROOT_EXPORTS)],
+                          capture_output=True, text=True, check=True, cwd=PACKAGE.parent)
+    assert json.loads(done.stdout) == {
+        "decision modules": [], "unknown name": [], "a petz export": ["wsq.petz"],
+        "unlisted by dir": [],
+        "fileio module": [True, ["wsq.fileio", "wsq.petz"]], "not the module's own": []}
 
 
 @pytest.mark.parametrize("source", [

@@ -14,6 +14,8 @@ from wsq.sufficiency import (
     RankViolation,
     WitnessFactorization,
     _phase_constraints,
+    atom_directions,
+    build_witness,
     check_weak_sufficiency,
     decide,
     exists_weakly_sufficient,
@@ -365,20 +367,21 @@ def test_analysis_factors_each_atom():
     built = exists_weakly_sufficient(fam)
     t = built.statistic
     decision = decide(t, fam)
+    gamma, directions = atom_directions(decision.table, decision.tol)
     comps = decision.table.components
     for k, is_active in enumerate(decision.active):
         assert is_active == (numpy_rank(decision.table.gram[k]) >= 1)
         if not is_active:
-            assert np.abs(decision.gamma[k]).max() <= 1e-9
+            assert np.abs(gamma[k]).max() <= 1e-9
             continue
-        xi = decision.xi[k]
+        xi = directions[k]
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
         for i in range(len(fam)):
-            assert np.abs(comps[k, i] - decision.gamma[k, i] * xi).max() <= 1e-9
-    active = sorted(decision.xi)
+            assert np.abs(comps[k, i] - gamma[k, i] * xi).max() <= 1e-9
+    active = sorted(directions)
     for a in range(len(active)):
         for b in range(a + 1, len(active)):
-            assert abs(inner(decision.xi[active[a]], decision.xi[active[b]])) <= 1e-9
+            assert abs(inner(directions[active[a]], directions[active[b]])) <= 1e-9
 
 
 @pytest.mark.parametrize("w", [5e-9, 8e-9])
@@ -390,11 +393,36 @@ def test_witness_covers_an_atom_loaded_below_the_rank_tolerance(w):
     a, b = np.sqrt(1.0 - w), np.sqrt(w)
     fam = StateFamily(("p", "m"), (np.array([a, b]), np.array([a, -b])))
     decision = decide(t, fam)
-    assert decision.active == (True, False) and sorted(decision.xi) == [0, 1]
-    assert np.array_equal(decision.xi[1], decision.table.components[1, 0] / b)
+    _, xi = atom_directions(decision.table, decision.tol)
+    assert decision.active == (True, False) and sorted(xi) == [0, 1]
+    assert np.array_equal(xi[1], decision.table.components[1, 0] / b)
     verdict = decision.verdict()
     assert verdict.sufficient
     assert verify_witness(t, fam, verdict.witness).max_residual <= 1e-15
+
+
+def witness_bits(witness):
+    """chi, the labels, each state's (eigenvalue, value) pairs and its version, as bytes."""
+    labels = list(witness.functions)
+    return (witness.chi.tobytes(), labels,
+            np.array([list(witness.functions[lab].items()) for lab in labels]).tobytes(),
+            np.array([witness.versions.phase(lab) for lab in labels]).tobytes())
+
+
+def test_a_verdict_builds_its_witness_at_the_decision_tolerance():
+    # atom 1 carries weight w, between RANK_TOL**2 (1e-16) and tol**2
+    # (1e-12): at tol it is projector rounding and gets no witness row, at
+    # RANK_TOL it would get one, so a verdict that fell back to RANK_TOL
+    # would build another witness
+    w, tol = 1e-14, 1e-6
+    t = statistic_from_matrix(np.diag([1.0, 2.0]))
+    a, b = np.sqrt(1.0 - w), np.sqrt(w)
+    fam = StateFamily(("p", "m"), (np.array([a, b]), np.array([a, -b])))
+    decision = decide(t, fam, tol)
+    witness = decision.verdict().witness
+    assert witness_bits(witness) == witness_bits(build_witness(t, fam, decision.versions, tol))
+    assert witness.functions["p"][2.0] == 0.0
+    assert build_witness(t, fam, decision.versions).functions["p"][2.0] != 0.0
 
 
 def test_analysis_gram_stack_matches_the_components():
