@@ -6,16 +6,18 @@ eigenvalues plus projections).  Complex numbers are always two-element
 [re, im] arrays.  ``read_instance`` reads and validates the whole file
 at once: its schema, every number, the state family, an explicit
 statistic, and a dense matrix's Hermitian check.  The states and a dense
-matrix take one numpy conversion each; where it meets anything but
-finite numbers of the right shape, or the text may hold a JSON boolean,
-the path-addressed walker reads them instead and names the error.  A
+matrix take one numpy conversion each, as do a certificate's witness chi
+and constructed directions; where it meets anything but finite numbers
+of the right shape, or the text may hold a JSON boolean, the
+path-addressed walker reads them instead and names the error.  A
 dimension above linalg.MAX_DIM is refused, whatever the encoding.  Only
 a dense matrix's decomposition waits until a question reads the
 statistic, so **construct** and a **petz** refusal of overlapping states
 never run it, nor meet its errors.  It takes the eigenvalues from
 values-only QL and the atoms from their Frobenius covariants
-(spectral.statistic_from_matrix), and builds eigenvectors only where the
-covariants fail their checks.  Certificates mirror the in-memory
+(spectral.statistic_from_matrix), refines them by a Newton step only
+where rounding leaves them short of projectors, and builds eigenvectors
+only where even those fail their checks.  Certificates mirror the in-memory
 verdict types and carry the tool version and the tolerances that
 produced them, and every verdict that reads the statistic records its
 spectrum, so a verifier holding only the instance file and the
@@ -123,7 +125,8 @@ def _pair_json(z: complex) -> list[float]:
 
 
 def _vector_json(v: np.ndarray) -> list:
-    return [_pair_json(z) for z in v]
+    """Each entry of v as an [re, im] pair of floats, from one tolist()."""
+    return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
 class Instance:
@@ -255,10 +258,17 @@ def _witness_json(witness: sufficiency.WitnessFactorization) -> dict:
     }
 
 
-def _witness_from_json(node: dict, path: str, statistic) -> sufficiency.WitnessFactorization:
-    """The witness, with entry k of each function keyed by atom k's eigenvalue."""
+def _witness_from_json(node: dict, path: str, statistic,
+                       plain: bool) -> sufficiency.WitnessFactorization:
+    """The witness, with entry k of each function keyed by atom k's eigenvalue.
+
+    chi takes one numpy conversion when plain (the certificate text holds
+    no JSON boolean), and the walker reads it otherwise or to name its error.
+    """
     _exact_keys(node, path, ["chi", "functions", "versions"])
-    chi = _vector(node["chi"], f"{path}.chi", statistic.dim)
+    chi = _converted(node["chi"], (statistic.dim,)) if plain else None
+    if chi is None:
+        chi = _vector(node["chi"], f"{path}.chi", statistic.dim)
     if not isinstance(node["functions"], dict):
         _fail(f"{path}.functions", "expected an object of per-state lists")
     functions = {}
@@ -281,11 +291,14 @@ def _cycle_json(cycle) -> dict:
     return {"constraints": [{"left": c.left, "right": c.right, "atom": c.atom} for c in cycle]}
 
 
-def _directions_from_json(node, path: str, dim: int):
-    """The statistic a constructed payload's directions name, or SchemaError."""
+def _directions_from_json(node, path: str, dim: int, plain: bool):
+    """The statistic a constructed payload's directions name, or SchemaError;
+    the rows are read as _witness_from_json reads chi."""
     if not isinstance(node, list) or not 1 <= len(node) <= dim:
         _fail(path, f"expected a list of 1 to {dim} directions")
-    rows = [_vector(row, f"{path}[{n}]", dim) for n, row in enumerate(node)]
+    rows = _converted(node, (len(node), dim)) if plain else None
+    if rows is None:
+        rows = [_vector(row, f"{path}[{n}]", dim) for n, row in enumerate(node)]
     try:
         return sufficiency.statistic_from_directions(rows)
     except ValueError as exc:
@@ -511,15 +524,18 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     """
     instance = read_instance(instance_text)
     try:
-        return _replay(instance, parse_certificate(certificate_text))
+        cert = parse_certificate(certificate_text)
+        # numpy reads booleans as numbers
+        plain = "true" not in certificate_text and "false" not in certificate_text
+        return _replay(instance, cert, plain)
     except SchemaError as exc:
         return VerificationReport(False, f"malformed certificate: {exc}")
 
 
 def _witness_report(statistic, family, payload: dict, tol: float,
-                    verified: str) -> VerificationReport:
+                    verified: str, plain: bool) -> VerificationReport:
     """Replay the payload's witness at tol; SchemaError when it does not fit the instance."""
-    witness = _witness_from_json(payload["witness"], "$.payload.witness", statistic)
+    witness = _witness_from_json(payload["witness"], "$.payload.witness", statistic, plain)
     try:
         check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
     except ValueError as exc:
@@ -530,7 +546,8 @@ def _witness_report(statistic, family, payload: dict, tol: float,
     return VerificationReport(True, f"{verified} {check.max_residual:.3e}")
 
 
-def _minimal_report(statistic, family, payload: dict, tols: dict) -> VerificationReport:
+def _minimal_report(statistic, family, payload: dict, tols: dict,
+                    plain: bool) -> VerificationReport:
     """Prove that the partition's statistic S is minimal; SchemaError when unreadable.
 
     S's witness (at ``witness``) makes each block's rows proportional to one
@@ -550,7 +567,8 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
         k = int(np.argmax(heaviest <= tols["rank"]))
         return VerificationReport(False, f"no minimal statistic to confirm: atom {k} "
                                          f"carries weight {heaviest[k]:.3e}")
-    report = _witness_report(minimal, family, payload, tols["witness"], "witness residual")
+    report = _witness_report(minimal, family, payload, tols["witness"], "witness residual",
+                             plain)
     if not report.ok:
         return report
     pairs = list(combinations(range(len(partition)), 2))
@@ -581,12 +599,15 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
     than spectral.GROUP_FACTOR times its largest modulus, the cutoff
     statistic_from_matrix groups by, so it cannot split an atom, and
     spectral.statistic_from_spectrum proves the values to be the matrix's
-    spectrum, none standing for eigenvalues the cutoff would split.  Where
-    it cannot (one value; rounding that spoils the covariants of many
-    atoms or close ones; a group the cutoff joins that spreads past half
-    of it) the matrix is decomposed into eigenpairs, as the command line
-    falls back to, without trying the covariants a second time; the
-    record must hold its eigenvalues, as many and each within that cutoff.
+    spectrum, none standing for eigenvalues the cutoff would split: it
+    runs the partition checks once on the covariants, and refines them by
+    a Newton step and checks them again only where rounding needs it.
+    Where it cannot (one value; rounding that spoils even the refined
+    covariants of many atoms or close ones; a group the cutoff joins that
+    spreads past half of it) the matrix is decomposed into eigenpairs, as
+    the command line falls back to, without trying the covariants a second
+    time; the record must hold its eigenvalues, as many and each within
+    that cutoff.
     """
     path, node = "$.payload.spectrum", payload["spectrum"]
     if not isinstance(node, list) or not node:
@@ -622,8 +643,9 @@ def _tolerances_from_json(node, kind: str) -> dict[str, float]:
     return node
 
 
-def _replay(instance: Instance, cert: dict) -> VerificationReport:
+def _replay(instance: Instance, cert: dict, plain: bool) -> VerificationReport:
     """verify_certificate on a read instance; SchemaError means an unreadable payload.
+    plain says that the certificate text holds no JSON boolean.
 
     Only the verdicts that rest on the statistic read it, from the
     spectrum their payload records, which the exact-key reader requires
@@ -641,7 +663,7 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
         if verdict == "sufficient":
             _exact_keys(payload, "$.payload", ["spectrum", "witness"])
             return _witness_report(_recorded_statistic(instance, payload), family, payload,
-                                   tols["witness"], "witness verified, max residual")
+                                   tols["witness"], "witness verified, max residual", plain)
         if verdict == "not_sufficient":
             evidence = "rank_violations" if "rank_violations" in payload else "phase_cycle"
             node = _exact_keys(payload, "$.payload", [evidence, "spectrum"])[evidence]
@@ -654,9 +676,10 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
     if kind == "existence":
         if verdict == "constructed":
             _exact_keys(payload, "$.payload", ["directions", "witness"])
-            built = _directions_from_json(payload["directions"], "$.payload.directions", family.dim)
+            built = _directions_from_json(payload["directions"], "$.payload.directions",
+                                          family.dim, plain)
             return _witness_report(built, family, payload, tols["witness"],
-                                   "constructed statistic verified, residual")
+                                   "constructed statistic verified, residual", plain)
         if verdict == "no_statistic_exists":
             cycle = _exact_keys(payload, "$.payload", ["phase_cycle"])["phase_cycle"]
             return _cycle_report(None, family, cycle, tols["angle"])
@@ -665,7 +688,8 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
     if kind == "minimality":
         if verdict == "minimal_constructed":
             _exact_keys(payload, "$.payload", ["partition", "separations", "spectrum", "witness"])
-            return _minimal_report(_recorded_statistic(instance, payload), family, payload, tols)
+            return _minimal_report(_recorded_statistic(instance, payload), family, payload, tols,
+                                   plain)
         if verdict == "no_minimal_exists":
             k = _exact_keys(payload, "$.payload", ["dead_atom", "spectrum"])["dead_atom"]
             statistic = _recorded_statistic(instance, payload)

@@ -104,7 +104,7 @@ def _tridiagonalize(a: np.ndarray, vectors: bool = True):
         tau = 1.0 / (norm_x * (norm_x + r0))   # 2 / (v^H v)
         p = tau * (a[k + 1:, k + 1:] @ v)
         w = p - (0.5 * tau * np.vdot(v, p).real) * v
-        a[k + 1:, k + 1:] -= np.outer(v, w.conj()) + np.outer(w, v.conj())
+        a[k + 1:, k + 1:] -= v[:, None] * w.conj() + w[:, None] * v.conj()
         a[k + 1, k] = -phase * norm_x
         reflectors.append((k, v, tau))
     d, sub = np.diagonal(a).real, np.diagonal(a, -1)

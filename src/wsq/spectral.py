@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_hermitian, hermitian_eig, hermitian_eigvals, hermitian_part, norm
+from .linalg import EPS, as_hermitian, hermitian_eig, hermitian_eigvals, hermitian_part, norm
 
 PARTITION_TOL = 1e-8       # projector algebra defects tolerated on construction
 UNIT_NORM_TOL = 1e-8
@@ -51,16 +51,73 @@ def _hermitian_stack(projections):
     return tuple(stack), stack
 
 
+def _partition_defects(evs: np.ndarray, projs: tuple, stack: np.ndarray) -> np.ndarray:
+    """DiscreteStatistic's partition checks on ascending eigenvalues evs and
+    their projections projs, of which stack holds those up to the first
+    of another shape (_hermitian_stack); returns each stacked atom's
+    idempotence defect max|e e - e|.
+
+    Raises ValueError naming the first defect: no atoms, counts that
+    differ, a non-finite eigenvalue, an atom that is not idempotent or is
+    empty, a shape that differs, eigenvalues that do not ascend, atoms
+    that are not orthogonal, or a sum that is not the identity.
+    """
+    if len(evs) == 0:
+        raise ValueError("statistic needs at least one atom")
+    if len(evs) != len(projs):
+        raise ValueError(
+            f"{len(evs)} eigenvalues but {len(projs)} projections"
+        )
+    if not np.isfinite(evs).all():
+        raise ValueError("eigenvalues contain non-finite entries")
+    d, same = projs[0].shape[0], len(stack)
+    defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    traces = np.trace(stack, axis1=1, axis2=2).real
+    bad = (defects > PARTITION_TOL) | (traces < 0.5)
+    if np.count_nonzero(bad):
+        k = bad.argmax()
+        if defects[k] > PARTITION_TOL:
+            raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
+        raise ValueError(f"projection {k} is empty (trace {traces[k]:.3e})")
+    if same < len(projs):
+        raise ValueError(
+            f"projection {same} has shape {projs[same].shape}, expected {(d, d)}"
+        )
+    gap_scale = max(1.0, float(np.abs(evs).max()))
+    if np.any(np.diff(evs) <= EIGENVALUE_GAP_TOL * gap_scale):
+        raise ValueError("eigenvalues must be strictly ascending and separated")
+    # one product per atom against all later atoms keeps memory at
+    # atoms * d^2 while reporting the same first pair as a pairwise scan
+    for j in range(len(stack) - 1):
+        cross = np.abs(stack[j] @ stack[j + 1:]).max(axis=(1, 2))
+        bad = cross > PARTITION_TOL
+        if np.count_nonzero(bad):
+            i = bad.argmax()
+            raise ValueError(
+                f"projections {j} and {j + 1 + i} are not orthogonal "
+                f"(overlap {cross[i]:.3e})"
+            )
+    defect = np.abs(stack.sum(axis=0) - np.eye(d)).max()
+    if defect > PARTITION_TOL:
+        raise ValueError(
+            f"projections do not sum to the identity (defect {defect:.3e})"
+        )
+    return defects
+
+
 @dataclass
 class DiscreteStatistic:
     """Observable T = sum_k lambda_k e_k with atoms in ascending eigenvalue order.
 
     The projectors must form a partition of the identity; construction
-    validates idempotence, mutual orthogonality and completeness and
-    raises ValueError naming the defect otherwise.  Each atom must also
-    be nonempty: a projection whose trace, an idempotent's rank, is below
+    symmetrizes them (_hermitian_stack), validates idempotence, mutual
+    orthogonality and completeness (_partition_defects) and raises
+    ValueError naming the defect otherwise.  Each atom must also be
+    nonempty: a projection whose trace, an idempotent's rank, is below
     1/2 is refused, so no eigenvalue can name an atom that holds no
-    vector.  Treat instances as immutable once built.
+    vector.  statistic_from_spectrum alone builds one without running the
+    checks here, on covariants it has just run them on.  Treat instances
+    as immutable once built.
     """
 
     eigenvalues: np.ndarray
@@ -69,46 +126,7 @@ class DiscreteStatistic:
     def __post_init__(self):
         evs = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
         projs, stack = _hermitian_stack(self.projections)
-        if len(evs) == 0:
-            raise ValueError("statistic needs at least one atom")
-        if len(evs) != len(projs):
-            raise ValueError(
-                f"{len(evs)} eigenvalues but {len(projs)} projections"
-            )
-        if not np.isfinite(evs).all():
-            raise ValueError("eigenvalues contain non-finite entries")
-        d, same = projs[0].shape[0], len(stack)
-        defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
-        traces = np.trace(stack, axis1=1, axis2=2).real
-        bad = (defects > PARTITION_TOL) | (traces < 0.5)
-        if np.count_nonzero(bad):
-            k = bad.argmax()
-            if defects[k] > PARTITION_TOL:
-                raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
-            raise ValueError(f"projection {k} is empty (trace {traces[k]:.3e})")
-        if same < len(projs):
-            raise ValueError(
-                f"projection {same} has shape {projs[same].shape}, expected {(d, d)}"
-            )
-        gap_scale = max(1.0, float(np.abs(evs).max()))
-        if np.any(np.diff(evs) <= EIGENVALUE_GAP_TOL * gap_scale):
-            raise ValueError("eigenvalues must be strictly ascending and separated")
-        # one product per atom against all later atoms keeps memory at
-        # atoms * d^2 while reporting the same first pair as a pairwise scan
-        for j in range(len(stack) - 1):
-            cross = np.abs(stack[j] @ stack[j + 1:]).max(axis=(1, 2))
-            bad = cross > PARTITION_TOL
-            if np.count_nonzero(bad):
-                i = bad.argmax()
-                raise ValueError(
-                    f"projections {j} and {j + 1 + i} are not orthogonal "
-                    f"(overlap {cross[i]:.3e})"
-                )
-        defect = np.abs(stack.sum(axis=0) - np.eye(d)).max()
-        if defect > PARTITION_TOL:
-            raise ValueError(
-                f"projections do not sum to the identity (defect {defect:.3e})"
-            )
+        _partition_defects(evs, projs, stack)
         self.eigenvalues = evs
         self.projections = projs
 
@@ -256,33 +274,58 @@ def statistic_from_eigenpairs(m) -> DiscreteStatistic:
     return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
 
 
+def _newton_step(atoms: np.ndarray, factors: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """One Newton step of Hermitian covariants atoms towards the spectral
+    projectors, factors[k] being (m - l_k) and nodes[k] l_k on one scale.
+
+    With e_k = E + D, E the spectral projector and D Hermitian, 2 e_k -
+    e_k^2 = E + 2D - ED - DE - D^2, and to first order S (m - l_k) e_k =
+    (I - E) D for S = sum_{j != k} e_j / (l_j - l_k); subtracting it and
+    its adjoint, 2D - ED - DE, leaves E - D^2.
+    """
+    gaps = nodes[:, np.newaxis] - nodes[np.newaxis, :]
+    np.fill_diagonal(gaps, np.inf)
+    steps = np.tensordot(-1 / gaps, atoms, axes=1) @ factors @ atoms
+    return 2 * atoms - atoms @ atoms - steps - steps.conj().transpose(0, 2, 1)
+
+
 def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
     """The statistic of a Hermitian m whose distinct eigenvalues are spectrum.
 
     Atom k is the Frobenius covariant prod_{j != k} (m - l_j) / (l_k - l_j)
     (Higham, Functions of Matrices, 2008, section 1.2), built from prefix
     and suffix products of the factors taken from both ends of the
-    spectrum in turn, then refined by one Newton step towards the
-    spectral projector, about 6 * len(spectrum) matrix products and no
-    eigensolve.  For any distinct values the covariants
-    sum to the identity and reproduce m, so that proves nothing; but
+    spectrum in turn, about 2 * len(spectrum) matrix products and no
+    eigensolve.  For any distinct values the covariants sum to the
+    identity and reproduce m, so that proves nothing; but
     DiscreteStatistic's idempotence, emptiness and orthogonality checks
-    (every atom's trace, a projector's rank, at least 1) force the
-    values to be m's spectrum and the atoms its spectral projectors,
-    to within the partition tolerance.  So that no value stands for
-    eigenvalues statistic_from_matrix would put in two atoms, each must
-    also leave ||(m - l_k) e_k||_F at most half the grouping cutoff
-    GROUP_FACTOR * max|l|: two eigenvalues of e_k further apart than the
-    cutoff leave more.  Raises ValueError when any of this fails, which
-    also happens when rounding spoils the products past what the Newton
-    step repairs (many atoms with values close against their spread: 15
-    atoms, two of them 1e-6 apart, or 24 random ones), and for a single
-    value, whose one covariant is I whatever m is.
+    (_partition_defects; every atom's trace, a projector's rank, at least
+    1) force the values to be m's spectrum and the atoms its spectral
+    projectors, to within the partition tolerance.  They run once, on the
+    symmetrized covariants, which are exactly Hermitian and, with entries
+    at most 2, finite, so DiscreteStatistic would take them bit for bit
+    and its checks are not run again.  Only where the checks refuse them,
+    or leave an idempotence defect above len(spectrum) * d * EPS, the
+    rounding level of the chained d x d products that made them, is each
+    atom refined by one Newton step towards the spectral projector
+    (_newton_step) and checked in full, about 6 * len(spectrum) matrix
+    products in all.  So that no value stands for eigenvalues
+    statistic_from_matrix would put in two atoms, each must also leave
+    ||(m - l_k) e_k||_F at most half the grouping cutoff GROUP_FACTOR *
+    max|l|: two eigenvalues of e_k further apart than the cutoff leave
+    more.  For unrefined covariants (m - l_k) e_k is prod_j (m - l_j) /
+    prod_{j != k} (l_k - l_j), so one product gives every residual; a
+    refined atom takes one product each.  Raises ValueError when any of
+    this fails, which also happens when rounding spoils the products past
+    what the Newton step repairs (many atoms with values close against
+    their spread: 15 atoms, two of them 1e-6 apart, or 24 random ones),
+    and for a single value, whose one covariant is I whatever m is.
     """
     values = np.asarray(spectrum, dtype=float)
     if len(values) < 2:
         raise ValueError("one value has the covariant I whatever the matrix is")
-    eye = np.eye(len(m), dtype=complex)
+    d = len(m)
+    eye = np.eye(d, dtype=complex)
     with np.errstate(all="ignore"):   # what leaves the float range is refused below
         # the values shifted and scaled onto [-1, 1], so the products stay in range
         center, half = values[-1] / 2 + values[0] / 2, values[-1] / 2 - values[0] / 2
@@ -303,22 +346,31 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
                            prefix[-1]]
         gaps = nodes[:, np.newaxis] - nodes[np.newaxis, :]
         np.fill_diagonal(gaps, 1)
-        atoms = products / gaps.prod(axis=1)[:, np.newaxis, np.newaxis]
-        # one Newton step: with e_k = E + D, E the spectral projector and D
-        # Hermitian, 2 e_k - e_k^2 = E + 2D - ED - DE - D^2, and to first
-        # order S (m - l_k) e_k = (I - E) D for S = sum_{j != k} e_j / (l_j - l_k);
-        # subtracting it and its adjoint, 2D - ED - DE, leaves E - D^2
+        scales = gaps.prod(axis=1)
+        atoms = products / scales[:, np.newaxis, np.newaxis]
         atoms = (atoms + atoms.conj().transpose(0, 2, 1)) / 2
-        np.fill_diagonal(gaps, np.inf)
-        steps = np.tensordot(-1 / gaps, atoms, axes=1) @ factors @ atoms
-        atoms = 2 * atoms - atoms @ atoms - steps - steps.conj().transpose(0, 2, 1)
+    projections = tuple(atoms)
     # a projector's entries are at most 1 in modulus; past 2, the checks'
     # own products could leave the float range
-    if not np.abs(atoms).max() <= 2:
-        raise ValueError("the covariants are not projectors")
-    statistic = DiscreteStatistic(values, tuple(atoms))
+    try:
+        plain = np.abs(atoms).max() <= 2 \
+            and _partition_defects(values, projections, atoms).max() <= len(values) * d * EPS
+    except ValueError:
+        plain = False
+    if plain:
+        statistic = object.__new__(DiscreteStatistic)   # checked above, bit for bit
+        statistic.eigenvalues, statistic.projections = values, projections
+        with np.errstate(all="ignore"):
+            whole = np.sqrt((np.abs(prefix[-1] @ chain[-1]) ** 2).sum())
+        residuals = half * whole / np.abs(scales)
+    else:
+        with np.errstate(all="ignore"):
+            atoms = _newton_step(atoms, factors, nodes)
+        if not np.abs(atoms).max() <= 2:
+            raise ValueError("the covariants are not projectors")
+        statistic = DiscreteStatistic(values, tuple(atoms))
+        residuals = half * np.sqrt((np.abs(factors @ atoms) ** 2).sum(axis=(1, 2)))
     cutoff = GROUP_FACTOR * float(np.abs(values).max())
-    residuals = half * np.sqrt((np.abs(factors @ atoms) ** 2).sum(axis=(1, 2)))
     if (residuals > cutoff / 2).any():
         k = int(residuals.argmax())
         raise ValueError(f"the eigenvalues of atom {k} lie {residuals[k]:.3e} from value "

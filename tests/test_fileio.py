@@ -1208,6 +1208,62 @@ def number_leaves(root):
 LEAF_JUNK = (True, False, None, "1.0", 10**400, math.nan, math.inf, [1.0], [])
 
 
+def witness_certificates():
+    """(instance text, certificate) for check, construct and minimal on
+    planted dense instances at d 3 and 8: every witness chi and every
+    constructed statistic's directions the verifier reads."""
+    rng = np.random.default_rng(27)
+    for values, sizes in (([1.0, 2.0, 3.0], [1, 1, 1]), ([-1.0, 0.5, 2.0], [2, 3, 3])):
+        text, _ = planted_dense(rng, values, sizes)
+        certificates = certificates_of(text)
+        certificates.append(make_certificate("existence", exists_weakly_sufficient(
+            parse_instance(text)[1])))
+        for cert in certificates:
+            yield text, json.loads(serialize_certificate(cert))
+
+
+def certificate_number_edits(cert):
+    """(path, junk) for the numbers and [re, im] rows of a certificate's chi
+    and directions, as number_leaves and number_rows edit an instance."""
+    payload = cert["payload"]
+    vectors = [("payload", "witness", "chi")]
+    if "directions" in payload:
+        vectors += [("payload", "directions", n) for n in range(len(payload["directions"]))]
+        rows = payload["directions"]
+        yield ("payload", "directions"), rows[:-1]
+        yield ("payload", "directions"), rows + rows[:1]
+    for path in vectors:
+        row = node_at(cert, path)
+        yield path, row[:-1]
+        yield path, row + row[:1]
+        for i in picked(len(row)):
+            for part in (0, 1):
+                yield from ((path + (i, part), junk) for junk in LEAF_JUNK)
+
+
+def verified_outcome(instance_text, cert_text, monkeypatch):
+    """verify_certificate's (ok, detail), with the bytes of each witness chi
+    and statistic it replays."""
+    replayed = []
+    verify_witness = fileio.sufficiency.verify_witness
+
+    def recording(statistic, family, witness, tol):
+        replayed.append([witness.chi.tobytes()]
+                        + [np.ascontiguousarray(p).tobytes() for p in statistic.projections])
+        return verify_witness(statistic, family, witness, tol=tol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio.sufficiency, "verify_witness", recording)
+        report = verify_certificate(instance_text, cert_text)
+    return report.ok, report.detail, replayed
+
+
+def walked_verification(instance_text, cert_text, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "_converted", lambda node, shape: None)
+        return verified_outcome(instance_text, cert_text, monkeypatch)
+
+
 def test_one_conversion_reads_what_the_walker_reads(monkeypatch):
     for root in equivalence_instances():
         text = json.dumps(root)
@@ -1226,6 +1282,20 @@ def test_one_conversion_reads_what_the_walker_reads(monkeypatch):
             outcome = read_outcome(edited)
             assert outcome == walked_outcome(edited, monkeypatch), (root["dimension"], path)
             assert issubclass(outcome[0], ValueError), (path, value, outcome)
+    # a certificate's chi and directions
+    for text, cert in witness_certificates():
+        cert_text = json.dumps(cert)
+        outcome = verified_outcome(text, cert_text, monkeypatch)
+        assert outcome[0] and outcome[2], outcome[1]
+        assert outcome == walked_verification(text, cert_text, monkeypatch)
+        for path, value in certificate_number_edits(cert):
+            parent = node_at(cert, path[:-1])
+            kept, parent[path[-1]] = parent[path[-1]], value
+            edited = json.dumps(cert)
+            parent[path[-1]] = kept
+            outcome = verified_outcome(text, edited, monkeypatch)
+            assert outcome == walked_verification(text, edited, monkeypatch), (cert["kind"], path)
+            assert not outcome[0], (cert["kind"], path, value)
 
 
 def test_a_valid_instance_never_enters_the_walker(monkeypatch):

@@ -19,6 +19,8 @@ minimal statistic and its classes included), nor hard-codes a float
 threshold.  A petz answer's rho's are rebuilt only through
 petz.rhos_from_owners, and a minimal statistic through
 minimality.statistic_from_partition, the functions the decisions use.
+Only statistic_from_spectrum builds a DiscreteStatistic without its
+constructor's checks, from covariants it has just run them on.
 Production code is what the commands reach: every top-level definition
 outside harness.py is reached from the command line, the verifier, the
 package exports or the benchmark's workloads, so an oracle that only the
@@ -361,6 +363,29 @@ def test_scanner_follows_the_verifier_into_its_helpers(body):
     assert verifier_names(source, DEFAULT_TOLERANCES)
     assert verifier_names(source.replace("verify_certificate", "unrelated")
                           + "def verify_certificate():\n    pass\n", DEFAULT_TOLERANCES) == []
+
+
+def unchecked_constructions(sources: dict[str, str]) -> list[str]:
+    """Every naming of __new__, which builds an object without running its
+    constructor, as 'module.definition' for the top-level definition that
+    holds it."""
+    return sorted(f"{module}.{definition.name}" for module, text in sources.items()
+                  for definition in ast.parse(text).body
+                  for node in ast.walk(definition) if identifier(node) == "__new__")
+
+
+def test_only_the_covariants_skip_the_partition_checks():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert len(sources) >= 11 and "harness" in sources
+    assert unchecked_constructions(sources) == ["spectral.statistic_from_spectrum"]
+    # an edit building a coarse statistic without its checks is caught
+    build = "    coarse = DiscreteStatistic(eigenvalues, projections)\n"
+    assert sources["spectral"].count(build) == 1
+    sources["spectral"] = sources["spectral"].replace(build, (
+        "    coarse = object.__new__(DiscreteStatistic)\n"
+        "    coarse.eigenvalues, coarse.projections = eigenvalues, projections\n"))
+    assert unchecked_constructions(sources) == [
+        "spectral.apply_coarse", "spectral.statistic_from_spectrum"]
 
 
 WORKLOADS = PACKAGE.parent.parent / "perfbench" / "workloads.py"

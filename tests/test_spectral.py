@@ -169,6 +169,44 @@ def test_covariants_refuse_values_that_are_not_the_spectrum():
     assert statistic_from_spectrum(grouped, statistic_from_matrix(grouped).spectrum)
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """The arguments of every call of module.name from now on."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_separated_covariants_are_checked_once_and_not_refined(monkeypatch):
+    checks = count_calls(monkeypatch, spectral, "_partition_defects")
+    steps = count_calls(monkeypatch, spectral, "_newton_step")
+    rng = np.random.default_rng(28)
+    for d, values in [(4, [-1.0, 2.0]), (8, [0.5, 1.5, 4.0]),
+                      (16, [-3.0, -1.0, 0.0, 2.5, 6.0]), (32, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])]:
+        sizes = np.diff(np.linspace(0, d, len(values) + 1).round()).astype(int)
+        matrix = planted(rng, values, sizes)
+        del checks[:]
+        built = statistic_from_spectrum(matrix, values)
+        assert (len(checks), len(steps)) == (1, 0), d
+        # the one pass is DiscreteStatistic's own, on the stack it would build
+        rebuilt = DiscreteStatistic(built.eigenvalues, built.projections)
+        assert len(checks) == 2
+        assert built.eigenvalues.tobytes() == rebuilt.eigenvalues.tobytes()
+        assert len(built.projections) == len(rebuilt.projections) == len(values)
+        for p, q in zip(built.projections, rebuilt.projections):
+            assert p.tobytes() == q.tobytes(), d
+    # sixteen equispaced atoms leave the plain covariants a defect above
+    # rounding, so they are refined and checked in full
+    matrix = next(m for name, m, _ in stress_spectra() if name == "equispaced_16")
+    del checks[:]
+    statistic_from_spectrum(matrix, np.linspace(-1.0, 2.0, 16))
+    assert (len(checks), len(steps)) == (2, 1)
+
+
 def test_partition_of_identity_invariants():
     rng = np.random.default_rng(6)
     t = random_statistic(rng, 6)
