@@ -29,7 +29,7 @@ from .minimality import AtomClasses, MinimalStatistic, NoMinimalExists, minimal_
 _PETZ_EXPORTS = frozenset({"Feasible", "InfeasibleOrthogonality", "InfeasibleSharedAtoms",
                            "PetzInstance", "petz_feasibility"})
 _FILEIO_EXPORTS = frozenset({"SchemaError", "VerificationReport", "load_bundled_instance",
-                             "make_certificate", "parse_certificate", "parse_instance",
+                             "make_certificate", "parse_certificate",
                              "serialize_certificate", "serialize_instance",
                              "verify_certificate"})
 
@@ -42,8 +42,8 @@ def __getattr__(name: str):
                            PetzInstance, petz_feasibility)
     elif name in _FILEIO_EXPORTS:
         from .fileio import (SchemaError, VerificationReport, load_bundled_instance,
-                             make_certificate, parse_certificate, parse_instance,
-                             serialize_certificate, serialize_instance, verify_certificate)
+                             make_certificate, parse_certificate, serialize_certificate,
+                             serialize_instance, verify_certificate)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return locals()[name]

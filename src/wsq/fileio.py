@@ -10,19 +10,18 @@ matrix take one numpy conversion each, as do a certificate's witness chi
 and constructed directions; where it meets anything but finite numbers
 of the right shape, or the text may hold a JSON boolean, the
 path-addressed walker reads them instead and names the error.  A
-dimension above linalg.MAX_DIM is refused, whatever the encoding.  Only
-a dense matrix's decomposition waits until a question reads the
-statistic, so **construct** and a **petz** refusal of overlapping states
-never run it, nor meet its errors.  It takes the eigenvalues from
-values-only QL and the atoms from their Frobenius covariants
-(spectral.statistic_from_matrix), refines them by a Newton step only
-where rounding leaves them short of projectors, and builds eigenvectors
-only where even those fail their checks.  Certificates mirror the in-memory
-verdict types and carry the tool version and the tolerances that
-produced them, and every verdict that reads the statistic records its
-spectrum, so a verifier holding only the instance file and the
-certificate file can re-check the verdict from scratch, at those same
-tolerances, and without decomposing a dense matrix again.
+dimension above linalg.MAX_DIM, or more states than linalg.MAX_STATES,
+is refused, whatever the encoding.  Only a dense matrix's decomposition
+waits until a question reads the statistic, so **construct** and a
+**petz** refusal of overlapping states never run it, nor meet its
+errors.  It takes the eigenvalues from values-only QL and the atoms from
+their Frobenius covariants (spectral.statistic_from_matrix), and builds
+eigenvectors only where those fail their checks.  Certificates mirror
+the in-memory verdict types and carry the tool version and the
+tolerances that produced them, and every verdict that reads the
+statistic records its spectrum, so a verifier holding only the instance
+file and the certificate file can re-check the verdict from scratch, at
+those same tolerances, and without decomposing a dense matrix again.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import MAX_DIM, RANK_TOL, as_hermitian, gram_matrix, inner, pair_rank_two
+from .linalg import MAX_DIM, MAX_STATES, RANK_TOL, as_hermitian, gram_matrix, inner, pair_rank_two
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
@@ -169,6 +168,8 @@ def read_instance(text: str) -> Instance:
     states = root.get("states")
     if not isinstance(states, dict) or not states:
         _fail("$.states", "expected a nonempty object of labeled states")
+    if len(states) > MAX_STATES:
+        _fail("$.states", f"{len(states)} states exceed the desk-scale limit {MAX_STATES}")
     labels = sorted(states)
     plain = "true" not in text and "false" not in text   # numpy reads booleans as numbers
     vectors = _converted([states[label] for label in labels], (len(labels), dim)) if plain else None
@@ -209,12 +210,6 @@ def read_instance(text: str) -> Instance:
     return Instance(family, statistic=statistic, matrix=matrix)
 
 
-def parse_instance(text: str):
-    """Parse an instance file into (statistic or None, state family)."""
-    instance = read_instance(text)
-    return instance.statistic, instance.family
-
-
 def serialize_instance(statistic, family) -> str:
     """Serialize (statistic or None, family) to canonical instance JSON."""
     order = sorted(range(len(family)), key=lambda i: family.labels[i])
@@ -234,8 +229,9 @@ def serialize_instance(statistic, family) -> str:
 
 def load_bundled_instance():
     """The instance shipped with the package: T = diag(1, -1) and two states."""
-    text = resources.files("wsq").joinpath("data").joinpath(BUNDLED_INSTANCE).read_text()
-    return parse_instance(text)
+    instance = read_instance(
+        resources.files("wsq").joinpath("data").joinpath(BUNDLED_INSTANCE).read_text())
+    return instance.statistic, instance.family
 
 
 # ---------------------------------------------------------------------------
@@ -595,19 +591,15 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
     records; SchemaError unless they are its eigenvalues.
 
     Explicit projections: the record must equal the eigenvalues exactly.
-    A dense matrix is not decomposed.  The record must ascend by more
-    than spectral.GROUP_FACTOR times its largest modulus, the cutoff
-    statistic_from_matrix groups by, so it cannot split an atom, and
-    spectral.statistic_from_spectrum proves the values to be the matrix's
-    spectrum, none standing for eigenvalues the cutoff would split: it
-    runs the partition checks once on the covariants, and refines them by
-    a Newton step and checks them again only where rounding needs it.
-    Where it cannot (one value; rounding that spoils even the refined
-    covariants of many atoms or close ones; a group the cutoff joins that
-    spreads past half of it) the matrix is decomposed into eigenpairs, as
-    the command line falls back to, without trying the covariants a second
-    time; the record must hold its eigenvalues, as many and each within
-    that cutoff.
+    A dense matrix: the record must hold at most one value per dimension,
+    ascending by more than spectral.GROUP_FACTOR times its largest
+    modulus, the cutoff statistic_from_matrix groups by, so it cannot
+    split an atom.  spectral.statistic_from_values then builds the
+    statistic as the command line does: from the values' Frobenius
+    covariants, which prove them the matrix's spectrum, or, where those
+    fail their checks, from the matrix's eigenpairs, whose eigenvalues the
+    record must hold; its SpectrumError is this SchemaError, and a matrix
+    that fails to decompose raises.
     """
     path, node = "$.payload.spectrum", payload["spectrum"]
     if not isinstance(node, list) or not node:
@@ -623,12 +615,9 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
     if not (np.diff(values) > cutoff).all():
         _fail(path, f"expected values ascending by more than the grouping cutoff {cutoff:.3e}")
     try:
-        return spectral.statistic_from_spectrum(instance.matrix, values)
-    except ValueError:
-        statistic = spectral.statistic_from_eigenpairs(instance.matrix)
-    if len(statistic) != len(values) or (np.abs(statistic.eigenvalues - values) > cutoff).any():
-        _fail(path, f"expected the matrix's {len(statistic)} eigenvalues, each within {cutoff:.3e}")
-    return statistic
+        return spectral.statistic_from_values(instance.matrix, values)
+    except spectral.SpectrumError as exc:
+        _fail(path, str(exc))
 
 
 def _tolerances_from_json(node, kind: str) -> dict[str, float]:

@@ -31,6 +31,7 @@ RANK_TOL = 1e-8         # relative eigenvalue / residual cutoff
 QL_SWEEPS = 30          # implicit QL sweeps allowed per eigenvalue
 EPS = float(np.finfo(float).eps)
 MAX_DIM = 64            # hard guard: this is a desk-scale solver
+MAX_STATES = 128        # states per instance: a Gram stack holds atoms x states^2 entries
 
 
 class EigenConvergenceError(RuntimeError):

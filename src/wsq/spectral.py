@@ -22,6 +22,10 @@ GROUP_FACTOR = 1e-9        # eigenvalue grouping cutoff, relative to spectral ra
 EIGENVALUE_GAP_TOL = 1e-12
 
 
+class SpectrumError(ValueError):
+    """Values that are not the spectrum of the matrix given with them."""
+
+
 def _hermitian_stack(projections):
     """The projections checked and symmetrized as as_hermitian does at
     PARTITION_TOL, and the stack of those up to the first whose shape
@@ -249,19 +253,16 @@ def statistic_from_matrix(m) -> DiscreteStatistic:
     Eigenvalues closer than GROUP_FACTOR times the spectral radius (chain
     linkage) share an atom, the projector onto
     their eigenvectors, and its eigenvalue is their mean.  The eigenvalues
-    come from values-only QL (hermitian_eigvals) and the atoms are the
-    groups' Frobenius covariants (statistic_from_spectrum), which its
-    checks prove to be the spectral projectors; only where they fail
-    (one group, many atoms or close ones, see statistic_from_spectrum)
-    are the eigenvectors built (statistic_from_eigenpairs).  Either way
-    the eigenvalues are bitwise the same, and the atoms agree to rounding.
+    come from values-only QL (hermitian_eigvals), and statistic_from_values
+    builds the atoms of those means, as the verifier builds those of a
+    recorded spectrum: their Frobenius covariants where those prove
+    themselves the spectral projectors, else the eigenpairs, whose grouped
+    eigenvalues are bitwise the same.  Either way the atoms agree to
+    rounding.
     """
     w = hermitian_eigvals(m)
     values = np.array([float(np.mean(w[g])) for g in _groups(w)])
-    try:
-        return statistic_from_spectrum(hermitian_part(m), values)
-    except ValueError:
-        return statistic_from_eigenpairs(m)
+    return statistic_from_values(hermitian_part(m), values)
 
 
 def statistic_from_eigenpairs(m) -> DiscreteStatistic:
@@ -274,23 +275,32 @@ def statistic_from_eigenpairs(m) -> DiscreteStatistic:
     return DiscreteStatistic(np.array(eigenvalues), tuple(projections))
 
 
-def _newton_step(atoms: np.ndarray, factors: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """One Newton step of Hermitian covariants atoms towards the spectral
-    projectors, factors[k] being (m - l_k) and nodes[k] l_k on one scale.
+def statistic_from_values(m, values) -> DiscreteStatistic:
+    """The statistic of a Hermitian m whose distinct eigenvalues, ascending
+    and grouped by GROUP_FACTOR, are values; ValueError unless they are.
 
-    With e_k = E + D, E the spectral projector and D Hermitian, 2 e_k -
-    e_k^2 = E + 2D - ED - DE - D^2, and to first order S (m - l_k) e_k =
-    (I - E) D for S = sum_{j != k} e_j / (l_j - l_k); subtracting it and
-    its adjoint, 2D - ED - DE, leaves E - D^2.
+    The atoms are the values' Frobenius covariants where those pass their
+    checks (statistic_from_spectrum).  Where they do not, m is decomposed
+    into eigenpairs (statistic_from_eigenpairs), and its grouped
+    eigenvalues must be the values: as many, each within the grouping
+    cutoff GROUP_FACTOR * max|values|, or SpectrumError is raised.  A
+    matrix that fails to decompose raises what statistic_from_eigenpairs
+    raises.
     """
-    gaps = nodes[:, np.newaxis] - nodes[np.newaxis, :]
-    np.fill_diagonal(gaps, np.inf)
-    steps = np.tensordot(-1 / gaps, atoms, axes=1) @ factors @ atoms
-    return 2 * atoms - atoms @ atoms - steps - steps.conj().transpose(0, 2, 1)
+    try:
+        return statistic_from_spectrum(m, values)
+    except ValueError:
+        statistic = statistic_from_eigenpairs(m)
+    cutoff = GROUP_FACTOR * float(np.abs(values).max())
+    if len(statistic) != len(values) or (np.abs(statistic.eigenvalues - values) > cutoff).any():
+        raise SpectrumError(f"expected the matrix's {len(statistic)} eigenvalues, "
+                            f"each within {cutoff:.3e}")
+    return statistic
 
 
 def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
-    """The statistic of a Hermitian m whose distinct eigenvalues are spectrum.
+    """The statistic of a Hermitian m whose distinct eigenvalues are spectrum,
+    its atoms the Frobenius covariants of those values.
 
     Atom k is the Frobenius covariant prod_{j != k} (m - l_j) / (l_k - l_j)
     (Higham, Functions of Matrices, 2008, section 1.2), built from prefix
@@ -304,22 +314,18 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
     projectors, to within the partition tolerance.  They run once, on the
     symmetrized covariants, which are exactly Hermitian and, with entries
     at most 2, finite, so DiscreteStatistic would take them bit for bit
-    and its checks are not run again.  Only where the checks refuse them,
-    or leave an idempotence defect above len(spectrum) * d * EPS, the
-    rounding level of the chained d x d products that made them, is each
-    atom refined by one Newton step towards the spectral projector
-    (_newton_step) and checked in full, about 6 * len(spectrum) matrix
-    products in all.  So that no value stands for eigenvalues
-    statistic_from_matrix would put in two atoms, each must also leave
-    ||(m - l_k) e_k||_F at most half the grouping cutoff GROUP_FACTOR *
-    max|l|: two eigenvalues of e_k further apart than the cutoff leave
-    more.  For unrefined covariants (m - l_k) e_k is prod_j (m - l_j) /
-    prod_{j != k} (l_k - l_j), so one product gives every residual; a
-    refined atom takes one product each.  Raises ValueError when any of
-    this fails, which also happens when rounding spoils the products past
-    what the Newton step repairs (many atoms with values close against
-    their spread: 15 atoms, two of them 1e-6 apart, or 24 random ones),
-    and for a single value, whose one covariant is I whatever m is.
+    and its checks are not run again.  So that no value stands for
+    eigenvalues statistic_from_matrix would put in two atoms, each must
+    also leave ||(m - l_k) e_k||_F at most half the grouping cutoff
+    GROUP_FACTOR * max|l|: two eigenvalues of e_k further apart than the
+    cutoff leave more.  (m - l_k) e_k is prod_j (m - l_j) / prod_{j != k}
+    (l_k - l_j), so one product gives every residual.  Last, every atom's
+    idempotence defect must be at most len(spectrum) * d * EPS, the
+    rounding level of the chained d x d products that made them.  Raises
+    ValueError when any of this fails, which also happens when rounding
+    spoils the products (many atoms with values close against their
+    spread: 12 or more equispaced ones, or two 1e-6 apart), and for a
+    single value, whose one covariant is I whatever m is.
     """
     values = np.asarray(spectrum, dtype=float)
     if len(values) < 2:
@@ -349,32 +355,24 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
         scales = gaps.prod(axis=1)
         atoms = products / scales[:, np.newaxis, np.newaxis]
         atoms = (atoms + atoms.conj().transpose(0, 2, 1)) / 2
-    projections = tuple(atoms)
+        whole = np.sqrt((np.abs(prefix[-1] @ chain[-1]) ** 2).sum())
     # a projector's entries are at most 1 in modulus; past 2, the checks'
     # own products could leave the float range
-    try:
-        plain = np.abs(atoms).max() <= 2 \
-            and _partition_defects(values, projections, atoms).max() <= len(values) * d * EPS
-    except ValueError:
-        plain = False
-    if plain:
-        statistic = object.__new__(DiscreteStatistic)   # checked above, bit for bit
-        statistic.eigenvalues, statistic.projections = values, projections
-        with np.errstate(all="ignore"):
-            whole = np.sqrt((np.abs(prefix[-1] @ chain[-1]) ** 2).sum())
-        residuals = half * whole / np.abs(scales)
-    else:
-        with np.errstate(all="ignore"):
-            atoms = _newton_step(atoms, factors, nodes)
-        if not np.abs(atoms).max() <= 2:
-            raise ValueError("the covariants are not projectors")
-        statistic = DiscreteStatistic(values, tuple(atoms))
-        residuals = half * np.sqrt((np.abs(factors @ atoms) ** 2).sum(axis=(1, 2)))
+    if not np.abs(atoms).max() <= 2:
+        raise ValueError("the covariants are not projectors")
+    projections = tuple(atoms)
+    defect = _partition_defects(values, projections, atoms).max()
+    residuals = half * whole / np.abs(scales)
     cutoff = GROUP_FACTOR * float(np.abs(values).max())
     if (residuals > cutoff / 2).any():
         k = int(residuals.argmax())
         raise ValueError(f"the eigenvalues of atom {k} lie {residuals[k]:.3e} from value "
                          f"{float(values[k])!r}, past half the grouping cutoff {cutoff:.3e}")
+    if defect > len(values) * d * EPS:
+        raise ValueError(f"the covariants are idempotent only to {defect:.3e}, "
+                         f"past the rounding level {len(values) * d * EPS:.3e}")
+    statistic = object.__new__(DiscreteStatistic)   # checked above, bit for bit
+    statistic.eigenvalues, statistic.projections = values, projections
     return statistic
 
 

@@ -14,7 +14,7 @@ from wsq.fileio import (
     load_bundled_instance,
     make_certificate,
     parse_certificate,
-    parse_instance,
+    read_instance,
     serialize_certificate,
     serialize_instance,
     verify_certificate,
@@ -345,7 +345,8 @@ def fourier_instance(tmp_path):
 def explicit_fourier_instance(tmp_path):
     """The same instance with T written as eigenvalues and projections."""
     path = fourier_instance(tmp_path)
-    path.write_text(serialize_instance(*parse_instance(path.read_text())))
+    instance = read_instance(path.read_text())
+    path.write_text(serialize_instance(instance.statistic, instance.family))
     return path
 
 
@@ -710,7 +711,7 @@ def test_tolerance_outside_the_range_exits_2(bundled_path, capsys, tol):
         assert out.err.startswith("error: tolerance must be a number in [1e-14, 0.001]")
 
 
-# ------------------------------------------------- one dimension limit, wsq verify
+# ------------------------------------- dimension and state limits, wsq verify
 
 
 def family_only_text(d):
@@ -752,6 +753,28 @@ def test_the_dimension_limit_still_reads(tmp_path, capsys):
     path.write_text(json.dumps(family_only_text(d)))
     assert run_cli(["construct", "--input", str(path)]) == 0
     assert verify_certificate(path.read_text(), capsys.readouterr().out).ok
+
+
+def many_states_text(n):
+    """n real states at distinct angles on T = diag(1, 2)."""
+    angles = np.linspace(0.0, math.pi / 2, n)
+    states = {f"s{k}": [[math.cos(a), 0.0], [math.sin(a), 0.0]] for k, a in enumerate(angles)}
+    matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+    return json.dumps({"dimension": 2, "states": states, "statistic": {"matrix": matrix}})
+
+
+def test_a_state_count_above_the_limit_exits_2_on_every_command(tmp_path, capsys):
+    instance = read_instance(many_states_text(linalg.MAX_STATES))
+    assert len(instance.family) == linalg.MAX_STATES and len(instance.statistic) == 2
+    n = linalg.MAX_STATES + 1
+    path = tmp_path / "many.json"
+    path.write_text(many_states_text(n))
+    message = f"error: $.states: {n} states exceed the desk-scale limit {linalg.MAX_STATES}\n"
+    for command in ("check", "construct", "minimal", "petz"):
+        capsys.readouterr()
+        assert run_cli([command, "--input", str(path)]) == 2, command
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message), command
 
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_state_instance.json"

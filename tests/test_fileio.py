@@ -10,7 +10,6 @@ from wsq.fileio import (
     load_bundled_instance,
     make_certificate,
     parse_certificate,
-    parse_instance,
     read_instance,
     serialize_certificate,
     serialize_instance,
@@ -55,7 +54,8 @@ def test_instance_roundtrip_is_exact():
                              seed=int(rng.integers(2**63)))
         statistic, family = generate(spec)
         text = serialize_instance(statistic, family)
-        statistic2, family2 = parse_instance(text)
+        instance = read_instance(text)
+        statistic2, family2 = instance.statistic, instance.family
         assert family2.labels == family.labels
         for label in family.labels:
             assert np.array_equal(family2.vector(label), family.vector(label))
@@ -66,11 +66,9 @@ def test_instance_roundtrip_is_exact():
 
 
 def test_statistic_is_optional():
-    statistic, family = parse_instance(
-        '{"dimension": 2, "states": {"x": [[1.0, 0.0], [0.0, 0.0]]}}'
-    )
-    assert statistic is None
-    assert family.labels == ("x",)
+    instance = read_instance('{"dimension": 2, "states": {"x": [[1.0, 0.0], [0.0, 0.0]]}}')
+    assert instance.statistic is None
+    assert instance.family.labels == ("x",)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +97,7 @@ def test_statistic_is_optional():
 )
 def test_schema_errors_are_path_addressed(text, path_fragment):
     with pytest.raises(SchemaError) as err:
-        parse_instance(text)
+        read_instance(text)
     assert path_fragment in str(err.value)
 
 
@@ -128,9 +126,7 @@ def test_dense_matrix_is_checked_at_read_time_and_decomposed_when_read():
 
 def test_invariant_violations_are_named():
     with pytest.raises(ValueError, match="state 'phi1' not unit norm"):
-        parse_instance(
-            '{"dimension": 2, "states": {"phi1": [[0.9, 0.0], [0.0, 0.0]]}}'
-        )
+        read_instance('{"dimension": 2, "states": {"phi1": [[0.9, 0.0], [0.0, 0.0]]}}')
     # projections that do not sum to the identity: keep one of two atoms
     text = json.dumps({
         "dimension": 2,
@@ -141,7 +137,7 @@ def test_invariant_violations_are_named():
         },
     })
     with pytest.raises(ValueError, match="identity"):
-        parse_instance(text)
+        read_instance(text)
 
 
 def test_weak_sufficiency_certificate_roundtrip():
@@ -191,13 +187,15 @@ def test_witness_entries_name_atoms_by_position_not_by_eigenvalue():
     # written with eigenvalues 1, 2, 3 and replayed on the dense matrix, whose
     # decomposed eigenvalues differ in the last bits: the recorded spectrum
     # holds the written values, and the covariants at them are T's atoms
-    verdict = check_weak_sufficiency(*parse_instance(explicit))
+    instance = read_instance(explicit)
+    verdict = check_weak_sufficiency(instance.statistic, instance.family)
     cert = serialize_certificate(make_certificate("weak_sufficiency", verdict))
-    assert parse_instance(dense)[0].spectrum != verdict.spectrum
+    assert read_instance(dense).statistic.spectrum != verdict.spectrum
     report = verify_certificate(dense, cert)
     assert verdict.sufficient and report.ok, report.detail
     # an explicit statistic's eigenvalues must be recorded exactly
-    verdict = check_weak_sufficiency(*parse_instance(dense))
+    instance = read_instance(dense)
+    verdict = check_weak_sufficiency(instance.statistic, instance.family)
     cert = serialize_certificate(make_certificate("weak_sufficiency", verdict))
     report = verify_certificate(explicit, cert)
     assert verdict.sufficient and not report.ok
@@ -1217,7 +1215,7 @@ def witness_certificates():
         text, _ = planted_dense(rng, values, sizes)
         certificates = certificates_of(text)
         certificates.append(make_certificate("existence", exists_weakly_sufficient(
-            parse_instance(text)[1])))
+            read_instance(text).family)))
         for cert in certificates:
             yield text, json.loads(serialize_certificate(cert))
 
@@ -1346,7 +1344,8 @@ def planted_dense(rng, values, sizes, n_states=3):
 
 def certificates_of(text):
     """The check and minimal certificates of an instance, as the commands print them."""
-    statistic, family = parse_instance(text)
+    instance = read_instance(text)
+    statistic, family = instance.statistic, instance.family
     minimal = minimal_statistic(statistic, family)
     kind = "weak_sufficiency" if isinstance(minimal, SufficiencyVerdict) else "minimality"
     return [make_certificate("weak_sufficiency", check_weak_sufficiency(statistic, family)),
@@ -1384,10 +1383,19 @@ def test_hard_spectra_fall_back_to_the_eigensolve_and_verify(monkeypatch, values
 def test_the_verifier_tries_the_covariants_of_a_record_once(monkeypatch):
     # fifteen atoms, two of them 1e-6 apart: the covariants of the recorded
     # values fail their checks, and T is decomposed into eigenpairs at once,
-    # with no second try through values-only QL and the same covariants
+    # with no second try through values-only QL and the same covariants;
+    # the command line's read takes the same one eigenpair solve
     values = [1.0, 1.0 + 1e-6, *np.arange(2.0, 15.0)]
     text, _ = planted_dense(np.random.default_rng(15), values, [2] * 15)
+    solves, eigenpairs = [], spectral.statistic_from_eigenpairs
+
+    def solving(m):
+        solves.append(m.shape)
+        return eigenpairs(m)
+
+    monkeypatch.setattr(spectral, "statistic_from_eigenpairs", solving)
     cert = serialize_certificate(certificates_of(text)[0])
+    assert solves == [(30, 30)]
     proofs, original = [], spectral.statistic_from_spectrum
 
     def counting(m, spectrum):
@@ -1395,9 +1403,10 @@ def test_the_verifier_tries_the_covariants_of_a_record_once(monkeypatch):
         return original(m, spectrum)
 
     monkeypatch.setattr(spectral, "statistic_from_spectrum", counting)
+    del solves[:]
     report = verify_certificate(text, cert)
     assert report.ok, report.detail
-    assert proofs == [15]
+    assert proofs == [15] and solves == [(30, 30)]
 
 
 # records that are not the spectrum 1, 2, 3, 4 of a T of dimension 6
@@ -1450,7 +1459,9 @@ def test_a_spectrum_merging_two_atoms_is_rejected():
         [[s, s, 0.0], [s, 0.0, s]], dtype=complex))
     split = statistic_from_matrix(np.diag([0.0, 1.0, 1.0 + 5e-9]).astype(complex))
     text = dense_instance_text(split, family)
-    assert len(split) == 3 and check_weak_sufficiency(*parse_instance(text)).sufficient
+    instance = read_instance(text)
+    assert len(split) == 3
+    assert check_weak_sufficiency(instance.statistic, instance.family).sufficient
     merged = spectral.DiscreteStatistic(np.array([0.0, 1.0 + 2.5e-9]), (
         split.projections[0], split.projections[1] + split.projections[2]))
     forged = make_certificate("weak_sufficiency", check_weak_sufficiency(merged, family))

@@ -166,8 +166,9 @@ def test_failed_properties_carry_counterexamples():
     report = run_property_suite(seed=0, count=12, mutation="skip_rank_check")
     witnessed = [r for r in report.failures() if r.counterexample]
     assert witnessed, "no failure carried a serialized counterexample"
-    from wsq.fileio import parse_instance
-    statistic, family = parse_instance(witnessed[0].counterexample)
+    from wsq.fileio import read_instance
+    instance = read_instance(witnessed[0].counterexample)
+    statistic, family = instance.statistic, instance.family
     assert family.dim >= 1
 
 

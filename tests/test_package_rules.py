@@ -143,8 +143,8 @@ ROOT_EXPORTS = {
     "petz": ["Feasible", "InfeasibleOrthogonality", "InfeasibleSharedAtoms", "PetzInstance",
              "petz_feasibility"],
     "fileio": ["SchemaError", "VerificationReport", "load_bundled_instance", "make_certificate",
-               "parse_certificate", "parse_instance", "serialize_certificate",
-               "serialize_instance", "verify_certificate"],
+               "parse_certificate", "serialize_certificate", "serialize_instance",
+               "verify_certificate"],
 }
 LAZY_PROBE = """
 import importlib, json, sys

@@ -12,6 +12,7 @@ from wsq.spectral import (
     project_states,
     statistic_from_matrix,
     statistic_from_spectrum,
+    statistic_from_values,
 )
 
 
@@ -141,9 +142,11 @@ def test_values_only_statistic_matches_the_eigenpair_path(monkeypatch):
         assert np.array_equal(t.eigenvalues, values), name
         for p, q in zip(t.projections, projectors):
             assert np.abs(p - q).max() <= bound, name
-    # one value has no covariant but I, so the zero matrix alone takes the
-    # eigenpair path: every other spectrum here is proved by its covariants
-    assert fallbacks == ["zero"]
+    # rounding leaves the covariants of 12 or more equispaced atoms, of three
+    # of the random spectra and across the 1e-6 gap short of projectors, and
+    # one value has no covariant but I: these take the eigenpair path
+    assert fallbacks == [*(f"equispaced_{m}" for m in range(12, 21)),
+                         "random_9", "random_11", "random_12", "gap_1e-6", "zero"]
 
 
 def test_covariants_refuse_values_that_are_not_the_spectrum():
@@ -151,7 +154,7 @@ def test_covariants_refuse_values_that_are_not_the_spectrum():
     for values, message in [
         ([2.0], "one value"),                          # its covariant is I
         ([1.0, 3.0], "not idempotent"),                # 2 is dropped
-        ([1.0, 2.0, 3.0 + 1e-6], "lie 1.000e-06 from value"),   # shifted
+        ([1.0, 2.0, 3.0 + 1e-6], "not idempotent"),    # shifted
         ([1.0, 2.0, 3.0, 10.0], "projection 3 is empty"),   # spurious
         ([0.0, 1e-300], "not projectors"),             # products out of range
     ]:
@@ -164,9 +167,12 @@ def test_covariants_refuse_values_that_are_not_the_spectrum():
     assert len(statistic_from_matrix(split)) == 3
     with pytest.raises(ValueError, match="past half the grouping cutoff"):
         statistic_from_spectrum(split, [0.0, 1.0 + 2.5e-9])
-    # two eigenvalues the cutoff groups are one atom, and one value holds them
+    # two eigenvalues the cutoff groups are one atom, and one value holds them;
+    # its covariant is idempotent only to their spread, so the eigenpairs prove it
     grouped = np.diag([0.0, 1.0, 1.0 + 5e-10]).astype(complex)
-    assert statistic_from_spectrum(grouped, statistic_from_matrix(grouped).spectrum)
+    with pytest.raises(ValueError, match="past the rounding level"):
+        statistic_from_spectrum(grouped, statistic_from_matrix(grouped).spectrum)
+    assert statistic_from_values(grouped, statistic_from_matrix(grouped).spectrum)
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -183,7 +189,7 @@ def count_calls(monkeypatch, module, name) -> list:
 
 def test_separated_covariants_are_checked_once_and_not_refined(monkeypatch):
     checks = count_calls(monkeypatch, spectral, "_partition_defects")
-    steps = count_calls(monkeypatch, spectral, "_newton_step")
+    solves = count_calls(monkeypatch, spectral, "statistic_from_eigenpairs")
     rng = np.random.default_rng(28)
     for d, values in [(4, [-1.0, 2.0]), (8, [0.5, 1.5, 4.0]),
                       (16, [-3.0, -1.0, 0.0, 2.5, 6.0]), (32, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])]:
@@ -191,7 +197,7 @@ def test_separated_covariants_are_checked_once_and_not_refined(monkeypatch):
         matrix = planted(rng, values, sizes)
         del checks[:]
         built = statistic_from_spectrum(matrix, values)
-        assert (len(checks), len(steps)) == (1, 0), d
+        assert (len(checks), len(solves)) == (1, 0), d
         # the one pass is DiscreteStatistic's own, on the stack it would build
         rebuilt = DiscreteStatistic(built.eigenvalues, built.projections)
         assert len(checks) == 2
@@ -199,12 +205,12 @@ def test_separated_covariants_are_checked_once_and_not_refined(monkeypatch):
         assert len(built.projections) == len(rebuilt.projections) == len(values)
         for p, q in zip(built.projections, rebuilt.projections):
             assert p.tobytes() == q.tobytes(), d
-    # sixteen equispaced atoms leave the plain covariants a defect above
-    # rounding, so they are refined and checked in full
+    # sixteen equispaced atoms leave the covariants a defect above rounding,
+    # so the matrix is decomposed into eigenpairs, once
     matrix = next(m for name, m, _ in stress_spectra() if name == "equispaced_16")
     del checks[:]
-    statistic_from_spectrum(matrix, np.linspace(-1.0, 2.0, 16))
-    assert (len(checks), len(steps)) == (2, 1)
+    built = statistic_from_values(matrix, np.linspace(-1.0, 2.0, 16))
+    assert len(built) == 16 and (len(checks), len(solves)) == (2, 1)
 
 
 def test_partition_of_identity_invariants():
