@@ -10,6 +10,7 @@ what project_states derives from it is not checked again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,14 +197,22 @@ class StateFamily:
 
 @dataclass
 class CoarseMap:
-    """Real-valued relabelling of eigenvalues, defining a function of a statistic."""
+    """Real-valued relabelling of eigenvalues, defining a function of a statistic.
+
+    Each key and value is converted with float() and checked with
+    math.isfinite on that float; nan, an infinity, or an integer too large
+    for a float raises ValueError.
+    """
 
     assignment: dict[float, float]
 
     def __post_init__(self):
-        amap = {float(k): float(v) for k, v in self.assignment.items()}
+        try:
+            amap = {float(k): float(v) for k, v in self.assignment.items()}
+        except OverflowError:
+            raise ValueError("coarse map entries must be finite") from None
         for k, v in amap.items():
-            if not (np.isfinite(k) and np.isfinite(v)):
+            if not (math.isfinite(k) and math.isfinite(v)):
                 raise ValueError("coarse map entries must be finite")
         self.assignment = amap
 

@@ -575,11 +575,14 @@ def test_function_of_maps_fine_to_coarse():
 # ------------------------------------------------ enumerate_coarse_grainings
 
 
-@pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+# up to the declared limit, Bell(9) maps
+@pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52),
+                                    (minimality.MAX_ENUMERATED_ATOMS, 21147)])
 def test_enumeration_counts_partitions(n, bell):
     t = statistic_from_matrix(np.diag(np.arange(1.0, n + 1.0)))
     maps = list(enumerate_coarse_grainings(t))
     assert len(maps) == bell
+    assert len({tuple(cmap.assignment.values()) for cmap in maps}) == bell
     # first merges everything, last is the identity partition
     assert len(set(maps[0].assignment.values())) == 1
     assert len(set(maps[-1].assignment.values())) == n

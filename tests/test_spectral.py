@@ -3,6 +3,7 @@ import pytest
 
 from wsq import spectral
 from wsq.linalg import hermitian_eig
+from wsq.minimality import enumerate_coarse_grainings
 from wsq.spectral import (
     GROUP_FACTOR,
     CoarseMap,
@@ -368,6 +369,20 @@ def test_apply_coarse_requires_total_map():
     t = statistic_from_matrix(np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="no value for eigenvalue"):
         apply_coarse(t, CoarseMap({1.0: 0.0}))
+
+
+def test_coarse_map_entries_are_finite_floats_checked_without_numpy(monkeypatch):
+    for bad in (float("nan"), float("inf"), float("-inf"), 10**400, -10**400):
+        with pytest.raises(ValueError, match="coarse map entries must be finite"):
+            CoarseMap({bad: 1.0})
+        with pytest.raises(ValueError, match="coarse map entries must be finite"):
+            CoarseMap({1.0: bad})
+    # a lattice builds Bell(n) maps, so each entry's check is scalar math
+    t = statistic_from_matrix(np.diag(np.arange(1.0, 7.0)))
+    calls, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **k: calls.append(1) or isfinite(*a, **k))
+    maps = list(enumerate_coarse_grainings(t))
+    assert len(maps) == 203 and calls == []
 
 
 def test_coarse_composition_matches_composed_map():
