@@ -30,6 +30,7 @@ HERMITIAN_TOL = 1e-10   # relative asymmetry tolerated on ingest
 RANK_TOL = 1e-8         # relative eigenvalue / residual cutoff
 QL_SWEEPS = 30          # implicit QL sweeps allowed per eigenvalue
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)   # the smallest normal float
 MAX_DIM = 64            # hard guard: this is a desk-scale solver
 MAX_STATES = 128        # states per instance: a Gram stack holds atoms x states^2 entries
 
@@ -264,11 +265,14 @@ def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
     One flag per pair of states j < m, in the order of _upper_triangle(n),
     for [[a, c], [conj(c), b]] with a = h[j, j], b = h[m, m], c = h[j, m].
     Its eigenvalues are hi = (a+b)/2 + sqrt(((a-b)/2)^2 + |c|^2) and lo =
-    max(ab - |c|^2, 0) / hi (lo = 0 when both rows are zero), and it has
-    rank 2 when lo > tol * max(1, hi).  A positive semidefinite matrix has
-    rank <= 1 exactly when none of its pairs has rank 2: by Cauchy
-    interlacing its second eigenvalue is at least the largest lo, and it
-    is at most the sum of the lo over all C(n, 2) pairs.
+    max(ab - |c|^2, 0) / hi, and it has rank 2 when lo > tol * max(1, hi).
+    On a Gram stack hi = 0 only where both rows are zero, and ab - |c|^2
+    <= hi^2 is 0, in floats too, wherever hi is below the smallest normal
+    float TINY; so lo = max(ab - |c|^2, 0) / max(hi, TINY) is 0 there.
+    A positive semidefinite matrix has rank <= 1 exactly when none of its
+    pairs has rank 2: by Cauchy interlacing its second eigenvalue is at
+    least the largest lo, and it is at most the sum of the lo over all
+    C(n, 2) pairs.
     """
     h = np.asarray(h)
     n = h.shape[-1]
@@ -279,8 +283,7 @@ def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
     cc = np.abs(h.reshape(*h.shape[:-2], n * n).take(_upper_flat(n), axis=-1)) ** 2
     hi = (ai + aj) / 2 + np.sqrt(((ai - aj) / 2) ** 2 + cc)
     det = np.maximum(ai * aj - cc, 0.0)
-    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return lo > tol * np.maximum(1.0, hi)
+    return det / np.maximum(hi, TINY) > tol * np.maximum(1.0, hi)
 
 
 def gram_matrix(vectors) -> np.ndarray:

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, as_hermitian, hermitian_eig, hermitian_eigvals, hermitian_part, norm
+from .linalg import (EPS, _upper_triangle, as_hermitian, hermitian_eig, hermitian_eigvals,
+                     hermitian_part, norm)
 
 PARTITION_TOL = 1e-8       # projector algebra defects tolerated on construction
 UNIT_NORM_TOL = 1e-8
 GROUP_FACTOR = 1e-9        # eigenvalue grouping cutoff, relative to spectral radius
 EIGENVALUE_GAP_TOL = 1e-12
+_PAIR_ENTRIES = 1 << 16    # entries of atom-pair products held at once (_partition_defects)
 
 
 class SpectrumError(ValueError):
@@ -91,15 +93,19 @@ def _partition_defects(evs: np.ndarray, projs: tuple, stack: np.ndarray) -> np.n
     gap_scale = max(1.0, float(np.abs(evs).max()))
     if np.any(np.diff(evs) <= EIGENVALUE_GAP_TOL * gap_scale):
         raise ValueError("eigenvalues must be strictly ascending and separated")
-    # one product per atom against all later atoms keeps memory at
-    # atoms * d^2 while reporting the same first pair as a pairwise scan
-    for j in range(len(stack) - 1):
-        cross = np.abs(stack[j] @ stack[j + 1:]).max(axis=(1, 2))
+    # all pairs j < k in row-major order, so the first failing one is the pair
+    # a pairwise scan names, in batches of max(atoms, _PAIR_ENTRIES / d^2)
+    # pairs: memory near atoms * d^2 entries, one batch up to 1024 pairs of 8 x 8
+    rows, cols = _upper_triangle(len(stack))
+    step = max(len(stack), _PAIR_ENTRIES // (d * d))
+    for start in range(0, len(rows), step):
+        j, k = rows[start:start + step], cols[start:start + step]
+        cross = np.abs(stack[j] @ stack[k]).max(axis=(1, 2))
         bad = cross > PARTITION_TOL
-        if np.count_nonzero(bad):
+        if bad.any():
             i = bad.argmax()
             raise ValueError(
-                f"projections {j} and {j + 1 + i} are not orthogonal "
+                f"projections {j[i]} and {k[i]} are not orthogonal "
                 f"(overlap {cross[i]:.3e})"
             )
     defect = np.abs(stack.sum(axis=0) - np.eye(d)).max()
@@ -390,12 +396,14 @@ def coarse_blocks(t: DiscreteStatistic, cmap: CoarseMap) -> list[tuple[float, li
 
     Returns (value, atom indices) pairs in ascending value order, indices
     ascending within each block.  The map must assign a value to every
-    eigenvalue of t.
+    eigenvalue of t; value_for names the first that it misses.
     """
     blocks: dict[float, list[int]] = {}
-    for k, lam in enumerate(t.eigenvalues):
-        blocks.setdefault(cmap.value_for(lam), []).append(k)
-    return sorted(blocks.items(), key=lambda item: item[0])
+    values = cmap.assignment
+    for k, lam in enumerate(t.eigenvalues.tolist()):
+        value = values[lam] if lam in values else cmap.value_for(t.eigenvalues[k])
+        blocks.setdefault(value, []).append(k)
+    return sorted(blocks.items())   # the values are distinct, so the lists are never compared
 
 
 def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):

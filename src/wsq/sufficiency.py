@@ -136,8 +136,10 @@ class Decision:
         blocks = coarse_blocks(self.statistic, cmap)
         if self.violations:
             return False
-        order = [k for _, block in blocks for k in block]
-        starts = np.cumsum([0] + [len(block) for _, block in blocks[:-1]])
+        order, starts = [], []
+        for _, block in blocks:
+            starts.append(len(order))
+            order += block
         sums = np.add.reduceat(self.table.gram[order], starts, axis=0)
         return not pair_rank_two(sums, self.tol).any()
 

@@ -777,6 +777,30 @@ def test_a_state_count_above_the_limit_exits_2_on_every_command(tmp_path, capsys
         assert (out.out, out.err) == ("", message), command
 
 
+def test_two_dense_atoms_1e_7_apart_verify_or_exit_2(tmp_path, capsys):
+    # fifteen atoms of two dimensions, two of them 1e-7 apart: GROUP_FACTOR
+    # keeps them apart, but their projectors are fixed only to about
+    # eps |T| d / gap, and that error can reach the witness past WITNESS_TOL
+    from test_fileio import planted_dense
+
+    values = [1.0, 1.0 + 1e-7, *np.arange(2.0, 15.0)]
+    text, _ = planted_dense(np.random.default_rng(15), values, [2] * 15)
+    path = tmp_path / "close_atoms.json"
+    path.write_text(text)
+    for command in ("check", "minimal"):
+        capsys.readouterr()
+        code = run_cli([command, "--input", str(path)])
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err, (command, out.err)
+        if code == 2:
+            assert out.out == "", command
+            assert out.err.startswith("error: ") and out.err.endswith("\n"), out.err
+            assert out.err.count("\n") == 1, out.err
+        else:
+            assert code == 0, (command, code)
+            assert run_verify_cli(path, parse_certificate(out.out), tmp_path, capsys) == 0
+
+
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "two_state_instance.json"
 
 

@@ -422,6 +422,64 @@ def test_pair_rule_matches_the_rank_class(n):
     assert pair_rank_two(stack).any(axis=1).tolist() == [r >= 2 for _, r in cases]
 
 
+def masked_pair_rank_two(h, tol):
+    """The pair rule with lo set to 0 by a masked divide where hi is 0."""
+    h = np.asarray(h)
+    rows, cols = np.triu_indices(h.shape[-1], 1)
+    a = np.diagonal(h, axis1=-2, axis2=-1).real
+    ai, aj = a[..., rows], a[..., cols]
+    cc = np.abs(h[..., rows, cols]) ** 2
+    hi = (ai + aj) / 2 + np.sqrt(((ai - aj) / 2) ** 2 + cc)
+    det = np.maximum(ai * aj - cc, 0.0)
+    lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
+    return lo > tol * np.maximum(1.0, hi)
+
+
+def test_pair_rule_flags_equal_the_masked_divide_bit_for_bit():
+    from wsq.fileio import TOL_RANGE
+    from wsq.harness import _planted_class_instance
+    from wsq.minimality import enumerate_coarse_grainings
+    from wsq.spectral import coarse_blocks
+    from wsq.sufficiency import decide
+
+    rng = np.random.default_rng(31)
+    stacks = []
+    for states in range(2, 7):
+        for atoms in range(1, 8):
+            for rank in sorted({1, 2, states}):
+                stack = random_gram_stack(rng, atoms, states, rank)
+                stacks.append(stack)
+                # a rank-one stack nudged to about the cutoff
+                stacks.append(random_gram_stack(rng, atoms, states, 1)
+                              + 10.0 ** rng.uniform(-10, -6) * stack)
+                zeroed = stack.copy()
+                dead = rng.random(states) < 0.5
+                zeroed[:, dead, :] = zeroed[:, :, dead] = 0.0
+                stacks.append(zeroed)
+    stacks.append(np.zeros((4, 5, 5), dtype=complex))
+    # block sums of a planted instance, taken as Decision.coarse_sufficient takes them
+    statistic, family = _planted_class_instance(rng, 7, 6, 4)
+    gram = decide(statistic, family).table.gram
+    for cmap in enumerate_coarse_grainings(statistic):
+        order, starts = [], []
+        for _, block in coarse_blocks(statistic, cmap):
+            starts.append(len(order))
+            order += block
+        stacks.append(np.add.reduceat(gram[order], starts, axis=0))
+    # 1e-160 makes hi^2 underflow, 1e-310 makes hi itself subnormal
+    stacks += [scale * s for s in stacks[:60] for scale in (1e-160, 1e-310, 1e100)]
+    counts = np.zeros(2, dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in TOL_RANGE:
+            for stack in stacks:
+                expected = masked_pair_rank_two(stack, tol)
+                flags = pair_rank_two(stack, tol)
+                assert flags.dtype == expected.dtype and np.array_equal(flags, expected)
+                counts += np.count_nonzero(expected), np.count_nonzero(~expected)
+    assert counts.min() > 1000   # both answers are exercised
+
+
 # ----------------------------------------------------------- gram_matrix
 
 

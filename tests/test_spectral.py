@@ -280,16 +280,27 @@ def loop_partition_error(evs, projections, tol=1e-8):
     return None
 
 
-def test_partition_errors_match_the_pairwise_loop():
+def ray(v):
+    return np.outer(v, v.conj()) / np.vdot(v, v)
+
+
+def test_partition_errors_match_the_pairwise_loop(monkeypatch):
     rng = np.random.default_rng(8)
     basis = random_statistic(rng, 5).projections     # five rank-one atoms
     x = rng.normal(size=5) + 1j * rng.normal(size=5)
-    tilted = np.outer(x, x.conj()) / np.vdot(x, x)
+    tilted = ray(x)
+    u = [p[:, np.diag(p).real.argmax()] for p in basis]   # each atom's direction
+    # pairs (0, 2) and (1, 3) fail, the later one with the larger overlap
+    two_pairs = [basis[0], basis[1], ray(u[2] + 1e-3 * u[0]), ray(u[3] + 0.1 * u[1]), basis[4]]
+    first = loop_partition_error(np.arange(1.0, 6.0), two_pairs)
+    assert first.startswith("projections 0 and 2 are not orthogonal")
+    assert np.abs(two_pairs[1] @ two_pairs[3]).max() > 10 * np.abs(two_pairs[0] @ two_pairs[2]).max()
     skew = np.triu(np.ones((5, 5)))
     zero = np.zeros((5, 5))
     cases = [
         [basis[0], basis[1], tilted, basis[3], tilted],     # pairs (0, 2) first
         [basis[0], basis[1], basis[2], basis[3], basis[1]],   # pair (1, 4) only
+        [basis[0], basis[1], basis[2], basis[3], basis[3]],   # the last pair only
         [basis[0], 0.5 * basis[1], basis[2], tilted],          # idempotence before pairs
         [basis[0], 0.5 * basis[1], basis[2][:4, :4]],          # idempotence before shape
         [basis[0], basis[1][:4, :4], 0.5 * basis[2]],          # shape before idempotence
@@ -300,16 +311,39 @@ def test_partition_errors_match_the_pairwise_loop():
         [basis[0], zero, 0.5 * basis[2], tilted],              # atom by atom: empty first
         [basis[0], 0.5 * basis[1], zero],                      # atom by atom: idempotence first
         [basis[0], np.ones((5, 4))],
+        two_pairs,
     ]
-    for projections in cases:
-        evs = np.arange(1.0, len(projections) + 1.0)
-        expected = loop_partition_error(evs, projections)
-        assert expected is not None
-        with pytest.raises(ValueError) as exc:
-            DiscreteStatistic(evs, tuple(projections))
-        assert str(exc.value) == expected
+    # with one entry per batch the pairs are checked len(projections) at a time
+    for pair_entries in (spectral._PAIR_ENTRIES, 1):
+        monkeypatch.setattr(spectral, "_PAIR_ENTRIES", pair_entries)
+        for projections in cases:
+            evs = np.arange(1.0, len(projections) + 1.0)
+            expected = loop_partition_error(evs, projections)
+            assert expected is not None
+            with pytest.raises(ValueError) as exc:
+                DiscreteStatistic(evs, tuple(projections))
+            assert str(exc.value) == expected
     valid = DiscreteStatistic(np.arange(5.0), basis)
     assert all(np.array_equal(p, q) for p, q in zip(valid.projections, basis))
+
+
+def test_the_orthogonality_check_holds_its_pair_products_in_bounded_memory():
+    # MAX_DIM rank-one atoms: 2016 pairs of 64 x 64 products, which taken
+    # at once would hold about 130 MB per array; in batches of 64 pairs the
+    # whole check peaks near four stacks of the atoms, 16 MB
+    import tracemalloc
+    from wsq.linalg import MAX_DIM
+
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.normal(size=(MAX_DIM, MAX_DIM)) + 1j * rng.normal(size=(MAX_DIM, MAX_DIM)))
+    projections = tuple(np.outer(c, c.conj()) for c in q.T)
+    tracemalloc.start()
+    try:
+        DiscreteStatistic(np.arange(float(MAX_DIM)), projections)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MAX_DIM ** 3 * 16   # bytes: eight stacks of the atoms
 
 
 def test_a_projection_that_is_not_hermitian_is_named_as_the_loop_names_it():
@@ -366,9 +400,15 @@ def test_apply_coarse_merges_and_orders_atoms():
 
 
 def test_apply_coarse_requires_total_map():
+    from wsq.sufficiency import decide
+
     t = statistic_from_matrix(np.diag([1.0, 2.0]))
-    with pytest.raises(ValueError, match="no value for eigenvalue"):
-        apply_coarse(t, CoarseMap({1.0: 0.0}))
+    family = StateFamily(("a",), (np.array([1.0, 0.0]),))
+    message = f"coarse map has no value for eigenvalue {t.eigenvalues[1]!r}"
+    for answer in (lambda m: apply_coarse(t, m), decide(t, family).coarse_sufficient):
+        with pytest.raises(ValueError) as exc:
+            answer(CoarseMap({1.0: 0.0}))
+        assert str(exc.value) == message
 
 
 def test_coarse_map_entries_are_finite_floats_checked_without_numpy(monkeypatch):
