@@ -1,21 +1,22 @@
 """Command-line surface: decide, construct, and certify from instance files.
 
 Exit codes follow one contract across all subcommands: 0 for an
-affirmative verdict, 1 for a negative verdict, 2 for errors, a
-decomposition that does not converge included.  Certificates go
-to stdout as JSON; human-readable diagnostics go to stderr.  minimal
-on a T that is not weakly sufficient prints check's certificate and
-exits 1.  verify replays a certificate against its instance file: 0
-when it verifies, 1 when it does not (the reason on stderr), 2 when a
-file or the instance cannot be read.
+affirmative verdict, 1 for a negative verdict, 2 for errors.
+Certificates go to stdout as JSON; human-readable diagnostics go to
+stderr.  minimal on a T that is not weakly sufficient prints check's
+certificate and exits 1.  verify replays a certificate against its
+instance file: 0 when it verifies, 1 when it does not (the reason on
+stderr), 2 when a file or the instance cannot be read.
 
 check, construct, minimal and petz take --tol, the one tolerance their
-decision applies; fileio.SET_BY_TOL names the recorded keys it sets.  A
-value outside fileio.TOL_RANGE exits 2.  The certificate records every
-tolerance the decision applied, and the verifier replays it at them; a
-witness of check, construct or minimal that fails its recorded
-tolerance, or a feasible petz solution that rebuilds a state less
-closely than petz.RECONSTRUCTION_TOL, exits 2 and prints nothing.
+decision applies; a value outside fileio.TOL_RANGE exits 2.  The
+certificate records every tolerance the decision applied, and the
+verifier replays it at them.  Besides bad input and a decomposition that
+does not converge, exit 2 means: a construct witness that fails its
+recorded tolerance (check's and minimal's cannot, by the bound of
+sufficiency.tolerances), minimal classes that cannot be separated, or a
+feasible petz solution that rebuilds a state less closely than
+petz.RECONSTRUCTION_TOL.
 """
 
 from __future__ import annotations
@@ -45,27 +46,15 @@ def _tol_kwargs(args) -> dict:
     return {} if args.tol is None else {"tol": args.tol}
 
 
-def _witness_residual(statistic, family, witness, cert: dict) -> float:
-    """The witness's residual; ValueError when it exceeds the recorded tolerance."""
-    tol = cert["tolerances"]["witness"]
-    check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
-    if not check.ok:
-        raise ValueError(f"the decision passed but its witness residual "
-                         f"{check.max_residual:.3e} exceeds {tol:.1e}")
-    return check.max_residual
-
-
 def _cmd_check(args) -> int:
     instance = _load(args, need_statistic=True)
     statistic, family = instance.statistic, instance.family
     verdict = sufficiency.check_weak_sufficiency(statistic, family, **_tol_kwargs(args))
     cert = fileio.make_certificate("weak_sufficiency", verdict, tol=args.tol)
-    if verdict.sufficient:
-        residual = _witness_residual(statistic, family, verdict.witness, cert)
-        print(fileio.serialize_certificate(cert))
-        print(f"sufficient; witness residual {residual:.3e}", file=sys.stderr)
-        return AFFIRMATIVE
     print(fileio.serialize_certificate(cert))
+    if verdict.sufficient:
+        print("sufficient", file=sys.stderr)
+        return AFFIRMATIVE
     reasons = ", ".join(type(v).__name__ for v in verdict.violations)
     print(f"not sufficient ({reasons})", file=sys.stderr)
     return NEGATIVE
@@ -75,16 +64,18 @@ def _cmd_construct(args) -> int:
     family = _load(args, need_statistic=False).family
     result = sufficiency.exists_weakly_sufficient(family, **_tol_kwargs(args))
     cert = fileio.make_certificate("existence", result, tol=args.tol)
-    if isinstance(result, sufficiency.ConstructedStatistic):
-        _witness_residual(result.statistic, family, result.witness, cert)
+    if isinstance(result, sufficiency.NonExistence):
+        print(fileio.serialize_certificate(cert))
+        print("no weakly sufficient statistic exists (inconsistent phase cycle)", file=sys.stderr)
+        return NEGATIVE
+    tol = cert["tolerances"]["witness"]
+    check = sufficiency.verify_witness(result.statistic, family, result.witness, tol=tol)
+    if not check.ok:
+        raise ValueError(f"the statistic was built but its witness residual "
+                         f"{check.max_residual:.3e} exceeds {tol:.1e}")
     print(fileio.serialize_certificate(cert))
-    if isinstance(result, sufficiency.ConstructedStatistic):
-        print(f"constructed a statistic with {len(result.statistic)} atoms",
-              file=sys.stderr)
-        return AFFIRMATIVE
-    print("no weakly sufficient statistic exists (inconsistent phase cycle)",
-          file=sys.stderr)
-    return NEGATIVE
+    print(f"constructed a statistic with {len(result.statistic)} atoms", file=sys.stderr)
+    return AFFIRMATIVE
 
 
 def _cmd_minimal(args) -> int:
@@ -94,8 +85,6 @@ def _cmd_minimal(args) -> int:
     refused = isinstance(result, sufficiency.SufficiencyVerdict)
     cert = fileio.make_certificate("weak_sufficiency" if refused else "minimality", result,
                                    tol=args.tol)
-    if isinstance(result, minimality.MinimalStatistic):
-        _witness_residual(result.statistic, family, result.witness, cert)
     print(fileio.serialize_certificate(cert))
     if refused:
         reasons = ", ".join(type(v).__name__ for v in result.violations)

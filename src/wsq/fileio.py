@@ -36,19 +36,15 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from . import minimality, petz, phases, spectral, sufficiency
-from .linalg import MAX_DIM, MAX_STATES, RANK_TOL, as_hermitian, gram_matrix, inner, pair_rank_two
+from .linalg import (MAX_DIM, MAX_STATES, RANK_TOL, as_hermitian, gram_matrix, inner, norm,
+                     pair_rank_two)
 
 BUNDLED_INSTANCE = "two_state_example.json"
 
-# The tolerances each kind's decision applies, at their defaults.  A
-# caller's one tol replaces those named in SET_BY_TOL, and the verifier
-# replays each verdict at the recorded values.
-_WITNESSED = {"rank": RANK_TOL, "angle": phases.ANGLE_TOL, "witness": sufficiency.WITNESS_TOL}
-TOLERANCES = {"weak_sufficiency": _WITNESSED, "existence": _WITNESSED,
-              "minimality": _WITNESSED, "petz": {"petz_feasibility": petz.FEASIBILITY_TOL}}
-SET_BY_TOL = ("rank", "witness", "petz_feasibility")
+CERTIFICATE_KINDS = ("weak_sufficiency", "existence", "minimality", "petz")
 TOL_RANGE = (1e-14, 1e-3)
-CERTIFICATE_KINDS = tuple(TOLERANCES)
+AMPLITUDE_RANGE = (sufficiency.tolerances(TOL_RANGE[0])["angle"],
+                   sufficiency.tolerances(TOL_RANGE[1])["witness"])
 
 
 class SchemaError(ValueError):
@@ -63,14 +59,14 @@ def _fail(path: str, problem: str):
     raise SchemaError(f"{path}: {problem}")
 
 
-def check_tolerance(value) -> None:
-    """ValueError unless value is a float inside TOL_RANGE.
+def check_tolerance(value, span: tuple[float, float] = TOL_RANGE) -> None:
+    """ValueError unless value is a float inside span.
 
     The command line checks --tol with it, the verifier every recorded
     tolerance: nothing is decided or verified at nan, inf, 0 or below,
     or at a value so large that any two states look parallel.
     """
-    low, high = TOL_RANGE
+    low, high = span
     if not isinstance(value, float) or not low <= value <= high:
         raise ValueError(f"tolerance must be a number in [{low:g}, {high:g}], got {value!r}")
 
@@ -305,20 +301,20 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
                      tol: float | None = None) -> dict:
     """Build a certificate dictionary from a module-level result object.
 
-    The tolerance block records what the kind's decision applied: the
-    defaults of TOLERANCES[kind], with ``tol``, the one tolerance the
-    caller passed to the decision, in place of those in SET_BY_TOL.
+    The tolerance block records what the kind's decision applied at
+    ``tol``, the one tolerance the caller passed to it (its default when
+    None): petz's feasibility tolerance, or the Gram tolerance of check,
+    construct and minimal with the two it derives (sufficiency.tolerances).
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind '{kind}'")
     if tol is not None:
         check_tolerance(tol)
-    tol_block = {key: tol if tol is not None and key in SET_BY_TOL else default
-                 for key, default in TOLERANCES[kind].items()}
     cert: dict = {
         "kind": kind,
         "tool_version": TOOL_VERSION,
-        "tolerances": tol_block,
+        "tolerances": {"petz_feasibility": petz.FEASIBILITY_TOL if tol is None else tol}
+        if kind == "petz" else sufficiency.tolerances(RANK_TOL if tol is None else tol),
     }
     if parameters:
         cert["parameters"] = dict(parameters)
@@ -457,11 +453,13 @@ def _rank_report(statistic, family, items, tol: float) -> VerificationReport:
 
 def _cycle_report(statistic, family, node, tol: float) -> VerificationReport:
     """Recompute each edge's overlap from the instance and compare the walk's
-    defect with tol; SchemaError when the cycle cannot be read.
+    defect with tol, the angle; SchemaError when the cycle cannot be read.
 
     Edge {left, right, atom} stands for <e_atom phi_left, e_atom phi_right>,
     or for <phi_left, phi_right> in a cycle of the family alone (statistic
-    None), whose atoms are all null.
+    None), whose atoms are all null.  As the decision cut it, an edge must
+    exceed tol sqrt(w), w the larger weight of its states on its atom, or
+    tol on a family edge.
     """
     path = "$.payload.phase_cycle"
     edges = _exact_keys(node, path, ["constraints"])["constraints"]
@@ -472,10 +470,13 @@ def _cycle_report(statistic, family, node, tol: float) -> VerificationReport:
         here = f"{path}.constraints[{i}]"
         _exact_keys(edge, here, ["atom", "left", "right"])
         ends = [edge["left"], edge["right"]]
-        value = inner(*_named_rows(statistic, family, edge, ends, here))
-        if abs(value) <= sufficiency.ZERO_TOL:
+        rows = _named_rows(statistic, family, edge, ends, here)
+        value = inner(*rows)
+        cut = tol if statistic is None else tol * max(norm(row) for row in rows)
+        if abs(value) <= cut:
             return VerificationReport(
-                False, f"cycle edge {i} has overlap {abs(value):.3e}, which constrains nothing")
+                False, f"cycle edge {i} has overlap {abs(value):.3e}, at most {cut:.3e}, "
+                       f"which constrains nothing")
         cycle.append(phases.PhaseConstraint(*ends, value, edge["atom"]))
     try:
         defect = phases.cycle_defect(cycle)
@@ -489,34 +490,28 @@ def _cycle_report(statistic, family, node, tol: float) -> VerificationReport:
 def verify_certificate(instance_text: str, certificate_text: str) -> VerificationReport:
     """Re-check a certificate using only the two files.
 
-    Every verdict that reads the statistic records its eigenvalues as
+    A verdict that reads the statistic records its eigenvalues as
     ``payload.spectrum``, and the verifier takes the statistic from them
-    (_recorded_statistic): an explicit statistic's must match exactly; a
-    dense matrix's atoms are built as Frobenius covariants of the
-    recorded values, proved to be its spectral projectors by the
-    partition checks, and the matrix is decomposed only where they
-    cannot be.  The tolerance block must hold exactly the kind's
-    TOLERANCES keys, each a check_tolerance, and every verdict is
-    replayed at them:
-    witnesses at ``witness``; rank violations, a minimal statistic's
-    live atoms (when it has two blocks or more) and separations, and a
-    dead atom, with a pair of states of rank 2 in the family's Gram
-    matrix, at ``rank``; cycle defects at ``angle``; petz owners and
-    shared atoms at ``petz_feasibility``.  Each object must hold exactly the keys its
-    verdict writes, and only petz records ``parameters``.  The verifier
-    recomputes what a certificate names instead of deciding the question
-    again: the rank of two named states on an atom (pair_rank_two), each
-    cycle edge's overlap against sufficiency.ZERO_TOL, a witness (one
-    value per atom, in ascending eigenvalue order) on the statistic it
-    claims, rebuilt from directions or a partition by the decision's own
-    function, and petz rho's from their owners by petz.rhos_from_owners,
-    within RECONSTRUCTION_TOL.  A certificate that does not prove its
-    claim or cannot be read, earlier encodings included, yields
-    ok=False.  Only a malformed instance raises: at read time, or when a
-    verdict that reads the statistic meets a dense matrix whose recorded
-    spectrum the covariants cannot prove and which then fails to
-    decompose; ``existence`` and ``infeasible_orthogonality`` record no
-    spectrum and never read the statistic.
+    (_recorded_statistic).  The tolerance block must hold exactly the
+    keys make_certificate writes, each a check_tolerance (angle and
+    witness in AMPLITUDE_RANGE), and every verdict is replayed at them:
+    witnesses at ``witness``; rank violations, a minimal statistic's live
+    atoms (with two blocks or more) and separations, and a dead atom,
+    with a pair of states of rank 2 in the family's Gram matrix, at
+    ``rank``; cycle edges and defects at ``angle``; petz owners and
+    shared atoms at ``petz_feasibility``.  Each object must hold exactly
+    the keys its verdict writes, and only petz records ``parameters``.
+    What a certificate names is recomputed, never decided again: the rank
+    of two named states on an atom (pair_rank_two), each cycle edge's
+    overlap, a witness (one value per atom, in ascending eigenvalue
+    order) on the statistic it claims, rebuilt from directions or a
+    partition by the decision's own function, and petz rho's from their
+    owners by petz.rhos_from_owners, within RECONSTRUCTION_TOL.  A
+    certificate that does not prove its claim or cannot be read, earlier
+    encodings included, yields ok=False.  Only a malformed instance
+    raises: at read time, or when a dense matrix whose recorded spectrum
+    the covariants cannot prove fails to decompose; ``existence`` and
+    ``infeasible_orthogonality`` never read the statistic.
     """
     instance = read_instance(instance_text)
     try:
@@ -622,11 +617,12 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
 
 def _tolerances_from_json(node, kind: str) -> dict[str, float]:
     """The recorded tolerance block: exactly the kind's keys, each valid."""
-    keys = sorted(TOLERANCES[kind])
+    keys = ["petz_feasibility"] if kind == "petz" else ["angle", "rank", "witness"]
     _exact_keys(node, "$.tolerances", keys)
     for key in keys:
         try:
-            check_tolerance(node[key])
+            check_tolerance(node[key], AMPLITUDE_RANGE if key in ("angle", "witness")
+                            else TOL_RANGE)
         except ValueError as exc:
             _fail(f"$.tolerances.{key}", str(exc))
     return node

@@ -13,6 +13,9 @@ reaches the theorem oracles is_function_of, dead_atom_counterexamples,
 structural_check and petz_implies_weak_check (by the owners witness), so
 they live here.  All serve only the tests and the property suite, so no
 production module imports this one at module level.
+near_threshold_instance pushes planted classes towards the tolerances,
+for the property witness_bound_near_thresholds, which stands in for the
+witness checks that check and minimal do not make.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
 certificate_corpus holds a certificate of every kind and verdict, and
@@ -54,7 +57,6 @@ from .petz import (
     petz_feasibility,
 )
 from .phases import (
-    ANGLE_TOL,
     Constraints,
     Infeasible,
     PhaseConstraint,
@@ -63,6 +65,7 @@ from .phases import (
     cycle_defect,
 )
 from .spectral import (
+    PARTITION_TOL,
     CoarseMap,
     DiscreteStatistic,
     StateFamily,
@@ -70,12 +73,12 @@ from .spectral import (
     statistic_from_matrix,
 )
 from .sufficiency import (
-    WITNESS_TOL,
     NonExistence,
     WitnessFactorization,
     check_weak_sufficiency,
     decide,
     exists_weakly_sufficient,
+    tolerances,
     verify_witness,
 )
 
@@ -92,6 +95,7 @@ MAX_STATES = 8
 BRUTE_FORCE_MAX_STATES = 4
 BRUTE_FORCE_MAX_ATOMS = 6
 STRUCTURAL_TOL = 1e-6
+DEFAULT_TOLERANCES = tolerances()   # what check, construct and minimal apply by default
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ class RankDeficiencyError(ValueError):
         )
 
 
-def gram_schmidt(vectors, tol: float = RANK_TOL):
+def gram_schmidt(vectors, tol: float = math.sqrt(RANK_TOL)):
     """Orthonormalize a linearly independent family, tracking expressions.
 
     Returns (ortho, coeffs): ortho is the list of orthonormal vectors and
@@ -147,7 +151,8 @@ def gram_schmidt(vectors, tol: float = RANK_TOL):
     the input is entrywise real, the coefficients are real as well (they
     are rational expressions in Gram entries); tests rely on this.
 
-    Raises RankDeficiencyError naming the first dependent vector.
+    Raises RankDeficiencyError naming the first dependent vector: one
+    whose residual is at most tol times its norm, an amplitude ratio.
     """
     vs = [np.asarray(v, dtype=complex) for v in vectors]
     n = len(vs)
@@ -296,7 +301,7 @@ def worst_residual(constraints, assignment: VersionAssignment) -> float:
 
 
 def versions_satisfy(constraints, assignment: VersionAssignment,
-                     angle_tol: float = ANGLE_TOL) -> bool:
+                     angle_tol: float = DEFAULT_TOLERANCES["angle"]) -> bool:
     """True when every dressed constraint value is real within angle_tol."""
     return worst_residual(constraints, assignment) <= angle_tol
 
@@ -401,7 +406,7 @@ def _grid_search(grid: np.ndarray, n_free: int, residual):
 
 def brute_force_weak_sufficiency(statistic: DiscreteStatistic, family: StateFamily,
                                  phase_steps: int = 24,
-                                 angle_tol: float = ANGLE_TOL) -> bool:
+                                 angle_tol: float = DEFAULT_TOLERANCES["angle"]) -> bool:
     """Exhaustively re-decide weak sufficiency on a small instance.
 
     Rank tests go through numpy's SVD-based matrix_rank; phase
@@ -637,6 +642,29 @@ def _planted_class_instance(rng, dim: int, n_atoms: int, n_states: int,
     return statistic, family
 
 
+def near_threshold_instance(rng):
+    """A planted instance pushed towards the tolerances of sufficiency.tolerances.
+
+    d 2-16 on a random unitary basis, 2-8 atoms and 2-6 states whose
+    coordinates fall into planted classes (_planted_class_instance), the
+    last atom dead in 30% of instances; then complex noise of amplitude
+    log-uniform in [1e-11, 1e-5] is added to every state, which is
+    normalized again.  The noise straddles every tolerance derived from
+    RANK_TOL: rank pairs near it, light atoms, phase defects and dropped
+    overlaps near the angle.
+    """
+    dim = int(rng.integers(2, 17))
+    n_atoms = int(rng.integers(2, min(dim, 8) + 1))
+    n_states = int(rng.integers(2, 7))
+    statistic, family = _planted_class_instance(rng, dim, n_atoms, n_states,
+                                                dead_atom=bool(rng.random() < 0.3))
+    amplitude = 10.0 ** rng.uniform(-11.0, -5.0)
+    noise = rng.normal(size=(n_states, dim)) + 1j * rng.normal(size=(n_states, dim))
+    vectors = family.vectors + amplitude * noise
+    vectors /= np.linalg.norm(vectors, axis=1)[:, np.newaxis]
+    return statistic, StateFamily(labels=family.labels, vectors=vectors)
+
+
 def _random_phase_instance(rng, n_labels: int, n_constraints: int,
                            steps: int = 24, defect: float = 0.0):
     """Constraint set satisfiable by grid phases, plus an optional cycle defect."""
@@ -727,7 +755,7 @@ def _prop_phase_obstruction(rng, count):
         if not isinstance(result, Infeasible):
             return False, f"planted defect went undetected on trial {trial}", None
         defect = cycle_defect(result.cycle)
-        if defect <= ANGLE_TOL:
+        if defect <= DEFAULT_TOLERANCES["angle"]:
             return False, f"cycle with defect {defect:.3e} on trial {trial}", None
     return True, f"{count} planted defects produced valid cycles", None
 
@@ -813,11 +841,41 @@ def _prop_witness_soundness(rng, count):
             small_t, small_f = shrink_instance(statistic, family, still_failing)
             return (
                 False,
-                f"witness residual {check.max_residual:.3e} exceeds {WITNESS_TOL:.0e} "
+                f"witness residual {check.max_residual:.3e} exceeds "
+                f"{DEFAULT_TOLERANCES['witness']:.1e} "
                 f"({spec.flavor})",
                 serialize_instance(small_t, small_f),
             )
     return True, f"{checked} witnesses verified, worst residual {worst:.3e}", None
+
+
+def _prop_witness_bound(rng, count):
+    """The bound of sufficiency.tolerances on near-threshold instances: every
+    sufficient check verdict and every minimal statistic has a witness
+    within the witness tolerance its certificate records.  A minimal
+    statistic whose classes cannot be separated raises, and is no answer."""
+    tol = DEFAULT_TOLERANCES["witness"]
+    checked, worst = 0, 0.0
+    for trial in range(count):
+        statistic, family = near_threshold_instance(rng)
+        verdict = check_weak_sufficiency(statistic, family)
+        answers = [("check", statistic, verdict.witness)] if verdict.sufficient else []
+        try:
+            minimal = minimal_statistic(statistic, family)
+        except ValueError:
+            minimal = None
+        if isinstance(minimal, MinimalStatistic):
+            answers.append(("minimal", minimal.statistic, minimal.witness))
+        for command, t, witness in answers:
+            check = verify_witness(t, family, witness, tol=tol)
+            checked += 1
+            worst = max(worst, check.max_residual)
+            if not check.ok:
+                return False, (f"{command} witness residual {check.max_residual:.3e} exceeds "
+                               f"{tol:.1e} (trial {trial})"), \
+                    serialize_instance(statistic, family)
+    return True, (f"{checked} check and minimal witnesses within {tol:.1e}, "
+                  f"worst residual {worst:.3e}"), None
 
 
 def _prop_construction_roundtrip(rng, count):
@@ -853,7 +911,7 @@ def _prop_nonexistence_on_obstructed(rng, count):
             return False, f"obstructed family passed existence (trial {trial})", \
                 serialize_instance(None, family)
         defect = cycle_defect(result.cycle)
-        if defect <= ANGLE_TOL:
+        if defect <= DEFAULT_TOLERANCES["angle"]:
             return False, f"cycle defect {defect:.3e} too small (trial {trial})", \
                 serialize_instance(None, family)
     return True, f"{count} obstructed families refused with certified cycles", None
@@ -916,8 +974,8 @@ def _prop_coarse_cross_validation(rng, count):
 def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic):
     """Relabelling psi with s = psi(u), or None.
 
-    Each atom of u must sit inside exactly one atom of s (to RANK_TOL,
-    entrywise); the returned
+    Each atom of u must sit inside exactly one atom of s (to the projector
+    algebra's PARTITION_TOL, entrywise); the returned
     dict maps u-eigenvalues to s-eigenvalues.
     """
     if s.dim != u.dim:
@@ -927,7 +985,7 @@ def is_function_of(s: DiscreteStatistic, u: DiscreteStatistic):
         hosts = [
             j
             for j, q in enumerate(s.projections)
-            if np.abs(q @ f - f).max() <= RANK_TOL
+            if np.abs(q @ f - f).max() <= PARTITION_TOL
         ]
         if len(hosts) != 1:
             return None
@@ -1174,8 +1232,8 @@ def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
     checks: chi = sum phi_theta / sqrt(n), f_theta = sqrt(n) on the atoms theta
     owns and 0 elsewhere, every version 1.  Its residual for theta is at most
     sqrt(n S), S the weight at most FEASIBILITY_TOL that states put on atoms
-    they do not own, which feasibility ignored; it is checked against
-    WITNESS_TOL plus that bound.  It holds on unital answers and on non-unital
+    they do not own, which feasibility ignored; it is checked against the
+    default witness tolerance plus that bound.  It holds on unital answers and on non-unital
     ones without a shared atom (rho = 0, possibly rank 2).  Nothing is decided again."""
     if not isinstance(cert, Feasible):
         raise ValueError("implication check needs a Feasible certificate")
@@ -1186,7 +1244,8 @@ def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
     witness = WitnessFactorization(sum(family.vectors) / math.sqrt(n), functions,
                                    VersionAssignment(dict.fromkeys(family.labels, 1.0)))
     ignored = float(w[~owned & (w <= FEASIBILITY_TOL)].clip(0).sum())
-    return verify_witness(t, family, witness, tol=WITNESS_TOL + math.sqrt(n * ignored)).ok
+    bound = DEFAULT_TOLERANCES["witness"] + math.sqrt(n * ignored)
+    return verify_witness(t, family, witness, tol=bound).ok
 
 
 def _prop_petz_structural(rng, count):
@@ -1406,6 +1465,7 @@ _PROPERTIES = [
     ("phase_oracle_agreement", _prop_oracle_agreement),
     ("checker_matches_brute_force", _prop_checker_vs_brute_force),
     ("witness_soundness", _prop_witness_soundness),
+    ("witness_bound_near_thresholds", _prop_witness_bound),
     ("construction_roundtrip", _prop_construction_roundtrip),
     ("nonexistence_on_obstructed_families", _prop_nonexistence_on_obstructed),
     ("version_invariance", _prop_version_invariance),

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 HERMITIAN_TOL = 1e-10   # relative asymmetry tolerated on ingest
-RANK_TOL = 1e-8         # relative eigenvalue / residual cutoff
+RANK_TOL = 1e-14        # the one Gram tolerance of check, construct and minimal
 QL_SWEEPS = 30          # implicit QL sweeps allowed per eigenvalue
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)   # the smallest normal float
@@ -177,17 +177,14 @@ def _tql(d: list, e: list, z: np.ndarray | None) -> None:
 
 
 def _eigen(a: np.ndarray, vectors: bool = True):
-    """Eigenvalues, and eigenvectors when vectors is set, of one Hermitian
-    matrix a (n, n), a left untouched.
+    """(w, v): the eigenvalues of one Hermitian matrix a (n, n), not sorted
+    and the same whether vectors is set or not, and, when it is, the
+    matching eigenvectors as columns, else None; a is left untouched.
 
-    The matrix is divided by the power of two just above max|a|, so the
-    scaling is exact and the kernel works at any finite scale; it is then
-    reduced to a real tridiagonal matrix (_tridiagonalize) and solved by
-    implicit-shift QL (_tql).  The eigenvectors are built once, as q @ z.T.
-
-    Returns (w, v): w holds the eigenvalues, not sorted, and the same
-    whether vectors is set or not; v the matching eigenvectors as
-    columns, or None.
+    a is divided by the power of two just above max|a|, an exact scaling
+    that lets the kernel work at any finite scale, reduced to a real
+    tridiagonal matrix (_tridiagonalize) and solved by implicit-shift QL
+    (_tql).  The eigenvectors are built once, as q @ z.T.
     """
     n = a.shape[0]
     if n > MAX_DIM:
@@ -204,27 +201,14 @@ def _eigen(a: np.ndarray, vectors: bool = True):
 
 
 def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix by Householder reduction
-    and implicit-shift QL.
-
-    The matrix is reduced by complex Householder reflectors to a
-    Hermitian tridiagonal matrix, made real by a diagonal phase
-    similarity, and diagonalized by implicit QL sweeps with Wilkinson
-    shifts (Wilkinson & Reinsch, Handbook for Automatic Computation II,
-    tred2/tql2).  A matrix that is already diagonal needs no sweep.
-
-    Parameters
-    ----------
-    m : array_like, square, Hermitian within HERMITIAN_TOL, dim <= MAX_DIM
-
-    Returns
-    -------
-    (w, v) : eigenvalues ascending (real ndarray), eigenvectors as the
-        columns of a unitary ndarray, so that m = v @ diag(w) @ v.conj().T
-
-    Raises EigenConvergenceError, rather than returning a silently
-    unconverged answer, when an eigenvalue needs more than QL_SWEEPS
-    sweeps.
+    """Eigendecomposition (w, v) of a Hermitian matrix m (square, Hermitian
+    within HERMITIAN_TOL, dim <= MAX_DIM) by Householder reduction and
+    implicit-shift QL (Wilkinson & Reinsch, Handbook for Automatic
+    Computation II, tred2/tql2): w the eigenvalues ascending, v a unitary
+    whose columns are the eigenvectors, m = v @ diag(w) @ v.conj().T.  A
+    diagonal matrix needs no sweep.  Raises EigenConvergenceError, rather
+    than return an unconverged answer, when an eigenvalue needs more than
+    QL_SWEEPS sweeps.
     """
     w, v = _eigen(as_hermitian(m))
     order = np.argsort(w, kind="stable")

@@ -1,37 +1,35 @@
 """Coarse-grainings of a sufficient statistic and the minimal one.
 
 Every question here reads one sufficiency.Decision of (T, F).  A
-coarse-graining f(T) merges the atoms of T into blocks.  f(T)'s atom
-for a block B is the sum of T's mutually orthogonal atoms in B, so the
-family's Gram matrix on it is the block sum of T's Gram stack over B.
-When T is weakly sufficient, the versions that aligned T make every
-block sum real, and f(T) is weakly sufficient exactly when no block sum
-holds a pair of states of rank 2 (Cauchy interlacing):
-Decision.coarse_sufficient decides each coarse-graining from these
-sums, dead atoms included, as a direct check of f(T) would, and one
-Decision serves every map of T.  Two atoms of a weakly sufficient
-statistic are interchangeable when their two-atom block sum has rank
-one, that is, when their states' coordinates on them are proportional:
-merging such atoms preserves weak sufficiency, and merging any other
-pair destroys it.  An atom is live when some state's weight on it
-exceeds the rank tolerance (Decision.active).  The minimal statistic
-merges exactly the proportionality classes of the live atoms
-(equivalence_classes) -- when the family spans two dimensions or more
-it exists precisely when every atom is live.  Its certificate proves
-both halves: a witness of the merged statistic, built under T's
-versions, and for each pair of classes two states of rank 2 on their
-merged atom.  When an atom of such a family is dead, no minimal
-statistic exists: merging the dead atom into each live atom in turn
-(harness.dead_atom_counterexamples) yields incomparable sufficient
-coarse-grainings that witness the failure.  A family on one line has
-the constant statistic, one block of every atom, as its minimal one,
-dead atoms or not.  When T is not weakly sufficient no f(T) is (g(f(T))
-is a function of T), so the Decision's refusal answers every question.
+coarse-graining f(T) merges T's atoms into blocks, and the family's Gram
+matrix on a block's atom is the sum of T's Gram stack over the block.
+When T is weakly sufficient, T's versions make every block sum real, so
+f(T) is weakly sufficient exactly when every block sum, dead atoms
+included, passes the pair rule (Cauchy interlacing):
+Decision.coarse_sufficient decides every map of T from one Decision, as
+a direct check of f(T) would.  Atoms whose block sum has rank one, their
+states' coordinates proportional, merge without loss of sufficiency; two
+atoms whose block sum has rank 2 cannot merge.  The minimal statistic
+merges the proportionality classes of the live atoms (Decision.active),
+grown by block sums (equivalence_classes); when the family spans two
+dimensions or more it exists exactly when every atom is live.  Its
+certificate proves both halves: the merged statistic's witness, built
+under T's versions, and for each pair of classes two states of rank 2 on
+the merged atom of one atom from each.  At a tolerance proportionality
+is not transitive, so two classes can lack such a pair, and then
+equivalence_classes raises.  With a dead atom no minimal statistic
+exists: merging it into each live atom in turn
+(harness.dead_atom_counterexamples) gives incomparable sufficient
+coarse-grainings.  A family on one line has the constant statistic, one
+block of every atom, as its minimal one, dead atoms or not.  When T is
+not weakly sufficient no f(T) is (g(f(T)) is a function of T), so the
+Decision's refusal answers every question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -47,12 +45,12 @@ MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 class AtomClasses:
     """Proportionality classes of active atoms, and what keeps them apart.
 
-    classes are ordered by their leader, the smallest member.  For each
-    pair of classes i < j, in order, separations holds the two leaders
-    (a, b) and the labels (x, y) of the first pair of states whose Gram
-    matrix projected onto e_a + e_b has rank 2 (pair_rank_two).  For a
-    family spanning one dimension minimal_statistic puts every atom,
-    dead ones included, in one class.
+    classes are ordered by their smallest member.  For each pair of
+    classes i < j, in order, separations holds atoms (a, b) of classes i
+    and j and the labels (x, y) of two states whose Gram matrix projected
+    onto e_a + e_b has rank 2 (pair_rank_two).  For a family spanning one
+    dimension minimal_statistic puts every atom, dead ones included, in
+    one class.
     """
 
     classes: list[tuple[int, ...]]
@@ -85,33 +83,50 @@ class NoMinimalExists:
 
 
 def equivalence_classes(decision: Decision) -> AtomClasses:
-    """Group active atoms whose components are proportional.
+    """Group active atoms whose components are proportional, by block sums.
 
-    Atoms a < b are split when their merged Gram matrix gram[a] + gram[b]
-    has rank 2 at decision.tol, the test the verifier applies to a
-    separation.  Leader by leader: the smallest atom not yet placed leads
-    a class, one pair_rank_two call on its merged matrices with every
-    atom still unplaced decides them all, and those not split from it
-    join it.  The first pair of states split, in the order of
-    pair_rank_two's flags, is kept for each atom left over; it is the
-    separation when that atom leads a later class.
+    In order, each active atom joins the first class whose running Gram
+    sum plus its own has no pair of states of rank 2 (pair_rank_two, the
+    block-sum rule of Decision.coarse_sufficient), or starts a class: every
+    class sum passes, which bounds the merged statistic's witness
+    (sufficiency.tolerances).  Classes i < j are separated by the
+    first atoms a of i and b of j whose gram[a] + gram[b] has rank 2, the
+    test the verifier applies: made as b started j if i then held a alone,
+    else by one pair_rank_two call per a on all of j.  Raises ValueError,
+    naming both classes, where no such pair exists.
     """
-    gram, tol = decision.table.gram, decision.tol
-    labels = decision.family.labels
+    gram, tol, labels = decision.table.gram, decision.tol, decision.family.labels
     pairs = list(zip(*_upper_triangle(len(labels))))
-    rest = [k for k, flag in enumerate(decision.active) if flag]
-    classes, firsts = [], {}
-    while rest:
-        lead, rest = rest[0], rest[1:]
-        split = pair_rank_two(gram[lead] + gram[rest], tol)
-        apart = split.any(axis=1).tolist()
-        classes.append((lead, *(k for k, out in zip(rest, apart) if not out)))
-        firsts[lead] = {k: pairs[row.argmax()] for k, row, out in zip(rest, split, apart) if out}
-        rest = [k for k, out in zip(rest, apart) if out]
-    leaders = [cls[0] for cls in classes]
-    separations = [((a, b), tuple(labels[i] for i in firsts[a][b]))
-                   for n, a in enumerate(leaders) for b in leaders[n + 1:]]
-    return AtomClasses(classes, separations)
+    classes: list[list[int]] = []
+    sums = np.empty_like(gram)   # sums[n]: the Gram sum of classes[n]
+    tested = []                  # tested[n][i]: classes[n][0] with a class i of one atom
+    for k in (k for k, flag in enumerate(decision.active) if flag):
+        n = len(classes)
+        split = pair_rank_two(sums[:n] + gram[k], tol)
+        fit = (split.any(axis=1).tolist() + [False]).index(False)
+        if fit == n:
+            tested.append({i: row for i, row in enumerate(split) if len(classes[i]) == 1})
+            classes.append([])
+            sums[n] = 0.0
+        classes[fit].append(k)
+        sums[fit] += gram[k]
+    separations = []
+    for i, j in combinations(range(len(classes)), 2):
+        if i in tested[j]:
+            a, b, row = classes[i][0], classes[j][0], tested[j][i]
+        else:
+            for a in classes[i]:
+                split = pair_rank_two(gram[a] + gram[classes[j]], tol)
+                if split.any():
+                    n = int(split.any(axis=1).argmax())
+                    b, row = classes[j][n], split[n]
+                    break
+            else:
+                raise ValueError(f"classes {classes[i]} and {classes[j]} hold no pair of atoms "
+                                 f"of rank 2 at tolerance {tol:g}, so no certificate can "
+                                 f"separate them")
+        separations.append(((a, b), tuple(labels[x] for x in pairs[row.argmax()])))
+    return AtomClasses([tuple(cls) for cls in classes], separations)
 
 
 def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatistic:
@@ -142,19 +157,13 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     Returns MinimalStatistic (atoms = proportionality classes, values
     1..m in order of smallest member), NoMinimalExists naming the first
     atom that is not Decision.active, or check's negative
-    SufficiencyVerdict when t is not weakly sufficient, which proves that
-    no coarse-graining is.  A family spanning less than two dimensions
-    gets the one-block partition, dead atoms included: every statistic is
-    sufficient for it, so the constant one, a function of them all, is
-    minimal.  One Decision of (t, family) gives the verdict, the span
-    (its Gram stack sums to the family's Gram matrix), the dead atom and
-    the classes.  The merged statistic is not decided again: its witness
-    is built under t's versions, as in exists_weakly_sufficient.  Near a
-    tolerance that witness can miss WITNESS_TOL, and verify_witness
-    reports it.  The classes may merge atoms split from each other; and
-    even a block whose sum passes the rank test at tol can hold a
-    smallest Gram eigenvalue lo up to about tol, which leaves a residual
-    of about sqrt(lo), far above WITNESS_TOL.
+    SufficiencyVerdict, which proves that no coarse-graining is
+    sufficient.  A family spanning less than two dimensions gets the
+    one-block partition, dead atoms included: the constant statistic, a
+    function of every statistic, all sufficient for it.  One Decision of
+    (t, family) gives all of it; the merged statistic's witness is built
+    under t's versions (sufficiency.tolerances bounds it).  Raises
+    ValueError when two classes cannot be separated (equivalence_classes).
     """
     decision = decide(t, family, tol)
     if decision.violations:

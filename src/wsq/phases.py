@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ANGLE_TOL = 1e-6
+from .linalg import RANK_TOL
 
 # Fault-injection point for the self-test harness: the physically correct
 # modulus is pi (real of either sign).  Do not change outside the harness.
@@ -41,8 +41,8 @@ class PhaseConstraint:
     atom records which statistic atom produced the constraint, if any;
     it is carried through to certificates so a verifier can recompute
     the value from the instance.  The decision builds these only for a
-    refusal's cycle, from overlaps of validated states above
-    sufficiency.ZERO_TOL, so value is taken as given: finite and nonzero.
+    refusal's cycle, from overlaps above the cutoff of
+    sufficiency.tolerances, so value is taken as given: finite, nonzero.
     """
 
     left: str
@@ -94,17 +94,17 @@ class Infeasible:
     cycle: list[PhaseConstraint] = field(default_factory=list)
 
 
-def align_phases(constraints: Constraints, labels):
+def align_phases(constraints: Constraints, labels, angle_tol: float = math.sqrt(RANK_TOL)):
     """Decide whether all constraints can be made real simultaneously.
 
     Returns a VersionAssignment on success (the lexicographically first
     label of each connected component gets phase 1) or an Infeasible
-    witness carrying a cycle whose defect exceeds ANGLE_TOL.  Exact up to
-    floating-point accumulation: offsets are propagated, never searched.
-    Constraints are taken in order and their states are indices into
-    labels, the family's (unique strings, as StateFamily makes them);
-    neither is checked again.  The forest and its offsets live in lists
-    indexed by state, and PhaseConstraint objects are built only for the
+    witness carrying a cycle whose defect exceeds angle_tol (by default
+    the angle of sufficiency.tolerances).  Offsets are propagated, never
+    searched: a constraint that closes no cycle is met exactly, one that
+    closes a cycle is left at its defect.  Constraints are taken in order,
+    their states indices into labels, the family's unique strings; neither
+    is checked again.  PhaseConstraint objects are built only for the
     cycle returned.  The modulus is read once per call, so the harness's
     fault switch reaches every comparison.
     """
@@ -134,7 +134,7 @@ def align_phases(constraints: Constraints, labels):
         root_r, off_r = find(rights[n])
         if root_l == root_r:
             frac = (off_l - off_r - target) % modulus
-            if min(frac, modulus - frac) > ANGLE_TOL:
+            if min(frac, modulus - frac) > angle_tol:
                 path = _tree_path(lefts, rights, tree, lefts[n], rights[n])
                 return Infeasible(cycle=[constraints.named(c, labels) for c in path + [n]])
             continue

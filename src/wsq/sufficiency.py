@@ -1,30 +1,26 @@
 """Weak sufficiency of a discrete statistic for a family of pure states.
 
-A statistic T is weakly sufficient for a labelled family of unit vectors
-when, after replacing each state by a unit-modulus multiple, every state
-can be written as a real function of T applied to one common vector chi.
-For discrete T this reduces to two checkable conditions:
-
-  1. each atom projects the family onto a subspace of dimension <= 1;
-  2. the per-atom overlaps can all be made real by one choice of
-     unit-modulus multipliers (a phase-alignment problem modulo pi).
-
-decide(T, F) projects the family once and settles both, as one Decision
-that every question about (T, F) reads: check_weak_sufficiency is its
-verdict, Decision.coarse_sufficient decides each coarse-graining of T
-from block sums of its Gram stack, and minimal_statistic reads its
-classes and versions.  Whether any weakly sufficient
-statistic exists for F depends only on the Gram matrix of F and is
-decided by exists_weakly_sufficient: when the states can be dressed so
-that their Gram matrix is real, an orthonormal basis of the dressed
-states' span, found in one orthogonalization pass, gives one through
-statistic_from_directions, and the same dressing is its witness.
-Certificates carry those directions, and the verifier rebuilds the
+T is weakly sufficient for a labelled family of unit vectors when, after
+each state is replaced by a unit-modulus multiple (its version), every
+state is a real function of T applied to one common vector chi.  For
+discrete T that is two conditions, judged at one Gram tolerance
+(tolerances): each atom projects the family onto at most one dimension,
+and one choice of versions makes every per-atom overlap real (a phase
+alignment modulo pi).  decide(T, F) projects the family once and settles
+both, as one Decision that every question about (T, F) reads: check's
+verdict, the block sums of each coarse-graining, and the minimal
+statistic's classes and versions.  Whether any weakly sufficient
+statistic exists depends only on the family's Gram matrix
+(exists_weakly_sufficient): when versions make it real, an orthonormal
+basis of the dressed states' span gives one through
+statistic_from_directions, with those versions as its witness.
+Certificates carry the directions, and the verifier rebuilds the
 statistic through the same function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +30,42 @@ from .phases import Constraints, Infeasible, PhaseConstraint, VersionAssignment,
 from .spectral import (AtomProjectionTable, CoarseMap, DiscreteStatistic, StateFamily,
                        coarse_blocks, project_states)
 
-ZERO_TOL = 1e-10          # overlaps below this impose nothing
-WITNESS_TOL = 1e-7        # largest residual a verified witness may leave
+WITNESS_FACTOR = 28       # the witness tolerance in units of sqrt(tol); see tolerances
 
 # Fault-injection point for the self-test harness; never disable otherwise.
 _RANK_CHECK_ENABLED = True
+
+
+def tolerances(tol: float = RANK_TOL) -> dict[str, float]:
+    """The tolerances of check, construct and minimal, from their one Gram
+    tolerance tol and eps = sqrt(tol).  "rank" is tol: the pair rule's
+    cutoff (pair_rank_two), and the weight above which an atom is live and
+    lit (Decision.active, atom_directions).  "angle" is eps: the defect
+    align_phases accepts; an overlap G_ij of a Gram matrix G constrains the
+    phases when |G_ij| > eps sqrt(max(G_ii, G_jj)).  "witness" is
+    WITNESS_FACTOR eps, which bounds every witness check and minimal build.
+
+    Proof.  Take a block B of atoms whose Gram sum passes the pair rule (an
+    atom for check, a class for minimal; K atoms in all), h its heaviest
+    state, of weight w_h.  build_witness keeps state theta's part along
+    e_B phi_h, turned real by c_h, h's version.  theta misses by two
+    orthogonal parts.  Off that direction, by det / w_h <= 2 lo <= 4 eps^2
+    in the square: det and lo are the pair (theta, h)'s determinant and the
+    pair rule's lo = det / hi, and hi <= 2 w_h, hi <= 2.  Along it, by
+    |Im(c_theta conj(c_h) G_theta,h)| / sqrt(w_h).  Each atom k of B adds
+    to G_theta,h an entry a_k whose dressed imaginary part is at most
+    eps |a_k| (aligned to within angle eps) or |a_k| <= eps sqrt(max(
+    w_k,theta, w_k,h)) (constraining nothing), so at most eps
+    (sqrt(w_k,theta) + sqrt(w_k,h)); by Cauchy-Schwarz the part is at most
+    2 eps sqrt(K_B).  A block whose weights are all at most tol is
+    left out, at most eps^2 in the square.  Over the orthogonal blocks the
+    squares add to at most sum_B (4 + 4 K_B) eps^2 <= 8 K eps^2, and sqrt(8
+    MAX_DIM) = 22.6 leaves WITNESS_FACTOR room for rounding.  construct's
+    witness has no such bound, as its directions' error grows with the
+    family's conditioning; the command line checks it.
+    """
+    eps = math.sqrt(tol)
+    return {"rank": tol, "angle": eps, "witness": WITNESS_FACTOR * eps}
 
 
 @dataclass
@@ -76,13 +103,10 @@ class WitnessFactorization:
 
 @dataclass
 class SufficiencyVerdict:
-    """The decision on (T, F).  spectrum is T's (DiscreteStatistic.spectrum),
-    which a certificate records; it names the statistic decided, not the
-    answer, so verdicts compare without it.  A plain record: the functions
-    that make it, Decision.verdict and minimal_statistic's refusal, give a
-    sufficient verdict a witness and no violations, a negative one no
-    witness and at least one violation.
-    """
+    """The decision on (T, F): a witness and no violations, or no witness
+    and at least one violation.  spectrum is T's, which a certificate
+    records; it names the statistic decided, not the answer, so verdicts
+    compare without it."""
 
     sufficient: bool
     witness: WitnessFactorization | None
@@ -102,11 +126,10 @@ class Decision:
     """The decision on (t, family), made once; every question reads it.
 
     table carries the components e_k phi_theta and gram[k] = C_k C_k^H.
-    An atom is active when some state's weight on it exceeds tol.  Exactly
-    one of violations and versions is empty: the violations refuse t, the
-    versions make every entry of every gram[k] real.  tol is the rank
-    and activity tolerance of the decision; everything read from it
-    applies tol, the witness directions verdict computes included.
+    An atom is active when some state's weight on it exceeds tol, the
+    Gram tolerance that everything read from the decision applies.
+    Exactly one of violations and versions is empty: the violations refuse
+    t, the versions make every entry of every gram[k] real.
     """
 
     statistic: DiscreteStatistic
@@ -148,16 +171,15 @@ def atom_directions(table: AtomProjectionTable,
                     tol: float = RANK_TOL) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """(gamma, xi): each atom's direction and its states' coordinates on it.
 
-    Each atom k that some state loads above tol**2 (a weight at or below
-    it is projector rounding) gets xi[k], its heaviest state h's component
-    e_k phi_h / ||e_k phi_h|| with no rotation, and the gamma row
-    gram[k, :, h] / ||e_k phi_h||, so that e_k phi_theta = gamma[k, theta]
-    xi[k] when gram[k] has rank at most one.  gamma rows of the other
-    atoms are zero, and the witness covers exactly the atoms of xi, the
-    one reader of both: decide and the coarse test never compute them.
+    Each atom k that some state loads above tol gets xi[k], its heaviest
+    state h's component e_k phi_h / ||e_k phi_h|| with no rotation, and the
+    gamma row gram[k, :, h] / ||e_k phi_h||, so that e_k phi_theta =
+    gamma[k, theta] xi[k] when gram[k] has rank at most one.  Other atoms'
+    gamma rows are zero; the witness, the one reader of both, covers
+    exactly the atoms of xi.
     """
     heaviest, weight = table.weights.argmax(axis=0), table.weights.max(axis=0)
-    lit = np.flatnonzero(weight > tol * tol)
+    lit = np.flatnonzero(weight > tol)
     lead, length = heaviest[lit], np.sqrt(weight[lit])[:, np.newaxis]
     gamma = np.zeros(table.gram.shape[:2], dtype=complex)
     gamma[lit] = table.gram[lit, :, lead] / length
@@ -167,15 +189,12 @@ def atom_directions(table: AtomProjectionTable,
 
 def build_witness(t: DiscreteStatistic, family: StateFamily, versions: VersionAssignment,
                   tol: float = RANK_TOL, directions=None) -> WitnessFactorization:
-    """The factorization of the family through t under versions.
-
-    directions is (gamma, xi), the atom_directions at tol of t's
-    projection table of the family, computed here unless the caller
-    passes them, as Decision.verdict does at its own tol.  The witness is
-    exact when the versions make each dressed gamma row real up to one
-    phase, as verify_witness checks.  Nothing here decides t: the
-    versions come from t's own decision, or from that of a statistic or
-    Gram matrix whose versions serve t too.
+    """The factorization of the family through t under versions, which
+    come from a decision of t or of a statistic or Gram matrix whose
+    versions serve t too; t is not decided here.  directions is (gamma,
+    xi), atom_directions at tol, computed here unless the caller passes
+    them, as Decision.verdict does.  The witness is exact when the
+    versions make each dressed gamma row real up to one phase.
     """
     if directions is None:
         directions = atom_directions(project_states(t, family), tol)
@@ -196,25 +215,26 @@ def build_witness(t: DiscreteStatistic, family: StateFamily, versions: VersionAs
     return WitnessFactorization(chi=chi, functions=functions, versions=versions)
 
 
-def _phase_constraints(gram: np.ndarray, atoms: bool) -> Constraints:
-    """One constraint per entry of gram[k] right of the diagonal above
-    ZERO_TOL, in (k, left, right) order; k is recorded as the atom when
-    atoms is set.  The rank test reads the same strict upper triangle."""
+def _phase_constraints(gram: np.ndarray, tol: float, atoms: bool) -> Constraints:
+    """One constraint per entry G_ij of gram[k] right of the diagonal with
+    |G_ij| > sqrt(tol max(G_ii, G_jj)), the cutoff of tolerances(tol), in
+    (k, left, right) order; k is recorded as the atom when atoms is set.
+    The rank test reads the same strict upper triangle."""
     rows, cols = _upper_triangle(gram.shape[-1])
     upper = gram[:, rows, cols]
-    k, pair = np.nonzero(np.abs(upper) > ZERO_TOL)
+    weights = np.diagonal(gram, axis1=1, axis2=2).real
+    cut = math.sqrt(tol) * np.sqrt(np.maximum(weights[:, rows], weights[:, cols]))
+    k, pair = np.nonzero(np.abs(upper) > cut)
     return Constraints(rows[pair], cols[pair], upper[k, pair], k if atoms else None)
 
 
 def decide(t: DiscreteStatistic, family: StateFamily, tol: float = RANK_TOL) -> Decision:
-    """Project the family once, then the rank test and the phase alignment.
-
-    No eigensolve runs.  An atom where some 2x2 principal submatrix of
-    gram[k] has rank 2 (pair_rank_two) is refused as it stands, naming
-    the first such pair of states.  Otherwise the entries of every gram[k]
-    right of the diagonal whose modulus exceeds ZERO_TOL are aligned
-    (align_phases): either versions make them all real, or a cycle
-    refuses t.  Only Decision.verdict computes the witness directions.
+    """Project the family once, then the rank test and the phase alignment,
+    with no eigensolve.  An atom where some pair of states has rank 2
+    (pair_rank_two) is refused, naming the first such pair.  Otherwise the
+    entries of every gram[k] above the cutoff of tolerances(tol) are
+    aligned at its angle (align_phases): versions make them all real, or a
+    cycle refuses t.  Only Decision.verdict computes the witness directions.
     """
     table = project_states(t, family)
     active = tuple((table.weights.max(axis=0) > tol).tolist())
@@ -227,7 +247,8 @@ def decide(t: DiscreteStatistic, family: StateFamily, tol: float = RANK_TOL) -> 
         violations = [RankViolation(atom=k, states=(labels[i], labels[j])) for k, i, j
                       in zip(spread.tolist(), rows[first].tolist(), cols[first].tolist())]
     else:
-        aligned = align_phases(_phase_constraints(table.gram, atoms=True), family.labels)
+        aligned = align_phases(_phase_constraints(table.gram, tol, atoms=True), family.labels,
+                               math.sqrt(tol))
         if isinstance(aligned, Infeasible):
             violations = [PhaseObstruction(aligned.cycle)]
         else:
@@ -237,19 +258,16 @@ def decide(t: DiscreteStatistic, family: StateFamily, tol: float = RANK_TOL) -> 
 
 def check_weak_sufficiency(t: DiscreteStatistic, family: StateFamily,
                            tol: float = RANK_TOL) -> SufficiencyVerdict:
-    """Decide whether t is weakly sufficient for the family.
-
-    Returns a verdict carrying either a witness factorization (chi, one
-    real function per label, unit-modulus versions) or the structured
-    violations: the spread atoms, each with a pair of states it keeps
-    apart, or else an inconsistent phase cycle.
-    """
+    """Decide whether t is weakly sufficient for the family: a verdict with
+    a witness factorization, or with the spread atoms, each with a pair of
+    states it keeps apart, or else an inconsistent phase cycle."""
     return decide(t, family, tol).verdict()
 
 
-def verify_witness(t: DiscreteStatistic, family: StateFamily,
-                   witness: WitnessFactorization, tol: float = WITNESS_TOL) -> WitnessCheck:
-    """Independently re-check a witness: ||f_theta(T) chi - c_theta phi_theta||.
+def verify_witness(t: DiscreteStatistic, family: StateFamily, witness: WitnessFactorization,
+                   tol: float = tolerances()["witness"]) -> WitnessCheck:
+    """Independently re-check a witness: ||f_theta(T) chi - c_theta phi_theta||
+    against tol, by default tolerances()["witness"].
 
     The one check of a witness, built by hand, read from a certificate or
     built by a decision.  values[theta, k] = f_theta(lambda_k), so values @
@@ -309,10 +327,10 @@ class NonExistence:
     cycle: list[PhaseConstraint]
 
 
-def family_constraints(family: StateFamily) -> Constraints:
+def family_constraints(family: StateFamily, tol: float = RANK_TOL) -> Constraints:
     """Reality constraints from the entries of the full Gram matrix above
-    ZERO_TOL, which name no atom."""
-    return _phase_constraints(gram_matrix(family.vectors)[np.newaxis], atoms=False)
+    the cutoff of tolerances(tol), which name no atom."""
+    return _phase_constraints(gram_matrix(family.vectors)[np.newaxis], tol, atoms=False)
 
 
 def statistic_from_directions(directions) -> DiscreteStatistic:
@@ -335,20 +353,17 @@ def statistic_from_directions(directions) -> DiscreteStatistic:
 def exists_weakly_sufficient(family: StateFamily, tol: float = RANK_TOL):
     """Decide whether any weakly sufficient statistic exists for the family.
 
-    Existence depends only on whether the full Gram matrix can be made
-    entrywise real by dressing the states.  On success one in-order pass
-    over the dressed states builds the statistic: each state is
-    orthogonalized, twice, against the directions found so far and kept
-    as the next direction when its squared residual exceeds tol; then
-    statistic_from_directions gives direction n the value n.  The
-    dressing is the witness: those versions make every dressed overlap
-    real, so each atom's dressed row is real too, and build_witness
-    builds the witness from them: the statistic is projected, not decided
-    again; near a threshold the witness may miss its tolerance, which
-    verify_witness reports.
+    It does when versions make the family's Gram matrix real.  Then one
+    in-order pass over the dressed states builds the statistic: each is
+    orthogonalized, twice, against the directions found so far and kept as
+    the next direction when its squared residual exceeds tol, and
+    statistic_from_directions gives direction n the value n.  Those
+    versions make every dressed row real, and build_witness builds the
+    witness under them, without deciding the statistic again.  Its residual
+    grows with the family's conditioning, which tolerances does not bound.
     """
     labels = family.labels
-    aligned = align_phases(family_constraints(family), labels)
+    aligned = align_phases(family_constraints(family, tol), labels, math.sqrt(tol))
     if isinstance(aligned, Infeasible):
         return NonExistence(cycle=aligned.cycle)
     directions: list[np.ndarray] = []

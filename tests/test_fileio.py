@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,12 @@ from wsq.harness import (
 from wsq.minimality import minimal_statistic
 from wsq.petz import PetzInstance, petz_feasibility
 from wsq.spectral import StateFamily, statistic_from_matrix
-from wsq.sufficiency import SufficiencyVerdict, check_weak_sufficiency, exists_weakly_sufficient
+from wsq.sufficiency import (
+    SufficiencyVerdict,
+    check_weak_sufficiency,
+    exists_weakly_sufficient,
+    tolerances,
+)
 
 
 def obstructed_family():
@@ -934,7 +940,7 @@ def test_only_a_petz_certificate_records_parameters():
 # ------------------------------------------------- the recorded tolerance block
 
 
-DEFAULTS = {"rank": 1e-8, "angle": 1e-6, "witness": 1e-7, "petz_feasibility": 1e-7}
+DEFAULTS = {"rank": 1e-14, "angle": 1e-7, "witness": 28 * 1e-7, "petz_feasibility": 1e-7}
 KEYS = {
     "weak_sufficiency": ["angle", "rank", "witness"],
     "existence": ["angle", "rank", "witness"],
@@ -947,15 +953,18 @@ def test_each_kind_records_only_what_its_decision_applies():
     for _, cert in certificate_corpus():
         kind = cert["kind"]
         assert cert["tolerances"] == {key: DEFAULTS[key] for key in KEYS[kind]}
+    # one tolerance block per tol: rank is tol, angle and witness derive from it
     statistic, family = load_bundled_instance()
-    cases = [("weak_sufficiency", check_weak_sufficiency(statistic, family), ["rank", "witness"]),
-             ("minimality", minimal_statistic(statistic, family), ["rank", "witness"]),
+    eps = math.sqrt(3e-9)
+    cases = [("weak_sufficiency", check_weak_sufficiency(statistic, family),
+              {"rank": 3e-9, "angle": eps, "witness": 28 * eps}),
+             ("minimality", minimal_statistic(statistic, family),
+              {"rank": 3e-9, "angle": eps, "witness": 28 * eps}),
              ("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)),
-              ["petz_feasibility"])]
-    for kind, result, set_by_tol in cases:
-        block = make_certificate(kind, result, tol=3e-9)["tolerances"]
-        assert block == {key: 3e-9 if key in set_by_tol else DEFAULTS[key]
-                         for key in KEYS[kind]}
+              {"petz_feasibility": 3e-9})]
+    for kind, result, block in cases:
+        assert make_certificate(kind, result, tol=3e-9)["tolerances"] == block
+    assert tolerances(3e-9) == cases[0][2]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 1e-15, 2e-3, 1.0, math.nan, math.inf, 1, True, "1e-8"])
@@ -966,13 +975,16 @@ def test_make_certificate_refuses_a_tolerance_outside_the_range(tol):
 
 
 def edited_blocks(kind):
-    """(edit, tolerance block) pairs the verifier must refuse for a kind."""
+    """(edit, tolerance block) pairs the verifier must refuse for a kind.
+    angle and witness are amplitudes, in fileio.AMPLITUDE_RANGE, which
+    ends at 0.885; the other keys end at 1e-3."""
     good = {key: DEFAULTS[key] for key in KEYS[kind]}
     yield "missing block", None
     yield "non-object block", [DEFAULTS[key] for key in KEYS[kind]]
     for key in KEYS[kind]:
         yield f"missing {key}", {k: v for k, v in good.items() if k != key}
-        for bad in (0.0, -1e-8, 1e-15, 2e-3, math.nan, 1, True, "1e-8", None):
+        above = 0.9 if key in ("angle", "witness") else 2e-3
+        for bad in (0.0, -1e-8, 1e-15, above, math.nan, 1, True, "1e-8", None):
             yield f"{key} = {bad!r}", {**good, key: bad}
     yield "unknown key", {**good, "petz_structural": 1e-6}
 
@@ -1039,10 +1051,12 @@ def test_minimal_partition_and_dead_atom_are_replayed_at_the_recorded_rank():
     assert verify_certificate(instance_text, json.dumps(fine)).ok
     report = replayed(instance_text, fine, rank=1e-4)
     assert not report.ok and "do not separate atoms [0, 1]" in report.detail
-    # merged at 1e-4, the classes leave a witness residual of about 2e-3
+    # merged at 1e-4, the classes leave a witness residual of about 2e-3:
+    # within the recorded witness 28 sqrt(1e-4), not within a forged 1e-4
     coarse = make_certificate("minimality", minimal_statistic(statistic, family, 1e-4), tol=1e-4)
     assert coarse["payload"]["partition"] == [[0, 1], [2]]
-    report = verify_certificate(instance_text, json.dumps(coarse))
+    assert verify_certificate(instance_text, json.dumps(coarse)).ok
+    report = replayed(instance_text, coarse, witness=1e-4)
     assert not report.ok and "exceeds 1.0e-04" in report.detail
 
     # atom 2 carries weight 1e-6 of b: dead at rank 1e-5, alive at 1e-8
@@ -1094,6 +1108,65 @@ def test_cycle_is_replayed_at_the_recorded_angle():
     assert verify_certificate(instance_text, json.dumps(cert)).ok
     report = replayed(instance_text, cert, angle=1e-4)
     assert not report.ok and "below tolerance" in report.detail
+
+
+def edge_cutoff_cases():
+    """(instance text, cycle certificate, the angle at which its edges' cutoff
+    meets their overlap), for an atom edge and a family edge."""
+    # u = (0.8, 0.6) and v = (0.6, 0.8 i) on T = diag(1, -1): each atom's edge
+    # has overlap 0.48 and weights 0.64 and 0.36, so its cutoff, angle times
+    # sqrt(0.64), meets the overlap at angle 0.6; the cycle's defect is pi/2
+    t = statistic_from_matrix(np.diag([1.0, -1.0]).astype(complex))
+    crossed = StateFamily(("u", "v"), np.array([[0.8, 0.6], [0.6, 0.8j]]))
+    verdict = check_weak_sufficiency(t, crossed)
+    yield serialize_instance(t, crossed), make_certificate("weak_sufficiency", verdict), 0.6
+    # e1, (e1 + e2)/sqrt2 and (e1 + i e2)/sqrt2: every overlap of the family
+    # has modulus sqrt(1/2), and a family edge's cutoff is the angle itself;
+    # the cycle's defect is pi/4
+    s = 1.0 / math.sqrt(2.0)
+    obstructed = StateFamily(("a", "b", "c"), np.array([[1, 0], [s, s], [s, 1j * s]]))
+    built = exists_weakly_sufficient(obstructed)
+    yield serialize_instance(None, obstructed), make_certificate("existence", built), s
+
+
+def test_a_cycle_edge_at_its_cutoff_constrains_nothing():
+    # an edge constrains the phases only above angle sqrt(max(w)), w its two
+    # states' weights on its atom (1 for an edge of the family), as the
+    # decision cut it
+    cases = list(edge_cutoff_cases())
+    for instance_text, cert, edge in cases:
+        assert verify_certificate(instance_text, json.dumps(cert)).ok
+        assert replayed(instance_text, cert, angle=edge * (1.0 - 1e-9)).ok
+        report = replayed(instance_text, cert, angle=edge * (1.0 + 1e-9))
+        assert not report.ok and "which constrains nothing" in report.detail
+    # with the smaller weight the atom edges' cutoff would meet them at 0.8
+    instance_text, cert, _ = cases[0]
+    assert not replayed(instance_text, cert, angle=0.79).ok
+
+
+# the check certificate of the bundled instance as printed before the three
+# tolerances derived from one Gram tolerance, with the earlier default block
+EARLIER_CHECK_CERTIFICATE = (
+    '{"kind":"weak_sufficiency","payload":{"spectrum":[-1.0,1.0],"witness":{"chi":'
+    '[[0.7071067811865475,0.0],[0.7071067811865475,0.0]],"functions":{"phi1":'
+    '[0.0,1.4142135623730951],"phi2":[1.0000000000000002,1.0000000000000002]},'
+    '"versions":{"phi1":[1.0,0.0],"phi2":[1.0,0.0]}}},"tolerances":{"angle":1e-06,'
+    '"rank":1e-08,"witness":1e-07},"tool_version":"0.1.0","verdict":"sufficient"}')
+
+
+def test_an_earlier_tolerance_block_still_verifies():
+    instance_text = serialize_instance(*load_bundled_instance())
+    cert = parse_certificate(EARLIER_CHECK_CERTIFICATE)
+    assert cert["tolerances"] == {"angle": 1e-6, "rank": 1e-8, "witness": 1e-7}
+    assert verify_certificate(instance_text, EARLIER_CHECK_CERTIFICATE).ok
+    # the README's example is what check prints now, and verifies too
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = next(line for line in readme.splitlines()
+                   if line.startswith('{"kind":"weak_sufficiency"'))
+    statistic, family = load_bundled_instance()
+    now = serialize_certificate(make_certificate(
+        "weak_sufficiency", check_weak_sufficiency(statistic, family)))
+    assert example == now and verify_certificate(instance_text, example).ok
 
 
 def test_shared_atom_is_replayed_at_the_recorded_petz_feasibility():

@@ -1,10 +1,13 @@
+import collections
+import json
 import math
 
 import numpy as np
 import pytest
 
 from wsq import harness
-from wsq.fileio import load_bundled_instance, serialize_instance
+from wsq.fileio import (load_bundled_instance, make_certificate, serialize_instance,
+                        verify_certificate)
 from wsq.harness import (
     GeneratorSpec,
     brute_force_weak_sufficiency,
@@ -15,6 +18,7 @@ from wsq.harness import (
 )
 from wsq.petz import Feasible, PetzInstance, petz_feasibility
 from wsq.linalg import gram_matrix
+from wsq.minimality import minimal_statistic
 from wsq.spectral import statistic_from_matrix
 from wsq.sufficiency import NonExistence, check_weak_sufficiency, exists_weakly_sufficient
 
@@ -140,12 +144,32 @@ def test_property_suite_empty_run():
     assert report.results == []
 
 
+def test_near_threshold_certificates_verify_at_their_recorded_tolerances():
+    # the generator of the property witness_bound_near_thresholds: every
+    # check and minimal answer on it has a certificate that verifies, each
+    # witness within the recorded witness tolerance (sufficiency.tolerances)
+    rng = np.random.default_rng(32)
+    seen = collections.Counter()
+    for _ in range(150):
+        statistic, family = harness.near_threshold_instance(rng)
+        text = serialize_instance(statistic, family)
+        verdict = check_weak_sufficiency(statistic, family)
+        minimal = minimal_statistic(statistic, family)
+        kind = "minimality" if verdict.sufficient else "weak_sufficiency"
+        for cert in make_certificate("weak_sufficiency", verdict), make_certificate(kind, minimal):
+            report = verify_certificate(text, json.dumps(cert))
+            assert report.ok, (cert["verdict"], report.detail, text)
+        seen[verdict.sufficient, type(minimal).__name__] += 1
+    assert set(seen) == {(True, "MinimalStatistic"), (True, "NoMinimalExists"),
+                         (False, "SufficiencyVerdict")}
+
+
 def test_property_suite_clean_run():
     report = run_property_suite(seed=0, count=12)
     assert report.ok, "\n".join(
         f"{r.name}: {r.detail}" for r in report.failures()
     )
-    assert len(report.results) == 19
+    assert len(report.results) == 20
     rendered = report.render()
     assert "PASS" in rendered and "FAIL" not in rendered
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import sys
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from wsq import linalg, minimality, spectral, sufficiency
 from wsq.harness import dead_atom_counterexamples, gram_schmidt, is_function_of
 from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
+from wsq.fileio import make_certificate, serialize_instance, verify_certificate
 from wsq.minimality import (
+    AtomClasses,
     MinimalStatistic,
     NoMinimalExists,
     check_coarse_sufficient,
@@ -18,9 +22,11 @@ from wsq.minimality import (
 )
 from wsq.spectral import CoarseMap, DiscreteStatistic, StateFamily, apply_coarse, statistic_from_matrix
 from wsq.sufficiency import (
+    build_witness,
     check_weak_sufficiency,
     decide,
     exists_weakly_sufficient,
+    tolerances,
     verify_witness,
 )
 
@@ -367,8 +373,13 @@ def test_separations_split_every_pair_of_classes_in_order():
 
 
 def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
-    # one call per leader decides its pairs with every atom not yet placed,
-    # over every pair of states: at most atoms x states^2 entries at once
+    # growing the classes takes one call per live atom, on the class sums
+    # so far plus its own Gram matrix (an empty stack for the first atom).  An atom
+    # that starts a class is thereby tested against every class of one
+    # atom; another pair of classes takes one call per atom of the earlier
+    # class, on its merged Gram matrices with the later class, until one
+    # splits: here atom 0 with class (3,).  At most atoms x states^2
+    # entries at once
     rng = np.random.default_rng(65)
     coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
@@ -381,7 +392,7 @@ def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
 
     monkeypatch.setattr(minimality, "pair_rank_two", recording)
     assert equivalence_classes(decision).classes == [(0, 2), (1,), (3,)]
-    assert shapes == [(3, 3, 3), (1, 3, 3), (0, 3, 3)]
+    assert shapes == [(0, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3), (1, 3, 3)]
 
 
 def test_classes_of_many_atoms_stay_within_a_small_memory_bound():
@@ -407,22 +418,56 @@ def test_classes_of_many_atoms_stay_within_a_small_memory_bound():
     assert peak < 32 * 2 ** 20
 
 
-def test_classes_near_a_tolerance_give_a_witness_that_misses_it():
+def test_classes_near_a_tolerance_grow_by_block_sums():
     # atom 1 and atom 2 each pass for atom 0's class at tol 1e-4, their
     # rows (x, d) and (x, -d) being within d^2 / 2 of atom 0's (x, 0), but
-    # split from each other (2 d^2 > 1e-4): the merge is not sufficient,
-    # and the witness built under T's versions shows it
+    # split from each other (2 d^2 > 1e-4).  Atom 1 joins atom 0; the block
+    # sum of atoms 0-2 then has rank 2, so atom 2 starts a class of its own,
+    # where pairwise tests against atom 0 alone would merge all three
     x, d = 1.0 / np.sqrt(3.0), 1e-2
     t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
     fam = StateFamily(("s0", "s1"), (np.array([x, x, x, 0.0]),
                                      np.array([0.0, d, -d, np.sqrt(1.0 - 2.0 * d * d)])))
-    assert equivalence_classes(decide(t, fam, 1e-4)).classes == [(0, 1, 2), (3,)]
+    classes = equivalence_classes(decide(t, fam, 1e-4))
+    assert classes.classes == [(0, 1), (2,), (3,)]
+    # atoms 0 and 2 pass as a pair, so the first cross pair of rank 2 is (1, 2)
+    assert [atoms for atoms, _ in classes.separations] == [(1, 2), (0, 3), (2, 3)]
     coarse = minimal_statistic(t, fam, 1e-4)
-    assert coarse.partition == [[0, 1, 2], [3]]
-    assert not verify_witness(coarse.statistic, fam, coarse.witness, tol=1e-4).ok
+    assert coarse.partition == [[0, 1], [2], [3]]
+    assert verify_witness(coarse.statistic, fam, coarse.witness,
+                          tol=tolerances(1e-4)["witness"]).ok
     fine = minimal_statistic(t, fam)
     assert fine.partition == [[0], [1], [2], [3]]
     assert verify_witness(fine.statistic, fam, fine.witness).ok
+
+
+def test_a_light_atom_does_not_merge_two_heavy_atoms_apart():
+    # T = diag(1, 2, 3) and two states whose coordinate pairs on atoms 0-2
+    # are 1e-5 (cos 45, sin 45) and 0.7 (cos(45 +- delta), sin(45 +- delta)):
+    # atom 0 is live but light, so its block sum with atom 1 or with atom 2
+    # passes, while atoms 1 and 2, delta = 1e-3 apart, have rank 2 together.
+    # Grown by block sums, atom 2 cannot join {0, 1}.  A class led by atom 0
+    # and grown pair by pair would merge all three, with a witness residual
+    # of about 2e-3 against the witness tolerance 2.8e-6
+    delta, quarter = 1e-3, math.pi / 4
+    rows = [r * np.array([math.cos(x), math.sin(x)])
+            for r, x in ((1e-5, quarter), (0.7, quarter + delta), (0.7, quarter - delta))]
+    a, b = (np.array(coords) / np.linalg.norm(coords) for coords in zip(*rows))
+    t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]))
+    fam = StateFamily(("a", "b"), (a, b))
+    instance_text = serialize_instance(t, fam)
+    result = minimal_statistic(t, fam)
+    assert isinstance(result, MinimalStatistic) and result.partition == [[0, 1], [2]]
+    assert result.classes.separations == [((1, 2), ("a", "b"))]
+    assert verify_certificate(instance_text, json.dumps(make_certificate("minimality", result))).ok
+
+    merged = statistic_from_partition(t, [[0, 1, 2]])
+    witness = build_witness(merged, fam, decide(t, fam).versions)
+    assert verify_witness(merged, fam, witness).max_residual > 1e-3
+    forged = MinimalStatistic(merged, AtomClasses([(0, 1, 2)], []), [[0, 1, 2]], witness,
+                              t.spectrum)
+    report = verify_certificate(instance_text, json.dumps(make_certificate("minimality", forged)))
+    assert not report.ok and "exceeds 2.8e-06" in report.detail
 
 
 def test_minimal_decides_the_statistic_once(monkeypatch):

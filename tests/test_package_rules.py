@@ -233,7 +233,8 @@ def test_production_code_imports_no_scipy():
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
-DEFAULT_TOLERANCES = {"RANK_TOL", "ANGLE_TOL", "FEASIBILITY_TOL", "WITNESS_TOL"}
+# the default tolerances, and the function that derives a block from one
+DEFAULT_TOLERANCES = {"RANK_TOL", "FEASIBILITY_TOL", "WITNESS_FACTOR", "tolerances"}
 DECISIONS = {"decide", "Decision", "check_weak_sufficiency", "check_coarse_sufficient",
              "exists_weakly_sufficient", "family_constraints", "_phase_constraints",
              "align_phases", "gram_rank", "petz_feasibility", "minimal_statistic",
@@ -294,8 +295,9 @@ def test_verifier_names_no_default_tolerance():
     # an edit replaying existence cycles at the default angle again is caught
     replay = 'return _cycle_report(None, family, cycle, tols["angle"])'
     assert source.count(replay) == 1
-    edited = source.replace(replay, replay.replace('tols["angle"]', "phases.ANGLE_TOL"))
-    assert verifier_names(edited, DEFAULT_TOLERANCES) == ["_replay: ANGLE_TOL"]
+    edited = source.replace(replay, replay.replace('tols["angle"]',
+                                                   'sufficiency.tolerances()["angle"]'))
+    assert verifier_names(edited, DEFAULT_TOLERANCES) == ["_replay: tolerances"]
 
 
 def test_verifier_runs_no_decision():
@@ -355,7 +357,7 @@ def test_verifier_hard_codes_no_threshold():
 
 @pytest.mark.parametrize("body", [
     "    return _helper()\ndef _helper():\n    return RANK_TOL\n",
-    "    return sufficiency.verify_witness(s, f, w, tol=sufficiency.WITNESS_TOL)\n",
+    "    return sufficiency.verify_witness(s, f, w, tol=sufficiency.tolerances()['witness'])\n",
     "    x = [petz.FEASIBILITY_TOL]\n",
 ], ids=["helper", "witness", "feasibility"])
 def test_scanner_follows_the_verifier_into_its_helpers(body):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wsq.harness import GeneratorSpec, generate, gram_schmidt, versions_satisfy
-from wsq.linalg import RANK_TOL, gram_matrix, inner
+from wsq.linalg import RANK_TOL, gram_matrix, inner, norm
 from wsq.phases import PhaseConstraint, VersionAssignment, align_phases, cycle_defect
 from wsq.spectral import StateFamily, statistic_from_matrix
 from wsq.sufficiency import (
@@ -167,7 +167,7 @@ def test_constraint_objects_are_built_only_for_a_refusal_cycle(monkeypatch):
 
     monkeypatch.setattr(PhaseConstraint, "__init__", counting)
     t, fam = two_state_qubit()
-    assert len(_phase_constraints(decide(t, fam).table.gram, atoms=True)) == 1
+    assert len(_phase_constraints(decide(t, fam).table.gram, RANK_TOL, atoms=True)) == 1
     assert check_weak_sufficiency(t, fam).sufficient
     assert isinstance(exists_weakly_sufficient(random_real_family(np.random.default_rng(3), 4, 3)),
                       ConstructedStatistic)
@@ -384,21 +384,23 @@ def test_analysis_factors_each_atom():
             assert abs(inner(directions[active[a]], directions[active[b]])) <= 1e-9
 
 
-@pytest.mark.parametrize("w", [5e-9, 8e-9])
-def test_witness_covers_an_atom_loaded_below_the_rank_tolerance(w):
+@pytest.mark.parametrize("w", [5e-15, 8e-15])
+def test_witness_leaves_out_an_atom_loaded_below_the_rank_tolerance(w):
     # states (sqrt(1 - w), +-sqrt(w)) on T = diag(1, 2): no state loads atom 1
-    # above tol, though their total (2w = 1.6e-8 at w = 8e-9) may; the
-    # witness still covers it, from its heaviest state's column
+    # above tol, though their total (2w = 1.6e-14 at w = 8e-15) does; the
+    # witness leaves the atom out, at a cost of sqrt(w) <= sqrt(tol) to each
+    # state, the bound of sufficiency.tolerances for an unlit atom
     t = statistic_from_matrix(np.diag([1.0, 2.0]))
     a, b = np.sqrt(1.0 - w), np.sqrt(w)
     fam = StateFamily(("p", "m"), (np.array([a, b]), np.array([a, -b])))
     decision = decide(t, fam)
-    _, xi = atom_directions(decision.table, decision.tol)
-    assert decision.active == (True, False) and sorted(xi) == [0, 1]
-    assert np.array_equal(xi[1], decision.table.components[1, 0] / b)
+    gamma, xi = atom_directions(decision.table, decision.tol)
+    assert decision.active == (True, False) and sorted(xi) == [0]
+    assert not gamma[1].any()
     verdict = decision.verdict()
     assert verdict.sufficient
-    assert verify_witness(t, fam, verdict.witness).max_residual <= 1e-15
+    residual = verify_witness(t, fam, verdict.witness).max_residual
+    assert residual == pytest.approx(b, rel=1e-6) and residual <= math.sqrt(decision.tol)
 
 
 def witness_bits(witness):
@@ -410,11 +412,10 @@ def witness_bits(witness):
 
 
 def test_a_verdict_builds_its_witness_at_the_decision_tolerance():
-    # atom 1 carries weight w, between RANK_TOL**2 (1e-16) and tol**2
-    # (1e-12): at tol it is projector rounding and gets no witness row, at
-    # RANK_TOL it would get one, so a verdict that fell back to RANK_TOL
-    # would build another witness
-    w, tol = 1e-14, 1e-6
+    # atom 1 carries weight w, between RANK_TOL (1e-14) and tol (1e-6): at
+    # tol it is not lit and gets no witness row, at RANK_TOL it would get
+    # one, so a verdict that fell back to RANK_TOL would build another witness
+    w, tol = 1e-10, 1e-6
     t = statistic_from_matrix(np.diag([1.0, 2.0]))
     a, b = np.sqrt(1.0 - w), np.sqrt(w)
     fam = StateFamily(("p", "m"), (np.array([a, b]), np.array([a, -b])))
@@ -453,9 +454,10 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
         for k in range(len(t))
         for i in range(len(fam))
         for j in range(i + 1, len(fam))
-        if abs(inner(comps[k, i], comps[k, j])) > 1e-10
+        if abs(inner(comps[k, i], comps[k, j]))
+        > math.sqrt(RANK_TOL) * max(norm(comps[k, i]), norm(comps[k, j]))
     ]
-    cs = _phase_constraints(decision.table.gram, atoms=True)
+    cs = _phase_constraints(decision.table.gram, decision.tol, atoms=True)
     found = list(zip(cs.left.tolist(), cs.right.tolist(), cs.atom.tolist()))
     assert [(fam.labels[i], fam.labels[j], k) for i, j, k in found] == expected
     for (i, j, k), value in zip(found, cs.value):
@@ -464,7 +466,7 @@ def test_analysis_ranks_and_constraints_match_the_loop_reference():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_analysis_rank_classes_match_numerical_rank(seed):
-    # atoms of rank 0 (weight 1e-12, below the cutoff), 1, 2 and 3 (full for
+    # atoms of rank 0 (weight 1e-16, below the cutoff), 1, 2 and 3 (full for
     # three states), read without an eigensolve
     rng = np.random.default_rng(90 + seed)
     raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
@@ -478,7 +480,7 @@ def test_analysis_rank_classes_match_numerical_rank(seed):
     line = blocks[1] @ coef(2)
     vecs = []
     for _ in range(3):
-        v = (1e-6 * blocks[0][:, 0] + coef(1)[0] * line
+        v = (1e-8 * blocks[0][:, 0] + coef(1)[0] * line
              + blocks[2][:, :2] @ coef(2) + blocks[3] @ coef(3))
         vecs.append(v / np.linalg.norm(v))
     fam = StateFamily(("a", "b", "c"), tuple(vecs))
