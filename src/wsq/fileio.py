@@ -680,7 +680,7 @@ def _replay(instance: Instance, cert: dict, plain: bool) -> VerificationReport:
             statistic = _recorded_statistic(instance, payload)
             if type(k) is not int or not 0 <= k < len(statistic):
                 return VerificationReport(False, f"bad dead atom index {k!r}")
-            if not pair_rank_two(gram_matrix(family.vectors), tols["rank"]).any():
+            if not pair_rank_two(gram_matrix(family.stack), tols["rank"]).any():
                 return VerificationReport(False, "the family spans one dimension, "
                                                  "where the constant statistic is minimal")
             heaviest = float(spectral.project_states(statistic, family).weights[:, k].max())

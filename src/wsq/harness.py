@@ -409,9 +409,14 @@ def brute_force_weak_sufficiency(statistic: DiscreteStatistic, family: StateFami
                                  angle_tol: float = DEFAULT_TOLERANCES["angle"]) -> bool:
     """Exhaustively re-decide weak sufficiency on a small instance.
 
-    Rank tests go through numpy's SVD-based matrix_rank; phase
-    feasibility goes through the grid-search oracle.  Nothing here
-    shares code with the production checker's union-find alignment.
+    Rank tests go through numpy's SVD; phase feasibility goes through
+    the grid-search oracle.  Nothing here shares code with the
+    production checker's union-find alignment.  The cutoffs are the
+    checker's, from sufficiency.tolerances: an atom has rank two when the
+    second eigenvalue of its Gram matrix, the square of a singular value,
+    exceeds rank * max(1, the first), as pair_rank_two asks of a pair; an
+    overlap constrains the phases above angle_tol times the larger of the
+    two components' norms.
     """
     if len(family) > BRUTE_FORCE_MAX_STATES:
         raise ValueError(
@@ -427,20 +432,18 @@ def brute_force_weak_sufficiency(statistic: DiscreteStatistic, family: StateFami
         [proj @ vec for vec in family.vectors] for proj in statistic.projections
     ]
     for comps in components:
-        stack = np.array(comps)
-        scale = np.abs(stack).max()
-        if scale == 0.0:
-            continue
+        eigenvalues = np.linalg.svd(np.array(comps), compute_uv=False) ** 2
         # the yardstick is the unit norm of the states, so an atom seeing
         # only roundoff-sized components counts as empty, not as rank 2
-        if np.linalg.matrix_rank(stack, tol=1e-8 * max(1.0, scale)) > 1:
+        if len(eigenvalues) > 1 and \
+                eigenvalues[1] > DEFAULT_TOLERANCES["rank"] * max(1.0, eigenvalues[0]):
             return False
     constraints = []
     for k, comps in enumerate(components):
         for i in range(len(family)):
             for j in range(i + 1, len(family)):
                 value = np.sum(comps[i] * np.conj(comps[j]))
-                cutoff = 1e-10 * norm(family.vectors[i]) * norm(family.vectors[j])
+                cutoff = angle_tol * max(norm(comps[i]), norm(comps[j]))
                 if abs(value) > cutoff:
                     constraints.append(
                         PhaseConstraint(family.labels[i], family.labels[j],
@@ -852,8 +855,10 @@ def _prop_witness_soundness(rng, count):
 def _prop_witness_bound(rng, count):
     """The bound of sufficiency.tolerances on near-threshold instances: every
     sufficient check verdict and every minimal statistic has a witness
-    within the witness tolerance its certificate records.  A minimal
-    statistic whose classes cannot be separated raises, and is no answer."""
+    within the witness tolerance its certificate records, and within the
+    bound proven there, sqrt(8 K) eps for the K atoms of the statistic
+    decided.  A minimal statistic whose classes cannot be separated
+    raises, and is no answer."""
     tol = DEFAULT_TOLERANCES["witness"]
     checked, worst = 0, 0.0
     for trial in range(count):
@@ -866,15 +871,16 @@ def _prop_witness_bound(rng, count):
             minimal = None
         if isinstance(minimal, MinimalStatistic):
             answers.append(("minimal", minimal.statistic, minimal.witness))
+        bound = min(tol, math.sqrt(8 * len(statistic)) * DEFAULT_TOLERANCES["angle"])
         for command, t, witness in answers:
-            check = verify_witness(t, family, witness, tol=tol)
+            check = verify_witness(t, family, witness, tol=bound)
             checked += 1
             worst = max(worst, check.max_residual)
             if not check.ok:
                 return False, (f"{command} witness residual {check.max_residual:.3e} exceeds "
-                               f"{tol:.1e} (trial {trial})"), \
+                               f"{bound:.1e} (trial {trial})"), \
                     serialize_instance(statistic, family)
-    return True, (f"{checked} check and minimal witnesses within {tol:.1e}, "
+    return True, (f"{checked} check and minimal witnesses within sqrt(8 K) eps, "
                   f"worst residual {worst:.3e}"), None
 
 

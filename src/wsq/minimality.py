@@ -141,7 +141,7 @@ def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatist
     if not all(isinstance(block, (list, tuple)) and block for block in blocks) \
             or any(type(k) is not int for k in atoms) or sorted(atoms) != list(range(len(t))):
         raise ValueError(f"expected nonempty blocks with each of the {len(t)} atoms exactly once")
-    projections = tuple(sum(t.projections[k] for k in block) for block in partition)
+    projections = tuple(t.stack[list(block)].sum(axis=0) for block in partition)
     return DiscreteStatistic(np.arange(1.0, len(partition) + 1.0), projections)
 
 

@@ -153,7 +153,7 @@ def rhos_from_owners(family: StateFamily, weights: np.ndarray, owners, unital: b
     owner's weight on the atoms it owns; any other atom gets I/d (unital)
     or 0.  Those are PSD, and unital each has trace one, by construction.
     """
-    vectors = np.array(family.vectors)
+    vectors = family.stack
     projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
     owned = np.array([[label == owner for owner in owners] for label in family.labels])
     scale = np.ones(len(family)) if unital else (weights * owned).sum(axis=1)

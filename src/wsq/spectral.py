@@ -32,7 +32,7 @@ class SpectrumError(ValueError):
 def _hermitian_stack(projections):
     """The projections checked and symmetrized as as_hermitian does at
     PARTITION_TOL, and the stack of those up to the first whose shape
-    differs from the first one's.
+    differs from the first one's; the stacked projections are views of it.
 
     Projections of one square shape are checked as one stack, each
     against its own scale, and the first one refused is handed to
@@ -46,7 +46,8 @@ def _hermitian_stack(projections):
     if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         projs = tuple(as_hermitian(p, tol=PARTITION_TOL) for p in projections)
         same = next((k for k, p in enumerate(projs) if p.shape != projs[0].shape), len(projs))
-        return projs, np.array(projs[:same])
+        stack = np.array(projs[:same])
+        return tuple(stack) + projs[same:], stack
     adjoint = stack.conj().transpose(0, 2, 1)
     with np.errstate(invalid="ignore"):   # a non-finite entry is refused on its own
         scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
@@ -58,44 +59,14 @@ def _hermitian_stack(projections):
     return tuple(stack), stack
 
 
-def _partition_defects(evs: np.ndarray, projs: tuple, stack: np.ndarray) -> np.ndarray:
-    """DiscreteStatistic's partition checks on ascending eigenvalues evs and
-    their projections projs, of which stack holds those up to the first
-    of another shape (_hermitian_stack); returns each stacked atom's
-    idempotence defect max|e e - e|.
+def _check_orthogonal(stack: np.ndarray) -> None:
+    """Raise ValueError naming the first pair j < k of the (m, d, d) stack,
+    in row-major order, with max|e_j e_k| above PARTITION_TOL.
 
-    Raises ValueError naming the first defect: no atoms, counts that
-    differ, a non-finite eigenvalue, an atom that is not idempotent or is
-    empty, a shape that differs, eigenvalues that do not ascend, atoms
-    that are not orthogonal, or a sum that is not the identity.
+    The pairs go in batches of max(m, _PAIR_ENTRIES / d^2): memory near
+    m d^2 entries, one batch up to 1024 pairs of 8 x 8.
     """
-    if len(evs) == 0:
-        raise ValueError("statistic needs at least one atom")
-    if len(evs) != len(projs):
-        raise ValueError(
-            f"{len(evs)} eigenvalues but {len(projs)} projections"
-        )
-    if not np.isfinite(evs).all():
-        raise ValueError("eigenvalues contain non-finite entries")
-    d, same = projs[0].shape[0], len(stack)
-    defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
-    traces = np.trace(stack, axis1=1, axis2=2).real
-    bad = (defects > PARTITION_TOL) | (traces < 0.5)
-    if np.count_nonzero(bad):
-        k = bad.argmax()
-        if defects[k] > PARTITION_TOL:
-            raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
-        raise ValueError(f"projection {k} is empty (trace {traces[k]:.3e})")
-    if same < len(projs):
-        raise ValueError(
-            f"projection {same} has shape {projs[same].shape}, expected {(d, d)}"
-        )
-    gap_scale = max(1.0, float(np.abs(evs).max()))
-    if np.any(np.diff(evs) <= EIGENVALUE_GAP_TOL * gap_scale):
-        raise ValueError("eigenvalues must be strictly ascending and separated")
-    # all pairs j < k in row-major order, so the first failing one is the pair
-    # a pairwise scan names, in batches of max(atoms, _PAIR_ENTRIES / d^2)
-    # pairs: memory near atoms * d^2 entries, one batch up to 1024 pairs of 8 x 8
+    d = stack.shape[1]
     rows, cols = _upper_triangle(len(stack))
     step = max(len(stack), _PAIR_ENTRIES // (d * d))
     for start in range(0, len(rows), step):
@@ -108,7 +79,74 @@ def _partition_defects(evs: np.ndarray, projs: tuple, stack: np.ndarray) -> np.n
                 f"projections {j[i]} and {k[i]} are not orthogonal "
                 f"(overlap {cross[i]:.3e})"
             )
-    defect = np.abs(stack.sum(axis=0) - np.eye(d)).max()
+
+
+def _partition_defects(evs: np.ndarray, projs: tuple, stack: np.ndarray) -> np.ndarray:
+    """DiscreteStatistic's partition checks on ascending eigenvalues evs and
+    their projections projs, of which stack holds those up to the first
+    of another shape (_hermitian_stack); returns each stacked atom's
+    idempotence defect max|e e - e|.
+
+    Raises ValueError naming the first defect: no atoms, counts that
+    differ, a non-finite eigenvalue, an atom that is not idempotent or is
+    empty, a shape that differs, eigenvalues that do not ascend, atoms
+    that are not orthogonal, or a sum that is not the identity.
+
+    Completeness bounds orthogonality, so the pair scan (_check_orthogonal)
+    runs only where that bound does not clear.  Take the d x d Hermitian
+    atoms E_k, their idempotence defects delta_k and their sum I + D.
+    Then every max|E_j E_k| is at most b = ||D||_F + 4 d sum_k delta_k +
+    4 d^2 max_k delta_k^2, and where b <= PARTITION_TOL / 2 no pair fails.
+
+    Proof.  Let P_k be the projector on E_k's eigenvalues above 1/2 and
+    A_k = E_k - P_k.  An eigenvalue mu of E_k has |mu^2 - mu| <= d delta_k,
+    which b bounds far below 1/4, so mu lies within 2 |mu^2 - mu| of 0 or 1
+    and ||A_k||_F <= 2 ||E_k^2 - E_k||_F <= 2 d delta_k.  The traces sum to
+    d + tr D, |tr D| <= sqrt(d) ||D||_F and |tr E_k - tr P_k| <= sqrt(d)
+    ||A_k||_F, so the integer ranks tr P_k add to within sqrt(d) b < 1 of d,
+    hence to d.  Then H = sum_k P_k - I has ||H||_F^2 = tr H^2 = sum_{j != k}
+    tr(P_j P_k) + d - sum_k tr P_k = sum_{j != k} ||P_j P_k||_F^2, and ||H||_F
+    <= ||D||_F + sum_k ||A_k||_F.  Last, E_j E_k = P_j P_k + A_j P_k + P_j A_k
+    + A_j A_k, so max|E_j E_k| <= ||E_j E_k||_F <= ||H||_F + 2 d (delta_j +
+    delta_k) + 4 d^2 delta_j delta_k <= b.  The atoms are exactly Hermitian
+    (_hermitian_stack) and b is computed from them; rounding moves each
+    delta_k and each entry of the scan's products by about d eps, and b by
+    about 4 m d^2 eps for m atoms (2.3e-10 at 64 atoms of d = 64), inside
+    the other half of PARTITION_TOL.  So the fast path passes only stacks
+    that the scan and the sum check pass, and every error is the scan's.
+    """
+    if len(evs) == 0:
+        raise ValueError("statistic needs at least one atom")
+    if len(evs) != len(projs):
+        raise ValueError(
+            f"{len(evs)} eigenvalues but {len(projs)} projections"
+        )
+    if not np.isfinite(evs).all():
+        raise ValueError("eigenvalues contain non-finite entries")
+    d, same = projs[0].shape[0], len(stack)
+    defects = np.abs(stack @ stack - stack).max(axis=(1, 2))
+    traces = stack.trace(axis1=1, axis2=2).real
+    bad = (defects > PARTITION_TOL) | (traces < 0.5)
+    if np.count_nonzero(bad):
+        k = bad.argmax()
+        if defects[k] > PARTITION_TOL:
+            raise ValueError(f"projection {k} is not idempotent (defect {defects[k]:.3e})")
+        raise ValueError(f"projection {k} is empty (trace {traces[k]:.3e})")
+    if same < len(projs):
+        raise ValueError(
+            f"projection {same} has shape {projs[same].shape}, expected {(d, d)}"
+        )
+    values = evs.tolist()
+    gap = EIGENVALUE_GAP_TOL * max(1.0, max(map(abs, values)))
+    if any(b - a <= gap for a, b in zip(values, values[1:])):
+        raise ValueError("eigenvalues must be strictly ascending and separated")
+    excess = stack.sum(axis=0) - np.eye(d)
+    deltas = defects.tolist()
+    bound = (math.sqrt(np.vdot(excess, excess).real) + 4 * d * sum(deltas)
+             + 4 * d * d * max(deltas) ** 2)
+    if bound > PARTITION_TOL / 2:
+        _check_orthogonal(stack)
+    defect = np.abs(excess).max()
     if defect > PARTITION_TOL:
         raise ValueError(
             f"projections do not sum to the identity (defect {defect:.3e})"
@@ -127,23 +165,24 @@ class DiscreteStatistic:
     nonempty: a projection whose trace, an idempotent's rank, is below
     1/2 is refused, so no eigenvalue can name an atom that holds no
     vector.  statistic_from_spectrum alone builds one without running the
-    checks here, on covariants it has just run them on.  Treat instances
-    as immutable once built.
+    checks here, on covariants it has just run them on.  The atoms are
+    kept once, as the (m, d, d) array stack, and projections are views of
+    its rows.  Treat instances as immutable once built.
     """
 
     eigenvalues: np.ndarray
     projections: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         evs = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
         projs, stack = _hermitian_stack(self.projections)
         _partition_defects(evs, projs, stack)
-        self.eigenvalues = evs
-        self.projections = projs
+        self.eigenvalues, self.projections, self.stack = evs, projs, stack
 
     @property
     def dim(self) -> int:
-        return self.projections[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.projections)
@@ -159,10 +198,12 @@ class DiscreteStatistic:
 
 @dataclass
 class StateFamily:
-    """Labelled family of unit vectors, one per parameter value."""
+    """Labelled family of unit vectors, one per parameter value, kept once
+    as the (n, d) array stack; vectors are views of its rows."""
 
     labels: tuple[str, ...]
     vectors: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
@@ -181,12 +222,12 @@ class StateFamily:
                 raise ValueError(f"state '{lab}' contains non-finite entries")
             if abs(norm(v) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"state '{lab}' not unit norm")
-        self.labels = labels
-        self.vectors = vecs
+        self.labels, self.stack = labels, np.array(vecs)
+        self.vectors = tuple(self.stack)
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -329,7 +370,8 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
     projectors, to within the partition tolerance.  They run once, on the
     symmetrized covariants, which are exactly Hermitian and, with entries
     at most 2, finite, so DiscreteStatistic would take them bit for bit
-    and its checks are not run again.  So that no value stands for
+    and its checks are not run again; the statistic keeps them as its
+    stack.  So that no value stands for
     eigenvalues statistic_from_matrix would put in two atoms, each must
     also leave ||(m - l_k) e_k||_F at most half the grouping cutoff
     GROUP_FACTOR * max|l|: two eigenvalues of e_k further apart than the
@@ -387,7 +429,7 @@ def statistic_from_spectrum(m, spectrum) -> DiscreteStatistic:
         raise ValueError(f"the covariants are idempotent only to {defect:.3e}, "
                          f"past the rounding level {len(values) * d * EPS:.3e}")
     statistic = object.__new__(DiscreteStatistic)   # checked above, bit for bit
-    statistic.eigenvalues, statistic.projections = values, projections
+    statistic.eigenvalues, statistic.projections, statistic.stack = values, projections, atoms
     return statistic
 
 
@@ -416,9 +458,7 @@ def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
     """
     ordered = coarse_blocks(t, cmap)
     eigenvalues = np.array([val for val, _ in ordered])
-    projections = tuple(
-        sum(t.projections[k] for k in idxs) for _, idxs in ordered
-    )
+    projections = tuple(t.stack[idxs].sum(axis=0) for _, idxs in ordered)
     coarse = DiscreteStatistic(eigenvalues, projections)
     return coarse, [idxs for _, idxs in ordered]
 
@@ -429,5 +469,5 @@ def project_states(t: DiscreteStatistic, family: StateFamily) -> AtomProjectionT
         raise ValueError(
             f"statistic dimension {t.dim} does not match states of dimension {family.dim}"
         )
-    comp = np.array(family.vectors) @ np.array(t.projections).transpose(0, 2, 1)
+    comp = family.stack @ t.stack.transpose(0, 2, 1)
     return AtomProjectionTable(comp, comp @ comp.conj().transpose(0, 2, 1))

@@ -299,8 +299,8 @@ def verify_witness(t: DiscreteStatistic, family: StateFamily, witness: WitnessFa
         n = int(skewed[0])
         raise ValueError(f"phase for '{labels[n]}' is not unit modulus: {complex(phases[n])!r}")
     values = np.array([[witness.functions[lab][lam] for lam in eigenvalues] for lab in labels])
-    reached = values @ (np.array(t.projections) @ chi)
-    gap = reached - phases[:, np.newaxis] * np.array(family.vectors)
+    reached = values @ (t.stack @ chi)
+    gap = reached - phases[:, np.newaxis] * family.stack
     residuals = dict(zip(labels, np.sqrt((gap * gap.conj()).real.sum(axis=1)).tolist()))
     worst = max(residuals.values())
     return WitnessCheck(ok=worst <= tol, residuals=residuals, max_residual=worst)
@@ -330,7 +330,7 @@ class NonExistence:
 def family_constraints(family: StateFamily, tol: float = RANK_TOL) -> Constraints:
     """Reality constraints from the entries of the full Gram matrix above
     the cutoff of tolerances(tol), which name no atom."""
-    return _phase_constraints(gram_matrix(family.vectors)[np.newaxis], tol, atoms=False)
+    return _phase_constraints(gram_matrix(family.stack)[np.newaxis], tol, atoms=False)
 
 
 def statistic_from_directions(directions) -> DiscreteStatistic:

@@ -106,6 +106,35 @@ def test_brute_force_sees_phase_obstruction():
     assert verdict.sufficient is False
 
 
+def test_brute_force_takes_the_checker_cutoffs():
+    # e1 and (e1 + 5e-8 e2)/|.| on T = diag(1, 1, 2): the shared atom's
+    # second singular value, about 3.5e-8, squares to a Gram eigenvalue
+    # below the rank tolerance 1e-14, so both answer sufficient
+    from wsq.spectral import StateFamily
+    statistic = statistic_from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex))
+    tilted = np.array([1.0, 5e-8, 0.0], dtype=complex)
+    family = StateFamily(labels=("a", "b"), vectors=(np.array([1.0, 0.0, 0.0], dtype=complex),
+                                                     tilted / np.linalg.norm(tilted)))
+    assert check_weak_sufficiency(statistic, family).sufficient is True
+    assert brute_force_weak_sufficiency(statistic, family) is True
+    # states at angles x and -x: the Gram eigenvalues are about 2 x^2 and 2,
+    # so both answers turn at x = 1e-7, where 2 x^2 = rank * 2
+    for x, sufficient in (8.5e-8, True), (9.9e-8, True), (1.01e-7, False), (1e-5, False):
+        family = StateFamily(labels=("a", "b"), vectors=(
+            np.array([np.cos(x), np.sin(x), 0.0], dtype=complex),
+            np.array([np.cos(x), -np.sin(x), 0.0], dtype=complex)))
+        assert check_weak_sufficiency(statistic, family).sufficient is sufficient
+        assert brute_force_weak_sufficiency(statistic, family) is sufficient
+
+
+def test_witness_bound_property_holds_at_the_proven_bound():
+    # every check and minimal witness on 3 x 500 near-threshold instances
+    # lies within sqrt(8 K) eps, the bound of sufficiency.tolerances
+    for seed in range(3):
+        ok, detail, _ = harness._prop_witness_bound(np.random.default_rng(seed), 500)
+        assert ok, detail
+
+
 def test_brute_force_size_guards():
     statistic, family = load_bundled_instance()
     rng = np.random.default_rng(0)

@@ -1,9 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wsq import spectral
+from wsq import fileio, spectral
 from wsq.linalg import hermitian_eig
-from wsq.minimality import enumerate_coarse_grainings
+from wsq.minimality import enumerate_coarse_grainings, statistic_from_partition
 from wsq.spectral import (
     GROUP_FACTOR,
     CoarseMap,
@@ -344,6 +348,104 @@ def test_the_orthogonality_check_holds_its_pair_products_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * MAX_DIM ** 3 * 16   # bytes: eight stacks of the atoms
+
+
+def near_partition(rng):
+    """Eigenvalues and Hermitian near-projections at d 2-16: a random
+    partition of a random unitary basis, in 70% of cases with one atom's
+    direction tilted towards another's by an angle log-uniform in
+    [10^-9.5, 10^-6.5], across PARTITION_TOL, and every atom given
+    Hermitian noise of amplitude log-uniform in [1e-16, 1e-6]."""
+    d = int(rng.integers(2, 17))
+    m = int(rng.integers(1, d + 1))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    cuts = np.sort(rng.choice(np.arange(1, d), size=m - 1, replace=False))
+    cols = np.split(q, cuts, axis=1)
+    if m > 1 and rng.random() < 0.7:
+        j, k = rng.choice(m, size=2, replace=False)
+        angle = 10.0 ** rng.uniform(-9.5, -6.5)
+        cols[j] = cols[j].copy()
+        cols[j][:, 0] = np.cos(angle) * cols[j][:, 0] + np.sin(angle) * cols[k][:, 0]
+    projections = []
+    for c in cols:
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        noise = 10.0 ** rng.uniform(-16.0, -6.0) * (noise + noise.conj().T) / 2
+        projections.append(c @ c.conj().T + noise)
+    return np.arange(1.0, m + 1.0), projections
+
+
+def test_the_completeness_bound_passes_only_what_the_pair_scan_passes(monkeypatch):
+    scans = count_calls(monkeypatch, spectral, "_check_orthogonal")
+    rng = np.random.default_rng(33)
+    seen = set()
+    for _ in range(1000):
+        evs, projections = near_partition(rng)
+        expected = loop_partition_error(evs, projections)
+        del scans[:]
+        try:
+            built = DiscreteStatistic(evs, tuple(projections))
+        except ValueError as exc:
+            assert str(exc) == expected
+            seen.add(str(exc).split(" (")[0].split()[-1])
+            continue
+        assert expected is None
+        seen.add("scanned" if scans else "bound")
+        spectral._check_orthogonal(built.stack)   # the scan passes it too
+    assert {"bound", "scanned", "idempotent", "orthogonal", "identity"} <= seen
+
+
+def test_statistics_of_the_benchmark_corpora_need_no_pair_scan(monkeypatch):
+    # the module that makes the benchmark's seeded corpora
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("benchmark_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)   # its dataclasses look it up
+    spec.loader.exec_module(corpus)
+    scans = count_calls(monkeypatch, spectral, "_check_orthogonal")
+    checks = count_calls(monkeypatch, spectral, "_partition_defects")
+    for seed in range(3):
+        for item in corpus.lattice_corpus(seed):
+            t = DiscreteStatistic(item.eigenvalues, tuple(item.projections))
+            for cmap in enumerate_coarse_grainings(t):
+                apply_coarse(t, cmap)
+        for item in corpus.certify_corpus(seed):
+            fileio.read_instance(item.text).statistic
+    assert len(checks) > 7000 and scans == []
+    # MAX_DIM rank-one atoms: the scan would take 2016 pair products
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    DiscreteStatistic(np.arange(64.0), tuple(np.outer(c, c.conj()) for c in q.T))
+    assert scans == []
+
+
+def test_coarse_block_sums_are_the_sequential_sums_bit_for_bit():
+    rng = np.random.default_rng(34)
+    values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    t = statistic_from_matrix(planted(rng, values, [1, 2, 1, 2, 1, 1]))
+    assert len(t) == 6
+    maps = list(enumerate_coarse_grainings(t))
+    assert len(maps) == 203
+    for cmap in maps:
+        coarse, partition = apply_coarse(t, cmap)
+        sums = tuple(sum(t.projections[k] for k in block) for block in partition)
+        for built in coarse, statistic_from_partition(t, partition):
+            reference = DiscreteStatistic(built.eigenvalues, sums)
+            assert built.stack.tobytes() == reference.stack.tobytes()
+
+
+def test_statistics_and_families_keep_one_stack():
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        d = int(rng.integers(2, 9))
+        t = random_statistic(rng, d)
+        fam = random_family(rng, d, int(rng.integers(1, 6)))
+        for held, rows in (t.stack, t.projections), (fam.stack, fam.vectors):
+            assert all(row.base is held for row in rows)
+        # project_states on the stacks is the product of the re-stacked tuples
+        comp = np.array(fam.vectors) @ np.array(t.projections).transpose(0, 2, 1)
+        table = project_states(t, fam)
+        assert table.components.tobytes() == comp.tobytes()
+        assert table.gram.tobytes() == (comp @ comp.conj().transpose(0, 2, 1)).tobytes()
 
 
 def test_a_projection_that_is_not_hermitian_is_named_as_the_loop_names_it():
