@@ -14,14 +14,15 @@ dimension above linalg.MAX_DIM, or more states than linalg.MAX_STATES,
 is refused, whatever the encoding.  Only a dense matrix's decomposition
 waits until a question reads the statistic, so **construct** and a
 **petz** refusal of overlapping states never run it, nor meet its
-errors.  It takes the eigenvalues from values-only QL and the atoms from
-their Frobenius covariants (spectral.statistic_from_matrix), and builds
-eigenvectors only where those fail their checks.  Certificates mirror
-the in-memory verdict types and carry the tool version and the
-tolerances that produced them, and every verdict that reads the
-statistic records its spectrum, so a verifier holding only the instance
-file and the certificate file can re-check the verdict from scratch, at
-those same tolerances, and without decomposing a dense matrix again.
+errors.  It takes the eigenvalues from e1's Krylov block and the atoms
+from their Frobenius covariants (spectral.statistic_from_matrix), and
+builds eigenvectors only where those fail their checks, as where e1
+misses an eigenspace.  Certificates mirror the in-memory verdict types
+and carry the tool version and the tolerances that produced them, and
+every verdict that reads the statistic records its spectrum, so a
+verifier holding only the instance file and the certificate file can
+re-check the verdict from scratch, at those same tolerances, and without
+decomposing a dense matrix again.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -413,10 +414,10 @@ def brute_force_weak_sufficiency(statistic: DiscreteStatistic, family: StateFami
     the grid-search oracle.  Nothing here shares code with the
     production checker's union-find alignment.  The cutoffs are the
     checker's, from sufficiency.tolerances: an atom has rank two when the
-    second eigenvalue of its Gram matrix, the square of a singular value,
-    exceeds rank * max(1, the first), as pair_rank_two asks of a pair; an
-    overlap constrains the phases above angle_tol times the larger of the
-    two components' norms.
+    2x2 Gram matrix of some pair of its components has second eigenvalue
+    lo, the square of a singular value, above rank * max(1, hi), hi the
+    first, as pair_rank_two asks; an overlap constrains the phases above
+    angle_tol times the larger of the two components' norms.
     """
     if len(family) > BRUTE_FORCE_MAX_STATES:
         raise ValueError(
@@ -432,12 +433,13 @@ def brute_force_weak_sufficiency(statistic: DiscreteStatistic, family: StateFami
         [proj @ vec for vec in family.vectors] for proj in statistic.projections
     ]
     for comps in components:
-        eigenvalues = np.linalg.svd(np.array(comps), compute_uv=False) ** 2
-        # the yardstick is the unit norm of the states, so an atom seeing
-        # only roundoff-sized components counts as empty, not as rank 2
-        if len(eigenvalues) > 1 and \
-                eigenvalues[1] > DEFAULT_TOLERANCES["rank"] * max(1.0, eigenvalues[0]):
-            return False
+        for pair in combinations(comps, 2):
+            eigenvalues = np.linalg.svd(np.array(pair), compute_uv=False) ** 2
+            # the yardstick is the unit norm of the states, so an atom seeing
+            # only roundoff-sized components counts as empty, not as rank 2
+            if len(eigenvalues) > 1 and \
+                    eigenvalues[1] > DEFAULT_TOLERANCES["rank"] * max(1.0, eigenvalues[0]):
+                return False
     constraints = []
     for k, comps in enumerate(components):
         for i in range(len(family)):

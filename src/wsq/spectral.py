@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EPS, _upper_triangle, as_hermitian, hermitian_eig, hermitian_eigvals,
-                     hermitian_part, norm)
+from .linalg import (EPS, _upper_triangle, as_hermitian, hermitian_eig, hermitian_part,
+                     krylov_eigvals, norm)
 
 PARTITION_TOL = 1e-8       # projector algebra defects tolerated on construction
 UNIT_NORM_TOL = 1e-8
@@ -307,18 +307,20 @@ def statistic_from_matrix(m) -> DiscreteStatistic:
     """Decompose a Hermitian matrix and group near-degenerate eigenvalues.
 
     Eigenvalues closer than GROUP_FACTOR times the spectral radius (chain
-    linkage) share an atom, the projector onto
-    their eigenvectors, and its eigenvalue is their mean.  The eigenvalues
-    come from values-only QL (hermitian_eigvals), and statistic_from_values
-    builds the atoms of those means, as the verifier builds those of a
-    recorded spectrum: their Frobenius covariants where those prove
-    themselves the spectral projectors, else the eigenpairs, whose grouped
-    eigenvalues are bitwise the same.  Either way the atoms agree to
-    rounding.
+    linkage) share an atom, the projector onto their eigenvectors, and
+    its eigenvalue is their mean.  m is checked and symmetrized once.  The
+    values come from e1's Krylov block (krylov_eigvals), and the atoms are
+    their Frobenius covariants (statistic_from_spectrum), whose checks
+    prove them all of the spectrum; where they fail, as where e1 misses an
+    eigenspace, the atoms are the eigenpairs' (statistic_from_eigenpairs).
     """
-    w = hermitian_eigvals(m)
+    h = as_hermitian(m)
+    w = krylov_eigvals(h)
     values = np.array([float(np.mean(w[g])) for g in _groups(w)])
-    return statistic_from_values(hermitian_part(m), values)
+    try:
+        return statistic_from_spectrum(h, values)
+    except ValueError:
+        return statistic_from_eigenpairs(h)
 
 
 def statistic_from_eigenpairs(m) -> DiscreteStatistic:
@@ -458,7 +460,8 @@ def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
     """
     ordered = coarse_blocks(t, cmap)
     eigenvalues = np.array([val for val, _ in ordered])
-    projections = tuple(t.stack[idxs].sum(axis=0) for _, idxs in ordered)
+    rows = t.projections   # summed in order from the first row, bitwise as stack.sum(axis=0)
+    projections = tuple(sum((rows[k] for k in idxs[1:]), rows[idxs[0]]) for _, idxs in ordered)
     coarse = DiscreteStatistic(eigenvalues, projections)
     return coarse, [idxs for _, idxs in ordered]
 

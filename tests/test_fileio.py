@@ -1453,6 +1453,52 @@ def test_hard_spectra_fall_back_to_the_eigensolve_and_verify(monkeypatch, values
         assert solves == [matrix.shape]   # the fallback, once
 
 
+def missed_by_e1(rng, kind):
+    """(instance text, T) for a dense T whose eigenspaces e1 does not all
+    meet: diagonal, or block-diagonal with e1 in the first of two 8 x 8
+    blocks; states with real coefficients on one direction of each atom."""
+    if kind == "diagonal":
+        values, basis = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0]), np.eye(6)
+    else:
+        values = np.repeat([1.0, 2.0, 3.0, 4.0], 4)
+        basis = np.zeros((16, 16), dtype=complex)
+        for block in slice(0, 8), slice(8, 16):
+            q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+            basis[block, block] = q
+    matrix = (basis * values) @ basis.conj().T
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    directions = basis[:, np.unique(values, return_index=True)[1]].T
+    vectors = rng.normal(size=(3, len(directions))) @ directions
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    root = json.loads(serialize_instance(None, StateFamily(("s0", "s1", "s2"), vectors)))
+    root["statistic"] = {"matrix": pairs(matrix)}
+    return json.dumps(root), matrix
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "block_diagonal"])
+def test_a_statistic_whose_eigenspace_e1_misses_falls_back_and_verifies(monkeypatch, kind):
+    # the Krylov block of e1 holds only some of T's eigenvalues, so their
+    # covariants fail their checks and the eigenpairs give the atoms
+    text, matrix = missed_by_e1(np.random.default_rng(34), kind)
+    solves, eigenpairs = [], spectral.statistic_from_eigenpairs
+
+    def solving(m):
+        solves.append(m.shape)
+        return eigenpairs(m)
+
+    monkeypatch.setattr(spectral, "statistic_from_eigenpairs", solving)
+    assert len(linalg.krylov_eigvals(linalg.as_hermitian(matrix))) < 4
+    decomposed = statistic_from_matrix(matrix)
+    assert solves == [matrix.shape]
+    reference = eigenpairs(matrix)
+    assert np.abs(decomposed.eigenvalues - reference.eigenvalues).max() <= 1e-14
+    assert np.abs(decomposed.stack - reference.stack).max() <= 1e-12
+    for cert in certificates_of(text):
+        assert cert["verdict"] in ("sufficient", "minimal_constructed")
+        report = verify_certificate(text, serialize_certificate(cert))
+        assert report.ok, (cert["verdict"], report.detail)
+
+
 def test_the_verifier_tries_the_covariants_of_a_record_once(monkeypatch):
     # fifteen atoms, two of them 1e-6 apart: the covariants of the recorded
     # values fail their checks, and T is decomposed into eigenpairs at once,

@@ -125,6 +125,15 @@ def test_brute_force_takes_the_checker_cutoffs():
             np.array([np.cos(x), -np.sin(x), 0.0], dtype=complex)))
         assert check_weak_sufficiency(statistic, family).sufficient is sufficient
         assert brute_force_weak_sufficiency(statistic, family) is sufficient
+    # states at angles x, -x and 0: the pair at x and -x has lo about 2 x^2
+    # against hi about 2, past the rank tolerance from x = 1e-7, while the
+    # atom's whole Gram matrix, with first eigenvalue about 3, stays below it
+    # up to x = 1.22e-7; both answers take the pair rule
+    for x, sufficient in (0.99e-7, True), (1.05e-7, False), (1.15e-7, False), (1.25e-7, False):
+        family = StateFamily(labels=("a", "b", "c"), vectors=tuple(
+            np.array([np.cos(y), np.sin(y), 0.0], dtype=complex) for y in (x, -x, 0.0)))
+        assert check_weak_sufficiency(statistic, family).sufficient is sufficient, x
+        assert brute_force_weak_sufficiency(statistic, family) is sufficient, x
 
 
 def test_witness_bound_property_holds_at_the_proven_bound():

@@ -4,6 +4,7 @@ numpy.linalg appears here as an independent oracle only; the package
 itself never calls it for spectral work.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -17,8 +18,8 @@ from wsq.linalg import (
     RANK_TOL,
     gram_matrix,
     hermitian_eig,
-    hermitian_eigvals,
     inner,
+    krylov_eigvals,
     norm,
     pair_rank_two,
 )
@@ -275,14 +276,32 @@ def test_kernel_solves_zero_single_and_diagonal_input_without_a_sweep(monkeypatc
 
 
 def test_values_only_kernel_gives_the_eigenpair_eigenvalues_bitwise():
+    # distinct eigenvalues and a generic e1: the Krylov block is the whole matrix
     rng = np.random.default_rng(33)
     for d in (1, 2, 5, 17, 32):
         for scale in (1e-200, 1.0, 1e150):
             m = random_hermitian(rng, d) * scale
-            assert np.array_equal(hermitian_eigvals(m), hermitian_eig(m)[0]), (d, scale)
-    assert np.array_equal(hermitian_eigvals(np.zeros((3, 3))), np.zeros(3))
+            assert np.array_equal(krylov_eigvals(as_hermitian(m)), hermitian_eig(m)[0]), (d, scale)
+    assert np.array_equal(krylov_eigvals(np.zeros((3, 3))), np.zeros(3))
     with pytest.raises(ValueError, match="not hermitian"):
-        hermitian_eigvals(np.array([[1.0, 1.0], [0.0, 2.0]]))
+        statistic_from_matrix(np.array([[1.0, 1.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_values_only_kernel_reduces_only_the_krylov_block_of_e1(m):
+    # m distinct eigenvalues at d = 32: the reduction started at e1 splits
+    # after m - 1 reflectors, and QL solves the m x m block
+    rng = np.random.default_rng(340 + m)
+    values = np.sort(rng.choice(np.arange(-8, 9), size=m, replace=False) * 0.5)
+    spectrum = np.repeat(values, np.diff(np.linspace(0, 32, m + 1).round()).astype(int))
+    q = random_unitary(rng, 32)
+    h = as_hermitian((q * spectrum) @ q.conj().T)
+    _, exponent = math.frexp(np.abs(h).max())
+    d, e, _ = linalg._tridiagonalize(h * 2.0 ** -exponent, vectors=False)
+    assert len(d) == m and len(e) == m - 1 and e.min() > 1e-3
+    w = krylov_eigvals(h)
+    assert len(w) == m and np.abs(w - values).max() <= 1e-13
+    assert np.array_equal(statistic_from_matrix(h).eigenvalues, w)
 
 
 def test_split_tridiagonal_input_needs_no_reflector_and_no_sweep(monkeypatch):

@@ -144,14 +144,15 @@ def test_values_only_statistic_matches_the_eigenpair_path(monkeypatch):
         t = statistic_from_matrix(matrix)
         values, projectors = grouped_eigenpairs(matrix)
         assert len(t) == len(values), name
-        assert np.array_equal(t.eigenvalues, values), name
+        # the Krylov block's eigenvalues are the eigenpair path's to rounding
+        assert np.abs(t.eigenvalues - values).max() <= 1e-14 * np.abs(values).max(), name
         for p, q in zip(t.projections, projectors):
             assert np.abs(p - q).max() <= bound, name
-    # rounding leaves the covariants of 12 or more equispaced atoms, of three
+    # rounding leaves the covariants of 12 or more equispaced atoms, of two
     # of the random spectra and across the 1e-6 gap short of projectors, and
     # one value has no covariant but I: these take the eigenpair path
     assert fallbacks == [*(f"equispaced_{m}" for m in range(12, 21)),
-                         "random_9", "random_11", "random_12", "gap_1e-6", "zero"]
+                         "random_11", "random_12", "gap_1e-6", "zero"]
 
 
 def test_covariants_refuse_values_that_are_not_the_spectrum():
