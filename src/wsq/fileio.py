@@ -7,9 +7,9 @@ eigenvalues plus projections).  Complex numbers are always two-element
 at once: its schema, every number, the state family, an explicit
 statistic, and a dense matrix's Hermitian check.  The states and a dense
 matrix take one numpy conversion each, as do a certificate's witness chi
-and constructed directions; where it meets anything but finite numbers
-of the right shape, or the text may hold a JSON boolean, the
-path-addressed walker reads them instead and names the error.  A
+and constructed directions (_converted).  The path-addressed walker
+reads explicit projections, and the others only to name an error:
+anything but finite numbers of the right shape, booleans included.  A
 dimension above linalg.MAX_DIM, or more states than linalg.MAX_STATES,
 is refused, whatever the encoding.  Only a dense matrix's decomposition
 waits until a question reads the statistic, so **construct** and a
@@ -104,14 +104,18 @@ def _matrix(node, path: str, dim: int) -> np.ndarray:
 
 def _converted(node, shape: tuple) -> np.ndarray | None:
     """node as a complex array of the given shape, from one numpy conversion,
-    or None unless node is exactly shape + (2,) finite numbers; numpy reads
-    a JSON boolean as a number, so the caller rules those out."""
+    or None unless node is exactly shape + (2,) finite numbers.  numpy reads
+    a JSON boolean as 1 or 0, so the entries equal to 0 or 1 are looked up
+    in node, and one bool among them gives None."""
     try:
         a = np.array(node)
     except ValueError:   # ragged
         return None
     if a.dtype.kind not in "if" or a.shape != shape + (2,) or not np.isfinite(a).all():
         return None
+    for index in np.argwhere((a == 0) | (a == 1)).tolist():
+        if isinstance(functools.reduce(list.__getitem__, index, node), bool):
+            return None
     # bitwise what complex(re, im) gives, -0.0 included
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
@@ -168,8 +172,7 @@ def read_instance(text: str) -> Instance:
     if len(states) > MAX_STATES:
         _fail("$.states", f"{len(states)} states exceed the desk-scale limit {MAX_STATES}")
     labels = sorted(states)
-    plain = "true" not in text and "false" not in text   # numpy reads booleans as numbers
-    vectors = _converted([states[label] for label in labels], (len(labels), dim)) if plain else None
+    vectors = _converted([states[label] for label in labels], (len(labels), dim))
     if vectors is None:
         vectors = np.array([_vector(states[label], f"$.states.{label}", dim) for label in labels])
     family = spectral.StateFamily(labels=tuple(labels), vectors=vectors)
@@ -180,7 +183,7 @@ def read_instance(text: str) -> Instance:
         if not isinstance(node, dict):
             _fail("$.statistic", "expected an object")
         if "matrix" in node:
-            matrix = _converted(node["matrix"], (dim, dim)) if plain else None
+            matrix = _converted(node["matrix"], (dim, dim))
             if matrix is None:
                 matrix = _matrix(node["matrix"], "$.statistic.matrix", dim)
             matrix = as_hermitian(matrix)   # raises now; the decomposition waits
@@ -251,15 +254,10 @@ def _witness_json(witness: sufficiency.WitnessFactorization) -> dict:
     }
 
 
-def _witness_from_json(node: dict, path: str, statistic,
-                       plain: bool) -> sufficiency.WitnessFactorization:
-    """The witness, with entry k of each function keyed by atom k's eigenvalue.
-
-    chi takes one numpy conversion when plain (the certificate text holds
-    no JSON boolean), and the walker reads it otherwise or to name its error.
-    """
+def _witness_from_json(node: dict, path: str, statistic) -> sufficiency.WitnessFactorization:
+    """The witness, with entry k of each function keyed by atom k's eigenvalue."""
     _exact_keys(node, path, ["chi", "functions", "versions"])
-    chi = _converted(node["chi"], (statistic.dim,)) if plain else None
+    chi = _converted(node["chi"], (statistic.dim,))
     if chi is None:
         chi = _vector(node["chi"], f"{path}.chi", statistic.dim)
     if not isinstance(node["functions"], dict):
@@ -284,12 +282,12 @@ def _cycle_json(cycle) -> dict:
     return {"constraints": [{"left": c.left, "right": c.right, "atom": c.atom} for c in cycle]}
 
 
-def _directions_from_json(node, path: str, dim: int, plain: bool):
+def _directions_from_json(node, path: str, dim: int):
     """The statistic a constructed payload's directions name, or SchemaError;
     the rows are read as _witness_from_json reads chi."""
     if not isinstance(node, list) or not 1 <= len(node) <= dim:
         _fail(path, f"expected a list of 1 to {dim} directions")
-    rows = _converted(node, (len(node), dim)) if plain else None
+    rows = _converted(node, (len(node), dim))
     if rows is None:
         rows = [_vector(row, f"{path}[{n}]", dim) for n, row in enumerate(node)]
     try:
@@ -509,25 +507,23 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     partition by the decision's own function, and petz rho's from their
     owners by petz.rhos_from_owners, within RECONSTRUCTION_TOL.  A
     certificate that does not prove its claim or cannot be read, earlier
-    encodings included, yields ok=False.  Only a malformed instance
-    raises: at read time, or when a dense matrix whose recorded spectrum
-    the covariants cannot prove fails to decompose; ``existence`` and
-    ``infeasible_orthogonality`` never read the statistic.
+    encodings and a JSON boolean in place of a number included, yields
+    ok=False.  Only a malformed instance raises: at read time, or when a
+    dense matrix whose recorded spectrum the covariants cannot prove fails
+    to decompose; ``existence`` and ``infeasible_orthogonality`` never
+    read the statistic.
     """
     instance = read_instance(instance_text)
     try:
-        cert = parse_certificate(certificate_text)
-        # numpy reads booleans as numbers
-        plain = "true" not in certificate_text and "false" not in certificate_text
-        return _replay(instance, cert, plain)
+        return _replay(instance, parse_certificate(certificate_text))
     except SchemaError as exc:
         return VerificationReport(False, f"malformed certificate: {exc}")
 
 
 def _witness_report(statistic, family, payload: dict, tol: float,
-                    verified: str, plain: bool) -> VerificationReport:
+                    verified: str) -> VerificationReport:
     """Replay the payload's witness at tol; SchemaError when it does not fit the instance."""
-    witness = _witness_from_json(payload["witness"], "$.payload.witness", statistic, plain)
+    witness = _witness_from_json(payload["witness"], "$.payload.witness", statistic)
     try:
         check = sufficiency.verify_witness(statistic, family, witness, tol=tol)
     except ValueError as exc:
@@ -538,8 +534,7 @@ def _witness_report(statistic, family, payload: dict, tol: float,
     return VerificationReport(True, f"{verified} {check.max_residual:.3e}")
 
 
-def _minimal_report(statistic, family, payload: dict, tols: dict,
-                    plain: bool) -> VerificationReport:
+def _minimal_report(statistic, family, payload: dict, tols: dict) -> VerificationReport:
     """Prove that the partition's statistic S is minimal; SchemaError when unreadable.
 
     S's witness (at ``witness``) makes each block's rows proportional to one
@@ -559,8 +554,7 @@ def _minimal_report(statistic, family, payload: dict, tols: dict,
         k = int(np.argmax(heaviest <= tols["rank"]))
         return VerificationReport(False, f"no minimal statistic to confirm: atom {k} "
                                          f"carries weight {heaviest[k]:.3e}")
-    report = _witness_report(minimal, family, payload, tols["witness"], "witness residual",
-                             plain)
+    report = _witness_report(minimal, family, payload, tols["witness"], "witness residual")
     if not report.ok:
         return report
     pairs = list(combinations(range(len(partition)), 2))
@@ -629,9 +623,8 @@ def _tolerances_from_json(node, kind: str) -> dict[str, float]:
     return node
 
 
-def _replay(instance: Instance, cert: dict, plain: bool) -> VerificationReport:
+def _replay(instance: Instance, cert: dict) -> VerificationReport:
     """verify_certificate on a read instance; SchemaError means an unreadable payload.
-    plain says that the certificate text holds no JSON boolean.
 
     Only the verdicts that rest on the statistic read it, from the
     spectrum their payload records, which the exact-key reader requires
@@ -649,7 +642,7 @@ def _replay(instance: Instance, cert: dict, plain: bool) -> VerificationReport:
         if verdict == "sufficient":
             _exact_keys(payload, "$.payload", ["spectrum", "witness"])
             return _witness_report(_recorded_statistic(instance, payload), family, payload,
-                                   tols["witness"], "witness verified, max residual", plain)
+                                   tols["witness"], "witness verified, max residual")
         if verdict == "not_sufficient":
             evidence = "rank_violations" if "rank_violations" in payload else "phase_cycle"
             node = _exact_keys(payload, "$.payload", [evidence, "spectrum"])[evidence]
@@ -663,9 +656,9 @@ def _replay(instance: Instance, cert: dict, plain: bool) -> VerificationReport:
         if verdict == "constructed":
             _exact_keys(payload, "$.payload", ["directions", "witness"])
             built = _directions_from_json(payload["directions"], "$.payload.directions",
-                                          family.dim, plain)
+                                          family.dim)
             return _witness_report(built, family, payload, tols["witness"],
-                                   "constructed statistic verified, residual", plain)
+                                   "constructed statistic verified, residual")
         if verdict == "no_statistic_exists":
             cycle = _exact_keys(payload, "$.payload", ["phase_cycle"])["phase_cycle"]
             return _cycle_report(None, family, cycle, tols["angle"])
@@ -674,8 +667,7 @@ def _replay(instance: Instance, cert: dict, plain: bool) -> VerificationReport:
     if kind == "minimality":
         if verdict == "minimal_constructed":
             _exact_keys(payload, "$.payload", ["partition", "separations", "spectrum", "witness"])
-            return _minimal_report(_recorded_statistic(instance, payload), family, payload, tols,
-                                   plain)
+            return _minimal_report(_recorded_statistic(instance, payload), family, payload, tols)
         if verdict == "no_minimal_exists":
             k = _exact_keys(payload, "$.payload", ["dead_atom", "spectrum"])["dead_atom"]
             statistic = _recorded_statistic(instance, payload)

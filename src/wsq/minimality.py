@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import RANK_TOL, _upper_triangle, pair_rank_two
-from .spectral import CoarseMap, DiscreteStatistic, StateFamily
+from .spectral import CoarseMap, DiscreteStatistic, StateFamily, block_sum
 from .sufficiency import Decision, WitnessFactorization, build_witness, decide
 
 MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
@@ -141,7 +141,7 @@ def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatist
     if not all(isinstance(block, (list, tuple)) and block for block in blocks) \
             or any(type(k) is not int for k in atoms) or sorted(atoms) != list(range(len(t))):
         raise ValueError(f"expected nonempty blocks with each of the {len(t)} atoms exactly once")
-    projections = tuple(t.stack[list(block)].sum(axis=0) for block in partition)
+    projections = tuple(block_sum(t, block) for block in partition)
     return DiscreteStatistic(np.arange(1.0, len(partition) + 1.0), projections)
 
 

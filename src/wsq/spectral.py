@@ -450,6 +450,11 @@ def coarse_blocks(t: DiscreteStatistic, cmap: CoarseMap) -> list[tuple[float, li
     return sorted(blocks.items())   # the values are distinct, so the lists are never compared
 
 
+def block_sum(t: DiscreteStatistic, block) -> np.ndarray:
+    """t's projections on block's atoms, summed in order: bitwise stack[block].sum(axis=0)."""
+    return sum((t.projections[k] for k in block[1:]), t.projections[block[0]])
+
+
 def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
     """Build the statistic f(T) induced by a coarse map f.
 
@@ -460,8 +465,7 @@ def apply_coarse(t: DiscreteStatistic, cmap: CoarseMap):
     """
     ordered = coarse_blocks(t, cmap)
     eigenvalues = np.array([val for val, _ in ordered])
-    rows = t.projections   # summed in order from the first row, bitwise as stack.sum(axis=0)
-    projections = tuple(sum((rows[k] for k in idxs[1:]), rows[idxs[0]]) for _, idxs in ordered)
+    projections = tuple(block_sum(t, idxs) for _, idxs in ordered)
     coarse = DiscreteStatistic(eigenvalues, projections)
     return coarse, [idxs for _, idxs in ordered]
 

@@ -19,7 +19,7 @@ from wsq.fileio import (
     serialize_instance,
     verify_certificate,
 )
-from wsq.spectral import StateFamily
+from wsq.spectral import DiscreteStatistic, StateFamily
 from wsq.sufficiency import check_weak_sufficiency
 
 
@@ -430,8 +430,9 @@ def test_dense_matrix_is_checked_once_per_read_and_once_per_solve(
     assert run_cli(["check", "--input", str(path)]) == 0
     report = verify_certificate(path.read_text(), capsys.readouterr().out)
     assert report.ok, report.detail
-    # at read time on both sides, and in the command line's hermitian_eig: the
-    # verifier builds the atoms from the recorded spectrum, with no eigensolve
+    # at read time on both sides, and in statistic_from_matrix's as_hermitian
+    # on the command line: the verifier builds the atoms from the recorded
+    # spectrum, and decomposes nothing
     assert len(checked) == 3
 
 
@@ -674,6 +675,24 @@ def test_unconverged_decomposition_exits_2(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: eigenvalue 0 not split off after 0 QL sweeps\n"
+
+
+@pytest.mark.xfail(strict=True, reason="the absolute petz load rule (ROADMAP item 24)")
+def test_a_light_load_on_another_states_atom_is_answered_with_a_proof(tmp_path, capsys):
+    # a puts weight tau on atom {e2}, which b loads with s: the absolute load
+    # rule gives {e2} to b alone, whose rho P_b / s rebuilds a only to within
+    # tau / s = 5e-3, and petz --non-unital exits 2
+    s, tau = 2e-7, 1e-9
+    a1 = math.sqrt(tau * s / (1.0 - s))   # makes a and b exactly orthogonal
+    a = [math.sqrt(1.0 - 1e-3 - tau - a1 * a1), a1, math.sqrt(tau), math.sqrt(1e-3)]
+    b = [0.0, math.sqrt(1.0 - s), -math.sqrt(s), 0.0]
+    statistic = DiscreteStatistic(np.array([1.0, 2.0, 3.0]), tuple(
+        np.diag(d).astype(complex) for d in ([1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])))
+    path = tmp_path / "light-load.json"
+    path.write_text(serialize_instance(
+        statistic, StateFamily(("a", "b"), np.array([a, b], dtype=complex))))
+    code, _ = run_and_verify(path, ["petz", "--non-unital"], capsys)
+    assert code in (0, 1)
 
 
 def light_atom_path(tmp_path):

@@ -1227,7 +1227,7 @@ def equivalence_instances():
                     "projections": [pairs(p) for p in (upper, np.eye(d) - upper)][:1 + (d > 1)]}
         for statistic in ({"matrix": matrix}, explicit):
             yield {"dimension": d, "states": states, "statistic": statistic}
-    # a label that reads like a JSON boolean takes the walker
+    # a label that reads like a JSON boolean, which is no boolean
     yield {"dimension": 1, "states": {"true": [[1.0, 0.0]]}, "statistic": {"matrix": [[[2, 0]]]}}
 
 
@@ -1370,15 +1370,40 @@ def test_one_conversion_reads_what_the_walker_reads(monkeypatch):
 
 
 def test_a_valid_instance_never_enters_the_walker(monkeypatch):
-    root = next(r for r in equivalence_instances()
-                if r["dimension"] == 32 and "matrix" in r["statistic"])
+    roots = list(equivalence_instances())
+    dense = next(r for r in roots if r["dimension"] == 32 and "matrix" in r["statistic"])
 
     def walked(node, path):
         raise AssertionError(f"walked {path}")
 
     monkeypatch.setattr(fileio, "_pair", walked)
-    instance = read_instance(json.dumps(root))
+    instance = read_instance(json.dumps(dense))
     assert len(instance.family) == 4 and instance.has_statistic
+    # a label that reads like a JSON boolean is no boolean
+    assert "true" in roots[-1]["states"]
+    assert read_instance(json.dumps(roots[-1])).family.labels == ("true",)
+
+
+def test_states_labelled_like_booleans_verify_without_the_walker(monkeypatch):
+    # the labels are keys of every witness in the certificates too
+    text, _ = planted_dense(np.random.default_rng(36), [1.0, 2.0, 3.0], [1, 1, 1], n_states=2)
+    root = json.loads(text)
+    root["states"] = dict(zip(("true", "false"), root["states"].values()))
+    text = json.dumps(root)
+    certificates = certificates_of(text) + [make_certificate(
+        "existence", exists_weakly_sufficient(read_instance(text).family))]
+    assert [cert["verdict"] for cert in certificates] == [
+        "sufficient", "minimal_constructed", "constructed"]
+
+    def walked(node, path, dim):
+        raise AssertionError(f"walked {path}")
+
+    # the walker's entry for every array; each witness's versions are
+    # scalar pairs, which _pair reads on every path
+    monkeypatch.setattr(fileio, "_vector", walked)
+    for cert in certificates:
+        report = verify_certificate(text, serialize_certificate(cert))
+        assert report.ok, (cert["verdict"], report.detail)
 
 
 # ------------------------------------------------- the recorded spectrum

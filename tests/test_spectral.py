@@ -14,6 +14,7 @@ from wsq.spectral import (
     DiscreteStatistic,
     StateFamily,
     apply_coarse,
+    block_sum,
     project_states,
     statistic_from_matrix,
     statistic_from_spectrum,
@@ -500,6 +501,13 @@ def test_apply_coarse_merges_and_orders_atoms():
     assert np.array_equal(coarse.eigenvalues, [1.0, 5.0])
     assert partition == [[2], [0, 1]]
     assert np.abs(coarse.projections[1] - np.diag([1.0, 1.0, 0.0])).max() == 0.0
+
+
+def test_block_sum_is_the_stack_sum_bit_for_bit():
+    # apply_coarse and statistic_from_partition sum every block with it
+    t = random_statistic(np.random.default_rng(36), 6)
+    for block in ([3], [0, 1], [4, 2, 0], [1, 5, 0, 4], list(range(len(t)))):
+        assert block_sum(t, block).tobytes() == t.stack[block].sum(axis=0).tobytes(), block
 
 
 def test_apply_coarse_requires_total_map():
