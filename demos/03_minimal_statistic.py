@@ -10,8 +10,8 @@ toolkit produces the family of incomparable merges that proves it.
 States on one line are the exception: there the constant statistic is
 minimal, dead atoms or not.
 The minimal statistic's certificate proves its own claim: a witness
-that the merge is sufficient, and for each pair of classes two states
-that the merged atom of their leaders cannot hold in one dimension.
+that the merge is sufficient, and the partition, whose every two atoms
+of different classes the verifier shows cannot share one dimension.
 """
 
 import numpy as np
@@ -84,9 +84,10 @@ print("the minimal statistic is a function of all",
       sufficient, "sufficient coarse-grainings")
 
 # ------------------------------------------------------------- certificate
-# The certificate carries T's spectrum, the partition, the witness of the
-# merged statistic and one separation per pair of classes; the verifier
-# checks them from the instance alone, without deciding minimality again.
+# The certificate carries T's spectrum, the partition and the witness of
+# the merged statistic; the verifier checks them from the instance alone,
+# and separates every two atoms of different classes itself, without
+# deciding minimality again.
 text = serialize_certificate(make_certificate("minimality", minimal))
 print(text)
 report = verify_certificate(serialize_instance(statistic, family), text)

@@ -24,7 +24,7 @@ from .sufficiency import (
     exists_weakly_sufficient,
     verify_witness,
 )
-from .minimality import AtomClasses, MinimalStatistic, NoMinimalExists, minimal_statistic
+from .minimality import MinimalStatistic, NoMinimalExists, minimal_statistic
 
 _PETZ_EXPORTS = frozenset({"Feasible", "InfeasibleOrthogonality", "InfeasibleSharedAtoms",
                            "PetzInstance", "petz_feasibility"})

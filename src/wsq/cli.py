@@ -14,8 +14,9 @@ certificate records every tolerance the decision applied, and the
 verifier replays it at them.  Besides bad input and a decomposition that
 does not converge, exit 2 means: a construct witness that fails its
 recorded tolerance (check's and minimal's cannot, by the bound of
-sufficiency.tolerances), minimal classes that cannot be separated, or a
-feasible petz solution that rebuilds a state less closely than
+sufficiency.tolerances), a minimal class whose atoms are joined pair by
+pair but whose Gram sum has rank 2 (minimality.equivalence_classes), or
+a feasible petz solution that rebuilds a state less closely than
 petz.RECONSTRUCTION_TOL.
 """
 

@@ -31,7 +31,6 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
 
 import numpy as np
 
@@ -345,12 +344,8 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
             cert["verdict"] = "minimal_constructed"
             # the partition of T's atoms and the class values 1..m name the
             # minimal statistic, so its projections are not written out
-            cert["payload"] = {
-                "partition": [list(block) for block in result.partition],
-                "witness": _witness_json(result.witness),
-                "separations": [{"atoms": list(atoms), "states": list(states)}
-                                for atoms, states in result.classes.separations],
-            }
+            cert["payload"] = {"partition": [list(block) for block in result.partition],
+                               "witness": _witness_json(result.witness)}
         elif isinstance(result, minimality.NoMinimalExists):
             cert["verdict"] = "no_minimal_exists"
             cert["payload"] = {"dead_atom": result.dead_atom}
@@ -495,13 +490,14 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     keys make_certificate writes, each a check_tolerance (angle and
     witness in AMPLITUDE_RANGE), and every verdict is replayed at them:
     witnesses at ``witness``; rank violations, a minimal statistic's live
-    atoms (with two blocks or more) and separations, and a dead atom,
+    atoms and separated blocks (with two blocks or more), and a dead atom,
     with a pair of states of rank 2 in the family's Gram matrix, at
     ``rank``; cycle edges and defects at ``angle``; petz owners and
     shared atoms at ``petz_feasibility``.  Each object must hold exactly
     the keys its verdict writes, and only petz records ``parameters``.
     What a certificate names is recomputed, never decided again: the rank
-    of two named states on an atom (pair_rank_two), each cycle edge's
+    of two named states on an atom (pair_rank_two), the pair rule on every
+    two atoms of different blocks of a minimal partition, each cycle edge's
     overlap, a witness (one value per atom, in ascending eigenvalue
     order) on the statistic it claims, rebuilt from directions or a
     partition by the decision's own function, and petz rho's from their
@@ -537,19 +533,23 @@ def _witness_report(statistic, family, payload: dict, tol: float,
 def _minimal_report(statistic, family, payload: dict, tols: dict) -> VerificationReport:
     """Prove that the partition's statistic S is minimal; SchemaError when unreadable.
 
-    S's witness (at ``witness``) makes each block's rows proportional to one
-    vector, nonzero as every atom is live (at ``rank``), so two states of rank
-    2 on e_a + e_b, a and b in blocks i < j, show by Cauchy interlacing that
-    no sufficient statistic merges the blocks.  A one-block S is constant, a
-    function of every statistic, so its witness alone proves it minimal and
-    its atoms need not be live.
+    S's witness (at ``witness``) proves it sufficient.  Every atom must be
+    live and every two atoms a and b of different blocks separated, gram[a]
+    + gram[b] holding a pair of states of rank 2 at ``rank`` (pair_rank_two,
+    one call per atom on the instance's Gram stack, with the atoms of later
+    blocks).  The pair rule is monotone, so no sufficient coarse-graining
+    has a and b in one block: each of its blocks lies in one block of S,
+    and S is a function of it.  A one-block S is constant, a function of
+    every statistic, so its witness alone proves it minimal and its atoms
+    need not be live.
     """
-    partition, separations = payload["partition"], payload["separations"]
+    partition = payload["partition"]
     try:
         minimal = minimality.statistic_from_partition(statistic, partition)
     except ValueError as exc:
         return VerificationReport(False, f"no minimal statistic to confirm: {exc}")
-    heaviest = spectral.project_states(statistic, family).weights.max(axis=0)
+    table = spectral.project_states(statistic, family)
+    heaviest = table.weights.max(axis=0)
     if len(partition) > 1 and (heaviest <= tols["rank"]).any():
         k = int(np.argmax(heaviest <= tols["rank"]))
         return VerificationReport(False, f"no minimal statistic to confirm: atom {k} "
@@ -557,22 +557,14 @@ def _minimal_report(statistic, family, payload: dict, tols: dict) -> Verificatio
     report = _witness_report(minimal, family, payload, tols["witness"], "witness residual")
     if not report.ok:
         return report
-    pairs = list(combinations(range(len(partition)), 2))
-    if not isinstance(separations, list) or len(separations) != len(pairs):
-        _fail("$.payload.separations", f"expected {len(pairs)} separations, one per pair of blocks")
-    for n, ((i, j), item) in enumerate(zip(pairs, separations)):
-        here = f"$.payload.separations[{n}]"
-        atoms, labels = _exact_keys(item, here, ["atoms", "states"])["atoms"], item["states"]
-        if not (isinstance(atoms, list) and len(atoms) == 2 and all(type(k) is int for k in atoms)
-                and atoms[0] in partition[i] and atoms[1] in partition[j]):
-            _fail(f"{here}.atoms", f"expected an atom of block {i} and one of block {j}")
-        if not isinstance(labels, list) or len(labels) != 2:
-            _fail(f"{here}.states", "expected two state labels")
-        # the two states projected onto e_a + e_b
-        rows = sum(_named_rows(statistic, family, {"atom": k}, labels, here) for k in atoms)
-        if not pair_rank_two(gram_matrix(rows), tols["rank"])[0]:
-            return VerificationReport(
-                False, f"states {labels} do not separate atoms {atoms} of blocks {i} and {j}")
+    for n, block in enumerate(partition):
+        later = [b for rest in partition[n + 1:] for b in rest]
+        for a in block:
+            joined = ~pair_rank_two(table.gram[a] + table.gram[later], tols["rank"]).any(axis=1)
+            if joined.any():
+                return VerificationReport(
+                    False, f"atoms {a} and {later[joined.argmax()]} of different blocks are not "
+                           f"separated: no pair of states has rank 2 on their Gram sum")
     return VerificationReport(True, f"minimal partition {partition} confirmed, {report.detail}")
 
 
@@ -666,7 +658,7 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
 
     if kind == "minimality":
         if verdict == "minimal_constructed":
-            _exact_keys(payload, "$.payload", ["partition", "separations", "spectrum", "witness"])
+            _exact_keys(payload, "$.payload", ["partition", "spectrum", "witness"])
             return _minimal_report(_recorded_statistic(instance, payload), family, payload, tols)
         if verdict == "no_minimal_exists":
             k = _exact_keys(payload, "$.payload", ["dead_atom", "spectrum"])["dead_atom"]

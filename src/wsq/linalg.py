@@ -253,14 +253,17 @@ def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
     One flag per pair of states j < m, in the order of _upper_triangle(n),
     for [[a, c], [conj(c), b]] with a = h[j, j], b = h[m, m], c = h[j, m].
     Its eigenvalues are hi = (a+b)/2 + sqrt(((a-b)/2)^2 + |c|^2) and lo =
-    max(ab - |c|^2, 0) / hi, and it has rank 2 when lo > tol * max(1, hi).
+    max(ab - |c|^2, 0) / hi, and it has rank 2 when lo > tol.
     On a Gram stack hi = 0 only where both rows are zero, and ab - |c|^2
     <= hi^2 is 0, in floats too, wherever hi is below the smallest normal
     float TINY; so lo = max(ab - |c|^2, 0) / max(hi, TINY) is 0 there.
     A positive semidefinite matrix has rank <= 1 exactly when none of its
     pairs has rank 2: by Cauchy interlacing its second eigenvalue is at
     least the largest lo, and it is at most the sum of the lo over all
-    C(n, 2) pairs.
+    C(n, 2) pairs.  The rule is monotone: lo, the smallest eigenvalue of
+    the 2x2 submatrix, only grows when a positive semidefinite term is
+    added (Weyl), so a pair of rank 2 in gram[a] + gram[b] keeps rank 2 in
+    every block sum that holds atoms a and b.
     """
     h = np.asarray(h)
     n = h.shape[-1]
@@ -271,7 +274,7 @@ def pair_rank_two(h, tol: float = RANK_TOL) -> np.ndarray:
     cc = np.abs(h.reshape(*h.shape[:-2], n * n).take(_upper_flat(n), axis=-1)) ** 2
     hi = (ai + aj) / 2 + np.sqrt(((ai - aj) / 2) ** 2 + cc)
     det = np.maximum(ai * aj - cc, 0.0)
-    return det / np.maximum(hi, TINY) > tol * np.maximum(1.0, hi)
+    return det / np.maximum(hi, TINY) > tol
 
 
 def gram_matrix(vectors) -> np.ndarray:

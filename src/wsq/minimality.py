@@ -7,17 +7,17 @@ When T is weakly sufficient, T's versions make every block sum real, so
 f(T) is weakly sufficient exactly when every block sum, dead atoms
 included, passes the pair rule (Cauchy interlacing):
 Decision.coarse_sufficient decides every map of T from one Decision, as
-a direct check of f(T) would.  Atoms whose block sum has rank one, their
-states' coordinates proportional, merge without loss of sufficiency; two
-atoms whose block sum has rank 2 cannot merge.  The minimal statistic
-merges the proportionality classes of the live atoms (Decision.active),
-grown by block sums (equivalence_classes); when the family spans two
-dimensions or more it exists exactly when every atom is live.  Its
-certificate proves both halves: the merged statistic's witness, built
-under T's versions, and for each pair of classes two states of rank 2 on
-the merged atom of one atom from each.  At a tolerance proportionality
-is not transitive, so two classes can lack such a pair, and then
-equivalence_classes raises.  With a dead atom no minimal statistic
+a direct check of f(T) would.  Two atoms are separated when their block
+sum holds a pair of states of rank 2; the pair rule is monotone
+(pair_rank_two), so no sufficient f(T) has separated atoms in one block.
+The minimal statistic merges the live atoms (Decision.active) into the
+connected components of "not separated" (equivalence_classes): each
+block of every sufficient f(T) lies in one component, so the minimal
+statistic is a function of f(T), and it is sufficient itself when every
+component's block sum passes.  At a tolerance proportionality is not
+transitive, so a component's sum can fail, and then equivalence_classes
+raises.  When the family spans two dimensions or more a minimal
+statistic exists only when every atom is live.  With a dead atom none
 exists: merging it into each live atom in turn
 (harness.dead_atom_counterexamples) gives incomparable sufficient
 coarse-grainings.  A family on one line has the constant statistic, one
@@ -29,12 +29,12 @@ Decision's refusal answers every question.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
 
-from .linalg import RANK_TOL, _upper_triangle, pair_rank_two
+from .linalg import RANK_TOL, pair_rank_two
 from .spectral import CoarseMap, DiscreteStatistic, StateFamily, block_sum
 from .sufficiency import Decision, WitnessFactorization, build_witness, decide
 
@@ -42,24 +42,9 @@ MAX_ENUMERATED_ATOMS = 9     # Bell(10) = 115975 is past the exhaustive budget
 
 
 @dataclass
-class AtomClasses:
-    """Proportionality classes of active atoms, and what keeps them apart.
-
-    classes are ordered by their smallest member.  For each pair of
-    classes i < j, in order, separations holds atoms (a, b) of classes i
-    and j and the labels (x, y) of two states whose Gram matrix projected
-    onto e_a + e_b has rank 2 (pair_rank_two).  For a family spanning one
-    dimension minimal_statistic puts every atom, dead ones included, in
-    one class.
-    """
-
-    classes: list[tuple[int, ...]]
-    separations: list[tuple[tuple[int, int], tuple[str, ...]]]
-
-
-@dataclass
 class MinimalStatistic:
-    """The minimal statistic, its classes, and the witness of its sufficiency.
+    """The minimal statistic, its partition of t's atoms (block n has value
+    n + 1), and the witness of its sufficiency.
 
     spectrum is that of t, the statistic coarse-grained
     (DiscreteStatistic.spectrum), which a certificate records; results
@@ -67,7 +52,6 @@ class MinimalStatistic:
     """
 
     statistic: DiscreteStatistic
-    classes: AtomClasses
     partition: list[list[int]]
     witness: WitnessFactorization
     spectrum: tuple[float, ...] = field(default=(), compare=False)
@@ -82,51 +66,37 @@ class NoMinimalExists:
     spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
-def equivalence_classes(decision: Decision) -> AtomClasses:
-    """Group active atoms whose components are proportional, by block sums.
+def equivalence_classes(decision: Decision) -> list[list[int]]:
+    """The live atoms grouped into the components of "not separated",
+    ordered by smallest member.
 
-    In order, each active atom joins the first class whose running Gram
-    sum plus its own has no pair of states of rank 2 (pair_rank_two, the
-    block-sum rule of Decision.coarse_sufficient), or starts a class: every
-    class sum passes, which bounds the merged statistic's witness
-    (sufficiency.tolerances).  Classes i < j are separated by the
-    first atoms a of i and b of j whose gram[a] + gram[b] has rank 2, the
-    test the verifier applies: made as b started j if i then held a alone,
-    else by one pair_rank_two call per a on all of j.  Raises ValueError,
-    naming both classes, where no such pair exists.
+    Atoms a and b are separated when gram[a] + gram[b] holds a pair of
+    states of rank 2 (pair_rank_two): one call per live atom, on its sums
+    with every later live atom.  One stacked call then applies the same
+    rule to each component's Gram sum, the block-sum rule of
+    Decision.coarse_sufficient, which bounds the merged statistic's
+    witness (sufficiency.tolerances).  Raises ValueError, naming the
+    component, where a sum holds a pair of rank 2: its atoms are joined
+    pair by pair, but proportionality is not transitive at the tolerance.
     """
-    gram, tol, labels = decision.table.gram, decision.tol, decision.family.labels
-    pairs = list(zip(*_upper_triangle(len(labels))))
-    classes: list[list[int]] = []
-    sums = np.empty_like(gram)   # sums[n]: the Gram sum of classes[n]
-    tested = []                  # tested[n][i]: classes[n][0] with a class i of one atom
-    for k in (k for k, flag in enumerate(decision.active) if flag):
-        n = len(classes)
-        split = pair_rank_two(sums[:n] + gram[k], tol)
-        fit = (split.any(axis=1).tolist() + [False]).index(False)
-        if fit == n:
-            tested.append({i: row for i, row in enumerate(split) if len(classes[i]) == 1})
-            classes.append([])
-            sums[n] = 0.0
-        classes[fit].append(k)
-        sums[fit] += gram[k]
-    separations = []
-    for i, j in combinations(range(len(classes)), 2):
-        if i in tested[j]:
-            a, b, row = classes[i][0], classes[j][0], tested[j][i]
-        else:
-            for a in classes[i]:
-                split = pair_rank_two(gram[a] + gram[classes[j]], tol)
-                if split.any():
-                    n = int(split.any(axis=1).argmax())
-                    b, row = classes[j][n], split[n]
-                    break
-            else:
-                raise ValueError(f"classes {classes[i]} and {classes[j]} hold no pair of atoms "
-                                 f"of rank 2 at tolerance {tol:g}, so no certificate can "
-                                 f"separate them")
-        separations.append(((a, b), tuple(labels[x] for x in pairs[row.argmax()])))
-    return AtomClasses([tuple(cls) for cls in classes], separations)
+    gram, tol = decision.table.gram, decision.tol
+    live = list(compress(range(len(gram)), decision.active))
+    home = list(range(len(gram)))   # home[k]: the smallest atom yet joined to k
+    for n, a in enumerate(live):
+        later = live[n + 1:]
+        for b in compress(later, ~pair_rank_two(gram[a] + gram[later], tol).any(axis=1)):
+            low, high = sorted((home[a], home[b]))
+            home = [low if h == high else h for h in home]
+    classes: dict[int, list[int]] = {}
+    for k in live:
+        classes.setdefault(home[k], []).append(k)
+    partition = list(classes.values())
+    split = pair_rank_two(np.array([gram[block].sum(axis=0) for block in partition]), tol)
+    if split.any():
+        block = partition[int(split.any(axis=1).argmax())]
+        raise ValueError(f"atoms {block} are joined pair by pair, but their Gram sum has "
+                         f"rank 2 at tolerance {tol:g}, so no minimal statistic is claimed")
+    return partition
 
 
 def statistic_from_partition(t: DiscreteStatistic, partition) -> DiscreteStatistic:
@@ -154,8 +124,8 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
                       tol: float = RANK_TOL):
     """Coarsest weakly sufficient relabelling of t, if one exists.
 
-    Returns MinimalStatistic (atoms = proportionality classes, values
-    1..m in order of smallest member), NoMinimalExists naming the first
+    Returns MinimalStatistic (atoms = the classes of equivalence_classes,
+    values 1..m in order of smallest member), NoMinimalExists naming the first
     atom that is not Decision.active, or check's negative
     SufficiencyVerdict, which proves that no coarse-graining is
     sufficient.  A family spanning less than two dimensions gets the
@@ -163,22 +133,21 @@ def minimal_statistic(t: DiscreteStatistic, family: StateFamily,
     function of every statistic, all sufficient for it.  One Decision of
     (t, family) gives all of it; the merged statistic's witness is built
     under t's versions (sufficiency.tolerances bounds it).  Raises
-    ValueError when two classes cannot be separated (equivalence_classes).
+    ValueError when a class's Gram sum has rank 2 (equivalence_classes).
     """
     decision = decide(t, family, tol)
     if decision.violations:
         return decision.verdict()
     if not pair_rank_two(decision.table.gram.sum(axis=0), tol).any():
-        classes = AtomClasses([tuple(range(len(t)))], [])
+        partition = [list(range(len(t)))]
     elif not all(decision.active):
         return NoMinimalExists(dead_atom=decision.active.index(False), spectrum=t.spectrum)
     else:
-        classes = equivalence_classes(decision)
-    partition = [list(cls) for cls in classes.classes]
+        partition = equivalence_classes(decision)
     statistic = statistic_from_partition(t, partition)
     witness = build_witness(statistic, family, decision.versions, tol)
-    return MinimalStatistic(statistic=statistic, classes=classes, partition=partition,
-                            witness=witness, spectrum=t.spectrum)
+    return MinimalStatistic(statistic=statistic, partition=partition, witness=witness,
+                            spectrum=t.spectrum)
 
 
 def enumerate_coarse_grainings(t: DiscreteStatistic) -> Iterator[CoarseMap]:

@@ -49,9 +49,9 @@ def tolerances(tol: float = RANK_TOL) -> dict[str, float]:
     atom for check, a class for minimal; K atoms in all), h its heaviest
     state, of weight w_h.  build_witness keeps state theta's part along
     e_B phi_h, turned real by c_h, h's version.  theta misses by two
-    orthogonal parts.  Off that direction, by det / w_h <= 2 lo <= 4 eps^2
+    orthogonal parts.  Off that direction, by det / w_h <= 2 lo <= 2 eps^2
     in the square: det and lo are the pair (theta, h)'s determinant and the
-    pair rule's lo = det / hi, and hi <= 2 w_h, hi <= 2.  Along it, by
+    pair rule's lo = det / hi <= tol, and hi <= 2 w_h.  Along it, by
     |Im(c_theta conj(c_h) G_theta,h)| / sqrt(w_h).  Each atom k of B adds
     to G_theta,h an entry a_k whose dressed imaginary part is at most
     eps |a_k| (aligned to within angle eps) or |a_k| <= eps sqrt(max(
@@ -59,8 +59,8 @@ def tolerances(tol: float = RANK_TOL) -> dict[str, float]:
     (sqrt(w_k,theta) + sqrt(w_k,h)); by Cauchy-Schwarz the part is at most
     2 eps sqrt(K_B).  A block whose weights are all at most tol is
     left out, at most eps^2 in the square.  Over the orthogonal blocks the
-    squares add to at most sum_B (4 + 4 K_B) eps^2 <= 8 K eps^2, and sqrt(8
-    MAX_DIM) = 22.6 leaves WITNESS_FACTOR room for rounding.  construct's
+    squares add to at most sum_B (2 + 4 K_B) eps^2 <= 6 K eps^2 <= 8 K eps^2,
+    and sqrt(8 MAX_DIM) = 22.6 leaves WITNESS_FACTOR room for rounding.  construct's
     witness has no such bound, as its directions' error grows with the
     family's conditioning; the command line checks it.
     """

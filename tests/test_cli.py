@@ -554,7 +554,6 @@ def test_minimal_of_a_one_dimensional_family_is_the_constant_statistic(
     code, cert = run_and_verify(path, ["minimal"], capsys)
     assert code == 0 and cert["verdict"] == "minimal_constructed"
     assert cert["payload"]["partition"] == partition
-    assert cert["payload"]["separations"] == []
     assert run_verify_cli(path, cert, tmp_path, capsys) == 0
 
 
@@ -609,9 +608,9 @@ def test_minimal_exits_2_when_two_classes_cannot_be_separated(tmp_path, capsys):
     # T = diag(1, 2, 3, 4) and two real states with the heavy coordinate pair
     # 0.8 (cos 45, sin 45) on atom 0, the light pair 0.3 (cos(45 + psi),
     # sin(45 + psi)) on atoms 1 and 2, and (0.3, -0.3) on atom 3.  Each pair
-    # of atoms 0-2 passes the rank test, their block sum does not: atom 1
-    # joins atom 0, atom 2 starts a class, and as no atom of {0, 1} has rank
-    # 2 with atom 2, no separation can certify the two classes
+    # of atoms 0-2 passes the rank test, so they are one class, but their
+    # block sum does not: no statistic merging them is sufficient, and none
+    # keeping two of them apart is a function of every sufficient one
     psi, quarter = 2.5e-7, math.pi / 4
     rows = [r * np.array([math.cos(x), math.sin(x)])
             for r, x in ((0.8, quarter), (0.3, quarter + psi), (0.3, quarter + psi))]
@@ -622,8 +621,8 @@ def test_minimal_exits_2_when_two_classes_cannot_be_separated(tmp_path, capsys):
     assert run_cli(["minimal", "--input", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: classes [0, 1] and [2] hold no pair of atoms of rank 2 at "
-                       "tolerance 1e-14, so no certificate can separate them\n")
+    assert out.err == ("error: atoms [0, 1, 2] are joined pair by pair, but their Gram sum "
+                       "has rank 2 at tolerance 1e-14, so no minimal statistic is claimed\n")
 
 
 def near_threshold_triple_path(tmp_path, delta):

@@ -453,8 +453,8 @@ def test_minimal_certificate_classes_must_match():
     statistic, family = load_bundled_instance()
     cert = make_certificate("minimality", minimal_statistic(statistic, family))
     instance_text = serialize_instance(statistic, family)
+    assert sorted(cert["payload"]) == ["partition", "spectrum", "witness"]
     assert cert["payload"]["partition"] == [[0], [1]]
-    assert cert["payload"]["separations"] == [{"atoms": [0, 1], "states": ["phi1", "phi2"]}]
     for forged in ([[0, 1]], [[1], [0]], [[0]], [[0.0], [1.0]], [[False], [True]]):
         edited = json.loads(json.dumps(cert))
         edited["payload"]["partition"] = forged
@@ -480,7 +480,6 @@ def three_class_certificate():
     statistic, family = three_class_instance()
     cert = make_certificate("minimality", minimal_statistic(statistic, family))
     assert cert["payload"]["partition"] == [[0, 2], [1, 3], [4]]
-    assert [item["atoms"] for item in cert["payload"]["separations"]] == [[0, 1], [0, 4], [1, 4]]
     instance_text = serialize_instance(statistic, family)
     assert verify_certificate(instance_text, serialize_certificate(cert)).ok
     return instance_text, cert
@@ -490,28 +489,42 @@ def swap(items, i, j):
     items[i], items[j] = items[j], items[i]
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda s: s[0].update(atoms=[0, 2]), "expected an atom of block 0 and one of block 1"),
-    (lambda s: s[0].update(atoms=[0, 5]), "expected an atom of block 0 and one of block 1"),
-    (lambda s: s[0].update(atoms=[0, True]), "expected an atom of block 0 and one of block 1"),
-    (lambda s: s[0].update(atoms=[0.0, 1]), "expected an atom of block 0 and one of block 1"),
-    (lambda s: s[0].update(atoms="01"), "expected an atom of block 0 and one of block 1"),
-    (lambda s: s[1].update(states=["x", "x"]), "do not separate atoms [0, 4] of blocks 0 and 2"),
-    (lambda s: s[1].update(states=["x", "nobody"]), "no state labelled 'nobody'"),
-    (lambda s: s[1].update(states=["x"]), "expected two state labels"),
-    (lambda s: s[2].update(note=0), "$.payload.separations[2].note: unexpected key"),
-    (lambda s: s.pop(), "expected 3 separations"),
-    (lambda s: s.append(s[0]), "expected 3 separations"),
-    (lambda s: swap(s, 0, 1), "expected an atom of block 0 and one of block 1"),
-    (lambda s: swap(s, 1, 2), "expected an atom of block 0 and one of block 2"),
-], ids=["one_block", "out_of_range", "true", "float", "string", "parallel", "unknown",
-        "short", "extra_key", "missing", "extra", "out_of_order", "out_of_order_2"])
-def test_tampered_separations_are_rejected_not_raised(edit, message):
+# the separations an earlier encoding wrote for three_class_certificate:
+# one pair of atoms, from blocks i < j in order, and two states of rank 2
+# on their merged atom
+EARLIER_SEPARATIONS = [{"atoms": [0, 1], "states": ["x", "y"]},
+                       {"atoms": [0, 4], "states": ["x", "y"]},
+                       {"atoms": [1, 4], "states": ["x", "y"]}]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: None,
+    lambda s: s[0].update(atoms=[0, 2]),
+    lambda s: s[0].update(atoms=[0, 5]),
+    lambda s: s[0].update(atoms=[0, True]),
+    lambda s: s[0].update(atoms=[0.0, 1]),
+    lambda s: s[0].update(atoms="01"),
+    lambda s: s[1].update(states=["x", "x"]),
+    lambda s: s[1].update(states=["x", "nobody"]),
+    lambda s: s[1].update(states=["x"]),
+    lambda s: s[2].update(note=0),
+    lambda s: s.pop(),
+    lambda s: s.append(s[0]),
+    lambda s: swap(s, 0, 1),
+    lambda s: swap(s, 1, 2),
+], ids=["untouched", "one_block", "out_of_range", "true", "float", "string", "parallel",
+        "unknown", "short", "extra_key", "missing", "extra", "out_of_order", "out_of_order_2"])
+def test_tampered_separations_are_rejected_not_raised(edit):
+    # the verifier separates every two atoms of different blocks itself, so
+    # a certificate that still carries separations, as written or tampered
+    # with, is refused as an earlier encoding
     instance_text, cert = three_class_certificate()
-    edit(cert["payload"]["separations"])
+    separations = json.loads(json.dumps(EARLIER_SEPARATIONS))
+    edit(separations)
+    cert["payload"]["separations"] = separations
     report = verify_certificate(instance_text, json.dumps(cert))
     assert not report.ok
-    assert message in report.detail
+    assert "malformed certificate: $.payload.separations: unexpected key" in report.detail
 
 
 @pytest.mark.parametrize("partition", [
@@ -703,7 +716,7 @@ def parent_format(cert, eigenvalues, rhos=()):
     minimal statistic as its partition and classes."""
     old = json.loads(json.dumps(cert))
     payload = old["payload"]
-    if payload.pop("separations", None) is not None:
+    if "partition" in payload:
         del payload["witness"]
         payload["classes"] = payload["partition"]
     if payload.pop("owners", None) is not None:
@@ -1047,10 +1060,9 @@ def test_minimal_partition_and_dead_atom_are_replayed_at_the_recorded_rank():
     instance_text = serialize_instance(statistic, family)
     fine = make_certificate("minimality", minimal_statistic(statistic, family))
     assert fine["payload"]["partition"] == [[0], [1], [2]]
-    assert fine["payload"]["separations"][0] == {"atoms": [0, 1], "states": ["a", "b"]}
     assert verify_certificate(instance_text, json.dumps(fine)).ok
     report = replayed(instance_text, fine, rank=1e-4)
-    assert not report.ok and "do not separate atoms [0, 1]" in report.detail
+    assert not report.ok and "atoms 0 and 1 of different blocks are not separated" in report.detail
     # merged at 1e-4, the classes leave a witness residual of about 2e-3:
     # within the recorded witness 28 sqrt(1e-4), not within a forged 1e-4
     coarse = make_certificate("minimality", minimal_statistic(statistic, family, 1e-4), tol=1e-4)
@@ -1089,7 +1101,7 @@ def test_a_one_dimensional_family_is_answered_by_one_block_not_by_a_dead_atom():
     statistic, family = load_bundled_instance()
     cert = make_certificate("minimality", minimal_statistic(statistic, family))
     assert cert["payload"]["partition"] == [[0], [1]]
-    cert["payload"]["partition"], cert["payload"]["separations"] = [[0, 1]], []
+    cert["payload"]["partition"] = [[0, 1]]
     functions = cert["payload"]["witness"]["functions"]
     cert["payload"]["witness"]["functions"] = {lab: f[:1] for lab, f in functions.items()}
     report = verify_certificate(serialize_instance(statistic, family), json.dumps(cert))

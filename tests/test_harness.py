@@ -118,20 +118,20 @@ def test_brute_force_takes_the_checker_cutoffs():
     assert check_weak_sufficiency(statistic, family).sufficient is True
     assert brute_force_weak_sufficiency(statistic, family) is True
     # states at angles x and -x: the Gram eigenvalues are about 2 x^2 and 2,
-    # so both answers turn at x = 1e-7, where 2 x^2 = rank * 2
-    for x, sufficient in (8.5e-8, True), (9.9e-8, True), (1.01e-7, False), (1e-5, False):
+    # so both answers turn at x = 7.07e-8, where 2 x^2 = rank
+    for x, sufficient in (6.5e-8, True), (6.9e-8, True), (7.25e-8, False), (1e-5, False):
         family = StateFamily(labels=("a", "b"), vectors=(
             np.array([np.cos(x), np.sin(x), 0.0], dtype=complex),
             np.array([np.cos(x), -np.sin(x), 0.0], dtype=complex)))
         assert check_weak_sufficiency(statistic, family).sufficient is sufficient
         assert brute_force_weak_sufficiency(statistic, family) is sufficient
-    # states at angles x, -x and 0: the pair at x and -x has lo about 2 x^2
-    # against hi about 2, past the rank tolerance from x = 1e-7, while the
-    # atom's whole Gram matrix, with first eigenvalue about 3, stays below it
-    # up to x = 1.22e-7; both answers take the pair rule
-    for x, sufficient in (0.99e-7, True), (1.05e-7, False), (1.15e-7, False), (1.25e-7, False):
+    # states at angles x, -x and x: each pair has lo at most 2 x^2, past the
+    # rank tolerance from x = 7.07e-8, while the atom's whole Gram matrix has
+    # second eigenvalue about 8 x^2 / 3, past it from x = 6.12e-8; both
+    # answers take the pair rule
+    for x, sufficient in (6.5e-8, True), (6.9e-8, True), (7.25e-8, False), (7.5e-8, False):
         family = StateFamily(labels=("a", "b", "c"), vectors=tuple(
-            np.array([np.cos(y), np.sin(y), 0.0], dtype=complex) for y in (x, -x, 0.0)))
+            np.array([np.cos(y), np.sin(y), 0.0], dtype=complex) for y in (x, -x, x)))
         assert check_weak_sufficiency(statistic, family).sufficient is sufficient, x
         assert brute_force_weak_sufficiency(statistic, family) is sufficient, x
 

@@ -401,9 +401,12 @@ def test_gram_rank_and_pair_rule_on_planted_gram_stacks(atoms, states):
     rng = np.random.default_rng(10 * atoms + states)
     for rank in sorted({1, 2, states}):
         stack = random_gram_stack(rng, atoms, states, rank)
+        # scaled to states of norm at most 1, as in the Gram stack of unit
+        # states, which the pair rule's absolute cutoff is set for
+        stack /= np.diagonal(stack, axis1=1, axis2=2).real.max()
         for g in stack:
             w, _ = hermitian_eig(g)
-            assert numpy_rank(g) == np.count_nonzero(w > RANK_TOL * max(1.0, w[-1])) == rank
+            assert numpy_rank(g) == np.count_nonzero(w > RANK_TOL) == rank
         assert pair_rank_two(stack).shape == (atoms, states * (states - 1) // 2)
         assert pair_rank_two(stack).any(axis=1).tolist() == [rank >= 2] * atoms
 
@@ -451,7 +454,7 @@ def masked_pair_rank_two(h, tol):
     hi = (ai + aj) / 2 + np.sqrt(((ai - aj) / 2) ** 2 + cc)
     det = np.maximum(ai * aj - cc, 0.0)
     lo = np.divide(det, hi, out=np.zeros_like(hi), where=hi > 0.0)
-    return lo > tol * np.maximum(1.0, hi)
+    return lo > tol
 
 
 def test_pair_rule_flags_equal_the_masked_divide_bit_for_bit():

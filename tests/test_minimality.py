@@ -11,7 +11,6 @@ from wsq.harness import dead_atom_counterexamples, gram_schmidt, is_function_of
 from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
 from wsq.fileio import make_certificate, serialize_instance, verify_certificate
 from wsq.minimality import (
-    AtomClasses,
     MinimalStatistic,
     NoMinimalExists,
     check_coarse_sufficient,
@@ -119,10 +118,11 @@ def planted_instance(rng, dims, coeff):
 
 def test_classes_of_worked_example():
     t, fam = two_plus_one_instance()
-    classes = equivalence_classes(decide(t, fam))
-    assert classes.classes == [(0, 1), (2,)]
-    # s0 loads atom 0 and s1 atom 2: independent on the merged atom
-    assert classes.separations == [((0, 2), ("s0", "s1"))]
+    decision = decide(t, fam)
+    assert equivalence_classes(decision) == [[0, 1], [2]]
+    # s0 loads atoms 0 and 1, s1 atom 2: independent on either merged atom
+    gram = decision.table.gram
+    assert pair_rank_two(gram[[0, 1]] + gram[2]).tolist() == [[True], [True]]
 
 
 def test_complex_proportionality_factor_is_accepted():
@@ -132,10 +132,7 @@ def test_complex_proportionality_factor_is_accepted():
         ("s0", "s1"),
         (np.array([1.0, 1.0j, 1.0]) / np.sqrt(3), np.array([1.0, 1.0j, -1.0]) / np.sqrt(3)),
     )
-    decision = decide(t, fam)
-    classes = equivalence_classes(decision)
-    assert classes.classes == [(0, 1), (2,)]
-    assert classes.separations == [((0, 2), ("s0", "s1"))]
+    assert equivalence_classes(decide(t, fam)) == [[0, 1], [2]]
 
 
 @pytest.mark.parametrize("rows", [
@@ -160,7 +157,7 @@ def test_classes_make_no_eigensolver_call(monkeypatch):
     t, fam = two_plus_one_instance()
     decision = decide(t, fam)
     calls = count_eigensolves(monkeypatch)
-    assert equivalence_classes(decision).classes == [(0, 1), (2,)]
+    assert equivalence_classes(decision) == [[0, 1], [2]]
     assert calls == []
 
 
@@ -360,26 +357,24 @@ def test_minimal_statistic_of_worked_example():
 
 
 def test_separations_split_every_pair_of_classes_in_order():
+    # the classes come in order of smallest member, and every two atoms of
+    # different classes, and no two of one class, have a pair of states
+    # of rank 2 on their merged atom, projected here from the instance
     rng = np.random.default_rng(65)
     coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
     classes = equivalence_classes(decide(t, fam))
-    assert classes.classes == [(0, 2), (1,), (3,)]
-    assert [atoms for atoms, _ in classes.separations] == [(0, 1), (0, 3), (1, 3)]
-    for (a, b), labels in classes.separations:
-        rows = np.array([fam.vector(label) for label in labels])
+    assert classes == [[0, 2], [1], [3]]
+    for a, b in itertools.combinations(range(4), 2):
         merged = t.projections[a] + t.projections[b]
-        assert pair_rank_two(gram_matrix(rows @ merged.T))[0]
+        apart = any(a in block and b not in block for block in classes)
+        assert bool(pair_rank_two(gram_matrix(fam.stack @ merged.T)).any()) == apart, (a, b)
 
 
 def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
-    # growing the classes takes one call per live atom, on the class sums
-    # so far plus its own Gram matrix (an empty stack for the first atom).  An atom
-    # that starts a class is thereby tested against every class of one
-    # atom; another pair of classes takes one call per atom of the earlier
-    # class, on its merged Gram matrices with the later class, until one
-    # splits: here atom 0 with class (3,).  At most atoms x states^2
-    # entries at once
+    # one call per live atom, on its Gram matrix plus each later live
+    # atom's (an empty stack for the last atom), then one call on the
+    # classes' Gram sums.  At most atoms x states^2 entries at once
     rng = np.random.default_rng(65)
     coeff = np.array([[1.0, 2.0, 0.5], [0.3, -1.0, 1.0], [2.0, 4.0, 1.0], [0.0, 1.0, 1.0]])
     t, fam = planted_instance(rng, (1, 1, 2, 1), coeff)
@@ -391,13 +386,13 @@ def test_classes_take_one_pair_test_on_the_merged_gram_stack(monkeypatch):
         return pair_rank_two(h, tol)
 
     monkeypatch.setattr(minimality, "pair_rank_two", recording)
-    assert equivalence_classes(decision).classes == [(0, 2), (1,), (3,)]
-    assert shapes == [(0, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 3), (1, 3, 3)]
+    assert equivalence_classes(decision) == [[0, 2], [1], [3]]
+    assert shapes == [(3, 3, 3), (2, 3, 3), (1, 3, 3), (0, 3, 3), (3, 3, 3)]
 
 
 def test_classes_of_many_atoms_stay_within_a_small_memory_bound():
     # T = diag(1..48) and 48 random real states: every pair of atoms is
-    # split, so 48 leaders; a stack over every pair of atoms would hold
+    # split, so 48 classes; a stack over every pair of atoms would hold
     # 48^2 merged 48 x 48 Gram matrices, 85 MB before any temporary
     import tracemalloc
 
@@ -413,29 +408,29 @@ def test_classes_of_many_atoms_stay_within_a_small_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert classes.classes == [(k,) for k in range(48)]
-    assert len(classes.separations) == 48 * 47 // 2
+    assert classes == [[k] for k in range(48)]
     assert peak < 32 * 2 ** 20
 
 
 def test_classes_near_a_tolerance_grow_by_block_sums():
-    # atom 1 and atom 2 each pass for atom 0's class at tol 1e-4, their
-    # rows (x, d) and (x, -d) being within d^2 / 2 of atom 0's (x, 0), but
-    # split from each other (2 d^2 > 1e-4).  Atom 1 joins atom 0; the block
-    # sum of atoms 0-2 then has rank 2, so atom 2 starts a class of its own,
-    # where pairwise tests against atom 0 alone would merge all three
+    # atoms 1 and 2 each pass with atom 0 at tol 1e-4, their rows (x, d)
+    # and (x, -d) being within d^2 / 2 of atom 0's (x, 0), but are split
+    # from each other (2 d^2 > 1e-4).  So atoms 0-2 are one class, whose
+    # block sum has rank 2: f(T) merging atom 0 with atom 1 is sufficient,
+    # and so is the one merging it with atom 2, but no sufficient statistic
+    # is a function of both, and minimal raises rather than claim one
     x, d = 1.0 / np.sqrt(3.0), 1e-2
     t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
     fam = StateFamily(("s0", "s1"), (np.array([x, x, x, 0.0]),
                                      np.array([0.0, d, -d, np.sqrt(1.0 - 2.0 * d * d)])))
-    classes = equivalence_classes(decide(t, fam, 1e-4))
-    assert classes.classes == [(0, 1), (2,), (3,)]
-    # atoms 0 and 2 pass as a pair, so the first cross pair of rank 2 is (1, 2)
-    assert [atoms for atoms, _ in classes.separations] == [(1, 2), (0, 3), (2, 3)]
-    coarse = minimal_statistic(t, fam, 1e-4)
-    assert coarse.partition == [[0, 1], [2], [3]]
-    assert verify_witness(coarse.statistic, fam, coarse.witness,
-                          tol=tolerances(1e-4)["witness"]).ok
+    decision = decide(t, fam, 1e-4)
+    for values in ([1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.0, 3.0]):
+        assert decision.coarse_sufficient(CoarseMap(dict(zip([1.0, 2.0, 3.0, 4.0], values))))
+    with pytest.raises(ValueError, match=r"^atoms \[0, 1, 2\] are joined pair by pair, but "
+                                         r"their Gram sum has rank 2 at tolerance 0.0001,"):
+        equivalence_classes(decision)
+    with pytest.raises(ValueError, match=r"^atoms \[0, 1, 2\]"):
+        minimal_statistic(t, fam, 1e-4)
     fine = minimal_statistic(t, fam)
     assert fine.partition == [[0], [1], [2], [3]]
     assert verify_witness(fine.statistic, fam, fine.witness).ok
@@ -446,9 +441,10 @@ def test_a_light_atom_does_not_merge_two_heavy_atoms_apart():
     # are 1e-5 (cos 45, sin 45) and 0.7 (cos(45 +- delta), sin(45 +- delta)):
     # atom 0 is live but light, so its block sum with atom 1 or with atom 2
     # passes, while atoms 1 and 2, delta = 1e-3 apart, have rank 2 together.
-    # Grown by block sums, atom 2 cannot join {0, 1}.  A class led by atom 0
-    # and grown pair by pair would merge all three, with a witness residual
-    # of about 2e-3 against the witness tolerance 2.8e-6
+    # Both {0, 1}, {2} and {0, 2}, {1} are sufficient, so a minimal statistic
+    # would merge all three, with a witness residual of about 2e-3 against
+    # the witness tolerance 2.8e-6: minimal raises, and the verifier refuses
+    # both the two-block and the one-block claim
     delta, quarter = 1e-3, math.pi / 4
     rows = [r * np.array([math.cos(x), math.sin(x)])
             for r, x in ((1e-5, quarter), (0.7, quarter + delta), (0.7, quarter - delta))]
@@ -456,18 +452,21 @@ def test_a_light_atom_does_not_merge_two_heavy_atoms_apart():
     t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0]))
     fam = StateFamily(("a", "b"), (a, b))
     instance_text = serialize_instance(t, fam)
-    result = minimal_statistic(t, fam)
-    assert isinstance(result, MinimalStatistic) and result.partition == [[0, 1], [2]]
-    assert result.classes.separations == [((1, 2), ("a", "b"))]
-    assert verify_certificate(instance_text, json.dumps(make_certificate("minimality", result))).ok
+    decision = decide(t, fam)
+    assert decision.coarse_sufficient(CoarseMap({1.0: 1.0, 2.0: 1.0, 3.0: 2.0}))
+    assert decision.coarse_sufficient(CoarseMap({1.0: 1.0, 2.0: 2.0, 3.0: 1.0}))
+    with pytest.raises(ValueError, match=r"^atoms \[0, 1, 2\] are joined pair by pair"):
+        minimal_statistic(t, fam)
 
-    merged = statistic_from_partition(t, [[0, 1, 2]])
-    witness = build_witness(merged, fam, decide(t, fam).versions)
+    for partition, refusal in (([[0, 1], [2]], "atoms 0 and 2 of different blocks are not"),
+                               ([[0, 1, 2]], "exceeds 2.8e-06")):
+        merged = statistic_from_partition(t, partition)
+        witness = build_witness(merged, fam, decision.versions)
+        claimed = MinimalStatistic(merged, partition, witness, t.spectrum)
+        report = verify_certificate(instance_text,
+                                    json.dumps(make_certificate("minimality", claimed)))
+        assert not report.ok and refusal in report.detail, report.detail
     assert verify_witness(merged, fam, witness).max_residual > 1e-3
-    forged = MinimalStatistic(merged, AtomClasses([(0, 1, 2)], []), [[0, 1, 2]], witness,
-                              t.spectrum)
-    report = verify_certificate(instance_text, json.dumps(make_certificate("minimality", forged)))
-    assert not report.ok and "exceeds 2.8e-06" in report.detail
 
 
 def test_minimal_decides_the_statistic_once(monkeypatch):
@@ -579,7 +578,7 @@ def test_minimal_of_a_one_dimensional_family_is_one_block():
     fam = StateFamily(("only",), (np.array([1.0, 0.0]),))
     result = minimal_statistic(t, fam)
     assert isinstance(result, MinimalStatistic)
-    assert result.partition == [[0, 1]] and result.classes.separations == []
+    assert result.partition == [[0, 1]]
     assert verify_witness(result.statistic, fam, result.witness).ok
 
 
@@ -654,12 +653,12 @@ def test_enumeration_guards_against_explosion():
         next(enumerate_coarse_grainings(t))
 
 
-@pytest.mark.xfail(strict=True, reason="pair proportionality is not transitive at the "
-                                       "tolerance (ROADMAP item 22)")
-def test_a_minimal_partition_refines_every_sufficient_coarse_map():
-    # atom 1 carries weight 1.6e-14 per state: proportional to atom 0, and
-    # not separated from atom 2, so minimal merges {0, 1} while the map
-    # {0}, {1, 2}, {3} is sufficient too
+def light_middle_atom_instance():
+    """T = diag(1, 2, 3, 4) and two real states p and q, each (x, s x, y, z)
+    normalized, with x = 0.5 and s = 2.5e-7; (y_p, y_q) is 0.6 (cos, sin)
+    at pi/4 + arctan(1/2), and z_p = -z_q in sign.  Atom 1 carries weight
+    1.6e-14 per state: proportional to atom 0, and not separated from
+    atom 2 (lo = 6.2e-15), which is separated from atom 0."""
     x, s, theta = 0.5, 2.5e-7, math.atan(0.5)
     rows = []
     for y, sign in ((0.6 * math.cos(math.pi / 4 + theta), 1.0),
@@ -667,7 +666,14 @@ def test_a_minimal_partition_refines_every_sufficient_coarse_map():
         rows.append([x, s * x, y, sign * math.sqrt(1.0 - x * x * (1.0 + s * s) - y * y)])
     vectors = np.array(rows, dtype=complex)
     family = StateFamily(("p", "q"), vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
-    t = statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0]))
+    return statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0])), family
+
+
+def test_a_minimal_partition_refines_every_sufficient_coarse_map():
+    # the map {0}, {1, 2}, {3} is sufficient, and so is {0, 1}, {2}, {3}: a
+    # statistic that is a function of both merges atoms 0-2, whose block sum
+    # has rank 2, so none is sufficient, and minimal claims none
+    t, family = light_middle_atom_instance()
     cmap = CoarseMap(dict(zip(t.eigenvalues.tolist(), [1.0, 2.0, 2.0, 3.0])))
     merged, blocks = apply_coarse(t, cmap)
     assert blocks == [[0], [1, 2], [3]]
@@ -678,5 +684,23 @@ def test_a_minimal_partition_refines_every_sufficient_coarse_map():
     except ValueError:   # no minimal statistic claimed
         return
     if isinstance(result, MinimalStatistic):
-        # a function of f(T): each block lies inside one block of the map
-        assert all(any(set(block) <= set(b) for b in blocks) for block in result.partition)
+        # a function of f(T): each block of the map lies inside one block of the partition
+        assert all(any(set(b) <= set(block) for block in result.partition) for b in blocks)
+
+
+def test_the_verifier_refuses_a_partition_with_two_atoms_apart_but_not_separated():
+    # the minimal certificate that classes grown by block sums gave this
+    # instance, [[0, 1], [2], [3]], less its one separation per pair of
+    # blocks: its witness holds, but atoms 1 and 2, in different blocks,
+    # have no pair of states of rank 2, and the verifier checks every pair
+    t, family = light_middle_atom_instance()
+    partition = [[0, 1], [2], [3]]
+    merged = statistic_from_partition(t, partition)
+    witness = build_witness(merged, family, decide(t, family).versions)
+    assert verify_witness(merged, family, witness).ok
+    claimed = make_certificate("minimality", MinimalStatistic(merged, partition, witness,
+                                                              t.spectrum))
+    report = verify_certificate(serialize_instance(t, family), json.dumps(claimed))
+    assert not report.ok
+    assert report.detail == ("atoms 1 and 2 of different blocks are not separated: no pair "
+                             "of states has rank 2 on their Gram sum")

@@ -139,7 +139,7 @@ ROOT_EXPORTS = {
     "sufficiency": ["ConstructedStatistic", "NonExistence", "PhaseObstruction", "RankViolation",
                     "SufficiencyVerdict", "WitnessFactorization", "check_weak_sufficiency",
                     "exists_weakly_sufficient", "verify_witness"],
-    "minimality": ["AtomClasses", "MinimalStatistic", "NoMinimalExists", "minimal_statistic"],
+    "minimality": ["MinimalStatistic", "NoMinimalExists", "minimal_statistic"],
     "petz": ["Feasible", "InfeasibleOrthogonality", "InfeasibleSharedAtoms", "PetzInstance",
              "petz_feasibility"],
     "fileio": ["SchemaError", "VerificationReport", "load_bundled_instance", "make_certificate",
