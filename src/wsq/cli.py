@@ -14,10 +14,8 @@ certificate records every tolerance the decision applied, and the
 verifier replays it at them.  Besides bad input and a decomposition that
 does not converge, exit 2 means: a construct witness that fails its
 recorded tolerance (check's and minimal's cannot, by the bound of
-sufficiency.tolerances), a minimal class whose atoms are joined pair by
-pair but whose Gram sum has rank 2 (minimality.equivalence_classes), or
-a feasible petz solution that rebuilds a state less closely than
-petz.RECONSTRUCTION_TOL.
+sufficiency.tolerances), or a minimal class whose atoms are joined pair
+by pair but whose Gram sum has rank 2 (minimality.equivalence_classes).
 """
 
 from __future__ import annotations
@@ -102,18 +100,10 @@ def _cmd_minimal(args) -> int:
 def _cmd_petz(args) -> int:
     loaded = _load(args, need_statistic=True)
     # an overlap refusal rests on the states alone: no statistic is decomposed
-    bad = petz.orthogonality_precheck(loaded.family)
-    if bad is not None:
-        result = InfeasibleOrthogonality(pair=bad[0], overlap=bad[1])
-    else:
-        instance = petz.PetzInstance.from_parts(loaded.statistic, loaded.family,
-                                                unital=not args.non_unital)
+    result = petz.orthogonality_precheck(loaded.family, **_tol_kwargs(args))
+    if result is None:
+        instance = petz.PetzInstance(loaded.statistic, loaded.family, not args.non_unital)
         result = petz.petz_feasibility(instance, **_tol_kwargs(args))
-        if isinstance(result, Feasible) and \
-                result.max_constraint_residual > petz.RECONSTRUCTION_TOL:
-            raise ValueError(f"the feasible solution leaves a reconstruction residual "
-                             f"{result.max_constraint_residual:.3e} above "
-                             f"{petz.RECONSTRUCTION_TOL:.0e}")
     print(fileio.serialize_certificate(fileio.make_certificate(
         "petz", result, parameters={"unital": not args.non_unital}, tol=args.tol)))
     if isinstance(result, Feasible):

@@ -45,6 +45,7 @@ CERTIFICATE_KINDS = ("weak_sufficiency", "existence", "minimality", "petz")
 TOL_RANGE = (1e-14, 1e-3)
 AMPLITUDE_RANGE = (sufficiency.tolerances(TOL_RANGE[0])["angle"],
                    sufficiency.tolerances(TOL_RANGE[1])["witness"])
+RECONSTRUCTION_RANGE = tuple(petz.tolerances(tol)["reconstruction"] for tol in TOL_RANGE)
 
 
 class SchemaError(ValueError):
@@ -301,8 +302,8 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
 
     The tolerance block records what the kind's decision applied at
     ``tol``, the one tolerance the caller passed to it (its default when
-    None): petz's feasibility tolerance, or the Gram tolerance of check,
-    construct and minimal with the two it derives (sufficiency.tolerances).
+    None) and what it derives: petz's (petz.tolerances), or the Gram
+    tolerance of check, construct and minimal (sufficiency.tolerances).
     """
     if kind not in CERTIFICATE_KINDS:
         raise ValueError(f"unknown certificate kind '{kind}'")
@@ -311,7 +312,7 @@ def make_certificate(kind: str, result, parameters: dict | None = None,
     cert: dict = {
         "kind": kind,
         "tool_version": TOOL_VERSION,
-        "tolerances": {"petz_feasibility": petz.FEASIBILITY_TOL if tol is None else tol}
+        "tolerances": petz.tolerances(petz.FEASIBILITY_TOL if tol is None else tol)
         if kind == "petz" else sufficiency.tolerances(RANK_TOL if tol is None else tol),
     }
     if parameters:
@@ -487,21 +488,21 @@ def verify_certificate(instance_text: str, certificate_text: str) -> Verificatio
     A verdict that reads the statistic records its eigenvalues as
     ``payload.spectrum``, and the verifier takes the statistic from them
     (_recorded_statistic).  The tolerance block must hold exactly the
-    keys make_certificate writes, each a check_tolerance (angle and
-    witness in AMPLITUDE_RANGE), and every verdict is replayed at them:
-    witnesses at ``witness``; rank violations, a minimal statistic's live
-    atoms and separated blocks (with two blocks or more), and a dead atom,
-    with a pair of states of rank 2 in the family's Gram matrix, at
-    ``rank``; cycle edges and defects at ``angle``; petz owners and
-    shared atoms at ``petz_feasibility``.  Each object must hold exactly
-    the keys its verdict writes, and only petz records ``parameters``.
+    keys make_certificate writes, each in its range (_tolerances_from_json),
+    and every verdict is replayed at them: witnesses at ``witness``; rank
+    violations, a minimal statistic's live atoms and separated blocks (with
+    two blocks or more), and a dead atom, with a pair of states of rank 2
+    in the family's Gram matrix, at ``rank``; cycle edges and defects at
+    ``angle``; petz overlaps, owners and shared atoms at
+    ``petz_feasibility``.  Each object must hold exactly the keys its
+    verdict writes, and only petz records ``parameters``.
     What a certificate names is recomputed, never decided again: the rank
     of two named states on an atom (pair_rank_two), the pair rule on every
     two atoms of different blocks of a minimal partition, each cycle edge's
     overlap, a witness (one value per atom, in ascending eigenvalue
     order) on the statistic it claims, rebuilt from directions or a
     partition by the decision's own function, and petz rho's from their
-    owners by petz.rhos_from_owners, within RECONSTRUCTION_TOL.  A
+    owners by petz.rhos_from_owners, within ``reconstruction``.  A
     certificate that does not prove its claim or cannot be read, earlier
     encodings and a JSON boolean in place of a number included, yields
     ok=False.  Only a malformed instance raises: at read time, or when a
@@ -604,12 +605,12 @@ def _recorded_statistic(instance: Instance, payload: dict) -> spectral.DiscreteS
 
 def _tolerances_from_json(node, kind: str) -> dict[str, float]:
     """The recorded tolerance block: exactly the kind's keys, each valid."""
-    keys = ["petz_feasibility"] if kind == "petz" else ["angle", "rank", "witness"]
-    _exact_keys(node, "$.tolerances", keys)
-    for key in keys:
+    spans = dict(angle=AMPLITUDE_RANGE, rank=TOL_RANGE, witness=AMPLITUDE_RANGE) if kind != "petz" \
+        else dict(petz_feasibility=TOL_RANGE, reconstruction=RECONSTRUCTION_RANGE)
+    _exact_keys(node, "$.tolerances", list(spans))
+    for key, span in spans.items():
         try:
-            check_tolerance(node[key], AMPLITUDE_RANGE if key in ("angle", "witness")
-                            else TOL_RANGE)
+            check_tolerance(node[key], span)
         except ValueError as exc:
             _fail(f"$.tolerances.{key}", str(exc))
     return node
@@ -688,7 +689,7 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
             overlap = abs(inner(*(family.vector(label) for label in pair)))
         except ValueError:
             return VerificationReport(False, f"pair {pair} not in the instance")
-        if overlap <= petz.ORTHOGONALITY_TOL:
+        if overlap <= tols["petz_feasibility"]:
             return VerificationReport(False,
                                       f"states {pair} are orthogonal (overlap {overlap:.3e})")
         return VerificationReport(True, f"overlap |{overlap:.8f}| confirmed for {pair}")
@@ -698,7 +699,7 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
                 else ["pairs", "spectrum", "state"])
     statistic = _recorded_statistic(instance, payload)
     weights = petz.PetzInstance.from_parts(statistic, family, unital=unital).weights
-    loads = weights > tols["petz_feasibility"]
+    loads = petz.load_mask(weights, tols["petz_feasibility"])
     if verdict == "feasible":
         owners = payload["owners"]
         if not isinstance(owners, list) or len(owners) != len(statistic):
@@ -713,9 +714,9 @@ def _replay(instance: Instance, cert: dict) -> VerificationReport:
         if unowned and not unital:
             return VerificationReport(False, f"state {unowned[0]!r} owns no atom")
         _, residual = petz.rhos_from_owners(family, weights, owners, unital)
-        if residual > petz.RECONSTRUCTION_TOL:
+        if residual > tols["reconstruction"]:
             return VerificationReport(False, f"state reconstruction residual {residual:.3e} "
-                                             f"exceeds {petz.RECONSTRUCTION_TOL:.0e}")
+                                             f"exceeds {tols['reconstruction']:.3e}")
         return VerificationReport(True, f"feasible solution verified, residual {residual:.3e}")
     pairs = payload["pairs"]   # infeasible_shared_atoms
     if not isinstance(pairs, list):

@@ -15,7 +15,10 @@ they live here.  All serve only the tests and the property suite, so no
 production module imports this one at module level.
 near_threshold_instance pushes planted classes towards the tolerances,
 for the property witness_bound_near_thresholds, which stands in for the
-witness checks that check and minimal do not make.
+witness checks that check and minimal do not make; near_block_petz_instance
+does the same for petz's load rule, for petz_reconstruction_bound, and
+minimal_function_property plants a light_middle_atom_instance, a light
+atom unseparated from two separated ones, in one trial per run.
 run_property_suite executes the whole catalog and reports pass/fail per
 property, serializing and shrinking a counterexample for any failure.
 certificate_corpus holds a certificate of every kind and verdict, and
@@ -55,6 +58,7 @@ from .petz import (
     FEASIBILITY_TOL,
     Feasible,
     PetzInstance,
+    load_mask,
     petz_feasibility,
 )
 from .phases import (
@@ -669,6 +673,49 @@ def near_threshold_instance(rng):
     return statistic, StateFamily(labels=family.labels, vectors=vectors)
 
 
+def light_middle_atom_instance(rng=None):
+    """Four rank-one atoms and two real states p and q, each (x, s x, y, z)
+    normalized on the atoms' basis vectors, with (y_p, y_q) = 0.6 (cos, sin)
+    at pi/4 + arctan(1/2) and z_p = -z_q in sign.  Atom 1 carries weight
+    w = (s x)^2 per state: proportional to atom 0, and not separated from
+    atom 2 (lo = 0.4 w), which is separated from atom 0, so no minimal
+    statistic exists at RANK_TOL.  Without rng, T = diag(1, 2, 3, 4), x =
+    0.5 and s = 2.5e-7 (w = 1.6e-14, lo = 6.2e-15).  With it, x is uniform
+    in [0.3, 0.7], w log-uniform in [1.2e-14, 2.2e-14], within RANK_TOL /
+    0.4 and live, and the basis is a random unitary one."""
+    x, s, basis = 0.5, 2.5e-7, np.eye(4, dtype=complex)
+    if rng is not None:
+        x = rng.uniform(0.3, 0.7)
+        s = math.sqrt(10.0 ** rng.uniform(math.log10(1.2e-14), math.log10(2.2e-14))) / x
+        basis = _random_basis(rng, 4)
+    theta, rows = math.atan(0.5), []
+    for y, sign in ((0.6 * math.cos(math.pi / 4 + theta), 1.0),
+                    (0.6 * math.sin(math.pi / 4 + theta), -1.0)):
+        rows.append([x, s * x, y, sign * math.sqrt(1.0 - x * x * (1.0 + s * s) - y * y)])
+    vectors = np.array(rows) @ basis
+    family = StateFamily(("p", "q"), vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+    return _blocked_statistic(basis, [1, 1, 1, 1]), family
+
+
+def near_block_petz_instance(rng):
+    """d 3-8 on a random basis, split into 2-d atoms, and 2 to min(atoms, 4)
+    states, each a random vector in an atom of its own plus a leak of
+    complex noise over all of C^d, its size log-uniform in [1e-9, 1e-1];
+    then orthonormalized in order, so the overlap check passes and states
+    load each other's atoms near the load rule's cutoffs."""
+    dim = int(rng.integers(3, 9))
+    n_atoms = int(rng.integers(2, dim + 1))
+    n_states = int(rng.integers(2, min(n_atoms, 4) + 1))
+    basis = _random_basis(rng, dim)
+    sizes = _random_composition(rng, dim, n_atoms)
+    starts = np.cumsum([0] + sizes)
+    leak = 10.0 ** rng.uniform(-9.0, -1.0)
+    rows = [rng.normal(size=sizes[k]) @ basis[starts[k]:starts[k + 1]] for k in range(n_states)]
+    noise = rng.normal(size=(n_states, dim)) + 1j * rng.normal(size=(n_states, dim))
+    vectors, _ = gram_schmidt(np.array(rows) + leak * noise)
+    return _blocked_statistic(basis, sizes), StateFamily(_labels(n_states), np.array(vectors))
+
+
 def _random_phase_instance(rng, n_labels: int, n_constraints: int,
                            steps: int = 24, defect: float = 0.0):
     """Constraint set satisfiable by grid phases, plus an optional cycle defect."""
@@ -1029,12 +1076,14 @@ def _prop_minimal_function_property(rng, count):
     """Every minimal statistic is a function of every coarse-graining that
     Decision.coarse_sufficient accepts.  Even trials draw a planted live
     instance, which must have one; odd trials a near-threshold instance
-    (at most 8 atoms), where a refusal, a dead atom or a class whose Gram
-    sum has rank 2 (ValueError) is no minimal statistic to test."""
+    (at most 8 atoms), the first a light_middle_atom_instance, where a
+    refusal, a dead atom or a class whose Gram sum has rank 2 (ValueError)
+    is no minimal statistic to test."""
     trials, verified = max(2, count // 8), 0
     for trial in range(trials):
         if trial % 2:
-            statistic, family = near_threshold_instance(rng)
+            statistic, family = (light_middle_atom_instance(rng) if trial == 1
+                                 else near_threshold_instance(rng))
             try:
                 minimal = minimal_statistic(statistic, family)
             except ValueError:
@@ -1143,6 +1192,40 @@ def _prop_petz_soundness(rng, count):
                 f"(unital={unital}): {report.detail}"
             ), serialize_instance(small_t, small_f)
     return True, f"{len(cases)} verdicts match their planting and replay from file", None
+
+
+def _prop_petz_reconstruction_bound(rng, count):
+    """The bound of petz.tolerances on near_block_petz_instance at tol
+    log-uniform in [1e-9, 1e-3], unital and not: every feasible residual is
+    within the reconstruction its certificate records, and every
+    certificate verifies.  The detail reports the worst residual in units
+    of the proven bounds, (n - 1) tol non-unital and 2 (n - 1 + m) tol
+    unital, for n states and m dead atoms."""
+    worst, feasible = {False: 0.0, True: 0.0}, 0
+    for trial in range(count):
+        statistic, family = near_block_petz_instance(rng)
+        tol, text = 10.0 ** rng.uniform(-9.0, -3.0), serialize_instance(statistic, family)
+        for unital in (False, True):
+            instance = PetzInstance(statistic, family, unital)
+            result = petz_feasibility(instance, tol)
+            cert = make_certificate("petz", result, parameters={"unital": unital}, tol=tol)
+            report = verify_certificate(text, serialize_certificate(cert))
+            problem = None if report.ok else report.detail
+            if isinstance(result, Feasible):
+                feasible += 1
+                residual = result.max_constraint_residual
+                recorded = cert["tolerances"]["reconstruction"]
+                dead = int(np.count_nonzero(instance.weights.max(axis=0) <= tol))
+                proven = (2 * (len(family) - 1 + dead) if unital else len(family) - 1) * tol
+                worst[unital] = max(worst[unital], residual / proven)
+                if residual > recorded:
+                    problem = f"residual {residual:.3e} above the recorded {recorded:.3e}"
+            if problem:
+                return False, (f"{type(result).__name__} at tol {tol:.3e} (unital={unital}, "
+                               f"trial {trial}): {problem}"), text
+    return True, (f"{feasible} feasible answers of {2 * count} within the recorded "
+                  f"reconstruction; worst residual {worst[False]:.3f} of (n - 1) tol non-unital, "
+                  f"{worst[True]:.3f} of 2 (n - 1 + m) tol unital"), None
 
 
 def psd_project(m) -> np.ndarray:
@@ -1254,10 +1337,11 @@ def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
     """Weak sufficiency of a feasible pair, by the owners witness verify_witness
     checks: chi = sum phi_theta / sqrt(n), f_theta = sqrt(n) on the atoms theta
     owns and 0 elsewhere, every version 1.  Its residual for theta is at most
-    sqrt(n S), S the weight at most FEASIBILITY_TOL that states put on atoms
-    they do not own, which feasibility ignored; it is checked against the
-    default witness tolerance plus that bound.  It holds on unital answers and on non-unital
-    ones without a shared atom (rho = 0, possibly rank 2).  Nothing is decided again."""
+    sqrt(n S), S the weight that states put on atoms they neither own nor
+    load, which the load rule at FEASIBILITY_TOL skipped; it is checked
+    against the default witness tolerance plus that bound.  It holds on
+    unital answers and on non-unital ones without a shared atom (rho = 0,
+    possibly rank 2).  Nothing is decided again."""
     if not isinstance(cert, Feasible):
         raise ValueError("implication check needs a Feasible certificate")
     t, family, w, n = instance.statistic, instance.family, instance.weights, len(instance.family)
@@ -1266,7 +1350,7 @@ def petz_implies_weak_check(instance: PetzInstance, cert: Feasible) -> bool:
                  for label, row in zip(family.labels, owned)}
     witness = WitnessFactorization(sum(family.vectors) / math.sqrt(n), functions,
                                    VersionAssignment(dict.fromkeys(family.labels, 1.0)))
-    ignored = float(w[~owned & (w <= FEASIBILITY_TOL)].clip(0).sum())
+    ignored = float(w[~owned & ~load_mask(w, FEASIBILITY_TOL)].clip(0).sum())
     bound = DEFAULT_TOLERANCES["witness"] + math.sqrt(n * ignored)
     return verify_witness(t, family, witness, tol=bound).ok
 
@@ -1499,6 +1583,7 @@ _PROPERTIES = [
     ("petz_structural_theorem", _prop_petz_structural),
     ("petz_orthogonality_necessity", _prop_petz_orthogonality),
     ("petz_oracle_agreement", _prop_petz_oracle_agreement),
+    ("petz_reconstruction_bound", _prop_petz_reconstruction_bound),
     ("generator_determinism", _prop_generator_determinism),
     ("verifier_refuses_edited_certificates", _prop_verifier_refuses_edits),
 ]

@@ -11,16 +11,8 @@ under some such channel exactly when the affine system
 admits a positive semidefinite solution, where w[theta, k] is the weight
 of state theta on atom k.  Invariant families of pure states are
 necessarily pairwise orthogonal, so an overlap precheck runs first.
-
-Past it the decision is exact.  |phi><phi| is an extreme ray of the PSD
-cone, so each rho_k that state theta loads (w[theta, k] > tol) is a
-multiple of |phi_theta><phi_theta| (Petz 1988), and an atom that two
-orthogonal states load needs rho_k = 0.  Unital: feasible iff no atom
-is loaded twice.  Non-unital: feasible iff every state loads an atom of
-its own.  Both solutions are closed-form: each atom's owner, the one
-state that loads it, fixes rho_k (rhos_from_owners), so a certificate
-names owners.  A refusal names the shared atoms that block one state.
-Its test oracles live in wsq.harness.
+Past it the answer is closed-form (petz_feasibility), and tolerances
+bounds the residual it leaves.  Its test oracles live in wsq.harness.
 """
 
 from __future__ import annotations
@@ -29,12 +21,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import inner
+from .linalg import MAX_DIM, inner
 from .spectral import DiscreteStatistic, StateFamily, project_states
 
-ORTHOGONALITY_TOL = 1e-8
 FEASIBILITY_TOL = 1e-7
-RECONSTRUCTION_TOL = 1e-6   # largest state reconstruction residual a feasible answer may leave
+
+
+def tolerances(tol: float = FEASIBILITY_TOL) -> dict[str, float]:
+    """petz's tolerances from its one tolerance: "petz_feasibility" = tol
+    cuts overlaps and loads; "reconstruction" = 4 MAX_DIM tol bounds every
+    feasible residual.  Proof, for unit states on atoms summing to I: an
+    owner o is its atom's heaviest state, so another state puts at most
+    tol S_o on o's atoms, S_o o's weight there.  Non-unital, rho = P_o / S_o
+    rebuilds P_theta from theta's atoms, and each other owner adds at most
+    tol to an entry: (n - 1) tol.  Unital, rho = P_o on live atoms and I/d
+    on the m dead ones, of weight at most tol: theta's atoms miss at most
+    (n - 1 + m) tol of P_theta, and the rest add as much.  Past the overlap
+    check the states are independent and, unital, each owns an atom, so
+    n + m <= d: both bounds are at most 2 (d - 1) tol <= 126 tol, half of it.
+    """
+    return {"petz_feasibility": tol, "reconstruction": 4 * MAX_DIM * tol}
+
+
+def load_mask(weights: np.ndarray, tol: float) -> np.ndarray:
+    """loads[theta, k]: k is live, m_k = max w[:, k] > tol, and w[theta, k] > tol m_k."""
+    heaviest = weights.max(axis=0)
+    return (weights > tol * heaviest) & (heaviest > tol)
+
 
 # Fault-injection point for the self-test harness: decides unital
 # instances by the non-unital rule, as if the trace-one rows were dropped.
@@ -96,29 +109,33 @@ class InfeasibleSharedAtoms:
     spectrum: tuple[float, ...] = field(default=(), compare=False)
 
 
-def orthogonality_precheck(family: StateFamily):
-    """First pair overlapping above ORTHOGONALITY_TOL, or None."""
+def orthogonality_precheck(family: StateFamily, tol: float = FEASIBILITY_TOL):
+    """The refusal of the first pair overlapping above tol, or None."""
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             overlap = inner(family.vectors[i], family.vectors[j])
-            if abs(overlap) > ORTHOGONALITY_TOL:
-                return (family.labels[i], family.labels[j]), overlap
+            if abs(overlap) > tol:
+                return InfeasibleOrthogonality((family.labels[i], family.labels[j]), overlap)
     return None
 
 
 def petz_feasibility(instance: PetzInstance, tol: float = FEASIBILITY_TOL):
-    """Decide channel-invariance feasibility for the instance.
+    """Decide channel-invariance feasibility for the instance at tol.
 
-    A feasible answer names the owner of each atom that one state alone
-    loads and builds the rho's from them (rhos_from_owners).  Refusals are
+    A rho_k that state theta loads (load_mask) is a multiple of
+    |phi_theta><phi_theta|, an extreme ray of the PSD cone (Petz 1988), so
+    one that two orthogonal states load is 0.  Unital: feasible iff no atom
+    is loaded twice; non-unital, iff every state loads an atom of its own.
+    A feasible answer names each atom's owner, the one state that loads it,
+    and builds the rho's from them (rhos_from_owners); refusals are
     InfeasibleOrthogonality, then InfeasibleSharedAtoms.
     """
-    bad = orthogonality_precheck(instance.family)
-    if bad is not None:
-        return InfeasibleOrthogonality(pair=bad[0], overlap=bad[1])
+    refusal = orthogonality_precheck(instance.family, tol)
+    if refusal is not None:
+        return refusal
     fam, w = instance.family, instance.weights
     unital = instance.unital and _KEEP_TRACE_ROWS
-    loads = w > tol
+    loads = load_mask(w, tol)
     shared = loads.sum(axis=0) > 1
     private = loads & ~shared
 
@@ -149,14 +166,14 @@ def rhos_from_owners(family: StateFamily, weights: np.ndarray, owners, unital: b
     """The rho of each atom and the largest state reconstruction residual.
 
     owners[k] is the label of the state that owns atom k, or None.  An
-    owned atom gets its owner's projector, scaled non-unital by 1/S, S the
-    owner's weight on the atoms it owns; any other atom gets I/d (unital)
-    or 0.  Those are PSD, and unital each has trace one, by construction.
+    owned atom gets its owner's projector over the owner's weight on the
+    atoms it owns (non-unital) or on all (unital, so of trace one); any
+    other atom gets I/d (unital) or 0.  Those are PSD by construction.
     """
     vectors = family.stack
     projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
     owned = np.array([[label == owner for owner in owners] for label in family.labels])
-    scale = np.ones(len(family)) if unital else (weights * owned).sum(axis=1)
+    scale = (weights if unital else weights * owned).sum(axis=1)
     d = family.dim
     idle = np.eye(d, dtype=complex) / d if unital else np.zeros((d, d), dtype=complex)
     rhos = [projectors[row.argmax()] / scale[row.argmax()] if row.any() else idle.copy()

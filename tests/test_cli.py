@@ -275,13 +275,14 @@ def test_parser_is_built_once_per_process(bundled_path, capsys, monkeypatch):
 
 
 def test_tol_flag_is_recorded(bundled_path, capsys):
-    # --tol sets rank; angle and witness derive from its square root
+    # --tol sets rank; angle and witness derive from its square root.  It
+    # sets petz_feasibility, and the residual bound 4 MAX_DIM times it
     witnessed = {"rank": 1e-10, "angle": 1e-5, "witness": 28 * 1e-5}
     cases = [
         ("check", 0, witnessed),
         ("construct", 0, witnessed),
         ("minimal", 0, witnessed),
-        ("petz", 1, {"petz_feasibility": 1e-10}),
+        ("petz", 1, {"petz_feasibility": 1e-10, "reconstruction": 256 * 1e-10}),
     ]
     for command, code, block in cases:
         capsys.readouterr()
@@ -676,11 +677,11 @@ def test_unconverged_decomposition_exits_2(tmp_path, monkeypatch, capsys):
     assert out.err == "error: eigenvalue 0 not split off after 0 QL sweeps\n"
 
 
-@pytest.mark.xfail(strict=True, reason="the absolute petz load rule (ROADMAP item 24)")
 def test_a_light_load_on_another_states_atom_is_answered_with_a_proof(tmp_path, capsys):
-    # a puts weight tau on atom {e2}, which b loads with s: the absolute load
-    # rule gives {e2} to b alone, whose rho P_b / s rebuilds a only to within
-    # tau / s = 5e-3, and petz --non-unital exits 2
+    # a puts weight tau on atom {e2}, which b loads with s: tau > tol s, so a
+    # loads it too, b owns no atom, and petz --non-unital refuses with a
+    # proof.  A load rule of w > tol alone gave {e2} to b, whose rho P_b / s
+    # rebuilt a only to within tau / s = 5e-3
     s, tau = 2e-7, 1e-9
     a1 = math.sqrt(tau * s / (1.0 - s))   # makes a and b exactly orthogonal
     a = [math.sqrt(1.0 - 1e-3 - tau - a1 * a1), a1, math.sqrt(tau), math.sqrt(1e-3)]
@@ -690,15 +691,18 @@ def test_a_light_load_on_another_states_atom_is_answered_with_a_proof(tmp_path, 
     path = tmp_path / "light-load.json"
     path.write_text(serialize_instance(
         statistic, StateFamily(("a", "b"), np.array([a, b], dtype=complex))))
-    code, _ = run_and_verify(path, ["petz", "--non-unital"], capsys)
-    assert code in (0, 1)
+    code, cert = run_and_verify(path, ["petz", "--non-unital"], capsys)
+    assert code == 1 and cert["verdict"] == "infeasible_shared_atoms"
+    assert cert["payload"]["state"] == "b"
+    assert cert["payload"]["pairs"] == [[0, "a"], [1, "a"]]
 
 
 def light_atom_path(tmp_path):
     """T = P + 2 (I - P), P the projector onto (cos t, sin t) with
     sin^2 t = 5e-4, and states e0, e1: each state puts weight 5e-4 on the
-    other's atom.  At --tol 1e-3 petz ignores that weight, and the
-    solution it builds rebuilds each state only to within 5e-4."""
+    other's atom.  At --tol 1e-3 petz does not count that weight as a
+    load, and the solution it builds rebuilds each state only to within
+    5e-4, inside the recorded reconstruction bound."""
     u = np.array([math.sqrt(1.0 - 5e-4), math.sqrt(5e-4)])
     matrix = 2.0 * np.eye(2) - np.outer(u, u)
     return dense_instance(tmp_path / "light.json", matrix, {"e0": [1.0, 0.0], "e1": [0.0, 1.0]})
@@ -726,7 +730,17 @@ def test_certificates_verify_across_the_tolerance_range(tmp_path, capsys):
         for command in ("check", "construct", "minimal", "petz"):
             for tol in grid:
                 codes.add(run_and_verify(path, [command, "--tol", repr(float(tol))], capsys)[0])
-    assert codes == {0, 1, 2}
+    # every command answers: petz's residual stays within its recorded bound
+    assert codes == {0, 1}
+
+
+def test_a_light_atom_is_answered_within_the_recorded_residual_bound(tmp_path, capsys):
+    path = light_atom_path(tmp_path)
+    code, cert = run_and_verify(path, ["petz", "--tol", "1e-3"], capsys)
+    assert code == 0 and cert["payload"]["owners"] == ["e0", "e1"]
+    assert cert["tolerances"] == {"petz_feasibility": 1e-3, "reconstruction": 256 * 1e-3}
+    assert run_cli(["petz", "--input", str(path), "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().err == "feasible (residual 5.000e-04)\n"
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "1e-15", "0.002"])

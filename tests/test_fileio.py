@@ -953,12 +953,13 @@ def test_only_a_petz_certificate_records_parameters():
 # ------------------------------------------------- the recorded tolerance block
 
 
-DEFAULTS = {"rank": 1e-14, "angle": 1e-7, "witness": 28 * 1e-7, "petz_feasibility": 1e-7}
+DEFAULTS = {"rank": 1e-14, "angle": 1e-7, "witness": 28 * 1e-7, "petz_feasibility": 1e-7,
+            "reconstruction": 256 * 1e-7}
 KEYS = {
     "weak_sufficiency": ["angle", "rank", "witness"],
     "existence": ["angle", "rank", "witness"],
     "minimality": ["angle", "rank", "witness"],
-    "petz": ["petz_feasibility"],
+    "petz": ["petz_feasibility", "reconstruction"],
 }
 
 
@@ -974,7 +975,7 @@ def test_each_kind_records_only_what_its_decision_applies():
              ("minimality", minimal_statistic(statistic, family),
               {"rank": 3e-9, "angle": eps, "witness": 28 * eps}),
              ("petz", petz_feasibility(PetzInstance.from_parts(statistic, family)),
-              {"petz_feasibility": 3e-9})]
+              {"petz_feasibility": 3e-9, "reconstruction": 256 * 3e-9})]
     for kind, result, block in cases:
         assert make_certificate(kind, result, tol=3e-9)["tolerances"] == block
     assert tolerances(3e-9) == cases[0][2]
@@ -990,13 +991,14 @@ def test_make_certificate_refuses_a_tolerance_outside_the_range(tol):
 def edited_blocks(kind):
     """(edit, tolerance block) pairs the verifier must refuse for a kind.
     angle and witness are amplitudes, in fileio.AMPLITUDE_RANGE, which
-    ends at 0.885; the other keys end at 1e-3."""
+    ends at 0.885; reconstruction, in fileio.RECONSTRUCTION_RANGE, ends at
+    0.256; the other keys end at 1e-3."""
     good = {key: DEFAULTS[key] for key in KEYS[kind]}
     yield "missing block", None
     yield "non-object block", [DEFAULTS[key] for key in KEYS[kind]]
     for key in KEYS[kind]:
         yield f"missing {key}", {k: v for k, v in good.items() if k != key}
-        above = 0.9 if key in ("angle", "witness") else 2e-3
+        above = 0.9 if key in ("angle", "witness") else 0.3 if key == "reconstruction" else 2e-3
         for bad in (0.0, -1e-8, 1e-15, above, math.nan, 1, True, "1e-8", None):
             yield f"{key} = {bad!r}", {**good, key: bad}
     yield "unknown key", {**good, "petz_structural": 1e-6}
@@ -1196,7 +1198,7 @@ def test_shared_atom_is_replayed_at_the_recorded_petz_feasibility():
 
 def test_owner_sharing_its_atom_is_refused_below_the_residual_bound():
     # b puts weight 5e-7 on a's atom span(e0, e1): shared at 1e-7, yet the
-    # owners [a, b] rebuild both states within RECONSTRUCTION_TOL
+    # owners [a, b] rebuild both states within the recorded reconstruction
     statistic = statistic_from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex))
     b = [0.0, math.sqrt(5e-7), math.sqrt(1.0 - 5e-7)]
     family = StateFamily(labels=("a", "b"), vectors=np.array([[1, 0, 0], b], dtype=complex))

@@ -144,6 +144,25 @@ def test_witness_bound_property_holds_at_the_proven_bound():
         assert ok, detail
 
 
+def test_petz_residuals_stay_within_the_proven_bound():
+    # feasible petz answers on 3 x 100 near-block families, unital and not,
+    # at tol in [1e-9, 1e-3]: each residual within the reconstruction its
+    # certificate records, each certificate verified (petz.tolerances)
+    for seed in range(3):
+        ok, detail, _ = harness._prop_petz_reconstruction_bound(np.random.default_rng(seed), 100)
+        assert ok, detail
+
+
+def test_randomized_light_middle_atoms_have_no_minimal_statistic():
+    # the instance minimal_function_property plants: at every draw atoms
+    # 0-2 are joined pair by pair and their Gram sum has rank 2
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        statistic, family = harness.light_middle_atom_instance(rng)
+        with pytest.raises(ValueError, match=r"atoms \[0, 1, 2\] are joined pair by pair"):
+            minimal_statistic(statistic, family)
+
+
 def test_brute_force_size_guards():
     statistic, family = load_bundled_instance()
     rng = np.random.default_rng(0)
@@ -207,7 +226,7 @@ def test_property_suite_clean_run():
     assert report.ok, "\n".join(
         f"{r.name}: {r.detail}" for r in report.failures()
     )
-    assert len(report.results) == 20
+    assert len(report.results) == 21
     rendered = report.render()
     assert "PASS" in rendered and "FAIL" not in rendered
 

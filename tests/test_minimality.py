@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from wsq import linalg, minimality, spectral, sufficiency
-from wsq.harness import dead_atom_counterexamples, gram_schmidt, is_function_of
+from wsq.harness import (dead_atom_counterexamples, gram_schmidt, is_function_of,
+                         light_middle_atom_instance)
 from wsq.linalg import RANK_TOL, gram_matrix, hermitian_part, pair_rank_two
 from wsq.fileio import make_certificate, serialize_instance, verify_certificate
 from wsq.minimality import (
@@ -651,22 +652,6 @@ def test_enumeration_guards_against_explosion():
     t = statistic_from_matrix(np.diag(np.arange(1.0, 11.0)))
     with pytest.raises(ValueError, match="too many partitions"):
         next(enumerate_coarse_grainings(t))
-
-
-def light_middle_atom_instance():
-    """T = diag(1, 2, 3, 4) and two real states p and q, each (x, s x, y, z)
-    normalized, with x = 0.5 and s = 2.5e-7; (y_p, y_q) is 0.6 (cos, sin)
-    at pi/4 + arctan(1/2), and z_p = -z_q in sign.  Atom 1 carries weight
-    1.6e-14 per state: proportional to atom 0, and not separated from
-    atom 2 (lo = 6.2e-15), which is separated from atom 0."""
-    x, s, theta = 0.5, 2.5e-7, math.atan(0.5)
-    rows = []
-    for y, sign in ((0.6 * math.cos(math.pi / 4 + theta), 1.0),
-                    (0.6 * math.sin(math.pi / 4 + theta), -1.0)):
-        rows.append([x, s * x, y, sign * math.sqrt(1.0 - x * x * (1.0 + s * s) - y * y)])
-    vectors = np.array(rows, dtype=complex)
-    family = StateFamily(("p", "q"), vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
-    return statistic_from_matrix(np.diag([1.0, 2.0, 3.0, 4.0])), family
 
 
 def test_a_minimal_partition_refines_every_sufficient_coarse_map():

@@ -348,8 +348,8 @@ def test_verifier_builds_rhos_only_through_rhos_from_owners():
 def test_verifier_hard_codes_no_threshold():
     source = (PACKAGE / "fileio.py").read_text()
     assert verifier_floats(source) == []
-    # an edit checking a trace against a literal again is caught
-    replay = "        if residual > petz.RECONSTRUCTION_TOL:\n"
+    # an edit checking a residual against a literal again is caught
+    replay = '        if residual > tols["reconstruction"]:\n'
     assert source.count(replay) == 1
     edited = source.replace(replay, "        if residual > 1e-6:\n")
     assert verifier_floats(edited) == ["_replay: 1e-06"]

@@ -155,10 +155,11 @@ def test_precheck_reports_first_overlap():
     )
     fam = StateFamily(labels=("a", "b", "c"), vectors=vecs)
     hit = orthogonality_precheck(fam)
-    assert hit is not None
-    pair, overlap = hit
-    assert pair == ("b", "c")
-    assert overlap == pytest.approx(0.6, abs=1e-12)
+    assert isinstance(hit, InfeasibleOrthogonality)
+    assert hit.pair == ("b", "c")
+    assert hit.overlap == pytest.approx(0.6, abs=1e-12)
+    # the cutoff is the tolerance petz_feasibility takes
+    assert orthogonality_precheck(fam, tol=0.7) is None
     assert orthogonality_precheck(StateFamily(labels=("a", "b"), vectors=vecs[:2])) is None
 
 
@@ -257,7 +258,8 @@ def test_non_unital_feasibility_with_a_shared_atom_need_not_be_weak():
 @pytest.mark.parametrize("w", [1e-15, 1e-12, 5e-8])
 def test_implication_allows_the_weight_feasibility_ignored(w):
     # T = 2I - uu^T with u = (sqrt(1-w), sqrt(w)): each basis state puts
-    # weight w <= FEASIBILITY_TOL on the atom the other owns
+    # weight w <= FEASIBILITY_TOL (1 - w) on the atom the other owns, which
+    # the load rule skips, and the implication allows
     u = np.array([np.sqrt(1 - w), np.sqrt(w)])
     statistic = statistic_from_matrix((2 * np.eye(2) - np.outer(u, u)).astype(complex))
     family = StateFamily(labels=("e0", "e1"), vectors=np.eye(2, dtype=complex))
